@@ -13,15 +13,22 @@ An interval query is answered by a small plan of primitive queries:
 The planner arranges the queries so that their guaranteed zones cover the
 whole interval while every "may say YES" zone stays inside it, so a YES is
 always trustworthy and no witness is missed.
+
+A level-l query asks the quotient shifts 2*kappa - 1, 2*kappa and
+2*kappa + 1, so adjacent queries of one level share a shift. The plan lists
+every distinct primitive probe once, and a query asks each of them once per
+set pair.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .backends import DEFAULT_MEM_BUDGET, BackendKind
-from .errors import FormatError
+from .backends import DEFAULT_MEM_BUDGET, BackendKind, ShiftCertificate
+from .errors import FormatError, GapIndexError
 from .reporting import AugmentedInstance, report_shift
 from .sets import IntSet, SetCollection
 
@@ -53,26 +60,57 @@ class ApproxQuery:
 
     def uncertain(self) -> tuple[int, int]:
         """Closed integer hull of the open zone where either answer is allowed."""
-        full = 1 << self.level
-        return (self.center - full + 1, self.center + full - 1)
+        return _uncertain(self.level, self.center)
+
+
+def _uncertain(level: int, center: int) -> tuple[int, int]:
+    full = 1 << level
+    return (center - full + 1, center + full - 1)
+
+
+def _quotient_shifts(level: int, center: int) -> tuple[int, int, int]:
+    """The shifts a level-l query asks of the level's quotient instance."""
+    double = center >> (level - 1)  # 2 * kappa
+    return (double - 1, double, double + 1)
 
 
 @dataclass(frozen=True)
 class CoverPlan:
-    """Queries covering [gap_lo, gap_hi] with all uncertainty kept inside it."""
+    """Queries covering [gap_lo, gap_hi] with all uncertainty kept inside it.
+
+    Approximate queries are stored as (level, center) pairs: the distinct
+    ones (forward pass first) and each pass's own list. The ApproxQuery
+    values are made when first read, since answering needs only ``probes``:
+    the distinct primitive queries as (level, shift) pairs, in the order
+    the point shifts (level 0) and then the approximate queries first issue
+    them.
+    """
 
     gap_lo: int
     gap_hi: int
     point_shifts: tuple[int, ...]
-    approx_queries: tuple[ApproxQuery, ...]
-    forward_approx: tuple[ApproxQuery, ...]
-    backward_approx: tuple[ApproxQuery, ...]
+    approx_centers: tuple[tuple[int, int], ...]
+    forward_centers: tuple[tuple[int, int], ...]
+    backward_centers: tuple[tuple[int, int], ...]
     phases_forward: int
     phases_backward: int
+    probes: tuple[tuple[int, int], ...]
 
     @property
     def size(self) -> int:
-        return len(self.point_shifts) + len(self.approx_queries)
+        return len(self.point_shifts) + len(self.approx_centers)
+
+    @cached_property
+    def approx_queries(self) -> tuple[ApproxQuery, ...]:
+        return tuple(ApproxQuery(level, center) for level, center in self.approx_centers)
+
+    @cached_property
+    def forward_approx(self) -> tuple[ApproxQuery, ...]:
+        return tuple(ApproxQuery(level, center) for level, center in self.forward_centers)
+
+    @cached_property
+    def backward_approx(self) -> tuple[ApproxQuery, ...]:
+        return tuple(ApproxQuery(level, center) for level, center in self.backward_centers)
 
     def covered_points(self) -> set[int]:
         pts = set(self.point_shifts)
@@ -87,6 +125,25 @@ class CoverPlan:
             lo, hi = q.uncertain()
             pts.update(range(lo, hi + 1))
         return pts
+
+    @cached_property
+    def zones(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """For each quotient probe, the union of the uncertain zones of the
+        approximate queries that issue it.
+
+        Queries of one level share a quotient shift only when their kappas
+        differ by one, and then their zones overlap, so the union is the
+        interval from the least to the greatest end.
+        """
+        zones: dict[tuple[int, int], tuple[int, int]] = {}
+        for level, center in self.approx_centers:
+            u0, u1 = _uncertain(level, center)
+            for shift in _quotient_shifts(level, center):
+                zone = zones.get((level, shift))
+                zones[(level, shift)] = (
+                    (u0, u1) if zone is None else (min(zone[0], u0), max(zone[1], u1))
+                )
+        return zones
 
     def describe(self) -> str:
         lines = [f"plan [{self.gap_lo}, {self.gap_hi}] queries={self.size}"]
@@ -146,41 +203,38 @@ def plan_cover(alpha: int, beta: int) -> CoverPlan:
     """Plan point and approximate queries for the shift interval [alpha, beta]."""
     if not 0 <= alpha <= beta:
         raise FormatError(f"need 0 <= alpha <= beta, got [{alpha}, {beta}]")
-    fwd_points, fwd_raw, fwd_phases = _forward_pass(alpha, beta)
-    fwd_approx = [ApproxQuery(level=lv, center=d) for lv, d in fwd_raw]
+    fwd_points, fwd_centers, fwd_phases = _forward_pass(alpha, beta)
     # The pass from beta is the reflection: plan on [-beta, -alpha], negate.
-    bwd_points_raw, bwd_raw, bwd_phases = _forward_pass(-beta, -alpha)
-    bwd_points = [-s for s in bwd_points_raw]
-    bwd_approx = [ApproxQuery(level=lv, center=-d) for lv, d in bwd_raw]
+    bwd_points, bwd_centers, bwd_phases = _forward_pass(-beta, -alpha)
+    bwd_centers = [(lv, -d) for lv, d in bwd_centers]
+    points = tuple(dict.fromkeys(fwd_points + [-s for s in bwd_points]))
+    centers = tuple(dict.fromkeys(fwd_centers + bwd_centers))
 
-    points: list[int] = []
-    for s in fwd_points + bwd_points:
-        if s not in points:
-            points.append(s)
-    approx: list[ApproxQuery] = []
-    seen = set()
-    for q in fwd_approx + bwd_approx:
-        key = (q.level, q.center)
-        if key not in seen:
-            seen.add(key)
-            approx.append(q)
-
+    # Every answer relies on these: a point or an uncertain zone outside
+    # [alpha, beta] could turn a YES into a witness with the wrong gap.
     for s in points:
-        assert alpha <= s <= beta, f"point shift {s} escaped [{alpha}, {beta}]"
-    for q in approx:
-        u0, u1 = q.uncertain()
-        assert alpha <= u0 and u1 <= beta, (
-            f"uncertainty of {q} escaped [{alpha}, {beta}]"
-        )
+        if not alpha <= s <= beta:
+            raise GapIndexError(f"point shift {s} escaped [{alpha}, {beta}]")
+    for level, center in centers:
+        u0, u1 = _uncertain(level, center)
+        if not (alpha <= u0 and u1 <= beta):
+            raise GapIndexError(
+                f"uncertainty of the level-{level} query at {center}"
+                f" escaped [{alpha}, {beta}]"
+            )
+    probes = [(0, s) for s in points] + [
+        (level, shift) for level, center in centers for shift in _quotient_shifts(level, center)
+    ]
     return CoverPlan(
         gap_lo=alpha,
         gap_hi=beta,
-        point_shifts=tuple(points),
-        approx_queries=tuple(approx),
-        forward_approx=tuple(fwd_approx),
-        backward_approx=tuple(bwd_approx),
+        point_shifts=points,
+        approx_centers=centers,
+        forward_centers=tuple(fwd_centers),
+        backward_centers=tuple(bwd_centers),
         phases_forward=fwd_phases,
         phases_backward=bwd_phases,
+        probes=tuple(dict.fromkeys(probes)),
     )
 
 
@@ -257,85 +311,134 @@ def build_gapped_index(
 def approx_exists(g: GappedIndex, i: int, j: int, q: ApproxQuery) -> bool:
     """Answer one approximate query through the level's quotient instance."""
     lvl = g._level(q.level)
-    for shift in (2 * q.kappa - 1, 2 * q.kappa, 2 * q.kappa + 1):
+    for shift in _quotient_shifts(q.level, q.center):
         if lvl.instance._exists(i, j, shift) is not None:
             return True
     return False
 
 
+def _plan_for(
+    g: GappedIndex, alpha: int, beta: int, plan: Optional[CoverPlan]
+) -> Optional[CoverPlan]:
+    """The plan for [alpha, beta] clamped to the universe, or None when empty.
+
+    A caller that asks many set pairs the same interval plans it once and
+    passes the plan in; it must be the plan of the clamped interval.
+    """
+    clamped = g._clamped(alpha, beta)
+    if plan is None:
+        return None if clamped is None else plan_cover(*clamped)
+    if clamped != (plan.gap_lo, plan.gap_hi):
+        raise FormatError(
+            f"plan for [{plan.gap_lo}, {plan.gap_hi}] does not match"
+            f" [{alpha}, {beta}] clamped to {clamped}"
+        )
+    return plan
+
+
 def _approx_witness(
-    g: GappedIndex, lvl: LevelIndex, i: int, j: int, q: ApproxQuery, alpha: int, beta: int
+    g: GappedIndex,
+    lvl: LevelIndex,
+    i: int,
+    j: int,
+    shift: int,
+    cert: ShiftCertificate,
+    alpha: int,
+    beta: int,
 ) -> Optional[tuple[int, int]]:
-    for shift in (2 * q.kappa - 1, 2 * q.kappa, 2 * q.kappa + 1):
-        cert = lvl.instance._exists(i, j, shift)
-        if cert is None:
-            continue
-        a = lvl.originals(i, cert.a)[0]
-        b = lvl.originals(j, cert.b)[0]
-        if alpha <= b - a <= beta:
-            return (a, b)
-        # The planner confines uncertainty to [alpha, beta], so this branch
-        # should be unreachable; fall back to reporting just in case the
-        # certificate's expansion was the one out-of-range combination.
-        g.fallback_count += 1
-        for qa, qb in report_shift(lvl.instance, i, j, shift):
-            for a2 in lvl.originals(i, qa):
-                for b2 in lvl.originals(j, qb):
-                    if alpha <= b2 - a2 <= beta:
-                        return (a2, b2)
+    """An original pair with its gap in [alpha, beta] behind a quotient certificate."""
+    a = lvl.originals(i, cert.a)[0]
+    b = lvl.originals(j, cert.b)[0]
+    if alpha <= b - a <= beta:
+        return (a, b)
+    # The planner confines uncertainty to [alpha, beta], so this branch
+    # should be unreachable; fall back to reporting just in case the
+    # certificate's expansion was the one out-of-range combination.
+    g.fallback_count += 1
+    for qa, qb in report_shift(lvl.instance, i, j, shift):
+        for a2 in lvl.originals(i, qa):
+            for b2 in lvl.originals(j, qb):
+                if alpha <= b2 - a2 <= beta:
+                    return (a2, b2)
     return None
 
 
 def gapped_exists(
-    g: GappedIndex, i: int, j: int, alpha: int, beta: int
+    g: GappedIndex,
+    i: int,
+    j: int,
+    alpha: int,
+    beta: int,
+    *,
+    plan: Optional[CoverPlan] = None,
 ) -> Optional[tuple[int, int]]:
-    """Some (a, b) with b - a in [alpha, beta], or None when none exists."""
-    clamped = g._clamped(alpha, beta)
-    if clamped is None:
+    """Some (a, b) with b - a in [alpha, beta], or None when none exists.
+
+    Each distinct probe of the plan is asked once, in first-issue order; a
+    repeat would give the same answer, so the first witness is the one the
+    full sequence of point and approximate queries finds.
+    """
+    plan = _plan_for(g, alpha, beta, plan)
+    if plan is None:
         return None
-    lo, hi = clamped
-    plan = plan_cover(lo, hi)
     g.last_plan_size = plan.size
-    for s in plan.point_shifts:
-        cert = g.exact._exists(i, j, s)
-        if cert is not None:
-            assert alpha <= cert.b - cert.a <= beta
+    # Uncertain zones fit inside the clamped interval, so a plan never
+    # reaches past the top level built for the universe.
+    levels = g.levels
+    for level, shift in plan.probes:
+        if level == 0:
+            cert = g.exact._exists(i, j, shift)
+            if cert is None:
+                continue
+            if not alpha <= cert.b - cert.a <= beta:
+                raise GapIndexError(
+                    f"witness ({cert.a}, {cert.b}) of shift {shift} is outside [{alpha}, {beta}]"
+                )
             return (cert.a, cert.b)
-    for q in plan.approx_queries:
-        witness = _approx_witness(g, g._level(q.level), i, j, q, alpha, beta)
-        if witness is not None:
-            return witness
+        lvl = levels[level - 1]
+        cert = lvl.instance._exists(i, j, shift)
+        if cert is not None:
+            witness = _approx_witness(g, lvl, i, j, shift, cert, alpha, beta)
+            if witness is not None:
+                return witness
     return None
 
 
-def gapped_report(g: GappedIndex, i: int, j: int, alpha: int, beta: int) -> list[tuple[int, int]]:
+def gapped_report(
+    g: GappedIndex,
+    i: int,
+    j: int,
+    alpha: int,
+    beta: int,
+    *,
+    plan: Optional[CoverPlan] = None,
+) -> list[tuple[int, int]]:
     """All pairs (a, b) with b - a in [alpha, beta], sorted and deduplicated."""
-    clamped = g._clamped(alpha, beta)
-    if clamped is None:
+    plan = _plan_for(g, alpha, beta, plan)
+    if plan is None:
         g.last_plan_size = 0
         g.last_raw_pairs = 0
         g.last_max_multiplicity = 0
         return []
-    lo, hi = clamped
-    plan = plan_cover(lo, hi)
     g.last_plan_size = plan.size
     raw: list[tuple[int, int]] = []
-    for s in plan.point_shifts:
-        raw.extend(report_shift(g.exact, i, j, s))
-    for q in plan.approx_queries:
-        lvl = g._level(q.level)
-        open_lo, open_hi = q.uncertain()
-        for shift in (2 * q.kappa - 1, 2 * q.kappa, 2 * q.kappa + 1):
-            for qa, qb in report_shift(lvl.instance, i, j, shift):
-                for a in lvl.originals(i, qa):
-                    for b in lvl.originals(j, qb):
-                        if open_lo <= b - a <= open_hi:
-                            raw.append((a, b))
+    levels = g.levels
+    for level, shift in plan.probes:
+        if level == 0:
+            raw.extend(report_shift(g.exact, i, j, shift))
+            continue
+        lvl = levels[level - 1]
+        found = report_shift(lvl.instance, i, j, shift)
+        if not found:
+            continue
+        # Keep an expanded pair when one of the queries issuing this probe
+        # may report its difference.
+        zone_lo, zone_hi = plan.zones[(level, shift)]
+        for qa, qb in found:
+            for a in lvl.originals(i, qa):
+                for b in lvl.originals(j, qb):
+                    if zone_lo <= b - a <= zone_hi:
+                        raw.append((a, b))
     g.last_raw_pairs = len(raw)
-    if raw:
-        from collections import Counter
-
-        g.last_max_multiplicity = max(Counter(raw).values())
-    else:
-        g.last_max_multiplicity = 0
+    g.last_max_multiplicity = max(Counter(raw).values()) if raw else 0
     return sorted(set(raw))

@@ -113,41 +113,51 @@ class _Node:
 def report_shift(
     inst: AugmentedInstance, i: int, j: int, s: int, trace: Optional[list] = None
 ) -> list[tuple[int, int]]:
-    """All pairs (a, b) in S_i x S_j with a + s = b, sorted by a, no duplicates."""
+    """All pairs (a, b) in S_i x S_j with a + s = b, sorted by a, no duplicates.
+
+    The root pair is asked first, so a shift with no pair costs exactly one
+    existence call; only a certificate starts the split recursion.
+    """
     parent_a = inst.base.set(i)
     parent_b = inst.base.set(j)
     inst.last_query_calls = 0
+    cert = inst._exists(i, j, s)
+    if cert is None:
+        if trace is not None:
+            trace.append((_Node(i, 1, len(parent_a), j, 1, len(parent_b)), None))
+        return []
     found: list[tuple[int, int]] = []
-    stack = [_Node(i, 1, len(parent_a), j, 1, len(parent_b))]
-    while stack:
-        node = stack.pop()
-        cert = inst._exists(node.set_a, node.set_b, s)
+    node = _Node(i, 1, len(parent_a), j, 1, len(parent_b))
+    stack: list[_Node] = []
+    while True:
         if trace is not None:
             trace.append((node, cert))
-        if cert is None:
-            continue
-        found.append((cert.a, cert.b))
-        # Split strictly below / above the witness; remaining solutions
-        # cannot straddle the two halves since a' < a forces b' < b.
-        rank_a = bisect_left(parent_a.elements, cert.a) + 1
-        rank_b = bisect_left(parent_b.elements, cert.b) + 1
-        lows_a = _cover_or_empty(parent_a, node.a_lo, rank_a - 1, inst)
-        highs_a = _cover_or_empty(parent_a, rank_a + 1, node.a_hi, inst)
-        lows_b = _cover_or_empty(parent_b, node.b_lo, rank_b - 1, inst)
-        highs_b = _cover_or_empty(parent_b, rank_b + 1, node.b_hi, inst)
-        for side_a, side_b in ((lows_a, lows_b), (highs_a, highs_b)):
-            for block_a, block_b in matching_pairs(side_a, side_b, s):
-                stack.append(
-                    _Node(
-                        inst.block_id(block_a),
-                        block_a.rank_lo,
-                        block_a.rank_hi,
-                        inst.block_id(block_b),
-                        block_b.rank_lo,
-                        block_b.rank_hi,
+        if cert is not None:
+            found.append((cert.a, cert.b))
+            # Split strictly below / above the witness; remaining solutions
+            # cannot straddle the two halves since a' < a forces b' < b.
+            rank_a = bisect_left(parent_a.elements, cert.a) + 1
+            rank_b = bisect_left(parent_b.elements, cert.b) + 1
+            lows_a = _cover_or_empty(parent_a, node.a_lo, rank_a - 1, inst)
+            highs_a = _cover_or_empty(parent_a, rank_a + 1, node.a_hi, inst)
+            lows_b = _cover_or_empty(parent_b, node.b_lo, rank_b - 1, inst)
+            highs_b = _cover_or_empty(parent_b, rank_b + 1, node.b_hi, inst)
+            for side_a, side_b in ((lows_a, lows_b), (highs_a, highs_b)):
+                for block_a, block_b in matching_pairs(side_a, side_b, s):
+                    stack.append(
+                        _Node(
+                            inst.block_id(block_a),
+                            block_a.rank_lo,
+                            block_a.rank_hi,
+                            inst.block_id(block_b),
+                            block_b.rank_lo,
+                            block_b.rank_hi,
+                        )
                     )
-                )
-    return sorted(set(found))
+        if not stack:
+            return sorted(set(found))
+        node = stack.pop()
+        cert = inst._exists(node.set_a, node.set_b, s)
 
 
 class ThreeSumReporting:

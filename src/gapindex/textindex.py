@@ -18,9 +18,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import gapped
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import BudgetError, FormatError
-from .gapped import GappedIndex, gapped_exists, gapped_report
+from .gapped import CoverPlan, GappedIndex, gapped_exists, gapped_report
 from .sets import IntSet, SetCollection, _cover_rank_blocks
 
 DEFAULT_QUAD_BUDGET = 512 << 20
@@ -197,34 +198,48 @@ class GappedStringIndex:
             return []
         return [self._interval_ids[(j, k)] for j, k, _, _ in _cover_rank_blocks(lo, hi)]
 
-    def _covers(self, p1: bytes, p2: bytes) -> Optional[tuple[list[int], list[int]]]:
+    def _planned_covers(
+        self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int
+    ) -> Optional[tuple[list[int], list[int], CoverPlan]]:
+        """Cover ids of both patterns and the query's one plan, or None when
+        no pair can answer.
+
+        The gap is checked before the pattern lookup, so a bad range raises
+        whether or not the patterns occur. Every cover pair shares the plan
+        of the gap clamped to the text.
+        """
+        clamped = self.gapped._clamped(gap_lo, gap_hi)
         s1, e1 = pattern_interval(self.suffixes, p1)
         s2, e2 = pattern_interval(self.suffixes, p2)
-        if s1 == e1 or s2 == e2:
+        if s1 == e1 or s2 == e2 or clamped is None:
             return None
-        return self._cover_ids(s1, e1 - 1), self._cover_ids(s2, e2 - 1)
+        # Looked up on the module, so a wrapper installed there sees each plan.
+        plan = gapped.plan_cover(*clamped)
+        return self._cover_ids(s1, e1 - 1), self._cover_ids(s2, e2 - 1), plan
 
     def exists(self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int) -> Optional[tuple[int, int]]:
         """First witness pair (i, j) with the required gap, or None."""
-        covers = self._covers(p1, p2)
-        if covers is None:
+        planned = self._planned_covers(p1, p2, gap_lo, gap_hi)
+        if planned is None:
             return None
-        for ida in covers[0]:
-            for idb in covers[1]:
-                hit = gapped_exists(self.gapped, ida, idb, gap_lo, gap_hi)
+        cover_a, cover_b, plan = planned
+        for ida in cover_a:
+            for idb in cover_b:
+                hit = gapped_exists(self.gapped, ida, idb, gap_lo, gap_hi, plan=plan)
                 if hit is not None:
                     return hit
         return None
 
     def report(self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int) -> list[tuple[int, int]]:
         """All pairs (i, j): p1 at i, p2 at j, j - i in [gap_lo, gap_hi]."""
-        covers = self._covers(p1, p2)
-        if covers is None:
+        planned = self._planned_covers(p1, p2, gap_lo, gap_hi)
+        if planned is None:
             return []
+        cover_a, cover_b, plan = planned
         raw: list[tuple[int, int]] = []
-        for ida in covers[0]:
-            for idb in covers[1]:
-                raw.extend(gapped_report(self.gapped, ida, idb, gap_lo, gap_hi))
+        for ida in cover_a:
+            for idb in cover_b:
+                raw.extend(gapped_report(self.gapped, ida, idb, gap_lo, gap_hi, plan=plan))
         return sorted(set(raw))
 
 

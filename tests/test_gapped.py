@@ -43,6 +43,13 @@ def test_plan_10_20_frozen():
     assert [(q.level, q.center) for q in plan.backward_approx] == [(1, 18), (1, 16), (1, 14)]
     assert plan.uncertain_points() <= set(range(10, 21))
     assert plan.covered_points() >= set(range(10, 21))
+    assert plan.size == 10
+    assert plan.probes == (
+        (0, 10), (0, 11), (0, 12), (0, 20), (0, 19), (0, 18),
+        (1, 11), (1, 12), (1, 13), (1, 14), (1, 15), (1, 16), (1, 17), (1, 18), (1, 19),
+    )
+    assert plan.zones[(1, 13)] == (11, 15)  # issued by centers 12 and 14
+    assert plan.zones[(1, 12)] == (11, 13)
 
 
 def test_plan_rejects_bad_interval():

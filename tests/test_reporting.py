@@ -19,7 +19,11 @@ def test_report_example():
     c = ingest_collection([[1, 2, 5], [3, 4, 7]], u=8)
     idx = build_reporting_index(c, LinearScan())
     assert report_shift(idx, 1, 2, 2) == [(1, 3), (2, 4), (5, 7)]
-    assert report_shift(idx, 1, 2, 40) == []
+    trace = []
+    assert report_shift(idx, 1, 2, 40, trace=trace) == []
+    assert idx.last_query_calls == 1
+    assert [(node.set_a, node.a_lo, node.a_hi, node.set_b, node.b_lo, node.b_hi, cert)
+            for node, cert in trace] == [(1, 1, 3, 2, 1, 3, None)]
 
 
 def test_index_set_counts():
@@ -77,8 +81,15 @@ def test_no_straddling_solutions():
         idx = build_reporting_index(c, LinearScan())
         s = rng.randint(-30, 30)
         trace = []
-        report_shift(idx, 1, 2, s, trace=trace)
+        got = report_shift(idx, 1, 2, s, trace=trace)
         sa, sb = c.set(1).elements, c.set(2).elements
+        root, root_cert = trace[0]
+        assert (root.set_a, root.a_lo, root.a_hi) == (1, 1, len(sa))
+        assert (root.set_b, root.b_lo, root.b_hi) == (2, 1, len(sb))
+        assert len(trace) == idx.last_query_calls
+        if root_cert is None:
+            # A miss costs the root's one existence call and nothing else.
+            assert got == [] and len(trace) == 1
         for node, cert in trace:
             if cert is None:
                 continue

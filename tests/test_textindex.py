@@ -119,6 +119,18 @@ def test_string_index_exists_short_circuit():
     assert idx.exists(b"an", b"na", 5, 9) is None
 
 
+def test_string_index_rejects_bad_gap_before_pattern_lookup():
+    idx = build_gapped_string_index(b"banana", LinearScan())
+    for p1, p2 in ((b"an", b"na"), (b"zz", b"na"), (b"an", b"zz")):
+        for lo, hi in ((5, 4), (-1, 3)):
+            with pytest.raises(FormatError):
+                idx.exists(p1, p2, lo, hi)
+            with pytest.raises(FormatError):
+                idx.report(p1, p2, lo, hi)
+    assert idx.exists(b"zz", b"na", 0, 3) is None
+    assert idx.report(b"an", b"na", 9, 12) == []
+
+
 def test_baseline_linear_examples():
     assert baseline_linear_scan(b"abab", b"ab", b"ab", 2, 2) == [(1, 3)]
     assert baseline_linear_scan(b"banana", b"an", b"na", 1, 3) == [(2, 3), (2, 5), (4, 5)]
