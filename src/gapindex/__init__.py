@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
 * ``sets``           sorted integer-set collections, dyadic blocks and covers
-* ``backends``       certificate-returning shifted set intersection backends
+* ``backends``       the certificate-returning shifted set intersection backend
 * ``reductions``     the two-way 3SUM indexing reductions
 * ``reporting``      report-all-pairs via dyadic augmentation
 * ``gapped``         interval-of-shifts queries via leveled approximation
@@ -24,7 +24,6 @@ from .backends import (
     brute_force_ssi,
     build_backend,
     parse_backend,
-    ssi_exists,
 )
 from .errors import BudgetError, FormatError, GapIndexError, GuardError, VerificationError
 from .gapped import (

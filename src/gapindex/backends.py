@@ -1,18 +1,24 @@
-"""Certificate-returning shifted set intersection backends.
+"""Certificate-returning shifted set intersection (SSI).
 
-Three interchangeable backends answer "is there a in S_i, b in S_j with
-a + s = b?" and, on YES, return the witness pair with the smallest a:
+One backend answers "is there a in S_i, b in S_j with a + s = b?" and, on
+YES, returns the witness pair with the smallest a. It follows one rule:
+every pair of sets larger than a size threshold is tabulated (one
+certificate per realized shift), and any other pair is answered by
+probing the smaller set against the other's member set. The three kinds
+only set the threshold:
 
-* ``LinearScan``     -- membership sets only; probes the smaller set.
-* ``FullTabulation`` -- one certificate per (i, j, realized shift).
-* ``SmallUniverse``  -- tabulates large-set pairs, probes otherwise.
+* ``LinearScan``        -- infinite: nothing is tabulated, every query probes.
+* ``FullTabulation``    -- -1: every pair is tabulated, no member sets kept.
+* ``SmallUniverse(d)``  -- ceil(N^d): sweeping d trades bytes for probes.
 
-All backends are immutable after build apart from cheap instrumentation
-counters; queries are read-only.
+A backend is immutable after build apart from its ``probes`` counter;
+queries are read-only.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -122,18 +128,14 @@ class _TabulatedPairs:
         self.entries += len(shifts)
 
     def lookup(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
-        entry = self._table.get((i, j))
-        if entry is None:
-            return None
-        shifts, avals = entry
+        shifts, avals = self._table[(i, j)]
         if isinstance(shifts, np.ndarray):
             pos = int(np.searchsorted(shifts, s))
             if pos < len(shifts) and int(shifts[pos]) == s:
                 a = int(avals[pos])
                 return ShiftCertificate(a, a + s)
             return None
-        from bisect import bisect_left
-
+        # List path: pairs too small for numpy, or values outside int64.
         pos = bisect_left(shifts, s)
         if pos < len(shifts) and shifts[pos] == s:
             a = avals[pos]
@@ -141,148 +143,86 @@ class _TabulatedPairs:
         return None
 
 
-def _probe(sa: tuple[int, ...], member_b: frozenset, s: int, counter) -> Optional[ShiftCertificate]:
-    """Scan the a-side in ascending order against a membership set."""
-    n = 0
-    for a in sa:
-        n += 1
-        if a + s in member_b:
-            counter(n)
-            return ShiftCertificate(a, a + s)
-    counter(n)
-    return None
+def _threshold(kind: BackendKind, sets: list[tuple[int, ...]]) -> float:
+    """Size above which a set is "large"; large x large pairs are tabulated."""
+    if isinstance(kind, LinearScan):
+        return math.inf
+    if isinstance(kind, FullTabulation):
+        return -1  # every set, empty ones included
+    if isinstance(kind, SmallUniverse):
+        return _ceil_pow(sum(len(s) for s in sets), kind.delta)
+    raise ValueError(f"unsupported backend kind {kind!r}")
 
 
 class SsiBackend:
-    """Common query surface; concrete backends fill in ``_exists``."""
+    """Tabulate every pair of large sets; probe the smaller set otherwise.
 
-    kind: BackendKind
+    The three kinds differ only in ``threshold``. Member sets serve the
+    probes, so ``FullTabulation``, which never probes, keeps none.
+    """
 
-    def __init__(self, sets: list[tuple[int, ...]]):
+    def __init__(self, sets: list[tuple[int, ...]], kind: BackendKind,
+                 mem_budget: int = DEFAULT_MEM_BUDGET):
         self.sets = sets
+        self.kind = kind
         self.probes = 0
+        self.threshold = threshold = _threshold(kind, sets)
+        self.large = [len(s) > threshold for s in sets]
+        large_ids = [i for i, big in enumerate(self.large, start=1) if big]
+        self.table = _TabulatedPairs()
+        # Without large sets (always so for LinearScan) skip the two scans
+        # over every set that only the tabulation needs.
+        if large_ids:
+            span = _shift_span(sets)
+            needed = _CERT_BYTES * sum(
+                min(len(sets[i - 1]) * len(sets[j - 1]), span)
+                for i in large_ids
+                for j in large_ids
+            )
+            if needed > mem_budget:
+                raise BudgetError(
+                    f"{kind.name} build needs ~{needed} bytes, over budget {mem_budget}"
+                )
+            use_np = _np_safe(sets)
+            for i in large_ids:
+                for j in large_ids:
+                    self.table.add_pair(i, j, sets[i - 1], sets[j - 1], use_np)
+        probing = not isinstance(kind, FullTabulation)
+        self.members = [frozenset(s) for s in sets] if probing else []
+        self.dict_entries = sum(len(m) for m in self.members)
 
-    def _check_pair(self, i: int, j: int) -> None:
+    def exists(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
+        """Smallest-a certificate for a + s = b over sets i, j, or None."""
         if not (1 <= i <= len(self.sets) and 1 <= j <= len(self.sets)):
             raise FormatError(
                 f"set indices ({i}, {j}) out of range 1..{len(self.sets)}"
             )
-
-    def _count(self, n: int) -> None:
-        self.probes += n
-
-    def exists(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
-        """Smallest-a certificate for a + s = b over sets i, j, or None."""
-        raise NotImplementedError
-
-    def space_bytes(self) -> int:
-        raise NotImplementedError
-
-
-class _LinearBackend(SsiBackend):
-    def __init__(self, sets, kind: LinearScan):
-        super().__init__(sets)
-        self.kind = kind
-        self.members = [frozenset(s) for s in sets]
-        self.dict_entries = sum(len(m) for m in self.members)
-
-    def exists(self, i, j, s):
-        self._check_pair(i, j)
-        sa, sb = self.sets[i - 1], self.sets[j - 1]
-        if len(sa) <= len(sb):
-            return _probe(sa, self.members[j - 1], s, self._count)
-        # Probe the smaller b-side; a = b - s still comes out ascending.
-        n = 0
-        member_a = self.members[i - 1]
-        for b in sb:
-            n += 1
-            if b - s in member_a:
-                self._count(n)
-                return ShiftCertificate(b - s, b)
-        self._count(n)
-        return None
-
-    def space_bytes(self):
-        return self.dict_entries * _INT_BYTES
-
-
-class _FullTabBackend(SsiBackend):
-    def __init__(self, sets, kind: FullTabulation, mem_budget: int):
-        super().__init__(sets)
-        self.kind = kind
-        span = _shift_span(sets)
-        estimate = sum(
-            min(len(a) * len(b), span) for a in sets for b in sets
-        )
-        _check_budget("fulltab", estimate * _CERT_BYTES, mem_budget)
-        use_np = _np_safe(sets)
-        self.table = _TabulatedPairs()
-        for i, sa in enumerate(sets, start=1):
-            for j, sb in enumerate(sets, start=1):
-                self.table.add_pair(i, j, sa, sb, use_np)
-
-    def exists(self, i, j, s):
-        self._check_pair(i, j)
-        return self.table.lookup(i, j, s)
-
-    def space_bytes(self):
-        return self.table.entries * _CERT_BYTES
-
-
-class _SmallUniverseBackend(SsiBackend):
-    def __init__(self, sets, kind: SmallUniverse, mem_budget: int):
-        super().__init__(sets)
-        self.kind = kind
-        total = sum(len(s) for s in sets)
-        # "Large" is strictly above ceil(N^delta); everything else probes.
-        self.threshold = _ceil_pow(total, kind.delta)
-        self.large = [len(s) > self.threshold for s in sets]
-        span = _shift_span(sets)
-        estimate = sum(
-            min(len(a) * len(b), span)
-            for ia, a in enumerate(sets)
-            if self.large[ia]
-            for ib, b in enumerate(sets)
-            if self.large[ib]
-        )
-        _check_budget("smalluniverse", estimate * _CERT_BYTES, mem_budget)
-        self.members = [frozenset(s) for s in sets]
-        self.dict_entries = sum(len(m) for m in self.members)
-        use_np = _np_safe(sets)
-        self.table = _TabulatedPairs()
-        for i, sa in enumerate(sets, start=1):
-            if not self.large[i - 1]:
-                continue
-            for j, sb in enumerate(sets, start=1):
-                if self.large[j - 1]:
-                    self.table.add_pair(i, j, sa, sb, use_np)
-
-    def exists(self, i, j, s):
-        self._check_pair(i, j)
         if self.large[i - 1] and self.large[j - 1]:
             return self.table.lookup(i, j, s)
         sa, sb = self.sets[i - 1], self.sets[j - 1]
+        # Scan the smaller side against the other's members; scanning the
+        # b-side finds a = b - s in ascending order too.
         if len(sa) <= len(sb):
-            return _probe(sa, self.members[j - 1], s, self._count)
+            scan, member, step = sa, self.members[j - 1], s
+        else:
+            scan, member, step = sb, self.members[i - 1], -s
         n = 0
-        member_a = self.members[i - 1]
-        for b in sb:
+        for x in scan:
             n += 1
-            if b - s in member_a:
-                self._count(n)
-                return ShiftCertificate(b - s, b)
-        self._count(n)
+            if x + step in member:
+                self.probes += n
+                a = x if scan is sa else x - s
+                return ShiftCertificate(a, a + s)
+        self.probes += n
         return None
 
-    def space_bytes(self):
+    def space_bytes(self) -> int:
         return self.dict_entries * _INT_BYTES + self.table.entries * _CERT_BYTES
 
 
 def _ceil_pow(total: int, delta: float) -> int:
     if total <= 0:
         return 0
-    import math
-
     t = math.ceil(total**delta)
     # Guard against float rounding just above an exact power.
     while t > 1 and (t - 1) >= total**delta:
@@ -299,31 +239,13 @@ def _shift_span(sets: list[tuple[int, ...]]) -> int:
     return 2 * (hi - lo) + 1
 
 
-def _check_budget(what: str, estimated_bytes: int, mem_budget: int) -> None:
-    if estimated_bytes > mem_budget:
-        raise BudgetError(
-            f"{what} build needs ~{estimated_bytes} bytes, over budget {mem_budget}"
-        )
-
-
 def build_backend(
     c: Union[SetCollection, Sequence[tuple[int, ...]]],
     kind: BackendKind,
     mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> SsiBackend:
     """Build the requested backend over a collection or raw sorted sets."""
-    sets = _as_element_lists(c)
-    if isinstance(kind, LinearScan):
-        return _LinearBackend(sets, kind)
-    if isinstance(kind, FullTabulation):
-        return _FullTabBackend(sets, kind, mem_budget)
-    if isinstance(kind, SmallUniverse):
-        return _SmallUniverseBackend(sets, kind, mem_budget)
-    raise ValueError(f"unsupported backend kind {kind!r}")
-
-
-def ssi_exists(backend: SsiBackend, q: ShiftQuery) -> Optional[ShiftCertificate]:
-    return backend.exists(q.i, q.j, q.s)
+    return SsiBackend(_as_element_lists(c), kind, mem_budget)
 
 
 def brute_force_ssi(

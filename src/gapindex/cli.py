@@ -261,6 +261,8 @@ def main(argv=None) -> int:
         "gen": _cmd_gen,
     }[args.command]
     try:
+        if getattr(args, "mem_budget", 0) < 0:
+            raise FormatError(f"--mem-budget must be >= 0, got {args.mem_budget}")
         return handler(args)
     except FormatError as e:
         print(f"format error: {e}", file=sys.stderr)

@@ -185,7 +185,8 @@ def _forward_pass(lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]], i
     level = 1
     while True:
         delta = covered_end - lo
-        assert delta >= (1 << (level + 1)) - 2, "entered a phase before covering enough"
+        if delta < (1 << (level + 1)) - 2:
+            raise GapIndexError("entered a phase before covering enough")
         phases += 1
         half = 1 << (level - 1)
         size = 1 << level
@@ -275,9 +276,8 @@ class GappedIndex:
         self.total_elements = self.exact.total_elements + sum(
             lvl.instance.total_elements for lvl in self.levels
         )
-        assert self.total_elements <= per_level_bound * (self.max_level + 1), (
-            "gapped element accounting bound violated"
-        )
+        if self.total_elements > per_level_bound * (self.max_level + 1):
+            raise GapIndexError("gapped element accounting bound violated")
         self.last_plan_size = 0
         self.last_raw_pairs = 0
         self.last_max_multiplicity = 0

@@ -2,10 +2,14 @@
 
 One file holds a JSON manifest plus named binary sections (little-endian
 int64 arrays or raw bytes) with a payload digest, so a corrupted or
-truncated file is rejected at load. Only primary payloads are persisted
-(sets, text, suffix array, interval tables); derived structures are
-rebuilt deterministically on load, which keeps the container portable and
-query outputs bit-exact across save/load.
+truncated file is rejected at load. Only the primary input is persisted:
+the set collection (``universe``, ``set_offsets``, ``set_elements``) for
+the set kinds, and the ``text`` (plus its ``alphabet`` for jumbled) for
+the text kinds. Everything else, the suffix array and the dyadic interval
+sets included, is rebuilt deterministically on load, which keeps the
+container portable and query outputs bit-exact across save/load.
+Gapped-string containers written with extra ``sa``, ``lcp`` and interval
+set sections still load; their index is rebuilt from the text alone.
 """
 
 from __future__ import annotations
@@ -219,14 +223,7 @@ def build_artifact(
         counters["set_elements_bound"] = n * n.bit_length()
         counters["levels"] = index.gapped.max_level
         artifact.text = source
-        artifact.sections = {
-            "text": source,
-            "sa": np.array(index.suffixes.sa, dtype=np.int64),
-            "lcp": np.array(index.suffixes.lcp, dtype=np.int64),
-        }
-        artifact.sections.update(
-            _collection_to_sections(index.collection)
-        )
+        artifact.sections = {"text": source}
     elif kind == "jumbled":
         if not source:
             raise FormatError("text source is empty")
@@ -272,16 +269,7 @@ def make_string_index_from_text(text: bytes, backend: BackendKind, mem_budget: i
 
 
 def make_string_index(artifact: Artifact):
-    index = make_string_index_from_text(artifact.text, artifact.backend, artifact.mem_budget)
-    stored = artifact.sections.get("sa")
-    if stored is not None and tuple(int(v) for v in stored) != index.suffixes.sa:
-        raise FormatError("persisted suffix array disagrees with the text")
-    if artifact.collection is not None:
-        rebuilt = [s.elements for s in index.collection.sets]
-        loaded = [s.elements for s in artifact.collection.sets]
-        if rebuilt != loaded:
-            raise FormatError("persisted interval set tables disagree with the text")
-    return index
+    return make_string_index_from_text(artifact.text, artifact.backend, artifact.mem_budget)
 
 
 def make_jumbled_index_from_text(text: bytes, backend: BackendKind, mem_budget: int):

@@ -20,6 +20,7 @@ from .backends import (
     ShiftCertificate,
     build_backend,
 )
+from .errors import GapIndexError
 from .reductions import reduce_3sum_to_ssi
 from .sets import DyadicSubset, IntSet, SetCollection, dyadic_subsets, _cover_rank_blocks
 
@@ -46,7 +47,8 @@ class AugmentedInstance:
         self.dyadic_elements = dyadic_elements
         self.total_elements = n + dyadic_elements
         bound = n * n.bit_length() + n  # N*(floor(log2 N)+1) + N
-        assert self.total_elements <= bound, "dyadic accounting bound violated"
+        if self.total_elements > bound:
+            raise GapIndexError("dyadic accounting bound violated")
         self.backend = build_backend(all_sets, kind, mem_budget)
         self.existence_calls = 0
         self.last_query_calls = 0

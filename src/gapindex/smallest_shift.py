@@ -11,6 +11,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
+from .errors import GapIndexError
 from .sets import SetCollection
 
 
@@ -21,7 +22,8 @@ class ShiftIndex:
         self.threshold = math.isqrt(n - 1) + 1 if n > 0 else 0  # ceil(sqrt(N))
         self.large_ids = [s.id for s in c.sets if len(s) > self.threshold]
         self._large_pos = {sid: t for t, sid in enumerate(self.large_ids)}
-        assert len(self.large_ids) <= self.threshold, "more large sets than sqrt(N)"
+        if len(self.large_ids) > self.threshold:
+            raise GapIndexError("more large sets than sqrt(N)")
         self.build_comparisons = 0
         self.probes = 0
         self.table: dict[tuple[int, int], Optional[int]] = {}

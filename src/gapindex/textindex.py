@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gapped
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
-from .errors import BudgetError, FormatError
+from .errors import BudgetError, FormatError, GapIndexError
 from .gapped import CoverPlan, GappedIndex, gapped_exists, gapped_report
 from .sets import IntSet, SetCollection, _cover_rank_blocks
 
@@ -181,7 +181,8 @@ class GappedStringIndex:
                 self._interval_ids[(j, kappa)] = len(sets)
                 total += size
         self.set_elements = total
-        assert total <= n * n.bit_length(), "dyadic interval accounting bound violated"
+        if total > n * n.bit_length():
+            raise GapIndexError("dyadic interval accounting bound violated")
         self.collection = SetCollection(sets=tuple(sets), universe=n)
         self.gapped = GappedIndex(self.collection, kind, mem_budget)
 

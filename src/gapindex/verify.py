@@ -11,7 +11,7 @@ import random
 
 from .backends import ShiftQuery, brute_force_ssi
 from .gapped import gapped_report
-from .jumbled import sliding_window_matches
+from .jumbled import histogram, sliding_window_matches
 from .persist import (
     Artifact,
     make_backend,
@@ -108,9 +108,7 @@ def _verify_jumbled(artifact, trials, rng, lines):
         if rng.random() < 0.8:
             length = rng.randint(1, n)
             start = rng.randint(0, n - length)
-            pattern = list(
-                sliding_pattern(text[start : start + length], index.alphabet)
-            )
+            pattern = list(histogram(text[start : start + length], index.alphabet))
         else:
             pattern = [rng.randint(0, max(1, n // 2)) for _ in range(index.sigma)]
         expected = sliding_window_matches(text, index.alphabet, pattern)
@@ -120,12 +118,6 @@ def _verify_jumbled(artifact, trials, rng, lines):
         if index.exists(pattern) != bool(expected):
             return _fail(lines, " ".join(map(str, pattern)), bool(expected), index.exists(pattern))
     return True, lines
-
-
-def sliding_pattern(chunk, alphabet):
-    from .jumbled import histogram
-
-    return histogram(chunk, alphabet)
 
 
 def _verify_smallest_shift(artifact, trials, rng, lines):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,7 +11,6 @@ from gapindex.backends import (
     brute_force_ssi,
     build_backend,
     parse_backend,
-    ssi_exists,
 )
 from gapindex.errors import BudgetError
 from gapindex.generators import random_collection
@@ -68,9 +68,9 @@ def test_exists_examples():
     c = ingest_collection([[1, 3], [4]], u=6)
     for kind in ALL_KINDS:
         backend = build_backend(c, kind)
-        cert = ssi_exists(backend, ShiftQuery(1, 2, 1))
+        cert = backend.exists(1, 2, 1)
         assert (cert.a, cert.b) == (3, 4)
-        assert ssi_exists(backend, ShiftQuery(1, 2, 2)) is None
+        assert backend.exists(1, 2, 2) is None
 
 
 def test_brute_force_examples():
@@ -146,3 +146,68 @@ def test_space_accounting_monotone_in_delta():
         probes.append(backend.probes)
     assert sizes == sorted(sizes, reverse=True)
     assert probes == sorted(probes)
+
+
+def test_kind_sets_threshold_and_accounting():
+    # N = 7 over sets of sizes 4, 2, 1; ceil(7^0.5) = 3.
+    c = ingest_collection([[1, 2, 3, 4], [2, 5], [7]], u=8)
+    all_pairs = sum(
+        len(realized_shifts(c, i, j)) for i in (1, 2, 3) for j in (1, 2, 3)
+    )
+    expected = {
+        # kind: (threshold, large, dict_entries, table entries)
+        LinearScan(): (math.inf, [False] * 3, 7, 0),
+        FullTabulation(): (-1, [True] * 3, 0, all_pairs),
+        SmallUniverse(delta=0.5): (3, [True, False, False], 7, 7),
+    }
+    for kind, (threshold, large, dict_entries, entries) in expected.items():
+        backend = build_backend(c, kind)
+        assert backend.threshold == threshold
+        assert backend.large == large
+        assert backend.dict_entries == dict_entries
+        assert backend.table.entries == entries
+        assert backend.space_bytes() == 8 * dict_entries + 24 * entries
+    assert build_backend(c, FullTabulation()).members == []
+
+
+def test_raw_input_with_an_empty_set():
+    sets = [(1, 3), (), (4,)]
+    for kind in ALL_KINDS:
+        backend = build_backend(sets, kind)
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                for s in range(-5, 6):
+                    cert = backend.exists(i, j, s)
+                    expected = brute_force_ssi(sets, ShiftQuery(i, j, s))
+                    assert (cert and (cert.a, cert.b)) == (expected[0] if expected else None)
+    # FullTabulation tabulates the empty set too; its pairs hold no shifts.
+    fulltab = build_backend(sets, FullTabulation())
+    assert fulltab.large == [True, True, True]
+    assert fulltab.table.entries == 3 + 2 + 2 + 1
+
+
+def test_build_backend_rejects_a_non_kind():
+    c = ingest_collection([[1, 2], [3]], u=4)
+    with pytest.raises(ValueError):
+        build_backend(c, "linear")
+
+
+def test_c11_instance_bytes_and_probes_are_pinned():
+    # The acceptance suite's C11 instance: N = 10^4 with sizes straddling N^0.5.
+    rng = random.Random(111)
+    sizes = [40] * 20 + [460] * 20
+    u = 1000
+    c = ingest_collection([rng.sample(range(1, u + 1), size) for size in sizes], u)
+    queries = [
+        (rng.randint(1, c.k), rng.randint(1, c.k), rng.randint(-u, u))
+        for _ in range(2000)
+    ]
+    space, probes = [], []
+    for delta in (0.0, 0.5, 1.0):
+        backend = build_backend(c, SmallUniverse(delta=delta), mem_budget=1 << 31)
+        space.append(backend.space_bytes())
+        for i, j, s in queries:
+            backend.exists(i, j, s)
+        probes.append(backend.probes)
+    assert space == [65193440, 19211168, 80000]
+    assert probes == [0, 26923, 89874]

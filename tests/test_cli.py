@@ -2,6 +2,7 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from gapindex import cli
@@ -9,6 +10,7 @@ from gapindex.backends import LinearScan, SmallUniverse
 from gapindex.generators import random_collection
 from gapindex.persist import build_artifact, load_artifact, save_artifact
 from gapindex.sets import format_collection
+from gapindex.textindex import baseline_linear_scan
 
 
 def run_cli(args, capsys):
@@ -95,6 +97,27 @@ def test_budget_exit_code(tmp_path, capsys, collection_file):
         capsys,
     )
     assert code == 3
+
+
+def test_negative_mem_budget_rejected_before_building(tmp_path, capsys, collection_file):
+    index, _ = build(tmp_path, capsys, collection_file, "ssi")
+    queries = tmp_path / "q.txt"
+    queries.write_text("1 2 3\n")
+    spec = tmp_path / "spec.json"
+    spec.write_text("{}")
+    out = tmp_path / "neg.gidx"
+    for argv in (
+        ["build", str(collection_file), "-o", str(out), "--kind", "ssi",
+         "--backend", "linear"],
+        ["query", str(index), str(queries)],
+        ["verify", str(index), "--trials", "5"],
+        ["bench", str(spec)],
+    ):
+        code, stdout, err = run_cli([*argv, "--mem-budget", "-1"], capsys)
+        assert code == 2, argv
+        assert stdout == ""
+        assert "--mem-budget" in err
+    assert not out.exists()
 
 
 def test_corrupted_container_rejected(tmp_path, capsys, collection_file):
@@ -306,7 +329,7 @@ def test_gapped_string_container_round_trip(tmp_path):
     save_artifact(str(path), artifact)
     loaded = load_artifact(str(path))
     assert loaded.text == b"mississippi"
-    assert list(loaded.sections) == list(artifact.sections)
+    assert list(loaded.sections) == list(artifact.sections) == ["text"]
     second = tmp_path / "s2.gidx"
     save_artifact(str(second), loaded)
     assert path.read_bytes() == second.read_bytes()
@@ -314,3 +337,36 @@ def test_gapped_string_container_round_trip(tmp_path):
 
     index = make_string_index(loaded)
     assert index.report(b"ss", b"pp", 0, 11) == [(3, 9), (6, 9)]
+
+
+def test_gapped_string_container_with_derived_sections_still_loads(tmp_path):
+    # Containers written before the slimming also held the suffix array, the
+    # LCP array and the dyadic interval sets; they must answer the same.
+    from gapindex.persist import _collection_to_sections, make_string_index
+
+    text = b"abracadabra" * 3
+    slim = build_artifact("gapped-string", text, LinearScan())
+    index = make_string_index(slim)
+    old = build_artifact("gapped-string", text, LinearScan())
+    old.sections = {
+        "text": text,
+        "sa": np.array(index.suffixes.sa, dtype=np.int64),
+        "lcp": np.array(index.suffixes.lcp, dtype=np.int64),
+        **_collection_to_sections(index.collection),
+    }
+    slim_path, old_path = tmp_path / "slim.gidx", tmp_path / "old.gidx"
+    save_artifact(str(slim_path), slim)
+    save_artifact(str(old_path), old)
+    assert old_path.stat().st_size > slim_path.stat().st_size
+    from_slim = make_string_index(load_artifact(str(slim_path)))
+    from_old = make_string_index(load_artifact(str(old_path)))
+    n = len(text)
+    rng = random.Random(3)
+    for _ in range(60):
+        p1 = text[(a := rng.randrange(n - 2)) : a + rng.randint(1, 2)]
+        p2 = text[(b := rng.randrange(n - 2)) : b + rng.randint(1, 2)]
+        lo = rng.randint(0, n)
+        hi = min(n, lo + rng.randint(0, n // 2))
+        expected = baseline_linear_scan(text, p1, p2, lo, hi)
+        assert from_old.report(p1, p2, lo, hi) == from_slim.report(p1, p2, lo, hi) == expected
+        assert from_old.exists(p1, p2, lo, hi) == from_slim.exists(p1, p2, lo, hi)

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from gapindex.backends import LinearScan
-from gapindex.errors import FormatError
+from gapindex import gapped
+from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import (
     ApproxQuery,
     approx_exists,
@@ -190,3 +191,16 @@ def test_gapped_fuzz_exists_and_report():
                 a, b = witness
                 assert lo <= b - a <= hi
                 assert a in c.set(i).elements and b in c.set(j).elements
+
+
+def test_level_accounting_guard_raises(monkeypatch):
+    class InflatedLevel(gapped.LevelIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.instance.total_elements += 10**6
+
+    c = ingest_collection([[1, 3, 5], [2, 4]], u=8)
+    build_gapped_index(c, LinearScan())
+    monkeypatch.setattr(gapped, "LevelIndex", InflatedLevel)
+    with pytest.raises(GapIndexError, match="gapped element accounting"):
+        build_gapped_index(c, LinearScan())

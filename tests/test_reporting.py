@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
+from gapindex import reporting
 from gapindex.backends import FullTabulation, LinearScan, ShiftQuery, brute_force_ssi
+from gapindex.errors import GapIndexError
 from gapindex.generators import random_collection
 from gapindex.reporting import (
     build_reporting_index,
@@ -172,3 +176,14 @@ def test_report_fulltab_backend_small():
     c = ingest_collection([[1, 4, 6, 9], [2, 5, 10]], u=10)
     idx = build_reporting_index(c, FullTabulation())
     assert report_shift(idx, 1, 2, 1) == [(1, 2), (4, 5), (9, 10)]
+
+
+def test_dyadic_accounting_guard_raises(monkeypatch):
+    # One 4-element set meets the bound N*(floor(log2 N)+1) + N = 16 exactly;
+    # doubling every dyadic block must be refused, also under python -O.
+    c = ingest_collection([[1, 2, 3, 4]], u=4)
+    assert build_reporting_index(c, LinearScan()).total_elements == 16
+    original = reporting.dyadic_subsets
+    monkeypatch.setattr(reporting, "dyadic_subsets", lambda s: list(original(s)) * 2)
+    with pytest.raises(GapIndexError, match="dyadic accounting bound"):
+        build_reporting_index(c, LinearScan())

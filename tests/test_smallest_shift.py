@@ -1,8 +1,11 @@
 import math
 import random
 
+import pytest
+
+from gapindex.errors import GapIndexError
 from gapindex.generators import random_collection
-from gapindex.sets import ingest_collection
+from gapindex.sets import SetCollection, ingest_collection
 from gapindex.smallest_shift import build_smallest_shift, smallest_shift
 
 
@@ -82,3 +85,13 @@ def test_build_comparison_budget():
         assert idx.build_comparisons <= budget
         worst = max(worst, idx.build_comparisons / budget)
     assert worst <= 1.0
+
+
+def test_large_set_count_guard_raises(monkeypatch):
+    # Three sets of 3 with N understated as 4 give threshold 2 and three
+    # "large" sets, which the sqrt(N) bound must refuse, also under python -O.
+    c = ingest_collection([[1, 2, 3], [4, 5, 6], [7, 8, 9]], u=9)
+    assert build_smallest_shift(c).large_ids == []
+    monkeypatch.setattr(SetCollection, "total_size", property(lambda self: 4))
+    with pytest.raises(GapIndexError, match="more large sets"):
+        build_smallest_shift(c)
