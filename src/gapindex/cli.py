@@ -86,7 +86,10 @@ def _parser() -> argparse.ArgumentParser:
 def _cmd_build(args) -> int:
     with open(args.input, "rb") as fh:
         source = fh.read()
-    backend = parse_backend(args.backend, args.delta)
+    try:
+        backend = parse_backend(args.backend, args.delta)
+    except ValueError as e:
+        raise FormatError(str(e)) from None
     artifact = build_artifact(args.kind, source, backend, args.mem_budget)
     save_artifact(args.out, artifact)
     manifest = dict(artifact.manifest)

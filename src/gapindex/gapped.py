@@ -22,6 +22,7 @@ set pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -240,24 +241,26 @@ def plan_cover(alpha: int, beta: int) -> CoverPlan:
 
 
 class LevelIndex:
-    """Quotient collection for one level plus lists mapping quotients back."""
+    """Quotient collection for one level; originals are found by bisection.
+
+    Quotient set i holds a >> (level - 1) for a in S_i, in order since S_i is
+    sorted. The originals of quotient q are the run of S_i inside
+    [q << (level - 1), (q + 1) << (level - 1)), found by two bisections.
+    """
 
     def __init__(self, c: SetCollection, level: int, kind: BackendKind, mem_budget: int):
         self.level = level
+        self.parents = c
         shift = level - 1
-        quotient_sets = []
-        self.value_lists: list[dict[int, list[int]]] = []
-        for s in c.sets:
-            lists: dict[int, list[int]] = {}
-            for a in s.elements:
-                lists.setdefault(a >> shift, []).append(a)
-            self.value_lists.append(lists)
-            quotient_sets.append(IntSet(id=s.id, elements=tuple(sorted(lists))))
-        quotient = SetCollection(sets=tuple(quotient_sets), universe=c.universe)
-        self.instance = AugmentedInstance(quotient, kind, mem_budget)
+        quotient_sets = tuple(
+            IntSet(s.id, tuple(dict.fromkeys(a >> shift for a in s.elements))) for s in c.sets
+        )
+        self.instance = AugmentedInstance(SetCollection(quotient_sets, c.universe), kind, mem_budget)
 
     def originals(self, set_id: int, quotient_value: int) -> list[int]:
-        return self.value_lists[set_id - 1][quotient_value]
+        elements, shift = self.parents.sets[set_id - 1].elements, self.level - 1
+        lo = bisect_left(elements, quotient_value << shift)
+        return list(elements[lo : bisect_left(elements, (quotient_value + 1) << shift, lo)])
 
 
 class GappedIndex:
@@ -380,6 +383,7 @@ def gapped_exists(
     """
     plan = _plan_for(g, alpha, beta, plan)
     if plan is None:
+        g.last_plan_size = 0
         return None
     g.last_plan_size = plan.size
     # Uncertain zones fit inside the clamped interval, so a plan never
@@ -435,8 +439,9 @@ def gapped_report(
         # may report its difference.
         zone_lo, zone_hi = plan.zones[(level, shift)]
         for qa, qb in found:
+            originals_b = lvl.originals(j, qb)
             for a in lvl.originals(i, qa):
-                for b in lvl.originals(j, qb):
+                for b in originals_b:
                     if zone_lo <= b - a <= zone_hi:
                         raw.append((a, b))
     g.last_raw_pairs = len(raw)

@@ -111,8 +111,8 @@ def save_artifact(path: str, artifact: Artifact) -> None:
 def load_artifact(path: str, mem_budget: int = DEFAULT_MEM_BUDGET) -> Artifact:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != MAGIC:
-        raise FormatError(f"{path}: not a gapindex container (bad magic)")
+    if data[:4] != MAGIC or len(data) < 16:
+        raise FormatError(f"{path}: not a gapindex container (bad magic or short header)")
     (version,) = struct.unpack("<I", data[4:8])
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
@@ -121,27 +121,33 @@ def load_artifact(path: str, mem_budget: int = DEFAULT_MEM_BUDGET) -> Artifact:
     payload = data[16 + mlen :]
     try:
         manifest = json.loads(manifest_blob)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON or bad UTF-8
         raise FormatError(f"{path}: bad manifest JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
     if manifest.get("payload_digest") != _digest(payload):
         raise FormatError(f"{path}: payload digest mismatch (corrupted file)")
     sections = _decode_sections(payload)
     kind = manifest.get("kind")
     if kind not in KINDS:
         raise FormatError(f"{path}: unknown artifact kind {kind!r}")
-    backend = parse_backend(manifest["backend"], manifest.get("delta", 0.5))
-    artifact = Artifact(
+    try:
+        backend = parse_backend(manifest.get("backend"), manifest.get("delta", 0.5))
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{path}: bad backend in manifest: {e}") from None
+    text_kind = kind in ("gapped-string", "jumbled")
+    required = ("text",) if text_kind else ("universe", "set_offsets", "set_elements")
+    if not all(name in sections for name in required):
+        raise FormatError(f"{path}: a {kind} container needs the sections {', '.join(required)}")
+    return Artifact(
         kind=kind,
         backend=backend,
         mem_budget=mem_budget,
         manifest=manifest,
+        collection=None if text_kind else _sections_to_collection(sections),
+        text=bytes(sections["text"]) if text_kind else None,
         sections=sections,
     )
-    if "set_elements" in sections:
-        artifact.collection = _sections_to_collection(sections)
-    if "text" in sections:
-        artifact.text = bytes(sections["text"])
-    return artifact
 
 
 def _collection_to_sections(c: SetCollection) -> dict:

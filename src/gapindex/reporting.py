@@ -6,6 +6,12 @@ repeatedly asks for one certificate, splits the current pair of blocks at
 the witness into strictly-smaller / strictly-larger halves, decomposes the
 halves into dyadic blocks, and recurses only on block pairs whose shifted
 value intervals can still intersect.
+
+Backend set ids follow one layout, so a block's id is computed, not looked
+up: base set i is id i; after the k base sets come the blocks of set 1,
+then of set 2, and so on, each set's blocks in the level-major order of
+``dyadic_subsets``. Block (j, kappa) of set i is therefore id
+``first_block[i - 1] + level_starts(len(S_i))[j] + kappa``.
 """
 
 from __future__ import annotations
@@ -22,25 +28,27 @@ from .backends import (
 )
 from .errors import GapIndexError
 from .reductions import reduce_3sum_to_ssi
-from .sets import DyadicSubset, IntSet, SetCollection, dyadic_subsets, _cover_rank_blocks
+from .sets import DyadicSubset, IntSet, SetCollection, cover_rank_range, dyadic_subsets
+from .sets import level_starts
 
 
 class AugmentedInstance:
-    """Base sets plus all dyadic rank blocks, behind one existence backend."""
+    """Base sets plus all dyadic rank blocks, behind one existence backend.
+
+    Of the block ids it keeps only ``first_block``, each base set's first;
+    the layout in the module docstring places the others.
+    """
 
     def __init__(self, c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
         self.base = c
         self.kind = kind
         all_sets: list[tuple[int, ...]] = [s.elements for s in c.sets]
-        self._block_ids: dict[tuple[int, int, int], int] = {}
-        self._blocks: dict[tuple[int, int, int], DyadicSubset] = {}
+        self.first_block: list[int] = []
         dyadic_elements = 0
         for s in c.sets:
+            self.first_block.append(len(all_sets) + 1)
             for sub in dyadic_subsets(s):
-                key = (sub.parent_id, sub.level, sub.block)
                 all_sets.append(s.elements[sub.rank_lo - 1 : sub.rank_hi])
-                self._block_ids[key] = len(all_sets)
-                self._blocks[key] = sub
                 dyadic_elements += sub.size
         n = c.total_size
         self.base_elements = n
@@ -52,12 +60,6 @@ class AugmentedInstance:
         self.backend = build_backend(all_sets, kind, mem_budget)
         self.existence_calls = 0
         self.last_query_calls = 0
-
-    def block_id(self, sub: DyadicSubset) -> int:
-        return self._block_ids[(sub.parent_id, sub.level, sub.block)]
-
-    def stored_block(self, parent_id: int, level: int, block: int) -> DyadicSubset:
-        return self._blocks[(parent_id, level, block)]
 
     def _exists(self, set_a: int, set_b: int, s: int) -> Optional[ShiftCertificate]:
         self.existence_calls += 1
@@ -93,13 +95,8 @@ def matching_pairs(
     return out
 
 
-def _cover_or_empty(parent: IntSet, lo: int, hi: int, inst: AugmentedInstance) -> list[DyadicSubset]:
-    if lo > hi:
-        return []
-    return [
-        inst.stored_block(parent.id, j, k)
-        for j, k, _, _ in _cover_rank_blocks(lo, hi)
-    ]
+def _cover_or_empty(parent: IntSet, lo: int, hi: int) -> list[DyadicSubset]:
+    return cover_rank_range(parent, lo, hi) if lo <= hi else []
 
 
 @dataclass(frozen=True)
@@ -129,6 +126,10 @@ def report_shift(
             trace.append((_Node(i, 1, len(parent_a), j, 1, len(parent_b)), None))
         return []
     found: list[tuple[int, int]] = []
+    first_a = inst.first_block[i - 1]
+    first_b = inst.first_block[j - 1]
+    starts_a = level_starts(len(parent_a))
+    starts_b = level_starts(len(parent_b))
     node = _Node(i, 1, len(parent_a), j, 1, len(parent_b))
     stack: list[_Node] = []
     while True:
@@ -140,18 +141,18 @@ def report_shift(
             # cannot straddle the two halves since a' < a forces b' < b.
             rank_a = bisect_left(parent_a.elements, cert.a) + 1
             rank_b = bisect_left(parent_b.elements, cert.b) + 1
-            lows_a = _cover_or_empty(parent_a, node.a_lo, rank_a - 1, inst)
-            highs_a = _cover_or_empty(parent_a, rank_a + 1, node.a_hi, inst)
-            lows_b = _cover_or_empty(parent_b, node.b_lo, rank_b - 1, inst)
-            highs_b = _cover_or_empty(parent_b, rank_b + 1, node.b_hi, inst)
+            lows_a = _cover_or_empty(parent_a, node.a_lo, rank_a - 1)
+            highs_a = _cover_or_empty(parent_a, rank_a + 1, node.a_hi)
+            lows_b = _cover_or_empty(parent_b, node.b_lo, rank_b - 1)
+            highs_b = _cover_or_empty(parent_b, rank_b + 1, node.b_hi)
             for side_a, side_b in ((lows_a, lows_b), (highs_a, highs_b)):
                 for block_a, block_b in matching_pairs(side_a, side_b, s):
                     stack.append(
                         _Node(
-                            inst.block_id(block_a),
+                            first_a + starts_a[block_a.level] + block_a.block,
                             block_a.rank_lo,
                             block_a.rank_hi,
-                            inst.block_id(block_b),
+                            first_b + starts_b[block_b.level] + block_b.block,
                             block_b.rank_lo,
                             block_b.rank_hi,
                         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FormatError, GuardError
 
@@ -27,14 +28,6 @@ class IntSet:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def min_value(self) -> int:
-        return self.elements[0]
-
-    @property
-    def max_value(self) -> int:
-        return self.elements[-1]
 
     def rank_range_of_values(self, lo: int, hi: int) -> tuple[int, int]:
         """1-based rank interval of elements in [lo, hi]; empty if rlo > rhi."""
@@ -64,9 +57,10 @@ class SetCollection:
         return self.sets[i - 1]
 
 
-@dataclass(frozen=True)
-class DyadicSubset:
-    """Elements of a parent set whose ranks form the block [kappa*2^j+1, (kappa+1)*2^j]."""
+class DyadicSubset(NamedTuple):
+    """Elements of a parent set whose ranks form the block [kappa*2^j+1, (kappa+1)*2^j].
+
+    A named tuple: report_shift builds one per block of every cover it splits."""
 
     parent_id: int
     level: int
@@ -108,6 +102,16 @@ def ingest_collection(raw: list[list[int]], u: int) -> SetCollection:
     return SetCollection(sets=tuple(sets), universe=u)
 
 
+def level_starts(m: int) -> list[int]:
+    """Block (j, kappa) of m is number level_starts(m)[j] + kappa, from 0, in the
+    level-major order of dyadic_subsets and dyadic_intervals (level j holds
+    m >> j blocks); the last entry is the number of blocks."""
+    starts = [0]
+    for j in range(m.bit_length()):
+        starts.append(starts[-1] + (m >> j))
+    return starts
+
+
 def max_cover_blocks(m: int) -> int:
     """Upper bound 2*ceil(log2 m) + 1 on the size of any greedy dyadic cover."""
     return 2 * max(m - 1, 0).bit_length() + 1
@@ -130,37 +134,28 @@ def _cover_rank_blocks(lo: int, hi: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _subset(s: IntSet, level: int, block: int, rlo: int, rhi: int) -> DyadicSubset:
-    return DyadicSubset(
-        parent_id=s.id,
-        level=level,
-        block=block,
-        rank_lo=rlo,
-        rank_hi=rhi,
-        min_value=s.elements[rlo - 1],
-        max_value=s.elements[rhi - 1],
-    )
-
-
 def dyadic_subsets(s: IntSet) -> list[DyadicSubset]:
     """All dyadic rank blocks of s, for j = 0..floor(log2 m)."""
     m = len(s)
     if m == 0:
         raise FormatError("cannot decompose an empty set")
+    el, sid = s.elements, s.id
     out = []
     for j in range(m.bit_length()):
         size = 1 << j
         for kappa in range(m // size):
-            rlo = kappa * size + 1
-            out.append(_subset(s, j, kappa, rlo, rlo + size - 1))
+            lo, hi = kappa * size + 1, (kappa + 1) * size
+            out.append(DyadicSubset(sid, j, kappa, lo, hi, el[lo - 1], el[hi - 1]))
     return out
 
 
 def cover_rank_range(s: IntSet, lo: int, hi: int) -> list[DyadicSubset]:
     """Disjoint dyadic blocks whose union is exactly ranks [lo, hi] of s."""
-    if not 1 <= lo <= hi <= len(s):
-        raise FormatError(f"invalid rank range [{lo}, {hi}] for set of size {len(s)}")
-    return [_subset(s, j, k, rlo, rhi) for j, k, rlo, rhi in _cover_rank_blocks(lo, hi)]
+    el, sid = s.elements, s.id
+    if not 1 <= lo <= hi <= len(el):
+        raise FormatError(f"invalid rank range [{lo}, {hi}] for set of size {len(el)}")
+    blocks = _cover_rank_blocks(lo, hi)
+    return [DyadicSubset(sid, j, k, a, b, el[a - 1], el[b - 1]) for j, k, a, b in blocks]
 
 
 def cover_value_range(s: IntSet, a: int, b: int) -> list[DyadicSubset]:

@@ -22,7 +22,7 @@ from . import gapped
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import BudgetError, FormatError, GapIndexError
 from .gapped import CoverPlan, GappedIndex, gapped_exists, gapped_report
-from .sets import IntSet, SetCollection, _cover_rank_blocks
+from .sets import IntSet, SetCollection, _cover_rank_blocks, dyadic_intervals, level_starts
 
 DEFAULT_QUAD_BUDGET = 512 << 20
 
@@ -169,35 +169,26 @@ class GappedStringIndex:
         self.text = text
         self.suffixes = build_suffix_array(text)
         n = len(text)
-        sets: list[IntSet] = []
-        self._interval_ids: dict[tuple[int, int], int] = {}
-        total = 0
-        for j in range(n.bit_length()):
-            size = 1 << j
-            for kappa in range(n // size):
-                lo = kappa * size
-                positions = tuple(sorted(self.suffixes.sa[lo : lo + size]))
-                sets.append(IntSet(id=len(sets) + 1, elements=positions))
-                self._interval_ids[(j, kappa)] = len(sets)
-                total += size
-        self.set_elements = total
-        if total > n * n.bit_length():
+        # Interval (j, kappa) is set level_starts(n)[j] + kappa + 1.
+        sa = self.suffixes.sa
+        sets = [
+            IntSet(id=number, elements=tuple(sorted(sa[iv.lo - 1 : iv.hi])))
+            for number, iv in enumerate(dyadic_intervals(n), start=1)
+        ]
+        self._level_starts = level_starts(n)
+        self.set_elements = sum(len(s) for s in sets)
+        if self.set_elements > n * n.bit_length():
             raise GapIndexError("dyadic interval accounting bound violated")
         self.collection = SetCollection(sets=tuple(sets), universe=n)
         self.gapped = GappedIndex(self.collection, kind, mem_budget)
-
-    @property
-    def n(self) -> int:
-        return len(self.text)
 
     def ssi_calls(self) -> int:
         return self.gapped.ssi_calls()
 
     def _cover_ids(self, lo: int, hi: int) -> list[int]:
         """Ids of dyadic interval sets covering suffix-array ranks [lo, hi]."""
-        if lo > hi:
-            return []
-        return [self._interval_ids[(j, k)] for j, k, _, _ in _cover_rank_blocks(lo, hi)]
+        starts = self._level_starts
+        return [starts[j] + k + 1 for j, k, _, _ in _cover_rank_blocks(lo, hi)]
 
     def _planned_covers(
         self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int
@@ -362,7 +353,3 @@ class QuadraticBaseline:
             for j2, k2, _, _ in cover2:
                 out.extend(self._pairs_for_blocks(j1, k1, j2, k2, gap_lo, d_hi))
         return sorted(set(out))
-
-
-def baseline_quadratic(text: bytes, mem_budget: int = DEFAULT_QUAD_BUDGET) -> QuadraticBaseline:
-    return QuadraticBaseline(text, mem_budget)

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ import pytest
 from gapindex import cli
 from gapindex.backends import LinearScan, SmallUniverse
 from gapindex.generators import random_collection
-from gapindex.persist import build_artifact, load_artifact, save_artifact
+from gapindex.persist import (
+    FORMAT_VERSION,
+    MAGIC,
+    Artifact,
+    build_artifact,
+    load_artifact,
+    save_artifact,
+)
 from gapindex.sets import format_collection
 from gapindex.textindex import baseline_linear_scan
 
@@ -370,3 +378,74 @@ def test_gapped_string_container_with_derived_sections_still_loads(tmp_path):
         expected = baseline_linear_scan(text, p1, p2, lo, hi)
         assert from_old.report(p1, p2, lo, hi) == from_slim.report(p1, p2, lo, hi) == expected
         assert from_old.exists(p1, p2, lo, hi) == from_slim.exists(p1, p2, lo, hi)
+
+
+SET_SECTIONS = {
+    "universe": np.array([8], dtype=np.int64),
+    "set_offsets": np.array([0, 2, 3], dtype=np.int64),
+    "set_elements": np.array([1, 5, 7], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, kind, backend, sections",
+    [
+        ("shorter_than_header", None, None, None),
+        ("manifest_not_an_object", None, None, None),
+        ("missing_backend", "ssi", None, SET_SECTIONS),
+        ("unknown_backend", "ssi", "quantum", SET_SECTIONS),
+        ("set_kind_without_set_sections", "gapped-set", "linear", {"text": b"abab"}),
+        ("text_kind_without_text", "jumbled", "linear", SET_SECTIONS),
+    ],
+)
+def test_malformed_container_exits_2(tmp_path, capsys, shape, kind, backend, sections):
+    bad = tmp_path / "bad.gidx"
+    if shape == "shorter_than_header":
+        bad.write_bytes(MAGIC + b"\x01\x00")
+    elif shape == "manifest_not_an_object":
+        blob = b"[1, 2]"
+        bad.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
+    else:
+        # save_artifact writes a matching digest, so only the named defect remains.
+        manifest = {"format_version": FORMAT_VERSION, "kind": kind, "counters": {}}
+        if backend is not None:
+            manifest["backend"] = backend
+        save_artifact(str(bad), Artifact(kind=kind, backend=LinearScan(), mem_budget=0,
+                                         manifest=manifest, sections=sections))
+    queries = tmp_path / "q.txt"
+    queries.write_text("1 2 3\n")
+    code, out, err = query_output(capsys, bad, queries)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("format error:")
+
+
+def test_build_with_delta_outside_unit_interval_exits_2(tmp_path, capsys, collection_file):
+    out = tmp_path / "x.gidx"
+    code, _, err = run_cli(
+        ["build", str(collection_file), "-o", str(out), "--kind", "ssi",
+         "--backend", "smalluniverse", "--delta", "2"],
+        capsys,
+    )
+    assert code == 2
+    assert "delta must be in [0, 1]" in err
+    assert not out.exists()
+
+
+def test_exists_plan_size_reads_0_for_a_gap_beyond_the_universe(tmp_path, capsys):
+    src = tmp_path / "c.txt"
+    src.write_text("100 2\n1 5 9 40\n3 20 77\n")
+    index, _ = build(tmp_path, capsys, src, "gapped-set")
+    queries = tmp_path / "g.q"
+    queries.write_text("1 2 0 60\n1 2 200 300\n")
+    counters = {}
+    for mode in ("exists", "report"):
+        code, out, _ = query_output(capsys, index, queries, "--mode", mode, "--count-queries")
+        assert code == 0
+        counters[mode] = [ln for ln in out.splitlines() if ln.startswith("#")]
+    plan_sizes = {
+        mode: [ln.split("plan_size=")[1].split()[0] for ln in lines]
+        for mode, lines in counters.items()
+    }
+    assert plan_sizes["exists"][0] != "0"
+    assert plan_sizes["exists"][1] == plan_sizes["report"][1] == "0"

@@ -5,9 +5,15 @@ cover pair, all three quotient shifts of every approximate query with no
 dedup, and a reporting recursion that builds the root node before asking
 it. The library must give the same answers and witnesses with no more SSI
 calls.
+
+The references find block ids and quotient originals their own way: a
+``(parent, level, block) -> id`` dict from enumerating the base sets and
+then each set's ``dyadic_subsets`` in order, and a scan of the parent set,
+so they also check the library's arithmetic and bisection.
 """
 
 import random
+import weakref
 
 import pytest
 
@@ -16,19 +22,34 @@ from gapindex.backends import LinearScan, ShiftCertificate
 from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import build_gapped_index, gapped_exists, gapped_report, plan_cover
 from gapindex.generators import random_collection, random_pattern_from, random_text
-from gapindex.reporting import (
-    _cover_or_empty,
-    _Node,
-    build_reporting_index,
-    matching_pairs,
-    report_shift,
-)
-from gapindex.sets import ingest_collection
+from gapindex.reporting import _Node, build_reporting_index, matching_pairs, report_shift
+from gapindex.sets import cover_rank_range, dyadic_subsets, ingest_collection
 from gapindex.textindex import build_gapped_string_index, pattern_interval
 
 
+_block_ids = weakref.WeakKeyDictionary()
+
+
+def reference_block_ids(inst):
+    """Backend id of every dyadic block, counted as the instance stores them."""
+    if inst not in _block_ids:
+        ids = {}
+        next_id = inst.base.k + 1
+        for parent in inst.base.sets:
+            for sub in dyadic_subsets(parent):
+                ids[(sub.parent_id, sub.level, sub.block)] = next_id
+                next_id += 1
+        _block_ids[inst] = ids
+    return _block_ids[inst]
+
+
 def reference_report_shift(inst, i, j, s):
+    ids = reference_block_ids(inst)
     parent_a, parent_b = inst.base.set(i), inst.base.set(j)
+
+    def cover(parent, lo, hi):
+        return cover_rank_range(parent, lo, hi) if lo <= hi else []
+
     found = []
     stack = [_Node(i, 1, len(parent_a), j, 1, len(parent_b))]
     while stack:
@@ -40,24 +61,26 @@ def reference_report_shift(inst, i, j, s):
         rank_a = parent_a.elements.index(cert.a) + 1
         rank_b = parent_b.elements.index(cert.b) + 1
         sides = (
-            (
-                _cover_or_empty(parent_a, node.a_lo, rank_a - 1, inst),
-                _cover_or_empty(parent_b, node.b_lo, rank_b - 1, inst),
-            ),
-            (
-                _cover_or_empty(parent_a, rank_a + 1, node.a_hi, inst),
-                _cover_or_empty(parent_b, rank_b + 1, node.b_hi, inst),
-            ),
+            (cover(parent_a, node.a_lo, rank_a - 1), cover(parent_b, node.b_lo, rank_b - 1)),
+            (cover(parent_a, rank_a + 1, node.a_hi), cover(parent_b, rank_b + 1, node.b_hi)),
         )
         for side_a, side_b in sides:
             for block_a, block_b in matching_pairs(side_a, side_b, s):
                 stack.append(
                     _Node(
-                        inst.block_id(block_a), block_a.rank_lo, block_a.rank_hi,
-                        inst.block_id(block_b), block_b.rank_lo, block_b.rank_hi,
+                        ids[(i, block_a.level, block_a.block)],
+                        block_a.rank_lo,
+                        block_a.rank_hi,
+                        ids[(j, block_b.level, block_b.block)],
+                        block_b.rank_lo,
+                        block_b.rank_hi,
                     )
                 )
     return sorted(set(found))
+
+
+def reference_originals(g, set_id, level, quotient_value):
+    return [a for a in g.collection.set(set_id).elements if a >> (level - 1) == quotient_value]
 
 
 def _three_shifts(q):
@@ -79,12 +102,13 @@ def reference_gapped_exists(g, i, j, alpha, beta):
             cert = lvl.instance._exists(i, j, shift)
             if cert is None:
                 continue
-            a, b = lvl.originals(i, cert.a)[0], lvl.originals(j, cert.b)[0]
+            a = reference_originals(g, i, q.level, cert.a)[0]
+            b = reference_originals(g, j, q.level, cert.b)[0]
             if alpha <= b - a <= beta:
                 return (a, b)
             for qa, qb in reference_report_shift(lvl.instance, i, j, shift):
-                for a2 in lvl.originals(i, qa):
-                    for b2 in lvl.originals(j, qb):
+                for a2 in reference_originals(g, i, q.level, qa):
+                    for b2 in reference_originals(g, j, q.level, qb):
                         if alpha <= b2 - a2 <= beta:
                             return (a2, b2)
     return None
@@ -103,8 +127,8 @@ def reference_gapped_report(g, i, j, alpha, beta):
         open_lo, open_hi = q.uncertain()
         for shift in _three_shifts(q):
             for qa, qb in reference_report_shift(lvl.instance, i, j, shift):
-                for a in lvl.originals(i, qa):
-                    for b in lvl.originals(j, qb):
+                for a in reference_originals(g, i, q.level, qa):
+                    for b in reference_originals(g, j, q.level, qb):
                         if open_lo <= b - a <= open_hi:
                             raw.append((a, b))
     return sorted(set(raw))

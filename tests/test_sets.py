@@ -10,6 +10,7 @@ from gapindex.sets import (
     dyadic_subsets,
     format_collection,
     ingest_collection,
+    level_starts,
     max_cover_blocks,
     parse_collection,
 )
@@ -89,6 +90,21 @@ def test_dyadic_subsets_fixed_level_disjoint():
         for lo, hi in blocks:
             covered.extend(range(lo, hi + 1))
         assert len(covered) == len(set(covered))
+
+
+def test_level_starts_number_the_blocks_in_order():
+    for m in range(1, 65):
+        subs = dyadic_subsets(make_set(range(1, m + 1)))
+        intervals = dyadic_intervals(m)
+        starts = level_starts(m)
+        assert starts[-1] == len(subs) == len(intervals)
+        for j in range(m.bit_length()):
+            for kappa in range(m >> j):
+                sub = subs[starts[j] + kappa]
+                assert (sub.level, sub.block) == (j, kappa)
+                assert (sub.rank_lo, sub.rank_hi) == (kappa * 2**j + 1, (kappa + 1) * 2**j)
+                iv = intervals[starts[j] + kappa]
+                assert (iv.level, iv.block) == (j, kappa)
 
 
 def test_dyadic_total_size_bound():

@@ -5,6 +5,7 @@ import pytest
 from gapindex.backends import LinearScan
 from gapindex.errors import BudgetError, FormatError
 from gapindex.generators import random_pattern_from, random_text
+from gapindex.sets import dyadic_intervals
 from gapindex.textindex import (
     QuadraticBaseline,
     baseline_linear_scan,
@@ -92,10 +93,13 @@ def test_string_index_set_accounting():
     idx = build_gapped_string_index(b"abca", LinearScan())
     assert len(idx.collection.sets) == 7
     assert idx.set_elements == 12
-    for (level, block), sid in idx._interval_ids.items():
-        lo = block * (1 << level)
-        chunk = idx.suffixes.sa[lo : lo + (1 << level)]
+    ids = []
+    for iv in dyadic_intervals(4):
+        (sid,) = idx._cover_ids(iv.lo, iv.hi)
+        chunk = idx.suffixes.sa[iv.lo - 1 : iv.hi]
         assert idx.collection.set(sid).elements == tuple(sorted(chunk))
+        ids.append(sid)
+    assert sorted(ids) == list(range(1, 8))
 
 
 def test_string_index_examples():
