@@ -95,14 +95,29 @@ def _np_safe(sets: list[tuple[int, ...]]) -> bool:
 def _pair_shift_certs(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
     """All realized shifts b - a over sa x sb with the smallest-a certificate each.
 
-    Returns (shifts ascending, a-values) as parallel sequences.
+    Returns (shifts ascending, a-values) as parallel sequences. With numpy,
+    every difference of row r (a = sa[r]) is computed at once. When they
+    span no more slots than there are differences, each slot of that range
+    keeps the smallest row that lands in it (one scatter, no sort);
+    otherwise, as for widely spread values, a stable sort finds each
+    shift's first row. Small pairs and values outside int64 use a dict.
     """
     if use_np and len(sa) * len(sb) >= 64:
         aa = np.asarray(sa, dtype=np.int64)
         bb = np.asarray(sb, dtype=np.int64)
-        # Row-major flattening makes the first occurrence of a shift the one
-        # with the smallest a, which np.unique's return_index picks out.
+        # Row-major: position p holds b - a for row p // len(bb).
         diffs = (bb[None, :] - aa[:, None]).ravel()
+        lo = int(bb.min()) - int(aa.max())
+        width = int(bb.max()) - int(aa.min()) - lo + 1
+        # The dense table is never larger than diffs, so peak memory stays
+        # within what the sort below would take.
+        if width <= diffs.size:
+            diffs -= lo
+            first = np.full(width, len(aa), dtype=np.intp)
+            np.minimum.at(first, diffs, np.repeat(np.arange(len(aa)), len(bb)))
+            slots = np.flatnonzero(first < len(aa))
+            return slots + lo, aa[first[slots]]
+        # np.unique's return_index picks the first, smallest-a, occurrence.
         shifts, first = np.unique(diffs, return_index=True)
         return shifts, aa[first // len(bb)]
     table: dict[int, int] = {}

@@ -24,7 +24,7 @@ import numpy as np
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, SmallUniverse, parse_backend
 from .errors import FormatError
-from .sets import IntSet, SetCollection, parse_collection
+from .sets import MAX_UNIVERSE, IntSet, SetCollection, parse_collection
 
 MAGIC = b"GIDX"
 FORMAT_VERSION = 1
@@ -81,7 +81,10 @@ def _decode_sections(blob: bytes) -> dict:
     sections = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode()
+        try:
+            name = bytes(take(name_len)).decode()
+        except UnicodeDecodeError:
+            raise FormatError("section name is not UTF-8") from None
         tag, length = struct.unpack("<BQ", take(9))
         data = bytes(take(length))
         if tag == _SEC_I64:
@@ -164,14 +167,33 @@ def _collection_to_sections(c: SetCollection) -> dict:
 
 
 def _sections_to_collection(sections: dict) -> SetCollection:
-    universe = int(sections["universe"][0])
-    offsets = sections["set_offsets"]
-    elements = sections["set_elements"]
-    sets = []
-    for idx in range(len(offsets) - 1):
-        chunk = elements[offsets[idx] : offsets[idx + 1]]
-        sets.append(IntSet(id=idx + 1, elements=tuple(int(v) for v in chunk)))
-    return SetCollection(sets=tuple(sets), universe=universe)
+    """Rebuild the collection, holding the sections to what ingest_collection
+    accepts: a universe 1..2^40, one or more non-empty sets that exactly tile
+    ``set_elements``, and strictly increasing values inside 1..u."""
+    universe, offsets, elements = (
+        sections[name] for name in ("universe", "set_offsets", "set_elements")
+    )
+    if not all(isinstance(v, np.ndarray) for v in (universe, offsets, elements)):
+        raise FormatError("set sections must be int64 arrays")
+    if len(universe) != 1 or not 1 <= universe[0] <= MAX_UNIVERSE:
+        raise FormatError("universe section must hold one size in 1..2^40")
+    u = int(universe[0])
+    if (len(offsets) < 2 or offsets[0] != 0 or offsets[-1] != len(elements)
+            or np.any(np.diff(offsets) < 1)):
+        raise FormatError("set offsets must rise strictly from 0 to the number of set elements")
+    if elements.min() < 1 or elements.max() > u:
+        raise FormatError(f"a set value lies outside universe 1..{u}")
+    # A step that does not rise is allowed only where one set ends and the next starts.
+    falls = np.diff(elements) < 1
+    falls[offsets[1:-1] - 1] = False
+    if falls.any():
+        raise FormatError("a set's values are not strictly increasing")
+    values, bounds = elements.tolist(), offsets.tolist()
+    sets = tuple(
+        IntSet(id=idx + 1, elements=tuple(values[bounds[idx] : bounds[idx + 1]]))
+        for idx in range(len(bounds) - 1)
+    )
+    return SetCollection(sets=sets, universe=u)
 
 
 def _base_manifest(kind: str, backend: BackendKind, source: bytes) -> dict:

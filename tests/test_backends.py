@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gapindex.backends import (
@@ -8,12 +9,14 @@ from gapindex.backends import (
     LinearScan,
     ShiftQuery,
     SmallUniverse,
+    _pair_shift_certs,
     brute_force_ssi,
     build_backend,
     parse_backend,
 )
 from gapindex.errors import BudgetError
 from gapindex.generators import random_collection
+from gapindex.reductions import reduce_3sum_to_ssi
 from gapindex.sets import ingest_collection
 
 ALL_KINDS = [LinearScan(), FullTabulation(), SmallUniverse(delta=0.5)]
@@ -211,3 +214,50 @@ def test_c11_instance_bytes_and_probes_are_pinned():
         probes.append(backend.probes)
     assert space == [65193440, 19211168, 80000]
     assert probes == [0, 26923, 89874]
+
+
+def _random_side(rng, size, lo, hi):
+    return tuple(sorted(rng.sample(range(lo, hi), size)))
+
+
+def test_pair_shift_certs_numpy_matches_dict_path():
+    rng = random.Random(8)
+    # (|sa|, |sb|, value range): products at and just under 64, one-element
+    # sides, negative values, and ranges narrower and wider than the product.
+    shapes = [(8, 8, (-20, 20)), (8, 8, (-2000, 2000)), (1, 64, (-100, 100)),
+              (64, 1, (-10**6, 10**6)), (7, 9, (-30, 30)), (1, 1, (-5, 5)),
+              (30, 40, (-50, 60)), (30, 40, (-10**9, 10**9)), (200, 3, (0, 250))]
+    branches = set()
+    for na, nb, (lo, hi) in shapes:
+        for _ in range(20):
+            sa, sb = _random_side(rng, na, lo, hi), _random_side(rng, nb, lo, hi)
+            shifts, avals = _pair_shift_certs(sa, sb, use_np=True)
+            ref_shifts, ref_avals = _pair_shift_certs(sa, sb, use_np=False)
+            assert list(shifts) == ref_shifts
+            assert list(avals) == ref_avals
+            if na * nb >= 64:
+                assert isinstance(shifts, np.ndarray) and shifts.dtype == np.int64
+                assert isinstance(avals, np.ndarray) and avals.dtype == np.int64
+                width = (sb[-1] - sb[0]) + (sa[-1] - sa[0]) + 1
+                branches.add("scatter" if width <= na * nb else "sort")
+    assert branches == {"scatter", "sort"}
+
+
+def test_wide_3sum_reduction_agrees_with_the_oracle():
+    rng = random.Random(9)
+    values = rng.sample(range(1, 10**7), 40)
+    collection, _ = reduce_3sum_to_ssi(values)
+    # The values spread far wider than 40 x 40 differences: the sort branch.
+    first, second = (s.elements for s in collection.sets)
+    assert (first[-1] - first[0]) + (second[-1] - second[0]) + 1 > 40 * 40
+    for kind in (FullTabulation(), SmallUniverse(delta=0.0)):
+        backend = build_backend(collection, kind)
+        assert backend.table.entries > 0
+        for i in (1, 2):
+            for j in (1, 2):
+                shifts = [b - a for a in collection.set(i).elements
+                          for b in collection.set(j).elements]
+                for s in rng.sample(shifts, 30) + [rng.randint(-10**7, 10**7) for _ in range(30)]:
+                    expected = brute_force_ssi(collection, ShiftQuery(i, j, s))
+                    cert = backend.exists(i, j, s)
+                    assert (cert and (cert.a, cert.b)) == (expected[0] if expected else None)

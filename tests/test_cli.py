@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -396,6 +397,17 @@ SET_SECTIONS = {
         ("unknown_backend", "ssi", "quantum", SET_SECTIONS),
         ("set_kind_without_set_sections", "gapped-set", "linear", {"text": b"abab"}),
         ("text_kind_without_text", "jumbled", "linear", SET_SECTIONS),
+        ("empty_universe", "ssi", "linear",
+         {**SET_SECTIONS, "universe": np.array([], dtype=np.int64)}),
+        ("value_outside_universe", "ssi", "linear",
+         {**SET_SECTIONS, "set_elements": np.array([1, 5, 9], dtype=np.int64)}),
+        ("offsets_past_the_end", "ssi", "linear",
+         {**SET_SECTIONS, "set_offsets": np.array([0, 2, 5], dtype=np.int64)}),
+        ("unsorted_duplicated_set", "ssi", "linear",
+         {**SET_SECTIONS, "set_offsets": np.array([0, 3, 4], dtype=np.int64),
+          "set_elements": np.array([5, 3, 3, 7], dtype=np.int64)}),
+        ("universe_not_an_int64_section", "ssi", "linear", {**SET_SECTIONS, "universe": b"\x08"}),
+        ("section_name_not_utf8", "ssi", "linear", None),
     ],
 )
 def test_malformed_container_exits_2(tmp_path, capsys, shape, kind, backend, sections):
@@ -405,6 +417,12 @@ def test_malformed_container_exits_2(tmp_path, capsys, shape, kind, backend, sec
     elif shape == "manifest_not_an_object":
         blob = b"[1, 2]"
         bad.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
+    elif shape == "section_name_not_utf8":
+        # One empty raw section named b"\xff\xfe", under a matching digest.
+        payload = struct.pack("<IH", 1, 2) + b"\xff\xfe" + struct.pack("<BQ", 1, 0)
+        blob = json.dumps({"format_version": FORMAT_VERSION, "kind": kind, "backend": backend,
+                           "payload_digest": hashlib.sha256(payload).hexdigest()}).encode()
+        bad.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob + payload)
     else:
         # save_artifact writes a matching digest, so only the named defect remains.
         manifest = {"format_version": FORMAT_VERSION, "kind": kind, "counters": {}}
