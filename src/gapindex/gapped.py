@@ -14,6 +14,16 @@ The planner arranges the queries so that their guaranteed zones cover the
 whole interval while every "may say YES" zone stays inside it, so a YES is
 always trustworthy and no witness is missed.
 
+Expansion lemma: quotient expansion is exact. At level l let h = 2^(l-1).
+The originals of quotient value q are the elements in [q*h, q*h + h - 1],
+so a quotient pair at shift t expands to original pairs whose differences
+lie in [(t-1)*h + 1, (t+1)*h - 1]. For t in {2*kappa - 1, 2*kappa,
+2*kappa + 1} that range lies inside [kappa*2^l - 2^l + 1, kappa*2^l + 2^l - 1],
+the uncertain zone of the query at kappa*2^l, and plan_cover refuses a
+plan whose zones leave [alpha, beta]. So every original pair behind a
+quotient hit has its gap in [alpha, beta]: report keeps every expanded
+pair, and exists returns the first originals as its witness.
+
 A level-l query asks the quotient shifts 2*kappa - 1, 2*kappa and
 2*kappa + 1, so adjacent queries of one level share a shift. The plan lists
 every distinct primitive probe once, and a query asks each of them once per
@@ -26,9 +36,10 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Optional
 
-from .backends import DEFAULT_MEM_BUDGET, BackendKind, ShiftCertificate
+from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import FormatError, GapIndexError
 from .reporting import AugmentedInstance, report_shift
 from .sets import IntSet, SetCollection
@@ -126,25 +137,6 @@ class CoverPlan:
             lo, hi = q.uncertain()
             pts.update(range(lo, hi + 1))
         return pts
-
-    @cached_property
-    def zones(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """For each quotient probe, the union of the uncertain zones of the
-        approximate queries that issue it.
-
-        Queries of one level share a quotient shift only when their kappas
-        differ by one, and then their zones overlap, so the union is the
-        interval from the least to the greatest end.
-        """
-        zones: dict[tuple[int, int], tuple[int, int]] = {}
-        for level, center in self.approx_centers:
-            u0, u1 = _uncertain(level, center)
-            for shift in _quotient_shifts(level, center):
-                zone = zones.get((level, shift))
-                zones[(level, shift)] = (
-                    (u0, u1) if zone is None else (min(zone[0], u0), max(zone[1], u1))
-                )
-        return zones
 
     def describe(self) -> str:
         lines = [f"plan [{self.gap_lo}, {self.gap_hi}] queries={self.size}"]
@@ -284,7 +276,7 @@ class GappedIndex:
         self.last_plan_size = 0
         self.last_raw_pairs = 0
         self.last_max_multiplicity = 0
-        self.fallback_count = 0
+        self.fallback_count = 0  # stays 0: by the expansion lemma no query falls back
 
     def ssi_calls(self) -> int:
         return self.exact.existence_calls + sum(
@@ -339,33 +331,6 @@ def _plan_for(
     return plan
 
 
-def _approx_witness(
-    g: GappedIndex,
-    lvl: LevelIndex,
-    i: int,
-    j: int,
-    shift: int,
-    cert: ShiftCertificate,
-    alpha: int,
-    beta: int,
-) -> Optional[tuple[int, int]]:
-    """An original pair with its gap in [alpha, beta] behind a quotient certificate."""
-    a = lvl.originals(i, cert.a)[0]
-    b = lvl.originals(j, cert.b)[0]
-    if alpha <= b - a <= beta:
-        return (a, b)
-    # The planner confines uncertainty to [alpha, beta], so this branch
-    # should be unreachable; fall back to reporting just in case the
-    # certificate's expansion was the one out-of-range combination.
-    g.fallback_count += 1
-    for qa, qb in report_shift(lvl.instance, i, j, shift):
-        for a2 in lvl.originals(i, qa):
-            for b2 in lvl.originals(j, qb):
-                if alpha <= b2 - a2 <= beta:
-                    return (a2, b2)
-    return None
-
-
 def gapped_exists(
     g: GappedIndex,
     i: int,
@@ -394,17 +359,19 @@ def gapped_exists(
             cert = g.exact._exists(i, j, shift)
             if cert is None:
                 continue
-            if not alpha <= cert.b - cert.a <= beta:
-                raise GapIndexError(
-                    f"witness ({cert.a}, {cert.b}) of shift {shift} is outside [{alpha}, {beta}]"
-                )
-            return (cert.a, cert.b)
-        lvl = levels[level - 1]
-        cert = lvl.instance._exists(i, j, shift)
-        if cert is not None:
-            witness = _approx_witness(g, lvl, i, j, shift, cert, alpha, beta)
-            if witness is not None:
-                return witness
+            a, b = cert.a, cert.b
+        else:
+            lvl = levels[level - 1]
+            cert = lvl.instance._exists(i, j, shift)
+            if cert is None:
+                continue
+            # By the expansion lemma any originals will do; take the first.
+            a, b = lvl.originals(i, cert.a)[0], lvl.originals(j, cert.b)[0]
+        if not alpha <= b - a <= beta:
+            raise GapIndexError(
+                f"witness ({a}, {b}) of level-{level} shift {shift} is outside [{alpha}, {beta}]"
+            )
+        return (a, b)
     return None
 
 
@@ -432,18 +399,9 @@ def gapped_report(
             raw.extend(report_shift(g.exact, i, j, shift))
             continue
         lvl = levels[level - 1]
-        found = report_shift(lvl.instance, i, j, shift)
-        if not found:
-            continue
-        # Keep an expanded pair when one of the queries issuing this probe
-        # may report its difference.
-        zone_lo, zone_hi = plan.zones[(level, shift)]
-        for qa, qb in found:
-            originals_b = lvl.originals(j, qb)
-            for a in lvl.originals(i, qa):
-                for b in originals_b:
-                    if zone_lo <= b - a <= zone_hi:
-                        raw.append((a, b))
+        # By the expansion lemma every original pair has its gap in range.
+        for qa, qb in report_shift(lvl.instance, i, j, shift):
+            raw.extend(product(lvl.originals(i, qa), lvl.originals(j, qb)))
     g.last_raw_pairs = len(raw)
     g.last_max_multiplicity = max(Counter(raw).values()) if raw else 0
     return sorted(set(raw))

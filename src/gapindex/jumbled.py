@@ -2,13 +2,31 @@
 
 A query histogram P matches substring S[i..j] when the letter counts agree
 exactly. The index encodes every prefix histogram and every suffix
-histogram positionally (base n + 1, so coordinate sums of one prefix and
-one suffix never overflow a digit), merges the two sets into a single
+histogram positionally (base n + 1), merges the two sets into a single
 3SUM-with-reporting instance, and answers a query P by asking for pair
-sums equal to the encoding of h(S) - P. A decoded (prefix, suffix) pair is
-kept only when the lengths are consistent (prefix + match + suffix covers
-the string exactly), which also rejects the rare positional-carry artifact
-where a scalar sum matches without the digit vectors matching.
+sums equal to the encoding of h(S) - P.
+
+Every reported pair decodes to an occurrence. Write enc(v) for
+sum(v[t] * base^t); it is linear in v, and injective on vectors with
+coordinates in [0, n] since base = n + 1. Let u' be the largest enc + 1
+over all prefixes and suffixes. An A-value (prefix) is enc + 1 in [1, u'],
+a B-value (suffix) is enc + 1 + 2u' in [2u' + 1, 3u'], and a query is
+asked only at values in [2u' + 2, 4u'], and only for a nonzero P <= h(S).
+
+* Two A-values sum to at most 2u' and two B-values to at least 4u' + 2,
+  so a reported pair is one prefix S[1..p] and one suffix S[q..n], with
+  enc(h(S[1..p])) + enc(h(S[q..n])) = enc(h(S)) - enc(P).
+* If p >= q the two overlap, and by linearity the left side is
+  enc(h(S)) + enc(h(S[q..p])). Then enc(h(S[q..p])) + enc(P) = 0, which
+  cannot hold for a nonempty overlap, since both terms are >= 0 and the
+  first is >= 1.
+* If p < q the left side is enc(h(S)) - enc(h(S[p+1..q-1])), so
+  enc(h(S[p+1..q-1])) = enc(P). Both vectors have coordinates in [0, n],
+  so injectivity gives h(S[p+1..q-1]) = P: S[p+1..q-1] is an occurrence
+  and its length q - p - 1 is |P|.
+
+So no positional carry can produce a false pair, and a pair that does not
+decode means a broken index: decoding raises GapIndexError on it.
 """
 
 from __future__ import annotations
@@ -16,7 +34,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, LinearScan
-from .errors import FormatError, GuardError
+from .errors import FormatError, GapIndexError, GuardError
 from .reporting import ThreeSumReporting
 
 _ENCODE_BITS = 120
@@ -118,16 +136,17 @@ class JumbledIndex:
         self.merged = merge_two_set_3sum(a_store, b_store, self.u_prime)
         self.reporting = ThreeSumReporting(list(self.merged.values), kind or LinearScan(), mem_budget)
 
-    def _decode_occurrence(self, pair: tuple[int, int], norm: int) -> Optional[tuple[int, int]]:
-        sides = [self.merged.decode(v) for v in pair]
-        by_kind = {kind: value for kind, value in sides}
+    def _decode_occurrence(self, pair: tuple[int, int], norm: int) -> tuple[int, int]:
+        """The occurrence (start, end) framed by a reported (prefix, suffix) pair."""
+        by_kind = dict(self.merged.decode(v) for v in pair)
         if len(by_kind) != 2:
-            return None
+            raise GapIndexError(f"reported pair {pair} is not one prefix and one suffix")
         p = self.prefix_of[by_kind["A"]]
         q = self.suffix_of[by_kind["B"]]
-        # Length consistency: prefix + occurrence + suffix must tile S.
-        if p + norm + (self.n - q + 1) != self.n:
-            return None
+        if q - p - 1 != norm:
+            raise GapIndexError(
+                f"prefix 1..{p} and suffix {q}..{self.n} do not frame a length-{norm} occurrence"
+            )
         return (p + 1, q - 1)
 
     def _query_value(self, pattern: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -157,22 +176,15 @@ class JumbledIndex:
         hit = self.reporting.exists(value)
         if hit is None:
             return False
-        if self._decode_occurrence(hit, norm) is not None:
-            return True
-        # The certificate was a carry artifact; fall back to the full list.
-        return bool(self.report(pattern))
+        self._decode_occurrence(hit, norm)  # raises on a pair that frames no occurrence
+        return True
 
     def report(self, pattern: Sequence[int]) -> list[tuple[int, int]]:
         prepared = self._query_value(pattern)
         if prepared is None:
             return []
         value, norm = prepared
-        out = []
-        for pair in self.reporting.report(value):
-            occ = self._decode_occurrence(pair, norm)
-            if occ is not None:
-                out.append(occ)
-        return sorted(out)
+        return sorted(self._decode_occurrence(pair, norm) for pair in self.reporting.report(value))
 
 
 def build_jumbled_index(

@@ -142,13 +142,15 @@ def load_artifact(path: str, mem_budget: int = DEFAULT_MEM_BUDGET) -> Artifact:
     required = ("text",) if text_kind else ("universe", "set_offsets", "set_elements")
     if not all(name in sections for name in required):
         raise FormatError(f"{path}: a {kind} container needs the sections {', '.join(required)}")
+    if text_kind and not isinstance(sections["text"], bytes):
+        raise FormatError(f"{path}: the text section must be raw bytes, not an int64 array")
     return Artifact(
         kind=kind,
         backend=backend,
         mem_budget=mem_budget,
         manifest=manifest,
         collection=None if text_kind else _sections_to_collection(sections),
-        text=bytes(sections["text"]) if text_kind else None,
+        text=sections["text"] if text_kind else None,
         sections=sections,
     )
 

@@ -2,7 +2,9 @@
 
 Each suite replays seeded random queries against the loaded artifact and an
 independent brute-force answer; the first mismatch is reported verbatim so
-a failure is immediately reproducible.
+a failure is immediately reproducible. The gapped suites also check that
+each trial's exists witness is one of the reported pairs, or None when
+there are none.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .backends import ShiftQuery, brute_force_ssi
-from .gapped import gapped_report
+from .gapped import gapped_exists, gapped_report
 from .jumbled import histogram, sliding_window_matches
 from .persist import (
     Artifact,
@@ -29,6 +31,11 @@ def _fail(lines: list[str], query: str, expected, got) -> tuple[bool, list[str]]
     lines.append(f"  expected {expected!r}")
     lines.append(f"  got      {got!r}")
     return False, lines
+
+
+def _exists_agrees(hit, expected: list) -> bool:
+    """exists says None exactly when report finds nothing, else one reported pair."""
+    return hit in expected if expected else hit is None
 
 
 def verify_artifact(artifact: Artifact, trials: int, seed: int) -> tuple[bool, list[str]]:
@@ -77,6 +84,9 @@ def _verify_gapped_set(artifact, trials, rng, lines):
         got = gapped_report(index, i, j, lo, hi)
         if got != expected:
             return _fail(lines, f"{i} {j} {lo} {hi}", expected, got)
+        hit = gapped_exists(index, i, j, lo, hi)
+        if not _exists_agrees(hit, expected):
+            return _fail(lines, f"exists {i} {j} {lo} {hi}", expected or None, hit)
     return True, lines
 
 
@@ -97,6 +107,9 @@ def _verify_gapped_string(artifact, trials, rng, lines):
         got = index.report(p1, p2, lo, hi)
         if got != expected:
             return _fail(lines, f"{p1!r} {p2!r} {lo} {hi}", expected, got)
+        hit = index.exists(p1, p2, lo, hi)
+        if not _exists_agrees(hit, expected):
+            return _fail(lines, f"exists {p1!r} {p2!r} {lo} {hi}", expected or None, hit)
     return True, lines
 
 

@@ -278,6 +278,25 @@ def test_verify_all_kinds(tmp_path, capsys):
         assert code == 0, out
 
 
+def test_verify_checks_exists_against_report(tmp_path, capsys, monkeypatch):
+    """A witness outside the report, or a NO where the report finds pairs,
+    fails verify on the gapped kinds."""
+    from gapindex import textindex, verify
+
+    src = tmp_path / "c.txt"
+    src.write_text(format_collection(random_collection(random.Random(4), 3, 40, 60)))
+    text = tmp_path / "text.txt"
+    text.write_bytes(b"abracadabraabracadabra")
+    set_index, _ = build(tmp_path, capsys, src, "gapped-set")
+    string_index, _ = build(tmp_path, capsys, text, "gapped-string")
+    monkeypatch.setattr(verify, "gapped_exists", lambda *a: (0, 0))
+    monkeypatch.setattr(textindex.GappedStringIndex, "exists", lambda *a: None)
+    for index in (set_index, string_index):
+        code, out, _ = run_cli(["verify", str(index), "--trials", "60"], capsys)
+        assert code == 4
+        assert "FAIL query exists " in out
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
     run_cli(["gen", "--kind", "collection", "-o", str(a), "--seed", "5"], capsys)
@@ -408,6 +427,8 @@ SET_SECTIONS = {
           "set_elements": np.array([5, 3, 3, 7], dtype=np.int64)}),
         ("universe_not_an_int64_section", "ssi", "linear", {**SET_SECTIONS, "universe": b"\x08"}),
         ("section_name_not_utf8", "ssi", "linear", None),
+        ("text_not_a_raw_section", "jumbled", "linear",
+         {"text": np.array([97, 98, 97, 98], dtype=np.int64)}),
     ],
 )
 def test_malformed_container_exits_2(tmp_path, capsys, shape, kind, backend, sections):

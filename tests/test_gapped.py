@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gapindex.backends import LinearScan
+from gapindex.backends import LinearScan, ShiftCertificate
 from gapindex import gapped
 from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import (
@@ -30,6 +30,36 @@ def brute_pairs(c, i, j, lo, hi):
     )
 
 
+def expansion_range(level, shift):
+    """Closed range of b - a over original pairs behind a level-l quotient
+    pair at ``shift``, from the module's expansion lemma."""
+    half = 1 << (level - 1)
+    return ((shift - 1) * half + 1, (shift + 1) * half - 1)
+
+
+def test_expansion_range_is_the_span_of_original_differences():
+    for level in range(1, 6):
+        spans = {}
+        for a in range(64):
+            for b in range(64):
+                t = (b >> (level - 1)) - (a >> (level - 1))
+                lo, hi = spans.get(t, (b - a, b - a))
+                spans[t] = (min(lo, b - a), max(hi, b - a))
+        for t in range(-3, 4):
+            assert spans[t] == expansion_range(level, t)
+
+
+def test_expansion_lemma_every_plan_up_to_256():
+    """Every original pair behind a quotient probe has its gap in [alpha, beta],
+    which is why gapped_report keeps every expanded pair unfiltered."""
+    for alpha in range(0, 257):
+        for beta in range(alpha, 257):
+            for level, shift in plan_cover(alpha, beta).probes:
+                if level:
+                    lo, hi = expansion_range(level, shift)
+                    assert alpha <= lo and hi <= beta, (alpha, beta, level, shift)
+
+
 def test_plan_single_point():
     plan = plan_cover(7, 7)
     assert plan.point_shifts == (7,)
@@ -49,8 +79,10 @@ def test_plan_10_20_frozen():
         (0, 10), (0, 11), (0, 12), (0, 20), (0, 19), (0, 18),
         (1, 11), (1, 12), (1, 13), (1, 14), (1, 15), (1, 16), (1, 17), (1, 18), (1, 19),
     )
-    assert plan.zones[(1, 13)] == (11, 15)  # issued by centers 12 and 14
-    assert plan.zones[(1, 12)] == (11, 13)
+    # Level 1 divides by 2^0, so each quotient probe expands to its own shift.
+    assert [expansion_range(level, t) for level, t in plan.probes[6:]] == [
+        (t, t) for t in range(11, 20)
+    ]
 
 
 def test_plan_rejects_bad_interval():
@@ -204,3 +236,13 @@ def test_level_accounting_guard_raises(monkeypatch):
     monkeypatch.setattr(gapped, "LevelIndex", InflatedLevel)
     with pytest.raises(GapIndexError, match="gapped element accounting"):
         build_gapped_index(c, LinearScan())
+
+
+def test_quotient_witness_guard_raises(monkeypatch):
+    c = ingest_collection([[1], [30]], u=32)
+    g = build_gapped_index(c, LinearScan())
+    assert gapped_exists(g, 1, 2, 10, 20) is None
+    # A level-1 certificate whose originals are 29 apart, outside [10, 20].
+    monkeypatch.setattr(g.levels[0].instance, "_exists", lambda i, j, s: ShiftCertificate(1, 30))
+    with pytest.raises(GapIndexError, match=r"witness \(1, 30\) of level-1 shift 11 is outside"):
+        gapped_exists(g, 1, 2, 10, 20)

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapindex.errors import FormatError, GuardError
+from gapindex.errors import FormatError, GapIndexError, GuardError
 from gapindex.generators import random_text
 from gapindex.jumbled import (
     build_jumbled_index,
@@ -129,3 +130,34 @@ def test_decode_length_consistency():
         for i, j in idx.report(pattern):
             p, q = i - 1, j + 1
             assert p + norm + (idx.n - q + 1) == idx.n
+
+
+def test_every_small_text_and_histogram_decodes_exactly():
+    """Every reported pair decodes, for every text and every histogram the
+    index asks about: no positional carry makes a false pair."""
+    pairs = 0
+    for sigma, max_n in ((2, 10), (3, 6), (4, 5)):
+        alphabet = "abcd"[:sigma]
+        for n in range(1, max_n + 1):
+            for text in itertools.product(alphabet, repeat=n):
+                idx = build_jumbled_index(text, alphabet)
+                for pattern in itertools.product(*(range(c + 1) for c in idx.total)):
+                    expected = sliding_window_matches(text, alphabet, pattern)
+                    assert idx.report(pattern) == expected, (text, pattern)
+                    assert idx.exists(pattern) == bool(expected), (text, pattern)
+                    pairs += len(expected)
+    assert pairs > 100_000
+
+
+def test_jumbled_decode_guard_raises(monkeypatch):
+    idx = build_jumbled_index("ab", "ab")
+    assert idx.report((1, 0)) == [(1, 1)]
+    prefix = {p: v for v, p in idx.prefix_of.items()}
+    suffix = {q: v + 2 * idx.u_prime for v, q in idx.suffix_of.items()}
+    monkeypatch.setattr(idx.reporting, "report", lambda c: [(prefix[0], prefix[1])])
+    with pytest.raises(GapIndexError, match="not one prefix and one suffix"):
+        idx.report((1, 0))
+    # The empty prefix and the whole-string suffix frame nothing between them.
+    monkeypatch.setattr(idx.reporting, "exists", lambda c: (prefix[0], suffix[1]))
+    with pytest.raises(GapIndexError, match="do not frame a length-1 occurrence"):
+        idx.exists((1, 0))

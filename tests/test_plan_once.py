@@ -25,6 +25,7 @@ from gapindex.generators import random_collection, random_pattern_from, random_t
 from gapindex.reporting import _Node, build_reporting_index, matching_pairs, report_shift
 from gapindex.sets import cover_rank_range, dyadic_subsets, ingest_collection
 from gapindex.textindex import build_gapped_string_index, pattern_interval
+from test_gapped import expansion_range
 
 
 _block_ids = weakref.WeakKeyDictionary()
@@ -227,17 +228,15 @@ def test_probes_are_the_distinct_shifts_in_first_issue_order():
         for beta in range(alpha, 65):
             plan = plan_cover(alpha, beta)
             issued = [(0, s) for s in plan.point_shifts]
-            zones = {}
             for q in plan.approx_queries:
                 u0, u1 = q.uncertain()
                 for shift in _three_shifts(q):
                     issued.append((q.level, shift))
-                    zones.setdefault((q.level, shift), set()).update(range(u0, u1 + 1))
+                    # The expansion lemma's step: the probe's original pairs
+                    # stay inside the uncertain zone of each query issuing it.
+                    lo, hi = expansion_range(q.level, shift)
+                    assert u0 <= lo <= hi <= u1
             assert list(plan.probes) == list(dict.fromkeys(issued))
-            assert set(plan.zones) == set(zones)
-            for probe, (lo, hi) in plan.zones.items():
-                assert set(range(lo, hi + 1)) == zones[probe]
-                assert alpha <= lo <= hi <= beta
 
 
 def test_no_string_query_asks_each_probe_once_per_cover_pair(monkeypatch):
