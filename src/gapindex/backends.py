@@ -11,6 +11,11 @@ only set the threshold:
 * ``FullTabulation``    -- -1: every pair is tabulated, no member sets kept.
 * ``SmallUniverse(d)``  -- ceil(N^d): sweeping d trades bytes for probes.
 
+A set may name a base set that holds it as a contiguous rank run (a
+dyadic block of its parent, for example). Member sets are built once per
+base set and shared: y lies in such a set exactly when y is in the base's
+members and between the set's own first and last elements.
+
 A backend is immutable after build apart from its ``probes`` counter;
 queries are read-only.
 """
@@ -173,17 +178,18 @@ class SsiBackend:
     """Tabulate every pair of large sets; probe the smaller set otherwise.
 
     The three kinds differ only in ``threshold``. Member sets serve the
-    probes, so ``FullTabulation``, which never probes, keeps none.
+    probes, so ``FullTabulation``, which never probes, keeps none; the
+    others keep one per base set, and ``members[t]`` is set t's base's.
     """
 
     def __init__(self, sets: list[tuple[int, ...]], kind: BackendKind,
-                 mem_budget: int = DEFAULT_MEM_BUDGET):
+                 mem_budget: int = DEFAULT_MEM_BUDGET,
+                 bases: Optional[Sequence[int]] = None):
         self.sets = sets
         self.kind = kind
         self.probes = 0
         self.threshold = threshold = _threshold(kind, sets)
-        self.large = [len(s) > threshold for s in sets]
-        large_ids = [i for i, big in enumerate(self.large, start=1) if big]
+        large_ids = [i for i, s in enumerate(sets, start=1) if len(s) > threshold]
         self.table = _TabulatedPairs()
         # Without large sets (always so for LinearScan) skip the two scans
         # over every set that only the tabulation needs.
@@ -202,9 +208,21 @@ class SsiBackend:
             for i in large_ids:
                 for j in large_ids:
                     self.table.add_pair(i, j, sets[i - 1], sets[j - 1], use_np)
-        probing = not isinstance(kind, FullTabulation)
-        self.members = [frozenset(s) for s in sets] if probing else []
-        self.dict_entries = sum(len(m) for m in self.members)
+        self.members: list[frozenset] = []
+        self.dict_entries = 0
+        if not isinstance(kind, FullTabulation):
+            if bases is None:
+                bases = range(len(sets))
+            shared = {p: frozenset(sets[p]) for p in set(bases)}
+            self.members = [shared[p] for p in bases]
+            # Logical space: one entry per stored element, as if each set
+            # kept its own members.
+            self.dict_entries = sum(len(s) for s in sets)
+
+    @property
+    def large(self) -> list[bool]:
+        """Per set, whether it is above the threshold (tabulated against the others)."""
+        return [len(s) > self.threshold for s in self.sets]
 
     def exists(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
         """Smallest-a certificate for a + s = b over sets i, j, or None."""
@@ -212,11 +230,13 @@ class SsiBackend:
             raise FormatError(
                 f"set indices ({i}, {j}) out of range 1..{len(self.sets)}"
             )
-        if self.large[i - 1] and self.large[j - 1]:
-            return self.table.lookup(i, j, s)
         sa, sb = self.sets[i - 1], self.sets[j - 1]
+        if len(sa) > self.threshold and len(sb) > self.threshold:
+            return self.table.lookup(i, j, s)
         # Scan the smaller side against the other's members; scanning the
-        # b-side finds a = b - s in ascending order too.
+        # b-side finds a = b - s in ascending order too. The members are the
+        # other side's base set, so a hit counts only inside both sets'
+        # bounds, which are read only after a hit.
         if len(sa) <= len(sb):
             scan, member, step = sa, self.members[j - 1], s
         else:
@@ -225,9 +245,10 @@ class SsiBackend:
         for x in scan:
             n += 1
             if x + step in member:
-                self.probes += n
                 a = x if scan is sa else x - s
-                return ShiftCertificate(a, a + s)
+                if sa[0] <= a <= sa[-1] and sb[0] <= a + s <= sb[-1]:
+                    self.probes += n
+                    return ShiftCertificate(a, a + s)
         self.probes += n
         return None
 
@@ -258,9 +279,14 @@ def build_backend(
     c: Union[SetCollection, Sequence[tuple[int, ...]]],
     kind: BackendKind,
     mem_budget: int = DEFAULT_MEM_BUDGET,
+    bases: Optional[Sequence[int]] = None,
 ) -> SsiBackend:
-    """Build the requested backend over a collection or raw sorted sets."""
-    return SsiBackend(_as_element_lists(c), kind, mem_budget)
+    """Build the requested backend over a collection or raw sorted sets.
+
+    ``bases[t]`` is the 0-based index of a set holding set t as a contiguous
+    rank run; by default every set is its own base.
+    """
+    return SsiBackend(_as_element_lists(c), kind, mem_budget, bases)
 
 
 def brute_force_ssi(

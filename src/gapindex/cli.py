@@ -30,7 +30,7 @@ from .persist import (
     save_artifact,
 )
 from .reporting import report_shift
-from .sets import format_collection
+from .sets import MAX_UNIVERSE, format_collection
 from .verify import verify_artifact
 
 EXIT_OK = 0
@@ -222,6 +222,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise FormatError(f"--trials must be >= 1, got {args.trials}")
     artifact = load_artifact(args.index, args.mem_budget)
     ok, lines = verify_artifact(artifact, args.trials, args.seed)
     print("\n".join(lines))
@@ -241,6 +243,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    for name in ("k", "total", "u", "length"):
+        if getattr(args, name) < 1:
+            raise FormatError(f"--{name} must be >= 1, got {getattr(args, name)}")
+    if args.u > MAX_UNIVERSE:
+        raise FormatError(f"--u must be at most 2^40, got {args.u}")
+    if not 1 <= args.sigma <= 26:
+        raise FormatError(f"--sigma must be in 1..26, got {args.sigma}")
     rng = random.Random(args.seed)
     if args.kind == "collection":
         collection = random_collection(rng, args.k, args.total, args.u)

@@ -4,12 +4,13 @@ One file holds a JSON manifest plus named binary sections (little-endian
 int64 arrays or raw bytes) with a payload digest, so a corrupted or
 truncated file is rejected at load. Only the primary input is persisted:
 the set collection (``universe``, ``set_offsets``, ``set_elements``) for
-the set kinds, and the ``text`` (plus its ``alphabet`` for jumbled) for
-the text kinds. Everything else, the suffix array and the dyadic interval
-sets included, is rebuilt deterministically on load, which keeps the
-container portable and query outputs bit-exact across save/load.
-Gapped-string containers written with extra ``sa``, ``lcp`` and interval
-set sections still load; their index is rebuilt from the text alone.
+the set kinds, and the ``text`` for the text kinds. Everything else, the
+suffix array, the dyadic interval sets and the jumbled alphabet included,
+is rebuilt deterministically on load, which keeps the container portable
+and query outputs bit-exact across save/load. Containers written with
+extra sections (``sa``, ``lcp`` and interval sets for gapped-string,
+``alphabet`` for jumbled) still load; their index is rebuilt from the
+text alone.
 """
 
 from __future__ import annotations
@@ -243,28 +244,19 @@ def build_artifact(
             index = make_shift_index(artifact)
             counters["large_sets"] = len(index.large_ids)
             counters["threshold"] = index.threshold
-    elif kind == "gapped-string":
+    else:
         if not source:
             raise FormatError("text source is empty")
-        index = make_string_index_from_text(source, backend, mem_budget)
-        n = len(source)
-        counters["n"] = n
-        counters["set_elements"] = index.set_elements
-        counters["set_elements_bound"] = n * n.bit_length()
-        counters["levels"] = index.gapped.max_level
         artifact.text = source
         artifact.sections = {"text": source}
-    elif kind == "jumbled":
-        if not source:
-            raise FormatError("text source is empty")
-        index = make_jumbled_index_from_text(source, backend, mem_budget)
-        counters["n"] = index.n
-        counters["sigma"] = index.sigma
-        artifact.text = source
-        artifact.sections = {
-            "text": source,
-            "alphabet": bytes(index.alphabet),
-        }
+        counters["n"] = n = len(source)
+        if kind == "gapped-string":
+            index = make_string_index(artifact)
+            counters["set_elements"] = index.set_elements
+            counters["set_elements_bound"] = n * n.bit_length()
+            counters["levels"] = index.gapped.max_level
+        else:
+            counters["sigma"] = make_jumbled_index(artifact).sigma
     return artifact
 
 
@@ -292,24 +284,16 @@ def make_shift_index(artifact: Artifact):
     return build_smallest_shift(artifact.collection)
 
 
-def make_string_index_from_text(text: bytes, backend: BackendKind, mem_budget: int):
+def make_string_index(artifact: Artifact):
     from .textindex import build_gapped_string_index
 
-    return build_gapped_string_index(text, backend, mem_budget)
-
-
-def make_string_index(artifact: Artifact):
-    return make_string_index_from_text(artifact.text, artifact.backend, artifact.mem_budget)
-
-
-def make_jumbled_index_from_text(text: bytes, backend: BackendKind, mem_budget: int):
-    from .jumbled import build_jumbled_index
-
-    alphabet = sorted(set(text))
-    if not alphabet:
-        raise FormatError("text source is empty")
-    return build_jumbled_index(text, alphabet, backend, mem_budget)
+    return build_gapped_string_index(artifact.text, artifact.backend, artifact.mem_budget)
 
 
 def make_jumbled_index(artifact: Artifact):
-    return make_jumbled_index_from_text(artifact.text, artifact.backend, artifact.mem_budget)
+    from .jumbled import build_jumbled_index
+
+    alphabet = sorted(set(artifact.text))
+    if not alphabet:
+        raise FormatError("text source is empty")
+    return build_jumbled_index(artifact.text, alphabet, artifact.backend, artifact.mem_budget)

@@ -43,12 +43,15 @@ class AugmentedInstance:
         self.base = c
         self.kind = kind
         all_sets: list[tuple[int, ...]] = [s.elements for s in c.sets]
+        # Each stored set's base set: a block is a rank run of its parent.
+        bases = list(range(len(all_sets)))
         self.first_block: list[int] = []
         dyadic_elements = 0
-        for s in c.sets:
+        for p, s in enumerate(c.sets):
             self.first_block.append(len(all_sets) + 1)
             for sub in dyadic_subsets(s):
                 all_sets.append(s.elements[sub.rank_lo - 1 : sub.rank_hi])
+                bases.append(p)
                 dyadic_elements += sub.size
         n = c.total_size
         self.base_elements = n
@@ -57,7 +60,7 @@ class AugmentedInstance:
         bound = n * n.bit_length() + n  # N*(floor(log2 N)+1) + N
         if self.total_elements > bound:
             raise GapIndexError("dyadic accounting bound violated")
-        self.backend = build_backend(all_sets, kind, mem_budget)
+        self.backend = build_backend(all_sets, kind, mem_budget, bases=bases)
         self.existence_calls = 0
         self.last_query_calls = 0
 

@@ -306,6 +306,50 @@ def test_gen_deterministic(tmp_path, capsys):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--sigma", "0"), ("--sigma", "27"), ("--sigma", "200"), ("--u", "0"),
+    ("--u", str((1 << 40) + 1)), ("--total", "0"), ("--k", "0"), ("--k", "-2"),
+    ("--length", "0"), ("--length", "-5"),
+])
+def test_gen_rejects_bad_arguments_before_writing(tmp_path, capsys, flag, value):
+    for kind in ("collection", "text"):
+        out = tmp_path / f"{kind}.txt"
+        code, stdout, err = run_cli(["gen", "--kind", kind, "-o", str(out), flag, value], capsys)
+        assert code == 2, (kind, flag, value)
+        assert stdout == ""
+        assert flag in err
+        assert not out.exists()
+
+
+def test_gen_output_builds(tmp_path, capsys):
+    sets, text = tmp_path / "sets.txt", tmp_path / "text.txt"
+    for argv in (
+        ["--kind", "collection", "-o", str(sets), "--k", "1", "--total", "1", "--u", "1"],
+        ["--kind", "text", "-o", str(text), "--length", "1", "--sigma", "1"],
+    ):
+        code, _, _ = run_cli(["gen", *argv], capsys)
+        assert code == 0
+    build(tmp_path, capsys, sets, "gapped-set")
+    build(tmp_path, capsys, text, "jumbled")
+    for argv in (
+        ["--kind", "collection", "-o", str(sets), "--seed", "3"],
+        ["--kind", "text", "-o", str(text), "--length", "40", "--sigma", "26"],
+    ):
+        code, _, _ = run_cli(["gen", *argv], capsys)
+        assert code == 0
+    build(tmp_path, capsys, sets, "ssi")
+    build(tmp_path, capsys, text, "gapped-string")
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_trial(tmp_path, capsys, collection_file, trials):
+    index, _ = build(tmp_path, capsys, collection_file, "ssi")
+    code, stdout, err = run_cli(["verify", str(index), "--trials", trials], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "--trials" in err
+
+
 def test_bench_empty_spec(tmp_path, capsys):
     spec = tmp_path / "empty.json"
     spec.write_text("{}")
@@ -398,6 +442,40 @@ def test_gapped_string_container_with_derived_sections_still_loads(tmp_path):
         expected = baseline_linear_scan(text, p1, p2, lo, hi)
         assert from_old.report(p1, p2, lo, hi) == from_slim.report(p1, p2, lo, hi) == expected
         assert from_old.exists(p1, p2, lo, hi) == from_slim.exists(p1, p2, lo, hi)
+
+
+def test_jumbled_container_has_only_the_text():
+    artifact = build_artifact("jumbled", b"abracadabra", LinearScan())
+    assert list(artifact.sections) == ["text"]
+    assert artifact.manifest["counters"] == {"n": 11, "sigma": 5}
+
+
+def test_jumbled_container_with_an_alphabet_section_still_loads(tmp_path):
+    # Jumbled containers used to carry an ``alphabet`` section; load ignores
+    # it and rebuilds the alphabet from the text, so both answer the same.
+    from gapindex.jumbled import sliding_window_matches
+    from gapindex.persist import make_jumbled_index
+
+    text = b"abracadabra" * 3
+    slim = build_artifact("jumbled", text, LinearScan())
+    old = build_artifact("jumbled", text, LinearScan())
+    old.sections = {"text": text, "alphabet": bytes(sorted(set(text)))}
+    slim_path, old_path = tmp_path / "slim.gidx", tmp_path / "old.gidx"
+    save_artifact(str(slim_path), slim)
+    save_artifact(str(old_path), old)
+    assert old_path.stat().st_size > slim_path.stat().st_size
+    from_slim = make_jumbled_index(load_artifact(str(slim_path)))
+    from_old = make_jumbled_index(load_artifact(str(old_path)))
+    assert from_old.alphabet == from_slim.alphabet == tuple(sorted(set(text)))
+    rng = random.Random(5)
+    answered = 0
+    for _ in range(40):
+        pattern = [rng.randint(0, 4) for _ in from_slim.alphabet]
+        expected = sliding_window_matches(text, from_slim.alphabet, pattern)
+        assert from_old.report(pattern) == from_slim.report(pattern) == expected
+        assert from_old.exists(pattern) == from_slim.exists(pattern) == bool(expected)
+        answered += bool(expected)
+    assert answered > 0
 
 
 SET_SECTIONS = {

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from gapindex import reporting
-from gapindex.backends import FullTabulation, LinearScan, ShiftQuery, brute_force_ssi
+from gapindex.backends import (
+    FullTabulation,
+    LinearScan,
+    ShiftQuery,
+    SmallUniverse,
+    brute_force_ssi,
+    build_backend,
+)
 from gapindex.errors import GapIndexError
 from gapindex.generators import random_collection
 from gapindex.reporting import (
@@ -187,3 +194,53 @@ def test_dyadic_accounting_guard_raises(monkeypatch):
     monkeypatch.setattr(reporting, "dyadic_subsets", lambda s: list(original(s)) * 2)
     with pytest.raises(GapIndexError, match="dyadic accounting bound"):
         build_reporting_index(c, LinearScan())
+
+
+def test_blocks_share_their_base_sets_members():
+    # One member set per base set: every block probes its parent's.
+    rng = random.Random(17)
+    for kind in (LinearScan(), SmallUniverse(delta=0.5)):
+        c = random_collection(rng, 5, 60, 80)
+        backend = build_reporting_index(c, kind).backend
+        assert len(backend.members) == len(backend.sets)
+        assert len({id(m) for m in backend.members}) == c.k
+        for t, elements in enumerate(backend.sets):
+            assert set(elements) <= backend.members[t]
+        assert backend.dict_entries == sum(len(s) for s in backend.sets)
+
+
+def test_shared_members_answer_as_one_member_set_per_block():
+    """Blocks probing their base's members give the same certificates and
+    probe counts as a backend where every block keeps its own members,
+    also for shifts whose target is in the base set but not in the block."""
+    rng = random.Random(23)
+    outside_block = 0
+    for trial in range(6):
+        kind = (LinearScan(), SmallUniverse(delta=0.5))[trial % 2]
+        c = random_collection(rng, 3, 24, 40)
+        inst = build_reporting_index(c, kind)
+        shared = inst.backend
+        own = build_backend(shared.sets, kind)
+        assert len({id(m) for m in own.members}) == len(own.sets)
+        assert shared.space_bytes() == own.space_bytes()
+        parent = list(range(c.k))
+        for p in range(c.k):
+            end = inst.first_block[p + 1] if p + 1 < c.k else len(shared.sets) + 1
+            parent += [p] * (end - inst.first_block[p])
+        ids = range(1, len(shared.sets) + 1)
+        for i in ids:
+            for j in rng.sample(ids, 6):
+                base_a = c.sets[parent[i - 1]].elements
+                base_b = c.sets[parent[j - 1]].elements
+                shifts = {b - a for a in shared.sets[i - 1] for b in base_b}
+                shifts |= {b - a for a in base_a for b in shared.sets[j - 1]}
+                for s in sorted(shifts) + [max(shifts) + 1]:
+                    got = shared.exists(i, j, s)
+                    assert got == own.exists(i, j, s), (i, j, s)
+                    assert shared.probes == own.probes
+                    expected = brute_force_ssi(shared.sets, ShiftQuery(i, j, s))
+                    assert (got and (got.a, got.b)) == (expected[0] if expected else None)
+                    # Every shift in ``shifts`` meets a base set, so a NO
+                    # is a base-set hit that lies outside the block.
+                    outside_block += got is None and s in shifts
+    assert outside_block > 1000
