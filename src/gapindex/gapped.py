@@ -28,6 +28,18 @@ A level-l query asks the quotient shifts 2*kappa - 1, 2*kappa and
 2*kappa + 1, so adjacent queries of one level share a shift. The plan lists
 every distinct primitive probe once, and a query asks each of them once per
 set pair.
+
+Miss filter: most probes find nothing, and a probing backend spends
+min(|A|, |B|) element steps on each miss of a pair's level-l sets A and B.
+When the larger of the two has at most as many elements as the plan has
+level-l probes, listing the differences {b - a} takes |A|*|B| <=
+probes * min(|A|, |B|) steps, no more than those probes cost when all of
+them miss, so the abstract's query bound O~(|P1| + |P2| + n^delta*(occ+1))
+still holds. The list is made when the probe order first reaches the
+level; a probe whose shift is not on it makes no backend call, and every
+other probe is a hit, answered through the backend as before. Tabulated
+pairs (both sets above the backend's threshold) answer each probe by one
+lookup and are not listed.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional
+from typing import Iterator, Optional
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import FormatError, GapIndexError
@@ -95,7 +107,7 @@ class CoverPlan:
     values are made when first read, since answering needs only ``probes``:
     the distinct primitive queries as (level, shift) pairs, in the order
     the point shifts (level 0) and then the approximate queries first issue
-    them.
+    them. ``level_probes[l]`` is the number of level-l probes.
     """
 
     gap_lo: int
@@ -107,6 +119,7 @@ class CoverPlan:
     phases_forward: int
     phases_backward: int
     probes: tuple[tuple[int, int], ...]
+    level_probes: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -206,9 +219,12 @@ def plan_cover(alpha: int, beta: int) -> CoverPlan:
 
     # Every answer relies on these: a point or an uncertain zone outside
     # [alpha, beta] could turn a YES into a witness with the wrong gap.
+    # The same pass lists each distinct probe once and counts each level's.
     for s in points:
         if not alpha <= s <= beta:
             raise GapIndexError(f"point shift {s} escaped [{alpha}, {beta}]")
+    probes = dict.fromkeys((0, s) for s in points)
+    level_probes = [len(points)] + [0] * max(centers, default=(0, 0))[0]
     for level, center in centers:
         u0, u1 = _uncertain(level, center)
         if not (alpha <= u0 and u1 <= beta):
@@ -216,9 +232,12 @@ def plan_cover(alpha: int, beta: int) -> CoverPlan:
                 f"uncertainty of the level-{level} query at {center}"
                 f" escaped [{alpha}, {beta}]"
             )
-    probes = [(0, s) for s in points] + [
-        (level, shift) for level, center in centers for shift in _quotient_shifts(level, center)
-    ]
+        # Storing a key again keeps its first-issue place, so the growth is
+        # the number of new probes.
+        before, at, after = _quotient_shifts(level, center)
+        n = len(probes)
+        probes[level, before] = probes[level, at] = probes[level, after] = None
+        level_probes[level] += len(probes) - n
     return CoverPlan(
         gap_lo=alpha,
         gap_hi=beta,
@@ -228,7 +247,8 @@ def plan_cover(alpha: int, beta: int) -> CoverPlan:
         backward_centers=tuple(bwd_centers),
         phases_forward=fwd_phases,
         phases_backward=bwd_phases,
-        probes=tuple(dict.fromkeys(probes)),
+        probes=tuple(probes),
+        level_probes=tuple(level_probes),
     )
 
 
@@ -331,6 +351,57 @@ def _plan_for(
     return plan
 
 
+# Marks a level whose differences are not yet listed (None: never listed).
+_UNLISTED = object()
+
+
+def _realized_shifts(
+    g: GappedIndex, level: int, i: int, j: int, probes: int
+) -> Optional[set[int]]:
+    """Every difference b - a over the pair's level-l sets, or None.
+
+    Listed only when the larger set has at most ``probes`` elements, so the
+    |A|*|B| steps are no more than the ``probes`` * min(|A|, |B|) a probing
+    backend spends when every probe misses; a tabulated pair (both sets
+    above the threshold) answers each probe by one lookup and is not listed.
+    """
+    backend = (g.exact if level == 0 else g.levels[level - 1].instance).backend
+    sa, sb = backend.sets[i - 1], backend.sets[j - 1]
+    if len(sa) > probes or len(sb) > probes:
+        return None
+    if len(sa) > backend.threshold and len(sb) > backend.threshold:
+        return None
+    return {b - a for a in sa for b in sb}
+
+
+def _live_probes(
+    g: GappedIndex, plan: CoverPlan, i: int, j: int
+) -> Iterator[tuple[int, int]]:
+    """The plan's probes in order, less those the pair provably misses.
+
+    A level's differences are listed when the probe order first reaches
+    it, so an answer found earlier lists nothing more.
+    """
+    counts = plan.level_probes
+    listed: list = [_UNLISTED] * len(counts)
+    for level, shift in plan.probes:
+        shifts = listed[level]
+        if shifts is _UNLISTED:
+            shifts = listed[level] = _realized_shifts(g, level, i, j, counts[level])
+        if shifts is None or shift in shifts:
+            yield level, shift
+
+
+def _check_pair(g: GappedIndex, i: int, j: int) -> None:
+    """Raise FormatError unless i and j are sets of the collection.
+
+    The backends also store dyadic blocks past the k sets, so their own
+    range check would let such an id through.
+    """
+    g.collection.set(i)
+    g.collection.set(j)
+
+
 def gapped_exists(
     g: GappedIndex,
     i: int,
@@ -347,6 +418,7 @@ def gapped_exists(
     full sequence of point and approximate queries finds.
     """
     plan = _plan_for(g, alpha, beta, plan)
+    _check_pair(g, i, j)
     if plan is None:
         g.last_plan_size = 0
         return None
@@ -354,7 +426,7 @@ def gapped_exists(
     # Uncertain zones fit inside the clamped interval, so a plan never
     # reaches past the top level built for the universe.
     levels = g.levels
-    for level, shift in plan.probes:
+    for level, shift in _live_probes(g, plan, i, j):
         if level == 0:
             cert = g.exact._exists(i, j, shift)
             if cert is None:
@@ -386,6 +458,7 @@ def gapped_report(
 ) -> list[tuple[int, int]]:
     """All pairs (a, b) with b - a in [alpha, beta], sorted and deduplicated."""
     plan = _plan_for(g, alpha, beta, plan)
+    _check_pair(g, i, j)
     if plan is None:
         g.last_plan_size = 0
         g.last_raw_pairs = 0
@@ -394,7 +467,7 @@ def gapped_report(
     g.last_plan_size = plan.size
     raw: list[tuple[int, int]] = []
     levels = g.levels
-    for level, shift in plan.probes:
+    for level, shift in _live_probes(g, plan, i, j):
         if level == 0:
             raw.extend(report_shift(g.exact, i, j, shift))
             continue

@@ -144,6 +144,18 @@ def report_shift(
             # cannot straddle the two halves since a' < a forces b' < b.
             rank_a = bisect_left(parent_a.elements, cert.a) + 1
             rank_b = bisect_left(parent_b.elements, cert.b) + 1
+            # The split below assumes the pair lies in the node's blocks; a
+            # pair outside them would be found again from another node.
+            if not (
+                node.a_lo <= rank_a <= node.a_hi
+                and node.b_lo <= rank_b <= node.b_hi
+                and parent_a.elements[rank_a - 1] == cert.a
+                and parent_b.elements[rank_b - 1] == cert.b
+            ):
+                raise GapIndexError(
+                    f"certificate ({cert.a}, {cert.b}) of shift {s} is not in ranks"
+                    f" [{node.a_lo}, {node.a_hi}] x [{node.b_lo}, {node.b_hi}]"
+                )
             lows_a = _cover_or_empty(parent_a, node.a_lo, rank_a - 1)
             highs_a = _cover_or_empty(parent_a, rank_a + 1, node.a_hi)
             lows_b = _cover_or_empty(parent_b, node.b_lo, rank_b - 1)

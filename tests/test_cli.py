@@ -236,6 +236,22 @@ def test_out_of_range_set_index(tmp_path, capsys, collection_file):
     assert len(out.splitlines()) == 1
 
 
+@pytest.mark.parametrize("mode", ["exists", "report"])
+def test_gapped_set_rejects_a_block_id(tmp_path, capsys, mode):
+    """Ids 3 and 4 name dyadic blocks the backend stores after the 2 sets;
+    their pair realizes no shift in [5, 6], so no backend call would catch
+    them."""
+    src = tmp_path / "c.txt"
+    src.write_text("8 2\n1 2\n5\n")
+    index, _ = build(tmp_path, capsys, src, "gapped-set")
+    queries = tmp_path / "g.q"
+    queries.write_text("3 4 5 6\n1 2 3 4\n")
+    code, out, err = query_output(capsys, index, queries, "--mode", mode)
+    assert code == 2
+    assert "set index 3 out of range 1..2" in err
+    assert out == ("YES 2 5\n" if mode == "exists" else "occ=2\n1 5\n2 5\n")
+
+
 def test_count_queries_flag(tmp_path, capsys, collection_file):
     index, _ = build(tmp_path, capsys, collection_file, "ssi")
     queries = tmp_path / "q.txt"

@@ -239,8 +239,12 @@ def test_level_accounting_guard_raises(monkeypatch):
 
 
 def test_quotient_witness_guard_raises(monkeypatch):
-    c = ingest_collection([[1], [30]], u=32)
+    # Set 2 has 10 elements, more than the 9 level-1 probes of [10, 20], so
+    # its level-1 differences are not listed and every probe reaches the
+    # backend; no difference lies in [10, 20].
+    c = ingest_collection([[1], [2, 3, 4, 5, 6, 7, 8, 9, 10, 30]], u=32)
     g = build_gapped_index(c, LinearScan())
+    assert plan_cover(10, 20).level_probes == (6, 9)
     assert gapped_exists(g, 1, 2, 10, 20) is None
     # A level-1 certificate whose originals are 29 apart, outside [10, 20].
     monkeypatch.setattr(g.levels[0].instance, "_exists", lambda i, j, s: ShiftCertificate(1, 30))

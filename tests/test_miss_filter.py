@@ -1,0 +1,227 @@
+"""Probes a set pair provably misses make no backend call.
+
+At each level, a pair whose larger set has no more elements than the plan
+has probes for the level (and that is not tabulated) has its differences
+listed once; a probe whose shift is not among them is dropped. The
+``probe_all_*`` references keep the loop that asks the backend every
+probe, so the filtered queries must give the same answers, witnesses and
+statistics with no more SSI calls.
+"""
+
+import random
+from collections import Counter
+from itertools import product
+
+import pytest
+
+from gapindex import gapped
+from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
+from gapindex.errors import FormatError
+from gapindex.gapped import build_gapped_index, gapped_exists, gapped_report, plan_cover
+from gapindex.generators import random_collection, random_pattern_from, random_text
+from gapindex.reporting import report_shift
+from gapindex.sets import ingest_collection
+from gapindex.textindex import build_gapped_string_index
+from test_plan_once import calls_of, cover_pairs
+
+KINDS = (LinearScan(), SmallUniverse(delta=0.5))
+
+
+def probe_all_exists(g, i, j, alpha, beta, plan=None):
+    clamped = g._clamped(alpha, beta)
+    if clamped is None:
+        return None
+    for level, shift in (plan or plan_cover(*clamped)).probes:
+        if level == 0:
+            cert = g.exact._exists(i, j, shift)
+            if cert is not None:
+                return (cert.a, cert.b)
+            continue
+        lvl = g.levels[level - 1]
+        cert = lvl.instance._exists(i, j, shift)
+        if cert is not None:
+            return (lvl.originals(i, cert.a)[0], lvl.originals(j, cert.b)[0])
+    return None
+
+
+def probe_all_report(g, i, j, alpha, beta, plan=None):
+    """Sorted pairs, raw pair count and largest multiplicity."""
+    clamped = g._clamped(alpha, beta)
+    if clamped is None:
+        return [], 0, 0
+    raw = []
+    for level, shift in (plan or plan_cover(*clamped)).probes:
+        if level == 0:
+            raw.extend(report_shift(g.exact, i, j, shift))
+            continue
+        lvl = g.levels[level - 1]
+        for qa, qb in report_shift(lvl.instance, i, j, shift):
+            raw.extend(product(lvl.originals(i, qa), lvl.originals(j, qb)))
+    return sorted(set(raw)), len(raw), max(Counter(raw).values(), default=0)
+
+
+def level_backend(g, level):
+    return (g.exact if level == 0 else g.levels[level - 1].instance).backend
+
+
+def listed(g, i, j, level, plan):
+    """Whether the pair's level-l differences are listed, decided from sizes."""
+    backend = level_backend(g, level)
+    sa, sb = backend.sets[i - 1], backend.sets[j - 1]
+    tabulated = len(sa) > backend.threshold and len(sb) > backend.threshold
+    return max(len(sa), len(sb)) <= plan.level_probes[level] and not tabulated
+
+
+def test_set_queries_match_probing_every_shift():
+    rng = random.Random(53)
+    saved = listed_levels = 0
+    for trial in range(40):
+        kind = KINDS[trial % 2]
+        k = rng.randint(2, 5)
+        u = rng.randint(8, 300)
+        c = random_collection(rng, k, rng.randint(k, 12 * k), u)
+        g = build_gapped_index(c, kind)
+        for _ in range(10):
+            i, j = rng.randint(1, k), rng.randint(1, k)
+            lo = rng.randint(0, u)
+            hi = lo + rng.randint(0, u)
+            want, want_calls = calls_of(g, probe_all_exists, g, i, j, lo, hi)
+            got, got_calls = calls_of(g, gapped_exists, g, i, j, lo, hi)
+            assert got == want, (c, i, j, lo, hi)
+            assert got_calls <= want_calls
+            saved += want_calls - got_calls
+
+            want, want_calls = calls_of(g, probe_all_report, g, i, j, lo, hi)
+            got, got_calls = calls_of(g, gapped_report, g, i, j, lo, hi)
+            assert (got, g.last_raw_pairs, g.last_max_multiplicity) == want
+            assert got_calls <= want_calls
+            saved += want_calls - got_calls
+            clamped = g._clamped(lo, hi)
+            if clamped is not None:
+                plan = plan_cover(*clamped)
+                listed_levels += sum(
+                    listed(g, i, j, level, plan) for level in range(len(plan.level_probes))
+                )
+    assert saved > 0 and listed_levels > 0
+
+
+def test_string_queries_match_probing_every_shift():
+    rng = random.Random(59)
+    saved = 0
+    for trial in range(12):
+        kind = KINDS[trial % 2]
+        text = random_text(rng, rng.randint(16, 160), rng.choice((2, 3, 4)))
+        idx = build_gapped_string_index(text, kind)
+        g = idx.gapped
+        for _ in range(10):
+            p1 = random_pattern_from(rng, text, 3)
+            p2 = random_pattern_from(rng, text, 3)
+            lo = rng.randint(0, len(text) // 2)
+            hi = lo + rng.randint(0, len(text))
+            pairs = cover_pairs(idx, p1, p2)
+            clamped = g._clamped(lo, hi)
+            plan = plan_cover(*clamped) if clamped else None
+
+            def reference_exists():
+                for a, b in pairs:
+                    hit = probe_all_exists(g, a, b, lo, hi, plan)
+                    if hit is not None:
+                        return hit
+                return None
+
+            def reference_report():
+                raw = []
+                for a, b in pairs:
+                    raw.extend(probe_all_report(g, a, b, lo, hi, plan)[0])
+                return sorted(set(raw))
+
+            for new, old in ((idx.exists, reference_exists), (idx.report, reference_report)):
+                want, want_calls = calls_of(idx, old)
+                got, got_calls = calls_of(idx, new, p1, p2, lo, hi)
+                assert got == want, (text, p1, p2, lo, hi)
+                assert got_calls <= want_calls
+                saved += want_calls - got_calls
+    assert saved > 0
+
+
+@pytest.mark.parametrize("query", [gapped_exists, gapped_report])
+def test_listing_boundary_is_the_level_probe_count(query):
+    plan = plan_cover(10, 20)
+    assert plan.level_probes == (6, 9)
+    # Level 1 divides by 2^0, so its sets are the level-0 sets. Set 2 has m
+    # elements, 1..m-1 and 30 above set 1's, so no pair has its gap in range.
+    for m, level0_calls, level1_calls in ((6, 0, 0), (7, 6, 0), (9, 6, 0), (10, 6, 9)):
+        c = ingest_collection([[1], [*range(2, m + 1), 31]], u=32)
+        assert len(c.set(2)) == m
+        g = build_gapped_index(c, LinearScan())
+        assert not query(g, 1, 2, 10, 20)
+        assert g.exact.existence_calls == level0_calls
+        assert g.levels[0].instance.existence_calls == level1_calls
+
+
+def test_tabulated_pairs_are_not_listed():
+    c = ingest_collection([[1], [2, 3, 4, 31]], u=32)
+    g = build_gapped_index(c, FullTabulation())
+    assert gapped_exists(g, 1, 2, 10, 20) is None
+    assert g.ssi_calls() == len(plan_cover(10, 20).probes)
+
+
+def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
+    """At a listed level the probes asked are exactly the plan's probes whose
+    shift the pair realizes, and each of them hits."""
+    rng = random.Random(61)
+    asked = []
+
+    def recording(inst, i, j, s, trace=None):
+        pairs = report_shift(inst, i, j, s, trace)
+        asked.append((inst, s, pairs))
+        return pairs
+
+    monkeypatch.setattr(gapped, "report_shift", recording)
+    checked = 0
+    for trial in range(30):
+        kind = KINDS[trial % 2]
+        k = rng.randint(2, 4)
+        u = rng.randint(8, 200)
+        c = random_collection(rng, k, rng.randint(k, 8 * k), u)
+        g = build_gapped_index(c, kind)
+        instances = [g.exact] + [lvl.instance for lvl in g.levels]
+        for _ in range(10):
+            i, j = rng.randint(1, k), rng.randint(1, k)
+            lo = rng.randint(0, u)
+            hi = lo + rng.randint(0, u)
+            clamped = g._clamped(lo, hi)
+            if clamped is None:
+                continue
+            plan = plan_cover(*clamped)
+            asked.clear()
+            gapped_report(g, i, j, lo, hi)
+            for level in range(len(plan.level_probes)):
+                if not listed(g, i, j, level, plan):
+                    continue
+                backend = level_backend(g, level)
+                realized = {b - a for a in backend.sets[i - 1] for b in backend.sets[j - 1]}
+                expected = [s for lv, s in plan.probes if lv == level and s in realized]
+                here = [(s, pairs) for inst, s, pairs in asked if inst is instances[level]]
+                assert [s for s, _ in here] == expected
+                assert all(pairs for _, pairs in here)
+                checked += len(here)
+    assert checked > 100
+
+
+@pytest.mark.parametrize("query", [gapped_exists, gapped_report])
+def test_ids_past_the_k_sets_are_rejected(query):
+    """The backends store dyadic blocks after the k sets; a block id is not
+    a set of the collection, whether or not its pair realizes a probe."""
+    rng = random.Random(67)
+    for kind in KINDS:
+        c = random_collection(rng, 3, 40, 120)
+        g = build_gapped_index(c, kind)
+        stored = len(g.exact.backend.sets)
+        assert stored > 3
+        for bad in (0, 4, stored, stored + 1):
+            for lo, hi in ((0, 200), (5, 6), (500, 600)):
+                with pytest.raises(FormatError, match=f"set index {bad} out of range 1..3"):
+                    query(g, bad, 1, lo, hi)
+                with pytest.raises(FormatError, match=f"set index {bad} out of range 1..3"):
+                    query(g, 1, bad, lo, hi)

@@ -257,9 +257,44 @@ def test_no_string_query_asks_each_probe_once_per_cover_pair(monkeypatch):
     assert plans == [(13, 15)] * 2
     pairs = cover_pairs(idx, p1, p2)
     assert len(pairs) > 1
-    assert calls == len(pairs) * len(plan_cover(lo, hi).probes)
+    # Every cover set here has at most 2 elements, no more than the plan's
+    # 3 level-0 probes, so each pair's differences are listed and the
+    # misses make no backend call.
+    assert calls == unlisted_probes(idx, pairs, plan_cover(lo, hi)) == 0
     assert idx.exists(b"ab", b"ab", 0, 40) is not None
     assert plans[-1] == (0, 15)  # clamped to the text once per query
+
+
+def unlisted_probes(idx, pairs, plan):
+    """Probes summed over cover pairs and the levels whose differences are
+    not listed: there the larger set outnumbers the level's probes."""
+
+    def size(level, set_id):
+        inst = idx.gapped.exact if level == 0 else idx.gapped.levels[level - 1].instance
+        return len(inst.backend.sets[set_id - 1])
+
+    return sum(
+        count
+        for a, b in pairs
+        for level, count in enumerate(plan.level_probes)
+        if max(size(level, a), size(level, b)) > count
+    )
+
+
+def test_large_covers_ask_each_probe_once_per_cover_pair():
+    text = b"a" * 40 + b"b" * 40
+    idx = build_gapped_string_index(text, LinearScan())
+    p1, p2, lo, hi = b"b", b"a", 0, 9  # every b follows every a: no pair
+    plan = plan_cover(lo, hi)
+    assert plan.level_probes == (6, 7)
+    pairs = cover_pairs(idx, p1, p2)
+    assert len(pairs) > 1
+    # Every cover set outnumbers each level's probes, so nothing is listed.
+    assert unlisted_probes(idx, pairs, plan) == len(pairs) * len(plan.probes)
+    for query in (idx.exists, idx.report):
+        answer, calls = calls_of(idx, query, p1, p2, lo, hi)
+        assert not answer
+        assert calls == len(pairs) * len(plan.probes)
 
 
 def test_passed_plan_must_match_the_clamped_interval():

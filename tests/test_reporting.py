@@ -6,6 +6,7 @@ from gapindex import reporting
 from gapindex.backends import (
     FullTabulation,
     LinearScan,
+    ShiftCertificate,
     ShiftQuery,
     SmallUniverse,
     brute_force_ssi,
@@ -194,6 +195,28 @@ def test_dyadic_accounting_guard_raises(monkeypatch):
     monkeypatch.setattr(reporting, "dyadic_subsets", lambda s: list(original(s)) * 2)
     with pytest.raises(GapIndexError, match="dyadic accounting bound"):
         build_reporting_index(c, LinearScan())
+
+
+def test_report_certificate_outside_node_guard_raises(monkeypatch):
+    # A backend copy whose blocks answer from their whole base set, as one
+    # without the member bounds check would: at shift 1 the node for ranks
+    # [3, 4] x [5, 8] is answered with (3, 4), whose b has rank 4.
+    c = ingest_collection([[1, 2, 3, 4, 5, 6, 7, 8]], u=8)
+    inst = build_reporting_index(c, LinearScan())
+    assert report_shift(inst, 1, 1, 1) == [(a, a + 1) for a in range(1, 8)]
+    backend = inst.backend
+
+    def base_set_exists(i, j, s):
+        sa, sb = backend.sets[i - 1], backend.sets[j - 1]
+        if len(sa) <= len(sb):
+            hits = [a for a in sa if a + s in backend.members[j - 1]]
+        else:
+            hits = [b - s for b in sb if b - s in backend.members[i - 1]]
+        return ShiftCertificate(hits[0], hits[0] + s) if hits else None
+
+    monkeypatch.setattr(backend, "exists", base_set_exists)
+    with pytest.raises(GapIndexError, match=r"certificate \(3, 4\) of shift 1 is not in ranks"):
+        report_shift(inst, 1, 1, 1)
 
 
 def test_blocks_share_their_base_sets_members():
