@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Reporting every witness pair via dyadic splitting.
 
-Existence backends return one pair per query. To report all of them, the
-index also stores every dyadic rank block of every set. Each found witness
-splits the search into strictly-smaller and strictly-larger halves, the
-halves decompose into a logarithmic number of stored blocks, and only
-block pairs whose shifted value ranges still overlap are visited again.
+A tabulating backend returns one pair per lookup. To report all of them,
+the index also stores the dyadic rank blocks it can look up. Each found
+witness splits the search into strictly-smaller and strictly-larger
+halves, the halves decompose into a logarithmic number of blocks, and only
+block pairs whose shifted value ranges still overlap are visited again. A
+pair the backend probes instead is reported by one scan of the smaller
+side, so the linear backend stores no blocks at all.
 """
 
 from gapindex import (
+    FullTabulation,
     LinearScan,
     build_reporting_index,
     cover_rank_range,
@@ -30,18 +33,19 @@ for sub in dyadic_subsets(s1):
 print("\ncover of ranks [2, 11]:",
       [(c.rank_lo, c.rank_hi) for c in cover_rank_range(s1, 2, 11)])
 
-idx = build_reporting_index(collection, LinearScan())
-print("\nindex holds", len(idx.backend.sets), "sets,",
-      idx.total_elements, "stored elements",
-      f"(base {idx.base_elements} + dyadic {idx.dyadic_elements})")
+for kind in (FullTabulation(), LinearScan()):
+    idx = build_reporting_index(collection, kind)
+    print(f"\n{kind.name}: index holds", len(idx.backend.sets), "sets;",
+          idx.total_elements, "elements counting every block",
+          f"(base {idx.base_elements} + dyadic {idx.dyadic_elements})")
 
-pairs = report_shift(idx, 1, 2, 7)
-print("\nall pairs at shift 7:", pairs)
-print("existence queries spent:", idx.last_query_calls,
-      "for", len(pairs), "pairs")
+    pairs = report_shift(idx, 1, 2, 7)
+    print("all pairs at shift 7:", pairs)
+    print("backend calls spent:", idx.last_query_calls, "for", len(pairs), "pairs",
+          f"({idx.existence_calls} lookups, {idx.scan_calls} scans so far)")
 
-pairs = report_shift(idx, 1, 2, 1)
-print("pairs at shift 1:", pairs, "- queries:", idx.last_query_calls)
+    pairs = report_shift(idx, 1, 2, 1)
+    print("pairs at shift 1:", pairs, "- calls:", idx.last_query_calls)
 
 # The same recursion powers 3SUM reporting: all unordered pairs summing to c.
 print("\npairs in {1..10} summing to 11:", report_3sum(list(range(1, 11)), 11))

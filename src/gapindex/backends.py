@@ -11,10 +11,18 @@ only set the threshold:
 * ``FullTabulation``    -- -1: every pair is tabulated, no member sets kept.
 * ``SmallUniverse(d)``  -- ceil(N^d): sweeping d trades bytes for probes.
 
+N is the stored sets' total size unless the caller names another total:
+an augmented instance counts every dyadic block of its base sets, stored
+or not.
+
 A set may name a base set that holds it as a contiguous rank run (a
 dyadic block of its parent, for example). Member sets are built once per
 base set and shared: y lies in such a set exactly when y is in the base's
 members and between the set's own first and last elements.
+
+Besides ``exists``, ``scan`` lists every pair of two rank ranges at one
+shift; the reporting recursion asks it for each pair it does not
+tabulate.
 
 A backend is immutable after build apart from its ``probes`` counter;
 queries are read-only.
@@ -23,7 +31,7 @@ queries are read-only.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -41,6 +49,8 @@ DEFAULT_MEM_BUDGET = 1 << 30
 
 # numpy fast paths require differences to stay inside int64.
 _NP_SAFE = 1 << 62
+
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass(frozen=True)
@@ -134,7 +144,14 @@ def _pair_shift_certs(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
 
 
 class _TabulatedPairs:
-    """Shared (i, j) -> sorted shift table with smallest-a certificates."""
+    """Shared (i, j) -> sorted shift table with smallest-a certificates.
+
+    A numpy table whose shifts and a-values fit in int32 is stored as int32,
+    half the bytes of int64, and searched with an int32 key: searching an
+    int32 array for a Python int converts it the slow way on every lookup.
+    Each entry keeps its first and last shift, so a shift outside them,
+    which the key could not hold, is a miss without a search.
+    """
 
     __slots__ = ("_table", "entries")
 
@@ -144,33 +161,41 @@ class _TabulatedPairs:
 
     def add_pair(self, i: int, j: int, sa, sb, use_np: bool) -> None:
         shifts, avals = _pair_shift_certs(sa, sb, use_np)
-        self._table[(i, j)] = (shifts, avals)
+        lo, hi = (int(shifts[0]), int(shifts[-1])) if len(shifts) else (1, 0)
+        key = None
+        if isinstance(shifts, np.ndarray):
+            key = int
+            if _INT32.min <= min(lo, sa[0]) and max(hi, sa[-1]) <= _INT32.max:
+                shifts, avals, key = shifts.astype(np.int32), avals.astype(np.int32), np.int32
+        self._table[(i, j)] = (shifts, avals, lo, hi, key)
         self.entries += len(shifts)
 
     def lookup(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
-        shifts, avals = self._table[(i, j)]
-        if isinstance(shifts, np.ndarray):
-            pos = int(np.searchsorted(shifts, s))
-            if pos < len(shifts) and int(shifts[pos]) == s:
-                a = int(avals[pos])
-                return ShiftCertificate(a, a + s)
+        shifts, avals, lo, hi, key = self._table[(i, j)]
+        if not lo <= s <= hi:
             return None
-        # List path: pairs too small for numpy, or values outside int64.
-        pos = bisect_left(shifts, s)
-        if pos < len(shifts) and shifts[pos] == s:
-            a = avals[pos]
-            return ShiftCertificate(a, a + s)
-        return None
+        if key is None:
+            # List path: pairs too small for numpy, or values outside int64.
+            pos = bisect_left(shifts, s)
+        else:
+            pos = int(shifts.searchsorted(key(s)))
+        if shifts[pos] != s:
+            return None
+        a = int(avals[pos])
+        return ShiftCertificate(a, a + s)
 
 
-def _threshold(kind: BackendKind, sets: list[tuple[int, ...]]) -> float:
-    """Size above which a set is "large"; large x large pairs are tabulated."""
+def size_threshold(kind: BackendKind, total: int) -> float:
+    """Size above which a set is "large"; large x large pairs are tabulated.
+
+    ``total`` is the N of ``SmallUniverse``'s ceil(N^delta).
+    """
     if isinstance(kind, LinearScan):
         return math.inf
     if isinstance(kind, FullTabulation):
         return -1  # every set, empty ones included
     if isinstance(kind, SmallUniverse):
-        return _ceil_pow(sum(len(s) for s in sets), kind.delta)
+        return _ceil_pow(total, kind.delta)
     raise ValueError(f"unsupported backend kind {kind!r}")
 
 
@@ -184,11 +209,14 @@ class SsiBackend:
 
     def __init__(self, sets: list[tuple[int, ...]], kind: BackendKind,
                  mem_budget: int = DEFAULT_MEM_BUDGET,
-                 bases: Optional[Sequence[int]] = None):
+                 bases: Optional[Sequence[int]] = None,
+                 total_elements: Optional[int] = None):
         self.sets = sets
         self.kind = kind
         self.probes = 0
-        self.threshold = threshold = _threshold(kind, sets)
+        if total_elements is None:
+            total_elements = sum(len(s) for s in sets)
+        self.threshold = threshold = size_threshold(kind, total_elements)
         large_ids = [i for i, s in enumerate(sets, start=1) if len(s) > threshold]
         self.table = _TabulatedPairs()
         # Without large sets (always so for LinearScan) skip the two scans
@@ -252,6 +280,33 @@ class SsiBackend:
         self.probes += n
         return None
 
+    def scan(self, i: int, a_lo: int, a_hi: int, j: int, b_lo: int, b_hi: int,
+             s: int) -> list[tuple[int, int]]:
+        """Every (a, b) with a + s = b, a of ranks [a_lo, a_hi] of set i and b
+        of ranks [b_lo, b_hi] of set j, sorted by a.
+
+        The rule of ``exists`` without the stop at the first hit: walk the
+        smaller rank range against the other set's members, counting a hit
+        only between the other range's first and last elements. Two
+        bisections bound the walk to the elements whose partner can lie
+        there, so it costs O(log + min(|A|, |B|) + occ) steps, and every
+        member hit inside the walk is a pair. The caller vouches for the
+        ids and ranks; ``probes`` grows by the elements walked.
+        """
+        sa, sb = self.sets[i - 1], self.sets[j - 1]
+        if a_hi - a_lo <= b_hi - b_lo:
+            lo = bisect_left(sa, sb[b_lo - 1] - s, a_lo - 1, a_hi)
+            hi = bisect_right(sa, sb[b_hi - 1] - s, lo, a_hi)
+            member = self.members[j - 1]
+            out = [(x, x + s) for x in sa[lo:hi] if x + s in member]
+        else:
+            lo = bisect_left(sb, sa[a_lo - 1] + s, b_lo - 1, b_hi)
+            hi = bisect_right(sb, sa[a_hi - 1] + s, lo, b_hi)
+            member = self.members[i - 1]
+            out = [(y - s, y) for y in sb[lo:hi] if y - s in member]
+        self.probes += hi - lo
+        return out
+
     def space_bytes(self) -> int:
         return self.dict_entries * _INT_BYTES + self.table.entries * _CERT_BYTES
 
@@ -280,13 +335,15 @@ def build_backend(
     kind: BackendKind,
     mem_budget: int = DEFAULT_MEM_BUDGET,
     bases: Optional[Sequence[int]] = None,
+    total_elements: Optional[int] = None,
 ) -> SsiBackend:
     """Build the requested backend over a collection or raw sorted sets.
 
     ``bases[t]`` is the 0-based index of a set holding set t as a contiguous
-    rank run; by default every set is its own base.
+    rank run; by default every set is its own base. ``total_elements`` is
+    the N of ``SmallUniverse``'s threshold; by default the sets' total size.
     """
-    return SsiBackend(_as_element_lists(c), kind, mem_budget, bases)
+    return SsiBackend(_as_element_lists(c), kind, mem_budget, bases, total_elements)
 
 
 def brute_force_ssi(

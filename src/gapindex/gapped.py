@@ -299,9 +299,7 @@ class GappedIndex:
         self.fallback_count = 0  # stays 0: by the expansion lemma no query falls back
 
     def ssi_calls(self) -> int:
-        return self.exact.existence_calls + sum(
-            lvl.instance.existence_calls for lvl in self.levels
-        )
+        return self.exact.ssi_calls() + sum(lvl.instance.ssi_calls() for lvl in self.levels)
 
     def _level(self, level: int) -> LevelIndex:
         if not 1 <= level <= self.max_level:

@@ -1,17 +1,34 @@
 """Reporting for shifted set intersection via dyadic augmentation.
 
-The index holds every base set plus all of its dyadic rank blocks, each
-addressable as its own set in one shared existence backend. A report query
-repeatedly asks for one certificate, splits the current pair of blocks at
-the witness into strictly-smaller / strictly-larger halves, decomposes the
-halves into dyadic blocks, and recurses only on block pairs whose shifted
-value intervals can still intersect.
+A report query for S_i x S_j at shift s searches nodes: a rank range of
+S_i against a rank range of S_j, starting from the whole sets. A node is
+tabulated when both ranges are stored sets above the backend's threshold.
+The backend answers it by one lookup, which returns a certificate; the
+node then splits at the witness into strictly-smaller / strictly-larger
+halves, decomposes the halves into dyadic blocks, and recurses only on
+block pairs whose shifted value intervals can still intersect.
+
+Every other node, the root of a pair the backend probes and each child
+with a side at or below the threshold, is answered by one scan
+(``SsiBackend.scan``): the smaller range is walked against the other base
+set's members without stopping at a hit. That costs O(log + min(|A|, |B|)
++ occ) element steps, one missed probe's cost plus the pairs reported,
+where the recursion would spend a logarithmic number of calls per pair.
+
+Only a lookup addresses a block, so an instance stores only the blocks
+above the threshold: none under ``LinearScan``, all of them under
+``FullTabulation``, the large ones under ``SmallUniverse``, whose
+ceil(N^delta) still counts every block in N.
 
 Backend set ids follow one layout, so a block's id is computed, not looked
-up: base set i is id i; after the k base sets come the blocks of set 1,
-then of set 2, and so on, each set's blocks in the level-major order of
-``dyadic_subsets``. Block (j, kappa) of set i is therefore id
-``first_block[i - 1] + level_starts(len(S_i))[j] + kappa``.
+up: base set i is id i; after the k base sets come the stored blocks of
+set 1, then of set 2, and so on, each set's in the level-major order of
+``dyadic_subsets``. Level j's blocks hold 2^j elements, so the stored
+levels are those from ``lowest_level``, the first whose 2^j is above the
+threshold. Block (j, kappa) of set i is therefore id ``first_block[i - 1]
++ starts[j] - starts[lowest_level] + kappa``, with ``starts =
+level_starts(len(S_i))``; under ``FullTabulation`` ``lowest_level`` is 0
+and the ids are those of every block.
 """
 
 from __future__ import annotations
@@ -25,49 +42,81 @@ from .backends import (
     BackendKind,
     ShiftCertificate,
     build_backend,
+    size_threshold,
 )
-from .errors import GapIndexError
+from .errors import FormatError, GapIndexError
 from .reductions import reduce_3sum_to_ssi
-from .sets import DyadicSubset, IntSet, SetCollection, cover_rank_range, dyadic_subsets
-from .sets import level_starts
+from .sets import DyadicSubset, IntSet, SetCollection, cover_rank_range, level_starts
+
+# The benchmark's tracer wraps dyadic_subsets by this module's name, as it
+# wraps build_backend; the build itself places blocks by arithmetic.
+from .sets import dyadic_subsets  # noqa: F401
+
+
+def dyadic_block_elements(m: int) -> int:
+    """Elements in all dyadic blocks of an m-element set: level j has m >> j
+    blocks of 2^j elements."""
+    return sum((m >> j) << j for j in range(m.bit_length()))
 
 
 class AugmentedInstance:
-    """Base sets plus all dyadic rank blocks, behind one existence backend.
+    """Base sets plus the dyadic rank blocks a lookup can address, behind
+    one existence backend.
 
-    Of the block ids it keeps only ``first_block``, each base set's first;
-    the layout in the module docstring places the others.
+    ``total_elements`` counts the base sets and every dyadic block, stored
+    or not. Of the block ids it keeps only ``first_block``, each base set's
+    first stored one; the layout in the module docstring places the others.
     """
 
     def __init__(self, c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
         self.base = c
         self.kind = kind
+        n = c.total_size
+        self.base_elements = n
+        self.dyadic_elements = sum(dyadic_block_elements(len(s)) for s in c.sets)
+        self.total_elements = n + self.dyadic_elements
+        bound = n * n.bit_length() + n  # N*(floor(log2 N)+1) + N
+        if self.total_elements > bound:
+            raise GapIndexError("dyadic accounting bound violated")
+        threshold = size_threshold(kind, self.total_elements)
+        # The first level whose blocks are above the threshold; no set has
+        # a level as high as n.bit_length(), so that cap stores none.
+        lowest = 0
+        while lowest < n.bit_length() and 1 << lowest <= threshold:
+            lowest += 1
+        self.lowest_level = lowest
         all_sets: list[tuple[int, ...]] = [s.elements for s in c.sets]
         # Each stored set's base set: a block is a rank run of its parent.
         bases = list(range(len(all_sets)))
         self.first_block: list[int] = []
-        dyadic_elements = 0
         for p, s in enumerate(c.sets):
             self.first_block.append(len(all_sets) + 1)
-            for sub in dyadic_subsets(s):
-                all_sets.append(s.elements[sub.rank_lo - 1 : sub.rank_hi])
-                bases.append(p)
-                dyadic_elements += sub.size
-        n = c.total_size
-        self.base_elements = n
-        self.dyadic_elements = dyadic_elements
-        self.total_elements = n + dyadic_elements
-        bound = n * n.bit_length() + n  # N*(floor(log2 N)+1) + N
-        if self.total_elements > bound:
-            raise GapIndexError("dyadic accounting bound violated")
-        self.backend = build_backend(all_sets, kind, mem_budget, bases=bases)
+            el, m = s.elements, len(s)
+            for j in range(lowest, m.bit_length()):
+                size = 1 << j
+                all_sets.extend(el[lo : lo + size] for lo in range(0, (m >> j) << j, size))
+                bases.extend([p] * (m >> j))
+        self.backend = build_backend(
+            all_sets, kind, mem_budget, bases=bases, total_elements=self.total_elements
+        )
         self.existence_calls = 0
+        self.scan_calls = 0
         self.last_query_calls = 0
 
     def _exists(self, set_a: int, set_b: int, s: int) -> Optional[ShiftCertificate]:
         self.existence_calls += 1
         self.last_query_calls += 1
         return self.backend.exists(set_a, set_b, s)
+
+    def _scan(self, i: int, a_lo: int, a_hi: int, j: int, b_lo: int, b_hi: int,
+              s: int) -> list[tuple[int, int]]:
+        self.scan_calls += 1
+        self.last_query_calls += 1
+        return self.backend.scan(i, a_lo, a_hi, j, b_lo, b_hi, s)
+
+    def ssi_calls(self) -> int:
+        """Backend calls made: existence calls and scans."""
+        return self.existence_calls + self.scan_calls
 
 
 def build_reporting_index(
@@ -104,8 +153,8 @@ def _cover_or_empty(parent: IntSet, lo: int, hi: int) -> list[DyadicSubset]:
 
 @dataclass(frozen=True)
 class _Node:
-    set_a: int  # backend set id for the current A-side block
-    a_lo: int  # rank range of that block within the parent set
+    set_a: int  # backend set id a lookup asks; a scanned node names the base set
+    a_lo: int  # rank range of the node's A side within the base set
     a_hi: int
     set_b: int
     b_lo: int
@@ -117,23 +166,32 @@ def report_shift(
 ) -> list[tuple[int, int]]:
     """All pairs (a, b) in S_i x S_j with a + s = b, sorted by a, no duplicates.
 
-    The root pair is asked first, so a shift with no pair costs exactly one
-    existence call; only a certificate starts the split recursion.
+    An untabulated root is one scan. A tabulated root is asked for a
+    certificate first, so a shift with no pair costs one lookup; only a
+    certificate starts the split recursion. ``trace`` receives (node,
+    answer) for each backend call: a certificate or None for a lookup, the
+    pairs for a scan.
     """
-    parent_a = inst.base.set(i)
-    parent_b = inst.base.set(j)
+    sets = inst.base.sets
+    k = len(sets)
+    if not (1 <= i <= k and 1 <= j <= k):
+        raise FormatError(f"set index {j if 1 <= i <= k else i} out of range 1..{k}")
+    parent_a, parent_b = sets[i - 1], sets[j - 1]
+    m_a, m_b = len(parent_a.elements), len(parent_b.elements)
     inst.last_query_calls = 0
-    cert = inst._exists(i, j, s)
-    if cert is None:
+    threshold = inst.backend.threshold
+    if m_a <= threshold or m_b <= threshold:
+        found = inst._scan(i, 1, m_a, j, 1, m_b, s)
         if trace is not None:
-            trace.append((_Node(i, 1, len(parent_a), j, 1, len(parent_b)), None))
-        return []
-    found: list[tuple[int, int]] = []
-    first_a = inst.first_block[i - 1]
-    first_b = inst.first_block[j - 1]
-    starts_a = level_starts(len(parent_a))
-    starts_b = level_starts(len(parent_b))
-    node = _Node(i, 1, len(parent_a), j, 1, len(parent_b))
+            trace.append((_Node(i, 1, m_a, j, 1, m_b), found))
+        return found
+    cert = inst._exists(i, j, s)
+    node = _Node(i, 1, m_a, j, 1, m_b)
+    found = []
+    starts_a = level_starts(m_a)
+    starts_b = level_starts(m_b)
+    first_a = inst.first_block[i - 1] - starts_a[inst.lowest_level]
+    first_b = inst.first_block[j - 1] - starts_b[inst.lowest_level]
     stack: list[_Node] = []
     while True:
         if trace is not None:
@@ -162,18 +220,28 @@ def report_shift(
             highs_b = _cover_or_empty(parent_b, rank_b + 1, node.b_hi)
             for side_a, side_b in ((lows_a, lows_b), (highs_a, highs_b)):
                 for block_a, block_b in matching_pairs(side_a, side_b, s):
-                    stack.append(
-                        _Node(
-                            first_a + starts_a[block_a.level] + block_a.block,
-                            block_a.rank_lo,
-                            block_a.rank_hi,
-                            first_b + starts_b[block_b.level] + block_b.block,
-                            block_b.rank_lo,
-                            block_b.rank_hi,
+                    if block_a.size > threshold and block_b.size > threshold:
+                        stack.append(
+                            _Node(
+                                first_a + starts_a[block_a.level] + block_a.block,
+                                block_a.rank_lo,
+                                block_a.rank_hi,
+                                first_b + starts_b[block_b.level] + block_b.block,
+                                block_b.rank_lo,
+                                block_b.rank_hi,
+                            )
                         )
-                    )
+                        continue
+                    a_lo, a_hi = block_a.rank_lo, block_a.rank_hi
+                    b_lo, b_hi = block_b.rank_lo, block_b.rank_hi
+                    pairs = inst._scan(i, a_lo, a_hi, j, b_lo, b_hi, s)
+                    if trace is not None:
+                        trace.append((_Node(i, a_lo, a_hi, j, b_lo, b_hi), pairs))
+                    found.extend(pairs)
         if not stack:
-            return sorted(set(found))
+            # Nodes are disjoint and every pair found lies in its own node,
+            # so there is nothing to deduplicate.
+            return sorted(found)
         node = stack.pop()
         cert = inst._exists(node.set_a, node.set_b, s)
 

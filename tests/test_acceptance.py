@@ -104,14 +104,15 @@ def test_c02_reduction_soundness():
     _pass(2, "mapped 3SUM answers equal direct SSI answers for all |s| <= u, certificates decode")
 
 
-def test_c03_reporting_oracle_and_query_budget():
-    rng = random.Random(103)
+def _reporting_budget_run(rng, kind, instances, max_total):
+    """Worst share of the call budget (occ+1)*12*(ceil(log2 n)+1) used by
+    report_shift over random instances; every report equals the oracle."""
     worst = 0.0
-    for _ in range(200):
+    for _ in range(instances):
         k = rng.randint(1, 8)
         u = rng.randint(8, 500)
-        c = random_collection(rng, k, rng.randint(k, 200), u)
-        idx = build_reporting_index(c, LinearScan())
+        c = random_collection(rng, k, rng.randint(k, max_total), u)
+        idx = build_reporting_index(c, kind)
         n = c.total_size
         unit = 12 * (ceil_log2(n) + 1)
         elements = [s.elements for s in c.sets]
@@ -131,7 +132,20 @@ def test_c03_reporting_oracle_and_query_budget():
             budget = (len(expected) + 1) * unit
             assert idx.last_query_calls <= budget
             worst = max(worst, idx.last_query_calls / budget)
+    return worst
+
+
+def test_c03_reporting_oracle_and_query_budget():
+    worst = _reporting_budget_run(random.Random(103), LinearScan(), 200, 200)
     _pass(3, f"reporting equals oracle on 200 instances; worst call budget use {worst:.2f}")
+
+
+def test_c03_query_budget_over_fulltab():
+    # LinearScan reports each pair by one scan; FullTabulation looks up
+    # every node, so the split recursion is what spends the budget here.
+    # Its build tabulates every pair of blocks, hence the smaller sets.
+    worst = _reporting_budget_run(random.Random(103), FullTabulation(), 60, 60)
+    _pass(3, f"fulltab reporting equals oracle on 60 instances; worst call budget use {worst:.2f}")
 
 
 def test_c04_cover_plans_exhaustive():

@@ -77,10 +77,10 @@ def test_query_examples():
 
 def test_query_negative_coordinate_is_immediate_no():
     idx = build_jumbled_index("ab", "ab")
-    calls_before = idx.reporting.index.existence_calls
+    calls_before = idx.reporting.index.ssi_calls()
     assert idx.report((3, 0)) == []
     assert idx.exists((3, 0)) is False
-    assert idx.reporting.index.existence_calls == calls_before
+    assert idx.reporting.index.ssi_calls() == calls_before
 
 
 def test_query_zero_norm():

@@ -20,7 +20,7 @@ from gapindex.errors import FormatError
 from gapindex.gapped import build_gapped_index, gapped_exists, gapped_report, plan_cover
 from gapindex.generators import random_collection, random_pattern_from, random_text
 from gapindex.reporting import report_shift
-from gapindex.sets import ingest_collection
+from gapindex.sets import ingest_collection, level_starts
 from gapindex.textindex import build_gapped_string_index
 from test_plan_once import calls_of, cover_pairs
 
@@ -155,8 +155,9 @@ def test_listing_boundary_is_the_level_probe_count(query):
         assert len(c.set(2)) == m
         g = build_gapped_index(c, LinearScan())
         assert not query(g, 1, 2, 10, 20)
-        assert g.exact.existence_calls == level0_calls
-        assert g.levels[0].instance.existence_calls == level1_calls
+        # A report asks each probe by one scan, an exists by one probe.
+        assert g.exact.ssi_calls() == level0_calls
+        assert g.levels[0].instance.ssi_calls() == level1_calls
 
 
 def test_tabulated_pairs_are_not_listed():
@@ -212,12 +213,16 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
 @pytest.mark.parametrize("query", [gapped_exists, gapped_report])
 def test_ids_past_the_k_sets_are_rejected(query):
     """The backends store dyadic blocks after the k sets; a block id is not
-    a set of the collection, whether or not its pair realizes a probe."""
+    a set of the collection, whether or not its pair realizes a probe.
+    FullTabulation stores every block, LinearScan none."""
     rng = random.Random(67)
-    for kind in KINDS:
+    for kind in KINDS + (FullTabulation(),):
         c = random_collection(rng, 3, 40, 120)
         g = build_gapped_index(c, kind)
-        stored = len(g.exact.backend.sets)
+        # The k sets and all their blocks, whether stored or not.
+        stored = c.k + sum(level_starts(len(s))[-1] for s in c.sets)
+        if kind == FullTabulation():
+            assert len(g.exact.backend.sets) == stored
         assert stored > 3
         for bad in (0, 4, stored, stored + 1):
             for lo, hi in ((0, 200), (5, 6), (500, 600)):

@@ -4,7 +4,9 @@ The ``reference_*`` functions keep the earlier query loops: a plan for every
 cover pair, all three quotient shifts of every approximate query with no
 dedup, and a reporting recursion that builds the root node before asking
 it. The library must give the same answers and witnesses with no more SSI
-calls.
+calls. The reference recursion asks every node by a lookup, so it runs
+over ``FullTabulation``, which stores every block; under ``LinearScan``,
+where each report is one scan, reports are checked against the oracles.
 
 The references find block ids and quotient originals their own way: a
 ``(parent, level, block) -> id`` dict from enumerating the base sets and
@@ -18,13 +20,19 @@ import weakref
 import pytest
 
 from gapindex import gapped
-from gapindex.backends import LinearScan, ShiftCertificate
+from gapindex.backends import (
+    FullTabulation,
+    LinearScan,
+    ShiftCertificate,
+    ShiftQuery,
+    brute_force_ssi,
+)
 from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import build_gapped_index, gapped_exists, gapped_report, plan_cover
 from gapindex.generators import random_collection, random_pattern_from, random_text
 from gapindex.reporting import _Node, build_reporting_index, matching_pairs, report_shift
 from gapindex.sets import cover_rank_range, dyadic_subsets, ingest_collection
-from gapindex.textindex import build_gapped_string_index, pattern_interval
+from gapindex.textindex import baseline_linear_scan, build_gapped_string_index, pattern_interval
 from test_gapped import expansion_range
 
 
@@ -168,7 +176,8 @@ def test_report_shift_matches_reference_loop():
         k = rng.randint(1, 4)
         u = rng.randint(5, 200)
         c = random_collection(rng, k, rng.randint(k, 100), u)
-        idx = build_reporting_index(c, LinearScan())
+        idx = build_reporting_index(c, FullTabulation())
+        linear = build_reporting_index(c, LinearScan())
         for _ in range(10):
             i, j, s = rng.randint(1, k), rng.randint(1, k), rng.randint(-u, u)
             before = idx.existence_calls
@@ -176,21 +185,31 @@ def test_report_shift_matches_reference_loop():
             want_calls = idx.existence_calls - before
             assert report_shift(idx, i, j, s) == want
             assert idx.last_query_calls == want_calls
+            assert report_shift(linear, i, j, s) == want == brute_force_ssi(c, ShiftQuery(i, j, s))
+            assert linear.last_query_calls == 1
 
 
 def test_string_queries_match_reference_loop():
     rng = random.Random(43)
     saved = 0
-    for _ in range(10):
-        text = random_text(rng, rng.randint(16, 120), rng.choice((2, 3, 4)))
-        idx = build_gapped_string_index(text, LinearScan())
+    for trial in range(14):
+        # FullTabulation tabulates every pair of blocks: small texts only.
+        kind = FullTabulation() if trial >= 10 else LinearScan()
+        n = rng.randint(10, 18) if trial >= 10 else rng.randint(16, 120)
+        text = random_text(rng, n, rng.choice((2, 3, 4)))
+        idx = build_gapped_string_index(text, kind)
         for _ in range(12):
             p1 = random_pattern_from(rng, text, 3)
             p2 = random_pattern_from(rng, text, 3)
             lo = rng.randint(0, len(text) // 2)
             hi = lo + rng.randint(0, len(text))
-            for new, old in ((idx.exists, reference_string_exists),
-                             (idx.report, reference_string_report)):
+            pairs = [(idx.exists, reference_string_exists)]
+            if kind == FullTabulation():
+                pairs.append((idx.report, reference_string_report))
+            else:
+                got = idx.report(p1, p2, lo, hi)
+                assert got == baseline_linear_scan(text, p1, p2, lo, hi), (text, p1, p2, lo, hi)
+            for new, old in pairs:
                 want, want_calls = calls_of(idx, old, idx, p1, p2, lo, hi)
                 got, got_calls = calls_of(idx, new, p1, p2, lo, hi)
                 assert got == want, (text, p1, p2, lo, hi)
@@ -202,17 +221,27 @@ def test_string_queries_match_reference_loop():
 def test_set_queries_match_reference_loop():
     rng = random.Random(47)
     saved = fallbacks = 0
-    for _ in range(30):
+    for trial in range(40):
+        # FullTabulation tabulates every pair of blocks: smaller sets there.
+        kind = FullTabulation() if trial >= 30 else LinearScan()
         k = rng.randint(2, 4)
         u = rng.randint(8, 300)
-        c = random_collection(rng, k, rng.randint(k, 80), u)
-        g = build_gapped_index(c, LinearScan())
+        c = random_collection(rng, k, rng.randint(k, 30 if trial >= 30 else 80), u)
+        g = build_gapped_index(c, kind)
         for _ in range(8):
             i, j = rng.randint(1, k), rng.randint(1, k)
             lo = rng.randint(0, u)
             hi = lo + rng.randint(0, u)
-            for new, old in ((gapped_exists, reference_gapped_exists),
-                             (gapped_report, reference_gapped_report)):
+            pairs = [(gapped_exists, reference_gapped_exists)]
+            if kind == FullTabulation():
+                pairs.append((gapped_report, reference_gapped_report))
+            else:
+                want = sorted(
+                    (a, b) for a in c.set(i).elements for b in c.set(j).elements
+                    if lo <= b - a <= hi
+                )
+                assert gapped_report(g, i, j, lo, hi) == want, (c, i, j, lo, hi)
+            for new, old in pairs:
                 want, want_calls = calls_of(g, old, g, i, j, lo, hi)
                 got, got_calls = calls_of(g, new, g, i, j, lo, hi)
                 assert got == want, (c, i, j, lo, hi)

@@ -20,7 +20,13 @@ from gapindex.reporting import (
     report_3sum,
     report_shift,
 )
-from gapindex.sets import DyadicSubset, cover_rank_range, ingest_collection
+from gapindex.sets import (
+    DyadicSubset,
+    cover_rank_range,
+    dyadic_subsets,
+    ingest_collection,
+    level_starts,
+)
 
 
 def ceil_log2(n):
@@ -28,23 +34,35 @@ def ceil_log2(n):
 
 
 def test_report_example():
+    # FullTabulation answers every node by a lookup: a miss is one lookup.
     c = ingest_collection([[1, 2, 5], [3, 4, 7]], u=8)
-    idx = build_reporting_index(c, LinearScan())
+    idx = build_reporting_index(c, FullTabulation())
     assert report_shift(idx, 1, 2, 2) == [(1, 3), (2, 4), (5, 7)]
     trace = []
     assert report_shift(idx, 1, 2, 40, trace=trace) == []
     assert idx.last_query_calls == 1
     assert [(node.set_a, node.a_lo, node.a_hi, node.set_b, node.b_lo, node.b_hi, cert)
             for node, cert in trace] == [(1, 1, 3, 2, 1, 3, None)]
+    # LinearScan answers the root by one scan, hit or miss.
+    idx = build_reporting_index(c, LinearScan())
+    for s, want in ((2, [(1, 3), (2, 4), (5, 7)]), (40, [])):
+        trace = []
+        assert report_shift(idx, 1, 2, s, trace=trace) == want
+        assert idx.last_query_calls == 1 and idx.existence_calls == 0
+        assert [(node.set_a, node.a_lo, node.a_hi, node.set_b, node.b_lo, node.b_hi, pairs)
+                for node, pairs in trace] == [(1, 1, 3, 2, 1, 3, want)]
+    assert idx.scan_calls == 2
 
 
 def test_index_set_counts():
     c = ingest_collection([list(range(1, 9))], u=8)
-    idx = build_reporting_index(c, LinearScan())
+    idx = build_reporting_index(c, FullTabulation())
     assert len(idx.backend.sets) == 1 + 15
+    assert len(build_reporting_index(c, LinearScan()).backend.sets) == 1
     c = ingest_collection([[1, 2, 3, 4], [5, 6, 7, 8]], u=8)
-    idx = build_reporting_index(c, LinearScan())
+    idx = build_reporting_index(c, FullTabulation())
     assert len(idx.backend.sets) == 2 + 7 + 7
+    assert len(build_reporting_index(c, LinearScan()).backend.sets) == 2
 
 
 def test_index_element_accounting():
@@ -86,14 +104,17 @@ def test_report_fuzz_and_query_budget():
 
 def test_no_straddling_solutions():
     """At every recursion node the witness splits the remaining solutions
-    cleanly: any other pair has a' < a exactly when b' < b."""
+    cleanly: any other pair has a' < a exactly when b' < b. Under
+    FullTabulation every node is a lookup; LinearScan gives the same pairs."""
     rng = random.Random(4)
     for _ in range(25):
         c = random_collection(rng, 2, rng.randint(4, 40), 30)
-        idx = build_reporting_index(c, LinearScan())
+        idx = build_reporting_index(c, FullTabulation())
         s = rng.randint(-30, 30)
         trace = []
         got = report_shift(idx, 1, 2, s, trace=trace)
+        assert got == report_shift(build_reporting_index(c, LinearScan()), 1, 2, s)
+        assert got == brute_force_ssi(c, ShiftQuery(1, 2, s))
         sa, sb = c.set(1).elements, c.set(2).elements
         root, root_cert = trace[0]
         assert (root.set_a, root.a_lo, root.a_hi) == (1, 1, len(sa))
@@ -191,8 +212,8 @@ def test_dyadic_accounting_guard_raises(monkeypatch):
     # doubling every dyadic block must be refused, also under python -O.
     c = ingest_collection([[1, 2, 3, 4]], u=4)
     assert build_reporting_index(c, LinearScan()).total_elements == 16
-    original = reporting.dyadic_subsets
-    monkeypatch.setattr(reporting, "dyadic_subsets", lambda s: list(original(s)) * 2)
+    original = reporting.dyadic_block_elements
+    monkeypatch.setattr(reporting, "dyadic_block_elements", lambda m: 2 * original(m))
     with pytest.raises(GapIndexError, match="dyadic accounting bound"):
         build_reporting_index(c, LinearScan())
 
@@ -200,18 +221,20 @@ def test_dyadic_accounting_guard_raises(monkeypatch):
 def test_report_certificate_outside_node_guard_raises(monkeypatch):
     # A backend copy whose blocks answer from their whole base set, as one
     # without the member bounds check would: at shift 1 the node for ranks
-    # [3, 4] x [5, 8] is answered with (3, 4), whose b has rank 4.
+    # [3, 4] x [5, 8] is answered with (3, 4), whose b has rank 4. Only
+    # lookups return certificates, and FullTabulation looks up every node.
     c = ingest_collection([[1, 2, 3, 4, 5, 6, 7, 8]], u=8)
-    inst = build_reporting_index(c, LinearScan())
+    inst = build_reporting_index(c, FullTabulation())
     assert report_shift(inst, 1, 1, 1) == [(a, a + 1) for a in range(1, 8)]
     backend = inst.backend
+    members = frozenset(c.set(1).elements)
 
     def base_set_exists(i, j, s):
         sa, sb = backend.sets[i - 1], backend.sets[j - 1]
         if len(sa) <= len(sb):
-            hits = [a for a in sa if a + s in backend.members[j - 1]]
+            hits = [a for a in sa if a + s in members]
         else:
-            hits = [b - s for b in sb if b - s in backend.members[i - 1]]
+            hits = [b - s for b in sb if b - s in members]
         return ShiftCertificate(hits[0], hits[0] + s) if hits else None
 
     monkeypatch.setattr(backend, "exists", base_set_exists)
@@ -235,21 +258,24 @@ def test_blocks_share_their_base_sets_members():
 def test_shared_members_answer_as_one_member_set_per_block():
     """Blocks probing their base's members give the same certificates and
     probe counts as a backend where every block keeps its own members,
-    also for shifts whose target is in the base set but not in the block."""
+    also for shifts whose target is in the base set but not in the block.
+    The sets are the base sets and all their dyadic blocks."""
     rng = random.Random(23)
     outside_block = 0
     for trial in range(6):
         kind = (LinearScan(), SmallUniverse(delta=0.5))[trial % 2]
         c = random_collection(rng, 3, 24, 40)
-        inst = build_reporting_index(c, kind)
-        shared = inst.backend
+        all_sets = [s.elements for s in c.sets]
+        parent = list(range(c.k))
+        for p, s in enumerate(c.sets):
+            for sub in dyadic_subsets(s):
+                all_sets.append(s.elements[sub.rank_lo - 1 : sub.rank_hi])
+                parent.append(p)
+        shared = build_backend(all_sets, kind, bases=parent)
         own = build_backend(shared.sets, kind)
+        assert len({id(m) for m in shared.members}) == c.k
         assert len({id(m) for m in own.members}) == len(own.sets)
         assert shared.space_bytes() == own.space_bytes()
-        parent = list(range(c.k))
-        for p in range(c.k):
-            end = inst.first_block[p + 1] if p + 1 < c.k else len(shared.sets) + 1
-            parent += [p] * (end - inst.first_block[p])
         ids = range(1, len(shared.sets) + 1)
         for i in ids:
             for j in rng.sample(ids, 6):
@@ -267,3 +293,84 @@ def test_shared_members_answer_as_one_member_set_per_block():
                     # is a base-set hit that lies outside the block.
                     outside_block += got is None and s in shifts
     assert outside_block > 1000
+
+
+def test_scanned_and_mixed_nodes_match_the_oracle():
+    """LinearScan answers each report by one scan of the root. SmallUniverse
+    thresholds between the block sizes tabulate the root of a pair of large
+    sets and scan each child with a side at or below the threshold."""
+    rng = random.Random(71)
+    mixed = 0
+    for _ in range(25):
+        k = rng.randint(1, 4)
+        u = rng.randint(8, 160)
+        c = random_collection(rng, k, rng.randint(k, 120), u)
+        for kind in [LinearScan()] + [SmallUniverse(delta=d) for d in (0.0, 0.3, 0.45, 0.6)]:
+            idx = build_reporting_index(c, kind)
+            backend, t = idx.backend, idx.backend.threshold
+            for _ in range(8):
+                i, j = rng.randint(1, k), rng.randint(1, k)
+                sa, sb = c.set(i).elements, c.set(j).elements
+                s = rng.choice(sb) - rng.choice(sa) if rng.random() < 0.7 else rng.randint(-u, u)
+                probes = backend.probes
+                trace = []
+                got = report_shift(idx, i, j, s, trace=trace)
+                assert got == brute_force_ssi(c, ShiftQuery(i, j, s)), (kind, i, j, s)
+                assert len(trace) == idx.last_query_calls
+                scans = [pairs for _, pairs in trace if isinstance(pairs, list)]
+                if len(sa) <= t or len(sb) <= t:
+                    assert len(trace) == 1 and scans == [got]
+                else:
+                    assert not isinstance(trace[0][1], list)  # the root is looked up
+                    mixed += bool(scans)
+                walked = 0
+                for node, answer in trace:
+                    a_size, b_size = node.a_hi - node.a_lo + 1, node.b_hi - node.b_lo + 1
+                    if isinstance(answer, list):
+                        # A scanned node names the base sets and its rank ranges.
+                        assert (node.set_a, node.set_b) == (i, j)
+                        assert node is trace[0][0] or min(a_size, b_size) <= t
+                        walked += min(a_size, b_size)
+                    else:
+                        assert a_size > t and b_size > t
+                # Lookups probe nothing; a scan walks at most its smaller side.
+                assert backend.probes - probes <= walked
+    assert mixed > 20
+
+
+def test_blocks_stored_are_those_a_lookup_addresses():
+    """LinearScan stores the k base sets; FullTabulation stores every dyadic
+    block under the full layout's ids; SmallUniverse stores the blocks above
+    ceil(N^delta), N counting every block, and tabulates what a backend over
+    the full layout tabulates."""
+    rng = random.Random(73)
+    for _ in range(12):
+        k = rng.randint(1, 5)
+        c = random_collection(rng, k, rng.randint(k, 90), 200)
+        full = [s.elements for s in c.sets]
+        full_ids = {}
+        for p, s in enumerate(c.sets, start=1):
+            for sub in dyadic_subsets(s):
+                full.append(s.elements[sub.rank_lo - 1 : sub.rank_hi])
+                full_ids[p, sub.level, sub.block] = len(full)
+        assert sum(map(len, full)) == build_reporting_index(c, LinearScan()).total_elements
+        assert build_reporting_index(c, LinearScan()).backend.sets == full[:k]
+        tab = build_reporting_index(c, FullTabulation())
+        assert tab.backend.sets == full
+        assert tab.lowest_level == 0
+        for delta in (0.0, 0.25, 0.5, 0.75):
+            kind = SmallUniverse(delta=delta)
+            idx = build_reporting_index(c, kind)
+            reference = build_backend(full, kind)
+            t = idx.backend.threshold
+            assert t == reference.threshold
+            large = [block for block in full[k:] if len(block) > t]
+            assert idx.backend.sets == full[:k] + large
+            assert idx.backend.table.entries == reference.table.entries
+            # Every stored block sits at the id the layout computes.
+            for (p, level, block), full_id in full_ids.items():
+                if 1 << level <= t:
+                    continue
+                starts = level_starts(len(c.set(p)))
+                stored = idx.first_block[p - 1] + starts[level] - starts[idx.lowest_level] + block
+                assert idx.backend.sets[stored - 1] == full[full_id - 1]
