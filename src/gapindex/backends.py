@@ -22,7 +22,10 @@ members and between the set's own first and last elements.
 
 Besides ``exists``, ``scan`` lists every pair of two rank ranges at one
 shift; the reporting recursion asks it for each pair it does not
-tabulate.
+tabulate. ``scan_shifts`` answers one untabulated pair at many shifts in
+one pass, as the gapped index asks a plan's level: it lists the pair's
+differences once when neither set outnumbers the shifts, and otherwise
+runs ``scan``'s walk once per shift.
 
 A backend is immutable after build apart from its ``probes`` counter;
 queries are read-only.
@@ -305,6 +308,57 @@ class SsiBackend:
             member = self.members[i - 1]
             out = [(y - s, y) for y in sb[lo:hi] if y - s in member]
         self.probes += hi - lo
+        return out
+
+    def walks(self, i: int, j: int, count: int) -> bool:
+        """Whether ``scan_shifts`` over ``count`` shifts walks the pair once
+        per shift rather than listing its differences: a set has more than
+        ``count`` elements."""
+        return len(self.sets[i - 1]) > count or len(self.sets[j - 1]) > count
+
+    def scan_shifts(self, i: int, j: int,
+                    shifts: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
+        """Every (a, b) of sets i and j with b - a in ``shifts`` (distinct),
+        as {shift: pairs sorted by a}, holding only the shifts that hit.
+
+        One pass over a pair the backend does not tabulate. When neither
+        set has more elements than there are shifts, every difference is
+        listed once and each wanted one keeps its pairs: |A|*|B| <=
+        len(shifts)*min(|A|, |B|) steps, no more than the walks below
+        spend when every shift misses, and ``probes`` does not grow.
+        Otherwise ``scan``'s walk of the smaller set runs once per shift,
+        each bounded by two bisections, and ``probes`` grows by the
+        elements walked. The caller vouches for the ids.
+        """
+        sa, sb = self.sets[i - 1], self.sets[j - 1]
+        out: dict[int, list[tuple[int, int]]] = {}
+        # The rule of ``walks``, written out: this runs once per level of
+        # every pair a gapped report asks.
+        if len(sa) <= len(shifts) and len(sb) <= len(shifts):
+            wanted = set(shifts)
+            for a, b in [(a, b) for a in sa for b in sb if b - a in wanted]:
+                out.setdefault(b - a, []).append((a, b))
+            return out
+        walked = 0
+        if len(sa) <= len(sb):
+            member, first, last = self.members[j - 1], sb[0], sb[-1]
+            for s in shifts:
+                lo = bisect_left(sa, first - s)
+                hi = bisect_right(sa, last - s, lo)
+                walked += hi - lo
+                pairs = [(x, x + s) for x in sa[lo:hi] if x + s in member]
+                if pairs:
+                    out[s] = pairs
+        else:
+            member, first, last = self.members[i - 1], sa[0], sa[-1]
+            for s in shifts:
+                lo = bisect_left(sb, first + s)
+                hi = bisect_right(sb, last + s, lo)
+                walked += hi - lo
+                pairs = [(y - s, y) for y in sb[lo:hi] if y - s in member]
+                if pairs:
+                    out[s] = pairs
+        self.probes += walked
         return out
 
     def space_bytes(self) -> int:

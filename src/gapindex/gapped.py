@@ -29,17 +29,29 @@ A level-l query asks the quotient shifts 2*kappa - 1, 2*kappa and
 every distinct primitive probe once, and a query asks each of them once per
 set pair.
 
-Miss filter: most probes find nothing, and a probing backend spends
+Per-level pass: most probes find nothing, and a probing backend spends
 min(|A|, |B|) element steps on each miss of a pair's level-l sets A and B.
-When the larger of the two has at most as many elements as the plan has
-level-l probes, listing the differences {b - a} takes |A|*|B| <=
-probes * min(|A|, |B|) steps, no more than those probes cost when all of
-them miss, so the abstract's query bound O~(|P1| + |P2| + n^delta*(occ+1))
-still holds. The list is made when the probe order first reaches the
-level; a probe whose shift is not on it makes no backend call, and every
-other probe is a hit, answered through the backend as before. Tabulated
-pairs (both sets above the backend's threshold) answer each probe by one
-lookup and are not listed.
+Let P_l be the plan's number of level-l probes. When the larger of the two
+sets has at most P_l elements, listing the differences {b - a} takes
+|A|*|B| <= P_l * min(|A|, |B|) steps, no more than those probes cost when
+all of them miss, so the abstract's query bound
+O~(|P1| + |P2| + n^delta*(occ+1)) still holds.
+
+A report asks each level of a pair the backend does not tabulate by one
+call, ``SsiBackend.scan_shifts``, holding the level's P_l shifts. When
+neither set has more than P_l elements, the differences are listed once
+and each keeps its pairs, in at most P_l * min(|A|, |B|) steps;
+otherwise the smaller set's cut walk of ``scan`` runs once per shift, in
+at most P_l * (log + min(|A|, |B|)) + occ steps. A walking pass counts
+as one backend call, a listing as none. Tabulated pairs (both sets above
+the backend's threshold) ask each probe through ``report_shift``, one
+lookup per miss.
+
+An exists stops at its first hit, so it asks the probes lazily in order:
+a level's differences are listed when the probe order first reaches it,
+a probe whose shift is not on the list makes no backend call, and every
+other probe, a sure hit, is asked through the backend. Tabulated pairs
+are not listed.
 """
 
 from __future__ import annotations
@@ -107,7 +119,8 @@ class CoverPlan:
     values are made when first read, since answering needs only ``probes``:
     the distinct primitive queries as (level, shift) pairs, in the order
     the point shifts (level 0) and then the approximate queries first issue
-    them. ``level_probes[l]`` is the number of level-l probes.
+    them. ``level_probes[l]`` is the number of level-l probes, and
+    ``level_shifts[l]`` holds their shifts in the same order.
     """
 
     gap_lo: int
@@ -124,6 +137,15 @@ class CoverPlan:
     @property
     def size(self) -> int:
         return len(self.point_shifts) + len(self.approx_centers)
+
+    @cached_property
+    def level_shifts(self) -> tuple[tuple[int, ...], ...]:
+        # Grouped on first read: an exists, which asks ``probes`` in order,
+        # never reads them.
+        shifts: list[list[int]] = [[] for _ in self.level_probes]
+        for level, shift in self.probes:
+            shifts[level].append(shift)
+        return tuple(map(tuple, shifts))
 
     @cached_property
     def approx_queries(self) -> tuple[ApproxQuery, ...]:
@@ -454,7 +476,12 @@ def gapped_report(
     *,
     plan: Optional[CoverPlan] = None,
 ) -> list[tuple[int, int]]:
-    """All pairs (a, b) with b - a in [alpha, beta], sorted and deduplicated."""
+    """All pairs (a, b) with b - a in [alpha, beta], sorted and deduplicated.
+
+    The plan is answered one level at a time: a pair the level's backend
+    tabulates asks each shift through ``report_shift``, any other pair
+    asks all the level's shifts in one ``scan_shifts`` pass.
+    """
     plan = _plan_for(g, alpha, beta, plan)
     _check_pair(g, i, j)
     if plan is None:
@@ -464,15 +491,24 @@ def gapped_report(
         return []
     g.last_plan_size = plan.size
     raw: list[tuple[int, int]] = []
-    levels = g.levels
-    for level, shift in _live_probes(g, plan, i, j):
+    # Every level from 0 to the plan's top has probes.
+    for level, shifts in enumerate(plan.level_shifts):
+        inst = g.exact if level == 0 else g.levels[level - 1].instance
+        backend = inst.backend
+        if (len(backend.sets[i - 1]) > backend.threshold
+                and len(backend.sets[j - 1]) > backend.threshold):
+            found = [report_shift(inst, i, j, s) for s in shifts]
+        else:
+            found = inst._scan_shifts(i, j, shifts).values()
         if level == 0:
-            raw.extend(report_shift(g.exact, i, j, shift))
+            for pairs in found:
+                raw.extend(pairs)
             continue
-        lvl = levels[level - 1]
         # By the expansion lemma every original pair has its gap in range.
-        for qa, qb in report_shift(lvl.instance, i, j, shift):
-            raw.extend(product(lvl.originals(i, qa), lvl.originals(j, qb)))
+        originals = g.levels[level - 1].originals
+        for pairs in found:
+            for qa, qb in pairs:
+                raw.extend(product(originals(i, qa), originals(j, qb)))
     g.last_raw_pairs = len(raw)
     g.last_max_multiplicity = max(Counter(raw).values()) if raw else 0
     return sorted(set(raw))

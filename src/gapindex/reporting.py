@@ -89,13 +89,17 @@ class AugmentedInstance:
         # Each stored set's base set: a block is a rank run of its parent.
         bases = list(range(len(all_sets)))
         self.first_block: list[int] = []
+        # Advanced only past stored blocks, so sets that store none share
+        # one int object (under LinearScan, every set).
+        next_id = len(all_sets) + 1
         for p, s in enumerate(c.sets):
-            self.first_block.append(len(all_sets) + 1)
+            self.first_block.append(next_id)
             el, m = s.elements, len(s)
             for j in range(lowest, m.bit_length()):
                 size = 1 << j
                 all_sets.extend(el[lo : lo + size] for lo in range(0, (m >> j) << j, size))
                 bases.extend([p] * (m >> j))
+                next_id += m >> j
         self.backend = build_backend(
             all_sets, kind, mem_budget, bases=bases, total_elements=self.total_elements
         )
@@ -114,8 +118,17 @@ class AugmentedInstance:
         self.last_query_calls += 1
         return self.backend.scan(i, a_lo, a_hi, j, b_lo, b_hi, s)
 
+    def _scan_shifts(self, i: int, j: int,
+                     shifts: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
+        # A pass that walks is one backend call, as a scan is; a listing is
+        # not a call.
+        if self.backend.walks(i, j, len(shifts)):
+            self.scan_calls += 1
+            self.last_query_calls += 1
+        return self.backend.scan_shifts(i, j, shifts)
+
     def ssi_calls(self) -> int:
-        """Backend calls made: existence calls and scans."""
+        """Backend calls made: existence calls, scans and walking passes."""
         return self.existence_calls + self.scan_calls
 
 

@@ -19,7 +19,7 @@ from .errors import FormatError, GuardError
 MAX_UNIVERSE = 1 << 40
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntSet:
     """A strictly increasing tuple of integers with its 1-based collection id."""
 

@@ -292,3 +292,79 @@ def test_tables_narrow_to_int32_and_reject_shifts_outside_it():
                     cert = backend.exists(i, j, s)
                     assert (cert and (cert.a, cert.b)) == (expected[0] if expected else None)
     assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+
+
+def _walked(sa, sb, s):
+    """Elements ``scan``'s walk at shift s visits: those of the smaller set
+    whose partner lies between the other set's first and last elements."""
+    if len(sa) <= len(sb):
+        return sum(1 for x in sa if sb[0] <= x + s <= sb[-1])
+    return sum(1 for y in sb if sa[0] <= y - s <= sa[-1])
+
+
+def _check_pass(backend, sets, i, j, shifts):
+    """One ``scan_shifts`` pass against ``scan``, the oracle and the walk
+    count; returns whether the pass walked."""
+    sa, sb = sets[i - 1], sets[j - 1]
+    walks = max(len(sa), len(sb)) > len(shifts)
+    assert backend.walks(i, j, len(shifts)) == walks
+    before = backend.probes
+    found = backend.scan_shifts(i, j, shifts)
+    walked = sum(_walked(sa, sb, s) for s in shifts) if walks else 0
+    assert backend.probes - before == walked
+    assert set(found) <= set(shifts)
+    for s in shifts:
+        want = brute_force_ssi(sets, ShiftQuery(i, j, s))
+        assert (s in found) == bool(want)
+        assert found.get(s, []) == want, (sa, sb, s)
+        # scan reads a first element of one side, so it needs one non-empty.
+        if sa or sb:
+            assert backend.scan(i, 1, len(sa), j, 1, len(sb), s) == want
+    return walks, walked
+
+
+def test_scan_shifts_matches_scan_and_the_oracle():
+    rng = random.Random(71)
+    branches = set()
+    for kind in (LinearScan(), SmallUniverse(delta=0.5)):
+        for _ in range(40):
+            sets = [
+                tuple(sorted(rng.sample(range(-60, 300), rng.choice((0, 1, 2, 5, 9, 14, 30)))))
+                for _ in range(rng.randint(2, 6))
+            ]
+            backend = build_backend(sets, kind)
+            for _ in range(12):
+                i, j = rng.randint(1, len(sets)), rng.randint(1, len(sets))
+                sa, sb = sets[i - 1], sets[j - 1]
+                if min(len(sa), len(sb)) > backend.threshold:
+                    continue  # tabulated: report_shift asks each shift
+                realized = sorted({b - a for a in sa for b in sb})
+                shifts = rng.sample(realized, min(len(realized), rng.randint(0, 6)))
+                shifts += [rng.randint(-400, 400) for _ in range(rng.randint(0, 6))]
+                # Past both ends of the differences, and far outside them.
+                low = (sb[0] if sb else 0) - (sa[-1] if sa else 0)
+                high = (sb[-1] if sb else 0) - (sa[0] if sa else 0)
+                shifts += [low - 1, high + 1, low - 100, high + 100, -(1 << 40), 1 << 40]
+                shifts = list(dict.fromkeys(shifts))[: rng.randint(1, 14)]
+                branches.add(_check_pass(backend, sets, i, j, shifts)[0])
+    assert branches == {False, True}
+
+
+@pytest.mark.parametrize("kind", [LinearScan(), SmallUniverse(delta=0.5)])
+def test_scan_shifts_lists_up_to_the_shift_count(kind):
+    """The larger side at the shift count lists (no probes); one more walks."""
+    shifts = [10, 11, 12, 13, 14]
+    for extra in (0, 1):
+        small = (0,)
+        large = tuple(range(10, 15 + extra))
+        for sets, i, j in (([small, large], 1, 2), ([large, small], 1, 2)):
+            # Read from the b side, the shifts are negated.
+            asked = shifts if sets[0] is small else [-s for s in shifts]
+            backend = build_backend(sets, kind)
+            walks, walked = _check_pass(backend, sets, i, j, asked)
+            assert walks == bool(extra)
+            # Each shift's walk visits the one small element.
+            assert walked == (len(shifts) if extra else 0)
+        both = [tuple(range(0, 5 + extra)), tuple(range(10, 15 + extra))]
+        walks, walked = _check_pass(build_backend(both, kind), both, 1, 2, shifts)
+        assert walks == bool(extra) and walked >= 5 * extra

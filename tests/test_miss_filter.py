@@ -2,10 +2,11 @@
 
 At each level, a pair whose larger set has no more elements than the plan
 has probes for the level (and that is not tabulated) has its differences
-listed once; a probe whose shift is not among them is dropped. The
-``probe_all_*`` references keep the loop that asks the backend every
-probe, so the filtered queries must give the same answers, witnesses and
-statistics with no more SSI calls.
+listed once; a probe whose shift is not among them is dropped. A report
+keeps the listed pairs and answers any other untabulated level by one
+walking pass. The ``probe_all_*`` references keep the loop that asks the
+backend every probe, so the filtered queries must give the same answers,
+witnesses and statistics with no more SSI calls.
 """
 
 import random
@@ -15,7 +16,8 @@ from itertools import product
 import pytest
 
 from gapindex import gapped
-from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
+from gapindex.backends import FullTabulation, LinearScan, SmallUniverse, SsiBackend
+from gapindex.bench import run_bench
 from gapindex.errors import FormatError
 from gapindex.gapped import build_gapped_index, gapped_exists, gapped_report, plan_cover
 from gapindex.generators import random_collection, random_pattern_from, random_text
@@ -64,12 +66,15 @@ def level_backend(g, level):
     return (g.exact if level == 0 else g.levels[level - 1].instance).backend
 
 
+def tabulated(backend, i, j):
+    return min(len(backend.sets[i - 1]), len(backend.sets[j - 1])) > backend.threshold
+
+
 def listed(g, i, j, level, plan):
     """Whether the pair's level-l differences are listed, decided from sizes."""
     backend = level_backend(g, level)
     sa, sb = backend.sets[i - 1], backend.sets[j - 1]
-    tabulated = len(sa) > backend.threshold and len(sb) > backend.threshold
-    return max(len(sa), len(sb)) <= plan.level_probes[level] and not tabulated
+    return max(len(sa), len(sb)) <= plan.level_probes[level] and not tabulated(backend, i, j)
 
 
 def test_set_queries_match_probing_every_shift():
@@ -107,7 +112,7 @@ def test_set_queries_match_probing_every_shift():
 
 def test_string_queries_match_probing_every_shift():
     rng = random.Random(59)
-    saved = 0
+    saved = multiplied = 0
     for trial in range(12):
         kind = KINDS[trial % 2]
         text = random_text(rng, rng.randint(16, 160), rng.choice((2, 3, 4)))
@@ -141,21 +146,35 @@ def test_string_queries_match_probing_every_shift():
                 assert got == want, (text, p1, p2, lo, hi)
                 assert got_calls <= want_calls
                 saved += want_calls - got_calls
-    assert saved > 0
+            # Per cover pair, the statistics a report leaves behind.
+            for a, b in pairs:
+                got = gapped_report(g, a, b, lo, hi, plan=plan)
+                stats = (got, g.last_raw_pairs, g.last_max_multiplicity)
+                assert stats == probe_all_report(g, a, b, lo, hi, plan), (text, a, b, lo, hi)
+                multiplied += g.last_max_multiplicity > 1
+    assert saved > 0 and multiplied > 0
 
 
-@pytest.mark.parametrize("query", [gapped_exists, gapped_report])
-def test_listing_boundary_is_the_level_probe_count(query):
+@pytest.mark.parametrize(
+    "query, calls",
+    [
+        # An exists asks each live probe by one backend call.
+        (gapped_exists, ((0, 0), (6, 0), (6, 0), (6, 9))),
+        # A report answers a level by one pass, a call only when it walks.
+        (gapped_report, ((0, 0), (1, 0), (1, 0), (1, 1))),
+    ],
+    ids=["gapped_exists", "gapped_report"],
+)
+def test_listing_boundary_is_the_level_probe_count(query, calls):
     plan = plan_cover(10, 20)
     assert plan.level_probes == (6, 9)
     # Level 1 divides by 2^0, so its sets are the level-0 sets. Set 2 has m
     # elements, 1..m-1 and 30 above set 1's, so no pair has its gap in range.
-    for m, level0_calls, level1_calls in ((6, 0, 0), (7, 6, 0), (9, 6, 0), (10, 6, 9)):
+    for m, (level0_calls, level1_calls) in zip((6, 7, 9, 10), calls):
         c = ingest_collection([[1], [*range(2, m + 1), 31]], u=32)
         assert len(c.set(2)) == m
         g = build_gapped_index(c, LinearScan())
         assert not query(g, 1, 2, 10, 20)
-        # A report asks each probe by one scan, an exists by one probe.
         assert g.exact.ssi_calls() == level0_calls
         assert g.levels[0].instance.ssi_calls() == level1_calls
 
@@ -168,17 +187,25 @@ def test_tabulated_pairs_are_not_listed():
 
 
 def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
-    """At a listed level the probes asked are exactly the plan's probes whose
-    shift the pair realizes, and each of them hits."""
+    """An untabulated pair's report answers each level by one pass and makes
+    no report_shift call. At a listed level the pass returns exactly the
+    plan's level-l shifts that the pair realizes, each with the pairs
+    report_shift gives for it."""
     rng = random.Random(61)
-    asked = []
+    passes, reported = [], []
+    scan_shifts = SsiBackend.scan_shifts
 
-    def recording(inst, i, j, s, trace=None):
-        pairs = report_shift(inst, i, j, s, trace)
-        asked.append((inst, s, pairs))
-        return pairs
+    def recording_pass(backend, i, j, shifts):
+        found = scan_shifts(backend, i, j, shifts)
+        passes.append((backend, tuple(shifts), found))
+        return found
 
-    monkeypatch.setattr(gapped, "report_shift", recording)
+    def recording_report(inst, i, j, s, trace=None):
+        reported.append(inst)
+        return report_shift(inst, i, j, s, trace)
+
+    monkeypatch.setattr(SsiBackend, "scan_shifts", recording_pass)
+    monkeypatch.setattr(gapped, "report_shift", recording_report)
     checked = 0
     for trial in range(30):
         kind = KINDS[trial % 2]
@@ -195,18 +222,25 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
             if clamped is None:
                 continue
             plan = plan_cover(*clamped)
-            asked.clear()
+            passes.clear()
+            reported.clear()
             gapped_report(g, i, j, lo, hi)
-            for level in range(len(plan.level_probes)):
+            for level, shifts in enumerate(plan.level_shifts):
+                backend = level_backend(g, level)
+                here = [(asked, found) for b, asked, found in passes if b is backend]
+                if tabulated(backend, i, j):
+                    assert here == []
+                    continue
+                assert instances[level] not in reported
+                assert [asked for asked, _ in here] == [shifts]
                 if not listed(g, i, j, level, plan):
                     continue
-                backend = level_backend(g, level)
+                found = here[0][1]
                 realized = {b - a for a in backend.sets[i - 1] for b in backend.sets[j - 1]}
-                expected = [s for lv, s in plan.probes if lv == level and s in realized]
-                here = [(s, pairs) for inst, s, pairs in asked if inst is instances[level]]
-                assert [s for s, _ in here] == expected
-                assert all(pairs for _, pairs in here)
-                checked += len(here)
+                assert set(found) == {s for s in shifts if s in realized}
+                for s, pairs in found.items():
+                    assert pairs and pairs == report_shift(instances[level], i, j, s)
+                checked += len(found)
     assert checked > 100
 
 
@@ -230,3 +264,33 @@ def test_ids_past_the_k_sets_are_rejected(query):
                     query(g, bad, 1, lo, hi)
                 with pytest.raises(FormatError, match=f"set index {bad} out of range 1..3"):
                     query(g, 1, bad, lo, hi)
+
+
+def test_bench_multiplicity_is_the_largest_over_every_cover_pair():
+    """``gapindex bench`` records each report's largest multiplicity over
+    all its cover pairs, not the one the last cover pair leaves behind."""
+    last_pair_lower = 0
+    for n, sigma, seed in ((100, 3, 2), (100, 3, 4), (120, 4, 5), (60, 2, 4)):
+        queries = 12
+        record = next(run_bench(
+            {"gapped_string": [{"n": n, "sigma": sigma, "queries": queries, "seed": seed}]}
+        ))
+        rng = random.Random(seed)
+        text = random_text(rng, n, sigma)
+        idx = build_gapped_string_index(text, LinearScan())
+        g = idx.gapped
+        want = last_pair = 0
+        for _ in range(queries):
+            p1 = random_pattern_from(rng, text, 5)
+            p2 = random_pattern_from(rng, text, 5)
+            lo = rng.randint(0, n // 2)
+            hi = lo + rng.randint(0, n // 2)
+            clamped = g._clamped(lo, hi)
+            plan = plan_cover(*clamped) if clamped else None
+            for a, b in cover_pairs(idx, p1, p2):
+                want = max(want, probe_all_report(g, a, b, lo, hi, plan)[2])
+            idx.report(p1, p2, lo, hi)
+            last_pair = max(last_pair, g.last_max_multiplicity)
+        assert record["dedup_max_multiplicity"] == want, (n, sigma, seed)
+        last_pair_lower += last_pair < want
+    assert last_pair_lower > 0

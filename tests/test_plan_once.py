@@ -266,6 +266,13 @@ def test_probes_are_the_distinct_shifts_in_first_issue_order():
                     lo, hi = expansion_range(q.level, shift)
                     assert u0 <= lo <= hi <= u1
             assert list(plan.probes) == list(dict.fromkeys(issued))
+            # Each level's shifts in the same order; no level is empty.
+            by_level = [
+                tuple(s for lv, s in plan.probes if lv == level)
+                for level in range(max(lv for lv, _ in plan.probes) + 1)
+            ]
+            assert plan.level_shifts == tuple(by_level) and all(by_level)
+            assert plan.level_probes == tuple(map(len, by_level))
 
 
 def test_no_string_query_asks_each_probe_once_per_cover_pair(monkeypatch):
@@ -320,10 +327,12 @@ def test_large_covers_ask_each_probe_once_per_cover_pair():
     assert len(pairs) > 1
     # Every cover set outnumbers each level's probes, so nothing is listed.
     assert unlisted_probes(idx, pairs, plan) == len(pairs) * len(plan.probes)
-    for query in (idx.exists, idx.report):
+    # An exists asks every probe of every pair; a report walks each level
+    # of each pair in one pass.
+    for query, per_pair in ((idx.exists, len(plan.probes)), (idx.report, 2)):
         answer, calls = calls_of(idx, query, p1, p2, lo, hi)
         assert not answer
-        assert calls == len(pairs) * len(plan.probes)
+        assert calls == len(pairs) * per_pair
 
 
 def test_passed_plan_must_match_the_clamped_interval():
