@@ -207,7 +207,8 @@ class SsiBackend:
 
     The three kinds differ only in ``threshold``. Member sets serve the
     probes, so ``FullTabulation``, which never probes, keeps none; the
-    others keep one per base set, and ``members[t]`` is set t's base's.
+    others keep one per base set, and ``members[t]`` is set t's base's: a
+    frozenset, or the base's own tuple when it has at most one element.
     """
 
     def __init__(self, sets: list[tuple[int, ...]], kind: BackendKind,
@@ -239,12 +240,15 @@ class SsiBackend:
             for i in large_ids:
                 for j in large_ids:
                     self.table.add_pair(i, j, sets[i - 1], sets[j - 1], use_np)
-        self.members: list[frozenset] = []
+        self.members: list[Union[frozenset, tuple[int, ...]]] = []
         self.dict_entries = 0
         if not isinstance(kind, FullTabulation):
             if bases is None:
                 bases = range(len(sets))
-            shared = {p: frozenset(sets[p]) for p in set(bases)}
+            # A one-element base answers ``in`` by its own tuple as fast as
+            # a frozenset would, without the frozenset's ~200 bytes.
+            shared = {p: frozenset(sets[p]) if len(sets[p]) > 1 else sets[p]
+                      for p in set(bases)}
             self.members = [shared[p] for p in bases]
             # Logical space: one entry per stored element, as if each set
             # kept its own members.
@@ -294,8 +298,11 @@ class SsiBackend:
         bisections bound the walk to the elements whose partner can lie
         there, so it costs O(log + min(|A|, |B|) + occ) steps, and every
         member hit inside the walk is a pair. The caller vouches for the
-        ids and ranks; ``probes`` grows by the elements walked.
+        ids and ranks; ``probes`` grows by the elements walked. An empty
+        range on either side has no pair and walks nothing.
         """
+        if a_hi < a_lo or b_hi < b_lo:
+            return []
         sa, sb = self.sets[i - 1], self.sets[j - 1]
         if a_hi - a_lo <= b_hi - b_lo:
             lo = bisect_left(sa, sb[b_lo - 1] - s, a_lo - 1, a_hi)

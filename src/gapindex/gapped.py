@@ -29,6 +29,20 @@ A level-l query asks the quotient shifts 2*kappa - 1, 2*kappa and
 every distinct primitive probe once, and a query asks each of them once per
 set pair.
 
+Plans as runs: each pass (forward from alpha, mirrored from beta) issues up
+to three point shifts and then, per level l, a run of at most three
+consecutive centers kappa*2^l, kept as (level, kappa_first, kappa_last).
+Each run is found in closed form: the first kappa is the largest whose
+guaranteed zone touches the covered prefix, a query at kappa*2^l covers up
+to exactly kappa*2^l + 2^(l-1), and so the pass stops at kappa =
+need // 2^(l+1) + 1 with need = width + 2*(lo - 2^(l-1)). A plan costs
+O(levels): the escape check reads each run's two extreme centers, and a
+forward run's probes are one range of shifts. What a query reads on every
+call (``segments``, the probes grouped by level in first-issue order,
+``level_probes`` and ``size``) is built with the plan; ``probes``,
+``level_shifts``, the centers and their ApproxQuery values are derived on
+first read.
+
 Per-level pass: most probes find nothing, and a probing backend spends
 min(|A|, |B|) element steps on each miss of a pair's level-l sets A and B.
 Let P_l be the plan's number of level-l probes. When the larger of the two
@@ -114,38 +128,70 @@ def _quotient_shifts(level: int, center: int) -> tuple[int, int, int]:
 class CoverPlan:
     """Queries covering [gap_lo, gap_hi] with all uncertainty kept inside it.
 
-    Approximate queries are stored as (level, center) pairs: the distinct
-    ones (forward pass first) and each pass's own list. The ApproxQuery
-    values are made when first read, since answering needs only ``probes``:
-    the distinct primitive queries as (level, shift) pairs, in the order
-    the point shifts (level 0) and then the approximate queries first issue
-    them. ``level_probes[l]`` is the number of level-l probes, and
-    ``level_shifts[l]`` holds their shifts in the same order.
+    Each pass (forward from gap_lo, mirrored from gap_hi) is its point
+    shifts plus one run per level, (level, kappa_first, kappa_last): the
+    pass's level-l queries are centered at kappa * 2^level for kappa from
+    kappa_first to kappa_last, ascending in ``forward_runs`` and descending
+    in ``backward_runs``. A run holds at most three queries.
+
+    The fields a query reads on every call are built with the plan:
+    ``segments`` lists the distinct primitive probes as (level, shifts)
+    groups in the order the point shifts (level 0) and then the approximate
+    queries first issue them, ``level_probes[l]`` is the number of level-l
+    probes and ``size`` the number of distinct queries. Everything else is
+    derived from the runs on first read: ``probes`` as (level, shift) pairs,
+    ``level_shifts`` (each level's shifts in probe order), the distinct
+    ``approx_centers`` (forward pass first), each pass's centers and its
+    ApproxQuery values, and the phase counts.
     """
 
     gap_lo: int
     gap_hi: int
     point_shifts: tuple[int, ...]
-    approx_centers: tuple[tuple[int, int], ...]
-    forward_centers: tuple[tuple[int, int], ...]
-    backward_centers: tuple[tuple[int, int], ...]
-    phases_forward: int
-    phases_backward: int
-    probes: tuple[tuple[int, int], ...]
+    forward_runs: tuple[tuple[int, int, int], ...]
+    backward_runs: tuple[tuple[int, int, int], ...]
+    segments: tuple[tuple[int, tuple[int, ...]], ...]
     level_probes: tuple[int, ...]
+    size: int
 
     @property
-    def size(self) -> int:
-        return len(self.point_shifts) + len(self.approx_centers)
+    def phases_forward(self) -> int:
+        return 1 + len(self.forward_runs)
+
+    @property
+    def phases_backward(self) -> int:
+        return 1 + len(self.backward_runs)
+
+    @cached_property
+    def probes(self) -> tuple[tuple[int, int], ...]:
+        return tuple((level, s) for level, shifts in self.segments for s in shifts)
 
     @cached_property
     def level_shifts(self) -> tuple[tuple[int, ...], ...]:
-        # Grouped on first read: an exists, which asks ``probes`` in order,
-        # never reads them.
-        shifts: list[list[int]] = [[] for _ in self.level_probes]
-        for level, shift in self.probes:
-            shifts[level].append(shift)
-        return tuple(map(tuple, shifts))
+        shifts: list[tuple[int, ...]] = [()] * len(self.level_probes)
+        for level, run in self.segments:
+            shifts[level] += run
+        return tuple(shifts)
+
+    @cached_property
+    def forward_centers(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (level, kappa << level)
+            for level, first, last in self.forward_runs
+            for kappa in range(first, last + 1)
+        )
+
+    @cached_property
+    def backward_centers(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (level, kappa << level)
+            for level, first, last in self.backward_runs
+            for kappa in range(first, last - 1, -1)
+        )
+
+    @cached_property
+    def approx_centers(self) -> tuple[tuple[int, int], ...]:
+        return tuple(dict.fromkeys(self.forward_centers + self.backward_centers))
 
     @cached_property
     def approx_queries(self) -> tuple[ApproxQuery, ...]:
@@ -187,90 +233,117 @@ class CoverPlan:
         return "\n".join(lines)
 
 
-def _forward_pass(lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]], int]:
+def _pass(lo: int, hi: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
     """Cover a prefix [lo, lo + delta] with delta >= (hi - lo) / 2.
 
-    Phase 0 issues up to three exact point shifts, re-testing the stop
-    condition (2*delta >= width) after each so tiny intervals never step
-    outside. Each later phase l issues up to three level-l queries: the
-    first at the largest kappa*2^l whose guaranteed zone still touches the
-    covered prefix, then two successors; after any of them the pass stops
-    once strictly more than half the interval is covered.
+    Phase 0 issues up to three exact point shifts, stopping at the first
+    that covers half the width, so tiny intervals never step outside. Each
+    later phase l issues up to three level-l queries: the first at the
+    largest kappa*2^l whose guaranteed zone still touches the covered
+    prefix, then successors until strictly more than half the interval is
+    covered. A level-l query at kappa*2^l covers up to exactly
+    kappa*2^l + 2^(l-1), past the prefix its kappa was chosen from, so the
+    pass stops at the first kappa > need / 2^(l+1), where
+    need = width + 2*(lo - 2^(l-1)): that is, at kappa = need // 2^(l+1) + 1.
 
-    Returns raw (level, center) pairs: the mirrored pass runs in negated
-    coordinates where centers are not yet valid ApproxQuery values.
+    Returns the point shifts and one (level, kappa_first, kappa_last) run
+    per level: the mirrored pass runs in negated coordinates, where centers
+    are not yet valid ApproxQuery values.
     """
     width = hi - lo
-    points: list[int] = []
-    approx: list[tuple[int, int]] = []
-    covered_end = lo - 1
-    for step in range(3):
-        points.append(lo + step)
-        covered_end = lo + step
-        if 2 * (covered_end - lo) >= width:
-            return points, approx, 1
-    phases = 1
+    if width <= 4:
+        return tuple(range(lo, lo + (width + 1) // 2 + 1)), []
+    runs = []
+    end = lo + 2  # covered prefix [lo, end]
     level = 1
     while True:
-        delta = covered_end - lo
-        if delta < (1 << (level + 1)) - 2:
+        if end - lo < (1 << (level + 1)) - 2:
             raise GapIndexError("entered a phase before covering enough")
-        phases += 1
         half = 1 << (level - 1)
-        size = 1 << level
-        kappa = (covered_end + half) // size
-        for step in range(3):
-            center = (kappa + step) * size
-            approx.append((level, center))
-            covered_end = max(covered_end, center + half)
-            if 2 * (covered_end - lo) > width:
-                return points, approx, phases
+        first = (end + half) >> level
+        stop = ((width + 2 * (lo - half)) >> (level + 1)) + 1
+        if stop <= first + 2:
+            runs.append((level, first, max(first, stop)))
+            return (lo, lo + 1, lo + 2), runs
+        runs.append((level, first, first + 2))
+        end = ((first + 2) << level) + half
         level += 1
+
+
+def _escaped(alpha: int, beta: int, level: int, kappa: int) -> GapIndexError:
+    return GapIndexError(
+        f"uncertainty of the level-{level} query at {kappa << level}"
+        f" escaped [{alpha}, {beta}]"
+    )
 
 
 def plan_cover(alpha: int, beta: int) -> CoverPlan:
     """Plan point and approximate queries for the shift interval [alpha, beta]."""
     if not 0 <= alpha <= beta:
         raise FormatError(f"need 0 <= alpha <= beta, got [{alpha}, {beta}]")
-    fwd_points, fwd_centers, fwd_phases = _forward_pass(alpha, beta)
+    fwd_points, forward = _pass(alpha, beta)
     # The pass from beta is the reflection: plan on [-beta, -alpha], negate.
-    bwd_points, bwd_centers, bwd_phases = _forward_pass(-beta, -alpha)
-    bwd_centers = [(lv, -d) for lv, d in bwd_centers]
-    points = tuple(dict.fromkeys(fwd_points + [-s for s in bwd_points]))
-    centers = tuple(dict.fromkeys(fwd_centers + bwd_centers))
+    bwd_points, mirrored = _pass(-beta, -alpha)
+    points = tuple(dict.fromkeys(fwd_points + tuple([-s for s in bwd_points])))
 
-    # Every answer relies on these: a point or an uncertain zone outside
-    # [alpha, beta] could turn a YES into a witness with the wrong gap.
-    # The same pass lists each distinct probe once and counts each level's.
+    # Every answer relies on these checks: a point or an uncertain zone
+    # outside [alpha, beta] could turn a YES into a witness with the wrong
+    # gap. A zone moves with its center, so a run's lowest center bounds
+    # its zones below and its highest center above.
     for s in points:
         if not alpha <= s <= beta:
             raise GapIndexError(f"point shift {s} escaped [{alpha}, {beta}]")
-    probes = dict.fromkeys((0, s) for s in points)
-    level_probes = [len(points)] + [0] * max(centers, default=(0, 0))[0]
-    for level, center in centers:
-        u0, u1 = _uncertain(level, center)
-        if not (alpha <= u0 and u1 <= beta):
-            raise GapIndexError(
-                f"uncertainty of the level-{level} query at {center}"
-                f" escaped [{alpha}, {beta}]"
-            )
-        # Storing a key again keeps its first-issue place, so the growth is
-        # the number of new probes.
-        before, at, after = _quotient_shifts(level, center)
-        n = len(probes)
-        probes[level, before] = probes[level, at] = probes[level, after] = None
-        level_probes[level] += len(probes) - n
+    # A level-l query at kappa*2^l asks the quotient shifts 2*kappa - 1,
+    # 2*kappa and 2*kappa + 1, so a forward run asks one range of shifts.
+    segments = [(0, points)]
+    level_probes = [len(points)]
+    size = len(points)
+    for level, first, last in forward:
+        reach = (1 << level) - 1
+        if (first << level) - reach < alpha:
+            raise _escaped(alpha, beta, level, first)
+        if (last << level) + reach > beta:
+            raise _escaped(alpha, beta, level, last)
+        segments.append((level, tuple(range(2 * first - 1, 2 * last + 2))))
+        level_probes.append(2 * (last - first) + 3)
+        size += last - first + 1
+    # A backward run asks, from its top center K down, 2K - 1, 2K, 2K + 1
+    # and then 2K' - 1, 2K' for each next K'. A shift the forward run of
+    # the same level already asks is not a new probe, nor is its center.
+    backward = []
+    for level, top, bottom in mirrored:
+        first, last = -top, -bottom
+        backward.append((level, first, last))
+        reach = (1 << level) - 1
+        if (last << level) - reach < alpha:
+            raise _escaped(alpha, beta, level, last)
+        if (first << level) + reach > beta:
+            raise _escaped(alpha, beta, level, first)
+        double = 2 * first
+        shifts = (double - 1, double, double + 1, double - 3, double - 2, double - 5,
+                  double - 4)[: 2 * (first - last) + 3]
+        size += first - last + 1
+        if level > len(forward):
+            level_probes.append(len(shifts))
+        else:
+            _, f0, f1 = forward[level - 1]
+            if f0 <= first + 1 and last - 1 <= f1:  # the shift ranges meet
+                s0, s1 = 2 * f0 - 1, 2 * f1 + 1
+                shifts = tuple([s for s in shifts if not s0 <= s <= s1])
+                size -= max(0, min(f1, first) - max(f0, last) + 1)
+                if not shifts:
+                    continue
+            level_probes[level] += len(shifts)
+        segments.append((level, shifts))
     return CoverPlan(
         gap_lo=alpha,
         gap_hi=beta,
         point_shifts=points,
-        approx_centers=centers,
-        forward_centers=tuple(fwd_centers),
-        backward_centers=tuple(bwd_centers),
-        phases_forward=fwd_phases,
-        phases_backward=bwd_phases,
-        probes=tuple(probes),
+        forward_runs=tuple(forward),
+        backward_runs=tuple(backward),
+        segments=tuple(segments),
         level_probes=tuple(level_probes),
+        size=size,
     )
 
 
@@ -404,12 +477,13 @@ def _live_probes(
     """
     counts = plan.level_probes
     listed: list = [_UNLISTED] * len(counts)
-    for level, shift in plan.probes:
-        shifts = listed[level]
-        if shifts is _UNLISTED:
-            shifts = listed[level] = _realized_shifts(g, level, i, j, counts[level])
-        if shifts is None or shift in shifts:
-            yield level, shift
+    for level, shifts in plan.segments:
+        realized = listed[level]
+        if realized is _UNLISTED:
+            realized = listed[level] = _realized_shifts(g, level, i, j, counts[level])
+        for shift in shifts:
+            if realized is None or shift in realized:
+                yield level, shift
 
 
 def _check_pair(g: GappedIndex, i: int, j: int) -> None:

@@ -317,9 +317,10 @@ def _check_pass(backend, sets, i, j, shifts):
         want = brute_force_ssi(sets, ShiftQuery(i, j, s))
         assert (s in found) == bool(want)
         assert found.get(s, []) == want, (sa, sb, s)
-        # scan reads a first element of one side, so it needs one non-empty.
-        if sa or sb:
-            assert backend.scan(i, 1, len(sa), j, 1, len(sb), s) == want
+        assert backend.scan(i, 1, len(sa), j, 1, len(sb), s) == want
+        # An empty rank range on either side has no pair.
+        assert backend.scan(i, len(sa) + 1, len(sa), j, 1, len(sb), s) == []
+        assert backend.scan(i, 1, len(sa), j, len(sb) + 1, len(sb), s) == []
     return walks, walked
 
 
@@ -348,6 +349,7 @@ def test_scan_shifts_matches_scan_and_the_oracle():
                 shifts = list(dict.fromkeys(shifts))[: rng.randint(1, 14)]
                 branches.add(_check_pass(backend, sets, i, j, shifts)[0])
     assert branches == {False, True}
+    assert build_backend([(), ()], LinearScan()).scan(1, 1, 0, 2, 1, 0, 0) == []
 
 
 @pytest.mark.parametrize("kind", [LinearScan(), SmallUniverse(delta=0.5)])

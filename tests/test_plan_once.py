@@ -351,12 +351,15 @@ def test_passed_plan_must_match_the_clamped_interval():
 @pytest.mark.parametrize(
     "escape",
     [
-        lambda lo, hi: ([lo - 1], [], 1),  # a point shift below the interval
-        lambda lo, hi: ([lo], [(2, 4 if lo > 0 else -4)], 2),  # uncertain zone [1, 7]
+        lambda lo, hi: ((lo - 1,), []),  # a point shift below the interval
+        # Runs (level, kappa_first, kappa_last); the mirrored pass sees [-5, -3].
+        lambda lo, hi: ((lo,), [(2, 1, 1)] if lo > 0 else [(2, -1, -1)]),  # zone [1, 7]
+        lambda lo, hi: ((lo,), [(1, 2, 3)] if lo > 0 else []),  # last zone [5, 7]
+        lambda lo, hi: ((lo,), [] if lo > 0 else [(1, -2, -1)]),  # last zone [1, 3]
     ],
 )
 def test_plan_escaping_its_interval_raises(monkeypatch, escape):
-    monkeypatch.setattr(gapped, "_forward_pass", escape)
+    monkeypatch.setattr(gapped, "_pass", escape)
     with pytest.raises(GapIndexError, match="escaped"):
         plan_cover(3, 5)
 

@@ -251,7 +251,7 @@ def test_blocks_share_their_base_sets_members():
         assert len(backend.members) == len(backend.sets)
         assert len({id(m) for m in backend.members}) == c.k
         for t, elements in enumerate(backend.sets):
-            assert set(elements) <= backend.members[t]
+            assert all(e in backend.members[t] for e in elements)
         assert backend.dict_entries == sum(len(s) for s in backend.sets)
 
 
@@ -273,8 +273,19 @@ def test_shared_members_answer_as_one_member_set_per_block():
                 parent.append(p)
         shared = build_backend(all_sets, kind, bases=parent)
         own = build_backend(shared.sets, kind)
-        assert len({id(m) for m in shared.members}) == c.k
-        assert len({id(m) for m in own.members}) == len(own.sets)
+        # One member set per base of more than one element; a smaller base
+        # answers by its own tuple.
+        multi = [p for p in range(c.k) if len(c.sets[p].elements) > 1]
+        assert len({id(m) for m, p in zip(shared.members, parent) if p in multi}) == len(multi)
+        assert len({id(m) for m, s in zip(own.members, own.sets) if len(s) > 1}) == len(
+            [s for s in own.sets if len(s) > 1]
+        )
+        for t, p in enumerate(parent):
+            if len(all_sets[p]) <= 1:
+                assert shared.members[t] is all_sets[p]
+        for t, s in enumerate(own.sets):
+            if len(s) <= 1:
+                assert own.members[t] is s
         assert shared.space_bytes() == own.space_bytes()
         ids = range(1, len(shared.sets) + 1)
         for i in ids:
