@@ -15,6 +15,13 @@ N is the stored sets' total size unless the caller names another total:
 an augmented instance counts every dyadic block of its base sets, stored
 or not.
 
+A tabulated pair whose differences span no more slots than it has
+differences is stored as a dense row table: one byte (or two, or four,
+for sides of 255 or 65,536 and more elements) per shift slot, naming the
+certificate's row in set i, so a lookup is one index. Other pairs keep a
+sorted shift table searched by bisection. ``space_bytes`` stays nominal;
+``table.nbytes`` gives the bytes the tables store.
+
 A set may name a base set that holds it as a contiguous rank run (a
 dyadic block of its parent, for example). Member sets are built once per
 base set and shared: y lies in such a set exactly when y is in the base's
@@ -34,6 +41,7 @@ queries are read-only.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -110,34 +118,60 @@ def _np_safe(sets: list[tuple[int, ...]]) -> bool:
     return all(-_NP_SAFE < s[0] and s[-1] < _NP_SAFE for s in sets if s)
 
 
+def _row_code(m: int) -> str:
+    """Type code (numpy and ``array`` alike) of a row table over an m-row
+    side: it must also hold the sentinel m."""
+    return "B" if m < 0xFF else "H" if m <= 0xFFFF else "I"
+
+
+def _scatter_rows(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
+    """The scatter over a pair's difference range: (lo, rows), or None.
+
+    Defined for a numpy-safe pair of at least 64 differences whose range
+    [lo, hi] = [min b - max a, max b - min a] spans no more slots than it
+    has differences. rows[s - lo] is the smallest row r (a = sa[r]) with
+    sa[r] + s in sb, or the sentinel len(sa) when no pair realizes s, at
+    the item type of ``_row_code``. Any other pair gives None.
+    """
+    if not use_np or len(sa) * len(sb) < 64:
+        return None
+    lo = sb[0] - sa[-1]
+    width = sb[-1] - sa[0] - lo + 1
+    if width > len(sa) * len(sb):
+        return None
+    # No more slots than differences: the peak stays within what the sort
+    # of ``_pair_shift_certs`` would take.
+    aa = np.asarray(sa, dtype=np.int64)
+    # Row-major: position p holds b - a - lo for row p // len(sb).
+    slots = ((np.asarray(sb, dtype=np.int64) - lo)[None, :] - aa[:, None]).ravel()
+    rows = np.full(width, len(sa), dtype=_row_code(len(sa)))
+    np.minimum.at(rows, slots, np.repeat(np.arange(len(sa), dtype=rows.dtype), len(sb)))
+    return lo, rows
+
+
+def _certs_from_rows(sa: tuple[int, ...], lo: int, rows: np.ndarray):
+    """A scatter's realized shifts, ascending, and their a-values (int64)."""
+    slots = np.flatnonzero(rows < len(sa))
+    return slots + lo, np.asarray(sa, dtype=np.int64)[rows[slots]]
+
+
 def _pair_shift_certs(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
     """All realized shifts b - a over sa x sb with the smallest-a certificate each.
 
-    Returns (shifts ascending, a-values) as parallel sequences. With numpy,
-    every difference of row r (a = sa[r]) is computed at once. When they
-    span no more slots than there are differences, each slot of that range
-    keeps the smallest row that lands in it (one scatter, no sort);
-    otherwise, as for widely spread values, a stable sort finds each
-    shift's first row. Small pairs and values outside int64 use a dict.
+    Returns (shifts ascending, a-values) as parallel sequences. A pair that
+    ``_scatter_rows`` covers reads them off the scatter; other numpy pairs,
+    such as widely spread values, find each shift's first row by a stable
+    sort. Small pairs and values outside int64 use a dict.
     """
+    scattered = _scatter_rows(sa, sb, use_np)
+    if scattered is not None:
+        return _certs_from_rows(sa, *scattered)
     if use_np and len(sa) * len(sb) >= 64:
         aa = np.asarray(sa, dtype=np.int64)
-        bb = np.asarray(sb, dtype=np.int64)
-        # Row-major: position p holds b - a for row p // len(bb).
-        diffs = (bb[None, :] - aa[:, None]).ravel()
-        lo = int(bb.min()) - int(aa.max())
-        width = int(bb.max()) - int(aa.min()) - lo + 1
-        # The dense table is never larger than diffs, so peak memory stays
-        # within what the sort below would take.
-        if width <= diffs.size:
-            diffs -= lo
-            first = np.full(width, len(aa), dtype=np.intp)
-            np.minimum.at(first, diffs, np.repeat(np.arange(len(aa)), len(bb)))
-            slots = np.flatnonzero(first < len(aa))
-            return slots + lo, aa[first[slots]]
+        diffs = (np.asarray(sb, dtype=np.int64)[None, :] - aa[:, None]).ravel()
         # np.unique's return_index picks the first, smallest-a, occurrence.
         shifts, first = np.unique(diffs, return_index=True)
-        return shifts, aa[first // len(bb)]
+        return shifts, aa[first // len(sb)]
     table: dict[int, int] = {}
     for a in sa:
         for b in sb:
@@ -147,33 +181,74 @@ def _pair_shift_certs(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
 
 
 class _TabulatedPairs:
-    """Shared (i, j) -> sorted shift table with smallest-a certificates.
+    """Shared (i, j) -> shift table with smallest-a certificates.
 
-    A numpy table whose shifts and a-values fit in int32 is stored as int32,
-    half the bytes of int64, and searched with an int32 key: searching an
-    int32 array for a Python int converts it the slow way on every lookup.
-    Each entry keeps its first and last shift, so a shift outside them,
-    which the key could not hold, is a miss without a search.
+    A pair that ``_scatter_rows`` covers keeps the scatter itself when that
+    is no larger than the sorted int32 form (``width * itemsize <= 8 *
+    entries``): ``lo``, one row per shift slot (``bytes`` under 255 rows,
+    else ``array('H')`` or ``array('I')``) and a reference to set i's own
+    tuple. A lookup is a range check and one index: row len(A) is a miss,
+    any other row r answers (A[r], A[r] + s).
+
+    Every other pair is a sorted shift table. A numpy one whose shifts and
+    a-values fit in int32 is stored as int32, half the bytes of int64, and
+    searched with an int32 key: searching an int32 array for a Python int
+    converts it the slow way on every lookup. Each entry keeps its first
+    and last shift, so a shift outside them, which the key could not hold,
+    is a miss without a search.
+
+    ``entries`` counts realized shifts in either layout; ``nbytes`` counts
+    the bytes of the stored rows, shifts and a-values (8 per integer of a
+    list-path pair), without object headers.
     """
 
-    __slots__ = ("_table", "entries")
+    __slots__ = ("_dense", "_table", "entries", "nbytes")
 
     def __init__(self) -> None:
+        self._dense: dict[tuple[int, int], tuple] = {}
         self._table: dict[tuple[int, int], tuple] = {}
         self.entries = 0
+        self.nbytes = 0
 
     def add_pair(self, i: int, j: int, sa, sb, use_np: bool) -> None:
-        shifts, avals = _pair_shift_certs(sa, sb, use_np)
+        scattered = _scatter_rows(sa, sb, use_np)
+        if scattered is None:
+            shifts, avals = _pair_shift_certs(sa, sb, use_np)
+        else:
+            lo, rows = scattered
+            entries = int(np.count_nonzero(rows < len(sa)))
+            # The sorted int32 form takes 4 + 4 bytes per realized shift.
+            if rows.nbytes <= 8 * entries:
+                code = rows.dtype.char
+                table = rows.tobytes() if code == "B" else array(code, rows.tobytes())
+                self._dense[(i, j)] = (lo, table, sa)
+                self.entries += entries
+                self.nbytes += rows.nbytes
+                return
+            shifts, avals = _certs_from_rows(sa, lo, rows)
         lo, hi = (int(shifts[0]), int(shifts[-1])) if len(shifts) else (1, 0)
         key = None
         if isinstance(shifts, np.ndarray):
             key = int
             if _INT32.min <= min(lo, sa[0]) and max(hi, sa[-1]) <= _INT32.max:
                 shifts, avals, key = shifts.astype(np.int32), avals.astype(np.int32), np.int32
+            self.nbytes += shifts.nbytes + avals.nbytes
+        else:
+            self.nbytes += 2 * _INT_BYTES * len(shifts)
         self._table[(i, j)] = (shifts, avals, lo, hi, key)
         self.entries += len(shifts)
 
     def lookup(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
+        dense = self._dense.get((i, j))
+        if dense is not None:
+            lo, rows, sa = dense
+            k = s - lo
+            if 0 <= k < len(rows):
+                r = rows[k]
+                if r != len(sa):
+                    a = sa[r]
+                    return ShiftCertificate(a, a + s)
+            return None
         shifts, avals, lo, hi, key = self._table[(i, j)]
         if not lo <= s <= hi:
             return None

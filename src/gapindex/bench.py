@@ -10,7 +10,9 @@ A bench spec is a JSON object with optional keys:
   "queries", "seed"} entries.
 
 Each entry yields one line-delimited JSON record. Budget overruns are
-recorded in the record, not fatal.
+recorded in the record, not fatal. An ``ssi`` record gives the nominal
+``build_bytes`` (``SsiBackend.space_bytes``) and, beside it, the bytes its
+tabulated pairs physically store (``table_bytes``).
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ def _ssi_record(entry: dict, mem_budget: int) -> dict:
         return record
     record["build_seconds"] = round(time.perf_counter() - started, 6)
     record["build_bytes"] = backend.space_bytes()
+    record["table_bytes"] = backend.table.nbytes
     queries = entry.get("queries", 1000)
     qrng = random.Random(seed + 1)
     plan = [

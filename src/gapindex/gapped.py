@@ -353,16 +353,21 @@ class LevelIndex:
     Quotient set i holds a >> (level - 1) for a in S_i, in order since S_i is
     sorted. The originals of quotient q are the run of S_i inside
     [q << (level - 1), (q + 1) << (level - 1)), found by two bisections.
+    Level 1 divides by 1, so its quotient collection is the parent itself,
+    behind an instance of its own.
     """
 
     def __init__(self, c: SetCollection, level: int, kind: BackendKind, mem_budget: int):
         self.level = level
         self.parents = c
         shift = level - 1
-        quotient_sets = tuple(
-            IntSet(s.id, tuple(dict.fromkeys(a >> shift for a in s.elements))) for s in c.sets
-        )
-        self.instance = AugmentedInstance(SetCollection(quotient_sets, c.universe), kind, mem_budget)
+        quotients = c
+        if shift:
+            quotients = SetCollection(tuple(
+                IntSet(s.id, tuple(dict.fromkeys(a >> shift for a in s.elements)))
+                for s in c.sets
+            ), c.universe)
+        self.instance = AugmentedInstance(quotients, kind, mem_budget)
 
     def originals(self, set_id: int, quotient_value: int) -> list[int]:
         elements, shift = self.parents.sets[set_id - 1].elements, self.level - 1

@@ -14,7 +14,8 @@ All positions are 1-based, matching the on-disk query/output formats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,12 +36,15 @@ class SuffixArray:
     lcp[t] is the longest common prefix of the suffixes at sa[t-1] and
     sa[t], with lcp[0] = 0. Suffix order treats the implicit end of the
     text as smaller than every byte, so a prefix sorts before its
-    extensions.
+    extensions. No query reads lcp, so it is computed on first read.
     """
 
     text: bytes
     sa: tuple[int, ...]
-    lcp: tuple[int, ...]
+
+    @cached_property
+    def lcp(self) -> tuple[int, ...]:
+        return tuple(_lcp_kasai(self.text, [p - 1 for p in self.sa]))
 
     def __len__(self) -> int:
         return len(self.text)
@@ -70,7 +74,7 @@ def _suffix_order(data: bytes) -> np.ndarray:
         step *= 2
 
 
-def _lcp_kasai(data: bytes, order: np.ndarray) -> list[int]:
+def _lcp_kasai(data: bytes, order: Sequence[int]) -> list[int]:
     n = len(data)
     pos_of = [0] * n
     for t, start in enumerate(order):
@@ -92,12 +96,10 @@ def _lcp_kasai(data: bytes, order: np.ndarray) -> list[int]:
 
 
 def build_suffix_array(text: bytes) -> SuffixArray:
-    """Suffix array plus LCP for a nonempty byte string."""
+    """Suffix array (LCP on first read) for a nonempty byte string."""
     if not text:
         raise FormatError("text must be nonempty")
-    order = _suffix_order(text)
-    lcp = _lcp_kasai(text, order)
-    return SuffixArray(text=text, sa=tuple(int(x) + 1 for x in order), lcp=tuple(lcp))
+    return SuffixArray(text=text, sa=tuple(int(x) + 1 for x in _suffix_order(text)))
 
 
 def pattern_interval(sa: SuffixArray, pattern: bytes) -> tuple[int, int]:

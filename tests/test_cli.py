@@ -390,6 +390,8 @@ def test_bench_records(tmp_path, capsys):
     assert len(records) == 4
     ssi = [r for r in records if r["kind"] == "ssi"]
     assert all("build_bytes" in r for r in ssi)
+    assert all(0 <= r["table_bytes"] <= r["build_bytes"] for r in ssi)
+    assert any(r["table_bytes"] > 0 for r in ssi)
     assert [r["delta"] for r in ssi] == [0.0, 0.5, 1.0]
     gs = [r for r in records if r["kind"] == "gapped-string"]
     assert gs[0]["base_ssi_calls"] > 0

@@ -131,6 +131,18 @@ def test_build_levels_and_quotients():
     assert level2.originals(1, 2) == [4, 5]
 
 
+def test_level_one_keeps_the_parent_collection():
+    # Level 1 divides by 2^0 = 1: its quotients are the parent sets, passed
+    # through uncopied, behind an instance (and counters) of its own.
+    c = ingest_collection([[4, 5], [7]], u=8)
+    g = build_gapped_index(c, LinearScan())
+    level1 = g.levels[0]
+    assert level1.instance.base is c
+    assert level1.instance is not g.exact
+    assert level1.originals(1, 5) == [5]
+    assert gapped_report(g, 1, 2, 2, 3) == brute_pairs(c, 1, 2, 2, 3)
+
+
 def test_element_accounting():
     c = ingest_collection([[1, 5, 9, 13], [2, 3]], u=16)
     g = build_gapped_index(c, LinearScan())

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gapindex import textindex
 from gapindex.backends import LinearScan
 from gapindex.errors import BudgetError, FormatError
 from gapindex.generators import random_pattern_from, random_text
@@ -44,6 +45,21 @@ def test_suffix_array_banana():
     sa = build_suffix_array(b"banana")
     assert sa.sa == (6, 4, 2, 1, 5, 3)
     assert sa.lcp == brute_lcp(b"banana", sa.sa)
+
+
+def test_string_index_never_computes_the_lcp(monkeypatch):
+    # No query reads the LCP array, so a build and its queries never compute
+    # it; the first read of ``lcp`` does.
+    def refuse(*args):
+        raise AssertionError("LCP computed")
+
+    text = b"abracadabra" * 4
+    monkeypatch.setattr(textindex, "_lcp_kasai", refuse)
+    index = build_gapped_string_index(text, LinearScan())
+    assert index.report(b"ab", b"ra", 0, 12) == baseline_linear_scan(text, b"ab", b"ra", 0, 12)
+    assert index.exists(b"ca", b"da", 1, 5) is not None
+    monkeypatch.undo()
+    assert index.suffixes.lcp == brute_lcp(text, index.suffixes.sa)
 
 
 def test_suffix_array_run():
