@@ -19,8 +19,10 @@ A tabulated pair whose differences span no more slots than it has
 differences is stored as a dense row table: one byte (or two, or four,
 for sides of 255 or 65,536 and more elements) per shift slot, naming the
 certificate's row in set i, so a lookup is one index. Other pairs keep a
-sorted shift table searched by bisection. ``space_bytes`` stays nominal;
-``table.nbytes`` gives the bytes the tables store.
+sorted shift table searched by bisection. Each unordered pair is stored
+once, with the smaller set as set i: (j, i) at shift s reads (i, j)'s
+table at -s as its mirror. ``space_bytes`` stays nominal, counting both
+orientations; ``table.nbytes`` gives the bytes the tables store.
 
 A set may name a base set that holds it as a contiguous rank run (a
 dyadic block of its parent, for example). Member sets are built once per
@@ -124,51 +126,46 @@ def _row_code(m: int) -> str:
     return "B" if m < 0xFF else "H" if m <= 0xFFFF else "I"
 
 
-def _scatter_rows(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
+def _scatter_rows(sa: tuple[int, ...], sb: tuple[int, ...], aa, bb):
     """The scatter over a pair's difference range: (lo, rows), or None.
 
-    Defined for a numpy-safe pair of at least 64 differences whose range
-    [lo, hi] = [min b - max a, max b - min a] spans no more slots than it
-    has differences. rows[s - lo] is the smallest row r (a = sa[r]) with
-    sa[r] + s in sb, or the sentinel len(sa) when no pair realizes s, at
-    the item type of ``_row_code``. Any other pair gives None.
+    ``aa`` and ``bb`` are sa and sb as int64 arrays, or None for a pair
+    outside numpy's reach. Defined for a numpy pair of at least 64
+    differences whose range [lo, hi] = [min b - max a, max b - min a] spans
+    no more slots than it has differences. rows[s - lo] is the smallest row
+    r (a = sa[r]) with sa[r] + s in sb, or the sentinel len(sa) when no pair
+    realizes s, at the item type of ``_row_code``. Any other pair gives None.
     """
-    if not use_np or len(sa) * len(sb) < 64:
+    if aa is None or len(sa) * len(sb) < 64:
         return None
     lo = sb[0] - sa[-1]
     width = sb[-1] - sa[0] - lo + 1
     if width > len(sa) * len(sb):
         return None
     # No more slots than differences: the peak stays within what the sort
-    # of ``_pair_shift_certs`` would take.
-    aa = np.asarray(sa, dtype=np.int64)
+    # of ``_sorted_certs`` would take.
     # Row-major: position p holds b - a - lo for row p // len(sb).
-    slots = ((np.asarray(sb, dtype=np.int64) - lo)[None, :] - aa[:, None]).ravel()
+    slots = ((bb - lo)[None, :] - aa[:, None]).ravel()
     rows = np.full(width, len(sa), dtype=_row_code(len(sa)))
     np.minimum.at(rows, slots, np.repeat(np.arange(len(sa), dtype=rows.dtype), len(sb)))
     return lo, rows
 
 
-def _certs_from_rows(sa: tuple[int, ...], lo: int, rows: np.ndarray):
+def _certs_from_rows(aa: np.ndarray, lo: int, rows: np.ndarray):
     """A scatter's realized shifts, ascending, and their a-values (int64)."""
-    slots = np.flatnonzero(rows < len(sa))
-    return slots + lo, np.asarray(sa, dtype=np.int64)[rows[slots]]
+    slots = np.flatnonzero(rows < len(aa))
+    return slots + lo, aa[rows[slots]]
 
 
-def _pair_shift_certs(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
-    """All realized shifts b - a over sa x sb with the smallest-a certificate each.
+def _sorted_certs(sa: tuple[int, ...], sb: tuple[int, ...], aa, bb):
+    """The (shifts, a-values) of a pair ``_scatter_rows`` does not cover.
 
-    Returns (shifts ascending, a-values) as parallel sequences. A pair that
-    ``_scatter_rows`` covers reads them off the scatter; other numpy pairs,
-    such as widely spread values, find each shift's first row by a stable
-    sort. Small pairs and values outside int64 use a dict.
+    A numpy pair of at least 64 differences, such as widely spread values,
+    finds each shift's first row by a stable sort. Small pairs and values
+    outside int64 use a dict.
     """
-    scattered = _scatter_rows(sa, sb, use_np)
-    if scattered is not None:
-        return _certs_from_rows(sa, *scattered)
-    if use_np and len(sa) * len(sb) >= 64:
-        aa = np.asarray(sa, dtype=np.int64)
-        diffs = (np.asarray(sb, dtype=np.int64)[None, :] - aa[:, None]).ravel()
+    if aa is not None and len(sa) * len(sb) >= 64:
+        diffs = (bb[None, :] - aa[:, None]).ravel()
         # np.unique's return_index picks the first, smallest-a, occurrence.
         shifts, first = np.unique(diffs, return_index=True)
         return shifts, aa[first // len(sb)]
@@ -180,8 +177,34 @@ def _pair_shift_certs(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
     return shifts, [table[s] for s in shifts]
 
 
+def _int64(s: tuple[int, ...]) -> np.ndarray:
+    return np.asarray(s, dtype=np.int64)
+
+
+def _pair_shift_certs(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
+    """All realized shifts b - a over sa x sb with the smallest-a certificate each.
+
+    Returns (shifts ascending, a-values) as parallel sequences: read off
+    the scatter for a pair ``_scatter_rows`` covers, else ``_sorted_certs``.
+    """
+    aa, bb = (_int64(sa), _int64(sb)) if use_np else (None, None)
+    scattered = _scatter_rows(sa, sb, aa, bb)
+    if scattered is not None:
+        return _certs_from_rows(aa, *scattered)
+    return _sorted_certs(sa, sb, aa, bb)
+
+
 class _TabulatedPairs:
     """Shared (i, j) -> shift table with smallest-a certificates.
+
+    Each unordered pair {i, j} is tabulated once, as the ordered pair
+    (i, j) it is added as, and (j, i) reads the same stored object as
+    its mirror: (j, i)'s certificate at shift s is (a - s, a), where a is
+    (i, j)'s smallest-a certificate at -s, because the pairs of (j, i) at
+    s are those of (i, j) at -s turned round, and b = a - s grows with a.
+    Both keys hold the stored layout with a ``mirrored`` flag last, so a
+    lookup reads either key the same way and branches on the flag. A pair
+    (i, i) is its own mirror and is stored once, unmirrored.
 
     A pair that ``_scatter_rows`` covers keeps the scatter itself when that
     is no larger than the sorted int32 form (``width * itemsize <= 8 *
@@ -197,23 +220,30 @@ class _TabulatedPairs:
     and last shift, so a shift outside them, which the key could not hold,
     is a miss without a search.
 
-    ``entries`` counts realized shifts in either layout; ``nbytes`` counts
-    the bytes of the stored rows, shifts and a-values (8 per integer of a
-    list-path pair), without object headers.
+    ``entries`` counts the realized shifts of every ordered pair, mirrors
+    included; ``pairs`` counts the tables stored and ``nbytes`` their
+    rows, shifts and a-values (8 per integer of a list-path pair), without
+    object headers.
     """
 
-    __slots__ = ("_dense", "_table", "entries", "nbytes")
+    __slots__ = ("_dense", "_table", "entries", "pairs", "nbytes")
 
     def __init__(self) -> None:
         self._dense: dict[tuple[int, int], tuple] = {}
         self._table: dict[tuple[int, int], tuple] = {}
         self.entries = 0
+        self.pairs = 0
         self.nbytes = 0
 
-    def add_pair(self, i: int, j: int, sa, sb, use_np: bool) -> None:
-        scattered = _scatter_rows(sa, sb, use_np)
+    def add_pair(self, i: int, j: int, sa, sb, aa=None, bb=None) -> None:
+        """Tabulate (i, j) over sets sa and sb, and (j, i) as its mirror.
+
+        ``aa`` and ``bb`` are sa and sb as int64 arrays, or None (the
+        default) to tabulate without numpy.
+        """
+        scattered = _scatter_rows(sa, sb, aa, bb)
         if scattered is None:
-            shifts, avals = _pair_shift_certs(sa, sb, use_np)
+            shifts, avals = _sorted_certs(sa, sb, aa, bb)
         else:
             lo, rows = scattered
             entries = int(np.count_nonzero(rows < len(sa)))
@@ -221,46 +251,54 @@ class _TabulatedPairs:
             if rows.nbytes <= 8 * entries:
                 code = rows.dtype.char
                 table = rows.tobytes() if code == "B" else array(code, rows.tobytes())
-                self._dense[(i, j)] = (lo, table, sa)
-                self.entries += entries
-                self.nbytes += rows.nbytes
+                self._store(self._dense, i, j, (lo, table, sa), entries, rows.nbytes)
                 return
-            shifts, avals = _certs_from_rows(sa, lo, rows)
+            shifts, avals = _certs_from_rows(aa, lo, rows)
         lo, hi = (int(shifts[0]), int(shifts[-1])) if len(shifts) else (1, 0)
         key = None
         if isinstance(shifts, np.ndarray):
             key = int
             if _INT32.min <= min(lo, sa[0]) and max(hi, sa[-1]) <= _INT32.max:
                 shifts, avals, key = shifts.astype(np.int32), avals.astype(np.int32), np.int32
-            self.nbytes += shifts.nbytes + avals.nbytes
+            nbytes = shifts.nbytes + avals.nbytes
         else:
-            self.nbytes += 2 * _INT_BYTES * len(shifts)
-        self._table[(i, j)] = (shifts, avals, lo, hi, key)
-        self.entries += len(shifts)
+            nbytes = 2 * _INT_BYTES * len(shifts)
+        self._store(self._table, i, j, (shifts, avals, lo, hi, key), len(shifts), nbytes)
+
+    def _store(self, layout: dict, i: int, j: int, stored: tuple, entries: int,
+               nbytes: int) -> None:
+        layout[(i, j)] = (*stored, False)
+        self.entries += entries
+        self.pairs += 1
+        self.nbytes += nbytes
+        if i != j:
+            layout[(j, i)] = (*stored, True)
+            self.entries += entries
 
     def lookup(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
         dense = self._dense.get((i, j))
         if dense is not None:
-            lo, rows, sa = dense
-            k = s - lo
+            lo, rows, sa, mirrored = dense
+            k = (-s if mirrored else s) - lo
             if 0 <= k < len(rows):
                 r = rows[k]
                 if r != len(sa):
                     a = sa[r]
-                    return ShiftCertificate(a, a + s)
+                    return ShiftCertificate(a - s, a) if mirrored else ShiftCertificate(a, a + s)
             return None
-        shifts, avals, lo, hi, key = self._table[(i, j)]
-        if not lo <= s <= hi:
+        shifts, avals, lo, hi, key, mirrored = self._table[(i, j)]
+        t = -s if mirrored else s
+        if not lo <= t <= hi:
             return None
         if key is None:
             # List path: pairs too small for numpy, or values outside int64.
-            pos = bisect_left(shifts, s)
+            pos = bisect_left(shifts, t)
         else:
-            pos = int(shifts.searchsorted(key(s)))
-        if shifts[pos] != s:
+            pos = int(shifts.searchsorted(key(t)))
+        if shifts[pos] != t:
             return None
         a = int(avals[pos])
-        return ShiftCertificate(a, a + s)
+        return ShiftCertificate(a - s, a) if mirrored else ShiftCertificate(a, a + s)
 
 
 def size_threshold(kind: BackendKind, total: int) -> float:
@@ -311,10 +349,14 @@ class SsiBackend:
                 raise BudgetError(
                     f"{kind.name} build needs ~{needed} bytes, over budget {mem_budget}"
                 )
-            use_np = _np_safe(sets)
-            for i in large_ids:
-                for j in large_ids:
-                    self.table.add_pair(i, j, sets[i - 1], sets[j - 1], use_np)
+            # Each large set is converted to int64 once, not once per pair.
+            arrays = {i: _int64(sets[i - 1]) for i in large_ids} if _np_safe(sets) else {}
+            for x, p in enumerate(large_ids):
+                for q in large_ids[x:]:
+                    # The smaller set is the row side: the narrowest rows.
+                    i, j = (q, p) if len(sets[q - 1]) < len(sets[p - 1]) else (p, q)
+                    self.table.add_pair(i, j, sets[i - 1], sets[j - 1],
+                                        arrays.get(i), arrays.get(j))
         self.members: list[Union[frozenset, tuple[int, ...]]] = []
         self.dict_entries = 0
         if not isinstance(kind, FullTabulation):
@@ -328,6 +370,18 @@ class SsiBackend:
             # Logical space: one entry per stored element, as if each set
             # kept its own members.
             self.dict_entries = sum(len(s) for s in sets)
+
+    def twin(self) -> "SsiBackend":
+        """A backend over the same sets that shares this one's tables and
+        member sets, with a ``probes`` counter of its own."""
+        # Attribute by attribute: ``copy.copy`` reads both objects'
+        # ``__dict__``, which in CPython moves their attributes out of the
+        # inline layout and slows every later attribute read.
+        twin = object.__new__(type(self))
+        for name in ("sets", "kind", "threshold", "table", "members", "dict_entries"):
+            setattr(twin, name, getattr(self, name))
+        twin.probes = 0
+        return twin
 
     @property
     def large(self) -> list[bool]:

@@ -12,7 +12,8 @@ A bench spec is a JSON object with optional keys:
 Each entry yields one line-delimited JSON record. Budget overruns are
 recorded in the record, not fatal. An ``ssi`` record gives the nominal
 ``build_bytes`` (``SsiBackend.space_bytes``) and, beside it, the bytes its
-tabulated pairs physically store (``table_bytes``).
+tabulated pairs physically store (``table_bytes``) and the number of
+tables stored (``table_pairs``: one per unordered pair of large sets).
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def _ssi_record(entry: dict, mem_budget: int) -> dict:
     record["build_seconds"] = round(time.perf_counter() - started, 6)
     record["build_bytes"] = backend.space_bytes()
     record["table_bytes"] = backend.table.nbytes
+    record["table_pairs"] = backend.table.pairs
     queries = entry.get("queries", 1000)
     qrng = random.Random(seed + 1)
     plan = [

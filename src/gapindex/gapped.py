@@ -354,20 +354,22 @@ class LevelIndex:
     sorted. The originals of quotient q are the run of S_i inside
     [q << (level - 1), (q + 1) << (level - 1)), found by two bisections.
     Level 1 divides by 1, so its quotient collection is the parent itself,
-    behind an instance of its own.
+    and its instance is a twin of the exact one: it shares the stored sets,
+    member sets and tables, and counts its own calls and probes.
     """
 
-    def __init__(self, c: SetCollection, level: int, kind: BackendKind, mem_budget: int):
+    def __init__(self, exact: AugmentedInstance, level: int, mem_budget: int):
         self.level = level
-        self.parents = c
+        self.parents = c = exact.base
         shift = level - 1
-        quotients = c
-        if shift:
-            quotients = SetCollection(tuple(
-                IntSet(s.id, tuple(dict.fromkeys(a >> shift for a in s.elements)))
-                for s in c.sets
-            ), c.universe)
-        self.instance = AugmentedInstance(quotients, kind, mem_budget)
+        if not shift:
+            self.instance = exact.twin()
+            return
+        quotients = SetCollection(tuple(
+            IntSet(s.id, tuple(dict.fromkeys(a >> shift for a in s.elements)))
+            for s in c.sets
+        ), c.universe)
+        self.instance = AugmentedInstance(quotients, exact.kind, mem_budget)
 
     def originals(self, set_id: int, quotient_value: int) -> list[int]:
         elements, shift = self.parents.sets[set_id - 1].elements, self.level - 1
@@ -384,7 +386,7 @@ class GappedIndex:
         self.exact = AugmentedInstance(c, kind, mem_budget)
         self.max_level = max(c.universe - 1, 0).bit_length()  # ceil(log2 u)
         self.levels = [
-            LevelIndex(c, level, kind, mem_budget)
+            LevelIndex(self.exact, level, mem_budget)
             for level in range(1, self.max_level + 1)
         ]
         per_level_bound = self.exact.total_elements

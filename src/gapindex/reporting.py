@@ -107,6 +107,18 @@ class AugmentedInstance:
         self.scan_calls = 0
         self.last_query_calls = 0
 
+    def twin(self) -> "AugmentedInstance":
+        """An instance over the same collection that shares this one's stored
+        sets, ``first_block``, member sets and tables, behind a backend
+        object of its own: both count their calls and probes apart."""
+        twin = object.__new__(type(self))
+        for name in ("base", "kind", "base_elements", "dyadic_elements", "total_elements",
+                     "lowest_level", "first_block"):
+            setattr(twin, name, getattr(self, name))
+        twin.backend = self.backend.twin()
+        twin.existence_calls = twin.scan_calls = twin.last_query_calls = 0
+        return twin
+
     def _exists(self, set_a: int, set_b: int, s: int) -> Optional[ShiftCertificate]:
         self.existence_calls += 1
         self.last_query_calls += 1

@@ -280,9 +280,12 @@ def test_tables_narrow_to_int32_and_reject_shifts_outside_it():
         for i in (1, 2):
             for j in (1, 2):
                 realized = sorted({b - a for a in sets[i - 1] for b in sets[j - 1]})
-                fits = (-top <= min(realized[0], sets[i - 1][0])
-                        and max(realized[-1], sets[i - 1][-1]) < top)
-                shifts, avals = backend.table._table[(i, j)][:2]
+                shifts, avals, *_, mirrored = backend.table._table[(i, j)]
+                # A mirror reads the table stored for (j, i): its a-values
+                # are set j's and its shifts are (i, j)'s negated.
+                stored = sets[j - 1] if mirrored else sets[i - 1]
+                low, high = (-realized[-1], -realized[0]) if mirrored else (realized[0], realized[-1])
+                fits = -top <= min(low, stored[0]) and max(high, stored[-1]) < top
                 assert shifts.dtype == avals.dtype == (np.int32 if fits else np.int64)
                 dtypes.add(shifts.dtype)
                 probe = realized + [realized[0] - 1, realized[-1] + 1,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gapindex import cli
-from gapindex.backends import LinearScan, SmallUniverse
+from gapindex.backends import LinearScan, SmallUniverse, build_backend, parse_backend
 from gapindex.generators import random_collection
 from gapindex.persist import (
     FORMAT_VERSION,
@@ -392,6 +392,12 @@ def test_bench_records(tmp_path, capsys):
     assert all("build_bytes" in r for r in ssi)
     assert all(0 <= r["table_bytes"] <= r["build_bytes"] for r in ssi)
     assert any(r["table_bytes"] > 0 for r in ssi)
+    # One table per unordered pair of the L large sets, (i, i) included.
+    for r in ssi:
+        kind = parse_backend("smalluniverse", r["delta"])
+        large = sum(build_backend(random_collection(random.Random(2), 5, 200, 100), kind).large)
+        assert r["table_pairs"] == large * (large + 1) // 2
+    assert any(r["table_pairs"] > 0 for r in ssi)
     assert [r["delta"] for r in ssi] == [0.0, 0.5, 1.0]
     gs = [r for r in records if r["kind"] == "gapped-string"]
     assert gs[0]["base_ssi_calls"] > 0

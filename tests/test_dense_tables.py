@@ -2,9 +2,11 @@
 
 A pair whose difference range is no wider than |A|*|B| is scattered into
 one row per shift slot; it stays dense when that is no larger than the
-sorted int32 form. These tests pin which pairs go dense, at which item
-type, and that every lookup answers as ``brute_force_ssi`` and as the
-dict-built sorted table.
+sorted int32 form. Each unordered pair is stored once, with the smaller
+set as the row side, and the other order reads it as a mirror. These
+tests pin which pairs go dense, at which item type, which order is
+stored, and that every lookup, stored or mirrored, answers as
+``brute_force_ssi`` and as the dict-built sorted table.
 """
 
 import gc
@@ -12,6 +14,7 @@ import random
 import tracemalloc
 from array import array
 
+import numpy as np
 import pytest
 
 from gapindex.backends import (
@@ -24,6 +27,7 @@ from gapindex.backends import (
     build_backend,
 )
 from gapindex.generators import random_collection
+from gapindex.reporting import ThreeSumReporting
 
 _FAR = [2**31, 2**31 - 1, -2**31, -2**31 - 1, 2**40, -2**40, 2**70, -2**70]
 
@@ -32,17 +36,40 @@ def _side(rng, size, lo, hi):
     return tuple(sorted(rng.sample(range(lo, hi), size)))
 
 
+def _entry(table, i, j):
+    """The stored layout under key (i, j), its ``mirrored`` flag last."""
+    return table._dense.get((i, j)) or table._table[(i, j)]
+
+
+def _layout(table, i, j):
+    """Row item type of a dense pair; dtype name or "list" of a sorted one."""
+    if (i, j) in table._dense:
+        rows = table._dense[(i, j)][1]
+        return "B" if isinstance(rows, bytes) else rows.typecode
+    shifts = table._table[(i, j)][0]
+    return shifts.dtype.name if isinstance(shifts, np.ndarray) else "list"
+
+
 def _check_every_pair(sets):
     """Every tabulated pair of a ``FullTabulation`` backend answers each
-    shift of its difference range, one slot beyond either end and the far
-    shifts as the oracle and the sorted (dict-built) table do. Returns the
-    backend."""
+    shift of its difference range, two slots beyond either end and the far
+    shifts as the oracle and the sorted (dict-built) table do, in both
+    orders. Each unordered pair is stored once, with the smaller set (the
+    lower id on a tie) as the row side, and the other order is its mirror,
+    sharing every stored object; (i, i) is stored unmirrored. ``entries``
+    counts every ordered pair. Returns the backend."""
     backend = build_backend(sets, FullTabulation())
     table = backend.table
+    entries = 0
     for i, sa in enumerate(sets, start=1):
         for j, sb in enumerate(sets, start=1):
             assert ((i, j) in table._dense) != ((i, j) in table._table)
+            mine, theirs = _entry(table, i, j), _entry(table, j, i)
+            stored = (len(sa), i) <= (len(sb), j)
+            assert mine[-1] is (not stored) and theirs[-1] is (stored and i != j)
+            assert all(x is y for x, y in zip(mine[:-1], theirs[:-1]))
             shifts, avals = _pair_shift_certs(sa, sb, use_np=False)
+            entries += len(shifts)
             sorted_form = dict(zip(shifts, avals))
             lo, hi = (sb[0] - sa[-1], sb[-1] - sa[0]) if sa and sb else (0, 0)
             for s in list(range(lo - 2, hi + 3)) + _FAR:
@@ -53,6 +80,8 @@ def _check_every_pair(sets):
                 assert got == ((sorted_form[s], sorted_form[s] + s)
                                if s in sorted_form else None), (i, j, s)
     assert backend.probes == 0
+    assert table.entries == entries
+    assert table.pairs == len(sets) * (len(sets) + 1) // 2
     return backend
 
 
@@ -63,36 +92,48 @@ def _rows(backend, i, j):
 @pytest.mark.parametrize("m, code", [(254, "B"), (255, "H"), (256, "H")])
 def test_row_item_type_switches_at_255_rows(m, code):
     rng = random.Random(m)
-    # |A| = m and |B| = 10 over [0, 400): ~800 slots against 10*m differences.
-    sets = [_side(rng, m, 0, 400), _side(rng, 10, 0, 400)]
+    # Over [0, 400): |A| = m, |B| = 10 and |C| = m + 1, ~800 slots for each
+    # pair against at least 10*m differences, save B against itself.
+    sets = [_side(rng, m, 0, 400), _side(rng, 10, 0, 400), _side(rng, m + 1, 0, 400)]
     backend = _check_every_pair(sets)
-    rows = _rows(backend, 1, 2)
+    # A and C store A's m rows; (3, 1) reads them as a mirror.
+    rows = _rows(backend, 1, 3)
     if code == "B":
         assert isinstance(rows, bytes)
     else:
         assert isinstance(rows, array) and rows.typecode == code
-    # The ten-row side is always a byte table.
-    assert isinstance(_rows(backend, 2, 1), bytes)
-    # B against itself spreads over ~800 slots, wider than its 100 differences.
-    assert set(backend.table._dense) == {(1, 1), (1, 2), (2, 1)}
-    width = (sets[1][-1] - sets[1][0]) + (sets[0][-1] - sets[0][0]) + 1
+    assert backend.table._dense[(3, 1)][-1]
+    width = (sets[2][-1] - sets[2][0]) + (sets[0][-1] - sets[0][0]) + 1
     assert len(rows) == width
+    # A pair with the ten-element B stores B's rows, a byte table: (2, 1),
+    # which (1, 2) reads as a mirror, and (2, 3).
+    assert isinstance(_rows(backend, 2, 1), bytes) and backend.table._dense[(1, 2)][-1]
+    assert isinstance(_rows(backend, 2, 3), bytes) and not backend.table._dense[(2, 3)][-1]
+    # B against itself spreads over ~800 slots, wider than its 100 differences.
+    assert set(backend.table._table) == {(2, 2)}
+    assert len(backend.table._dense) == 8
 
 
 @pytest.mark.parametrize("m, code", [(65535, "H"), (65536, "I")])
 def test_row_item_type_widens_past_65535_rows(m, code):
-    # One pair only: A = 0..m-1 against B = {0, 2}, m + 2 slots for 2m
-    # differences. Row r answers shift s for a = r when r + s is in B.
+    # One pair only, added as (1, 2): A = 0..m-1 against B = {0, 2}, m + 2
+    # slots for 2m differences. Row r answers shift s for a = r when r + s
+    # is in B; (2, 1) at -s reads the same rows as a mirror.
     sa, sb = tuple(range(m)), (0, 2)
     table = _TabulatedPairs()
-    table.add_pair(1, 2, sa, sb, use_np=True)
-    lo, rows, kept = table._dense[(1, 2)]
-    assert (lo, len(rows), rows.typecode, kept) == (-(m - 1), m + 2, code, sa)
-    assert table.nbytes == (m + 2) * rows.itemsize and table.entries == m + 2
-    for s in (-m, -(m - 1), -(m - 2), -1, 0, 1, 2, 3, _FAR[0]):
+    table.add_pair(1, 2, sa, sb, np.asarray(sa, dtype=np.int64), np.asarray(sb, dtype=np.int64))
+    lo, rows, kept, mirrored = table._dense[(1, 2)]
+    assert (lo, len(rows), rows.typecode, kept, mirrored) == (-(m - 1), m + 2, code, sa, False)
+    assert table._dense[(2, 1)] == (lo, rows, kept, True) and table._dense[(2, 1)][1] is rows
+    assert table.nbytes == (m + 2) * rows.itemsize and table.pairs == 1
+    assert table.entries == 2 * (m + 2)
+    for s in (-m - 1, -m, -(m - 1), -(m - 2), -1, 0, 1, 2, 3, m - 1, m, m + 1, *_FAR):
         expected = [(a, a + s) for a in (0 - s, 2 - s) if 0 <= a < m]
         cert = table.lookup(1, 2, s)
         assert (cert and (cert.a, cert.b)) == (expected[0] if expected else None), s
+        flipped = [(b, b + s) for b in (0, 2) if 0 <= b + s < m]
+        cert = table.lookup(2, 1, s)
+        assert (cert and (cert.a, cert.b)) == (flipped[0] if flipped else None), s
 
 
 def test_width_equal_to_the_product_scatters_and_one_more_sorts():
@@ -149,19 +190,65 @@ def test_random_pairs_match_the_oracle():
     assert layouts == {"dense", "sorted"}
 
 
+def test_mirrors_answer_in_every_layout():
+    """Both orders of random pairs in each layout answer as the oracle:
+    byte and 'H' rows, sorted int32 and int64, the list path (small pairs,
+    and values outside int64) and an empty set. 'I' rows are covered by
+    the single pair above."""
+    rng = random.Random(7)
+    top = 2**31
+    collections = [
+        [_side(rng, 255, 0, 400), _side(rng, 10, 0, 400), _side(rng, 256, 0, 400)],
+        # a-values past int32 keep int64 tables; 5 x 12 differences stay lists.
+        [_side(rng, 12, top, top + 300), _side(rng, 12, top - 200, top + 100),
+         _side(rng, 5, top - 50, top + 50)],
+        [_side(rng, 12, 2**70, 2**70 + 60), _side(rng, 9, 2**70 - 20, 2**70 + 40)],
+        [_side(rng, 30, -60, 40), (), _side(rng, 3, -5, 5)],
+    ]
+    for _ in range(4):
+        collections.append([_side(rng, rng.randint(1, 60), -100, rng.randint(-50, 150))
+                            for _ in range(3)])
+    layouts = set()
+    for sets in collections:
+        table = _check_every_pair(sets).table
+        layouts.update(_layout(table, i, j) for i in range(1, len(sets) + 1)
+                       for j in range(1, len(sets) + 1))
+    assert layouts == {"B", "H", "int32", "int64", "list"}
+
+
+def test_three_sum_asks_read_a_mirror():
+    # The reduction asks (S_2, S_1, c - offset); S_1 and S_2 have equal
+    # sizes, so (1, 2) is stored and (2, 1) is its mirror, in the base
+    # pair and in every pair of blocks.
+    rng = random.Random(8)
+    values = sorted(rng.sample(range(1, 120), 24))
+    index = ThreeSumReporting(values, FullTabulation())
+    backend = index.index.backend
+    assert _entry(backend.table, 2, 1)[-1]
+    for c in range(0, 2 * values[-1] + 3):
+        pairs = sorted({(min(a, b), max(a, b)) for a in values for b in values if a + b == c})
+        assert index.report(c) == pairs
+        expected = brute_force_ssi(index.collection, index.map.query(c))
+        cert = backend.exists(2, 1, index._shift(c))
+        assert (cert and (cert.a, cert.b)) == (expected[0] if expected else None)
+        assert (index.exists(c) is None) == (not pairs)
+
+
 def test_set_questions_tables_are_dense_and_take_a_byte_per_slot():
     # The benchmark's large sets: 16 of 200 elements over u=8192, whose 256
-    # pairs SmallUniverse(0.5) tabulates.
+    # ordered pairs SmallUniverse(0.5) tabulates as 136 stored tables.
     collection = random_collection(random.Random(12), 16, 3200, 8192, [200] * 16)
     sets = [s.elements for s in collection.sets]
-    slots = sum((sb[-1] - sb[0]) + (sa[-1] - sa[0]) + 1 for sa in sets for sb in sets)
+    slots = sum((sb[-1] - sb[0]) + (sa[-1] - sa[0]) + 1
+                for x, sa in enumerate(sets) for sb in sets[x:])
     gc.collect()
     tracemalloc.start()
     try:
         backend = build_backend(sets, SmallUniverse(0.5))
         table = backend.table
         assert len(table._dense) == 256 and not table._table
-        assert all(isinstance(rows, bytes) for _, rows, _ in table._dense.values())
+        assert all(isinstance(rows, bytes) for _, rows, _, _ in table._dense.values())
+        assert table.pairs == 136
         assert table.nbytes == slots
         held = tracemalloc.get_traced_memory()[0]
         del backend.table, table

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from gapindex.backends import LinearScan, ShiftCertificate
-from gapindex import gapped
+from gapindex.backends import LinearScan, ShiftCertificate, SmallUniverse
+from gapindex import backends, gapped
 from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import (
     ApproxQuery,
@@ -141,6 +141,51 @@ def test_level_one_keeps_the_parent_collection():
     assert level1.instance is not g.exact
     assert level1.originals(1, 5) == [5]
     assert gapped_report(g, 1, 2, 2, 3) == brute_pairs(c, 1, 2, 2, 3)
+
+
+def test_level_one_shares_the_exact_instances_tables():
+    # Level 1 is a twin of the exact instance: the same stored sets, block
+    # ids, member sets and tables, behind objects and counters of its own.
+    c = random_collection(random.Random(3), 6, 120, 256, [10, 10, 10, 30, 30, 30])
+    g = build_gapped_index(c, SmallUniverse(0.5))
+    level1, exact = g.levels[0].instance, g.exact
+    assert level1.backend.table is exact.backend.table
+    assert exact.backend.table.pairs > 0
+    assert level1.backend.sets is exact.backend.sets
+    assert level1.backend.members is exact.backend.members
+    assert level1.first_block is exact.first_block
+    assert level1 is not exact and level1.backend is not exact.backend
+    # The twins hold the same attributes: all shared but the counters.
+    counters = {"existence_calls", "scan_calls", "last_query_calls", "backend", "probes"}
+    for twin, original in ((level1, exact), (level1.backend, exact.backend)):
+        assert set(vars(twin)) == set(vars(original))
+        assert all(getattr(twin, k) is getattr(original, k) for k in set(vars(twin)) - counters)
+    a, b = c.set(4).elements[0], c.set(5).elements[-1]
+    assert level1._exists(4, 5, b - a) == ShiftCertificate(a, b)
+    m1, m2 = len(c.set(1)), len(c.set(2))
+    assert level1._scan(1, 1, m1, 2, 1, m2, 0) == exact.backend.scan(1, 1, m1, 2, 1, m2, 0)
+    assert (level1.existence_calls, level1.scan_calls, level1.last_query_calls) == (1, 1, 2)
+    assert (exact.existence_calls, exact.scan_calls, exact.last_query_calls) == (0, 0, 0)
+    assert level1.backend.probes == exact.backend.probes > 0
+    exact._exists(1, 2, 0)
+    assert (level1.existence_calls, exact.existence_calls) == (1, 1)
+    assert level1.backend.probes < exact.backend.probes
+
+
+def test_each_stored_table_is_scattered_once(monkeypatch):
+    # The set-questions shape: 16 sets of 20 and 16 of 200 over u=8192.
+    # Every instance but level 1 scatters each unordered pair of its L large
+    # sets once, (i, i) included; level 1 reads the exact instance's tables.
+    c = random_collection(random.Random(21), 32, 3520, 8192, [20] * 16 + [200] * 16)
+    calls = []
+    scatter = backends._scatter_rows
+    monkeypatch.setattr(backends, "_scatter_rows", lambda *args: calls.append(1) or scatter(*args))
+    g = build_gapped_index(c, SmallUniverse(0.5))
+    heavy = [g.exact] + [lvl.instance for lvl in g.levels[1:]]
+    large = [sum(inst.backend.large) for inst in heavy]
+    assert large[0] > 0
+    assert len(calls) == sum(n * (n + 1) // 2 for n in large)
+    assert sum(inst.backend.table.pairs for inst in heavy) == len(calls)
 
 
 def test_element_accounting():
