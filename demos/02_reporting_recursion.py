@@ -42,7 +42,7 @@ for kind in (FullTabulation(), LinearScan()):
     pairs = report_shift(idx, 1, 2, 7)
     print("all pairs at shift 7:", pairs)
     print("backend calls spent:", idx.last_query_calls, "for", len(pairs), "pairs",
-          f"({idx.existence_calls} lookups, {idx.scan_calls} scans so far)")
+          f"({idx.existence_calls} lookups, {idx.backend.scans} scans so far)")
 
     pairs = report_shift(idx, 1, 2, 1)
     print("pairs at shift 1:", pairs, "- calls:", idx.last_query_calls)

@@ -29,15 +29,19 @@ dyadic block of its parent, for example). Member sets are built once per
 base set and shared: y lies in such a set exactly when y is in the base's
 members and between the set's own first and last elements.
 
-Besides ``exists``, ``scan`` lists every pair of two rank ranges at one
-shift; the reporting recursion asks it for each pair it does not
-tabulate. ``scan_shifts`` answers one untabulated pair at many shifts in
-one pass, as the gapped index asks a plan's level: it lists the pair's
-differences once when neither set outnumbers the shifts, and otherwise
-runs ``scan``'s walk once per shift.
+The backend owns each pair's route: ``tabulated(i, j)`` states the rule
+that every caller asks. Besides ``exists``, ``scan`` lists every pair of
+two rank ranges at one shift; the reporting recursion asks it for each
+pair it does not tabulate. ``scan_shifts`` answers one untabulated pair
+at many shifts in one pass, as the gapped index asks a plan's level: it
+lists the pair's differences once when neither set outnumbers the shifts,
+and otherwise runs ``scan``'s walk once per shift. ``differences`` gives
+the set of b - a that such a listing reads.
 
-A backend is immutable after build apart from its ``probes`` counter;
-queries are read-only.
+The backend counts its own work: ``probes`` grows by the elements a probe
+or walk visits, and ``scans`` by one per ``scan`` and per walking
+``scan_shifts`` pass; a listing counts neither. Apart from these two
+counters a backend is immutable after build; queries are read-only.
 """
 
 from __future__ import annotations
@@ -331,6 +335,7 @@ class SsiBackend:
         self.sets = sets
         self.kind = kind
         self.probes = 0
+        self.scans = 0
         if total_elements is None:
             total_elements = sum(len(s) for s in sets)
         self.threshold = threshold = size_threshold(kind, total_elements)
@@ -371,22 +376,15 @@ class SsiBackend:
             # kept its own members.
             self.dict_entries = sum(len(s) for s in sets)
 
-    def twin(self) -> "SsiBackend":
-        """A backend over the same sets that shares this one's tables and
-        member sets, with a ``probes`` counter of its own."""
-        # Attribute by attribute: ``copy.copy`` reads both objects'
-        # ``__dict__``, which in CPython moves their attributes out of the
-        # inline layout and slows every later attribute read.
-        twin = object.__new__(type(self))
-        for name in ("sets", "kind", "threshold", "table", "members", "dict_entries"):
-            setattr(twin, name, getattr(self, name))
-        twin.probes = 0
-        return twin
-
     @property
     def large(self) -> list[bool]:
         """Per set, whether it is above the threshold (tabulated against the others)."""
         return [len(s) > self.threshold for s in self.sets]
+
+    def tabulated(self, i: int, j: int) -> bool:
+        """Whether the pair is answered by table lookups: both sets are large.
+        Any other pair is probed, walked or listed."""
+        return len(self.sets[i - 1]) > self.threshold and len(self.sets[j - 1]) > self.threshold
 
     def exists(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
         """Smallest-a certificate for a + s = b over sets i, j, or None."""
@@ -395,6 +393,7 @@ class SsiBackend:
                 f"set indices ({i}, {j}) out of range 1..{len(self.sets)}"
             )
         sa, sb = self.sets[i - 1], self.sets[j - 1]
+        # The rule of ``tabulated``, inline: this is the hot path.
         if len(sa) > self.threshold and len(sb) > self.threshold:
             return self.table.lookup(i, j, s)
         # Scan the smaller side against the other's members; scanning the
@@ -427,9 +426,11 @@ class SsiBackend:
         bisections bound the walk to the elements whose partner can lie
         there, so it costs O(log + min(|A|, |B|) + occ) steps, and every
         member hit inside the walk is a pair. The caller vouches for the
-        ids and ranks; ``probes`` grows by the elements walked. An empty
-        range on either side has no pair and walks nothing.
+        ids and ranks. ``scans`` grows by one and ``probes`` by the
+        elements walked. An empty range on either side has no pair and
+        walks nothing.
         """
+        self.scans += 1
         if a_hi < a_lo or b_hi < b_lo:
             return []
         sa, sb = self.sets[i - 1], self.sets[j - 1]
@@ -446,11 +447,18 @@ class SsiBackend:
         self.probes += hi - lo
         return out
 
-    def walks(self, i: int, j: int, count: int) -> bool:
-        """Whether ``scan_shifts`` over ``count`` shifts walks the pair once
-        per shift rather than listing its differences: a set has more than
-        ``count`` elements."""
-        return len(self.sets[i - 1]) > count or len(self.sets[j - 1]) > count
+    def differences(self, i: int, j: int, count: int) -> Optional[set[int]]:
+        """Every difference b - a over sets i and j, or None when the pair is
+        tabulated or a set has more than ``count`` elements.
+
+        Listing takes |A|*|B| <= ``count`` * min(|A|, |B|) steps, no more
+        than ``count`` probes spend when every one misses; a tabulated pair
+        answers each probe by one lookup instead. Listing counts no call.
+        """
+        sa, sb = self.sets[i - 1], self.sets[j - 1]
+        if len(sa) > count or len(sb) > count or self.tabulated(i, j):
+            return None
+        return {b - a for a in sa for b in sb}
 
     def scan_shifts(self, i: int, j: int,
                     shifts: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
@@ -463,18 +471,18 @@ class SsiBackend:
         len(shifts)*min(|A|, |B|) steps, no more than the walks below
         spend when every shift misses, and ``probes`` does not grow.
         Otherwise ``scan``'s walk of the smaller set runs once per shift,
-        each bounded by two bisections, and ``probes`` grows by the
-        elements walked. The caller vouches for the ids.
+        each bounded by two bisections; the pass adds one to ``scans``, and
+        ``probes`` grows by the elements walked. The caller vouches for the
+        ids.
         """
         sa, sb = self.sets[i - 1], self.sets[j - 1]
         out: dict[int, list[tuple[int, int]]] = {}
-        # The rule of ``walks``, written out: this runs once per level of
-        # every pair a gapped report asks.
         if len(sa) <= len(shifts) and len(sb) <= len(shifts):
             wanted = set(shifts)
             for a, b in [(a, b) for a in sa for b in sb if b - a in wanted]:
                 out.setdefault(b - a, []).append((a, b))
             return out
+        self.scans += 1
         walked = 0
         if len(sa) <= len(sb):
             member, first, last = self.members[j - 1], sb[0], sb[-1]

@@ -146,6 +146,16 @@ class _QueryEngine:
             return f"# probes={self.index.probes}"
         return "#"
 
+    def _write_plan(self, g, lo: int, hi: int, out) -> None:
+        """With ``--plan``, the query's one plan for [lo, hi] clamped to the
+        universe, as ``#`` lines; nothing when the clamped gap is empty."""
+        if not self.show_plan:
+            return
+        clamped = g._clamped(lo, hi)
+        if clamped is not None:
+            for text in plan_cover(*clamped).describe().splitlines():
+                out.write(f"# {text}\n")
+
     def answer(self, line: str, out) -> None:
         kind = self.artifact.kind
         tokens = line.split()
@@ -161,11 +171,7 @@ class _QueryEngine:
                     out.write(f"{a} {b}\n")
         elif kind == "gapped-set":
             i, j, lo, hi = _parse_ints(tokens, 4, line)
-            if self.show_plan:
-                clamped = self.index._clamped(lo, hi)
-                if clamped is not None:
-                    for text in plan_cover(*clamped).describe().splitlines():
-                        out.write(f"# {text}\n")
+            self._write_plan(self.index, lo, hi, out)
             if self.mode == "exists":
                 hit = gapped_exists(self.index, i, j, lo, hi)
                 out.write(f"YES {hit[0]} {hit[1]}\n" if hit else "NO\n")
@@ -179,6 +185,7 @@ class _QueryEngine:
                 raise FormatError(f"expected 'P1 P2 lo hi', got {line!r}")
             p1, p2 = tokens[0].encode(), tokens[1].encode()
             lo, hi = _parse_ints(tokens[2:], 2, line)
+            self._write_plan(self.index.gapped, lo, hi, out)
             if self.mode == "exists":
                 hit = self.index.exists(p1, p2, lo, hi)
                 out.write(f"YES {hit[0]} {hit[1]}\n" if hit else "NO\n")

@@ -51,21 +51,26 @@ sets has at most P_l elements, listing the differences {b - a} takes
 all of them miss, so the abstract's query bound
 O~(|P1| + |P2| + n^delta*(occ+1)) still holds.
 
-A report asks each level of a pair the backend does not tabulate by one
-call, ``SsiBackend.scan_shifts``, holding the level's P_l shifts. When
-neither set has more than P_l elements, the differences are listed once
-and each keeps its pairs, in at most P_l * min(|A|, |B|) steps;
-otherwise the smaller set's cut walk of ``scan`` runs once per shift, in
-at most P_l * (log + min(|A|, |B|)) + occ steps. A walking pass counts
-as one backend call, a listing as none. Tabulated pairs (both sets above
-the backend's threshold) ask each probe through ``report_shift``, one
-lookup per miss.
+Level 1 divides by 2^0 = 1, so its quotient collection is the collection
+itself and the exact instance answers it: ``instances[l]`` names the
+instance for plan level l, and only levels from 2 build quotients.
+
+How each (pair, level) is answered is the backend's rule,
+``SsiBackend.tabulated``. A report asks each level of a pair the backend
+does not tabulate by one call, ``SsiBackend.scan_shifts``, holding the
+level's P_l shifts. When neither set has more than P_l elements, the
+differences are listed once and each keeps its pairs, in at most
+P_l * min(|A|, |B|) steps; otherwise the smaller set's cut walk of
+``scan`` runs once per shift, in at most P_l * (log + min(|A|, |B|)) + occ
+steps. A walking pass counts as one backend call, a listing as none.
+Tabulated pairs (both sets above the backend's threshold) ask each probe
+through ``report_shift``, one lookup per miss.
 
 An exists stops at its first hit, so it asks the probes lazily in order:
-a level's differences are listed when the probe order first reaches it,
-a probe whose shift is not on the list makes no backend call, and every
-other probe, a sure hit, is asked through the backend. Tabulated pairs
-are not listed.
+a level's differences (``SsiBackend.differences``) are listed when the
+probe order first reaches it, a probe whose shift is not on the list
+makes no backend call, and every other probe, a sure hit, is asked
+through the backend. Tabulated pairs are not listed.
 """
 
 from __future__ import annotations
@@ -347,38 +352,43 @@ def plan_cover(alpha: int, beta: int) -> CoverPlan:
     )
 
 
+def originals(elements: tuple[int, ...], level: int, quotient_value: int) -> list[int]:
+    """The elements of a sorted set whose level-l quotient is ``quotient_value``.
+
+    They are the run inside [q << (level - 1), (q + 1) << (level - 1)),
+    found by two bisections. At level 1 the run is the element itself, read
+    from the set's tuple, so answers share the tuple's ints.
+    """
+    shift = level - 1
+    lo = bisect_left(elements, quotient_value << shift)
+    return list(elements[lo : bisect_left(elements, (quotient_value + 1) << shift, lo)])
+
+
 class LevelIndex:
-    """Quotient collection for one level; originals are found by bisection.
+    """Quotient collection for one level l >= 2 behind its own instance.
 
     Quotient set i holds a >> (level - 1) for a in S_i, in order since S_i is
-    sorted. The originals of quotient q are the run of S_i inside
-    [q << (level - 1), (q + 1) << (level - 1)), found by two bisections.
-    Level 1 divides by 1, so its quotient collection is the parent itself,
-    and its instance is a twin of the exact one: it shares the stored sets,
-    member sets and tables, and counts its own calls and probes.
+    sorted; ``originals`` maps a quotient back. Level 1 divides by 1, so its
+    quotient collection is the parent itself and the exact instance answers
+    it: no LevelIndex exists for level 1.
     """
 
     def __init__(self, exact: AugmentedInstance, level: int, mem_budget: int):
         self.level = level
-        self.parents = c = exact.base
-        shift = level - 1
-        if not shift:
-            self.instance = exact.twin()
-            return
+        c, shift = exact.base, level - 1
         quotients = SetCollection(tuple(
             IntSet(s.id, tuple(dict.fromkeys(a >> shift for a in s.elements)))
             for s in c.sets
         ), c.universe)
         self.instance = AugmentedInstance(quotients, exact.kind, mem_budget)
 
-    def originals(self, set_id: int, quotient_value: int) -> list[int]:
-        elements, shift = self.parents.sets[set_id - 1].elements, self.level - 1
-        lo = bisect_left(elements, quotient_value << shift)
-        return list(elements[lo : bisect_left(elements, (quotient_value + 1) << shift, lo)])
-
 
 class GappedIndex:
-    """Exact shift index at level 0 plus one LevelIndex per approximate level."""
+    """Exact shift index plus one LevelIndex per approximate level from 2.
+
+    ``instances[l]`` is the instance that answers plan level l: the exact
+    one at levels 0 and 1, ``levels[l - 2].instance`` above.
+    """
 
     def __init__(self, c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
         self.collection = c
@@ -387,12 +397,15 @@ class GappedIndex:
         self.max_level = max(c.universe - 1, 0).bit_length()  # ceil(log2 u)
         self.levels = [
             LevelIndex(self.exact, level, mem_budget)
-            for level in range(1, self.max_level + 1)
+            for level in range(2, self.max_level + 1)
+        ]
+        self.instances = [self.exact] * min(2, self.max_level + 1) + [
+            lvl.instance for lvl in self.levels
         ]
         per_level_bound = self.exact.total_elements
-        self.total_elements = self.exact.total_elements + sum(
-            lvl.instance.total_elements for lvl in self.levels
-        )
+        # One collection per level, level 1 included though the exact
+        # instance answers it: manifests state this as ``stored_elements``.
+        self.total_elements = sum(inst.total_elements for inst in self.instances)
         if self.total_elements > per_level_bound * (self.max_level + 1):
             raise GapIndexError("gapped element accounting bound violated")
         self.last_plan_size = 0
@@ -403,10 +416,10 @@ class GappedIndex:
     def ssi_calls(self) -> int:
         return self.exact.ssi_calls() + sum(lvl.instance.ssi_calls() for lvl in self.levels)
 
-    def _level(self, level: int) -> LevelIndex:
+    def _instance(self, level: int) -> AugmentedInstance:
         if not 1 <= level <= self.max_level:
             raise FormatError(f"level {level} outside built range 1..{self.max_level}")
-        return self.levels[level - 1]
+        return self.instances[level]
 
     def _clamped(self, alpha: int, beta: int) -> Optional[tuple[int, int]]:
         if not 0 <= alpha <= beta:
@@ -425,9 +438,9 @@ def build_gapped_index(
 
 def approx_exists(g: GappedIndex, i: int, j: int, q: ApproxQuery) -> bool:
     """Answer one approximate query through the level's quotient instance."""
-    lvl = g._level(q.level)
+    inst = g._instance(q.level)
     for shift in _quotient_shifts(q.level, q.center):
-        if lvl.instance._exists(i, j, shift) is not None:
+        if inst._exists(i, j, shift) is not None:
             return True
     return False
 
@@ -455,25 +468,6 @@ def _plan_for(
 _UNLISTED = object()
 
 
-def _realized_shifts(
-    g: GappedIndex, level: int, i: int, j: int, probes: int
-) -> Optional[set[int]]:
-    """Every difference b - a over the pair's level-l sets, or None.
-
-    Listed only when the larger set has at most ``probes`` elements, so the
-    |A|*|B| steps are no more than the ``probes`` * min(|A|, |B|) a probing
-    backend spends when every probe misses; a tabulated pair (both sets
-    above the threshold) answers each probe by one lookup and is not listed.
-    """
-    backend = (g.exact if level == 0 else g.levels[level - 1].instance).backend
-    sa, sb = backend.sets[i - 1], backend.sets[j - 1]
-    if len(sa) > probes or len(sb) > probes:
-        return None
-    if len(sa) > backend.threshold and len(sb) > backend.threshold:
-        return None
-    return {b - a for a in sa for b in sb}
-
-
 def _live_probes(
     g: GappedIndex, plan: CoverPlan, i: int, j: int
 ) -> Iterator[tuple[int, int]]:
@@ -487,7 +481,8 @@ def _live_probes(
     for level, shifts in plan.segments:
         realized = listed[level]
         if realized is _UNLISTED:
-            realized = listed[level] = _realized_shifts(g, level, i, j, counts[level])
+            backend = g.instances[level].backend
+            realized = listed[level] = backend.differences(i, j, counts[level])
         for shift in shifts:
             if realized is None or shift in realized:
                 yield level, shift
@@ -526,20 +521,18 @@ def gapped_exists(
     g.last_plan_size = plan.size
     # Uncertain zones fit inside the clamped interval, so a plan never
     # reaches past the top level built for the universe.
-    levels = g.levels
+    instances = g.instances
     for level, shift in _live_probes(g, plan, i, j):
+        cert = instances[level]._exists(i, j, shift)
+        if cert is None:
+            continue
         if level == 0:
-            cert = g.exact._exists(i, j, shift)
-            if cert is None:
-                continue
             a, b = cert.a, cert.b
         else:
-            lvl = levels[level - 1]
-            cert = lvl.instance._exists(i, j, shift)
-            if cert is None:
-                continue
             # By the expansion lemma any originals will do; take the first.
-            a, b = lvl.originals(i, cert.a)[0], lvl.originals(j, cert.b)[0]
+            sets = g.collection.sets
+            a = originals(sets[i - 1].elements, level, cert.a)[0]
+            b = originals(sets[j - 1].elements, level, cert.b)[0]
         if not alpha <= b - a <= beta:
             raise GapIndexError(
                 f"witness ({a}, {b}) of level-{level} shift {shift} is outside [{alpha}, {beta}]"
@@ -572,24 +565,23 @@ def gapped_report(
         return []
     g.last_plan_size = plan.size
     raw: list[tuple[int, int]] = []
+    elements_a, elements_b = g.collection.sets[i - 1].elements, g.collection.sets[j - 1].elements
     # Every level from 0 to the plan's top has probes.
     for level, shifts in enumerate(plan.level_shifts):
-        inst = g.exact if level == 0 else g.levels[level - 1].instance
-        backend = inst.backend
-        if (len(backend.sets[i - 1]) > backend.threshold
-                and len(backend.sets[j - 1]) > backend.threshold):
+        inst = g.instances[level]
+        if inst.backend.tabulated(i, j):
             found = [report_shift(inst, i, j, s) for s in shifts]
         else:
-            found = inst._scan_shifts(i, j, shifts).values()
+            found = inst.backend.scan_shifts(i, j, shifts).values()
         if level == 0:
             for pairs in found:
                 raw.extend(pairs)
             continue
         # By the expansion lemma every original pair has its gap in range.
-        originals = g.levels[level - 1].originals
         for pairs in found:
             for qa, qb in pairs:
-                raw.extend(product(originals(i, qa), originals(j, qb)))
+                raw.extend(product(originals(elements_a, level, qa),
+                                   originals(elements_b, level, qb)))
     g.last_raw_pairs = len(raw)
     g.last_max_multiplicity = max(Counter(raw).values()) if raw else 0
     return sorted(set(raw))

@@ -66,6 +66,8 @@ class AugmentedInstance:
     ``total_elements`` counts the base sets and every dyadic block, stored
     or not. Of the block ids it keeps only ``first_block``, each base set's
     first stored one; the layout in the module docstring places the others.
+    ``existence_calls`` counts the lookups asked through ``_exists``; the
+    backend counts its own scans, and ``ssi_calls`` sums the two.
     """
 
     def __init__(self, c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
@@ -104,44 +106,16 @@ class AugmentedInstance:
             all_sets, kind, mem_budget, bases=bases, total_elements=self.total_elements
         )
         self.existence_calls = 0
-        self.scan_calls = 0
         self.last_query_calls = 0
-
-    def twin(self) -> "AugmentedInstance":
-        """An instance over the same collection that shares this one's stored
-        sets, ``first_block``, member sets and tables, behind a backend
-        object of its own: both count their calls and probes apart."""
-        twin = object.__new__(type(self))
-        for name in ("base", "kind", "base_elements", "dyadic_elements", "total_elements",
-                     "lowest_level", "first_block"):
-            setattr(twin, name, getattr(self, name))
-        twin.backend = self.backend.twin()
-        twin.existence_calls = twin.scan_calls = twin.last_query_calls = 0
-        return twin
 
     def _exists(self, set_a: int, set_b: int, s: int) -> Optional[ShiftCertificate]:
         self.existence_calls += 1
-        self.last_query_calls += 1
         return self.backend.exists(set_a, set_b, s)
 
-    def _scan(self, i: int, a_lo: int, a_hi: int, j: int, b_lo: int, b_hi: int,
-              s: int) -> list[tuple[int, int]]:
-        self.scan_calls += 1
-        self.last_query_calls += 1
-        return self.backend.scan(i, a_lo, a_hi, j, b_lo, b_hi, s)
-
-    def _scan_shifts(self, i: int, j: int,
-                     shifts: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
-        # A pass that walks is one backend call, as a scan is; a listing is
-        # not a call.
-        if self.backend.walks(i, j, len(shifts)):
-            self.scan_calls += 1
-            self.last_query_calls += 1
-        return self.backend.scan_shifts(i, j, shifts)
-
     def ssi_calls(self) -> int:
-        """Backend calls made: existence calls, scans and walking passes."""
-        return self.existence_calls + self.scan_calls
+        """Backend calls made: existence calls, and the scans and walking
+        passes the backend counts."""
+        return self.existence_calls + self.backend.scans
 
 
 def build_reporting_index(
@@ -195,7 +169,7 @@ def report_shift(
     certificate first, so a shift with no pair costs one lookup; only a
     certificate starts the split recursion. ``trace`` receives (node,
     answer) for each backend call: a certificate or None for a lookup, the
-    pairs for a scan.
+    pairs for a scan. ``inst.last_query_calls`` is set to the calls made.
     """
     sets = inst.base.sets
     k = len(sets)
@@ -203,13 +177,15 @@ def report_shift(
         raise FormatError(f"set index {j if 1 <= i <= k else i} out of range 1..{k}")
     parent_a, parent_b = sets[i - 1], sets[j - 1]
     m_a, m_b = len(parent_a.elements), len(parent_b.elements)
-    inst.last_query_calls = 0
-    threshold = inst.backend.threshold
-    if m_a <= threshold or m_b <= threshold:
-        found = inst._scan(i, 1, m_a, j, 1, m_b, s)
+    backend = inst.backend
+    if not backend.tabulated(i, j):
+        found = backend.scan(i, 1, m_a, j, 1, m_b, s)
+        inst.last_query_calls = 1
         if trace is not None:
             trace.append((_Node(i, 1, m_a, j, 1, m_b), found))
         return found
+    calls = inst.ssi_calls()
+    threshold = backend.threshold
     cert = inst._exists(i, j, s)
     node = _Node(i, 1, m_a, j, 1, m_b)
     found = []
@@ -259,11 +235,12 @@ def report_shift(
                         continue
                     a_lo, a_hi = block_a.rank_lo, block_a.rank_hi
                     b_lo, b_hi = block_b.rank_lo, block_b.rank_hi
-                    pairs = inst._scan(i, a_lo, a_hi, j, b_lo, b_hi, s)
+                    pairs = backend.scan(i, a_lo, a_hi, j, b_lo, b_hi, s)
                     if trace is not None:
                         trace.append((_Node(i, a_lo, a_hi, j, b_lo, b_hi), pairs))
                     found.extend(pairs)
         if not stack:
+            inst.last_query_calls = inst.ssi_calls() - calls
             # Nodes are disjoint and every pair found lies in its own node,
             # so there is nothing to deduplicate.
             return sorted(found)

@@ -234,7 +234,9 @@ class GappedStringIndex:
         for ida in cover_a:
             for idb in cover_b:
                 raw.extend(gapped_report(self.gapped, ida, idb, gap_lo, gap_hi, plan=plan))
-        return sorted(set(raw))
+        # Each pattern's cover blocks partition its occurrences, so pairs
+        # from different cover pairs differ and need no deduplication.
+        return sorted(raw)
 
 
 def build_gapped_string_index(

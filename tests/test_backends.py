@@ -307,12 +307,12 @@ def _walked(sa, sb, s):
 
 def _check_pass(backend, sets, i, j, shifts):
     """One ``scan_shifts`` pass against ``scan``, the oracle and the walk
-    count; returns whether the pass walked."""
+    count; returns whether the pass walked. A walking pass is one scan."""
     sa, sb = sets[i - 1], sets[j - 1]
     walks = max(len(sa), len(sb)) > len(shifts)
-    assert backend.walks(i, j, len(shifts)) == walks
-    before = backend.probes
+    before, scans = backend.probes, backend.scans
     found = backend.scan_shifts(i, j, shifts)
+    assert backend.scans - scans == walks
     walked = sum(_walked(sa, sb, s) for s in shifts) if walks else 0
     assert backend.probes - before == walked
     assert set(found) <= set(shifts)
@@ -320,10 +320,12 @@ def _check_pass(backend, sets, i, j, shifts):
         want = brute_force_ssi(sets, ShiftQuery(i, j, s))
         assert (s in found) == bool(want)
         assert found.get(s, []) == want, (sa, sb, s)
+        scans = backend.scans
         assert backend.scan(i, 1, len(sa), j, 1, len(sb), s) == want
         # An empty rank range on either side has no pair.
         assert backend.scan(i, len(sa) + 1, len(sa), j, 1, len(sb), s) == []
         assert backend.scan(i, 1, len(sa), j, len(sb) + 1, len(sb), s) == []
+        assert backend.scans - scans == 3
     return walks, walked
 
 

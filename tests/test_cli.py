@@ -9,6 +9,7 @@ import pytest
 
 from gapindex import cli
 from gapindex.backends import LinearScan, SmallUniverse, build_backend, parse_backend
+from gapindex.gapped import plan_cover
 from gapindex.generators import random_collection
 from gapindex.persist import (
     FORMAT_VERSION,
@@ -203,6 +204,29 @@ def test_gapped_set_query_and_plan(tmp_path, capsys, collection_file):
     assert code == 0
     assert "# plan [10, 20]" in out
     assert "occ=" in out
+
+
+@pytest.mark.parametrize("mode", ["exists", "report"])
+def test_gapped_string_query_prints_its_plan(tmp_path, capsys, mode):
+    """Each query's one plan, clamped to the text, precedes its answer; a
+    gap past the text has no plan and prints none."""
+    src = tmp_path / "text.txt"
+    src.write_bytes(b"abracadabra")
+    index, _ = build(tmp_path, capsys, src, "gapped-string")
+    queries = tmp_path / "s.q"
+    queries.write_text("ab ra 2 40\nzz ab 0 3\nab ab 20 30\n")
+    code, out, _ = query_output(capsys, index, queries, "--mode", mode, "--plan")
+    assert code == 0
+    plan = [f"# {line}" for line in plan_cover(2, 10).describe().splitlines()]
+    small = [f"# {line}" for line in plan_cover(0, 3).describe().splitlines()]
+    if mode == "exists":
+        answers = [["YES 8 10"], ["NO"], ["NO"]]
+    else:
+        pairs = baseline_linear_scan(b"abracadabra", b"ab", b"ra", 2, 40)
+        answers = [[f"occ={len(pairs)}"] + [f"{a} {b}" for a, b in pairs], ["occ=0"], ["occ=0"]]
+    assert out.splitlines() == plan + answers[0] + small + answers[1] + answers[2]
+    _, plain, _ = query_output(capsys, index, queries, "--mode", mode)
+    assert plain.splitlines() == answers[0] + answers[1] + answers[2]
 
 
 def test_smallest_shift_query(tmp_path, capsys):

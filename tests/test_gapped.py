@@ -11,6 +11,7 @@ from gapindex.gapped import (
     build_gapped_index,
     gapped_exists,
     gapped_report,
+    originals,
     plan_cover,
 )
 from gapindex.generators import random_collection
@@ -126,62 +127,57 @@ def test_build_levels_and_quotients():
     c = ingest_collection([[4, 5], [7]], u=8)
     g = build_gapped_index(c, LinearScan())
     assert g.max_level == 3
-    level2 = g.levels[1]
+    level2 = g.levels[0]
+    assert level2.level == 2
     assert level2.instance.base.set(1).elements == (2,)
-    assert level2.originals(1, 2) == [4, 5]
+    assert originals(c.set(1).elements, 2, 2) == [4, 5]
 
 
 def test_level_one_keeps_the_parent_collection():
-    # Level 1 divides by 2^0 = 1: its quotients are the parent sets, passed
-    # through uncopied, behind an instance (and counters) of its own.
+    # Level 1 divides by 2^0 = 1: its quotients are the parent sets, so the
+    # exact instance answers it and no level is built for it.
     c = ingest_collection([[4, 5], [7]], u=8)
     g = build_gapped_index(c, LinearScan())
-    level1 = g.levels[0]
-    assert level1.instance.base is c
-    assert level1.instance is not g.exact
-    assert level1.originals(1, 5) == [5]
+    assert g.instances[1] is g.exact
+    assert g.exact.base is c
+    assert g.levels[0].level == 2
+    assert originals(c.set(1).elements, 1, 5) == [5]
     assert gapped_report(g, 1, 2, 2, 3) == brute_pairs(c, 1, 2, 2, 3)
 
 
 def test_level_one_shares_the_exact_instances_tables():
-    # Level 1 is a twin of the exact instance: the same stored sets, block
-    # ids, member sets and tables, behind objects and counters of its own.
+    # Plan levels 0 and 1 are both answered by the exact instance; each
+    # level from 2 has an instance of its own, built over its quotients.
     c = random_collection(random.Random(3), 6, 120, 256, [10, 10, 10, 30, 30, 30])
     g = build_gapped_index(c, SmallUniverse(0.5))
-    level1, exact = g.levels[0].instance, g.exact
-    assert level1.backend.table is exact.backend.table
+    exact = g.exact
+    assert g.instances[0] is g.instances[1] is exact
     assert exact.backend.table.pairs > 0
-    assert level1.backend.sets is exact.backend.sets
-    assert level1.backend.members is exact.backend.members
-    assert level1.first_block is exact.first_block
-    assert level1 is not exact and level1.backend is not exact.backend
-    # The twins hold the same attributes: all shared but the counters.
-    counters = {"existence_calls", "scan_calls", "last_query_calls", "backend", "probes"}
-    for twin, original in ((level1, exact), (level1.backend, exact.backend)):
-        assert set(vars(twin)) == set(vars(original))
-        assert all(getattr(twin, k) is getattr(original, k) for k in set(vars(twin)) - counters)
+    assert [lvl.level for lvl in g.levels] == list(range(2, g.max_level + 1))
+    assert g.instances[2:] == [lvl.instance for lvl in g.levels]
+    assert len(g.instances) == g.max_level + 1
+    # A level-1 query is counted on the exact instance and its backend.
     a, b = c.set(4).elements[0], c.set(5).elements[-1]
-    assert level1._exists(4, 5, b - a) == ShiftCertificate(a, b)
+    assert approx_exists(g, 4, 5, ApproxQuery(1, (b - a) // 2 * 2)) is True
+    assert 1 <= exact.existence_calls <= 3
+    assert g.ssi_calls() == exact.existence_calls
+    # The backend counts its scans; the instance sums them with its lookups.
     m1, m2 = len(c.set(1)), len(c.set(2))
-    assert level1._scan(1, 1, m1, 2, 1, m2, 0) == exact.backend.scan(1, 1, m1, 2, 1, m2, 0)
-    assert (level1.existence_calls, level1.scan_calls, level1.last_query_calls) == (1, 1, 2)
-    assert (exact.existence_calls, exact.scan_calls, exact.last_query_calls) == (0, 0, 0)
-    assert level1.backend.probes == exact.backend.probes > 0
-    exact._exists(1, 2, 0)
-    assert (level1.existence_calls, exact.existence_calls) == (1, 1)
-    assert level1.backend.probes < exact.backend.probes
+    exact.backend.scan(1, 1, m1, 2, 1, m2, 0)
+    assert exact.backend.scans == 1
+    assert exact.ssi_calls() == exact.existence_calls + 1 == g.ssi_calls()
 
 
 def test_each_stored_table_is_scattered_once(monkeypatch):
     # The set-questions shape: 16 sets of 20 and 16 of 200 over u=8192.
-    # Every instance but level 1 scatters each unordered pair of its L large
-    # sets once, (i, i) included; level 1 reads the exact instance's tables.
+    # Each instance scatters each unordered pair of its L large sets once,
+    # (i, i) included; level 1 is answered by the exact instance's tables.
     c = random_collection(random.Random(21), 32, 3520, 8192, [20] * 16 + [200] * 16)
     calls = []
     scatter = backends._scatter_rows
     monkeypatch.setattr(backends, "_scatter_rows", lambda *args: calls.append(1) or scatter(*args))
     g = build_gapped_index(c, SmallUniverse(0.5))
-    heavy = [g.exact] + [lvl.instance for lvl in g.levels[1:]]
+    heavy = [g.exact] + [lvl.instance for lvl in g.levels]
     large = [sum(inst.backend.large) for inst in heavy]
     assert large[0] > 0
     assert len(calls) == sum(n * (n + 1) // 2 for n in large)
@@ -303,7 +299,10 @@ def test_quotient_witness_guard_raises(monkeypatch):
     g = build_gapped_index(c, LinearScan())
     assert plan_cover(10, 20).level_probes == (6, 9)
     assert gapped_exists(g, 1, 2, 10, 20) is None
-    # A level-1 certificate whose originals are 29 apart, outside [10, 20].
-    monkeypatch.setattr(g.levels[0].instance, "_exists", lambda i, j, s: ShiftCertificate(1, 30))
+    # The exact instance also answers level 1. Its 6 level-0 probes miss,
+    # then a level-1 certificate has originals 29 apart, outside [10, 20].
+    misses = iter([None] * 6)
+    monkeypatch.setattr(g.instances[1], "_exists",
+                        lambda i, j, s: next(misses, ShiftCertificate(1, 30)))
     with pytest.raises(GapIndexError, match=r"witness \(1, 30\) of level-1 shift 11 is outside"):
         gapped_exists(g, 1, 2, 10, 20)

@@ -19,7 +19,13 @@ from gapindex import gapped
 from gapindex.backends import FullTabulation, LinearScan, SmallUniverse, SsiBackend
 from gapindex.bench import run_bench
 from gapindex.errors import FormatError
-from gapindex.gapped import build_gapped_index, gapped_exists, gapped_report, plan_cover
+from gapindex.gapped import (
+    build_gapped_index,
+    gapped_exists,
+    gapped_report,
+    originals,
+    plan_cover,
+)
 from gapindex.generators import random_collection, random_pattern_from, random_text
 from gapindex.reporting import report_shift
 from gapindex.sets import ingest_collection, level_starts
@@ -34,15 +40,13 @@ def probe_all_exists(g, i, j, alpha, beta, plan=None):
     if clamped is None:
         return None
     for level, shift in (plan or plan_cover(*clamped)).probes:
-        if level == 0:
-            cert = g.exact._exists(i, j, shift)
-            if cert is not None:
-                return (cert.a, cert.b)
+        cert = g.instances[level]._exists(i, j, shift)
+        if cert is None:
             continue
-        lvl = g.levels[level - 1]
-        cert = lvl.instance._exists(i, j, shift)
-        if cert is not None:
-            return (lvl.originals(i, cert.a)[0], lvl.originals(j, cert.b)[0])
+        if level == 0:
+            return (cert.a, cert.b)
+        return (originals(g.collection.set(i).elements, level, cert.a)[0],
+                originals(g.collection.set(j).elements, level, cert.b)[0])
     return None
 
 
@@ -53,17 +57,18 @@ def probe_all_report(g, i, j, alpha, beta, plan=None):
         return [], 0, 0
     raw = []
     for level, shift in (plan or plan_cover(*clamped)).probes:
+        found = report_shift(g.instances[level], i, j, shift)
         if level == 0:
-            raw.extend(report_shift(g.exact, i, j, shift))
+            raw.extend(found)
             continue
-        lvl = g.levels[level - 1]
-        for qa, qb in report_shift(lvl.instance, i, j, shift):
-            raw.extend(product(lvl.originals(i, qa), lvl.originals(j, qb)))
+        for qa, qb in found:
+            raw.extend(product(originals(g.collection.set(i).elements, level, qa),
+                               originals(g.collection.set(j).elements, level, qb)))
     return sorted(set(raw)), len(raw), max(Counter(raw).values(), default=0)
 
 
 def level_backend(g, level):
-    return (g.exact if level == 0 else g.levels[level - 1].instance).backend
+    return g.instances[level].backend
 
 
 def tabulated(backend, i, j):
@@ -159,24 +164,25 @@ def test_string_queries_match_probing_every_shift():
     "query, calls",
     [
         # An exists asks each live probe by one backend call.
-        (gapped_exists, ((0, 0), (6, 0), (6, 0), (6, 9))),
+        (gapped_exists, (0, 6, 6, 6 + 9)),
         # A report answers a level by one pass, a call only when it walks.
-        (gapped_report, ((0, 0), (1, 0), (1, 0), (1, 1))),
+        (gapped_report, (0, 1, 1, 1 + 1)),
     ],
     ids=["gapped_exists", "gapped_report"],
 )
 def test_listing_boundary_is_the_level_probe_count(query, calls):
     plan = plan_cover(10, 20)
     assert plan.level_probes == (6, 9)
-    # Level 1 divides by 2^0, so its sets are the level-0 sets. Set 2 has m
-    # elements, 1..m-1 and 30 above set 1's, so no pair has its gap in range.
-    for m, (level0_calls, level1_calls) in zip((6, 7, 9, 10), calls):
+    # Level 1 divides by 2^0, so the exact instance answers levels 0 and 1
+    # and counts the calls of both. Set 2 has m elements, 1..m-1 and 30
+    # above set 1's, so no pair has its gap in range: listing stops at
+    # m = 7 for level 0 and at m = 10 for level 1.
+    for m, exact_calls in zip((6, 7, 9, 10), calls):
         c = ingest_collection([[1], [*range(2, m + 1), 31]], u=32)
         assert len(c.set(2)) == m
         g = build_gapped_index(c, LinearScan())
         assert not query(g, 1, 2, 10, 20)
-        assert g.exact.ssi_calls() == level0_calls
-        assert g.levels[0].instance.ssi_calls() == level1_calls
+        assert g.exact.ssi_calls() == g.ssi_calls() == exact_calls
 
 
 def test_tabulated_pairs_are_not_listed():
@@ -213,7 +219,6 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
         u = rng.randint(8, 200)
         c = random_collection(rng, k, rng.randint(k, 8 * k), u)
         g = build_gapped_index(c, kind)
-        instances = [g.exact] + [lvl.instance for lvl in g.levels]
         for _ in range(10):
             i, j = rng.randint(1, k), rng.randint(1, k)
             lo = rng.randint(0, u)
@@ -225,21 +230,20 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
             passes.clear()
             reported.clear()
             gapped_report(g, i, j, lo, hi)
-            for level, shifts in enumerate(plan.level_shifts):
-                backend = level_backend(g, level)
-                here = [(asked, found) for b, asked, found in passes if b is backend]
-                if tabulated(backend, i, j):
-                    assert here == []
-                    continue
-                assert instances[level] not in reported
-                assert [asked for asked, _ in here] == [shifts]
+            # Levels 0 and 1 share the exact backend, so passes are matched
+            # to levels in order: one per untabulated level, none otherwise.
+            untabulated = [(level, shifts) for level, shifts in enumerate(plan.level_shifts)
+                           if not tabulated(level_backend(g, level), i, j)]
+            assert [(b, asked) for b, asked, _ in passes] == [
+                (level_backend(g, level), shifts) for level, shifts in untabulated]
+            for (level, shifts), (backend, _, found) in zip(untabulated, passes):
+                assert g.instances[level] not in reported
                 if not listed(g, i, j, level, plan):
                     continue
-                found = here[0][1]
                 realized = {b - a for a in backend.sets[i - 1] for b in backend.sets[j - 1]}
                 assert set(found) == {s for s in shifts if s in realized}
                 for s, pairs in found.items():
-                    assert pairs and pairs == report_shift(instances[level], i, j, s)
+                    assert pairs and pairs == report_shift(g.instances[level], i, j, s)
                 checked += len(found)
     assert checked > 100
 

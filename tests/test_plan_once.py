@@ -106,16 +106,16 @@ def reference_gapped_exists(g, i, j, alpha, beta):
         if cert is not None:
             return (cert.a, cert.b)
     for q in plan.approx_queries:
-        lvl = g.levels[q.level - 1]
+        inst = g.instances[q.level]
         for shift in _three_shifts(q):
-            cert = lvl.instance._exists(i, j, shift)
+            cert = inst._exists(i, j, shift)
             if cert is None:
                 continue
             a = reference_originals(g, i, q.level, cert.a)[0]
             b = reference_originals(g, j, q.level, cert.b)[0]
             if alpha <= b - a <= beta:
                 return (a, b)
-            for qa, qb in reference_report_shift(lvl.instance, i, j, shift):
+            for qa, qb in reference_report_shift(inst, i, j, shift):
                 for a2 in reference_originals(g, i, q.level, qa):
                     for b2 in reference_originals(g, j, q.level, qb):
                         if alpha <= b2 - a2 <= beta:
@@ -132,10 +132,10 @@ def reference_gapped_report(g, i, j, alpha, beta):
     for s in plan.point_shifts:
         raw.extend(reference_report_shift(g.exact, i, j, s))
     for q in plan.approx_queries:
-        lvl = g.levels[q.level - 1]
+        inst = g.instances[q.level]
         open_lo, open_hi = q.uncertain()
         for shift in _three_shifts(q):
-            for qa, qb in reference_report_shift(lvl.instance, i, j, shift):
+            for qa, qb in reference_report_shift(inst, i, j, shift):
                 for a in reference_originals(g, i, q.level, qa):
                     for b in reference_originals(g, j, q.level, qb):
                         if open_lo <= b - a <= open_hi:
@@ -306,8 +306,7 @@ def unlisted_probes(idx, pairs, plan):
     not listed: there the larger set outnumbers the level's probes."""
 
     def size(level, set_id):
-        inst = idx.gapped.exact if level == 0 else idx.gapped.levels[level - 1].instance
-        return len(inst.backend.sets[set_id - 1])
+        return len(idx.gapped.instances[level].backend.sets[set_id - 1])
 
     return sum(
         count

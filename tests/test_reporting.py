@@ -51,7 +51,7 @@ def test_report_example():
         assert idx.last_query_calls == 1 and idx.existence_calls == 0
         assert [(node.set_a, node.a_lo, node.a_hi, node.set_b, node.b_lo, node.b_hi, pairs)
                 for node, pairs in trace] == [(1, 1, 3, 2, 1, 3, want)]
-    assert idx.scan_calls == 2
+    assert idx.backend.scans == 2
 
 
 def test_index_set_counts():

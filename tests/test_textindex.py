@@ -3,8 +3,9 @@ import random
 import pytest
 
 from gapindex import textindex
-from gapindex.backends import LinearScan
+from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
 from gapindex.errors import BudgetError, FormatError
+from gapindex.gapped import gapped_report
 from gapindex.generators import random_pattern_from, random_text
 from gapindex.sets import dyadic_intervals
 from gapindex.textindex import (
@@ -221,3 +222,36 @@ def test_three_way_agreement_fuzz():
             assert baseline_linear_scan(text, p1, p2, lo, hi) == expected
             assert quad.query(p1, p2, lo, hi) == expected
             assert idx.report(p1, p2, lo, hi) == expected
+
+
+@pytest.mark.parametrize("kind", [LinearScan(), SmallUniverse(delta=0.5), FullTabulation()])
+def test_report_pairs_of_different_cover_pairs_never_repeat(kind, monkeypatch):
+    """Each pattern's cover blocks partition its occurrences, so the cover
+    pairs' reports are disjoint: the report concatenates them, sorted, with
+    no duplicate, and equals the two-finger scan."""
+    rng = random.Random(31)
+    per_pair = []
+
+    def recording_report(*args, **kwargs):
+        pairs = gapped_report(*args, **kwargs)
+        per_pair.append(pairs)
+        return pairs
+
+    monkeypatch.setattr(textindex, "gapped_report", recording_report)
+    several = 0
+    for _ in range(6):
+        # FullTabulation tabulates every pair of blocks: small texts only.
+        n = rng.randint(8, 18) if kind == FullTabulation() else rng.randint(20, 160)
+        text = random_text(rng, n, rng.choice((2, 3)))
+        idx = build_gapped_string_index(text, kind)
+        for _ in range(10):
+            p1 = random_pattern_from(rng, text, 2)
+            p2 = random_pattern_from(rng, text, 2)
+            lo = rng.randint(0, n // 3)
+            hi = lo + rng.randint(0, n)
+            per_pair.clear()
+            got = idx.report(p1, p2, lo, hi)
+            assert got == baseline_linear_scan(text, p1, p2, lo, hi)
+            assert len(set(got)) == len(got) == sum(len(pairs) for pairs in per_pair)
+            several += sum(1 for pairs in per_pair if pairs) > 1
+    assert several > 0
