@@ -339,7 +339,10 @@ class SsiBackend:
         if total_elements is None:
             total_elements = sum(len(s) for s in sets)
         self.threshold = threshold = size_threshold(kind, total_elements)
-        large_ids = [i for i, s in enumerate(sets, start=1) if len(s) > threshold]
+        # No set is above LinearScan's infinite threshold.
+        large_ids = [] if threshold == math.inf else [
+            i for i, s in enumerate(sets, start=1) if len(s) > threshold
+        ]
         self.table = _TabulatedPairs()
         # Without large sets (always so for LinearScan) skip the two scans
         # over every set that only the tabulation needs.
@@ -365,16 +368,17 @@ class SsiBackend:
         self.members: list[Union[frozenset, tuple[int, ...]]] = []
         self.dict_entries = 0
         if not isinstance(kind, FullTabulation):
-            if bases is None:
-                bases = range(len(sets))
             # A one-element base answers ``in`` by its own tuple as fast as
             # a frozenset would, without the frozenset's ~200 bytes.
-            shared = {p: frozenset(sets[p]) if len(sets[p]) > 1 else sets[p]
-                      for p in set(bases)}
-            self.members = [shared[p] for p in bases]
+            if bases is None:
+                self.members = [frozenset(s) if len(s) > 1 else s for s in sets]
+            else:
+                shared = {p: frozenset(sets[p]) if len(sets[p]) > 1 else sets[p]
+                          for p in set(bases)}
+                self.members = [shared[p] for p in bases]
             # Logical space: one entry per stored element, as if each set
             # kept its own members.
-            self.dict_entries = sum(len(s) for s in sets)
+            self.dict_entries = sum(map(len, sets))
 
     @property
     def large(self) -> list[bool]:

@@ -54,6 +54,9 @@ O~(|P1| + |P2| + n^delta*(occ+1)) still holds.
 Level 1 divides by 2^0 = 1, so its quotient collection is the collection
 itself and the exact instance answers it: ``instances[l]`` names the
 instance for plan level l, and only levels from 2 build quotients.
+They are built in one bulk pass (``quotient_levels``): since
+a >> l = (a >> (l-1)) >> 1, each level is the level below shifted right
+by one with repeats inside a set dropped, over one flattened int64 array.
 
 How each (pair, level) is answered is the backend's rule,
 ``SsiBackend.tabulated``. A report asks each level of a pair the backend
@@ -79,13 +82,17 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import FormatError, GapIndexError
 from .reporting import AugmentedInstance, report_shift
 from .sets import IntSet, SetCollection
+
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -364,23 +371,56 @@ def originals(elements: tuple[int, ...], level: int, quotient_value: int) -> lis
     return list(elements[lo : bisect_left(elements, (quotient_value + 1) << shift, lo)])
 
 
+def quotient_levels(c: SetCollection, top: int) -> Iterator[SetCollection]:
+    """The quotient collections of levels 2..top, each made in one bulk pass
+    from the one below.
+
+    Level l's quotient of a is a >> (l - 1) = (a >> (l - 2)) >> 1. The
+    collection is flattened once into one int64 array, with each element's
+    owner set beside it. A level shifts the level below's values right by
+    one, which keeps each set's run in order, and keeps an element when its
+    value or its owner differs from the previous element's: every quotient
+    set comes out sorted and free of repeats, as dict.fromkeys over
+    a >> (l - 1) for a in S would make it. One ``tolist`` per level gives
+    the ints, and each set's tuple is a slice of them at the per-owner
+    counts. An element outside int64 raises FormatError.
+    """
+    sets = c.sets
+    sizes = [len(s.elements) for s in sets]
+    try:
+        values = np.fromiter(chain.from_iterable(s.elements for s in sets), np.int64, sum(sizes))
+    except OverflowError:
+        bad = next(a for s in sets for a in s.elements if not _INT64.min <= a <= _INT64.max)
+        raise FormatError(f"element {bad} does not fit the quotient levels' int64") from None
+    owners = np.repeat(np.arange(len(sets)), sizes)
+    keep = np.ones(len(values), dtype=bool)
+    for _ in range(2, top + 1):
+        values = values >> 1
+        keep = keep[: len(values)]
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        keep[1:] |= owners[1:] != owners[:-1]
+        values, owners = values[keep], owners[keep]
+        flat = tuple(values.tolist())
+        ends = np.bincount(owners, minlength=len(sets)).cumsum().tolist()
+        yield SetCollection(tuple(
+            IntSet(s.id, flat[lo:hi]) for s, lo, hi in zip(sets, [0] + ends, ends)
+        ), c.universe)
+
+
 class LevelIndex:
     """Quotient collection for one level l >= 2 behind its own instance.
 
     Quotient set i holds a >> (level - 1) for a in S_i, in order since S_i is
-    sorted; ``originals`` maps a quotient back. Level 1 divides by 1, so its
-    quotient collection is the parent itself and the exact instance answers
-    it: no LevelIndex exists for level 1.
+    sorted; ``quotient_levels`` makes every level's collection in one pass
+    from the level below, and ``originals`` maps a quotient back. Level 1
+    divides by 1, so its quotient collection is the parent itself and the
+    exact instance answers it: no LevelIndex exists for level 1.
     """
 
-    def __init__(self, exact: AugmentedInstance, level: int, mem_budget: int):
+    def __init__(self, quotients: SetCollection, level: int, kind: BackendKind,
+                 mem_budget: int):
         self.level = level
-        c, shift = exact.base, level - 1
-        quotients = SetCollection(tuple(
-            IntSet(s.id, tuple(dict.fromkeys(a >> shift for a in s.elements)))
-            for s in c.sets
-        ), c.universe)
-        self.instance = AugmentedInstance(quotients, exact.kind, mem_budget)
+        self.instance = AugmentedInstance(quotients, kind, mem_budget)
 
 
 class GappedIndex:
@@ -388,6 +428,8 @@ class GappedIndex:
 
     ``instances[l]`` is the instance that answers plan level l: the exact
     one at levels 0 and 1, ``levels[l - 2].instance`` above.
+    ``total_elements`` counts each stored collection once: the exact
+    instance's and each quotient level's.
     """
 
     def __init__(self, c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
@@ -396,16 +438,16 @@ class GappedIndex:
         self.exact = AugmentedInstance(c, kind, mem_budget)
         self.max_level = max(c.universe - 1, 0).bit_length()  # ceil(log2 u)
         self.levels = [
-            LevelIndex(self.exact, level, mem_budget)
-            for level in range(2, self.max_level + 1)
+            LevelIndex(quotients, level, kind, mem_budget)
+            for level, quotients in enumerate(quotient_levels(c, self.max_level), start=2)
         ]
         self.instances = [self.exact] * min(2, self.max_level + 1) + [
             lvl.instance for lvl in self.levels
         ]
         per_level_bound = self.exact.total_elements
-        # One collection per level, level 1 included though the exact
-        # instance answers it: manifests state this as ``stored_elements``.
-        self.total_elements = sum(inst.total_elements for inst in self.instances)
+        self.total_elements = sum(
+            inst.total_elements for inst in [self.exact] + [lvl.instance for lvl in self.levels]
+        )
         if self.total_elements > per_level_bound * (self.max_level + 1):
             raise GapIndexError("gapped element accounting bound violated")
         self.last_plan_size = 0

@@ -34,6 +34,7 @@ and the ids are those of every block.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,9 +74,14 @@ class AugmentedInstance:
     def __init__(self, c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
         self.base = c
         self.kind = kind
-        n = c.total_size
+        all_sets: list[tuple[int, ...]] = [s.elements for s in c.sets]
+        sizes = list(map(len, all_sets))
+        n = sum(sizes)
         self.base_elements = n
-        self.dyadic_elements = sum(dyadic_block_elements(len(s)) for s in c.sets)
+        # Many sets share a size (every quotient level of a string index).
+        self.dyadic_elements = sum(
+            dyadic_block_elements(m) * count for m, count in Counter(sizes).items()
+        )
         self.total_elements = n + self.dyadic_elements
         bound = n * n.bit_length() + n  # N*(floor(log2 N)+1) + N
         if self.total_elements > bound:
@@ -87,21 +93,25 @@ class AugmentedInstance:
         while lowest < n.bit_length() and 1 << lowest <= threshold:
             lowest += 1
         self.lowest_level = lowest
-        all_sets: list[tuple[int, ...]] = [s.elements for s in c.sets]
-        # Each stored set's base set: a block is a rank run of its parent.
-        bases = list(range(len(all_sets)))
-        self.first_block: list[int] = []
-        # Advanced only past stored blocks, so sets that store none share
-        # one int object (under LinearScan, every set).
-        next_id = len(all_sets) + 1
-        for p, s in enumerate(c.sets):
-            self.first_block.append(next_id)
-            el, m = s.elements, len(s)
-            for j in range(lowest, m.bit_length()):
-                size = 1 << j
-                all_sets.extend(el[lo : lo + size] for lo in range(0, (m >> j) << j, size))
-                bases.extend([p] * (m >> j))
-                next_id += m >> j
+        k = len(all_sets)
+        if lowest >= max(sizes, default=0).bit_length():
+            # No set stores a block (under LinearScan, never): every set is
+            # its own base, and all share one first_block int object.
+            bases = None
+            self.first_block: list[int] = [k + 1] * k
+        else:
+            # Each stored set's base set: a block is a rank run of its parent.
+            bases = list(range(k))
+            self.first_block = []
+            next_id = k + 1
+            for p, m in enumerate(sizes):
+                self.first_block.append(next_id)
+                el = all_sets[p]
+                for j in range(lowest, m.bit_length()):
+                    size = 1 << j
+                    all_sets.extend(el[lo : lo + size] for lo in range(0, (m >> j) << j, size))
+                    bases.extend([p] * (m >> j))
+                    next_id += m >> j
         self.backend = build_backend(
             all_sets, kind, mem_budget, bases=bases, total_elements=self.total_elements
         )

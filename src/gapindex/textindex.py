@@ -23,7 +23,7 @@ from . import gapped
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import BudgetError, FormatError, GapIndexError
 from .gapped import CoverPlan, GappedIndex, gapped_exists, gapped_report
-from .sets import IntSet, SetCollection, _cover_rank_blocks, dyadic_intervals, level_starts
+from .sets import IntSet, SetCollection, _cover_rank_blocks, level_starts
 
 DEFAULT_QUAD_BUDGET = 512 << 20
 
@@ -162,6 +162,30 @@ def find_occurrences(text: bytes, pattern: bytes) -> list[int]:
     return out
 
 
+def _dyadic_interval_sets(sa: Sequence[int]) -> list[IntSet]:
+    """The starting positions of each dyadic suffix-array interval as a
+    sorted set; interval (j, kappa) is set level_starts(n)[j] + kappa + 1.
+
+    Level j's intervals are the rows of an (n >> j) x 2^j array. A row of
+    level j + 1 joins two sorted rows of level j, which a stable sort (a
+    merge of two runs) orders in linear time. Each level's positions are
+    read back as the suffix array's own int objects, which every set
+    shares, and each set's tuple is a slice of them.
+    """
+    n = len(sa)
+    rows = np.asarray(sa, dtype=np.int64)[:, None]
+    ints = [0, *sorted(sa)]  # ints[p] is the suffix array's object for p
+    sets: list[IntSet] = []
+    for j in range(n.bit_length()):
+        if j:
+            count = n >> j
+            rows = np.sort(rows[: 2 * count].reshape(count, 1 << j), axis=1, kind="stable")
+        flat, size = tuple(map(ints.__getitem__, rows.ravel().tolist())), 1 << j
+        sets.extend(IntSet(number, flat[lo : lo + size])
+                    for number, lo in enumerate(range(0, len(flat), size), start=len(sets) + 1))
+    return sets
+
+
 class GappedStringIndex:
     """Dyadic suffix-array interval sets behind a gapped intersection index."""
 
@@ -171,12 +195,7 @@ class GappedStringIndex:
         self.text = text
         self.suffixes = build_suffix_array(text)
         n = len(text)
-        # Interval (j, kappa) is set level_starts(n)[j] + kappa + 1.
-        sa = self.suffixes.sa
-        sets = [
-            IntSet(id=number, elements=tuple(sorted(sa[iv.lo - 1 : iv.hi])))
-            for number, iv in enumerate(dyadic_intervals(n), start=1)
-        ]
+        sets = _dyadic_interval_sets(self.suffixes.sa)
         self._level_starts = level_starts(n)
         self.set_elements = sum(len(s) for s in sets)
         if self.set_elements > n * n.bit_length():

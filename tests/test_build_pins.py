@@ -1,0 +1,55 @@
+"""Pinned structures of built gapped indexes.
+
+Each case builds one gapped index and records, for every instance it holds
+(the exact one and one per quotient level from 2), the base sets' ids and
+element tuples, the backend's stored sets, the dyadic and total element
+counts, the lowest stored block level, each base set's first block id, and
+the backend's threshold and per-set ``large`` flags. A digest of those
+records is pinned, so a change to how a level or an instance is built shows
+here even when every answer stays right.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
+from gapindex.gapped import build_gapped_index
+from gapindex.generators import random_collection, random_text
+from gapindex.textindex import build_gapped_string_index
+
+
+def _digest(g) -> tuple[int, str]:
+    """The number of instances and a digest of what each one stores."""
+    records = []
+    for inst in [g.exact] + [lvl.instance for lvl in g.levels]:
+        backend = inst.backend
+        records.append((
+            [(s.id, s.elements) for s in inst.base.sets],
+            backend.sets,
+            inst.dyadic_elements,
+            inst.total_elements,
+            inst.lowest_level,
+            inst.first_block,
+            backend.threshold,
+            backend.large,
+        ))
+    return len(records), hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind, expected", [
+    (LinearScan(), (9, "2c56ee18fff55d56")),
+    (SmallUniverse(0.5), (9, "3adb50ac492e7ef5")),
+    (FullTabulation(), (9, "7b3796dd6381df6b")),
+])
+def test_gapped_set_structures_are_pinned(kind, expected):
+    rng = random.Random(15)
+    c = random_collection(rng, 8, 120, 512, [1, 2, 5, 8, 9, 16, 31, 48])
+    assert _digest(build_gapped_index(c, kind)) == expected
+
+
+def test_gapped_string_structures_are_pinned():
+    text = random_text(random.Random(15), 300, 4)
+    idx = build_gapped_string_index(text, LinearScan())
+    assert _digest(idx.gapped) == (9, "f988f7c0dc51e6a0")

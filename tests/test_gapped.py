@@ -13,9 +13,10 @@ from gapindex.gapped import (
     gapped_report,
     originals,
     plan_cover,
+    quotient_levels,
 )
 from gapindex.generators import random_collection
-from gapindex.sets import ingest_collection
+from gapindex.sets import IntSet, SetCollection, ingest_collection
 
 
 def ceil_log2(n):
@@ -131,6 +132,65 @@ def test_build_levels_and_quotients():
     assert level2.level == 2
     assert level2.instance.base.set(1).elements == (2,)
     assert originals(c.set(1).elements, 2, 2) == [4, 5]
+
+
+def _quotient_collections():
+    """Random collections with singletons, sets that collapse to one value
+    at high levels, and elements near 2^40."""
+    rng = random.Random(15)
+    top = 1 << 40
+    out = [ingest_collection([[1], [2, 3], [8]], u=8)]
+    for _ in range(6):
+        raw = [[rng.randint(1, 64)]]  # a singleton
+        raw.append(list(range(33, 33 + rng.randint(2, 31))))  # one value from level 7
+        raw.append([top - rng.randint(0, 99) for _ in range(rng.randint(1, 40))])
+        raw.append([rng.randint(1, top) for _ in range(rng.randint(1, 40))])
+        raw.append([rng.randint(1, 1024) for _ in range(rng.randint(1, 200))])
+        rng.shuffle(raw)
+        out.append(ingest_collection(raw, u=top))
+    return out
+
+
+@pytest.mark.parametrize("c", _quotient_collections())
+def test_quotient_levels_match_the_definition(c):
+    g = build_gapped_index(c, LinearScan())
+    assert [lvl.level for lvl in g.levels] == list(range(2, g.max_level + 1))
+    for lvl in g.levels:
+        quotients = lvl.instance.base
+        assert quotients.universe == c.universe
+        assert [s.id for s in quotients.sets] == [s.id for s in c.sets]
+        for s, q in zip(c.sets, quotients.sets):
+            expected = tuple(dict.fromkeys(a >> (lvl.level - 1) for a in s.elements))
+            assert q.elements == expected
+            assert all(type(v) is int for v in q.elements)
+
+
+def test_quotient_levels_of_hand_built_sets():
+    # Not ingested: values below 1 and an empty set shift like any other.
+    c = SetCollection((IntSet(1, (-9, -4, -3, 0, 5)), IntSet(2, ()), IntSet(3, (6, 7))), 16)
+    levels = list(quotient_levels(c, 4))
+    assert len(levels) == 3
+    for level, quotients in enumerate(levels, start=2):
+        assert quotients.sets == tuple(
+            IntSet(s.id, tuple(dict.fromkeys(a >> (level - 1) for a in s.elements)))
+            for s in c.sets
+        )
+
+
+def test_quotient_levels_name_an_element_outside_int64():
+    c = SetCollection((IntSet(1, (3, 5)), IntSet(2, (1, 2**70))), 8)
+    with pytest.raises(FormatError, match=str(2**70)):
+        build_gapped_index(c, LinearScan())
+
+
+def test_total_elements_counts_each_stored_collection_once():
+    # Level 1 is the exact instance's collection: it is counted once.
+    c = ingest_collection([[1, 5, 9, 13], [2, 3]], u=16)
+    g = build_gapped_index(c, LinearScan())
+    assert g.max_level == 4 and len(g.levels) == 3
+    assert g.total_elements == g.exact.total_elements + sum(
+        lvl.instance.total_elements for lvl in g.levels
+    )
 
 
 def test_level_one_keeps_the_parent_collection():

@@ -119,6 +119,21 @@ def test_string_index_set_accounting():
     assert sorted(ids) == list(range(1, 8))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 100, 300])
+def test_dyadic_interval_sets_are_the_sorted_slices(n):
+    # Each level is merged from the one below; the reference sorts each
+    # interval's slice of the suffix array on its own. The sets hold the
+    # suffix array's own int objects, as its slices did.
+    text = random_text(random.Random(n), n, 3)
+    idx = build_gapped_string_index(text, LinearScan())
+    sa = idx.suffixes.sa
+    expected = [(number, tuple(sorted(sa[iv.lo - 1 : iv.hi])))
+                for number, iv in enumerate(dyadic_intervals(n), start=1)]
+    assert [(s.id, s.elements) for s in idx.collection.sets] == expected
+    shared = {id(p) for p in sa}
+    assert all(id(p) in shared for s in idx.collection.sets for p in s.elements)
+
+
 def test_string_index_examples():
     idx = build_gapped_string_index(b"abab", LinearScan())
     assert idx.report(b"ab", b"ab", 2, 2) == [(1, 3)]
