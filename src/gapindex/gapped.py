@@ -51,12 +51,13 @@ sets has at most P_l elements, listing the differences {b - a} takes
 all of them miss, so the abstract's query bound
 O~(|P1| + |P2| + n^delta*(occ+1)) still holds.
 
-Level 1 divides by 2^0 = 1, so its quotient collection is the collection
-itself and the exact instance answers it: ``instances[l]`` names the
-instance for plan level l, and only levels from 2 build quotients.
-They are built in one bulk pass (``quotient_levels``): since
-a >> l = (a >> (l-1)) >> 1, each level is the level below shifted right
-by one with repeats inside a set dropped, over one flattened int64 array.
+Level 1 divides by 2^0 = 1, so its quotient sets are the sets themselves
+and the exact instance answers it: ``instances[l]`` names the instance
+for plan level l, and only levels from 2 build quotients. They are built
+in one bulk pass (``quotient_levels``): since a >> l = (a >> (l-1)) >> 1,
+each level is the level below shifted right by one with repeats inside a
+set dropped, over one flattened int64 array. A level is a list of element
+tuples, one per set, sharing one int object per distinct value.
 
 How each (pair, level) is answered is the backend's rule,
 ``SsiBackend.tabulated``. A report asks each level of a pair the backend
@@ -83,14 +84,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import FormatError, GapIndexError
 from .reporting import AugmentedInstance, report_shift
-from .sets import IntSet, SetCollection
+from .sets import SetCollection
 
 _INT64 = np.iinfo(np.int64)
 
@@ -371,53 +372,54 @@ def originals(elements: tuple[int, ...], level: int, quotient_value: int) -> lis
     return list(elements[lo : bisect_left(elements, (quotient_value + 1) << shift, lo)])
 
 
-def quotient_levels(c: SetCollection, top: int) -> Iterator[SetCollection]:
-    """The quotient collections of levels 2..top, each made in one bulk pass
-    from the one below.
+def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[list[tuple[int, ...]]]:
+    """The quotient sets of levels 2..top, one list of element tuples per
+    level, each made in one bulk pass from the one below.
 
     Level l's quotient of a is a >> (l - 1) = (a >> (l - 2)) >> 1. The
-    collection is flattened once into one int64 array, with each element's
-    owner set beside it. A level shifts the level below's values right by
-    one, which keeps each set's run in order, and keeps an element when its
-    value or its owner differs from the previous element's: every quotient
-    set comes out sorted and free of repeats, as dict.fromkeys over
-    a >> (l - 1) for a in S would make it. One ``tolist`` per level gives
-    the ints, and each set's tuple is a slice of them at the per-owner
-    counts. An element outside int64 raises FormatError.
+    sets are flattened once into one int64 array, with each element's
+    owner set beside it, and each element is kept as the code of its value
+    among the sorted distinct values. A level halves the level below's
+    distinct values, maps each code to its half's, and keeps an element
+    when its code or its owner differs from the previous element's: every
+    quotient set comes out sorted and free of repeats, as dict.fromkeys
+    over a >> (l - 1) for a in S would make it. Each distinct value
+    becomes one int in an object table no longer than the level, which
+    every set's tuple (a slice at the per-owner counts) shares. An element
+    outside int64 raises FormatError.
     """
-    sets = c.sets
-    sizes = [len(s.elements) for s in sets]
+    sizes = list(map(len, sets))
     try:
-        values = np.fromiter(chain.from_iterable(s.elements for s in sets), np.int64, sum(sizes))
+        values = np.fromiter(chain.from_iterable(sets), np.int64, sum(sizes))
     except OverflowError:
-        bad = next(a for s in sets for a in s.elements if not _INT64.min <= a <= _INT64.max)
+        bad = next(a for s in sets for a in s if not _INT64.min <= a <= _INT64.max)
         raise FormatError(f"element {bad} does not fit the quotient levels' int64") from None
+    distinct, codes = np.unique(values, return_inverse=True)
     owners = np.repeat(np.arange(len(sets)), sizes)
-    keep = np.ones(len(values), dtype=bool)
+    keep = np.ones(len(codes), dtype=bool)
     for _ in range(2, top + 1):
-        values = values >> 1
-        keep = keep[: len(values)]
-        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        distinct, halves = np.unique(distinct >> 1, return_inverse=True)
+        codes = halves[codes]
+        keep = keep[: len(codes)]
+        np.not_equal(codes[1:], codes[:-1], out=keep[1:])
         keep[1:] |= owners[1:] != owners[:-1]
-        values, owners = values[keep], owners[keep]
-        flat = tuple(values.tolist())
+        codes, owners = codes[keep], owners[keep]
+        flat = tuple(distinct.astype(object)[codes].tolist())
         ends = np.bincount(owners, minlength=len(sets)).cumsum().tolist()
-        yield SetCollection(tuple(
-            IntSet(s.id, flat[lo:hi]) for s, lo, hi in zip(sets, [0] + ends, ends)
-        ), c.universe)
+        yield [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 class LevelIndex:
-    """Quotient collection for one level l >= 2 behind its own instance.
+    """Quotient sets for one level l >= 2 behind their own instance.
 
-    Quotient set i holds a >> (level - 1) for a in S_i, in order since S_i is
-    sorted; ``quotient_levels`` makes every level's collection in one pass
-    from the level below, and ``originals`` maps a quotient back. Level 1
-    divides by 1, so its quotient collection is the parent itself and the
+    ``quotients[i - 1]`` holds a >> (level - 1) for a in S_i, in order since
+    S_i is sorted; ``quotient_levels`` makes every level's tuples in one
+    pass from the level below, and ``originals`` maps a quotient back.
+    Level 1 divides by 1, so its quotient sets are the parent's own and the
     exact instance answers it: no LevelIndex exists for level 1.
     """
 
-    def __init__(self, quotients: SetCollection, level: int, kind: BackendKind,
+    def __init__(self, quotients: Sequence[tuple[int, ...]], level: int, kind: BackendKind,
                  mem_budget: int):
         self.level = level
         self.instance = AugmentedInstance(quotients, kind, mem_budget)
@@ -435,20 +437,17 @@ class GappedIndex:
     def __init__(self, c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
         self.collection = c
         self.kind = kind
-        self.exact = AugmentedInstance(c, kind, mem_budget)
+        self.exact = AugmentedInstance([s.elements for s in c.sets], kind, mem_budget)
         self.max_level = max(c.universe - 1, 0).bit_length()  # ceil(log2 u)
+        quotients = quotient_levels(self.exact.base, self.max_level)
         self.levels = [
-            LevelIndex(quotients, level, kind, mem_budget)
-            for level, quotients in enumerate(quotient_levels(c, self.max_level), start=2)
+            LevelIndex(sets, level, kind, mem_budget)
+            for level, sets in enumerate(quotients, start=2)
         ]
-        self.instances = [self.exact] * min(2, self.max_level + 1) + [
-            lvl.instance for lvl in self.levels
-        ]
-        per_level_bound = self.exact.total_elements
-        self.total_elements = sum(
-            inst.total_elements for inst in [self.exact] + [lvl.instance for lvl in self.levels]
-        )
-        if self.total_elements > per_level_bound * (self.max_level + 1):
+        above = [lvl.instance for lvl in self.levels]
+        self.instances = [self.exact] * min(2, self.max_level + 1) + above
+        self.total_elements = sum(inst.total_elements for inst in [self.exact] + above)
+        if self.total_elements > self.exact.total_elements * (self.max_level + 1):
             raise GapIndexError("gapped element accounting bound violated")
         self.last_plan_size = 0
         self.last_raw_pairs = 0

@@ -47,7 +47,7 @@ from .backends import (
 )
 from .errors import FormatError, GapIndexError
 from .reductions import reduce_3sum_to_ssi
-from .sets import DyadicSubset, IntSet, SetCollection, cover_rank_range, level_starts
+from .sets import DyadicSubset, SetCollection, cover_ranks, level_starts
 
 # The benchmark's tracer wraps dyadic_subsets by this module's name, as it
 # wraps build_backend; the build itself places blocks by arithmetic.
@@ -64,17 +64,19 @@ class AugmentedInstance:
     """Base sets plus the dyadic rank blocks a lookup can address, behind
     one existence backend.
 
-    ``total_elements`` counts the base sets and every dyadic block, stored
-    or not. Of the block ids it keeps only ``first_block``, each base set's
-    first stored one; the layout in the module docstring places the others.
+    ``base`` is the k base sets' element tuples, as given. ``total_elements``
+    counts the base sets and every dyadic block, stored or not. Of the
+    block ids it keeps only ``first_block``, each base set's first stored
+    one; the layout in the module docstring places the others.
     ``existence_calls`` counts the lookups asked through ``_exists``; the
     backend counts its own scans, and ``ssi_calls`` sums the two.
     """
 
-    def __init__(self, c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
-        self.base = c
+    def __init__(self, sets: Sequence[tuple[int, ...]], kind: BackendKind,
+                 mem_budget: int = DEFAULT_MEM_BUDGET):
+        self.base = sets
         self.kind = kind
-        all_sets: list[tuple[int, ...]] = [s.elements for s in c.sets]
+        all_sets = list(sets)
         sizes = list(map(len, all_sets))
         n = sum(sizes)
         self.base_elements = n
@@ -131,7 +133,7 @@ class AugmentedInstance:
 def build_reporting_index(
     c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> AugmentedInstance:
-    return AugmentedInstance(c, kind, mem_budget)
+    return AugmentedInstance([s.elements for s in c.sets], kind, mem_budget)
 
 
 def matching_pairs(
@@ -156,10 +158,6 @@ def matching_pairs(
     return out
 
 
-def _cover_or_empty(parent: IntSet, lo: int, hi: int) -> list[DyadicSubset]:
-    return cover_rank_range(parent, lo, hi) if lo <= hi else []
-
-
 @dataclass(frozen=True)
 class _Node:
     set_a: int  # backend set id a lookup asks; a scanned node names the base set
@@ -181,12 +179,11 @@ def report_shift(
     answer) for each backend call: a certificate or None for a lookup, the
     pairs for a scan. ``inst.last_query_calls`` is set to the calls made.
     """
-    sets = inst.base.sets
-    k = len(sets)
+    k = len(inst.base)
     if not (1 <= i <= k and 1 <= j <= k):
         raise FormatError(f"set index {j if 1 <= i <= k else i} out of range 1..{k}")
-    parent_a, parent_b = sets[i - 1], sets[j - 1]
-    m_a, m_b = len(parent_a.elements), len(parent_b.elements)
+    elements_a, elements_b = inst.base[i - 1], inst.base[j - 1]
+    m_a, m_b = len(elements_a), len(elements_b)
     backend = inst.backend
     if not backend.tabulated(i, j):
         found = backend.scan(i, 1, m_a, j, 1, m_b, s)
@@ -211,24 +208,24 @@ def report_shift(
             found.append((cert.a, cert.b))
             # Split strictly below / above the witness; remaining solutions
             # cannot straddle the two halves since a' < a forces b' < b.
-            rank_a = bisect_left(parent_a.elements, cert.a) + 1
-            rank_b = bisect_left(parent_b.elements, cert.b) + 1
+            rank_a = bisect_left(elements_a, cert.a) + 1
+            rank_b = bisect_left(elements_b, cert.b) + 1
             # The split below assumes the pair lies in the node's blocks; a
             # pair outside them would be found again from another node.
             if not (
                 node.a_lo <= rank_a <= node.a_hi
                 and node.b_lo <= rank_b <= node.b_hi
-                and parent_a.elements[rank_a - 1] == cert.a
-                and parent_b.elements[rank_b - 1] == cert.b
+                and elements_a[rank_a - 1] == cert.a
+                and elements_b[rank_b - 1] == cert.b
             ):
                 raise GapIndexError(
                     f"certificate ({cert.a}, {cert.b}) of shift {s} is not in ranks"
                     f" [{node.a_lo}, {node.a_hi}] x [{node.b_lo}, {node.b_hi}]"
                 )
-            lows_a = _cover_or_empty(parent_a, node.a_lo, rank_a - 1)
-            highs_a = _cover_or_empty(parent_a, rank_a + 1, node.a_hi)
-            lows_b = _cover_or_empty(parent_b, node.b_lo, rank_b - 1)
-            highs_b = _cover_or_empty(parent_b, rank_b + 1, node.b_hi)
+            lows_a = cover_ranks(elements_a, i, node.a_lo, rank_a - 1)
+            highs_a = cover_ranks(elements_a, i, rank_a + 1, node.a_hi)
+            lows_b = cover_ranks(elements_b, j, node.b_lo, rank_b - 1)
+            highs_b = cover_ranks(elements_b, j, rank_b + 1, node.b_hi)
             for side_a, side_b in ((lows_a, lows_b), (highs_a, highs_b)):
                 for block_a, block_b in matching_pairs(side_a, side_b, s):
                     if block_a.size > threshold and block_b.size > threshold:

@@ -151,11 +151,15 @@ def dyadic_subsets(s: IntSet) -> list[DyadicSubset]:
 
 def cover_rank_range(s: IntSet, lo: int, hi: int) -> list[DyadicSubset]:
     """Disjoint dyadic blocks whose union is exactly ranks [lo, hi] of s."""
-    el, sid = s.elements, s.id
-    if not 1 <= lo <= hi <= len(el):
-        raise FormatError(f"invalid rank range [{lo}, {hi}] for set of size {len(el)}")
-    blocks = _cover_rank_blocks(lo, hi)
-    return [DyadicSubset(sid, j, k, a, b, el[a - 1], el[b - 1]) for j, k, a, b in blocks]
+    if not 1 <= lo <= hi <= len(s.elements):
+        raise FormatError(f"invalid rank range [{lo}, {hi}] for set of size {len(s.elements)}")
+    return cover_ranks(s.elements, s.id, lo, hi)
+
+
+def cover_ranks(el: tuple[int, ...], sid: int, lo: int, hi: int) -> list[DyadicSubset]:
+    """Unchecked ``cover_rank_range`` of ``el``, set ``sid``; [] when lo > hi."""
+    return [DyadicSubset(sid, j, k, a, b, el[a - 1], el[b - 1])
+            for j, k, a, b in _cover_rank_blocks(lo, hi)]
 
 
 def cover_value_range(s: IntSet, a: int, b: int) -> list[DyadicSubset]:

@@ -26,7 +26,7 @@ def _digest(g) -> tuple[int, str]:
     for inst in [g.exact] + [lvl.instance for lvl in g.levels]:
         backend = inst.backend
         records.append((
-            [(s.id, s.elements) for s in inst.base.sets],
+            list(enumerate(inst.base, start=1)),
             backend.sets,
             inst.dyadic_elements,
             inst.total_elements,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,8 +16,9 @@ from gapindex.gapped import (
     plan_cover,
     quotient_levels,
 )
-from gapindex.generators import random_collection
+from gapindex.generators import random_collection, random_text
 from gapindex.sets import IntSet, SetCollection, ingest_collection
+from gapindex.textindex import build_gapped_string_index
 
 
 def ceil_log2(n):
@@ -130,7 +132,7 @@ def test_build_levels_and_quotients():
     assert g.max_level == 3
     level2 = g.levels[0]
     assert level2.level == 2
-    assert level2.instance.base.set(1).elements == (2,)
+    assert level2.instance.base[0] == (2,)
     assert originals(c.set(1).elements, 2, 2) == [4, 5]
 
 
@@ -157,24 +159,22 @@ def test_quotient_levels_match_the_definition(c):
     assert [lvl.level for lvl in g.levels] == list(range(2, g.max_level + 1))
     for lvl in g.levels:
         quotients = lvl.instance.base
-        assert quotients.universe == c.universe
-        assert [s.id for s in quotients.sets] == [s.id for s in c.sets]
-        for s, q in zip(c.sets, quotients.sets):
+        assert len(quotients) == c.k
+        for s, q in zip(c.sets, quotients):
             expected = tuple(dict.fromkeys(a >> (lvl.level - 1) for a in s.elements))
-            assert q.elements == expected
-            assert all(type(v) is int for v in q.elements)
+            assert q == expected
+            assert all(type(v) is int for v in q)
 
 
 def test_quotient_levels_of_hand_built_sets():
     # Not ingested: values below 1 and an empty set shift like any other.
     c = SetCollection((IntSet(1, (-9, -4, -3, 0, 5)), IntSet(2, ()), IntSet(3, (6, 7))), 16)
-    levels = list(quotient_levels(c, 4))
+    levels = list(quotient_levels([s.elements for s in c.sets], 4))
     assert len(levels) == 3
     for level, quotients in enumerate(levels, start=2):
-        assert quotients.sets == tuple(
-            IntSet(s.id, tuple(dict.fromkeys(a >> (level - 1) for a in s.elements)))
-            for s in c.sets
-        )
+        assert quotients == [
+            tuple(dict.fromkeys(a >> (level - 1) for a in s.elements)) for s in c.sets
+        ]
 
 
 def test_quotient_levels_name_an_element_outside_int64():
@@ -199,7 +199,8 @@ def test_level_one_keeps_the_parent_collection():
     c = ingest_collection([[4, 5], [7]], u=8)
     g = build_gapped_index(c, LinearScan())
     assert g.instances[1] is g.exact
-    assert g.exact.base is c
+    assert g.exact.base == [s.elements for s in c.sets]
+    assert all(a is s.elements for a, s in zip(g.exact.base, c.sets))
     assert g.levels[0].level == 2
     assert originals(c.set(1).elements, 1, 5) == [5]
     assert gapped_report(g, 1, 2, 2, 3) == brute_pairs(c, 1, 2, 2, 3)
@@ -366,3 +367,30 @@ def test_quotient_witness_guard_raises(monkeypatch):
                         lambda i, j, s: next(misses, ShiftCertificate(1, 30)))
     with pytest.raises(GapIndexError, match=r"witness \(1, 30\) of level-1 shift 11 is outside"):
         gapped_exists(g, 1, 2, 10, 20)
+
+
+def test_quotient_levels_share_one_int_per_value():
+    # Above 256 CPython makes a new int per tolist() entry; every level-2
+    # occurrence of a value must be the one object of the level's table.
+    idx = build_gapped_string_index(random_text(random.Random(21), 1024, 4), LinearScan())
+    level2 = [v for q in idx.gapped.levels[0].instance.base for v in q if v > 256]
+    assert level2 and len({id(v) for v in level2}) == len(set(level2))
+
+
+def test_quotient_levels_near_2_40_allocate_no_universe_sized_table():
+    rng = random.Random(40)
+    top = 1 << 40
+    raw = [sorted(rng.sample(range(1, top + 1), 60)) for _ in range(4)]
+    raw.append([1, 2, top - 1, top])
+    c = ingest_collection(raw, u=top)
+    tracemalloc.start()
+    try:
+        g = build_gapped_index(c, LinearScan())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.levels) == 39
+    assert peak < 4 << 20
+    for lvl in g.levels:
+        for s, q in zip(c.sets, lvl.instance.base):
+            assert q == tuple(dict.fromkeys(a >> (lvl.level - 1) for a in s.elements))

@@ -31,7 +31,7 @@ from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import build_gapped_index, gapped_exists, gapped_report, plan_cover
 from gapindex.generators import random_collection, random_pattern_from, random_text
 from gapindex.reporting import _Node, build_reporting_index, matching_pairs, report_shift
-from gapindex.sets import cover_rank_range, dyadic_subsets, ingest_collection
+from gapindex.sets import IntSet, cover_rank_range, dyadic_subsets, ingest_collection
 from gapindex.textindex import baseline_linear_scan, build_gapped_string_index, pattern_interval
 from test_gapped import expansion_range
 
@@ -43,9 +43,9 @@ def reference_block_ids(inst):
     """Backend id of every dyadic block, counted as the instance stores them."""
     if inst not in _block_ids:
         ids = {}
-        next_id = inst.base.k + 1
-        for parent in inst.base.sets:
-            for sub in dyadic_subsets(parent):
+        next_id = len(inst.base) + 1
+        for sid, elements in enumerate(inst.base, start=1):
+            for sub in dyadic_subsets(IntSet(sid, elements)):
                 ids[(sub.parent_id, sub.level, sub.block)] = next_id
                 next_id += 1
         _block_ids[inst] = ids
@@ -54,7 +54,7 @@ def reference_block_ids(inst):
 
 def reference_report_shift(inst, i, j, s):
     ids = reference_block_ids(inst)
-    parent_a, parent_b = inst.base.set(i), inst.base.set(j)
+    parent_a, parent_b = IntSet(i, inst.base[i - 1]), IntSet(j, inst.base[j - 1])
 
     def cover(parent, lo, hi):
         return cover_rank_range(parent, lo, hi) if lo <= hi else []

@@ -12,7 +12,8 @@ from gapindex.backends import (
     brute_force_ssi,
     build_backend,
 )
-from gapindex.errors import GapIndexError
+from gapindex.errors import FormatError, GapIndexError
+from gapindex.gapped import build_gapped_index
 from gapindex.generators import random_collection
 from gapindex.reporting import (
     build_reporting_index,
@@ -385,3 +386,16 @@ def test_blocks_stored_are_those_a_lookup_addresses():
                 starts = level_starts(len(c.set(p)))
                 stored = idx.first_block[p - 1] + starts[level] - starts[idx.lowest_level] + block
                 assert idx.backend.sets[stored - 1] == full[full_id - 1]
+
+
+def test_report_shift_refuses_a_block_id_past_the_base_sets():
+    # Under fulltab the backend also stores every dyadic block, so id k + 1
+    # is a stored set: the range check must count the k base sets only.
+    c = ingest_collection([[1, 2, 5, 9], [3, 4, 7], [2, 6]], u=16)
+    reporting_index = build_reporting_index(c, FullTabulation())
+    level2 = build_gapped_index(c, FullTabulation()).levels[0].instance
+    for inst in (reporting_index, level2):
+        assert len(inst.backend.sets) > c.k + 1
+        for i, j in ((c.k + 1, 1), (1, c.k + 1)):
+            with pytest.raises(FormatError, match=rf"set index {c.k + 1} out of range 1\.\.{c.k}$"):
+                report_shift(inst, i, j, 1)
