@@ -35,8 +35,8 @@ two rank ranges at one shift; the reporting recursion asks it for each
 pair it does not tabulate. ``scan_shifts`` answers one untabulated pair
 at many shifts in one pass, as the gapped index asks a plan's level: it
 lists the pair's differences once when neither set outnumbers the shifts,
-and otherwise runs ``scan``'s walk once per shift. ``differences`` gives
-the set of b - a that such a listing reads.
+and otherwise runs ``scan``'s walk (``_walk``, which loops over the shifts
+itself). ``differences`` gives the set of b - a that such a listing reads.
 
 The backend counts its own work: ``probes`` grows by the elements a probe
 or walk visits, and ``scans`` by one per ``scan`` and per walking
@@ -422,33 +422,47 @@ class SsiBackend:
     def scan(self, i: int, a_lo: int, a_hi: int, j: int, b_lo: int, b_hi: int,
              s: int) -> list[tuple[int, int]]:
         """Every (a, b) with a + s = b, a of ranks [a_lo, a_hi] of set i and b
-        of ranks [b_lo, b_hi] of set j, sorted by a.
-
-        The rule of ``exists`` without the stop at the first hit: walk the
-        smaller rank range against the other set's members, counting a hit
-        only between the other range's first and last elements. Two
-        bisections bound the walk to the elements whose partner can lie
-        there, so it costs O(log + min(|A|, |B|) + occ) steps, and every
-        member hit inside the walk is a pair. The caller vouches for the
-        ids and ranks. ``scans`` grows by one and ``probes`` by the
-        elements walked. An empty range on either side has no pair and
-        walks nothing.
+        of ranks [b_lo, b_hi] of set j, sorted by a: one ``_walk`` at the one
+        shift s, in O(log + min(|A|, |B|) + occ) steps. The caller vouches
+        for the ids and ranks. An empty range has no pair and walks nothing.
         """
-        self.scans += 1
         if a_hi < a_lo or b_hi < b_lo:
+            self.scans += 1
             return []
+        return self._walk(i, a_lo, a_hi, j, b_lo, b_hi, (s,)).get(s, [])
+
+    def _walk(self, i: int, a_lo: int, a_hi: int, j: int, b_lo: int, b_hi: int,
+              shifts: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
+        """{shift: pairs sorted by a} of two rank ranges, for each of
+        ``shifts`` that hits: the rule of ``exists`` without the stop at the
+        first hit. Per shift, two bisections bound the smaller range to the
+        elements whose partner can lie in the other range, and each is looked
+        up in the other set's members. One pass over all the shifts:
+        ``scans`` grows by one and ``probes`` by the elements walked.
+        """
         sa, sb = self.sets[i - 1], self.sets[j - 1]
+        out: dict[int, list[tuple[int, int]]] = {}
+        walked = 0
         if a_hi - a_lo <= b_hi - b_lo:
-            lo = bisect_left(sa, sb[b_lo - 1] - s, a_lo - 1, a_hi)
-            hi = bisect_right(sa, sb[b_hi - 1] - s, lo, a_hi)
-            member = self.members[j - 1]
-            out = [(x, x + s) for x in sa[lo:hi] if x + s in member]
+            member, first, last = self.members[j - 1], sb[b_lo - 1], sb[b_hi - 1]
+            for s in shifts:
+                lo = bisect_left(sa, first - s, a_lo - 1, a_hi)
+                hi = bisect_right(sa, last - s, lo, a_hi)
+                walked += hi - lo
+                pairs = [(x, x + s) for x in sa[lo:hi] if x + s in member]
+                if pairs:
+                    out[s] = pairs
         else:
-            lo = bisect_left(sb, sa[a_lo - 1] + s, b_lo - 1, b_hi)
-            hi = bisect_right(sb, sa[a_hi - 1] + s, lo, b_hi)
-            member = self.members[i - 1]
-            out = [(y - s, y) for y in sb[lo:hi] if y - s in member]
-        self.probes += hi - lo
+            member, first, last = self.members[i - 1], sa[a_lo - 1], sa[a_hi - 1]
+            for s in shifts:
+                lo = bisect_left(sb, first + s, b_lo - 1, b_hi)
+                hi = bisect_right(sb, last + s, lo, b_hi)
+                walked += hi - lo
+                pairs = [(y - s, y) for y in sb[lo:hi] if y - s in member]
+                if pairs:
+                    out[s] = pairs
+        self.scans += 1
+        self.probes += walked
         return out
 
     def differences(self, i: int, j: int, count: int) -> Optional[set[int]]:
@@ -472,42 +486,20 @@ class SsiBackend:
         One pass over a pair the backend does not tabulate. When neither
         set has more elements than there are shifts, every difference is
         listed once and each wanted one keeps its pairs: |A|*|B| <=
-        len(shifts)*min(|A|, |B|) steps, no more than the walks below
+        len(shifts)*min(|A|, |B|) steps, no more than the walks
         spend when every shift misses, and ``probes`` does not grow.
-        Otherwise ``scan``'s walk of the smaller set runs once per shift,
-        each bounded by two bisections; the pass adds one to ``scans``, and
-        ``probes`` grows by the elements walked. The caller vouches for the
-        ids.
+        Otherwise one ``_walk`` over the whole sets walks the smaller set
+        once per shift. The caller vouches for the ids.
         """
         sa, sb = self.sets[i - 1], self.sets[j - 1]
-        out: dict[int, list[tuple[int, int]]] = {}
         if len(sa) <= len(shifts) and len(sb) <= len(shifts):
+            out: dict[int, list[tuple[int, int]]] = {}
             wanted = set(shifts)
             for a, b in [(a, b) for a in sa for b in sb if b - a in wanted]:
                 out.setdefault(b - a, []).append((a, b))
             return out
-        self.scans += 1
-        walked = 0
-        if len(sa) <= len(sb):
-            member, first, last = self.members[j - 1], sb[0], sb[-1]
-            for s in shifts:
-                lo = bisect_left(sa, first - s)
-                hi = bisect_right(sa, last - s, lo)
-                walked += hi - lo
-                pairs = [(x, x + s) for x in sa[lo:hi] if x + s in member]
-                if pairs:
-                    out[s] = pairs
-        else:
-            member, first, last = self.members[i - 1], sa[0], sa[-1]
-            for s in shifts:
-                lo = bisect_left(sb, first + s)
-                hi = bisect_right(sb, last + s, lo)
-                walked += hi - lo
-                pairs = [(y - s, y) for y in sb[lo:hi] if y - s in member]
-                if pairs:
-                    out[s] = pairs
-        self.probes += walked
-        return out
+        # Over whole sets the smaller rank range is the smaller set.
+        return self._walk(i, 1, len(sa), j, 1, len(sb), shifts)
 
     def space_bytes(self) -> int:
         return self.dict_entries * _INT_BYTES + self.table.entries * _CERT_BYTES

@@ -51,6 +51,11 @@ sets has at most P_l elements, listing the differences {b - a} takes
 all of them miss, so the abstract's query bound
 O~(|P1| + |P2| + n^delta*(occ+1)) still holds.
 
+The index holds each set as a sorted element tuple: ``build_gapped_index``
+unwraps a collection, and the string index hands its interval tuples over
+as they are. After the gap, every query checks its set ids against the k
+base sets (``reporting.check_set_ids``).
+
 Level 1 divides by 2^0 = 1, so its quotient sets are the sets themselves
 and the exact instance answers it: ``instances[l]`` names the instance
 for plan level l, and only levels from 2 build quotients. They are built
@@ -90,7 +95,7 @@ import numpy as np
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import FormatError, GapIndexError
-from .reporting import AugmentedInstance, report_shift
+from .reporting import AugmentedInstance, check_set_ids, report_shift
 from .sets import SetCollection
 
 _INT64 = np.iinfo(np.int64)
@@ -428,21 +433,23 @@ class LevelIndex:
 class GappedIndex:
     """Exact shift index plus one LevelIndex per approximate level from 2.
 
-    ``instances[l]`` is the instance that answers plan level l: the exact
-    one at levels 0 and 1, ``levels[l - 2].instance`` above.
-    ``total_elements`` counts each stored collection once: the exact
-    instance's and each quotient level's.
+    ``sets`` holds k sorted element tuples over {1..universe}, kept as
+    ``exact.base``. ``instances[l]`` is the instance that answers plan
+    level l: the exact one at levels 0 and 1, ``levels[l - 2].instance``
+    above. ``total_elements`` counts each stored collection once: the
+    exact instance's and each quotient level's.
     """
 
-    def __init__(self, c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
-        self.collection = c
+    def __init__(self, sets: Sequence[tuple[int, ...]], universe: int, kind: BackendKind,
+                 mem_budget: int = DEFAULT_MEM_BUDGET):
+        self.universe = universe
         self.kind = kind
-        self.exact = AugmentedInstance([s.elements for s in c.sets], kind, mem_budget)
-        self.max_level = max(c.universe - 1, 0).bit_length()  # ceil(log2 u)
+        self.exact = AugmentedInstance(sets, kind, mem_budget)
+        self.max_level = max(universe - 1, 0).bit_length()  # ceil(log2 u)
         quotients = quotient_levels(self.exact.base, self.max_level)
         self.levels = [
-            LevelIndex(sets, level, kind, mem_budget)
-            for level, sets in enumerate(quotients, start=2)
+            LevelIndex(level_sets, level, kind, mem_budget)
+            for level, level_sets in enumerate(quotients, start=2)
         ]
         above = [lvl.instance for lvl in self.levels]
         self.instances = [self.exact] * min(2, self.max_level + 1) + above
@@ -465,7 +472,7 @@ class GappedIndex:
     def _clamped(self, alpha: int, beta: int) -> Optional[tuple[int, int]]:
         if not 0 <= alpha <= beta:
             raise FormatError(f"need 0 <= alpha <= beta, got [{alpha}, {beta}]")
-        hi = min(beta, self.collection.universe - 1)  # differences never exceed u-1
+        hi = min(beta, self.universe - 1)  # differences never exceed u-1
         if alpha > hi:
             return None
         return alpha, hi
@@ -474,12 +481,13 @@ class GappedIndex:
 def build_gapped_index(
     c: SetCollection, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET
 ) -> GappedIndex:
-    return GappedIndex(c, kind, mem_budget)
+    return GappedIndex([s.elements for s in c.sets], c.universe, kind, mem_budget)
 
 
 def approx_exists(g: GappedIndex, i: int, j: int, q: ApproxQuery) -> bool:
     """Answer one approximate query through the level's quotient instance."""
     inst = g._instance(q.level)
+    check_set_ids(inst, i, j)
     for shift in _quotient_shifts(q.level, q.center):
         if inst._exists(i, j, shift) is not None:
             return True
@@ -529,16 +537,6 @@ def _live_probes(
                 yield level, shift
 
 
-def _check_pair(g: GappedIndex, i: int, j: int) -> None:
-    """Raise FormatError unless i and j are sets of the collection.
-
-    The backends also store dyadic blocks past the k sets, so their own
-    range check would let such an id through.
-    """
-    g.collection.set(i)
-    g.collection.set(j)
-
-
 def gapped_exists(
     g: GappedIndex,
     i: int,
@@ -555,7 +553,7 @@ def gapped_exists(
     full sequence of point and approximate queries finds.
     """
     plan = _plan_for(g, alpha, beta, plan)
-    _check_pair(g, i, j)
+    check_set_ids(g.exact, i, j)
     if plan is None:
         g.last_plan_size = 0
         return None
@@ -571,9 +569,8 @@ def gapped_exists(
             a, b = cert.a, cert.b
         else:
             # By the expansion lemma any originals will do; take the first.
-            sets = g.collection.sets
-            a = originals(sets[i - 1].elements, level, cert.a)[0]
-            b = originals(sets[j - 1].elements, level, cert.b)[0]
+            a = originals(g.exact.base[i - 1], level, cert.a)[0]
+            b = originals(g.exact.base[j - 1], level, cert.b)[0]
         if not alpha <= b - a <= beta:
             raise GapIndexError(
                 f"witness ({a}, {b}) of level-{level} shift {shift} is outside [{alpha}, {beta}]"
@@ -598,7 +595,7 @@ def gapped_report(
     asks all the level's shifts in one ``scan_shifts`` pass.
     """
     plan = _plan_for(g, alpha, beta, plan)
-    _check_pair(g, i, j)
+    check_set_ids(g.exact, i, j)
     if plan is None:
         g.last_plan_size = 0
         g.last_raw_pairs = 0
@@ -606,7 +603,7 @@ def gapped_report(
         return []
     g.last_plan_size = plan.size
     raw: list[tuple[int, int]] = []
-    elements_a, elements_b = g.collection.sets[i - 1].elements, g.collection.sets[j - 1].elements
+    elements_a, elements_b = g.exact.base[i - 1], g.exact.base[j - 1]
     # Every level from 0 to the plan's top has probes.
     for level, shifts in enumerate(plan.level_shifts):
         inst = g.instances[level]

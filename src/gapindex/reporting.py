@@ -168,6 +168,16 @@ class _Node:
     b_hi: int
 
 
+def check_set_ids(inst: AugmentedInstance, i: int, j: int) -> None:
+    """Raise FormatError unless i, then j, is a base set id 1..k. The
+    backend stores dyadic blocks after the k base sets (all of them under
+    ``FullTabulation``), so its own range check would answer a block id as
+    if it named a set."""
+    k = len(inst.base)
+    if not (1 <= i <= k and 1 <= j <= k):
+        raise FormatError(f"set index {j if 1 <= i <= k else i} out of range 1..{k}")
+
+
 def report_shift(
     inst: AugmentedInstance, i: int, j: int, s: int, trace: Optional[list] = None
 ) -> list[tuple[int, int]]:
@@ -179,9 +189,7 @@ def report_shift(
     answer) for each backend call: a certificate or None for a lookup, the
     pairs for a scan. ``inst.last_query_calls`` is set to the calls made.
     """
-    k = len(inst.base)
-    if not (1 <= i <= k and 1 <= j <= k):
-        raise FormatError(f"set index {j if 1 <= i <= k else i} out of range 1..{k}")
+    check_set_ids(inst, i, j)
     elements_a, elements_b = inst.base[i - 1], inst.base[j - 1]
     m_a, m_b = len(elements_a), len(elements_b)
     backend = inst.backend

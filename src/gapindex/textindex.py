@@ -23,7 +23,7 @@ from . import gapped
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import BudgetError, FormatError, GapIndexError
 from .gapped import CoverPlan, GappedIndex, gapped_exists, gapped_report
-from .sets import IntSet, SetCollection, _cover_rank_blocks, level_starts
+from .sets import _cover_rank_blocks, level_starts
 
 DEFAULT_QUAD_BUDGET = 512 << 20
 
@@ -162,9 +162,9 @@ def find_occurrences(text: bytes, pattern: bytes) -> list[int]:
     return out
 
 
-def _dyadic_interval_sets(sa: Sequence[int]) -> list[IntSet]:
+def _dyadic_interval_sets(sa: Sequence[int]) -> list[tuple[int, ...]]:
     """The starting positions of each dyadic suffix-array interval as a
-    sorted set; interval (j, kappa) is set level_starts(n)[j] + kappa + 1.
+    sorted tuple; interval (j, kappa) is set level_starts(n)[j] + kappa + 1.
 
     Level j's intervals are the rows of an (n >> j) x 2^j array. A row of
     level j + 1 joins two sorted rows of level j, which a stable sort (a
@@ -175,19 +175,19 @@ def _dyadic_interval_sets(sa: Sequence[int]) -> list[IntSet]:
     n = len(sa)
     rows = np.asarray(sa, dtype=np.int64)[:, None]
     ints = [0, *sorted(sa)]  # ints[p] is the suffix array's object for p
-    sets: list[IntSet] = []
+    sets: list[tuple[int, ...]] = []
     for j in range(n.bit_length()):
         if j:
             count = n >> j
             rows = np.sort(rows[: 2 * count].reshape(count, 1 << j), axis=1, kind="stable")
         flat, size = tuple(map(ints.__getitem__, rows.ravel().tolist())), 1 << j
-        sets.extend(IntSet(number, flat[lo : lo + size])
-                    for number, lo in enumerate(range(0, len(flat), size), start=len(sets) + 1))
+        sets.extend(flat[lo : lo + size] for lo in range(0, len(flat), size))
     return sets
 
 
 class GappedStringIndex:
-    """Dyadic suffix-array interval sets behind a gapped intersection index."""
+    """Dyadic suffix-array interval sets behind a gapped intersection index,
+    which takes the interval tuples as they are, over universe n."""
 
     def __init__(self, text: bytes, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
         if not text:
@@ -200,8 +200,7 @@ class GappedStringIndex:
         self.set_elements = sum(len(s) for s in sets)
         if self.set_elements > n * n.bit_length():
             raise GapIndexError("dyadic interval accounting bound violated")
-        self.collection = SetCollection(sets=tuple(sets), universe=n)
-        self.gapped = GappedIndex(self.collection, kind, mem_budget)
+        self.gapped = GappedIndex(sets, n, kind, mem_budget)
 
     def ssi_calls(self) -> int:
         return self.gapped.ssi_calls()

@@ -463,16 +463,21 @@ def test_gapped_string_container_with_derived_sections_still_loads(tmp_path):
     # Containers written before the slimming also held the suffix array, the
     # LCP array and the dyadic interval sets; they must answer the same.
     from gapindex.persist import _collection_to_sections, make_string_index
+    from gapindex.sets import IntSet, SetCollection
 
     text = b"abracadabra" * 3
     slim = build_artifact("gapped-string", text, LinearScan())
     index = make_string_index(slim)
+    intervals = SetCollection(
+        sets=tuple(IntSet(t, s) for t, s in enumerate(index.gapped.exact.base, start=1)),
+        universe=len(text),
+    )
     old = build_artifact("gapped-string", text, LinearScan())
     old.sections = {
         "text": text,
         "sa": np.array(index.suffixes.sa, dtype=np.int64),
         "lcp": np.array(index.suffixes.lcp, dtype=np.int64),
-        **_collection_to_sections(index.collection),
+        **_collection_to_sections(intervals),
     }
     slim_path, old_path = tmp_path / "slim.gidx", tmp_path / "old.gidx"
     save_artifact(str(slim_path), slim)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from gapindex.backends import LinearScan, ShiftCertificate, SmallUniverse
+from gapindex.backends import FullTabulation, LinearScan, ShiftCertificate, SmallUniverse
 from gapindex import backends, gapped
 from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import (
@@ -264,6 +264,39 @@ def test_approx_exists_level_range():
     g = build_gapped_index(c, LinearScan())
     with pytest.raises(FormatError):
         approx_exists(g, 1, 2, ApproxQuery(5, 32))
+
+
+def test_approx_exists_refuses_a_block_id_past_the_k_sets():
+    # Under fulltab the backends store every dyadic block after the k sets,
+    # so ids 3 and 4 are stored sets: approx_exists must refuse them, as
+    # gapped_exists does, naming i before j.
+    c = ingest_collection([list(range(1, 9)), [3, 5, 9, 11, 13, 20, 21, 30]], 40)
+    g = build_gapped_index(c, FullTabulation())
+    q = ApproxQuery(1, 4)
+    assert len(g.exact.backend.sets) > 4
+    assert approx_exists(g, 1, 2, q) is True
+    for bad in (0, 3, 4):
+        for i, j in ((bad, 1), (1, bad), (bad, 5)):
+            with pytest.raises(FormatError, match=rf"^set index {bad} out of range 1\.\.2$"):
+                approx_exists(g, i, j, q)
+            with pytest.raises(FormatError, match=rf"^set index {bad} out of range 1\.\.2$"):
+                gapped_exists(g, i, j, 2, 6)
+    # The level is checked before the ids, as a gap is.
+    with pytest.raises(FormatError, match="outside built range"):
+        approx_exists(g, 3, 1, ApproxQuery(9, 512))
+
+
+@pytest.mark.parametrize("query", [gapped_exists, gapped_report])
+def test_gapped_queries_check_the_gap_then_i_then_j(query):
+    c = ingest_collection([[1, 2, 5], [3, 4]], 8)
+    g = build_gapped_index(c, FullTabulation())
+    with pytest.raises(FormatError, match="need 0 <= alpha <= beta"):
+        query(g, 0, 9, 3, 2)
+    for i, j, bad in ((0, 9, 0), (1, 9, 9), (3, 1, 3)):
+        # An empty clamped gap (past u - 1) still checks the ids.
+        for lo, hi in ((2, 3), (20, 30)):
+            with pytest.raises(FormatError, match=rf"^set index {bad} out of range 1\.\.2$"):
+                query(g, i, j, lo, hi)
 
 
 def test_approx_sandwich_fuzz():

@@ -45,8 +45,8 @@ def probe_all_exists(g, i, j, alpha, beta, plan=None):
             continue
         if level == 0:
             return (cert.a, cert.b)
-        return (originals(g.collection.set(i).elements, level, cert.a)[0],
-                originals(g.collection.set(j).elements, level, cert.b)[0])
+        return (originals(g.exact.base[i - 1], level, cert.a)[0],
+                originals(g.exact.base[j - 1], level, cert.b)[0])
     return None
 
 
@@ -62,8 +62,8 @@ def probe_all_report(g, i, j, alpha, beta, plan=None):
             raw.extend(found)
             continue
         for qa, qb in found:
-            raw.extend(product(originals(g.collection.set(i).elements, level, qa),
-                               originals(g.collection.set(j).elements, level, qb)))
+            raw.extend(product(originals(g.exact.base[i - 1], level, qa),
+                               originals(g.exact.base[j - 1], level, qb)))
     return sorted(set(raw)), len(raw), max(Counter(raw).values(), default=0)
 
 

@@ -89,7 +89,7 @@ def reference_report_shift(inst, i, j, s):
 
 
 def reference_originals(g, set_id, level, quotient_value):
-    return [a for a in g.collection.set(set_id).elements if a >> (level - 1) == quotient_value]
+    return [a for a in g.exact.base[set_id - 1] if a >> (level - 1) == quotient_value]
 
 
 def _three_shifts(q):

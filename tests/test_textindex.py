@@ -108,13 +108,14 @@ def test_occurrences_oracle_fuzz():
 
 def test_string_index_set_accounting():
     idx = build_gapped_string_index(b"abca", LinearScan())
-    assert len(idx.collection.sets) == 7
+    base = idx.gapped.exact.base
+    assert len(base) == 7
     assert idx.set_elements == 12
     ids = []
     for iv in dyadic_intervals(4):
         (sid,) = idx._cover_ids(iv.lo, iv.hi)
         chunk = idx.suffixes.sa[iv.lo - 1 : iv.hi]
-        assert idx.collection.set(sid).elements == tuple(sorted(chunk))
+        assert base[sid - 1] == tuple(sorted(chunk))
         ids.append(sid)
     assert sorted(ids) == list(range(1, 8))
 
@@ -129,9 +130,10 @@ def test_dyadic_interval_sets_are_the_sorted_slices(n):
     sa = idx.suffixes.sa
     expected = [(number, tuple(sorted(sa[iv.lo - 1 : iv.hi])))
                 for number, iv in enumerate(dyadic_intervals(n), start=1)]
-    assert [(s.id, s.elements) for s in idx.collection.sets] == expected
+    base = idx.gapped.exact.base
+    assert list(enumerate(base, start=1)) == expected
     shared = {id(p) for p in sa}
-    assert all(id(p) in shared for s in idx.collection.sets for p in s.elements)
+    assert all(id(p) in shared for s in base for p in s)
 
 
 def test_string_index_examples():
