@@ -15,14 +15,17 @@ N is the stored sets' total size unless the caller names another total:
 an augmented instance counts every dyadic block of its base sets, stored
 or not.
 
-A tabulated pair whose differences span no more slots than it has
-differences is stored as a dense row table: one byte (or two, or four,
-for sides of 255 or 65,536 and more elements) per shift slot, naming the
-certificate's row in set i, so a lookup is one index. Other pairs keep a
-sorted shift table searched by bisection. Each unordered pair is stored
-once, with the smaller set as set i: (j, i) at shift s reads (i, j)'s
-table at -s as its mirror. ``space_bytes`` stays nominal, counting both
-orientations; ``table.nbytes`` gives the bytes the tables store.
+A tabulated pair maps a shift t to a row r, and answers the a-value in
+row r, in one of two ways. A pair whose differences span no more slots
+than it has differences is a dense row table: one byte (or two, or four,
+for sides of 255 or 65,536 and more elements) per shift slot names the
+certificate's row in set i, so r is one index. Any other pair is a
+sorted table of its realized shifts and their a-values, and r is one
+bisection. Both are plain ``bytes``, ``array`` or list objects; numpy
+only builds them. Each unordered pair is stored once, with the smaller
+set as set i: (j, i) at shift s reads (i, j)'s table at -s as its
+mirror. ``space_bytes`` stays nominal, counting both orientations;
+``table.nbytes`` gives the bytes the tables store.
 
 A set may name a base set that holds it as a contiguous rank run (a
 dyadic block of its parent, for example). Member sets are built once per
@@ -67,7 +70,8 @@ DEFAULT_MEM_BUDGET = 1 << 30
 # numpy fast paths require differences to stay inside int64.
 _NP_SAFE = 1 << 62
 
-_INT32 = np.iinfo(np.int32)
+# A sorted table narrows to array('i') when its values lie in [-_INT32, _INT32).
+_INT32 = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -201,28 +205,27 @@ def _pair_shift_certs(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
 class _TabulatedPairs:
     """Shared (i, j) -> shift table with smallest-a certificates.
 
+    ``_pairs[(i, j)]`` is ``(lo, rows, values, mirrored)``, and both
+    layouts map a shift t to a row r and answer ``values[r]``:
+
+    * dense (``lo`` an int): ``r = rows[t - lo]``, one row per shift slot
+      of a pair that ``_scatter_rows`` covers, kept when it is no larger
+      than the sorted int32 form (``width * itemsize <= 8 * entries``).
+      ``rows`` is ``bytes`` under 255 rows, else ``array('H')`` or
+      ``array('I')``; ``values`` is set i's own tuple, and row len(values)
+      is a miss.
+    * sorted (``lo`` None): ``r = bisect_left(rows, t)``, with the realized
+      shifts as ``rows`` and their a-values as ``values``. A numpy-built
+      table is ``array('i')`` when its shifts and a-values fit in int32,
+      else ``array('q')``; a small pair or values outside int64 keep lists.
+
     Each unordered pair {i, j} is tabulated once, as the ordered pair
-    (i, j) it is added as, and (j, i) reads the same stored object as
-    its mirror: (j, i)'s certificate at shift s is (a - s, a), where a is
-    (i, j)'s smallest-a certificate at -s, because the pairs of (j, i) at
-    s are those of (i, j) at -s turned round, and b = a - s grows with a.
-    Both keys hold the stored layout with a ``mirrored`` flag last, so a
-    lookup reads either key the same way and branches on the flag. A pair
-    (i, i) is its own mirror and is stored once, unmirrored.
-
-    A pair that ``_scatter_rows`` covers keeps the scatter itself when that
-    is no larger than the sorted int32 form (``width * itemsize <= 8 *
-    entries``): ``lo``, one row per shift slot (``bytes`` under 255 rows,
-    else ``array('H')`` or ``array('I')``) and a reference to set i's own
-    tuple. A lookup is a range check and one index: row len(A) is a miss,
-    any other row r answers (A[r], A[r] + s).
-
-    Every other pair is a sorted shift table. A numpy one whose shifts and
-    a-values fit in int32 is stored as int32, half the bytes of int64, and
-    searched with an int32 key: searching an int32 array for a Python int
-    converts it the slow way on every lookup. Each entry keeps its first
-    and last shift, so a shift outside them, which the key could not hold,
-    is a miss without a search.
+    (i, j) it is added as, and (j, i) reads the same stored objects with
+    ``mirrored`` set: (j, i)'s certificate at shift s is (a - s, a), where
+    a is (i, j)'s smallest-a certificate at -s, because the pairs of
+    (j, i) at s are those of (i, j) at -s turned round, and b = a - s
+    grows with a. A pair (i, i) is its own mirror and is stored once,
+    unmirrored.
 
     ``entries`` counts the realized shifts of every ordered pair, mirrors
     included; ``pairs`` counts the tables stored and ``nbytes`` their
@@ -230,11 +233,10 @@ class _TabulatedPairs:
     object headers.
     """
 
-    __slots__ = ("_dense", "_table", "entries", "pairs", "nbytes")
+    __slots__ = ("_pairs", "entries", "pairs", "nbytes")
 
     def __init__(self) -> None:
-        self._dense: dict[tuple[int, int], tuple] = {}
-        self._table: dict[tuple[int, int], tuple] = {}
+        self._pairs: dict[tuple[int, int], tuple] = {}
         self.entries = 0
         self.pairs = 0
         self.nbytes = 0
@@ -255,53 +257,43 @@ class _TabulatedPairs:
             if rows.nbytes <= 8 * entries:
                 code = rows.dtype.char
                 table = rows.tobytes() if code == "B" else array(code, rows.tobytes())
-                self._store(self._dense, i, j, (lo, table, sa), entries, rows.nbytes)
+                self._store(i, j, (lo, table, sa), entries, rows.nbytes)
                 return
             shifts, avals = _certs_from_rows(aa, lo, rows)
-        lo, hi = (int(shifts[0]), int(shifts[-1])) if len(shifts) else (1, 0)
-        key = None
         if isinstance(shifts, np.ndarray):
-            key = int
-            if _INT32.min <= min(lo, sa[0]) and max(hi, sa[-1]) <= _INT32.max:
-                shifts, avals, key = shifts.astype(np.int32), avals.astype(np.int32), np.int32
-            nbytes = shifts.nbytes + avals.nbytes
+            # A numpy pair has at least 64 differences, so shifts[0] exists;
+            # every a-value lies within sa.
+            fits = -_INT32 <= min(shifts[0], sa[0]) and max(shifts[-1], sa[-1]) < _INT32
+            code = "i" if fits else "q"
+            shifts, avals = (array(code, x.astype(code).tobytes()) for x in (shifts, avals))
+            nbytes = 2 * shifts.itemsize * len(shifts)
         else:
             nbytes = 2 * _INT_BYTES * len(shifts)
-        self._store(self._table, i, j, (shifts, avals, lo, hi, key), len(shifts), nbytes)
+        self._store(i, j, (None, shifts, avals), len(shifts), nbytes)
 
-    def _store(self, layout: dict, i: int, j: int, stored: tuple, entries: int,
-               nbytes: int) -> None:
-        layout[(i, j)] = (*stored, False)
+    def _store(self, i: int, j: int, stored: tuple, entries: int, nbytes: int) -> None:
+        self._pairs[(i, j)] = (*stored, False)
         self.entries += entries
         self.pairs += 1
         self.nbytes += nbytes
         if i != j:
-            layout[(j, i)] = (*stored, True)
+            self._pairs[(j, i)] = (*stored, True)
             self.entries += entries
 
     def lookup(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
-        dense = self._dense.get((i, j))
-        if dense is not None:
-            lo, rows, sa, mirrored = dense
-            k = (-s if mirrored else s) - lo
-            if 0 <= k < len(rows):
-                r = rows[k]
-                if r != len(sa):
-                    a = sa[r]
-                    return ShiftCertificate(a - s, a) if mirrored else ShiftCertificate(a, a + s)
-            return None
-        shifts, avals, lo, hi, key, mirrored = self._table[(i, j)]
+        lo, rows, values, mirrored = self._pairs[(i, j)]
         t = -s if mirrored else s
-        if not lo <= t <= hi:
-            return None
-        if key is None:
-            # List path: pairs too small for numpy, or values outside int64.
-            pos = bisect_left(shifts, t)
+        if lo is None:
+            r = bisect_left(rows, t)
+            if r < len(rows) and rows[r] != t:
+                return None
+        elif 0 <= t - lo < len(rows):
+            r = rows[t - lo]
         else:
-            pos = int(shifts.searchsorted(key(t)))
-        if shifts[pos] != t:
             return None
-        a = int(avals[pos])
+        if r == len(values):
+            return None
+        a = values[r]
         return ShiftCertificate(a - s, a) if mirrored else ShiftCertificate(a, a + s)
 
 

@@ -107,6 +107,13 @@ def _parse_ints(tokens: list[str], want: int, line: str) -> list[int]:
         raise FormatError(f"bad integer in {line!r}: {e}") from None
 
 
+def _write_report(pairs, out) -> None:
+    """A report answer: ``occ=<n>``, then one ``a b`` line per pair."""
+    out.write(f"occ={len(pairs)}\n")
+    for a, b in pairs:
+        out.write(f"{a} {b}\n")
+
+
 class _QueryEngine:
     """Per-kind query answering over a loaded artifact."""
 
@@ -165,10 +172,7 @@ class _QueryEngine:
                 cert = self.backend.exists(i, j, s)
                 out.write(f"YES {cert.a} {cert.b}\n" if cert else "NO\n")
             else:
-                pairs = report_shift(self.index, i, j, s)
-                out.write(f"occ={len(pairs)}\n")
-                for a, b in pairs:
-                    out.write(f"{a} {b}\n")
+                _write_report(report_shift(self.index, i, j, s), out)
         elif kind == "gapped-set":
             i, j, lo, hi = _parse_ints(tokens, 4, line)
             self._write_plan(self.index, lo, hi, out)
@@ -176,10 +180,7 @@ class _QueryEngine:
                 hit = gapped_exists(self.index, i, j, lo, hi)
                 out.write(f"YES {hit[0]} {hit[1]}\n" if hit else "NO\n")
             else:
-                pairs = gapped_report(self.index, i, j, lo, hi)
-                out.write(f"occ={len(pairs)}\n")
-                for a, b in pairs:
-                    out.write(f"{a} {b}\n")
+                _write_report(gapped_report(self.index, i, j, lo, hi), out)
         elif kind == "gapped-string":
             if len(tokens) != 4:
                 raise FormatError(f"expected 'P1 P2 lo hi', got {line!r}")
@@ -190,19 +191,13 @@ class _QueryEngine:
                 hit = self.index.exists(p1, p2, lo, hi)
                 out.write(f"YES {hit[0]} {hit[1]}\n" if hit else "NO\n")
             else:
-                pairs = self.index.report(p1, p2, lo, hi)
-                out.write(f"occ={len(pairs)}\n")
-                for i, j in pairs:
-                    out.write(f"{i} {j}\n")
+                _write_report(self.index.report(p1, p2, lo, hi), out)
         elif kind == "jumbled":
             pattern = _parse_ints(tokens, self.index.sigma, line)
             if self.mode == "exists":
                 out.write("YES\n" if self.index.exists(pattern) else "NO\n")
             else:
-                pairs = self.index.report(pattern)
-                out.write(f"occ={len(pairs)}\n")
-                for i, j in pairs:
-                    out.write(f"{i} {j}\n")
+                _write_report(self.index.report(pattern), out)
         elif kind == "smallest-shift":
             i, j = _parse_ints(tokens, 2, line)
             from .smallest_shift import smallest_shift

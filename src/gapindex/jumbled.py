@@ -31,6 +31,7 @@ decode means a broken index: decoding raises GapIndexError on it.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Sequence, Union
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, LinearScan
@@ -56,8 +57,6 @@ def histogram(s: Iterable[Symbol], alphabet: Sequence[Symbol]) -> tuple[int, ...
 
 def _check_encode_guard(base: int, dim: int) -> None:
     if base ** dim > 1 << _ENCODE_BITS:
-        import math
-
         bits = math.ceil(dim * math.log2(base))
         raise GuardError(
             f"encoding {dim} coordinates in base {base} needs ~{bits} bits,"
@@ -76,16 +75,6 @@ def encode_vector(v: Sequence[int], base: int, dim: int) -> int:
             raise GuardError(f"coordinate {v[t]} outside [0, {base})")
         out = out * base + v[t]
     return out
-
-
-def decode_vector(x: int, base: int, dim: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(dim):
-        x, digit = divmod(x, base)
-        out.append(digit)
-    if x:
-        raise FormatError(f"value has more than {dim} base-{base} digits")
-    return tuple(out)
 
 
 class JumbledIndex:

@@ -2,9 +2,11 @@
 
 Each suite replays seeded random queries against the loaded artifact and an
 independent brute-force answer; the first mismatch is reported verbatim so
-a failure is immediately reproducible. The gapped suites also check that
-each trial's exists witness is one of the reported pairs, or None when
-there are none.
+a failure is immediately reproducible. The ssi suite checks each trial on
+both structures that ``gapindex query`` answers from: the backend's
+``exists`` and the reporting index's ``report_shift``. The gapped suites
+also check that each trial's exists witness is one of the reported pairs,
+or None when there are none.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from .persist import (
     make_backend,
     make_gapped_index,
     make_jumbled_index,
+    make_reporting_index,
     make_shift_index,
     make_string_index,
 )
+from .reporting import report_shift
 from .smallest_shift import smallest_shift
 from .textindex import baseline_linear_scan
 
@@ -56,6 +60,7 @@ def verify_artifact(artifact: Artifact, trials: int, seed: int) -> tuple[bool, l
 def _verify_ssi(artifact, trials, rng, lines):
     c = artifact.collection
     backend = make_backend(artifact)
+    index = make_reporting_index(artifact)
     for _ in range(trials):
         i, j = rng.randint(1, c.k), rng.randint(1, c.k)
         s = rng.randint(-c.universe, c.universe)
@@ -66,6 +71,9 @@ def _verify_ssi(artifact, trials, rng, lines):
             return _fail(lines, f"{i} {j} {s}", bool(expected), cert)
         if cert is not None and (cert.a, cert.b) != expected[0]:
             return _fail(lines, f"{i} {j} {s}", expected[0], (cert.a, cert.b))
+        got = report_shift(index, i, j, s)
+        if got != expected:
+            return _fail(lines, f"{i} {j} {s}", expected, got)
     return True, lines
 
 

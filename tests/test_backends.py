@@ -265,7 +265,7 @@ def test_wide_3sum_reduction_agrees_with_the_oracle():
 
 def test_tables_narrow_to_int32_and_reject_shifts_outside_it():
     """A numpy table whose shifts and a-values fit in int32 is stored as
-    int32, any other stays int64. Both answer as the oracle, and a shift
+    array('i'), any other as array('q'). Both answer as the oracle, and a shift
     outside int32 (or outside the table's own range) is a miss."""
     rng = random.Random(10)
     top = 2**31
@@ -274,27 +274,28 @@ def test_tables_narrow_to_int32_and_reject_shifts_outside_it():
         [_random_side(rng, 12, -top, -top + 500), _random_side(rng, 12, 1, 500)],
         [_random_side(rng, 12, top - 500, top + 500) for _ in range(2)],
     ]
-    dtypes = set()
+    codes = set()
     for sets in collections:
         backend = build_backend(sets, FullTabulation())
         for i in (1, 2):
             for j in (1, 2):
                 realized = sorted({b - a for a in sets[i - 1] for b in sets[j - 1]})
-                shifts, avals, *_, mirrored = backend.table._table[(i, j)]
+                lo, shifts, avals, mirrored = backend.table._pairs[(i, j)]
+                assert lo is None
                 # A mirror reads the table stored for (j, i): its a-values
                 # are set j's and its shifts are (i, j)'s negated.
                 stored = sets[j - 1] if mirrored else sets[i - 1]
                 low, high = (-realized[-1], -realized[0]) if mirrored else (realized[0], realized[-1])
                 fits = -top <= min(low, stored[0]) and max(high, stored[-1]) < top
-                assert shifts.dtype == avals.dtype == (np.int32 if fits else np.int64)
-                dtypes.add(shifts.dtype)
+                assert shifts.typecode == avals.typecode == ("i" if fits else "q")
+                codes.add(shifts.typecode)
                 probe = realized + [realized[0] - 1, realized[-1] + 1,
                                     top, top - 1, -top, -top - 1, 2**40, -2**40, 2**70]
                 for s in probe:
                     expected = brute_force_ssi(sets, ShiftQuery(i, j, s))
                     cert = backend.exists(i, j, s)
                     assert (cert and (cert.a, cert.b)) == (expected[0] if expected else None)
-    assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+    assert codes == {"i", "q"}
 
 
 def _walked(sa, sb, s):

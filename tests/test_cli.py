@@ -337,6 +337,19 @@ def test_verify_checks_exists_against_report(tmp_path, capsys, monkeypatch):
         assert "FAIL query exists " in out
 
 
+def test_verify_checks_ssi_reports(tmp_path, capsys, collection_file, monkeypatch):
+    """A report missing a pair fails verify on ssi, whose exists still agrees."""
+    from gapindex import verify
+
+    index, _ = build(tmp_path, capsys, collection_file, "ssi")
+    report = verify.report_shift
+    monkeypatch.setattr(verify, "report_shift", lambda *a: report(*a)[1:])
+    code, out, _ = run_cli(["verify", str(index), "--trials", "300"], capsys)
+    assert code == 4
+    assert out.splitlines()[1].startswith("FAIL query ")
+    assert out.rstrip().endswith("FAILED")
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
     run_cli(["gen", "--kind", "collection", "-o", str(a), "--seed", "5"], capsys)

@@ -37,17 +37,21 @@ def _side(rng, size, lo, hi):
 
 
 def _entry(table, i, j):
-    """The stored layout under key (i, j), its ``mirrored`` flag last."""
-    return table._dense.get((i, j)) or table._table[(i, j)]
+    """The stored (lo, rows, values, mirrored) under key (i, j)."""
+    return table._pairs[(i, j)]
+
+
+def _dense(table, i, j):
+    """Whether (i, j) is a dense row table: its ``lo`` is an int."""
+    return table._pairs[(i, j)][0] is not None
 
 
 def _layout(table, i, j):
-    """Row item type of a dense pair; dtype name or "list" of a sorted one."""
-    if (i, j) in table._dense:
-        rows = table._dense[(i, j)][1]
+    """Row item type of a dense pair; array typecode or "list" of a sorted one."""
+    lo, rows = table._pairs[(i, j)][:2]
+    if lo is not None:
         return "B" if isinstance(rows, bytes) else rows.typecode
-    shifts = table._table[(i, j)][0]
-    return shifts.dtype.name if isinstance(shifts, np.ndarray) else "list"
+    return rows.typecode if isinstance(rows, array) else "list"
 
 
 def _check_every_pair(sets):
@@ -63,7 +67,6 @@ def _check_every_pair(sets):
     entries = 0
     for i, sa in enumerate(sets, start=1):
         for j, sb in enumerate(sets, start=1):
-            assert ((i, j) in table._dense) != ((i, j) in table._table)
             mine, theirs = _entry(table, i, j), _entry(table, j, i)
             stored = (len(sa), i) <= (len(sb), j)
             assert mine[-1] is (not stored) and theirs[-1] is (stored and i != j)
@@ -86,7 +89,8 @@ def _check_every_pair(sets):
 
 
 def _rows(backend, i, j):
-    return backend.table._dense[(i, j)][1]
+    assert _dense(backend.table, i, j)
+    return backend.table._pairs[(i, j)][1]
 
 
 @pytest.mark.parametrize("m, code", [(254, "B"), (255, "H"), (256, "H")])
@@ -102,16 +106,17 @@ def test_row_item_type_switches_at_255_rows(m, code):
         assert isinstance(rows, bytes)
     else:
         assert isinstance(rows, array) and rows.typecode == code
-    assert backend.table._dense[(3, 1)][-1]
+    assert backend.table._pairs[(3, 1)][-1]
     width = (sets[2][-1] - sets[2][0]) + (sets[0][-1] - sets[0][0]) + 1
     assert len(rows) == width
     # A pair with the ten-element B stores B's rows, a byte table: (2, 1),
     # which (1, 2) reads as a mirror, and (2, 3).
-    assert isinstance(_rows(backend, 2, 1), bytes) and backend.table._dense[(1, 2)][-1]
-    assert isinstance(_rows(backend, 2, 3), bytes) and not backend.table._dense[(2, 3)][-1]
+    assert isinstance(_rows(backend, 2, 1), bytes) and backend.table._pairs[(1, 2)][-1]
+    assert isinstance(_rows(backend, 2, 3), bytes) and not backend.table._pairs[(2, 3)][-1]
     # B against itself spreads over ~800 slots, wider than its 100 differences.
-    assert set(backend.table._table) == {(2, 2)}
-    assert len(backend.table._dense) == 8
+    table = backend.table
+    assert [key for key in table._pairs if not _dense(table, *key)] == [(2, 2)]
+    assert len(table._pairs) == 9
 
 
 @pytest.mark.parametrize("m, code", [(65535, "H"), (65536, "I")])
@@ -122,9 +127,9 @@ def test_row_item_type_widens_past_65535_rows(m, code):
     sa, sb = tuple(range(m)), (0, 2)
     table = _TabulatedPairs()
     table.add_pair(1, 2, sa, sb, np.asarray(sa, dtype=np.int64), np.asarray(sb, dtype=np.int64))
-    lo, rows, kept, mirrored = table._dense[(1, 2)]
+    lo, rows, kept, mirrored = table._pairs[(1, 2)]
     assert (lo, len(rows), rows.typecode, kept, mirrored) == (-(m - 1), m + 2, code, sa, False)
-    assert table._dense[(2, 1)] == (lo, rows, kept, True) and table._dense[(2, 1)][1] is rows
+    assert table._pairs[(2, 1)] == (lo, rows, kept, True) and table._pairs[(2, 1)][1] is rows
     assert table.nbytes == (m + 2) * rows.itemsize and table.pairs == 1
     assert table.entries == 2 * (m + 2)
     for s in (-m - 1, -m, -(m - 1), -(m - 2), -1, 0, 1, 2, 3, m - 1, m, m + 1, *_FAR):
@@ -144,21 +149,20 @@ def test_width_equal_to_the_product_scatters_and_one_more_sorts():
     backend = _check_every_pair([sa, equal])
     assert len(_rows(backend, 1, 2)) == 64
     backend = _check_every_pair([sa, wider])
-    assert (1, 2) not in backend.table._dense
-    assert (1, 2) in backend.table._table
+    assert not _dense(backend.table, 1, 2)
     # Each set against itself spans at most 65 - 1 slots: still dense.
-    assert (1, 1) in backend.table._dense
+    assert _dense(backend.table, 1, 1)
 
 
 def test_negative_values_and_an_empty_set():
     rng = random.Random(4)
     sets = [_side(rng, 40, -300, -200), _side(rng, 30, -250, 20), (), _side(rng, 20, -40, 40)]
     backend = _check_every_pair(sets)
-    assert (1, 2) in backend.table._dense
+    assert _dense(backend.table, 1, 2)
     # The empty set pairs with every set on the list path and always misses.
     for t in range(1, 5):
-        assert backend.table._table[(3, t)][0] == []
-        assert backend.table._table[(t, 3)][0] == []
+        assert backend.table._pairs[(3, t)][:3] == (None, [], [])
+        assert backend.table._pairs[(t, 3)][:3] == (None, [], [])
 
 
 def test_a_sparse_pair_stays_sorted():
@@ -170,9 +174,8 @@ def test_a_sparse_pair_stays_sorted():
     dense = _side(rng, 20, 0, 190)
     backend = _check_every_pair([step, step, dense])
     table = backend.table
-    assert (1, 2) in table._table and (1, 2) not in table._dense
-    assert table._table[(1, 2)][0].dtype.name == "int32"
-    assert (3, 3) in table._dense
+    assert _layout(table, 1, 2) == "i"
+    assert _dense(table, 3, 3)
     assert table.entries == sum(
         len(_pair_shift_certs(sa, sb, use_np=False)[0])
         for sa in (step, step, dense) for sb in (step, step, dense)
@@ -185,8 +188,8 @@ def test_random_pairs_match_the_oracle():
     for _ in range(12):
         sets = [_side(rng, rng.randint(1, 60), -100, rng.randint(-50, 150)) for _ in range(3)]
         table = _check_every_pair(sets).table
-        layouts.update(("dense" if key in table._dense else "sorted") for key in
-                       [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
+        layouts.update(("dense" if _dense(table, i, j) else "sorted")
+                       for i in (1, 2, 3) for j in (1, 2, 3))
     assert layouts == {"dense", "sorted"}
 
 
@@ -213,7 +216,7 @@ def test_mirrors_answer_in_every_layout():
         table = _check_every_pair(sets).table
         layouts.update(_layout(table, i, j) for i in range(1, len(sets) + 1)
                        for j in range(1, len(sets) + 1))
-    assert layouts == {"B", "H", "int32", "int64", "list"}
+    assert layouts == {"B", "H", "i", "q", "list"}
 
 
 def test_three_sum_asks_read_a_mirror():
@@ -246,8 +249,8 @@ def test_set_questions_tables_are_dense_and_take_a_byte_per_slot():
     try:
         backend = build_backend(sets, SmallUniverse(0.5))
         table = backend.table
-        assert len(table._dense) == 256 and not table._table
-        assert all(isinstance(rows, bytes) for _, rows, _, _ in table._dense.values())
+        assert len(table._pairs) == 256
+        assert all(isinstance(rows, bytes) for _, rows, _, _ in table._pairs.values())
         assert table.pairs == 136
         assert table.nbytes == slots
         held = tracemalloc.get_traced_memory()[0]
@@ -258,3 +261,86 @@ def test_set_questions_tables_are_dense_and_take_a_byte_per_slot():
         tracemalloc.stop()
     # The sorted int32 form took 8 bytes per realized shift, ~6x this.
     assert freed <= 1.1 * slots + 4096
+
+
+def _layout_collections():
+    """Collections whose tables between them take every layout: 'B' and
+    'H' rows, sorted 'i' and 'q' tables, lists of small pairs and of
+    values past int64, an empty set and a singleton."""
+    rng = random.Random(19)
+    top = 2**31
+    return [
+        [_side(rng, 255, 0, 400), _side(rng, 10, 0, 400), _side(rng, 256, 0, 400)],
+        [tuple(range(0, 200, 10)), tuple(range(5, 205, 10)), _side(rng, 20, 0, 190)],
+        [_side(rng, 12, top, top + 300), _side(rng, 12, top - 200, top + 100),
+         _side(rng, 5, top - 50, top + 50)],
+        [_side(rng, 12, 2**70, 2**70 + 60), _side(rng, 9, 2**70 - 20, 2**70 + 40), (), (7,)],
+    ]
+
+
+_KINDS = [FullTabulation(), SmallUniverse(0.0), SmallUniverse(0.5)]
+
+
+def test_table_accounting_in_every_layout():
+    # (entries, pairs, nbytes, space_bytes()) per collection and kind.
+    pins = [
+        [(5809, 6, 6821, 139416), (5809, 6, 6821, 143584), (3180, 3, 4776, 80488)],
+        [(1081, 6, 1883, 25944), (1081, 6, 1883, 26424), (1081, 6, 1883, 26424)],
+        [(741, 6, 8032, 17784), (741, 6, 8032, 18016), (500, 3, 5936, 12232)],
+        [(319, 10, 3648, 7656), (276, 3, 3296, 6800), (276, 3, 3296, 6800)],
+    ]
+    for sets, row in zip(_layout_collections(), pins):
+        for kind, pin in zip(_KINDS, row):
+            backend = build_backend(sets, kind)
+            table = backend.table
+            assert (table.entries, table.pairs, table.nbytes, backend.space_bytes()) == pin
+
+
+def test_stored_tables_hold_no_numpy_object(monkeypatch):
+    """Every stored entry is plain Python: an int or None ``lo``, rows of
+    ``bytes``, an ``array`` or a list of ints, values that are set i's own
+    tuple (dense) or an ``array`` or list (sorted), and a bool. Lookups
+    answer as the oracle with the numpy module gone."""
+    built, layouts = [], set()
+    for sets in _layout_collections():
+        for kind in _KINDS:
+            backend = build_backend(sets, kind)
+            built.append((sets, backend))
+            for (i, j), (lo, rows, values, mirrored) in backend.table._pairs.items():
+                assert type(mirrored) is bool
+                assert lo is None or type(lo) is int
+                assert type(rows) in (bytes, array, list)
+                if lo is None:
+                    assert type(values) is type(rows) and len(values) == len(rows)
+                    if type(rows) is list:
+                        assert all(type(x) is int for x in rows + values)
+                    else:
+                        assert rows.typecode == values.typecode
+                else:
+                    assert values is sets[(j if mirrored else i) - 1]
+                layouts.add(_layout(backend.table, i, j) if rows or lo is not None else "empty")
+    assert layouts == {"B", "H", "i", "q", "list", "empty"}
+    monkeypatch.setattr("gapindex.backends.np", None)
+    for sets, backend in built:
+        for i, j in backend.table._pairs:
+            sa, sb = sets[i - 1], sets[j - 1]
+            for s in sorted({b - a for a in sa for b in sb})[::7] + _FAR:
+                expected = brute_force_ssi(sets, ShiftQuery(i, j, s))
+                cert = backend.exists(i, j, s)
+                assert (cert and (cert.a, cert.b)) == (expected[0] if expected else None)
+
+
+@pytest.mark.parametrize("first, code", [(-2**31, "i"), (-2**31 - 1, "q"),
+                                         (2**31 - 1 - 7000, "i"), (2**31 - 7000, "q")])
+def test_sorted_tables_narrow_at_the_int32_bounds(first, code):
+    # 8 values 1000 apart against themselves: 64 differences over 14,001
+    # slots, so the pair is sorted, with shifts inside int32. Only the
+    # a-values reach the bound.
+    sa = tuple(range(first, first + 8000, 1000))
+    table = _TabulatedPairs()
+    aa = np.asarray(sa, dtype=np.int64)
+    table.add_pair(1, 1, sa, sa, aa, aa)
+    lo, rows, values, _ = table._pairs[(1, 1)]
+    assert lo is None and rows.typecode == values.typecode == code
+    assert list(rows) == list(range(-7000, 7001, 1000))
+    assert list(values) == [sa[max(0, -d)] for d in range(-7, 8)]
