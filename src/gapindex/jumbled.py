@@ -32,6 +32,7 @@ decode means a broken index: decoding raises GapIndexError on it.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, LinearScan
@@ -100,18 +101,12 @@ class JumbledIndex:
         _check_encode_guard(self.base, self.sigma)
         self.total = histogram(text, self.alphabet)
 
-        index = {ch: t for t, ch in enumerate(self.alphabet)}
-        running = [0] * self.sigma
-        prefix_enc = [0]  # empty prefix
-        for ch in text:
-            running[index[ch]] += 1
-            prefix_enc.append(encode_vector(running, self.base, self.sigma))
-        running = [0] * self.sigma
-        suffix_enc = [0]  # empty suffix, start n + 1
-        for ch in reversed(text):
-            running[index[ch]] += 1
-            suffix_enc.append(encode_vector(running, self.base, self.sigma))
-        suffix_enc.reverse()  # suffix_enc[t] is the histogram of S[t+1..n]
+        # enc is linear, so one more letter t adds base^t: prefix_enc[p] is
+        # enc(h(S[1..p])), and suffix_enc[t] is enc(h(S[t+1..n])).
+        power = {ch: self.base**t for t, ch in enumerate(self.alphabet)}
+        prefix_enc = list(accumulate(map(power.__getitem__, text), initial=0))
+        suffix_enc = list(accumulate(map(power.__getitem__, reversed(text)), initial=0))
+        suffix_enc.reverse()
 
         # Shift encodings by +1 into {1..u'}; norms strictly increase along
         # prefixes (and suffixes), so both decode tables are injective.

@@ -76,8 +76,7 @@ class AugmentedInstance:
                  mem_budget: int = DEFAULT_MEM_BUDGET):
         self.base = sets
         self.kind = kind
-        all_sets = list(sets)
-        sizes = list(map(len, all_sets))
+        sizes = list(map(len, sets))
         n = sum(sizes)
         self.base_elements = n
         # Many sets share a size (every quotient level of a string index).
@@ -95,27 +94,21 @@ class AugmentedInstance:
         while lowest < n.bit_length() and 1 << lowest <= threshold:
             lowest += 1
         self.lowest_level = lowest
-        k = len(all_sets)
+        k = len(sets)
+        blocks: list[tuple[int, ...]] = []
         if lowest >= max(sizes, default=0).bit_length():
-            # No set stores a block (under LinearScan, never): every set is
-            # its own base, and all share one first_block int object.
-            bases = None
+            # No set stores a block (under LinearScan, never): all share one
+            # first_block int object.
             self.first_block: list[int] = [k + 1] * k
         else:
-            # Each stored set's base set: a block is a rank run of its parent.
-            bases = list(range(k))
             self.first_block = []
-            next_id = k + 1
-            for p, m in enumerate(sizes):
-                self.first_block.append(next_id)
-                el = all_sets[p]
+            for el, m in zip(sets, sizes):
+                self.first_block.append(k + 1 + len(blocks))
                 for j in range(lowest, m.bit_length()):
                     size = 1 << j
-                    all_sets.extend(el[lo : lo + size] for lo in range(0, (m >> j) << j, size))
-                    bases.extend([p] * (m >> j))
-                    next_id += m >> j
+                    blocks.extend(el[lo : lo + size] for lo in range(0, (m >> j) << j, size))
         self.backend = build_backend(
-            all_sets, kind, mem_budget, bases=bases, total_elements=self.total_elements
+            sets, kind, mem_budget, blocks=blocks, total_elements=self.total_elements
         )
         self.existence_calls = 0
         self.last_query_calls = 0

@@ -12,6 +12,7 @@ or None when there are none.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 
 from .backends import ShiftQuery, brute_force_ssi
 from .gapped import gapped_exists, gapped_report
@@ -85,10 +86,10 @@ def _verify_gapped_set(artifact, trials, rng, lines):
         lo = rng.randint(0, c.universe)
         hi = min(c.universe, lo + rng.randint(0, c.universe // 2 + 1))
         sa, sb = c.set(i).elements, c.set(j).elements
-        member_b = set(sb)
-        expected = sorted(
-            (a, a + s) for a in sa for s in range(lo, hi + 1) if a + s in member_b
-        )
+        # Each a's partners are the run of sb within [a + lo, a + hi].
+        expected = [
+            (a, b) for a in sa for b in sb[bisect_left(sb, a + lo) : bisect_right(sb, a + hi)]
+        ]
         got = gapped_report(index, i, j, lo, hi)
         if got != expected:
             return _fail(lines, f"{i} {j} {lo} {hi}", expected, got)

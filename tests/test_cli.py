@@ -1,8 +1,12 @@
 import hashlib
 import io
 import json
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +320,26 @@ def test_verify_all_kinds(tmp_path, capsys):
         index, _ = build(tmp_path, capsys, src, kind)
         code, out, _ = run_cli(["verify", str(index), "--trials", "60"], capsys)
         assert code == 0, out
+
+
+def test_verify_finishes_on_a_wide_universe_gapped_set(tmp_path, capsys):
+    # Gaps reach u/2 = 2^32 wide; the oracle must not visit every shift.
+    src = tmp_path / "wide.txt"
+    code, _, _ = run_cli(["gen", "--kind", "collection", "-o", str(src), "--k", "8",
+                          "--total", "400", "--u", str(1 << 33)], capsys)
+    assert code == 0
+    index, _ = build(tmp_path, capsys, src, "gapped-set", "--backend", "linear")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "gapindex.cli", "verify", str(index), "--trials", "200"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1] == "ok"
 
 
 def test_verify_checks_exists_against_report(tmp_path, capsys, monkeypatch):

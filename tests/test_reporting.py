@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +16,7 @@ from gapindex.backends import (
 )
 from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import build_gapped_index
-from gapindex.generators import random_collection
+from gapindex.generators import random_collection, random_text
 from gapindex.reporting import (
     build_reporting_index,
     matching_pairs,
@@ -28,6 +30,7 @@ from gapindex.sets import (
     ingest_collection,
     level_starts,
 )
+from gapindex.textindex import build_gapped_string_index
 
 
 def ceil_log2(n):
@@ -220,10 +223,10 @@ def test_dyadic_accounting_guard_raises(monkeypatch):
 
 
 def test_report_certificate_outside_node_guard_raises(monkeypatch):
-    # A backend copy whose blocks answer from their whole base set, as one
-    # without the member bounds check would: at shift 1 the node for ranks
-    # [3, 4] x [5, 8] is answered with (3, 4), whose b has rank 4. Only
-    # lookups return certificates, and FullTabulation looks up every node.
+    # A backend whose blocks answer from their whole base set: at shift 1
+    # the node for ranks [3, 4] x [5, 8] is answered with (3, 4), whose b
+    # has rank 4. Only lookups return certificates, and FullTabulation
+    # looks up every node.
     c = ingest_collection([[1, 2, 3, 4, 5, 6, 7, 8]], u=8)
     inst = build_reporting_index(c, FullTabulation())
     assert report_shift(inst, 1, 1, 1) == [(a, a + 1) for a in range(1, 8)]
@@ -243,68 +246,84 @@ def test_report_certificate_outside_node_guard_raises(monkeypatch):
         report_shift(inst, 1, 1, 1)
 
 
-def test_blocks_share_their_base_sets_members():
-    # One member set per base set: every block probes its parent's.
+def _instances(g):
+    return [g.exact] + [lvl.instance for lvl in g.levels]
+
+
+def _assert_member_rule(inst):
+    backend = inst.backend
+    assert len(backend.members) == len(inst.base)
+    for t, elements in enumerate(inst.base):
+        member = backend.members[t]
+        assert backend.sets[t] == elements
+        if len(elements) <= 8:
+            assert member is backend.sets[t]
+        else:
+            assert isinstance(member, frozenset) and member == frozenset(elements)
+    assert backend.dict_entries == sum(map(len, backend.sets))
+
+
+def test_member_rule_on_a_string_index_and_a_skewed_collection():
+    """A set of at most 8 elements is its own member set, a larger one a
+    frozenset, and only the base sets keep one."""
+    idx = build_gapped_string_index(random_text(random.Random(5), 400, 4), LinearScan())
+    for inst in _instances(idx.gapped):
+        _assert_member_rule(inst)
+    # The benchmark's set-questions shape, scaled down: small and large sets
+    # under SmallUniverse(0.5), which stores the large sets' upper blocks.
+    sizes = [16] * 10 + [200] * 10
+    c = random_collection(random.Random(21), len(sizes), sum(sizes), 8192, sizes)
+    kind = SmallUniverse(delta=0.5)
+    instances = [build_reporting_index(c, kind)] + _instances(build_gapped_index(c, kind))
+    for inst in instances:
+        _assert_member_rule(inst)
+    assert any(len(inst.backend.sets) > len(inst.base) for inst in instances)
+
+
+def test_string_index_memory_is_bounded():
+    # The benchmark's string text. The index holds ~9.1 MB; a frozenset
+    # member for every set of more than one element would take ~14.5 MB.
+    text = random_text(random.Random(21), 2048, 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        idx = build_gapped_string_index(text, LinearScan())
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert idx.text is text
+    assert held < 12 << 20, held
+
+
+def test_blocks_are_table_operands_only():
+    """SmallUniverse(0.0) stores every block above one element. Blocks pair
+    only with tabulated sets, keep no member set, and an untabulated pair
+    naming a block is refused rather than probed."""
     rng = random.Random(17)
-    for kind in (LinearScan(), SmallUniverse(delta=0.5)):
-        c = random_collection(rng, 5, 60, 80)
-        backend = build_reporting_index(c, kind).backend
-        assert len(backend.members) == len(backend.sets)
-        assert len({id(m) for m in backend.members}) == c.k
-        for t, elements in enumerate(backend.sets):
-            assert all(e in backend.members[t] for e in elements)
-        assert backend.dict_entries == sum(len(s) for s in backend.sets)
-
-
-def test_shared_members_answer_as_one_member_set_per_block():
-    """Blocks probing their base's members give the same certificates and
-    probe counts as a backend where every block keeps its own members,
-    also for shifts whose target is in the base set but not in the block.
-    The sets are the base sets and all their dyadic blocks."""
-    rng = random.Random(23)
-    outside_block = 0
-    for trial in range(6):
-        kind = (LinearScan(), SmallUniverse(delta=0.5))[trial % 2]
-        c = random_collection(rng, 3, 24, 40)
-        all_sets = [s.elements for s in c.sets]
-        parent = list(range(c.k))
-        for p, s in enumerate(c.sets):
-            for sub in dyadic_subsets(s):
-                all_sets.append(s.elements[sub.rank_lo - 1 : sub.rank_hi])
-                parent.append(p)
-        shared = build_backend(all_sets, kind, bases=parent)
-        own = build_backend(shared.sets, kind)
-        # One member set per base of more than one element; a smaller base
-        # answers by its own tuple.
-        multi = [p for p in range(c.k) if len(c.sets[p].elements) > 1]
-        assert len({id(m) for m, p in zip(shared.members, parent) if p in multi}) == len(multi)
-        assert len({id(m) for m, s in zip(own.members, own.sets) if len(s) > 1}) == len(
-            [s for s in own.sets if len(s) > 1]
-        )
-        for t, p in enumerate(parent):
-            if len(all_sets[p]) <= 1:
-                assert shared.members[t] is all_sets[p]
-        for t, s in enumerate(own.sets):
-            if len(s) <= 1:
-                assert own.members[t] is s
-        assert shared.space_bytes() == own.space_bytes()
-        ids = range(1, len(shared.sets) + 1)
-        for i in ids:
-            for j in rng.sample(ids, 6):
-                base_a = c.sets[parent[i - 1]].elements
-                base_b = c.sets[parent[j - 1]].elements
-                shifts = {b - a for a in shared.sets[i - 1] for b in base_b}
-                shifts |= {b - a for a in base_a for b in shared.sets[j - 1]}
-                for s in sorted(shifts) + [max(shifts) + 1]:
-                    got = shared.exists(i, j, s)
-                    assert got == own.exists(i, j, s), (i, j, s)
-                    assert shared.probes == own.probes
-                    expected = brute_force_ssi(shared.sets, ShiftQuery(i, j, s))
-                    assert (got and (got.a, got.b)) == (expected[0] if expected else None)
-                    # Every shift in ``shifts`` meets a base set, so a NO
-                    # is a base-set hit that lies outside the block.
-                    outside_block += got is None and s in shifts
-    assert outside_block > 1000
+    for _ in range(4):
+        sizes = [1, rng.randint(20, 40), rng.randint(40, 90), 64]
+        c = random_collection(rng, len(sizes), sum(sizes), 300, sizes)
+        inst = build_reporting_index(c, SmallUniverse(delta=0.0))
+        backend = inst.backend
+        k, stored = c.k, len(backend.sets)
+        assert stored > k
+        assert len(backend.members) == k
+        blocks = range(k + 1, stored + 1)
+        large = [t for t in range(1, k + 1) if backend.large[t - 1]]
+        for b in blocks:
+            assert backend.large[b - 1]
+            assert all(backend.tabulated(b, t) for t in large + list(blocks))
+        small = next(t for t in range(1, k + 1) if len(c.set(t).elements) <= 1)
+        assert not backend.tabulated(k + 1, small)
+        for i, j in ((k + 1, small), (small, stored)):
+            with pytest.raises(FormatError, match="names a block"):
+                backend.exists(i, j, 0)
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                shifts = {b - a for a in c.set(i).elements for b in c.set(j).elements}
+                for s in rng.sample(sorted(shifts), min(15, len(shifts))) + [10**6]:
+                    assert report_shift(inst, i, j, s) == brute_force_ssi(c, ShiftQuery(i, j, s))
 
 
 def test_scanned_and_mixed_nodes_match_the_oracle():
