@@ -60,13 +60,10 @@ from .reporting import (
     report_shift,
 )
 from .sets import (
-    DyadicInterval,
     DyadicSubset,
     IntSet,
     SetCollection,
     cover_rank_range,
-    cover_value_range,
-    dyadic_intervals,
     dyadic_subsets,
     ingest_collection,
     parse_collection,

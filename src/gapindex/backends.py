@@ -129,7 +129,7 @@ def parse_backend(name: str, delta: float = 0.5) -> BackendKind:
 def _as_element_lists(c: Union[SetCollection, Sequence[tuple[int, ...]]]) -> list[tuple[int, ...]]:
     if isinstance(c, SetCollection):
         return [s.elements for s in c.sets]
-    return [tuple(s) for s in c]
+    return [s if type(s) is tuple else tuple(s) for s in c]
 
 
 def _np_safe(sets: list[tuple[int, ...]]) -> bool:

@@ -9,8 +9,9 @@ A bench spec is a JSON object with optional keys:
 * ``"gapped_string"``: list of {"n", "sigma", "backend", "delta"?,
   "queries", "seed"} entries.
 
-Each entry yields one line-delimited JSON record. Budget overruns are
-recorded in the record, not fatal. An ``ssi`` record gives the nominal
+Each entry yields one line-delimited JSON record. A malformed spec raises
+FormatError before the first record. Budget overruns are recorded in the
+record, not fatal. An ``ssi`` record gives the nominal
 ``build_bytes`` (``SsiBackend.space_bytes``) and, beside it, the bytes its
 tabulated pairs physically store (``table_bytes``) and the number of
 tables stored (``table_pairs``: one per unordered pair of large sets).
@@ -18,36 +19,72 @@ tables stored (``table_pairs``: one per unordered pair of large sets).
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from typing import Iterator
 
-from .backends import DEFAULT_MEM_BUDGET, build_backend, parse_backend
-from .errors import BudgetError
+from .backends import DEFAULT_MEM_BUDGET, BackendKind, build_backend, parse_backend
+from .errors import BudgetError, FormatError
 from .gapped import gapped_report
 from .generators import random_collection, random_pattern_from, random_text
 from .textindex import GappedStringIndex, build_gapped_string_index
 
 
-def _sizes_from_spec(entry: dict) -> list[int] | None:
-    if "sizes" in entry:
-        # [[count, size], ...] pairs, e.g. [[20, 40], [20, 460]].
-        out = []
-        for count, size in entry["sizes"]:
-            out.extend([size] * count)
-        return out
-    return None
+# Per entry kind: the default backend and the least value of each integer
+# key. "N", "u" and "n" are required, but an "ssi" entry with "sizes" needs
+# no "N".
+_ENTRY_KEYS = {
+    "ssi": ("smalluniverse", {"N": 1, "u": 1, "k": 1, "queries": 0, "seed": -math.inf}),
+    "gapped_string": ("linear", {"n": 1, "sigma": 1, "queries": 0, "seed": -math.inf}),
+}
+
+
+def _backend(entry: dict, kind: str) -> BackendKind:
+    backend, delta = entry.get("backend", _ENTRY_KEYS[kind][0]), entry.get("delta", 0.5)
+    try:
+        return parse_backend(backend, delta)
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"bench {kind} entry, backend {backend!r} with delta {delta!r}:"
+                          f" {e}") from None
+
+
+def _check_spec(spec) -> None:
+    """Raise FormatError unless spec is an object whose entries are objects
+    with their required integers and a backend ``parse_backend`` accepts."""
+    if not isinstance(spec, dict):
+        raise FormatError(f"bench spec must be a JSON object, got {type(spec).__name__}")
+    for kind, (_, least) in _ENTRY_KEYS.items():
+        entries = spec.get(kind, [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise FormatError(f"bench spec {kind!r} must be a list of objects")
+        for entry in entries:
+            pairs = entry.get("sizes", []) if kind == "ssi" else []
+            if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 and all(type(x) is int and x >= 1 for x in p)
+                for p in pairs
+            ):
+                raise FormatError("bench ssi entry: 'sizes' must be [[count, size], ...], all >= 1")
+            for key, low in least.items():
+                if key not in entry:
+                    if key in ("N", "u", "n") and not (key == "N" and pairs):
+                        raise FormatError(f"bench {kind} entry needs the integer {key!r}")
+                elif type(entry[key]) is not int or entry[key] < low:
+                    bound = f" >= {low}" if low > -math.inf else ""
+                    raise FormatError(f"bench {kind} entry: {key!r} must be an integer{bound}")
+            _backend(entry, kind)
 
 
 def _ssi_record(entry: dict, mem_budget: int) -> dict:
     seed = entry.get("seed", 0)
     u = entry["u"]
-    sizes = _sizes_from_spec(entry)
+    # [[count, size], ...] pairs, e.g. [[20, 40], [20, 460]].
+    sizes = [size for count, size in entry.get("sizes", ()) for _ in range(count)]
     k = len(sizes) if sizes else entry.get("k", 8)
     total = sum(sizes) if sizes else entry["N"]
     rng = random.Random(seed)
-    collection = random_collection(rng, k, total, u, sizes)
-    kind = parse_backend(entry.get("backend", "smalluniverse"), entry.get("delta", 0.5))
+    collection = random_collection(rng, k, total, u, sizes or None)
+    kind = _backend(entry, "ssi")
     record = {
         "kind": "ssi",
         "N": collection.total_size,
@@ -93,7 +130,7 @@ def _gapped_string_record(entry: dict, mem_budget: int) -> dict:
     sigma = entry.get("sigma", 4)
     rng = random.Random(seed)
     text = random_text(rng, n, sigma)
-    kind = parse_backend(entry.get("backend", "linear"), entry.get("delta", 0.5))
+    kind = _backend(entry, "gapped_string")
     record = {
         "kind": "gapped-string",
         "n": n,
@@ -152,7 +189,9 @@ def _max_multiplicity(
 
 
 def run_bench(spec: dict, mem_budget: int = DEFAULT_MEM_BUDGET) -> Iterator[dict]:
-    """Yield one record per spec entry; an empty spec yields nothing."""
+    """Yield one record per spec entry; an empty spec yields nothing. The
+    whole spec is checked before the first record."""
+    _check_spec(spec)
     for entry in spec.get("ssi", []):
         yield _ssi_record(entry, mem_budget)
     for entry in spec.get("gapped_string", []):

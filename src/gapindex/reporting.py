@@ -5,8 +5,10 @@ S_i against a rank range of S_j, starting from the whole sets. A node is
 tabulated when both ranges are stored sets above the backend's threshold.
 The backend answers it by one lookup, which returns a certificate; the
 node then splits at the witness into strictly-smaller / strictly-larger
-halves, decomposes the halves into dyadic blocks, and recurses only on
-block pairs whose shifted value intervals can still intersect.
+halves, covers each half's ranks by ``cover_blocks`` tuples (level, kappa,
+rank_lo, rank_hi), and recurses only on block pairs whose shifted value
+intervals can still intersect. A block's values are read from the base
+set's tuple at its end ranks; no block object is built.
 
 Every other node, the root of a pair the backend probes and each child
 with a side at or below the threshold, is answered by one scan
@@ -35,8 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .backends import (
     DEFAULT_MEM_BUDGET,
@@ -47,7 +48,7 @@ from .backends import (
 )
 from .errors import FormatError, GapIndexError
 from .reductions import reduce_3sum_to_ssi
-from .sets import DyadicSubset, SetCollection, cover_ranks, level_starts
+from .sets import Block, SetCollection, cover_blocks, level_starts
 
 # The benchmark's tracer wraps dyadic_subsets by this module's name, as it
 # wraps build_backend; the build itself places blocks by arithmetic.
@@ -130,29 +131,31 @@ def build_reporting_index(
 
 
 def matching_pairs(
-    cover_a: Sequence[DyadicSubset], cover_b: Sequence[DyadicSubset], s: int
-) -> list[tuple[DyadicSubset, DyadicSubset]]:
+    elements_a: Sequence[int], cover_a: Sequence[Block],
+    elements_b: Sequence[int], cover_b: Sequence[Block], s: int,
+) -> list[tuple[Block, Block]]:
     """Block pairs whose shifted interval [amin+s, amax+s] meets [bmin, bmax].
 
-    cover_b must be disjoint and sorted by min value (covers come out that
-    way), so the matches for each A-block form a contiguous slice found by
-    predecessor/successor search over the b minima and maxima.
+    The covers are ``cover_blocks`` tuples over ``elements_a`` and
+    ``elements_b``, whose elements at a block's end ranks are its minimum
+    and maximum. cover_b must be disjoint and in rank order (covers come
+    out that way), so the matches for each A-block form a contiguous slice
+    found by predecessor/successor search over the b minima and maxima.
     """
     if not cover_a or not cover_b:
         return []
-    b_mins = [b.min_value for b in cover_b]
-    b_maxs = [b.max_value for b in cover_b]
+    b_mins = [elements_b[lo - 1] for _, _, lo, _ in cover_b]
+    b_maxs = [elements_b[hi - 1] for _, _, _, hi in cover_b]
     out = []
-    for a_block in cover_a:
-        lo = bisect_left(b_maxs, a_block.min_value + s)
-        hi = bisect_right(b_mins, a_block.max_value + s)
+    for block_a in cover_a:
+        lo = bisect_left(b_maxs, elements_a[block_a[2] - 1] + s)
+        hi = bisect_right(b_mins, elements_a[block_a[3] - 1] + s)
         for idx in range(lo, hi):
-            out.append((a_block, cover_b[idx]))
+            out.append((block_a, cover_b[idx]))
     return out
 
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(NamedTuple):
     set_a: int  # backend set id a lookup asks; a scanned node names the base set
     a_lo: int  # rank range of the node's A side within the base set
     a_hi: int
@@ -194,66 +197,57 @@ def report_shift(
         return found
     calls = inst.ssi_calls()
     threshold = backend.threshold
-    cert = inst._exists(i, j, s)
-    node = _Node(i, 1, m_a, j, 1, m_b)
     found = []
     starts_a = level_starts(m_a)
     starts_b = level_starts(m_b)
     first_a = inst.first_block[i - 1] - starts_a[inst.lowest_level]
     first_b = inst.first_block[j - 1] - starts_b[inst.lowest_level]
-    stack: list[_Node] = []
-    while True:
-        if trace is not None:
-            trace.append((node, cert))
-        if cert is not None:
-            found.append((cert.a, cert.b))
-            # Split strictly below / above the witness; remaining solutions
-            # cannot straddle the two halves since a' < a forces b' < b.
-            rank_a = bisect_left(elements_a, cert.a) + 1
-            rank_b = bisect_left(elements_b, cert.b) + 1
-            # The split below assumes the pair lies in the node's blocks; a
-            # pair outside them would be found again from another node.
-            if not (
-                node.a_lo <= rank_a <= node.a_hi
-                and node.b_lo <= rank_b <= node.b_hi
-                and elements_a[rank_a - 1] == cert.a
-                and elements_b[rank_b - 1] == cert.b
-            ):
-                raise GapIndexError(
-                    f"certificate ({cert.a}, {cert.b}) of shift {s} is not in ranks"
-                    f" [{node.a_lo}, {node.a_hi}] x [{node.b_lo}, {node.b_hi}]"
-                )
-            lows_a = cover_ranks(elements_a, i, node.a_lo, rank_a - 1)
-            highs_a = cover_ranks(elements_a, i, rank_a + 1, node.a_hi)
-            lows_b = cover_ranks(elements_b, j, node.b_lo, rank_b - 1)
-            highs_b = cover_ranks(elements_b, j, rank_b + 1, node.b_hi)
-            for side_a, side_b in ((lows_a, lows_b), (highs_a, highs_b)):
-                for block_a, block_b in matching_pairs(side_a, side_b, s):
-                    if block_a.size > threshold and block_b.size > threshold:
-                        stack.append(
-                            _Node(
-                                first_a + starts_a[block_a.level] + block_a.block,
-                                block_a.rank_lo,
-                                block_a.rank_hi,
-                                first_b + starts_b[block_b.level] + block_b.block,
-                                block_b.rank_lo,
-                                block_b.rank_hi,
-                            )
-                        )
-                        continue
-                    a_lo, a_hi = block_a.rank_lo, block_a.rank_hi
-                    b_lo, b_hi = block_b.rank_lo, block_b.rank_hi
-                    pairs = backend.scan(i, a_lo, a_hi, j, b_lo, b_hi, s)
-                    if trace is not None:
-                        trace.append((_Node(i, a_lo, a_hi, j, b_lo, b_hi), pairs))
-                    found.extend(pairs)
-        if not stack:
-            inst.last_query_calls = inst.ssi_calls() - calls
-            # Nodes are disjoint and every pair found lies in its own node,
-            # so there is nothing to deduplicate.
-            return sorted(found)
+    stack = [_Node(i, 1, m_a, j, 1, m_b)]
+    while stack:
         node = stack.pop()
         cert = inst._exists(node.set_a, node.set_b, s)
+        if trace is not None:
+            trace.append((node, cert))
+        if cert is None:
+            continue
+        found.append((cert.a, cert.b))
+        _, a_lo, a_hi, _, b_lo, b_hi = node
+        # Split strictly below / above the witness; remaining solutions
+        # cannot straddle the two halves since a' < a forces b' < b.
+        rank_a = bisect_left(elements_a, cert.a) + 1
+        rank_b = bisect_left(elements_b, cert.b) + 1
+        # The split below assumes the pair lies in the node's blocks; a
+        # pair outside them would be found again from another node.
+        if not (
+            a_lo <= rank_a <= a_hi
+            and b_lo <= rank_b <= b_hi
+            and elements_a[rank_a - 1] == cert.a
+            and elements_b[rank_b - 1] == cert.b
+        ):
+            raise GapIndexError(
+                f"certificate ({cert.a}, {cert.b}) of shift {s} is not in ranks"
+                f" [{a_lo}, {a_hi}] x [{b_lo}, {b_hi}]"
+            )
+        lows_a = cover_blocks(a_lo, rank_a - 1)
+        highs_a = cover_blocks(rank_a + 1, a_hi)
+        lows_b = cover_blocks(b_lo, rank_b - 1)
+        highs_b = cover_blocks(rank_b + 1, b_hi)
+        for side_a, side_b in ((lows_a, lows_b), (highs_a, highs_b)):
+            for (j_a, k_a, lo_a, hi_a), (j_b, k_b, lo_b, hi_b) in matching_pairs(
+                elements_a, side_a, elements_b, side_b, s
+            ):
+                if 1 << j_a > threshold and 1 << j_b > threshold:
+                    stack.append(_Node(first_a + starts_a[j_a] + k_a, lo_a, hi_a,
+                                       first_b + starts_b[j_b] + k_b, lo_b, hi_b))
+                    continue
+                pairs = backend.scan(i, lo_a, hi_a, j, lo_b, hi_b, s)
+                if trace is not None:
+                    trace.append((_Node(i, lo_a, hi_a, j, lo_b, hi_b), pairs))
+                found.extend(pairs)
+    inst.last_query_calls = inst.ssi_calls() - calls
+    # Nodes are disjoint and every pair found lies in its own node, so
+    # there is nothing to deduplicate.
+    return sorted(found)
 
 
 class ThreeSumReporting:

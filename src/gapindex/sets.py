@@ -2,13 +2,18 @@
 
 Everything downstream (shift queries, reporting, gapped queries, the string
 index) is built on two primitives defined here: partitioning a sorted set
-into dyadic rank blocks, and covering an arbitrary rank or value range by
-at most 2*ceil(log2 m) + 1 of those blocks.
+into dyadic rank blocks, and covering an arbitrary rank range by at most
+2*ceil(log2 m) + 1 of those blocks.
+
+A cover is a list of ``(level, block, rank_lo, rank_hi)`` tuples from
+``cover_blocks``. A tuple names no set, so one cover serves any set (or
+the positions [1, n] of a suffix array): a block's values are the set's
+elements at ``rank_lo - 1`` and ``rank_hi - 1``. ``DyadicSubset`` is a
+block with its set id and end values attached.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,6 +22,9 @@ from .errors import FormatError, GuardError
 # Ingestion cap: keeps every derived quantity (negated elements, offsets up
 # to ~4*k^2*u in the 3SUM mapping) comfortably inside 63 bits.
 MAX_UNIVERSE = 1 << 40
+
+# A ``cover_blocks`` tuple: (level, block, rank_lo, rank_hi).
+Block = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,12 +36,6 @@ class IntSet:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def rank_range_of_values(self, lo: int, hi: int) -> tuple[int, int]:
-        """1-based rank interval of elements in [lo, hi]; empty if rlo > rhi."""
-        rlo = bisect_left(self.elements, lo) + 1
-        rhi = bisect_right(self.elements, hi)
-        return rlo, rhi
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,7 @@ class SetCollection:
 
 
 class DyadicSubset(NamedTuple):
-    """Elements of a parent set whose ranks form the block [kappa*2^j+1, (kappa+1)*2^j].
-
-    A named tuple: report_shift builds one per block of every cover it splits."""
+    """Elements of a parent set whose ranks form the block [kappa*2^j+1, (kappa+1)*2^j]."""
 
     parent_id: int
     level: int
@@ -73,16 +73,6 @@ class DyadicSubset(NamedTuple):
     @property
     def size(self) -> int:
         return self.rank_hi - self.rank_lo + 1
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """Position interval [1+kappa*2^j, (kappa+1)*2^j]."""
-
-    level: int
-    block: int
-    lo: int
-    hi: int
 
 
 def ingest_collection(raw: list[list[int]], u: int) -> SetCollection:
@@ -104,8 +94,8 @@ def ingest_collection(raw: list[list[int]], u: int) -> SetCollection:
 
 def level_starts(m: int) -> list[int]:
     """Block (j, kappa) of m is number level_starts(m)[j] + kappa, from 0, in the
-    level-major order of dyadic_subsets and dyadic_intervals (level j holds
-    m >> j blocks); the last entry is the number of blocks."""
+    level-major order of dyadic_subsets (level j holds m >> j blocks); the
+    last entry is the number of blocks."""
     starts = [0]
     for j in range(m.bit_length()):
         starts.append(starts[-1] + (m >> j))
@@ -117,11 +107,12 @@ def max_cover_blocks(m: int) -> int:
     return 2 * max(m - 1, 0).bit_length() + 1
 
 
-def _cover_rank_blocks(lo: int, hi: int) -> list[tuple[int, int, int, int]]:
+def cover_blocks(lo: int, hi: int) -> list[Block]:
     """Greedy left-to-right dyadic cover of ranks [lo, hi] on the absolute grid.
 
     At rank r takes the largest block aligned at r (r = kappa*2^j + 1) that
-    still fits inside [lo, hi]. Returns (level, block, rank_lo, rank_hi).
+    still fits inside [lo, hi]. Returns (level, block, rank_lo, rank_hi)
+    tuples in rank order; [] when lo > hi.
     """
     out = []
     r = lo
@@ -153,36 +144,9 @@ def cover_rank_range(s: IntSet, lo: int, hi: int) -> list[DyadicSubset]:
     """Disjoint dyadic blocks whose union is exactly ranks [lo, hi] of s."""
     if not 1 <= lo <= hi <= len(s.elements):
         raise FormatError(f"invalid rank range [{lo}, {hi}] for set of size {len(s.elements)}")
-    return cover_ranks(s.elements, s.id, lo, hi)
-
-
-def cover_ranks(el: tuple[int, ...], sid: int, lo: int, hi: int) -> list[DyadicSubset]:
-    """Unchecked ``cover_rank_range`` of ``el``, set ``sid``; [] when lo > hi."""
+    el, sid = s.elements, s.id
     return [DyadicSubset(sid, j, k, a, b, el[a - 1], el[b - 1])
-            for j, k, a, b in _cover_rank_blocks(lo, hi)]
-
-
-def cover_value_range(s: IntSet, a: int, b: int) -> list[DyadicSubset]:
-    """Dyadic cover of the elements of s lying in [a, b]; [] when none do."""
-    if a > b:
-        raise FormatError(f"invalid value range [{a}, {b}]")
-    rlo, rhi = s.rank_range_of_values(a, b)
-    if rlo > rhi:
-        return []
-    return cover_rank_range(s, rlo, rhi)
-
-
-def dyadic_intervals(n: int) -> list[DyadicInterval]:
-    """All dyadic position intervals with endpoints inside [1, n]."""
-    if n < 1:
-        raise FormatError(f"need n >= 1, got {n}")
-    out = []
-    for j in range(n.bit_length()):
-        size = 1 << j
-        for kappa in range(n // size):
-            lo = kappa * size + 1
-            out.append(DyadicInterval(level=j, block=kappa, lo=lo, hi=lo + size - 1))
-    return out
+            for j, k, a, b in cover_blocks(lo, hi)]
 
 
 def parse_collection(text: str) -> SetCollection:

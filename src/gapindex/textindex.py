@@ -23,7 +23,7 @@ from . import gapped
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import BudgetError, FormatError, GapIndexError
 from .gapped import CoverPlan, GappedIndex, gapped_exists, gapped_report
-from .sets import _cover_rank_blocks, level_starts
+from .sets import cover_blocks, level_starts
 
 DEFAULT_QUAD_BUDGET = 512 << 20
 
@@ -208,7 +208,7 @@ class GappedStringIndex:
     def _cover_ids(self, lo: int, hi: int) -> list[int]:
         """Ids of dyadic interval sets covering suffix-array ranks [lo, hi]."""
         starts = self._level_starts
-        return [starts[j] + k + 1 for j, k, _, _ in _cover_rank_blocks(lo, hi)]
+        return [starts[j] + k + 1 for j, k, _, _ in cover_blocks(lo, hi)]
 
     def _planned_covers(
         self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int
@@ -368,8 +368,8 @@ class QuadraticBaseline:
         d_hi = min(gap_hi, self.n - 1)
         if gap_lo > d_hi:
             return []
-        cover1 = _cover_rank_blocks(s1, e1 - 1)
-        cover2 = _cover_rank_blocks(s2, e2 - 1)
+        cover1 = cover_blocks(s1, e1 - 1)
+        cover2 = cover_blocks(s2, e2 - 1)
         out: list[tuple[int, int]] = []
         for j1, k1, _, _ in cover1:
             for j2, k2, _, _ in cover2:

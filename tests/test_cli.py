@@ -435,6 +435,15 @@ def test_bench_empty_spec(tmp_path, capsys):
     assert out == ""
 
 
+def test_bench_sizes_stand_in_for_n(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ssi": [{"u": 50, "sizes": [[2, 3], [1, 9]], "queries": 4}]}))
+    code, out, _ = run_cli(["bench", str(spec)], capsys)
+    assert code == 0
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert record["k"] == 3 and record["queries"] == 4
+
+
 def test_bench_records(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -462,6 +471,29 @@ def test_bench_records(tmp_path, capsys):
     assert [r["delta"] for r in ssi] == [0.0, 0.5, 1.0]
     gs = [r for r in records if r["kind"] == "gapped-string"]
     assert gs[0]["base_ssi_calls"] > 0
+
+
+GOOD_SSI = {"N": 20, "u": 10, "queries": 2}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"ssi": [GOOD_SSI, {"u": 10}]}, "needs the integer 'N'"),
+    ([1, 2], "must be a JSON object"),
+    ({"ssi": [GOOD_SSI, {**GOOD_SSI, "backend": "nope"}]}, "unknown backend 'nope'"),
+    ({"ssi": [GOOD_SSI], "gapped_string": [{"sigma": 4}]}, "needs the integer 'n'"),
+    ({"ssi": 5}, "must be a list of objects"),
+    ({"ssi": [GOOD_SSI, {**GOOD_SSI, "seed": "7"}]}, "'seed' must be an integer"),
+    ({"gapped_string": [{"n": 0}]}, "'n' must be an integer >= 1"),
+    ({"ssi": [GOOD_SSI, {"u": 10, "sizes": [[2, 0]]}]}, "'sizes' must be"),
+    ({"ssi": [GOOD_SSI, {**GOOD_SSI, "delta": "x"}]}, "delta 'x'"),
+])
+def test_bench_rejects_a_malformed_spec_before_any_record(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(["bench", str(path)], capsys)
+    assert code == 2
+    assert out == ""  # not even the well-formed entry's record
+    assert message in err
 
 
 def test_artifact_save_load_sections(tmp_path, collection_file):

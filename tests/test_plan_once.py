@@ -31,7 +31,7 @@ from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import build_gapped_index, gapped_exists, gapped_report, plan_cover
 from gapindex.generators import random_collection, random_pattern_from, random_text
 from gapindex.reporting import _Node, build_reporting_index, matching_pairs, report_shift
-from gapindex.sets import IntSet, cover_rank_range, dyadic_subsets, ingest_collection
+from gapindex.sets import IntSet, cover_blocks, dyadic_subsets, ingest_collection
 from gapindex.textindex import baseline_linear_scan, build_gapped_string_index, pattern_interval
 from test_gapped import expansion_range
 
@@ -54,36 +54,26 @@ def reference_block_ids(inst):
 
 def reference_report_shift(inst, i, j, s):
     ids = reference_block_ids(inst)
-    parent_a, parent_b = IntSet(i, inst.base[i - 1]), IntSet(j, inst.base[j - 1])
-
-    def cover(parent, lo, hi):
-        return cover_rank_range(parent, lo, hi) if lo <= hi else []
-
+    elements_a, elements_b = inst.base[i - 1], inst.base[j - 1]
     found = []
-    stack = [_Node(i, 1, len(parent_a), j, 1, len(parent_b))]
+    stack = [_Node(i, 1, len(elements_a), j, 1, len(elements_b))]
     while stack:
         node = stack.pop()
         cert = inst._exists(node.set_a, node.set_b, s)
         if cert is None:
             continue
         found.append((cert.a, cert.b))
-        rank_a = parent_a.elements.index(cert.a) + 1
-        rank_b = parent_b.elements.index(cert.b) + 1
+        rank_a = elements_a.index(cert.a) + 1
+        rank_b = elements_b.index(cert.b) + 1
         sides = (
-            (cover(parent_a, node.a_lo, rank_a - 1), cover(parent_b, node.b_lo, rank_b - 1)),
-            (cover(parent_a, rank_a + 1, node.a_hi), cover(parent_b, rank_b + 1, node.b_hi)),
+            (cover_blocks(node.a_lo, rank_a - 1), cover_blocks(node.b_lo, rank_b - 1)),
+            (cover_blocks(rank_a + 1, node.a_hi), cover_blocks(rank_b + 1, node.b_hi)),
         )
         for side_a, side_b in sides:
-            for block_a, block_b in matching_pairs(side_a, side_b, s):
+            for block_a, block_b in matching_pairs(elements_a, side_a, elements_b, side_b, s):
+                (level_a, kappa_a, lo_a, hi_a), (level_b, kappa_b, lo_b, hi_b) = block_a, block_b
                 stack.append(
-                    _Node(
-                        ids[(i, block_a.level, block_a.block)],
-                        block_a.rank_lo,
-                        block_a.rank_hi,
-                        ids[(j, block_b.level, block_b.block)],
-                        block_b.rank_lo,
-                        block_b.rank_hi,
-                    )
+                    _Node(ids[(i, level_a, kappa_a)], lo_a, hi_a, ids[(j, level_b, kappa_b)], lo_b, hi_b)
                 )
     return sorted(set(found))
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from gapindex import reporting
+from gapindex import reporting, sets
 from gapindex.backends import (
     FullTabulation,
     LinearScan,
@@ -24,8 +24,7 @@ from gapindex.reporting import (
     report_shift,
 )
 from gapindex.sets import (
-    DyadicSubset,
-    cover_rank_range,
+    cover_blocks,
     dyadic_subsets,
     ingest_collection,
     level_starts,
@@ -139,38 +138,34 @@ def test_no_straddling_solutions():
 
 
 def test_matching_pairs_examples():
-    def block(vmin, vmax):
-        return DyadicSubset(1, 0, 0, 1, 1, vmin, vmax)
-
-    a = [block(1, 4)]
-    b = [block(5, 6), block(7, 8)]
-    assert len(matching_pairs(a, b, 3)) == 2
-    assert matching_pairs([block(1, 2)], [block(9, 9)], 1) == []
+    # One block over all of elements_a, two over elements_b.
+    a, b = (1, 4), (5, 6, 7, 8)
+    assert len(matching_pairs(a, [(1, 0, 1, 2)], b, [(1, 0, 1, 2), (1, 1, 3, 4)], 3)) == 2
+    assert matching_pairs((1, 2), [(1, 0, 1, 2)], (9,), [(0, 0, 1, 1)], 1) == []
 
 
 def test_matching_pairs_fuzz():
     rng = random.Random(8)
     for _ in range(300):
         s = rng.randint(-50, 50)
-        values = sorted(rng.sample(range(1, 200), rng.randint(2, 24)))
+        values = tuple(sorted(rng.sample(range(1, 200), rng.randint(2, 24))))
         split = sorted(rng.sample(range(1, len(values)), rng.randint(1, min(6, len(values) - 1))))
+        # Blocks of any length over one sorted tuple: matching_pairs reads
+        # only a block's end ranks.
         blocks = []
         prev = 0
         for cut in split + [len(values)]:
-            chunk = values[prev:cut]
-            blocks.append(DyadicSubset(1, 0, 0, 1, 1, chunk[0], chunk[-1]))
+            blocks.append((0, len(blocks), prev + 1, cut))
             prev = cut
         cut = rng.randint(1, len(blocks) - 1) if len(blocks) > 1 else 1
         cover_a, cover_b = blocks[:cut], blocks[cut:]
-        got = {
-            (id(x), id(y)) for x, y in matching_pairs(cover_a, cover_b, s)
-        }
-        want = {
-            (id(x), id(y))
+        got = matching_pairs(values, cover_a, values, cover_b, s)
+        want = [
+            (x, y)
             for x in cover_a
             for y in cover_b
-            if x.min_value + s <= y.max_value and y.min_value <= x.max_value + s
-        }
+            if values[x[2] - 1] + s <= values[y[3] - 1] and values[y[2] - 1] <= values[x[3] - 1] + s
+        ]
         assert got == want
         assert len(got) <= 2 * len(cover_a) + len(cover_b)
 
@@ -178,14 +173,11 @@ def test_matching_pairs_fuzz():
 def test_matching_pairs_bound_on_real_covers():
     rng = random.Random(14)
     for _ in range(50):
-        from gapindex.sets import IntSet
-
         vals_a = tuple(sorted(rng.sample(range(1, 400), rng.randint(2, 60))))
         vals_b = tuple(sorted(rng.sample(range(1, 400), rng.randint(2, 60))))
-        sa, sb = IntSet(1, vals_a), IntSet(2, vals_b)
-        cover_a = cover_rank_range(sa, 1, len(vals_a))
-        cover_b = cover_rank_range(sb, 1, len(vals_b))
-        pairs = matching_pairs(cover_a, cover_b, rng.randint(-100, 100))
+        cover_a = cover_blocks(1, len(vals_a))
+        cover_b = cover_blocks(1, len(vals_b))
+        pairs = matching_pairs(vals_a, cover_a, vals_b, cover_b, rng.randint(-100, 100))
         assert len(pairs) <= 2 * len(cover_a) + len(cover_b)
 
 
@@ -367,6 +359,34 @@ def test_scanned_and_mixed_nodes_match_the_oracle():
                 # Lookups probe nothing; a scan walks at most its smaller side.
                 assert backend.probes - probes <= walked
     assert mixed > 20
+
+
+def test_report_shift_builds_no_dyadic_subset(monkeypatch):
+    """The recursion splits nodes by ``cover_blocks`` tuples alone."""
+
+    class NoSubsets:
+        def __init__(self, *args):
+            raise AssertionError("report_shift built a DyadicSubset")
+
+    rng = random.Random(23)
+    cases = []
+    for _ in range(12):
+        k = rng.randint(1, 3)
+        u = rng.randint(8, 120)
+        c = random_collection(rng, k, rng.randint(k, 60), u)
+        for kind in (FullTabulation(), SmallUniverse(delta=0.0)):
+            cases.append((c, build_reporting_index(c, kind)))
+    monkeypatch.setattr(sets, "DyadicSubset", NoSubsets)
+    lookups = 0
+    for c, idx in cases:
+        for _ in range(10):
+            i, j = rng.randint(1, c.k), rng.randint(1, c.k)
+            sa, sb = c.set(i).elements, c.set(j).elements
+            s = rng.choice(sb) - rng.choice(sa)
+            before = idx.existence_calls
+            assert report_shift(idx, i, j, s) == brute_force_ssi(c, ShiftQuery(i, j, s))
+            lookups += idx.existence_calls - before > 1
+    assert lookups > 50  # most reports split a certificate
 
 
 def test_blocks_stored_are_those_a_lookup_addresses():

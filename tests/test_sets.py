@@ -1,12 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from gapindex.errors import FormatError, GuardError
 from gapindex.sets import (
     IntSet,
     cover_rank_range,
-    cover_value_range,
-    dyadic_intervals,
     dyadic_subsets,
     format_collection,
     ingest_collection,
@@ -95,16 +92,13 @@ def test_dyadic_subsets_fixed_level_disjoint():
 def test_level_starts_number_the_blocks_in_order():
     for m in range(1, 65):
         subs = dyadic_subsets(make_set(range(1, m + 1)))
-        intervals = dyadic_intervals(m)
         starts = level_starts(m)
-        assert starts[-1] == len(subs) == len(intervals)
+        assert starts[-1] == len(subs)
         for j in range(m.bit_length()):
             for kappa in range(m >> j):
                 sub = subs[starts[j] + kappa]
                 assert (sub.level, sub.block) == (j, kappa)
                 assert (sub.rank_lo, sub.rank_hi) == (kappa * 2**j + 1, (kappa + 1) * 2**j)
-                iv = intervals[starts[j] + kappa]
-                assert (iv.level, iv.block) == (j, kappa)
 
 
 def test_dyadic_total_size_bound():
@@ -155,47 +149,6 @@ def test_cover_rank_exhaustive_small():
                 worst = max(worst, len(cover) - 2 * (m - 1).bit_length())
     # Measured maximum overhang over the 2*ceil(log2 m) part of the bound.
     assert worst <= 1
-
-
-def test_cover_value_range_examples():
-    s = make_set([2, 4, 6, 8])
-    cover = cover_value_range(s, 3, 7)
-    values = [v for c in cover for v in s.elements[c.rank_lo - 1 : c.rank_hi]]
-    assert values == [4, 6]
-    assert cover_value_range(make_set([2, 4]), 5, 9) == []
-    whole = cover_value_range(make_set([2, 4]), 1, 9)
-    assert len(whole) == 1 and whole[0].size == 2
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    values=st.sets(st.integers(1, 500), min_size=1, max_size=40),
-    a=st.integers(0, 520),
-    width=st.integers(0, 520),
-)
-def test_cover_value_range_matches_scan(values, a, width):
-    s = make_set(values)
-    cover = cover_value_range(s, a, a + width)
-    got = sorted(v for c in cover for v in s.elements[c.rank_lo - 1 : c.rank_hi])
-    assert got == [v for v in s.elements if a <= v <= a + width]
-
-
-def test_dyadic_intervals_counts():
-    assert len(dyadic_intervals(4)) == 7
-    only = dyadic_intervals(1)
-    assert len(only) == 1 and (only[0].lo, only[0].hi) == (1, 1)
-    by_level = {}
-    for iv in dyadic_intervals(6):
-        by_level.setdefault(iv.level, []).append(iv)
-    assert [len(by_level[j]) for j in range(3)] == [6, 3, 1]
-    assert len(dyadic_intervals(6)) == 10
-
-
-def test_dyadic_intervals_alignment():
-    for iv in dyadic_intervals(37):
-        assert iv.lo == iv.block * (1 << iv.level) + 1
-        assert iv.hi - iv.lo + 1 == 1 << iv.level
-        assert iv.hi <= 37
 
 
 def test_parse_format_round_trip():

@@ -1,4 +1,5 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -7,7 +8,7 @@ from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
 from gapindex.errors import BudgetError, FormatError
 from gapindex.gapped import gapped_report
 from gapindex.generators import random_pattern_from, random_text
-from gapindex.sets import dyadic_intervals
+from gapindex.sets import level_starts
 from gapindex.textindex import (
     QuadraticBaseline,
     baseline_linear_scan,
@@ -17,6 +18,55 @@ from gapindex.textindex import (
     occurrences,
     pattern_interval,
 )
+
+
+class DyadicInterval(NamedTuple):
+    """Position interval [1+kappa*2^j, (kappa+1)*2^j]."""
+
+    level: int
+    block: int
+    lo: int
+    hi: int
+
+
+def dyadic_intervals(n):
+    """Reference: all dyadic position intervals inside [1, n], level-major."""
+    out = []
+    for j in range(n.bit_length()):
+        size = 1 << j
+        for kappa in range(n // size):
+            lo = kappa * size + 1
+            out.append(DyadicInterval(level=j, block=kappa, lo=lo, hi=lo + size - 1))
+    return out
+
+
+def test_dyadic_intervals_counts():
+    assert len(dyadic_intervals(4)) == 7
+    only = dyadic_intervals(1)
+    assert len(only) == 1 and (only[0].lo, only[0].hi) == (1, 1)
+    by_level = {}
+    for iv in dyadic_intervals(6):
+        by_level.setdefault(iv.level, []).append(iv)
+    assert [len(by_level[j]) for j in range(3)] == [6, 3, 1]
+    assert len(dyadic_intervals(6)) == 10
+
+
+def test_dyadic_intervals_alignment():
+    for iv in dyadic_intervals(37):
+        assert iv.lo == iv.block * (1 << iv.level) + 1
+        assert iv.hi - iv.lo + 1 == 1 << iv.level
+        assert iv.hi <= 37
+
+
+def test_level_starts_number_the_intervals_in_order():
+    for n in range(1, 65):
+        intervals = dyadic_intervals(n)
+        starts = level_starts(n)
+        assert starts[-1] == len(intervals)
+        for j in range(n.bit_length()):
+            for kappa in range(n >> j):
+                iv = intervals[starts[j] + kappa]
+                assert (iv.level, iv.block) == (j, kappa)
 
 
 def brute_sa(text):
