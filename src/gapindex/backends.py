@@ -35,18 +35,19 @@ only: they keep no member set, and ``exists`` refuses an untabulated pair
 that names one.
 
 The backend owns each pair's route: ``tabulated(i, j)`` states the rule
-that every caller asks. Besides ``exists``, ``scan`` lists every pair of
-two rank ranges at one shift; the reporting recursion asks it for each
-pair it does not tabulate. ``scan_shifts`` answers one untabulated pair
-at many shifts in one pass, as the gapped index asks a plan's level: it
-lists the pair's differences once when neither set outnumbers the shifts,
-and otherwise runs ``scan``'s walk (``_walk``, which loops over the shifts
-itself). ``differences`` gives the set of b - a that such a listing reads.
+that every caller asks. Besides ``exists``, ``scan`` is the one walk: it
+lists every pair of two rank ranges at each of a sequence of shifts, as
+one flat list, shift by shift. The reporting recursion asks it, with its
+one shift, for each node it does not tabulate. ``scan_shifts`` answers
+one untabulated pair at many shifts in one pass, as the gapped index asks
+a plan's level: it lists the pair's differences once when neither set
+outnumbers the shifts, and otherwise is one ``scan`` over the whole sets.
+``differences`` gives the set of b - a that such a listing reads.
 
 The backend counts its own work: ``probes`` grows by the elements a probe
-or walk visits, and ``scans`` by one per ``scan`` and per walking
-``scan_shifts`` pass; a listing counts neither. Apart from these two
-counters a backend is immutable after build; queries are read-only.
+or walk visits, and ``scans`` by one per ``scan``, a walking
+``scan_shifts`` pass included; a listing counts neither. Apart from these
+two counters a backend is immutable after build; queries are read-only.
 """
 
 from __future__ import annotations
@@ -421,28 +422,22 @@ class SsiBackend:
         return None
 
     def scan(self, i: int, a_lo: int, a_hi: int, j: int, b_lo: int, b_hi: int,
-             s: int) -> list[tuple[int, int]]:
-        """Every (a, b) with a + s = b, a of ranks [a_lo, a_hi] of set i and b
-        of ranks [b_lo, b_hi] of set j, sorted by a: one ``_walk`` at the one
-        shift s, in O(log + min(|A|, |B|) + occ) steps. The caller vouches
-        for the ids and ranks. An empty range has no pair and walks nothing.
+             shifts: Sequence[int]) -> list[tuple[int, int]]:
+        """Every (a, b) with b - a in ``shifts``, a of ranks [a_lo, a_hi] of
+        set i and b of ranks [b_lo, b_hi] of set j: shift by shift in the
+        order given, each shift's pairs sorted by a. The rule of ``exists``
+        without the stop at the first hit: per shift, two bisections bound
+        the smaller range to the elements whose partner can lie in the other
+        range, and each is looked up in the other set's members, in
+        O(log + min(|A|, |B|) + occ) steps. ``scans`` grows by one per call
+        and ``probes`` by the elements walked; an empty range has no pair
+        and walks nothing. The caller vouches for the ids and ranks.
         """
+        self.scans += 1
         if a_hi < a_lo or b_hi < b_lo:
-            self.scans += 1
             return []
-        return self._walk(i, a_lo, a_hi, j, b_lo, b_hi, (s,)).get(s, [])
-
-    def _walk(self, i: int, a_lo: int, a_hi: int, j: int, b_lo: int, b_hi: int,
-              shifts: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
-        """{shift: pairs sorted by a} of two rank ranges, for each of
-        ``shifts`` that hits: the rule of ``exists`` without the stop at the
-        first hit. Per shift, two bisections bound the smaller range to the
-        elements whose partner can lie in the other range, and each is looked
-        up in the other set's members. One pass over all the shifts:
-        ``scans`` grows by one and ``probes`` by the elements walked.
-        """
         sa, sb = self.sets[i - 1], self.sets[j - 1]
-        out: dict[int, list[tuple[int, int]]] = {}
+        out: list[tuple[int, int]] = []
         walked = 0
         if a_hi - a_lo <= b_hi - b_lo:
             member, first, last = self.members[j - 1], sb[b_lo - 1], sb[b_hi - 1]
@@ -450,19 +445,14 @@ class SsiBackend:
                 lo = bisect_left(sa, first - s, a_lo - 1, a_hi)
                 hi = bisect_right(sa, last - s, lo, a_hi)
                 walked += hi - lo
-                pairs = [(x, x + s) for x in sa[lo:hi] if x + s in member]
-                if pairs:
-                    out[s] = pairs
+                out += [(x, x + s) for x in sa[lo:hi] if x + s in member]
         else:
             member, first, last = self.members[i - 1], sa[a_lo - 1], sa[a_hi - 1]
             for s in shifts:
                 lo = bisect_left(sb, first + s, b_lo - 1, b_hi)
                 hi = bisect_right(sb, last + s, lo, b_hi)
                 walked += hi - lo
-                pairs = [(y - s, y) for y in sb[lo:hi] if y - s in member]
-                if pairs:
-                    out[s] = pairs
-        self.scans += 1
+                out += [(y - s, y) for y in sb[lo:hi] if y - s in member]
         self.probes += walked
         return out
 
@@ -479,28 +469,23 @@ class SsiBackend:
             return None
         return {b - a for a in sa for b in sb}
 
-    def scan_shifts(self, i: int, j: int,
-                    shifts: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
-        """Every (a, b) of sets i and j with b - a in ``shifts`` (distinct),
-        as {shift: pairs sorted by a}, holding only the shifts that hit.
+    def scan_shifts(self, i: int, j: int, shifts: Sequence[int]) -> list[tuple[int, int]]:
+        """Every (a, b) of sets i and j with b - a in ``shifts`` (distinct).
 
         One pass over a pair the backend does not tabulate. When neither
         set has more elements than there are shifts, every difference is
-        listed once and each wanted one keeps its pairs: |A|*|B| <=
-        len(shifts)*min(|A|, |B|) steps, no more than the walks
-        spend when every shift misses, and ``probes`` does not grow.
-        Otherwise one ``_walk`` over the whole sets walks the smaller set
+        listed once and the wanted ones are kept, sorted by a then b:
+        |A|*|B| <= len(shifts)*min(|A|, |B|) steps, no more than the walks
+        spend when every shift misses, and neither counter grows.
+        Otherwise one ``scan`` over the whole sets walks the smaller set
         once per shift. The caller vouches for the ids.
         """
         sa, sb = self.sets[i - 1], self.sets[j - 1]
         if len(sa) <= len(shifts) and len(sb) <= len(shifts):
-            out: dict[int, list[tuple[int, int]]] = {}
             wanted = set(shifts)
-            for a, b in [(a, b) for a in sa for b in sb if b - a in wanted]:
-                out.setdefault(b - a, []).append((a, b))
-            return out
+            return [(a, b) for a in sa for b in sb if b - a in wanted]
         # Over whole sets the smaller rank range is the smaller set.
-        return self._walk(i, 1, len(sa), j, 1, len(sb), shifts)
+        return self.scan(i, 1, len(sa), j, 1, len(sb), shifts)
 
     def space_bytes(self) -> int:
         return self.dict_entries * _INT_BYTES + self.table.entries * _CERT_BYTES

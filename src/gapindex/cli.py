@@ -90,12 +90,26 @@ def _cmd_build(args) -> int:
         backend = parse_backend(args.backend, args.delta)
     except ValueError as e:
         raise FormatError(str(e)) from None
-    artifact = build_artifact(args.kind, source, backend, args.mem_budget)
+    try:
+        artifact = build_artifact(args.kind, source, backend, args.mem_budget)
+    except UnicodeDecodeError as e:
+        # Only a collection source is decoded; a text is indexed as bytes.
+        raise FormatError(f"{args.input} is not UTF-8: {e}") from None
     save_artifact(args.out, artifact)
     manifest = dict(artifact.manifest)
     manifest["out"] = args.out
     print(json.dumps(manifest, sort_keys=True))
     return EXIT_OK
+
+
+def _read_lines(path: str) -> list[str]:
+    """A query file's or bench spec's lines; bytes that are not UTF-8 are
+    a format error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not UTF-8: {e}") from None
 
 
 def _parse_ints(tokens: list[str], want: int, line: str) -> list[int]:
@@ -209,8 +223,7 @@ class _QueryEngine:
 def _cmd_query(args) -> int:
     artifact = load_artifact(args.index, args.mem_budget)
     engine = _QueryEngine(artifact, args.mode, args.plan)
-    with open(args.queries, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_lines(args.queries) if ln.strip()]
     status = EXIT_OK
     for line in lines:
         try:
@@ -233,8 +246,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.spec, "r") as fh:
-        body = fh.read().strip()
+    body = "".join(_read_lines(args.spec)).strip()
     try:
         spec = json.loads(body) if body else {}
     except json.JSONDecodeError as e:

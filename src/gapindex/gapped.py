@@ -27,7 +27,9 @@ pair, and exists returns the first originals as its witness.
 A level-l query asks the quotient shifts 2*kappa - 1, 2*kappa and
 2*kappa + 1, so adjacent queries of one level share a shift. The plan lists
 every distinct primitive probe once, and a query asks each of them once per
-set pair.
+(level, shift) of a set pair. Levels 0 and 1 are both answered by the exact
+instance, so a shift the plan issues both as a point and at level 1 is
+asked of the same pair twice.
 
 Plans as runs: each pass (forward from alpha, mirrored from beta) issues up
 to three point shifts and then, per level l, a run of at most three
@@ -67,13 +69,15 @@ tuples, one per set, sharing one int object per distinct value.
 How each (pair, level) is answered is the backend's rule,
 ``SsiBackend.tabulated``. A report asks each level of a pair the backend
 does not tabulate by one call, ``SsiBackend.scan_shifts``, holding the
-level's P_l shifts. When neither set has more than P_l elements, the
-differences are listed once and each keeps its pairs, in at most
-P_l * min(|A|, |B|) steps; otherwise the smaller set's cut walk of
-``scan`` runs once per shift, in at most P_l * (log + min(|A|, |B|)) + occ
-steps. A walking pass counts as one backend call, a listing as none.
-Tabulated pairs (both sets above the backend's threshold) ask each probe
-through ``report_shift``, one lookup per miss.
+level's P_l shifts, and reads back one flat list of the level's pairs.
+When neither set has more than P_l elements, the differences are listed
+once and the wanted ones kept, in at most P_l * min(|A|, |B|) steps;
+otherwise the call is one ``scan`` over the whole sets at all P_l shifts,
+whose cut walk of the smaller set runs once per shift, in at most
+P_l * (log + min(|A|, |B|)) + occ steps. A walking pass counts as one
+backend call, a listing as none. Tabulated pairs (both sets above the
+backend's threshold) ask each probe through ``report_shift``, one lookup
+per miss, and the level's reports are read as one flat list too.
 
 An exists stops at its first hit, so it asks the probes lazily in order:
 a level's differences (``SsiBackend.differences``) are listed when the
@@ -590,9 +594,10 @@ def gapped_report(
 ) -> list[tuple[int, int]]:
     """All pairs (a, b) with b - a in [alpha, beta], sorted and deduplicated.
 
-    The plan is answered one level at a time: a pair the level's backend
-    tabulates asks each shift through ``report_shift``, any other pair
-    asks all the level's shifts in one ``scan_shifts`` pass.
+    The plan is answered one level at a time, each level read as one flat
+    list of pairs: a pair the level's backend tabulates asks each shift
+    through ``report_shift``, any other pair asks all the level's shifts
+    in one ``scan_shifts`` pass.
     """
     plan = _plan_for(g, alpha, beta, plan)
     check_set_ids(g.exact, i, j)
@@ -608,18 +613,16 @@ def gapped_report(
     for level, shifts in enumerate(plan.level_shifts):
         inst = g.instances[level]
         if inst.backend.tabulated(i, j):
-            found = [report_shift(inst, i, j, s) for s in shifts]
+            found = [pair for s in shifts for pair in report_shift(inst, i, j, s)]
         else:
-            found = inst.backend.scan_shifts(i, j, shifts).values()
+            found = inst.backend.scan_shifts(i, j, shifts)
         if level == 0:
-            for pairs in found:
-                raw.extend(pairs)
+            raw += found
             continue
         # By the expansion lemma every original pair has its gap in range.
-        for pairs in found:
-            for qa, qb in pairs:
-                raw.extend(product(originals(elements_a, level, qa),
-                                   originals(elements_b, level, qb)))
+        for qa, qb in found:
+            raw.extend(product(originals(elements_a, level, qa),
+                               originals(elements_b, level, qb)))
     g.last_raw_pairs = len(raw)
     g.last_max_multiplicity = max(Counter(raw).values()) if raw else 0
     return sorted(set(raw))

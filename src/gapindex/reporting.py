@@ -189,8 +189,9 @@ def report_shift(
     elements_a, elements_b = inst.base[i - 1], inst.base[j - 1]
     m_a, m_b = len(elements_a), len(elements_b)
     backend = inst.backend
+    shift = (s,)
     if not backend.tabulated(i, j):
-        found = backend.scan(i, 1, m_a, j, 1, m_b, s)
+        found = backend.scan(i, 1, m_a, j, 1, m_b, shift)
         inst.last_query_calls = 1
         if trace is not None:
             trace.append((_Node(i, 1, m_a, j, 1, m_b), found))
@@ -240,7 +241,7 @@ def report_shift(
                     stack.append(_Node(first_a + starts_a[j_a] + k_a, lo_a, hi_a,
                                        first_b + starts_b[j_b] + k_b, lo_b, hi_b))
                     continue
-                pairs = backend.scan(i, lo_a, hi_a, j, lo_b, hi_b, s)
+                pairs = backend.scan(i, lo_a, hi_a, j, lo_b, hi_b, shift)
                 if trace is not None:
                     trace.append((_Node(i, lo_a, hi_a, j, lo_b, hi_b), pairs))
                 found.extend(pairs)

@@ -298,12 +298,17 @@ def test_tables_narrow_to_int32_and_reject_shifts_outside_it():
     assert codes == {"i", "q"}
 
 
-def _walked(sa, sb, s):
-    """Elements ``scan``'s walk at shift s visits: those of the smaller set
-    whose partner lies between the other set's first and last elements."""
-    if len(sa) <= len(sb):
-        return sum(1 for x in sa if sb[0] <= x + s <= sb[-1])
-    return sum(1 for y in sb if sa[0] <= y - s <= sa[-1])
+def _walked(sa, a_lo, a_hi, sb, b_lo, b_hi, s):
+    """Elements ``scan``'s walk at shift s visits: those of the smaller rank
+    range whose partner lies between the other range's first and last
+    elements; none when a range is empty."""
+    if a_hi < a_lo or b_hi < b_lo:
+        return 0
+    if a_hi - a_lo <= b_hi - b_lo:
+        first, last = sb[b_lo - 1], sb[b_hi - 1]
+        return sum(1 for x in sa[a_lo - 1:a_hi] if first <= x + s <= last)
+    first, last = sa[a_lo - 1], sa[a_hi - 1]
+    return sum(1 for y in sb[b_lo - 1:b_hi] if first <= y - s <= last)
 
 
 def _check_pass(backend, sets, i, j, shifts):
@@ -314,18 +319,19 @@ def _check_pass(backend, sets, i, j, shifts):
     before, scans = backend.probes, backend.scans
     found = backend.scan_shifts(i, j, shifts)
     assert backend.scans - scans == walks
-    walked = sum(_walked(sa, sb, s) for s in shifts) if walks else 0
+    walked = sum(_walked(sa, 1, len(sa), sb, 1, len(sb), s) for s in shifts) if walks else 0
     assert backend.probes - before == walked
-    assert set(found) <= set(shifts)
+    assert {b - a for a, b in found} <= set(shifts)
     for s in shifts:
         want = brute_force_ssi(sets, ShiftQuery(i, j, s))
-        assert (s in found) == bool(want)
-        assert found.get(s, []) == want, (sa, sb, s)
+        got = [(a, b) for a, b in found if b - a == s]
+        assert bool(got) == bool(want)
+        assert got == want, (sa, sb, s)
         scans = backend.scans
-        assert backend.scan(i, 1, len(sa), j, 1, len(sb), s) == want
+        assert backend.scan(i, 1, len(sa), j, 1, len(sb), (s,)) == want
         # An empty rank range on either side has no pair.
-        assert backend.scan(i, len(sa) + 1, len(sa), j, 1, len(sb), s) == []
-        assert backend.scan(i, 1, len(sa), j, len(sb) + 1, len(sb), s) == []
+        assert backend.scan(i, len(sa) + 1, len(sa), j, 1, len(sb), (s,)) == []
+        assert backend.scan(i, 1, len(sa), j, len(sb) + 1, len(sb), (s,)) == []
         assert backend.scans - scans == 3
     return walks, walked
 
@@ -355,7 +361,7 @@ def test_scan_shifts_matches_scan_and_the_oracle():
                 shifts = list(dict.fromkeys(shifts))[: rng.randint(1, 14)]
                 branches.add(_check_pass(backend, sets, i, j, shifts)[0])
     assert branches == {False, True}
-    assert build_backend([(), ()], LinearScan()).scan(1, 1, 0, 2, 1, 0, 0) == []
+    assert build_backend([(), ()], LinearScan()).scan(1, 1, 0, 2, 1, 0, (0,)) == []
 
 
 @pytest.mark.parametrize("kind", [LinearScan(), SmallUniverse(delta=0.5)])
@@ -376,3 +382,43 @@ def test_scan_shifts_lists_up_to_the_shift_count(kind):
         both = [tuple(range(0, 5 + extra)), tuple(range(10, 15 + extra))]
         walks, walked = _check_pass(build_backend(both, kind), both, 1, 2, shifts)
         assert walks == bool(extra) and walked >= 5 * extra
+
+
+@pytest.mark.parametrize("kind", [LinearScan(), SmallUniverse(delta=0.5)])
+def test_scan_over_many_shifts_is_the_one_shift_scans_in_order(kind):
+    """One call over several shifts returns the one-shift scans concatenated
+    in the order the shifts are given, counts one scan and walks the sum of
+    the bisected windows; an empty range walks nothing."""
+    rng = random.Random(83)
+    checked = 0
+    for _ in range(60):
+        sets = [tuple(sorted(rng.sample(range(-50, 200), rng.randint(0, 24))))
+                for _ in range(rng.randint(2, 4))]
+        backend = build_backend(sets, kind)
+        i, j = rng.randint(1, len(sets)), rng.randint(1, len(sets))
+        sa, sb = sets[i - 1], sets[j - 1]
+        # Ranks that may leave a range empty, within or past each set.
+        a_lo, b_lo = rng.randint(1, len(sa) + 1), rng.randint(1, len(sb) + 1)
+        a_hi = rng.randint(a_lo - 1, len(sa))
+        b_hi = rng.randint(b_lo - 1, len(sb))
+        realized = sorted({b - a for a in sa[a_lo - 1:a_hi] for b in sb[b_lo - 1:b_hi]})
+        shifts = rng.sample(realized, min(len(realized), rng.randint(0, 4)))
+        shifts += [rng.randint(-300, 300) for _ in range(rng.randint(1, 4))]
+        shifts = list(dict.fromkeys(shifts))
+        rng.shuffle(shifts)
+        ranges = (i, a_lo, a_hi, j, b_lo, b_hi)
+        scans, probes = backend.scans, backend.probes
+        found = backend.scan(*ranges, shifts)
+        assert backend.scans - scans == 1
+        assert backend.probes - probes == sum(
+            _walked(sa, a_lo, a_hi, sb, b_lo, b_hi, s) for s in shifts)
+        assert found == [pair for s in shifts for pair in backend.scan(*ranges, (s,))]
+        assert backend.scans - scans == 1 + len(shifts)
+        for s in shifts:
+            want = [(a, b) for a, b in brute_force_ssi(sets, ShiftQuery(i, j, s))
+                    if a in sa[a_lo - 1:a_hi] and b in sb[b_lo - 1:b_hi]]
+            assert [(a, b) for a, b in found if b - a == s] == want
+        if a_hi < a_lo or b_hi < b_lo:
+            assert found == [] and backend.probes == probes
+        checked += len(found)
+    assert checked > 20

@@ -94,6 +94,38 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def assert_utf8_format_error(code, out, err, path):
+    """Exit 2 with one ``format error:`` line naming the file, no traceback."""
+    assert (code, out) == (2, "")
+    assert err.startswith(f"format error: {path} is not UTF-8:"), err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["ssi", "gapped-set", "smallest-shift"])
+def test_build_rejects_a_source_that_is_not_utf8(tmp_path, capsys, kind):
+    src = tmp_path / "bad.txt"
+    src.write_bytes(b"10 1\n1 2 \xff\n")
+    out = tmp_path / "x.gidx"
+    result = run_cli(["build", str(src), "-o", str(out), "--kind", kind], capsys)
+    assert_utf8_format_error(*result, src)
+    assert not out.exists()
+
+
+def test_query_rejects_a_query_file_that_is_not_utf8(tmp_path, capsys):
+    src = tmp_path / "text.txt"
+    src.write_bytes(b"abracadabra")
+    index, _ = build(tmp_path, capsys, src, "gapped-string")
+    queries = tmp_path / "bad.q"
+    queries.write_bytes(b"ab \xff 0 3\n")
+    assert_utf8_format_error(*query_output(capsys, index, queries), queries)
+
+
+def test_bench_rejects_a_spec_that_is_not_utf8(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{"ssi": [\xff]}')
+    assert_utf8_format_error(*run_cli(["bench", str(spec)], capsys), spec)
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run_cli(
         ["build", str(tmp_path / "nope.txt"), "-o", str(tmp_path / "x"), "--kind", "ssi"],

@@ -2,7 +2,9 @@
 recorded digests: the same answers, the same per-query counters and the
 same stored sets. The smoke lines were recorded before quotient levels
 became plain tuples; the full lines are the ones CHANGES.md records for
-the changes after that, each of which kept them."""
+the changes after that, each of which kept them. ``tools/cli_digest.py``
+runs one fixed command-line session; its line was recorded before the SSI
+backend's walk became one ``scan`` over a sequence of shifts."""
 
 import pathlib
 import subprocess
@@ -47,3 +49,15 @@ def test_smoke_digests_are_recorded(workload, expected):
 @pytest.mark.parametrize("workload, expected", FULL_DIGESTS)
 def test_full_digests_are_recorded(workload, expected):
     run_digest(workload, "full", expected)
+
+
+CLI_SESSION_DIGEST = "969b9adc0d7fd4b9"
+
+
+def test_cli_session_digest_is_recorded():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cli_digest.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"session {CLI_SESSION_DIGEST}"]

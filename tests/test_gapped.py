@@ -224,7 +224,7 @@ def test_level_one_shares_the_exact_instances_tables():
     assert g.ssi_calls() == exact.existence_calls
     # The backend counts its scans; the instance sums them with its lookups.
     m1, m2 = len(c.set(1)), len(c.set(2))
-    exact.backend.scan(1, 1, m1, 2, 1, m2, 0)
+    exact.backend.scan(1, 1, m1, 2, 1, m2, (0,))
     assert exact.backend.scans == 1
     assert exact.ssi_calls() == exact.existence_calls + 1 == g.ssi_calls()
 

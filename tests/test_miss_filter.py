@@ -241,10 +241,12 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
                 if not listed(g, i, j, level, plan):
                     continue
                 realized = {b - a for a in backend.sets[i - 1] for b in backend.sets[j - 1]}
-                assert set(found) == {s for s in shifts if s in realized}
-                for s, pairs in found.items():
+                hit = {b - a for a, b in found}
+                assert hit == {s for s in shifts if s in realized}
+                for s in hit:
+                    pairs = [(a, b) for a, b in found if b - a == s]
                     assert pairs and pairs == report_shift(g.instances[level], i, j, s)
-                checked += len(found)
+                checked += len(hit)
     assert checked > 100
 
 
