@@ -47,9 +47,9 @@ def _parser() -> argparse.ArgumentParser:
     p_build.add_argument("input")
     p_build.add_argument("-o", "--out", required=True)
     p_build.add_argument("--kind", required=True, choices=KINDS)
-    p_build.add_argument("--backend", default="linear",
-                         choices=["linear", "fulltab", "smalluniverse"])
-    p_build.add_argument("--delta", type=float, default=0.5)
+    # Unset means linear and 0.5; smallest-shift refuses either when given.
+    p_build.add_argument("--backend", choices=["linear", "fulltab", "smalluniverse"])
+    p_build.add_argument("--delta", type=float)
     p_build.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET)
 
     p_query = sub.add_parser("query", help="answer a query file against an index")
@@ -86,8 +86,12 @@ def _parser() -> argparse.ArgumentParser:
 def _cmd_build(args) -> int:
     with open(args.input, "rb") as fh:
         source = fh.read()
+    if args.kind == "smallest-shift" and (args.backend, args.delta) != (None, None):
+        raise FormatError("--backend and --delta do not apply to --kind smallest-shift,"
+                          " which builds no backend")
     try:
-        backend = parse_backend(args.backend, args.delta)
+        backend = parse_backend(args.backend or "linear",
+                                0.5 if args.delta is None else args.delta)
     except ValueError as e:
         raise FormatError(str(e)) from None
     try:

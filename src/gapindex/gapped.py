@@ -79,11 +79,18 @@ backend call, a listing as none. Tabulated pairs (both sets above the
 backend's threshold) ask each probe through ``report_shift``, one lookup
 per miss, and the level's reports are read as one flat list too.
 
-An exists stops at its first hit, so it asks the probes lazily in order:
-a level's differences (``SsiBackend.differences``) are listed when the
-probe order first reaches it, a probe whose shift is not on the list
-makes no backend call, and every other probe, a sure hit, is asked
-through the backend. Tabulated pairs are not listed.
+An exists stops at its first hit, so it asks the probes lazily in order.
+First it reads the ends of the pair's two sets: every difference b - a
+lies in [min B - max A, max B - min A], so when that range misses
+[alpha, beta] no probe can hit, and the pair returns None with no listing
+and no lookup; the first witness of any other pair is unchanged. Then a
+level's differences (``SsiBackend.differences``) are listed when the
+probe order first reaches it. Levels 0 and 1 share the exact instance, so
+a pair listed at level 0 that also fits level 1's probe count reuses that
+list. A run of probes whose shifts are all off the list is passed over by
+one ``isdisjoint``, a probe whose shift is not on the list makes no
+backend call, and every other probe, a sure hit, is asked through the
+backend. Tabulated pairs are not listed.
 """
 
 from __future__ import annotations
@@ -415,7 +422,9 @@ def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[list[
         codes, owners = codes[keep], owners[keep]
         flat = tuple(distinct.astype(object)[codes].tolist())
         ends = np.bincount(owners, minlength=len(sets)).cumsum().tolist()
-        yield [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+        ones: dict[int, tuple[int]] = {}
+        yield [flat[lo:hi] if hi - lo != 1 else ones.setdefault(flat[lo], flat[lo:hi])
+               for lo, hi in zip([0] + ends, ends)]
 
 
 class LevelIndex:
@@ -521,26 +530,6 @@ def _plan_for(
 _UNLISTED = object()
 
 
-def _live_probes(
-    g: GappedIndex, plan: CoverPlan, i: int, j: int
-) -> Iterator[tuple[int, int]]:
-    """The plan's probes in order, less those the pair provably misses.
-
-    A level's differences are listed when the probe order first reaches
-    it, so an answer found earlier lists nothing more.
-    """
-    counts = plan.level_probes
-    listed: list = [_UNLISTED] * len(counts)
-    for level, shifts in plan.segments:
-        realized = listed[level]
-        if realized is _UNLISTED:
-            backend = g.instances[level].backend
-            realized = listed[level] = backend.differences(i, j, counts[level])
-        for shift in shifts:
-            if realized is None or shift in realized:
-                yield level, shift
-
-
 def gapped_exists(
     g: GappedIndex,
     i: int,
@@ -554,7 +543,10 @@ def gapped_exists(
 
     Each distinct probe of the plan is asked once, in first-issue order; a
     repeat would give the same answer, so the first witness is the one the
-    full sequence of point and approximate queries finds.
+    full sequence of point and approximate queries finds. A pair whose
+    difference range [min B - max A, max B - min A] misses [alpha, beta]
+    lists and asks nothing. A listed level asks only the shifts on its list,
+    and levels 0 and 1 share one list when the pair fits both probe counts.
     """
     plan = _plan_for(g, alpha, beta, plan)
     check_set_ids(g.exact, i, j)
@@ -562,24 +554,47 @@ def gapped_exists(
         g.last_plan_size = 0
         return None
     g.last_plan_size = plan.size
+    sa, sb = g.exact.base[i - 1], g.exact.base[j - 1]
+    # Every difference of the pair lies in [min B - max A, max B - min A].
+    if sb[-1] - sa[0] < alpha or sb[0] - sa[-1] > beta:
+        return None
     # Uncertain zones fit inside the clamped interval, so a plan never
     # reaches past the top level built for the universe.
     instances = g.instances
-    for level, shift in _live_probes(g, plan, i, j):
-        cert = instances[level]._exists(i, j, shift)
-        if cert is None:
-            continue
-        if level == 0:
-            a, b = cert.a, cert.b
-        else:
-            # By the expansion lemma any originals will do; take the first.
-            a = originals(g.exact.base[i - 1], level, cert.a)[0]
-            b = originals(g.exact.base[j - 1], level, cert.b)[0]
-        if not alpha <= b - a <= beta:
-            raise GapIndexError(
-                f"witness ({a}, {b}) of level-{level} shift {shift} is outside [{alpha}, {beta}]"
-            )
-        return (a, b)
+    counts = plan.level_probes
+    listed: list = [_UNLISTED] * len(counts)
+    for level, shifts in plan.segments:
+        realized = listed[level]
+        if realized is _UNLISTED:
+            # Levels 0 and 1 are both the exact instance: a pair listed at
+            # level 0 that fits level 1's probe count has the same list.
+            if (level == 1 and listed[0] is not None and instances[1] is instances[0]
+                    and len(sa) <= counts[1] and len(sb) <= counts[1]):
+                realized = listed[0]
+            else:
+                realized = instances[level].backend.differences(i, j, counts[level])
+            listed[level] = realized
+        if realized is not None:
+            if realized.isdisjoint(shifts):
+                continue
+            shifts = [s for s in shifts if s in realized]
+        inst = instances[level]
+        for shift in shifts:
+            cert = inst._exists(i, j, shift)
+            if cert is None:
+                continue
+            if level == 0:
+                a, b = cert.a, cert.b
+            else:
+                # By the expansion lemma any originals will do; take the first.
+                a = originals(sa, level, cert.a)[0]
+                b = originals(sb, level, cert.b)[0]
+            if not alpha <= b - a <= beta:
+                raise GapIndexError(
+                    f"witness ({a}, {b}) of level-{level} shift {shift} is outside"
+                    f" [{alpha}, {beta}]"
+                )
+            return (a, b)
     return None
 
 

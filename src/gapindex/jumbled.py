@@ -98,6 +98,9 @@ class JumbledIndex:
         self.text = text
         self.n = len(text)
         self.base = self.n + 1
+        # Reports read positions 0..n+1 from here, so every answer naming a
+        # position shares one int object.
+        self.positions = list(range(self.n + 2))
         _check_encode_guard(self.base, self.sigma)
         self.total = histogram(text, self.alphabet)
 
@@ -131,7 +134,7 @@ class JumbledIndex:
             raise GapIndexError(
                 f"prefix 1..{p} and suffix {q}..{self.n} do not frame a length-{norm} occurrence"
             )
-        return (p + 1, q - 1)
+        return (self.positions[p + 1], self.positions[q - 1])
 
     def _query_value(self, pattern: Sequence[int]) -> Optional[tuple[int, int]]:
         if len(pattern) != self.sigma:

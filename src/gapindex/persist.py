@@ -135,8 +135,11 @@ def load_artifact(path: str, mem_budget: int = DEFAULT_MEM_BUDGET) -> Artifact:
     kind = manifest.get("kind")
     if kind not in KINDS:
         raise FormatError(f"{path}: unknown artifact kind {kind!r}")
+    # A smallest-shift manifest names no backend; an older one that does is
+    # still read.
+    default = "linear" if kind == "smallest-shift" else None
     try:
-        backend = parse_backend(manifest.get("backend"), manifest.get("delta", 0.5))
+        backend = parse_backend(manifest.get("backend", default), manifest.get("delta", 0.5))
     except (TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad backend in manifest: {e}") from None
     text_kind = kind in ("gapped-string", "jumbled")
@@ -203,12 +206,14 @@ def _base_manifest(kind: str, backend: BackendKind, source: bytes) -> dict:
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "backend": backend.name,
         "source_digest": _digest(source),
         "counters": {},
     }
-    if isinstance(backend, SmallUniverse):
-        manifest["delta"] = backend.delta
+    # A smallest-shift index builds no backend, so its manifest names none.
+    if kind != "smallest-shift":
+        manifest["backend"] = backend.name
+        if isinstance(backend, SmallUniverse):
+            manifest["delta"] = backend.delta
     return manifest
 
 

@@ -276,6 +276,45 @@ def test_smallest_shift_query(tmp_path, capsys):
     assert out.splitlines() == ["2", "NONE", "NONE"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--backend", "linear"], ["--backend", "fulltab"], ["--delta", "0.3"],
+     ["--backend", "smalluniverse", "--delta", "0.5"]],
+    ids=["linear", "fulltab", "delta", "smalluniverse"],
+)
+def test_smallest_shift_build_refuses_backend_flags(tmp_path, capsys, flags):
+    src = tmp_path / "s.txt"
+    src.write_text("16 3\n5 10\n7\n3\n")
+    out = tmp_path / "x.gidx"
+    code, stdout, err = run_cli(
+        ["build", str(src), "-o", str(out), "--kind", "smallest-shift", *flags], capsys
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("format error: --backend and --delta do not apply"), err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_smallest_shift_manifest_names_no_backend(tmp_path, capsys):
+    src = tmp_path / "s.txt"
+    src.write_text("16 3\n5 10\n7\n3\n")
+    index, manifest = build(tmp_path, capsys, src, "smallest-shift")
+    assert "backend" not in manifest and "delta" not in manifest
+    # A container written with the backend fields still loads and answers alike.
+    artifact = load_artifact(str(index))
+    assert "backend" not in artifact.manifest
+    artifact.manifest.update(backend="smalluniverse", delta=0.3)
+    old = tmp_path / "old.gidx"
+    save_artifact(str(old), artifact)
+    assert load_artifact(str(old)).manifest["backend"] == "smalluniverse"
+    queries = tmp_path / "s.q"
+    queries.write_text("1 2\n2 3\n1 3\n")
+    for container in (index, old):
+        code, out, _ = query_output(capsys, container, queries, "--count-queries")
+        assert code == 0
+        assert out.splitlines()[::2] == ["2", "NONE", "NONE"]
+
+
 def test_malformed_query_line(tmp_path, capsys, collection_file):
     index, _ = build(tmp_path, capsys, collection_file, "ssi")
     queries = tmp_path / "q.txt"

@@ -2,10 +2,16 @@
 recorded digests: the same answers, the same per-query counters and the
 same stored sets. The smoke lines were recorded before quotient levels
 became plain tuples; the full lines are the ones CHANGES.md records for
-the changes after that, each of which kept them. ``tools/cli_digest.py``
-runs one fixed command-line session; its line was recorded before the SSI
-backend's walk became one ``scan`` over a sequence of shifts."""
+the changes after that, each of which kept them. The ``string-exists``
+counters (smoke and full) were re-recorded when an exists began to skip a
+cover pair whose differences all miss the gap, which asks fewer SSI calls
+and probes and changes no answer. ``tools/cli_digest.py`` runs one fixed
+command-line session; its line was re-recorded for the same change and for
+``build --kind smallest-shift`` refusing ``--backend`` and ``--delta``.
+``--per-query`` writes one line per query and leaves the digests as they
+are."""
 
+import json
 import pathlib
 import subprocess
 import sys
@@ -16,13 +22,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 SMOKE_DIGESTS = [
-    ("string-exists", ("c1bcd8fc6bf6395d", "cb63b6d4b8e4c890", "dad01f2c999db09a")),
+    ("string-exists", ("c1bcd8fc6bf6395d", "72f4b234cf505c1b", "dad01f2c999db09a")),
     ("string-report", ("db09392f4892a9a7", "46c630828040ca3d", "dad01f2c999db09a")),
     ("set-questions", ("f5f392cb59d8d26d", "49e8cce2f0d913d0", "01a27b3ba67fe57f")),
 ]
 
 FULL_DIGESTS = [
-    ("string-exists", ("0858f4183ffe7c68", "8ad1452171b9eaa0", "2f431092b0be154e")),
+    ("string-exists", ("0858f4183ffe7c68", "b799db3fd833fe97", "2f431092b0be154e")),
     ("string-report", ("3c04ee53557c4257", "1b689d1420a16143", "2f431092b0be154e")),
     ("set-questions", ("6935c9689661a3d1", "9d260c416093c92e", "1b86bfbcdde7306b")),
 ]
@@ -51,7 +57,7 @@ def test_full_digests_are_recorded(workload, expected):
     run_digest(workload, "full", expected)
 
 
-CLI_SESSION_DIGEST = "969b9adc0d7fd4b9"
+CLI_SESSION_DIGEST = "bc83bd0a15e5d5aa"
 
 
 def test_cli_session_digest_is_recorded():
@@ -61,3 +67,24 @@ def test_cli_session_digest_is_recorded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [f"session {CLI_SESSION_DIGEST}"]
+
+
+def test_per_query_lines_follow_the_stream(tmp_path):
+    per_query = tmp_path / "queries.jsonl"
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "digest.py"), "--workload", "string-exists",
+         "--seed", "21", "--config", "smoke", "--per-query", str(per_query)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    answers, counters, structures = dict(SMOKE_DIGESTS)["string-exists"]
+    assert result.stdout.splitlines() == [
+        f"answers {answers}", f"counters {counters}", f"structures {structures}",
+    ]
+    rows = [json.loads(line) for line in per_query.read_text().splitlines()]
+    assert [row["query"] for row in rows] == list(range(len(rows))) and rows
+    for row in rows:
+        assert set(row) == {"query", "answer", "ssi_calls", "probes", "plan_size",
+                            "raw_pairs", "max_multiplicity", "shift_probes"}
+        assert len(row["plan_size"]) == len(row["raw_pairs"]) == 1 and row["shift_probes"] == []
+    assert sum(row["ssi_calls"] for row in rows) > 0

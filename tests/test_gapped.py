@@ -427,3 +427,17 @@ def test_quotient_levels_near_2_40_allocate_no_universe_sized_table():
     for lvl in g.levels:
         for s, q in zip(c.sets, lvl.instance.base):
             assert q == tuple(dict.fromkeys(a >> (lvl.level - 1) for a in s.elements))
+
+
+def test_quotient_levels_share_one_tuple_per_one_element_value():
+    # Level 2 halves: 4 and 5 both become 2, 8 and 9 both become 4.
+    (level2,) = quotient_levels([(4,), (5,), (8, 9), (2,)], 2)
+    assert level2 == [(2,), (2,), (4,), (1,)]
+    assert level2[0] is level2[1]
+    idx = build_gapped_string_index(random_text(random.Random(21), 1024, 4), LinearScan())
+    shared = 0
+    for lvl in idx.gapped.levels:
+        ones = [q for q in lvl.instance.base if len(q) == 1]
+        assert len({id(q) for q in ones}) == len(set(ones))
+        shared += len(ones) - len(set(ones))
+    assert shared > 0

@@ -164,3 +164,15 @@ def test_jumbled_decode_guard_raises(monkeypatch):
     monkeypatch.setattr(idx.reporting, "exists", lambda c: (prefix[0], suffix[1]))
     with pytest.raises(GapIndexError, match="do not frame a length-1 occurrence"):
         idx.exists((1, 0))
+
+
+def test_reports_share_one_int_per_position():
+    # Above 256 CPython makes a new int per sum; two reports of one pattern
+    # must hand back the same objects for the same positions.
+    text = random_text(random.Random(5), 600, 2).decode()
+    idx = build_jumbled_index(text, "ab")
+    pattern = (3, 2)
+    first, second = idx.report(pattern), idx.report(pattern)
+    assert first == second
+    high = [(x, y) for p, q in zip(first, second) for x, y in zip(p, q) if x > 256]
+    assert high and all(x is y for x, y in high)

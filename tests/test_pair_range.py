@@ -1,0 +1,172 @@
+"""An exists asks nothing of a pair whose differences all miss the gap.
+
+Every difference b - a of sets A and B lies in [min B - max A, max B - min A].
+When that range misses [alpha, beta], no probe of the pair can hit, so
+``gapped_exists`` returns None before it lists or asks anything. The
+``listing_exists`` reference keeps the probe loop without that check: each
+level's differences listed when the probe order first reaches it (levels 0
+and 1 each listing their own), a shift not on the list skipped, and every
+other probe asked through the backend. The library must give the same
+witness with no more SSI calls, under all three backends, including pairs
+whose range touches the gap at exactly one end.
+"""
+
+import random
+
+import pytest
+
+from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
+from gapindex.gapped import build_gapped_index, gapped_exists, originals, plan_cover
+from gapindex.generators import random_collection, random_pattern_from, random_text
+from gapindex.sets import ingest_collection
+from gapindex.textindex import build_gapped_string_index
+from test_plan_once import calls_of, cover_pairs
+
+KINDS = (LinearScan(), SmallUniverse(delta=0.5), FullTabulation())
+
+_UNLISTED = object()
+
+
+def listing_exists(g, i, j, alpha, beta, plan=None):
+    clamped = g._clamped(alpha, beta)
+    if clamped is None:
+        return None
+    plan = plan or plan_cover(*clamped)
+    counts = plan.level_probes
+    listed = [_UNLISTED] * len(counts)
+    for level, shifts in plan.segments:
+        inst = g.instances[level]
+        if listed[level] is _UNLISTED:
+            listed[level] = inst.backend.differences(i, j, counts[level])
+        for shift in shifts:
+            if listed[level] is not None and shift not in listed[level]:
+                continue
+            cert = inst._exists(i, j, shift)
+            if cert is None:
+                continue
+            if level == 0:
+                return (cert.a, cert.b)
+            return (originals(g.exact.base[i - 1], level, cert.a)[0],
+                    originals(g.exact.base[j - 1], level, cert.b)[0])
+    return None
+
+
+def touching_gaps(sa, sb, rng, width):
+    """Gaps [lo, hi] at the ends of the pair's difference range, each with
+    whether the range meets it: max B - min A = lo, min B - max A = hi, and
+    each moved one past that end."""
+    top, bottom = sb[-1] - sa[0], sb[0] - sa[-1]
+    gaps = []
+    if top >= 0:
+        gaps.append((top, top + rng.randint(0, width), True))
+        gaps.append((top + 1, top + 1 + rng.randint(0, width), False))
+    if bottom >= 0:
+        gaps.append((max(0, bottom - rng.randint(0, width)), bottom, True))
+    if bottom >= 1:
+        gaps.append((max(0, bottom - 1 - rng.randint(0, width)), bottom - 1, False))
+    return gaps
+
+
+class Tally:
+    def __init__(self):
+        self.saved = self.skipped = self.touched = 0
+
+    def check(self, g, counted, i, j, lo, hi, meets=None):
+        """Library against reference on one pair; ``meets`` says whether the
+        pair's range meets the gap, when the caller placed it there."""
+        want, want_calls = calls_of(counted, listing_exists, g, i, j, lo, hi)
+        got, got_calls = calls_of(counted, gapped_exists, g, i, j, lo, hi)
+        assert got == want, (i, j, lo, hi)
+        assert got_calls <= want_calls
+        self.saved += want_calls - got_calls
+        if meets is False:
+            assert (got, got_calls) == (None, 0)
+            self.skipped += 1
+        elif meets:
+            # The end of the range is a difference in the gap.
+            assert got is not None and lo <= got[1] - got[0] <= hi
+            self.touched += 1
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=["linear", "smalluniverse", "fulltab"])
+def test_set_queries_match_the_listing_loop(kind):
+    rng = random.Random(71)
+    tally = Tally()
+    small = kind == FullTabulation()  # it tabulates every pair of blocks
+    for _ in range(25):
+        k = rng.randint(2, 5)
+        u = rng.randint(8, 120 if small else 400)
+        c = random_collection(rng, k, rng.randint(k, 6 * k if small else 15 * k), u)
+        g = build_gapped_index(c, kind)
+        for _ in range(12):
+            i, j = rng.randint(1, k), rng.randint(1, k)
+            lo = rng.randint(0, u)
+            tally.check(g, g, i, j, lo, lo + rng.randint(0, u))
+            for lo, hi, meets in touching_gaps(g.exact.base[i - 1], g.exact.base[j - 1], rng, u):
+                tally.check(g, g, i, j, lo, hi, meets=meets)
+    assert tally.saved > 0 and tally.skipped > 0 and tally.touched > 0
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=["linear", "smalluniverse", "fulltab"])
+def test_string_queries_match_the_listing_loop(kind):
+    rng = random.Random(73)
+    tally = Tally()
+    small = kind == FullTabulation()
+    for _ in range(8):
+        text = random_text(rng, rng.randint(10, 16) if small else rng.randint(16, 160),
+                           rng.choice((2, 3, 4)))
+        idx = build_gapped_string_index(text, kind)
+        g = idx.gapped
+        for _ in range(10):
+            p1 = random_pattern_from(rng, text, 3)
+            p2 = random_pattern_from(rng, text, 3)
+            lo = rng.randint(0, len(text) // 2)
+            hi = lo + rng.randint(0, len(text))
+            pairs = cover_pairs(idx, p1, p2)
+            clamped = g._clamped(lo, hi)
+            plan = plan_cover(*clamped) if clamped else None
+
+            def reference():
+                for a, b in pairs:
+                    hit = listing_exists(g, a, b, lo, hi, plan)
+                    if hit is not None:
+                        return hit
+                return None
+
+            want, want_calls = calls_of(idx, reference)
+            got, got_calls = calls_of(idx, idx.exists, p1, p2, lo, hi)
+            assert got == want, (text, p1, p2, lo, hi)
+            assert got_calls <= want_calls
+            tally.saved += want_calls - got_calls
+            for a, b in pairs:
+                for glo, ghi, meets in touching_gaps(g.exact.base[a - 1], g.exact.base[b - 1],
+                                                     rng, len(text)):
+                    tally.check(g, idx, a, b, glo, ghi, meets=meets)
+    assert tally.saved > 0 and tally.skipped > 0 and tally.touched > 0
+
+
+@pytest.mark.parametrize(
+    "set_b, calls, listings",
+    [
+        # 6 elements fit the 6 level-0 and 9 level-1 probes of [10, 20]:
+        # one listing serves both levels, and no probe misses.
+        ([2, 3, 4, 5, 6, 31], 0, [6]),
+        # 7 elements: level 0 asks its 6 probes, and level 1 lists its own.
+        ([2, 3, 4, 5, 6, 7, 31], 6, [6, 9]),
+    ],
+    ids=["shared", "level-1-only"],
+)
+def test_levels_0_and_1_share_one_listing(monkeypatch, set_b, calls, listings):
+    # The range [1, 30] of every pair here meets the gap.
+    g = build_gapped_index(ingest_collection([[1], set_b], u=32), LinearScan())
+    assert plan_cover(10, 20).level_probes == (6, 9)
+    counts = []
+    differences = g.exact.backend.differences
+
+    def counted(i, j, count):
+        counts.append(count)
+        return differences(i, j, count)
+
+    monkeypatch.setattr(g.exact.backend, "differences", counted)
+    assert calls_of(g, gapped_exists, g, 1, 2, 10, 20) == (None, calls)
+    assert counts == listings

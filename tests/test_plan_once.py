@@ -306,22 +306,47 @@ def unlisted_probes(idx, pairs, plan):
     )
 
 
+def meets_the_gap(idx, pair, lo, hi):
+    """Whether the pair's difference range [min B - max A, max B - min A]
+    meets [lo, hi]."""
+    sa, sb = (idx.gapped.exact.base[set_id - 1] for set_id in pair)
+    return sb[-1] - sa[0] >= lo and sb[0] - sa[-1] <= hi
+
+
 def test_large_covers_ask_each_probe_once_per_cover_pair():
-    text = b"a" * 40 + b"b" * 40
+    # Each b follows the first run of a's and comes more than 9 letters
+    # before the second, so no pair has its gap in [0, 9]. The suffix array
+    # interleaves the two runs, so some cover blocks of "a" hold both and
+    # their pairs' difference ranges meet the gap.
+    text = b"a" * 40 + b"b" * 40 + b"c" * 20 + b"a" * 40
     idx = build_gapped_string_index(text, LinearScan())
-    p1, p2, lo, hi = b"b", b"a", 0, 9  # every b follows every a: no pair
+    p1, p2, lo, hi = b"b", b"a", 0, 9
     plan = plan_cover(lo, hi)
     assert plan.level_probes == (6, 7)
     pairs = cover_pairs(idx, p1, p2)
-    assert len(pairs) > 1
+    meeting = [pair for pair in pairs if meets_the_gap(idx, pair, lo, hi)]
+    assert 1 < len(meeting) < len(pairs)
     # Every cover set outnumbers each level's probes, so nothing is listed.
     assert unlisted_probes(idx, pairs, plan) == len(pairs) * len(plan.probes)
-    # An exists asks every probe of every pair; a report walks each level
-    # of each pair in one pass.
-    for query, per_pair in ((idx.exists, len(plan.probes)), (idx.report, 2)):
+    # An exists asks every probe of each pair whose range meets the gap and
+    # nothing of the others; a report walks each level of each pair in one
+    # pass.
+    for query, want in ((idx.exists, len(meeting) * len(plan.probes)),
+                        (idx.report, 2 * len(pairs))):
         answer, calls = calls_of(idx, query, p1, p2, lo, hi)
         assert not answer
-        assert calls == len(pairs) * per_pair
+        assert calls == want
+
+
+def test_covers_whose_ranges_miss_the_gap_ask_nothing_in_an_exists():
+    text = b"a" * 40 + b"b" * 40
+    idx = build_gapped_string_index(text, LinearScan())
+    p1, p2, lo, hi = b"b", b"a", 0, 9  # every b follows every a: no pair
+    pairs = cover_pairs(idx, p1, p2)
+    assert len(pairs) > 1 and not any(meets_the_gap(idx, pair, lo, hi) for pair in pairs)
+    assert calls_of(idx, idx.exists, p1, p2, lo, hi) == (None, 0)
+    # A report still walks each level of each pair.
+    assert calls_of(idx, idx.report, p1, p2, lo, hi) == ([], 2 * len(pairs))
 
 
 def test_passed_plan_must_match_the_clamped_interval():

@@ -16,12 +16,15 @@ The session:
   values, two sparse sets of 10 below 10^8, 10 values near 2^33 and sets
   of 3, 5 and 12. Its tables take every stored layout: dense rows of one
   and two bytes, sorted ``array('i')`` and ``array('q')`` tables, lists.
-* ``build`` of every artifact kind under ``linear``, ``fulltab`` and
-  ``smalluniverse`` delta 0.0 and 0.5. The set kinds build the small
-  collection, and ``fulltab`` builds the 16-letter text, so every reporting
-  structure ``fulltab`` tabulates holds at most ~40 elements. The wide
-  collection builds ``ssi`` under each backend and ``gapped-set`` under
-  ``linear`` and delta 0.5.
+* ``build`` of every artifact kind but ``smallest-shift`` under
+  ``linear``, ``fulltab`` and ``smalluniverse`` delta 0.0 and 0.5. The set
+  kinds build the small collection, and ``fulltab`` builds the 16-letter
+  text, so every reporting structure ``fulltab`` tabulates holds at most
+  ~40 elements. The wide collection builds ``ssi`` under each backend and
+  ``gapped-set`` under ``linear`` and delta 0.5. ``smallest-shift``, which
+  builds no backend, is built once with no backend flag; two more builds
+  pass ``--backend fulltab`` and ``--backend smalluniverse --delta 0.0``
+  and are refused.
 * Per container, ``query --mode exists`` and ``--mode report``, both with
   ``--count-queries`` and, on the gapped kinds, ``--plan``; each query file
   ends in one line that is an error: a set id past the collection or a
@@ -48,8 +51,7 @@ KINDS = ("ssi", "gapped-set", "gapped-string", "jumbled", "smallest-shift")
 
 
 def _backend_flags(backend: tuple[str, ...]) -> list[str]:
-    flags = ["--backend", backend[0]]
-    return flags + ["--delta", backend[1]] if len(backend) > 1 else flags
+    return [f for pair in zip(("--backend", "--delta"), backend) for f in pair]
 
 
 def _wide_collection() -> str:
@@ -146,7 +148,7 @@ def run_session(tmp: Path, record) -> None:
 
     def session(kind: str, source: Path, backend: tuple[str, ...], reports: bool = True):
         name = source.stem
-        container = tmp / f"{kind}-{name}-{'-'.join(backend)}.gidx"
+        container = tmp / f"{'-'.join((kind, name, *backend))}.gidx"
         run("build", str(source), "-o", str(container), "--kind", kind,
             *_backend_flags(backend), writes=(container,))
         plan = ("--plan",) if kind.startswith("gapped") else ()
@@ -157,6 +159,13 @@ def run_session(tmp: Path, record) -> None:
             run("verify", str(container), "--trials", "50")
 
     for kind in KINDS:
+        if kind == "smallest-shift":
+            # It builds no backend: one build, and each backend flag refused.
+            session(kind, small, ())
+            for backend in BACKENDS[1:3]:
+                run("build", str(small), "-o", str(tmp / "refused.gidx"), "--kind", kind,
+                    *_backend_flags(backend))
+            continue
         for backend in BACKENDS:
             if kind in ("gapped-string", "jumbled"):
                 session(kind, tiny if backend == ("fulltab",) else text, backend)

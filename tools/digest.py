@@ -2,6 +2,7 @@
 per-query counters and the structures it queries, one line each.
 
     python3 tools/digest.py --workload string-exists --seed 21 [--config smoke]
+        [--per-query FILE]
 
 The workload (inputs, structures and stream) comes from
 ``perfbench/workloads.py``, imported as it is; the package comes from the
@@ -19,12 +20,21 @@ the same stored sets.
   ``threshold`` and ``large`` flags, and the instance's
   ``dyadic_elements``, ``total_elements``, ``lowest_level`` and
   ``first_block``.
+
+With ``--per-query FILE`` the tool also writes one JSON line per query,
+in stream order: the query's number, a digest of its answer and the
+counters the ``counters`` line digests (``ssi_calls``, ``probes``, and per
+gapped index ``plan_size``, ``raw_pairs`` and ``max_multiplicity``; per
+smallest-shift index ``shift_probes``). Two checkouts' files compare
+query by query, e.g. that no query's calls rise.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -46,8 +56,9 @@ def _counters(parts: dict) -> tuple:
     )
 
 
-def digest(workload: str, seed: int, config: str) -> dict[str, str]:
-    """The three hex digests of one workload's stream."""
+def digest(workload: str, seed: int, config: str, per_query=None) -> dict[str, str]:
+    """The three hex digests of one workload's stream; each query's line
+    goes to ``per_query`` when it is an open file."""
     from workloads import WORKLOADS
 
     wl = WORKLOADS[workload](seed, config)
@@ -60,12 +71,26 @@ def digest(workload: str, seed: int, config: str) -> dict[str, str]:
         _feed(stored, (backend.sets, backend.threshold, backend.large, inst.dyadic_elements,
                        inst.total_elements, inst.lowest_level, inst.first_block))
     before = _counters(parts)
-    for q in wl.stream:
-        _feed(answers, call(q))
+    for number, q in enumerate(wl.stream):
+        answer = call(q)
+        _feed(answers, answer)
         after = _counters(parts)
-        _feed(counters, (after[0] - before[0], after[1] - before[1], after[2],
-                         [b - a for a, b in zip(before[3], after[3])]))
+        row = (after[0] - before[0], after[1] - before[1], after[2],
+               [b - a for a, b in zip(before[3], after[3])])
+        _feed(counters, row)
         before = after
+        if per_query is not None:
+            calls, probes, gapped, shift = row
+            per_query.write(json.dumps({
+                "query": number,
+                "answer": hashlib.sha256(repr(answer).encode()).hexdigest()[:16],
+                "ssi_calls": calls,
+                "probes": probes,
+                "plan_size": [g[0] for g in gapped],
+                "raw_pairs": [g[1] for g in gapped],
+                "max_multiplicity": [g[2] for g in gapped],
+                "shift_probes": shift,
+            }) + "\n")
     return {name: h.hexdigest()[:16]
             for name, h in (("answers", answers), ("counters", counters),
                             ("structures", stored))}
@@ -77,9 +102,13 @@ def main(argv=None) -> int:
                         choices=["string-exists", "string-report", "set-questions"])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--config", default="full", choices=["full", "smoke"])
+    parser.add_argument("--per-query", metavar="FILE",
+                        help="also write one JSON line of counters per query to FILE")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    for name, value in digest(args.workload, args.seed, args.config).items():
+    with open(args.per_query, "w") if args.per_query else contextlib.nullcontext() as per_query:
+        lines = digest(args.workload, args.seed, args.config, per_query)
+    for name, value in lines.items():
         print(f"{name} {value}")
     return 0
 
