@@ -43,11 +43,16 @@ one untabulated pair at many shifts in one pass, as the gapped index asks
 a plan's level: it lists the pair's differences once when neither set
 outnumbers the shifts, and otherwise is one ``scan`` over the whole sets.
 ``differences`` gives the set of b - a that such a listing reads.
+Beside ``scan``, ``meets`` is the deciding walk: whether any b - a of an
+untabulated pair lies in a gap [lo, hi], by one walk of the smaller set
+that stops at the first such difference, as a gapped-string exists asks
+each cover pair before it runs the pair's plan.
 
 The backend counts its own work: ``probes`` grows by the elements a probe
 or walk visits, and ``scans`` by one per ``scan``, a walking
-``scan_shifts`` pass included; a listing counts neither. Apart from these
-two counters a backend is immutable after build; queries are read-only.
+``scan_shifts`` pass included; a listing or a ``meets`` walk counts no
+call. Apart from these two counters a backend is immutable after build;
+queries are read-only.
 """
 
 from __future__ import annotations
@@ -455,6 +460,40 @@ class SsiBackend:
                 out += [(y - s, y) for y in sb[lo:hi] if y - s in member]
         self.probes += walked
         return out
+
+    def meets(self, i: int, j: int, lo: int, hi: int) -> bool:
+        """Whether some b - a lies in [lo, hi], a of set i and b of set j.
+
+        Every difference lies in [min B - max A, max B - min A], so a pair
+        whose range misses [lo, hi], or that has an empty set, walks
+        nothing. Otherwise the smaller set is walked in ascending order,
+        one ``bisect_left`` into the other set per element for the nearest
+        partner, from a bound that only moves forward, and the walk stops
+        at the first b - a in [lo, hi] or once no partner is left: at most
+        min(|A|, |B|) * log(max(|A|, |B|)) steps. ``probes`` grows by the
+        elements walked; like a listing, a walk counts no call. The caller
+        vouches for the ids.
+        """
+        sa, sb = self.sets[i - 1], self.sets[j - 1]
+        if not sa or not sb or sb[-1] - sa[0] < lo or sb[0] - sa[-1] > hi:
+            return False
+        # Walking a looks for the first b >= a + lo; walking b for the first
+        # a >= b - hi. Either bound grows with the walked element.
+        if len(sa) <= len(sb):
+            walk, other, near, far = sa, sb, lo, hi
+        else:
+            walk, other, near, far = sb, sa, -hi, -lo
+        k, walked, end = 0, 0, len(other)
+        for x in walk:
+            walked += 1
+            k = bisect_left(other, x + near, k)
+            if k == end:
+                break
+            if other[k] <= x + far:
+                self.probes += walked
+                return True
+        self.probes += walked
+        return False
 
     def differences(self, i: int, j: int, count: int) -> Optional[set[int]]:
         """Every difference b - a over sets i and j, or None when the pair is

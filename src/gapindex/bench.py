@@ -15,6 +15,10 @@ record, not fatal. An ``ssi`` record gives the nominal
 ``build_bytes`` (``SsiBackend.space_bytes``) and, beside it, the bytes its
 tabulated pairs physically store (``table_bytes``) and the number of
 tables stored (``table_pairs``: one per unordered pair of large sets).
+A ``gapped_string`` record times its query stream twice: in ``report``
+mode (``occ_total``, ``base_ssi_calls``, ``query_us``) and in ``exists``
+mode (``exists_yes``, the YES answers; ``exists_ssi_calls``;
+``exists_query_us``).
 """
 
 from __future__ import annotations
@@ -154,21 +158,32 @@ def _gapped_string_record(entry: dict, mem_budget: int) -> dict:
         p2 = random_pattern_from(rng, text, 5)
         lo = rng.randint(0, n // 2)
         stream.append((p1, p2, lo, lo + rng.randint(0, n // 2)))
-    occ = 0
-    started = time.perf_counter()
-    calls_before = index.ssi_calls()
-    for query in stream:
-        occ += len(index.report(*query))
-    elapsed = time.perf_counter() - started
+    occ, calls, query_us = _timed(index, stream, index.report, len)
     record["queries"] = queries
     record["occ_total"] = occ
-    record["base_ssi_calls"] = index.ssi_calls() - calls_before
+    record["base_ssi_calls"] = calls
     # Outside the timed loop: a report's multiplicity is each cover pair's.
     record["dedup_max_multiplicity"] = max(
         (_max_multiplicity(index, *query) for query in stream), default=0
     )
-    record["query_us"] = round(elapsed / max(queries, 1) * 1e6, 3)
+    record["query_us"] = query_us
+    yes, calls, query_us = _timed(index, stream, index.exists, lambda hit: hit is not None)
+    record["exists_yes"] = yes
+    record["exists_ssi_calls"] = calls
+    record["exists_query_us"] = query_us
     return record
+
+
+def _timed(index: GappedStringIndex, stream: list, ask, score) -> tuple[int, int, float]:
+    """One timed pass of ``ask`` over the stream: the sum of ``score`` over
+    its answers, the SSI calls it made and its µs per query."""
+    total = 0
+    calls = index.ssi_calls()
+    started = time.perf_counter()
+    for query in stream:
+        total += score(ask(*query))
+    elapsed = time.perf_counter() - started
+    return total, index.ssi_calls() - calls, round(elapsed / max(len(stream), 1) * 1e6, 3)
 
 
 def _max_multiplicity(

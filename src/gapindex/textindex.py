@@ -4,9 +4,15 @@ A gapped query asks for all position pairs (i, j) where two patterns occur
 with j - i inside a gap range. The index covers the suffix array with
 dyadic intervals, turns each interval's slice of starting positions into a
 sorted set, and answers queries through the gapped set intersection index
-over those sets. Two self-contained baselines (a two-finger linear scan
-and a precomputed per-distance table) provide independent answers for
-cross-checking.
+over those sets. Each query plans its gap once and runs the plan on the
+cover pairs (one dyadic block of each pattern's interval). A report runs
+it on every pair. An exists follows the paper's light/heavy split: a
+light pair, one the backend does not tabulate, is decided by walking its
+smaller block (``SsiBackend.meets``), and only the first pair that meets
+the gap runs the plan, which yields the witness; a heavy pair, both
+blocks tabulated, runs the plan directly. Two self-contained baselines
+(a two-finger linear scan and a precomputed per-distance table) provide
+independent answers for cross-checking.
 
 All positions are 1-based, matching the on-disk query/output formats.
 """
@@ -230,16 +236,38 @@ class GappedStringIndex:
         return self._cover_ids(s1, e1 - 1), self._cover_ids(s2, e2 - 1), plan
 
     def exists(self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int) -> Optional[tuple[int, int]]:
-        """First witness pair (i, j) with the required gap, or None."""
+        """First witness pair (i, j) with the required gap, or None.
+
+        Cover pairs are asked in order. A pair the exact backend does not
+        tabulate is first decided by one walk (``SsiBackend.meets``), and
+        only a pair that meets the gap runs the plan, so the witness is the
+        plan-order one of the first pair that has any. Since the plan covers
+        the whole gap, that pair's ``gapped_exists`` must find a witness:
+        finding none raises GapIndexError. Tabulated pairs run the plan
+        directly. Afterwards ``gapped.last_plan_size`` is the query's plan
+        size, or 0 when it has no plan.
+        """
+        g = self.gapped
         planned = self._planned_covers(p1, p2, gap_lo, gap_hi)
         if planned is None:
+            g.last_plan_size = 0
             return None
         cover_a, cover_b, plan = planned
+        g.last_plan_size = plan.size
+        backend = g.exact.backend
         for ida in cover_a:
             for idb in cover_b:
-                hit = gapped_exists(self.gapped, ida, idb, gap_lo, gap_hi, plan=plan)
+                light = not backend.tabulated(ida, idb)
+                if light and not backend.meets(ida, idb, plan.gap_lo, plan.gap_hi):
+                    continue
+                hit = gapped_exists(g, ida, idb, gap_lo, gap_hi, plan=plan)
                 if hit is not None:
                     return hit
+                if light:
+                    raise GapIndexError(
+                        f"cover pair ({ida}, {idb}) has a difference in"
+                        f" [{plan.gap_lo}, {plan.gap_hi}] that its plan missed"
+                    )
         return None
 
     def report(self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int) -> list[tuple[int, int]]:

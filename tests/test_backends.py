@@ -17,6 +17,7 @@ from gapindex.backends import (
 from gapindex.errors import BudgetError
 from gapindex.generators import random_collection
 from gapindex.reductions import reduce_3sum_to_ssi
+from gapindex.reporting import AugmentedInstance
 from gapindex.sets import ingest_collection
 
 ALL_KINDS = [LinearScan(), FullTabulation(), SmallUniverse(delta=0.5)]
@@ -422,3 +423,75 @@ def test_scan_over_many_shifts_is_the_one_shift_scans_in_order(kind):
             assert found == [] and backend.probes == probes
         checked += len(found)
     assert checked > 20
+
+
+def _meets_walk(sa, sb, lo, hi):
+    """The elements ``meets`` walks: none when the difference range misses
+    [lo, hi] or a set is empty, else the smaller set (set i on a tie) up to
+    its first element with a partner in [lo, hi] or with no partner left
+    above it."""
+    if not sa or not sb or sb[-1] - sa[0] < lo or sb[0] - sa[-1] > hi:
+        return 0
+    if len(sa) <= len(sb):
+        stops = [any(lo <= b - a <= hi for b in sb) or a + lo > sb[-1] for a in sa]
+    else:
+        stops = [any(lo <= b - a <= hi for a in sa) or b - hi > sa[-1] for b in sb]
+    return stops.index(True) + 1 if True in stops else len(stops)
+
+
+def test_meets_examples():
+    backend = build_backend([(1, 5, 9), (4,), (), (2, 3, 20, 40)], LinearScan())
+    # (1, 2) has the differences -5, -1 and 3: either end of the range meets.
+    assert backend.meets(1, 2, 3, 3) and backend.meets(1, 2, -5, -5)
+    assert not backend.meets(1, 2, 4, 10) and not backend.meets(1, 2, -9, -6)
+    assert backend.probes == 2
+    # Inside the range, set 2 walks its one element: 4 - 5 is below 0.
+    assert not backend.meets(1, 2, 0, 2) and backend.probes == 3
+    # The smaller set on the other hand: 5 - 4 = 1.
+    assert backend.meets(2, 1, 1, 1) and backend.probes == 4
+    # A set against itself: every a - a = 0, no other difference below 4.
+    assert backend.meets(1, 1, 0, 0) and backend.probes == 5
+    assert not backend.meets(1, 1, 1, 3) and backend.probes == 8
+    # An empty set meets nothing and walks nothing.
+    assert not backend.meets(3, 1, -100, 100) and not backend.meets(1, 3, -100, 100)
+    # Set 1 walks against set 4: 1 - 40 is the lowest difference. For
+    # [-38, -36], 1 has no partner and nothing is left above 5 - 41.
+    assert backend.meets(4, 1, -39, -39) and backend.probes == 9
+    assert not backend.meets(4, 1, -38, -36) and backend.probes == 11
+    assert backend.scans == 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_meets_is_some_difference_in_the_gap(kind):
+    """``meets`` equals the brute-force "some b - a in [lo, hi]", adds the
+    elements it walks to ``probes`` and moves no call counter."""
+    rng = random.Random(89)
+    seen = set()
+    for _ in range(25):
+        sets = [tuple(sorted(rng.sample(range(-40, 160), rng.choice((0, 1, 1, 2, 5, 9, 20)))))
+                for _ in range(rng.randint(1, 4))]
+        inst = AugmentedInstance(sets, kind)
+        backend = inst.backend
+        for _ in range(12):
+            i, j = rng.randint(1, len(sets)), rng.randint(1, len(sets))
+            sa, sb = sets[i - 1], sets[j - 1]
+            diffs = {b - a for a in sa for b in sb}
+            gaps = [(lo, lo + rng.randint(0, 30)) for lo in rng.sample(range(-220, 220), 6)]
+            if diffs:
+                # Touching either end of the difference range, or just past it.
+                low, high = min(diffs), max(diffs)
+                gaps += [(low, low), (high, high), (low - 5, low), (high, high + 5),
+                         (low - 5, low - 1), (high + 1, high + 5)]
+            for lo, hi in gaps:
+                probes, calls = backend.probes, inst.ssi_calls()
+                got = backend.meets(i, j, lo, hi)
+                assert got == any(lo <= d <= hi for d in diffs), (sets, i, j, lo, hi)
+                assert backend.probes - probes == _meets_walk(sa, sb, lo, hi)
+                assert inst.ssi_calls() == calls and inst.existence_calls == 0
+                assert backend.scans == 0
+                seen.add(got)
+            seen.add("same set" if i == j else "smaller i" if len(sa) < len(sb)
+                     else "smaller j" if len(sb) < len(sa) else "tie")
+            seen.update(f"{len(s)} elements" for s in (sa, sb) if len(s) < 2)
+    assert seen >= {True, False, "same set", "smaller i", "smaller j",
+                    "0 elements", "1 elements"}

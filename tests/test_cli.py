@@ -542,6 +542,10 @@ def test_bench_records(tmp_path, capsys):
     assert [r["delta"] for r in ssi] == [0.0, 0.5, 1.0]
     gs = [r for r in records if r["kind"] == "gapped-string"]
     assert gs[0]["base_ssi_calls"] > 0
+    # The same stream in exists mode: each YES is a query whose report has
+    # a pair.
+    assert 0 < gs[0]["exists_yes"] <= min(gs[0]["queries"], gs[0]["occ_total"])
+    assert gs[0]["exists_ssi_calls"] >= 0 and gs[0]["exists_query_us"] > 0
 
 
 GOOD_SSI = {"N": 20, "u": 10, "queries": 2}

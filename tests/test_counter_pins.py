@@ -94,4 +94,4 @@ def test_gapped_string_counters_are_pinned(monkeypatch):
         raw[0] = 0
         return idx.report(p1, p2, lo, hi), raw[0]
 
-    assert _run(idx.gapped, queries, ask) == (1565, 55028, 19137, "072397fc1bd8d050")
+    assert _run(idx.gapped, queries, ask) == (1562, 55063, 19137, "7abf83d84582b46e")

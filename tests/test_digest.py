@@ -5,11 +5,15 @@ became plain tuples; the full lines are the ones CHANGES.md records for
 the changes after that, each of which kept them. The ``string-exists``
 counters (smoke and full) were re-recorded when an exists began to skip a
 cover pair whose differences all miss the gap, which asks fewer SSI calls
-and probes and changes no answer. ``tools/cli_digest.py`` runs one fixed
+and probes and changes no answer, and again when an exists began to decide
+each light cover pair by one walk and to run the plan only on the pair
+that meets the gap, which asks fewer calls, moves probes and changes no
+answer. ``tools/cli_digest.py`` runs one fixed
 command-line session; its line was re-recorded for the same change and for
 ``build --kind smallest-shift`` refusing ``--backend`` and ``--delta``.
 ``--per-query`` writes one line per query and leaves the digests as they
-are."""
+are; ``tools/compare_queries.py`` compares two such files and fails on any
+changed answer."""
 
 import json
 import pathlib
@@ -22,13 +26,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 SMOKE_DIGESTS = [
-    ("string-exists", ("c1bcd8fc6bf6395d", "72f4b234cf505c1b", "dad01f2c999db09a")),
+    ("string-exists", ("c1bcd8fc6bf6395d", "56462f593bfb5192", "dad01f2c999db09a")),
     ("string-report", ("db09392f4892a9a7", "46c630828040ca3d", "dad01f2c999db09a")),
     ("set-questions", ("f5f392cb59d8d26d", "49e8cce2f0d913d0", "01a27b3ba67fe57f")),
 ]
 
 FULL_DIGESTS = [
-    ("string-exists", ("0858f4183ffe7c68", "b799db3fd833fe97", "2f431092b0be154e")),
+    ("string-exists", ("0858f4183ffe7c68", "4b8f80a99d89736c", "2f431092b0be154e")),
     ("string-report", ("3c04ee53557c4257", "1b689d1420a16143", "2f431092b0be154e")),
     ("set-questions", ("6935c9689661a3d1", "9d260c416093c92e", "1b86bfbcdde7306b")),
 ]
@@ -69,13 +73,20 @@ def test_cli_session_digest_is_recorded():
     assert result.stdout.splitlines() == [f"session {CLI_SESSION_DIGEST}"]
 
 
-def test_per_query_lines_follow_the_stream(tmp_path):
-    per_query = tmp_path / "queries.jsonl"
+@pytest.fixture(scope="module")
+def smoke_per_query(tmp_path_factory):
+    """The smoke ``string-exists`` run with ``--per-query``: its result and file."""
+    per_query = tmp_path_factory.mktemp("digest") / "queries.jsonl"
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "digest.py"), "--workload", "string-exists",
          "--seed", "21", "--config", "smoke", "--per-query", str(per_query)],
         capture_output=True, text=True, timeout=120,
     )
+    return result, per_query
+
+
+def test_per_query_lines_follow_the_stream(smoke_per_query):
+    result, per_query = smoke_per_query
     assert result.returncode == 0, result.stderr
     answers, counters, structures = dict(SMOKE_DIGESTS)["string-exists"]
     assert result.stdout.splitlines() == [
@@ -88,3 +99,33 @@ def test_per_query_lines_follow_the_stream(tmp_path):
                             "raw_pairs", "max_multiplicity", "shift_probes"}
         assert len(row["plan_size"]) == len(row["raw_pairs"]) == 1 and row["shift_probes"] == []
     assert sum(row["ssi_calls"] for row in rows) > 0
+
+
+def compare_queries(old, new):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_queries.py"), str(old), str(new)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_compare_queries_fails_on_a_changed_answer(smoke_per_query, tmp_path):
+    _, per_query = smoke_per_query
+    lines = per_query.read_text().splitlines()
+    result = compare_queries(per_query, per_query)
+    assert result.returncode == 0, result.stderr
+    out = result.stdout.splitlines()
+    assert out[:2] == [f"queries {len(lines)}", "answers equal"]
+    calls = sum(json.loads(line)["ssi_calls"] for line in lines)
+    assert f"ssi_calls old {calls} new {calls} rose 0 fell 0" in out
+    # One doctored answer digest, or one query missing, fails the comparison.
+    row = json.loads(lines[3])
+    row["answer"] = "0" * 16
+    doctored = tmp_path / "doctored.jsonl"
+    doctored.write_text("\n".join(lines[:3] + [json.dumps(row)] + lines[4:]) + "\n")
+    result = compare_queries(per_query, doctored)
+    assert result.returncode == 1
+    assert "answers differ on 1 queries: 3" in result.stdout
+    doctored.write_text("\n".join(lines[:-1]) + "\n")
+    result = compare_queries(per_query, doctored)
+    assert result.returncode == 1
+    assert result.stdout.startswith(f"queries differ: {len(lines)} old, {len(lines) - 1} new")

@@ -5,7 +5,9 @@ at a time and deduplicated probes through a dict; ``plan_cover`` computes
 each level's run of centers in closed form. Every field, derived or not,
 and ``describe()`` must agree on every gap tested. A digest pins the
 witnesses ``exists`` returns, the first hit in probe order, with its
-backend call and probe counts.
+backend call and probe counts; the ``linear`` and ``smalluniverse``
+digests were re-recorded when an exists began to run the plan only on the
+cover pair whose walk meets the gap, with every answer unchanged.
 """
 
 import hashlib
@@ -200,10 +202,10 @@ def exists_digest(kind, n, queries, seed=512):
 @pytest.mark.parametrize(
     "kind, n, want",
     [
-        (LinearScan(), 512, "f55fe95038afd53f003284d3c16077d50a07c9ff1795bb4947e7a642e24c19a0"),
+        (LinearScan(), 512, "e821b28644f67f61f2a9b7139d0832d1f346033b2d00780f379fcbcef15a9f01"),
         # No cover set of these patterns is above the threshold, so no pair
         # is tabulated and the counts are those of linear.
-        (SmallUniverse(delta=0.5), 512, "f55fe95038afd53f003284d3c16077d50a07c9ff1795bb4947e7a642e24c19a0"),
+        (SmallUniverse(delta=0.5), 512, "e821b28644f67f61f2a9b7139d0832d1f346033b2d00780f379fcbcef15a9f01"),
         # Tabulating every pair is quadratic in the stored sets: a small text.
         (FullTabulation(), 16, "279afe2fbdf85eeaf57778956af3f9eb2fd550f246da6b353d13843390926712"),
     ],

@@ -1,12 +1,13 @@
 import random
+from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
 
-from gapindex import textindex
+from gapindex import gapped, textindex
 from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
-from gapindex.errors import BudgetError, FormatError
-from gapindex.gapped import gapped_report
+from gapindex.errors import BudgetError, FormatError, GapIndexError
+from gapindex.gapped import gapped_exists, gapped_report, plan_cover
 from gapindex.generators import random_pattern_from, random_text
 from gapindex.sets import level_starts
 from gapindex.textindex import (
@@ -217,6 +218,52 @@ def test_string_index_rejects_bad_gap_before_pattern_lookup():
                 idx.report(p1, p2, lo, hi)
     assert idx.exists(b"zz", b"na", 0, 3) is None
     assert idx.report(b"an", b"na", 9, 12) == []
+
+
+def test_exists_raises_when_the_plan_misses_a_meeting_pair(monkeypatch):
+    """A pair whose walk meets the gap must get a witness from its plan: a
+    plan that drops every segment asking the pair's only hit makes
+    ``exists`` raise where it would otherwise answer NO."""
+    text = b"axxxbxxx"  # one "a" at 1, one "b" at 5: the only pair has gap 4
+    idx = build_gapped_string_index(text, LinearScan())
+    lo, hi = 0, 7
+    assert idx.exists(b"a", b"b", lo, hi) == (1, 5)
+    a, b = 1, 5
+
+    def holds_the_hit(level, shifts):
+        shift = level - 1 if level else 0
+        return (b >> shift) - (a >> shift) in shifts
+
+    def doctored_plan_cover(alpha, beta):
+        plan = plan_cover(alpha, beta)
+        kept = tuple(seg for seg in plan.segments if not holds_the_hit(*seg))
+        assert len(kept) < len(plan.segments)
+        return replace(plan, segments=kept)
+
+    monkeypatch.setattr(gapped, "plan_cover", doctored_plan_cover)
+    # Each pattern occurs once, so its one suffix-array rank is its cover.
+    ida, idb = (idx._cover_ids(rank, rank)[0]
+                for rank, _ in (pattern_interval(idx.suffixes, p) for p in (b"a", b"b")))
+    # The pair meets the gap, but its doctored plan finds nothing.
+    assert idx.gapped.exact.backend.meets(ida, idb, lo, hi)
+    assert gapped_exists(idx.gapped, ida, idb, lo, hi, plan=doctored_plan_cover(lo, hi)) is None
+    with pytest.raises(GapIndexError, match="plan missed"):
+        idx.exists(b"a", b"b", lo, hi)
+
+
+def test_exists_leaves_its_own_plan_size():
+    """After an exists, ``last_plan_size`` is that query's plan size, whether
+    or not a cover pair ran the plan, and 0 for a query with no plan."""
+    idx = build_gapped_string_index(b"banana", LinearScan())
+    g = idx.gapped
+    assert idx.exists(b"an", b"na", 1, 3) is not None
+    assert g.last_plan_size == plan_cover(1, 3).size > 0
+    # No cover pair meets [0, 5] for "na" before "b": no plan runs.
+    assert idx.exists(b"na", b"b", 0, 5) is None
+    assert g.last_plan_size == plan_cover(0, 5).size != plan_cover(1, 3).size
+    for query in ((b"zz", b"na", 0, 3), (b"an", b"na", 9, 12)):
+        idx.exists(b"an", b"na", 1, 3)
+        assert idx.exists(*query) is None and g.last_plan_size == 0
 
 
 def test_baseline_linear_examples():
