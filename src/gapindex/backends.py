@@ -46,7 +46,9 @@ outnumbers the shifts, and otherwise is one ``scan`` over the whole sets.
 Beside ``scan``, ``meets`` is the deciding walk: whether any b - a of an
 untabulated pair lies in a gap [lo, hi], by one walk of the smaller set
 that stops at the first such difference, as a gapped-string exists asks
-each cover pair before it runs the pair's plan.
+each cover pair before it runs the pair's plan. Both start from
+``range_meets``, the one test of a pair's difference range against a gap
+that ``meets`` and the gapped queries share.
 
 The backend counts its own work: ``probes`` grows by the elements a probe
 or walk visits, and ``scans`` by one per ``scan``, a walking
@@ -133,9 +135,25 @@ def parse_backend(name: str, delta: float = 0.5) -> BackendKind:
 
 
 def _as_element_lists(c: Union[SetCollection, Sequence[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """The sets as a list of element tuples: the caller's own list when it
+    already is one, so that a backend shares its instance's list."""
     if isinstance(c, SetCollection):
         return [s.elements for s in c.sets]
+    if type(c) is list and all(type(s) is tuple for s in c):
+        return c
     return [s if type(s) is tuple else tuple(s) for s in c]
+
+
+def range_meets(sa: Sequence[int], sb: Sequence[int], lo: int, hi: int) -> bool:
+    """Whether the difference range of sorted sets A and B meets [lo, hi].
+
+    Every b - a lies in [min B - max A, max B - min A], so a pair whose
+    range misses [lo, hi], or that has an empty set, has no difference
+    there. False means no b - a lies in [lo, hi]; True only that one may.
+    """
+    if not sa or not sb:
+        return False
+    return sb[-1] - sa[0] >= lo and sb[0] - sa[-1] <= hi
 
 
 def _np_safe(sets: list[tuple[int, ...]]) -> bool:
@@ -464,18 +482,17 @@ class SsiBackend:
     def meets(self, i: int, j: int, lo: int, hi: int) -> bool:
         """Whether some b - a lies in [lo, hi], a of set i and b of set j.
 
-        Every difference lies in [min B - max A, max B - min A], so a pair
-        whose range misses [lo, hi], or that has an empty set, walks
-        nothing. Otherwise the smaller set is walked in ascending order,
-        one ``bisect_left`` into the other set per element for the nearest
-        partner, from a bound that only moves forward, and the walk stops
-        at the first b - a in [lo, hi] or once no partner is left: at most
+        A pair that fails ``range_meets`` walks nothing. Otherwise the
+        smaller set is walked in ascending order, one ``bisect_left`` into
+        the other set per element for the nearest partner, from a bound
+        that only moves forward, and the walk stops at the first b - a in
+        [lo, hi] or once no partner is left: at most
         min(|A|, |B|) * log(max(|A|, |B|)) steps. ``probes`` grows by the
         elements walked; like a listing, a walk counts no call. The caller
         vouches for the ids.
         """
         sa, sb = self.sets[i - 1], self.sets[j - 1]
-        if not sa or not sb or sb[-1] - sa[0] < lo or sb[0] - sa[-1] > hi:
+        if not range_meets(sa, sb, lo, hi):
             return False
         # Walking a looks for the first b >= a + lo; walking b for the first
         # a >= b - hi. Either bound grows with the walked element.

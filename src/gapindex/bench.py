@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, build_backend, parse_backend
 from .errors import BudgetError, FormatError
-from .gapped import gapped_report
+from .gapped import gapped_report, plan_cover
 from .generators import random_collection, random_pattern_from, random_text
 from .textindex import GappedStringIndex, build_gapped_string_index
 
@@ -191,10 +191,11 @@ def _max_multiplicity(
 ) -> int:
     """The largest ``last_max_multiplicity`` over the cover pairs of one
     report, each asked as the report asks it."""
-    planned = index._planned_covers(p1, p2, gap_lo, gap_hi)
-    if planned is None:
+    covers = index._covers(p1, p2, gap_lo, gap_hi)
+    if covers is None:
         return 0
-    cover_a, cover_b, plan = planned
+    cover_a, cover_b, clamped = covers
+    plan = plan_cover(*clamped)
     best = 0
     for ida in cover_a:
         for idb in cover_b:

@@ -79,12 +79,15 @@ backend call, a listing as none. Tabulated pairs (both sets above the
 backend's threshold) ask each probe through ``report_shift``, one lookup
 per miss, and the level's reports are read as one flat list too.
 
+Both queries first read the ends of the pair's two sets
+(``backends.range_meets``): every difference b - a lies in
+[min B - max A, max B - min A], so when that range misses [alpha, beta],
+or a set is empty, no probe can hit. Such a pair lists, scans and asks
+nothing: an exists returns None and a report [] with no raw pairs. Any
+other pair runs the plan.
+
 An exists stops at its first hit, so it asks the probes lazily in order.
-First it reads the ends of the pair's two sets: every difference b - a
-lies in [min B - max A, max B - min A], so when that range misses
-[alpha, beta] no probe can hit, and the pair returns None with no listing
-and no lookup; the first witness of any other pair is unchanged. Then a
-level's differences (``SsiBackend.differences``) are listed when the
+A level's differences (``SsiBackend.differences``) are listed when the
 probe order first reaches it. Levels 0 and 1 share the exact instance, so
 a pair listed at level 0 that also fits level 1's probe count reuses that
 list. A run of probes whose shifts are all off the list is passed over by
@@ -104,7 +107,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .backends import DEFAULT_MEM_BUDGET, BackendKind
+from .backends import DEFAULT_MEM_BUDGET, BackendKind, range_meets
 from .errors import FormatError, GapIndexError
 from .reporting import AugmentedInstance, check_set_ids, report_shift
 from .sets import SetCollection
@@ -543,10 +546,10 @@ def gapped_exists(
 
     Each distinct probe of the plan is asked once, in first-issue order; a
     repeat would give the same answer, so the first witness is the one the
-    full sequence of point and approximate queries finds. A pair whose
-    difference range [min B - max A, max B - min A] misses [alpha, beta]
-    lists and asks nothing. A listed level asks only the shifts on its list,
-    and levels 0 and 1 share one list when the pair fits both probe counts.
+    full sequence of point and approximate queries finds. A pair that
+    fails ``range_meets``, an empty set included, lists and asks nothing.
+    A listed level asks only the shifts on its list, and levels 0 and 1
+    share one list when the pair fits both probe counts.
     """
     plan = _plan_for(g, alpha, beta, plan)
     check_set_ids(g.exact, i, j)
@@ -555,8 +558,7 @@ def gapped_exists(
         return None
     g.last_plan_size = plan.size
     sa, sb = g.exact.base[i - 1], g.exact.base[j - 1]
-    # Every difference of the pair lies in [min B - max A, max B - min A].
-    if sb[-1] - sa[0] < alpha or sb[0] - sa[-1] > beta:
+    if not range_meets(sa, sb, plan.gap_lo, plan.gap_hi):
         return None
     # Uncertain zones fit inside the clamped interval, so a plan never
     # reaches past the top level built for the universe.
@@ -609,21 +611,22 @@ def gapped_report(
 ) -> list[tuple[int, int]]:
     """All pairs (a, b) with b - a in [alpha, beta], sorted and deduplicated.
 
-    The plan is answered one level at a time, each level read as one flat
-    list of pairs: a pair the level's backend tabulates asks each shift
-    through ``report_shift``, any other pair asks all the level's shifts
-    in one ``scan_shifts`` pass.
+    A pair that fails ``range_meets``, an empty set included, has no pair
+    to report: it lists, scans and looks up nothing. Any other pair's plan
+    is answered one level at a time, each level read as one flat list of
+    pairs: a pair the level's backend tabulates asks each shift through
+    ``report_shift``, any other pair asks all the level's shifts in one
+    ``scan_shifts`` pass.
     """
     plan = _plan_for(g, alpha, beta, plan)
     check_set_ids(g.exact, i, j)
-    if plan is None:
-        g.last_plan_size = 0
-        g.last_raw_pairs = 0
-        g.last_max_multiplicity = 0
-        return []
-    g.last_plan_size = plan.size
-    raw: list[tuple[int, int]] = []
+    g.last_plan_size = 0 if plan is None else plan.size
+    g.last_raw_pairs = 0
+    g.last_max_multiplicity = 0
     elements_a, elements_b = g.exact.base[i - 1], g.exact.base[j - 1]
+    if plan is None or not range_meets(elements_a, elements_b, plan.gap_lo, plan.gap_hi):
+        return []
+    raw: list[tuple[int, int]] = []
     # Every level from 0 to the plan's top has probes.
     for level, shifts in enumerate(plan.level_shifts):
         inst = g.instances[level]

@@ -27,7 +27,7 @@ up: base set i is id i; after the k base sets come the stored blocks of
 set 1, then of set 2, and so on, each set's in the level-major order of
 ``dyadic_subsets``. Level j's blocks hold 2^j elements, so the stored
 levels are those from ``lowest_level``, the first whose 2^j is above the
-threshold. Block (j, kappa) of set i is therefore id ``first_block[i - 1]
+threshold. Block (j, kappa) of set i is therefore id ``first_block_id(i)
 + starts[j] - starts[lowest_level] + kappa``, with ``starts =
 level_starts(len(S_i))``; under ``FullTabulation`` ``lowest_level`` is 0
 and the ids are those of every block.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .backends import (
     DEFAULT_MEM_BUDGET,
@@ -68,7 +68,9 @@ class AugmentedInstance:
     ``base`` is the k base sets' element tuples, as given. ``total_elements``
     counts the base sets and every dyadic block, stored or not. Of the
     block ids it keeps only ``first_block``, each base set's first stored
-    one; the layout in the module docstring places the others.
+    one, or one int when no set stores a block, read through
+    ``first_block_id``; the layout in the module docstring places the
+    others.
     ``existence_calls`` counts the lookups asked through ``_exists``; the
     backend counts its own scans, and ``ssi_calls`` sums the two.
     """
@@ -98,9 +100,9 @@ class AugmentedInstance:
         k = len(sets)
         blocks: list[tuple[int, ...]] = []
         if lowest >= max(sizes, default=0).bit_length():
-            # No set stores a block (under LinearScan, never): all share one
-            # first_block int object.
-            self.first_block: list[int] = [k + 1] * k
+            # No set stores a block (under LinearScan, never): every set's
+            # first block id is k + 1, kept as one int.
+            self.first_block: Union[int, list[int]] = k + 1
         else:
             self.first_block = []
             for el, m in zip(sets, sizes):
@@ -113,6 +115,12 @@ class AugmentedInstance:
         )
         self.existence_calls = 0
         self.last_query_calls = 0
+
+    def first_block_id(self, i: int) -> int:
+        """The id of base set i's first stored block, where its blocks
+        would start when it stores none."""
+        first = self.first_block
+        return first if type(first) is int else first[i - 1]
 
     def _exists(self, set_a: int, set_b: int, s: int) -> Optional[ShiftCertificate]:
         self.existence_calls += 1
@@ -201,8 +209,8 @@ def report_shift(
     found = []
     starts_a = level_starts(m_a)
     starts_b = level_starts(m_b)
-    first_a = inst.first_block[i - 1] - starts_a[inst.lowest_level]
-    first_b = inst.first_block[j - 1] - starts_b[inst.lowest_level]
+    first_a = inst.first_block_id(i) - starts_a[inst.lowest_level]
+    first_b = inst.first_block_id(j) - starts_b[inst.lowest_level]
     stack = [_Node(i, 1, m_a, j, 1, m_b)]
     while stack:
         node = stack.pop()

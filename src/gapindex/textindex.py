@@ -4,13 +4,17 @@ A gapped query asks for all position pairs (i, j) where two patterns occur
 with j - i inside a gap range. The index covers the suffix array with
 dyadic intervals, turns each interval's slice of starting positions into a
 sorted set, and answers queries through the gapped set intersection index
-over those sets. Each query plans its gap once and runs the plan on the
-cover pairs (one dyadic block of each pattern's interval). A report runs
-it on every pair. An exists follows the paper's light/heavy split: a
-light pair, one the backend does not tabulate, is decided by walking its
-smaller block (``SsiBackend.meets``), and only the first pair that meets
-the gap runs the plan, which yields the witness; a heavy pair, both
-blocks tabulated, runs the plan directly. Two self-contained baselines
+over those sets. Each query plans its gap at most once and runs the plan
+on the cover pairs (one dyadic block of each pattern's interval). A
+report plans the gap up front and runs it on every pair, and a pair whose
+difference range misses the gap (``backends.range_meets``) does no work.
+An exists follows the paper's light/heavy split: a light pair, one the
+backend does not tabulate, is decided by walking its smaller block
+(``SsiBackend.meets``), and only the first pair that meets the gap runs
+the plan, which yields the witness; a heavy pair, both blocks tabulated,
+runs the plan directly. An exists builds its plan only for the first
+pair that runs it, so a NO whose light pairs never meet the gap plans
+nothing. Two self-contained baselines
 (a two-finger linear scan and a precomputed per-distance table) provide
 independent answers for cross-checking.
 
@@ -28,7 +32,7 @@ import numpy as np
 from . import gapped
 from .backends import DEFAULT_MEM_BUDGET, BackendKind
 from .errors import BudgetError, FormatError, GapIndexError
-from .gapped import CoverPlan, GappedIndex, gapped_exists, gapped_report
+from .gapped import GappedIndex, gapped_exists, gapped_report
 from .sets import cover_blocks, level_starts
 
 DEFAULT_QUAD_BUDGET = 512 << 20
@@ -216,66 +220,73 @@ class GappedStringIndex:
         starts = self._level_starts
         return [starts[j] + k + 1 for j, k, _, _ in cover_blocks(lo, hi)]
 
-    def _planned_covers(
+    def _covers(
         self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int
-    ) -> Optional[tuple[list[int], list[int], CoverPlan]]:
-        """Cover ids of both patterns and the query's one plan, or None when
-        no pair can answer.
+    ) -> Optional[tuple[list[int], list[int], tuple[int, int]]]:
+        """Cover ids of both patterns and the gap clamped to the text, or
+        None when no pair can answer.
 
         The gap is checked before the pattern lookup, so a bad range raises
-        whether or not the patterns occur. Every cover pair shares the plan
-        of the gap clamped to the text.
+        whether or not the patterns occur.
         """
         clamped = self.gapped._clamped(gap_lo, gap_hi)
         s1, e1 = pattern_interval(self.suffixes, p1)
         s2, e2 = pattern_interval(self.suffixes, p2)
         if s1 == e1 or s2 == e2 or clamped is None:
             return None
-        # Looked up on the module, so a wrapper installed there sees each plan.
-        plan = gapped.plan_cover(*clamped)
-        return self._cover_ids(s1, e1 - 1), self._cover_ids(s2, e2 - 1), plan
+        return self._cover_ids(s1, e1 - 1), self._cover_ids(s2, e2 - 1), clamped
 
     def exists(self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int) -> Optional[tuple[int, int]]:
         """First witness pair (i, j) with the required gap, or None.
 
-        Cover pairs are asked in order. A pair the exact backend does not
-        tabulate is first decided by one walk (``SsiBackend.meets``), and
-        only a pair that meets the gap runs the plan, so the witness is the
-        plan-order one of the first pair that has any. Since the plan covers
-        the whole gap, that pair's ``gapped_exists`` must find a witness:
-        finding none raises GapIndexError. Tabulated pairs run the plan
-        directly. Afterwards ``gapped.last_plan_size`` is the query's plan
-        size, or 0 when it has no plan.
+        Cover pairs are asked in order, and the query's one plan is built
+        only when the first pair needs it. A pair the exact backend does
+        not tabulate is first decided by one walk (``SsiBackend.meets``),
+        and only a pair that meets the gap runs the plan, so the witness is
+        the plan-order one of the first pair that has any. Since the plan
+        covers the whole gap, that pair's ``gapped_exists`` must find a
+        witness: finding none raises GapIndexError. Tabulated pairs run the
+        plan directly. Afterwards ``gapped.last_plan_size`` is the size of
+        the plan built, or 0 when no pair needed one.
         """
         g = self.gapped
-        planned = self._planned_covers(p1, p2, gap_lo, gap_hi)
-        if planned is None:
-            g.last_plan_size = 0
+        g.last_plan_size = 0
+        covers = self._covers(p1, p2, gap_lo, gap_hi)
+        if covers is None:
             return None
-        cover_a, cover_b, plan = planned
-        g.last_plan_size = plan.size
+        cover_a, cover_b, (lo, hi) = covers
         backend = g.exact.backend
+        plan = None
         for ida in cover_a:
             for idb in cover_b:
                 light = not backend.tabulated(ida, idb)
-                if light and not backend.meets(ida, idb, plan.gap_lo, plan.gap_hi):
+                if light and not backend.meets(ida, idb, lo, hi):
                     continue
+                if plan is None:
+                    # Looked up on the module, so a wrapper installed there
+                    # sees each plan.
+                    plan = gapped.plan_cover(lo, hi)
                 hit = gapped_exists(g, ida, idb, gap_lo, gap_hi, plan=plan)
                 if hit is not None:
                     return hit
                 if light:
                     raise GapIndexError(
                         f"cover pair ({ida}, {idb}) has a difference in"
-                        f" [{plan.gap_lo}, {plan.gap_hi}] that its plan missed"
+                        f" [{lo}, {hi}] that its plan missed"
                     )
         return None
 
     def report(self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int) -> list[tuple[int, int]]:
-        """All pairs (i, j): p1 at i, p2 at j, j - i in [gap_lo, gap_hi]."""
-        planned = self._planned_covers(p1, p2, gap_lo, gap_hi)
-        if planned is None:
+        """All pairs (i, j): p1 at i, p2 at j, j - i in [gap_lo, gap_hi].
+
+        Every cover pair shares the query's one plan; a pair that fails
+        ``range_meets`` reports nothing without running it.
+        """
+        covers = self._covers(p1, p2, gap_lo, gap_hi)
+        if covers is None:
             return []
-        cover_a, cover_b, plan = planned
+        cover_a, cover_b, clamped = covers
+        plan = gapped.plan_cover(*clamped)
         raw: list[tuple[int, int]] = []
         for ida in cover_a:
             for idb in cover_b:

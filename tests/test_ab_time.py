@@ -1,0 +1,41 @@
+"""``tools/ab_time.py`` at the smoke config: the repo's ``src`` against
+itself times both sides and exits 0; against a copy whose string report
+drops its first pair it finds the changed answer and exits 1."""
+
+import pathlib
+import shutil
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def ab_time(old, new, workload):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_time.py"), str(old), str(new),
+         "--workload", workload, "--seed", "21", "--config", "smoke", "--reps", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_the_same_tree_times_both_sides():
+    result = ab_time(ROOT / "src", ROOT / "src", "string-report")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[:2] == ["workload string-report seed 21 config smoke queries 40 reps 2",
+                         "answers equal"]
+    for side, line in zip(("old", "new", "new/old"), lines[2:]):
+        words = line.split()
+        assert words[0] == side and words[1:9:2] == ["mean", "p50", "p90", "p99"]
+
+
+def test_a_changed_answer_fails(tmp_path):
+    doctored = tmp_path / "src"
+    shutil.copytree(ROOT / "src", doctored, ignore=shutil.ignore_patterns("__pycache__"))
+    textindex = doctored / "gapindex" / "textindex.py"
+    source = textindex.read_text()
+    assert source.count("return sorted(raw)\n") == 1
+    textindex.write_text(source.replace("return sorted(raw)\n", "return sorted(raw)[1:]\n"))
+    result = ab_time(ROOT / "src", doctored, "string-report")
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.startswith("answers differ at query ")

@@ -495,3 +495,22 @@ def test_meets_is_some_difference_in_the_gap(kind):
             seen.update(f"{len(s)} elements" for s in (sa, sb) if len(s) < 2)
     assert seen >= {True, False, "same set", "smaller i", "smaller j",
                     "0 elements", "1 elements"}
+
+
+def test_an_instance_without_blocks_shares_its_sets_and_keeps_one_block_id():
+    """A list of element tuples is the backend's own ``sets``, with no copy,
+    and an instance that stores no block keeps one first-block id for all."""
+    base = [(1, 2, 5), (3,), ()]
+    inst = AugmentedInstance(base, LinearScan())
+    assert inst.base is base and inst.backend.sets is base
+    assert inst.first_block == 4
+    assert [inst.first_block_id(i) for i in (1, 2, 3)] == [4, 4, 4]
+    # Any other sequence of sets is copied into a list of tuples.
+    assert build_backend([[1, 2], (3,)], LinearScan()).sets == [(1, 2), (3,)]
+    assert build_backend(((1, 2), (3,)), LinearScan()).sets == [(1, 2), (3,)]
+    collection = ingest_collection([[1, 2], [3]], u=4)
+    assert build_backend(collection, LinearScan()).sets == [(1, 2), (3,)]
+    # Blocks are stored after a copy of the sets; each set keeps its own id.
+    stored = AugmentedInstance(base, FullTabulation())
+    assert stored.backend.sets is not base and stored.backend.sets[:3] == base
+    assert [stored.first_block_id(i) for i in (1, 2, 3)] == [4, 8, 9]

@@ -31,7 +31,7 @@ def _digest(g) -> tuple[int, str]:
             inst.dyadic_elements,
             inst.total_elements,
             inst.lowest_level,
-            inst.first_block,
+            [inst.first_block_id(i) for i in range(1, len(inst.base) + 1)],
             backend.threshold,
             backend.large,
         ))

@@ -5,6 +5,9 @@ records, per query, the answer, the SSI calls and backend probes it spent,
 and the plan size, raw pairs and largest multiplicity it left behind. The
 totals and a digest of the per-query records are pinned, so a change to how
 a pair is routed or counted shows here even when every answer stays right.
+The string stream's pin moved from 1562 to 1526 SSI calls when a report
+stopped scanning cover pairs whose difference range misses the gap: each
+such pass walked no element, so the probes and every answer stayed the same.
 """
 
 import hashlib
@@ -94,4 +97,4 @@ def test_gapped_string_counters_are_pinned(monkeypatch):
         raw[0] = 0
         return idx.report(p1, p2, lo, hi), raw[0]
 
-    assert _run(idx.gapped, queries, ask) == (1562, 55063, 19137, "7abf83d84582b46e")
+    assert _run(idx.gapped, queries, ask) == (1526, 55063, 19137, "11f41d3a60688eb6")

@@ -16,7 +16,13 @@ from itertools import product
 import pytest
 
 from gapindex import gapped
-from gapindex.backends import FullTabulation, LinearScan, SmallUniverse, SsiBackend
+from gapindex.backends import (
+    FullTabulation,
+    LinearScan,
+    SmallUniverse,
+    SsiBackend,
+    range_meets,
+)
 from gapindex.bench import run_bench
 from gapindex.errors import FormatError
 from gapindex.gapped import (
@@ -194,7 +200,8 @@ def test_tabulated_pairs_are_not_listed():
 
 def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
     """An untabulated pair's report answers each level by one pass and makes
-    no report_shift call. At a listed level the pass returns exactly the
+    no report_shift call; a pair whose difference range misses the gap
+    makes no pass at all. At a listed level the pass returns exactly the
     plan's level-l shifts that the pair realizes, each with the pairs
     report_shift gives for it."""
     rng = random.Random(61)
@@ -212,7 +219,7 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
 
     monkeypatch.setattr(SsiBackend, "scan_shifts", recording_pass)
     monkeypatch.setattr(gapped, "report_shift", recording_report)
-    checked = 0
+    checked = missed = 0
     for trial in range(30):
         kind = KINDS[trial % 2]
         k = rng.randint(2, 4)
@@ -230,6 +237,10 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
             passes.clear()
             reported.clear()
             gapped_report(g, i, j, lo, hi)
+            if not range_meets(g.exact.base[i - 1], g.exact.base[j - 1], *clamped):
+                assert passes == [] and reported == []
+                missed += 1
+                continue
             # Levels 0 and 1 share the exact backend, so passes are matched
             # to levels in order: one per untabulated level, none otherwise.
             untabulated = [(level, shifts) for level, shifts in enumerate(plan.level_shifts)
@@ -247,7 +258,7 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
                     pairs = [(a, b) for a, b in found if b - a == s]
                     assert pairs and pairs == report_shift(g.instances[level], i, j, s)
                 checked += len(hit)
-    assert checked > 100
+    assert checked > 100 and missed > 0
 
 
 @pytest.mark.parametrize("query", [gapped_exists, gapped_report])

@@ -1,25 +1,38 @@
-"""An exists asks nothing of a pair whose differences all miss the gap.
+"""A query asks nothing of a pair whose differences all miss the gap.
 
 Every difference b - a of sets A and B lies in [min B - max A, max B - min A].
-When that range misses [alpha, beta], no probe of the pair can hit, so
-``gapped_exists`` returns None before it lists or asks anything. The
-``listing_exists`` reference keeps the probe loop without that check: each
-level's differences listed when the probe order first reaches it (levels 0
-and 1 each listing their own), a shift not on the list skipped, and every
-other probe asked through the backend. The library must give the same
-witness with no more SSI calls, under all three backends, including pairs
-whose range touches the gap at exactly one end.
+When that range misses [alpha, beta], or a set is empty, no probe of the pair
+can hit, so ``gapped_exists`` returns None and ``gapped_report`` [] before
+either lists, scans or asks anything. The ``listing_exists`` reference keeps
+the probe loop without that check: each level's differences listed when the
+probe order first reaches it (levels 0 and 1 each listing their own), a
+shift not on the list skipped, and every other probe asked through the
+backend. The ``scanning_report`` reference answers every level of every
+pair: a tabulated pair through ``report_shift``, any other by one
+``scan_shifts`` pass. The library must give the same witness and the same
+pairs, those of brute force, with no more SSI calls, under all three
+backends, including pairs whose range touches the gap at exactly one end;
+a missing pair spends no call and no probe.
 """
 
 import random
+from itertools import product
 
 import pytest
 
 from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
-from gapindex.gapped import build_gapped_index, gapped_exists, originals, plan_cover
+from gapindex.gapped import (
+    GappedIndex,
+    build_gapped_index,
+    gapped_exists,
+    gapped_report,
+    originals,
+    plan_cover,
+)
 from gapindex.generators import random_collection, random_pattern_from, random_text
+from gapindex.reporting import report_shift
 from gapindex.sets import ingest_collection
-from gapindex.textindex import build_gapped_string_index
+from gapindex.textindex import baseline_linear_scan, build_gapped_string_index
 from test_plan_once import calls_of, cover_pairs
 
 KINDS = (LinearScan(), SmallUniverse(delta=0.5), FullTabulation())
@@ -51,6 +64,36 @@ def listing_exists(g, i, j, alpha, beta, plan=None):
     return None
 
 
+def scanning_report(g, i, j, alpha, beta, plan=None):
+    clamped = g._clamped(alpha, beta)
+    if clamped is None:
+        return []
+    plan = plan or plan_cover(*clamped)
+    sa, sb = g.exact.base[i - 1], g.exact.base[j - 1]
+    raw = []
+    for level, shifts in enumerate(plan.level_shifts):
+        inst = g.instances[level]
+        if inst.backend.tabulated(i, j):
+            found = [pair for s in shifts for pair in report_shift(inst, i, j, s)]
+        else:
+            found = inst.backend.scan_shifts(i, j, shifts)
+        if level == 0:
+            raw += found
+            continue
+        for qa, qb in found:
+            raw.extend(product(originals(sa, level, qa), originals(sb, level, qb)))
+    return sorted(set(raw))
+
+
+def brute_report(g, i, j, alpha, beta):
+    return sorted((a, b) for a in g.exact.base[i - 1] for b in g.exact.base[j - 1]
+                  if alpha <= b - a <= beta)
+
+
+def probes(g):
+    return sum(inst.backend.probes for inst in [g.exact] + [lvl.instance for lvl in g.levels])
+
+
 def touching_gaps(sa, sb, rng, width):
     """Gaps [lo, hi] at the ends of the pair's difference range, each with
     whether the range meets it: max B - min A = lo, min B - max A = hi, and
@@ -69,22 +112,36 @@ def touching_gaps(sa, sb, rng, width):
 
 class Tally:
     def __init__(self):
-        self.saved = self.skipped = self.touched = 0
+        self.saved = self.saved_reports = self.skipped = self.touched = 0
 
     def check(self, g, counted, i, j, lo, hi, meets=None):
-        """Library against reference on one pair; ``meets`` says whether the
-        pair's range meets the gap, when the caller placed it there."""
+        """Library against references on one pair, exists and report;
+        ``meets`` says whether the pair's range meets the gap, when the
+        caller placed it there."""
         want, want_calls = calls_of(counted, listing_exists, g, i, j, lo, hi)
+        before = probes(g)
         got, got_calls = calls_of(counted, gapped_exists, g, i, j, lo, hi)
+        exists_probes = probes(g) - before
         assert got == want, (i, j, lo, hi)
         assert got_calls <= want_calls
         self.saved += want_calls - got_calls
+        pairs, want_calls = calls_of(counted, scanning_report, g, i, j, lo, hi)
+        assert pairs == brute_report(g, i, j, lo, hi), (i, j, lo, hi)
+        before = probes(g)
+        got_pairs, got_calls = calls_of(counted, gapped_report, g, i, j, lo, hi)
+        report_probes = probes(g) - before
+        assert got_pairs == pairs, (i, j, lo, hi)
+        assert got_calls <= want_calls
+        self.saved_reports += want_calls - got_calls
         if meets is False:
-            assert (got, got_calls) == (None, 0)
+            assert (got, got_calls, exists_probes) == (None, 0, 0)
+            assert (got_pairs, got_calls, report_probes) == ([], 0, 0)
+            assert (g.last_raw_pairs, g.last_max_multiplicity) == (0, 0)
             self.skipped += 1
         elif meets:
             # The end of the range is a difference in the gap.
             assert got is not None and lo <= got[1] - got[0] <= hi
+            assert got in got_pairs
             self.touched += 1
 
 
@@ -104,7 +161,8 @@ def test_set_queries_match_the_listing_loop(kind):
             tally.check(g, g, i, j, lo, lo + rng.randint(0, u))
             for lo, hi, meets in touching_gaps(g.exact.base[i - 1], g.exact.base[j - 1], rng, u):
                 tally.check(g, g, i, j, lo, hi, meets=meets)
-    assert tally.saved > 0 and tally.skipped > 0 and tally.touched > 0
+    assert tally.saved > 0 and tally.saved_reports > 0
+    assert tally.skipped > 0 and tally.touched > 0
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=["linear", "smalluniverse", "fulltab"])
@@ -133,16 +191,42 @@ def test_string_queries_match_the_listing_loop(kind):
                         return hit
                 return None
 
+            def scanning():
+                return sorted(pair for a, b in pairs
+                              for pair in scanning_report(g, a, b, lo, hi, plan))
+
             want, want_calls = calls_of(idx, reference)
             got, got_calls = calls_of(idx, idx.exists, p1, p2, lo, hi)
             assert got == want, (text, p1, p2, lo, hi)
             assert got_calls <= want_calls
             tally.saved += want_calls - got_calls
+            want, want_calls = calls_of(idx, scanning)
+            got, got_calls = calls_of(idx, idx.report, p1, p2, lo, hi)
+            assert got == want == baseline_linear_scan(text, p1, p2, lo, hi), (text, p1, p2, lo, hi)
+            assert got_calls <= want_calls
+            tally.saved_reports += want_calls - got_calls
             for a, b in pairs:
                 for glo, ghi, meets in touching_gaps(g.exact.base[a - 1], g.exact.base[b - 1],
                                                      rng, len(text)):
                     tally.check(g, idx, a, b, glo, ghi, meets=meets)
-    assert tally.saved > 0 and tally.skipped > 0 and tally.touched > 0
+    assert tally.saved > 0 and tally.saved_reports > 0
+    assert tally.skipped > 0 and tally.touched > 0
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=["linear", "smalluniverse", "fulltab"])
+def test_an_empty_set_meets_no_gap(kind):
+    """A pair with an empty set has no difference: an exists answers None
+    and a report [], on either side, with no call and no probe."""
+    g = GappedIndex([(1, 5), ()], 8, kind)
+    for i, j in ((1, 2), (2, 1), (2, 2)):
+        for lo, hi in ((0, 5), (0, 7), (4, 4)):
+            before = g.ssi_calls(), probes(g)
+            assert gapped_exists(g, i, j, lo, hi) is None
+            assert gapped_report(g, i, j, lo, hi) == []
+            assert (g.last_raw_pairs, g.last_max_multiplicity) == (0, 0)
+            assert (g.ssi_calls(), probes(g)) == before
+    assert gapped_exists(g, 1, 1, 4, 4) == (1, 5)
+    assert gapped_report(g, 1, 1, 0, 5) == [(1, 1), (1, 5), (5, 5)]
 
 
 @pytest.mark.parametrize(

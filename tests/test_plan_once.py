@@ -280,7 +280,8 @@ def test_no_string_query_asks_each_probe_once_per_cover_pair(monkeypatch):
     assert plans == [(13, 15)]
     answer, calls = calls_of(idx, idx.exists, p1, p2, lo, hi)
     assert answer is None
-    assert plans == [(13, 15)] * 2
+    # No cover pair meets the gap, so the exists builds no plan.
+    assert plans == [(13, 15)]
     pairs = cover_pairs(idx, p1, p2)
     assert len(pairs) > 1
     # Every cover set here has at most 2 elements, no more than the plan's
@@ -288,7 +289,7 @@ def test_no_string_query_asks_each_probe_once_per_cover_pair(monkeypatch):
     # misses make no backend call.
     assert calls == unlisted_probes(idx, pairs, plan_cover(lo, hi)) == 0
     assert idx.exists(b"ab", b"ab", 0, 40) is not None
-    assert plans[-1] == (0, 15)  # clamped to the text once per query
+    assert plans[1:] == [(0, 15)]  # clamped to the text once per query
 
 
 def unlisted_probes(idx, pairs, plan):
@@ -330,8 +331,8 @@ def test_large_covers_ask_each_probe_once_per_cover_pair():
     assert unlisted_probes(idx, pairs, plan) == len(pairs) * len(plan.probes)
     # An exists walks each pair whose range meets the gap, finds no
     # difference in it and runs no plan: no call. A report walks each level
-    # of each pair in one pass.
-    for query, want in ((idx.exists, 0), (idx.report, 2 * len(pairs))):
+    # of each such pair in one pass, and asks nothing of the others.
+    for query, want in ((idx.exists, 0), (idx.report, 2 * len(meeting))):
         answer, calls = calls_of(idx, query, p1, p2, lo, hi)
         assert not answer
         assert calls == want
@@ -343,9 +344,12 @@ def test_covers_whose_ranges_miss_the_gap_ask_nothing_in_an_exists():
     p1, p2, lo, hi = b"b", b"a", 0, 9  # every b follows every a: no pair
     pairs = cover_pairs(idx, p1, p2)
     assert len(pairs) > 1 and not any(meets_the_gap(idx, pair, lo, hi) for pair in pairs)
+    g = idx.gapped
+    probes = [inst.backend.probes for inst in g.instances]
     assert calls_of(idx, idx.exists, p1, p2, lo, hi) == (None, 0)
-    # A report still walks each level of each pair.
-    assert calls_of(idx, idx.report, p1, p2, lo, hi) == ([], 2 * len(pairs))
+    # Nor in a report: no pass, no listing, no probe.
+    assert calls_of(idx, idx.report, p1, p2, lo, hi) == ([], 0)
+    assert [inst.backend.probes for inst in g.instances] == probes
 
 
 def test_passed_plan_must_match_the_clamped_interval():

@@ -423,7 +423,7 @@ def test_blocks_stored_are_those_a_lookup_addresses():
                 if 1 << level <= t:
                     continue
                 starts = level_starts(len(c.set(p)))
-                stored = idx.first_block[p - 1] + starts[level] - starts[idx.lowest_level] + block
+                stored = idx.first_block_id(p) + starts[level] - starts[idx.lowest_level] + block
                 assert idx.backend.sets[stored - 1] == full[full_id - 1]
 
 

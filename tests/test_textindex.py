@@ -252,18 +252,44 @@ def test_exists_raises_when_the_plan_misses_a_meeting_pair(monkeypatch):
 
 
 def test_exists_leaves_its_own_plan_size():
-    """After an exists, ``last_plan_size`` is that query's plan size, whether
-    or not a cover pair ran the plan, and 0 for a query with no plan."""
+    """After an exists, ``last_plan_size`` is the size of the plan that
+    query built, and 0 when it built none: no cover pair met the gap, or the
+    query has no plan."""
     idx = build_gapped_string_index(b"banana", LinearScan())
     g = idx.gapped
     assert idx.exists(b"an", b"na", 1, 3) is not None
     assert g.last_plan_size == plan_cover(1, 3).size > 0
-    # No cover pair meets [0, 5] for "na" before "b": no plan runs.
+    # No cover pair meets [0, 5] for "na" before "b": no plan is built.
     assert idx.exists(b"na", b"b", 0, 5) is None
-    assert g.last_plan_size == plan_cover(0, 5).size != plan_cover(1, 3).size
+    assert g.last_plan_size == 0
+    # "a" at 2, 4, 6 and "n" at 3, 5: every gap is odd. The cover pair of
+    # "a" at 2 against "n" at 3, 5 has a range that meets [2, 2], and its
+    # walk finds no difference there.
+    assert idx.exists(b"a", b"n", 2, 2) is None and g.last_plan_size == 0
     for query in ((b"zz", b"na", 0, 3), (b"an", b"na", 9, 12)):
         idx.exists(b"an", b"na", 1, 3)
         assert idx.exists(*query) is None and g.last_plan_size == 0
+
+
+def test_exists_plans_only_once_a_cover_pair_meets_the_gap(monkeypatch):
+    """An exists builds its plan through ``gapped.plan_cover`` for the first
+    cover pair that meets the gap: never for a NO whose pairs all miss it,
+    once for a YES however many pairs come before the witness."""
+    text = b"a" * 40 + b"b" * 40
+    idx = build_gapped_string_index(text, LinearScan())
+    plans = []
+
+    def counting_plan(alpha, beta):
+        plans.append((alpha, beta))
+        return plan_cover(alpha, beta)
+
+    monkeypatch.setattr(gapped, "plan_cover", counting_plan)
+    assert idx.exists(b"b", b"a", 0, 9) is None  # every b follows every a
+    assert plans == []
+    hit = idx.exists(b"a", b"b", 30, 50)
+    assert hit is not None and 30 <= hit[1] - hit[0] <= 50
+    assert plans == [(30, 50)]
+    assert idx.gapped.last_plan_size == plan_cover(30, 50).size
 
 
 def test_baseline_linear_examples():

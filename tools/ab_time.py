@@ -1,0 +1,134 @@
+"""Time one benchmark workload's query stream under two source trees in one
+process, query by query, and check that both give the same answers.
+
+    python3 tools/ab_time.py OLD_SRC NEW_SRC --workload string-report --seed 21
+        [--config full|smoke] [--reps 3]
+
+OLD_SRC and NEW_SRC are directories that hold a ``gapindex`` package (a
+checkout's ``src``). The workload (inputs, structures and stream) comes
+from ``perfbench/workloads.py`` next to this directory, imported as it is,
+once per tree, so each tree builds its own structures from the same
+inputs. Each repetition asks every query of the stream of both trees in
+turn, the two trees alternating which goes first from one repetition to
+the next, so drift on the machine falls on both sides alike. Every
+answer's repr must be the same under both trees: the first query that
+differs is printed and the exit code is 1. Otherwise the tool prints, per
+side, the mean, p50, p90 and p99 of the per-query microseconds pooled
+over the repetitions, and the new/old ratio of each.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import pkgutil
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter_ns
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _owned(name: str) -> bool:
+    return name in ("gapindex", "workloads") or name.startswith("gapindex.")
+
+
+def _unload() -> None:
+    for name in [name for name in sys.modules if _owned(name)]:
+        del sys.modules[name]
+
+
+class Tree:
+    """One source tree's ``gapindex`` and ``workloads`` modules. ``activate``
+    puts them in ``sys.modules``, so an import made while a query runs
+    resolves within the same tree."""
+
+    def __init__(self, src: Path):
+        if not (src / "gapindex" / "__init__.py").is_file():
+            raise SystemExit(f"{src} holds no gapindex package")
+        _unload()
+        sys.path[:0] = [str(src), str(PERFBENCH)]
+        try:
+            self.workloads = importlib.import_module("workloads")
+            package = importlib.import_module("gapindex")
+            # Every module now, so no later import reaches for the other tree.
+            for info in pkgutil.iter_modules(package.__path__):
+                importlib.import_module(f"gapindex.{info.name}")
+        finally:
+            del sys.path[:2]
+        self.modules = {name: m for name, m in sys.modules.items() if _owned(name)}
+
+    def activate(self) -> None:
+        _unload()
+        sys.modules.update(self.modules)
+
+
+def percentile(values: list[float], q: float) -> float:
+    """The q-quantile of sorted values, by the nearest rank."""
+    return values[min(len(values) - 1, int(q * len(values)))]
+
+
+def summary(samples: list[float]) -> dict[str, float]:
+    ordered = sorted(samples)
+    return {"mean": statistics.fmean(ordered), "p50": percentile(ordered, 0.5),
+            "p90": percentile(ordered, 0.9), "p99": percentile(ordered, 0.99)}
+
+
+def run(old: Path, new: Path, workload: str, seed: int, config: str, reps: int) -> int:
+    trees = [Tree(old), Tree(new)]
+    calls, streams = [], []
+    for tree in trees:
+        tree.activate()
+        wl = tree.workloads.WORKLOADS[workload](seed, config)
+        calls.append(wl.dispatch({name: step() for name, step in wl.build_steps()}))
+        streams.append(wl.stream)
+    if streams[0] != streams[1]:
+        print("streams differ")
+        return 1
+    stream = streams[0]
+    micros: list[list[float]] = [[], []]
+    answers: list[list[str]] = [[], []]
+    for rep in range(reps):
+        order = (0, 1) if rep % 2 == 0 else (1, 0)
+        for q in stream:
+            for side in order:
+                trees[side].activate()
+                started = perf_counter_ns()
+                answer = calls[side](q)
+                micros[side].append((perf_counter_ns() - started) / 1e3)
+                if rep == 0:
+                    answers[side].append(repr(answer))
+    for number, (a, b) in enumerate(zip(*answers)):
+        if a != b:
+            print(f"answers differ at query {number}: {stream[number]!r}")
+            return 1
+    print(f"workload {workload} seed {seed} config {config} queries {len(stream)} reps {reps}")
+    print("answers equal")
+    stats = [summary(samples) for samples in micros]
+    for name, side in zip(("old", "new"), stats):
+        print(f"{name} " + " ".join(f"{key} {value:.1f}" for key, value in side.items()) + " us")
+    print("new/old " + " ".join(f"{key} {stats[1][key] / stats[0][key]:.3f}"
+                                for key in stats[0]))
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", type=Path, metavar="OLD_SRC")
+    parser.add_argument("new", type=Path, metavar="NEW_SRC")
+    parser.add_argument("--workload", required=True,
+                        choices=["string-exists", "string-report", "set-questions"])
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--config", default="full", choices=["full", "smoke"])
+    parser.add_argument("--reps", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+    return run(args.old.resolve(), args.new.resolve(), args.workload, args.seed,
+               args.config, args.reps)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

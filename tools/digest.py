@@ -18,8 +18,8 @@ the same stored sets.
   ``last_max_multiplicity`` after it; the smallest-shift index's probes.
 * ``structures``: per augmented instance, its backend's stored sets,
   ``threshold`` and ``large`` flags, and the instance's
-  ``dyadic_elements``, ``total_elements``, ``lowest_level`` and
-  ``first_block``.
+  ``dyadic_elements``, ``total_elements``, ``lowest_level`` and each
+  base set's ``first_block_id``.
 
 With ``--per-query FILE`` the tool also writes one JSON line per query,
 in stream order: the query's number, a digest of its answer and the
@@ -69,7 +69,8 @@ def digest(workload: str, seed: int, config: str, per_query=None) -> dict[str, s
     for inst in parts["augmented"]:
         backend = inst.backend
         _feed(stored, (backend.sets, backend.threshold, backend.large, inst.dyadic_elements,
-                       inst.total_elements, inst.lowest_level, inst.first_block))
+                       inst.total_elements, inst.lowest_level,
+                       [inst.first_block_id(i) for i in range(1, len(inst.base) + 1)]))
     before = _counters(parts)
     for number, q in enumerate(wl.stream):
         answer = call(q)
