@@ -159,14 +159,13 @@ class _QueryEngine:
         if kind == "ssi":
             calls = self.index.existence_calls if self.index else 0
             return f"# probes={self.backend.probes} existence_calls={calls}"
-        if kind == "gapped-set":
+        if kind in ("gapped-set", "gapped-string"):
+            g = self.index if kind == "gapped-set" else self.index.gapped
             return (
-                f"# ssi_calls={self.index.ssi_calls()}"
-                f" plan_size={self.index.last_plan_size}"
-                f" raw_pairs={self.index.last_raw_pairs}"
+                f"# ssi_calls={g.ssi_calls()}"
+                f" plan_size={g.last_plan_size}"
+                f" raw_pairs={g.last_raw_pairs}"
             )
-        if kind == "gapped-string":
-            return f"# ssi_calls={self.index.ssi_calls()}"
         if kind == "smallest-shift":
             return f"# probes={self.index.probes}"
         return "#"

@@ -87,13 +87,17 @@ nothing: an exists returns None and a report [] with no raw pairs. Any
 other pair runs the plan.
 
 An exists stops at its first hit, so it asks the probes lazily in order.
-A level's differences (``SsiBackend.differences``) are listed when the
-probe order first reaches it. Levels 0 and 1 share the exact instance, so
-a pair listed at level 0 that also fits level 1's probe count reuses that
-list. A run of probes whose shifts are all off the list is passed over by
-one ``isdisjoint``, a probe whose shift is not on the list makes no
-backend call, and every other probe, a sure hit, is asked through the
-backend. Tabulated pairs are not listed.
+Given no plan, it plans no more than it asks: the point shifts lead every
+plan and depend only on the gap's ends (``plan_points``, which
+``plan_cover`` shares), so they are asked first, and ``plan_cover`` runs
+only when every point misses; the probes then go on from the plan's first
+level. A level's differences (``SsiBackend.differences``) are listed when
+the probe order first reaches it. Levels 0 and 1 share the exact
+instance, so a pair listed at level 0 that also fits level 1's probe
+count reuses that list. A run of probes whose shifts are all off the list
+is passed over by one ``isdisjoint``, a probe whose shift is not on the
+list makes no backend call, and every other probe, a sure hit, is asked
+through the backend. Tabulated pairs are not listed.
 """
 
 from __future__ import annotations
@@ -265,6 +269,12 @@ class CoverPlan:
         return "\n".join(lines)
 
 
+def _phase0(lo: int, hi: int) -> tuple[int, ...]:
+    """A pass's point shifts over [lo, hi]: half the width and one more,
+    at most three."""
+    return tuple(range(lo, lo + min((hi - lo + 1) // 2, 2) + 1))
+
+
 def _pass(lo: int, hi: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
     """Cover a prefix [lo, lo + delta] with delta >= (hi - lo) / 2.
 
@@ -282,9 +292,10 @@ def _pass(lo: int, hi: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]]
     per level: the mirrored pass runs in negated coordinates, where centers
     are not yet valid ApproxQuery values.
     """
+    points = _phase0(lo, hi)
     width = hi - lo
     if width <= 4:
-        return tuple(range(lo, lo + (width + 1) // 2 + 1)), []
+        return points, []
     runs = []
     end = lo + 2  # covered prefix [lo, end]
     level = 1
@@ -296,7 +307,7 @@ def _pass(lo: int, hi: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]]
         stop = ((width + 2 * (lo - half)) >> (level + 1)) + 1
         if stop <= first + 2:
             runs.append((level, first, max(first, stop)))
-            return (lo, lo + 1, lo + 2), runs
+            return points, runs
         runs.append((level, first, first + 2))
         end = ((first + 2) << level) + half
         level += 1
@@ -309,6 +320,26 @@ def _escaped(alpha: int, beta: int, level: int, kappa: int) -> GapIndexError:
     )
 
 
+def _merged_points(alpha: int, beta: int, forward: tuple[int, ...],
+                   mirrored: tuple[int, ...]) -> tuple[int, ...]:
+    """The forward pass's point shifts, then the mirrored pass's negated,
+    each once, every one checked to lie in [alpha, beta]."""
+    points = tuple(dict.fromkeys(forward + tuple([-s for s in mirrored])))
+    # Every answer relies on this check and plan_cover's zone checks: a
+    # point or an uncertain zone outside [alpha, beta] could turn a YES
+    # into a witness with the wrong gap.
+    for s in points:
+        if not alpha <= s <= beta:
+            raise GapIndexError(f"point shift {s} escaped [{alpha}, {beta}]")
+    return points
+
+
+def plan_points(alpha: int, beta: int) -> tuple[int, ...]:
+    """``plan_cover(alpha, beta).point_shifts``, without planning the
+    approximate levels: each pass's points depend only on its width."""
+    return _merged_points(alpha, beta, _phase0(alpha, beta), _phase0(-beta, -alpha))
+
+
 def plan_cover(alpha: int, beta: int) -> CoverPlan:
     """Plan point and approximate queries for the shift interval [alpha, beta]."""
     if not 0 <= alpha <= beta:
@@ -316,17 +347,12 @@ def plan_cover(alpha: int, beta: int) -> CoverPlan:
     fwd_points, forward = _pass(alpha, beta)
     # The pass from beta is the reflection: plan on [-beta, -alpha], negate.
     bwd_points, mirrored = _pass(-beta, -alpha)
-    points = tuple(dict.fromkeys(fwd_points + tuple([-s for s in bwd_points])))
-
-    # Every answer relies on these checks: a point or an uncertain zone
-    # outside [alpha, beta] could turn a YES into a witness with the wrong
-    # gap. A zone moves with its center, so a run's lowest center bounds
-    # its zones below and its highest center above.
-    for s in points:
-        if not alpha <= s <= beta:
-            raise GapIndexError(f"point shift {s} escaped [{alpha}, {beta}]")
-    # A level-l query at kappa*2^l asks the quotient shifts 2*kappa - 1,
-    # 2*kappa and 2*kappa + 1, so a forward run asks one range of shifts.
+    points = _merged_points(alpha, beta, fwd_points, bwd_points)
+    # An uncertain zone is checked like a point. A zone moves with its
+    # center, so a run's lowest center bounds its zones below and its
+    # highest center above. A level-l query at kappa*2^l asks the quotient
+    # shifts 2*kappa - 1, 2*kappa and 2*kappa + 1, so a forward run asks
+    # one range of shifts.
     segments = [(0, points)]
     level_probes = [len(points)]
     size = len(points)
@@ -454,6 +480,12 @@ class GappedIndex:
     level l: the exact one at levels 0 and 1, ``levels[l - 2].instance``
     above. ``total_elements`` counts each stored collection once: the
     exact instance's and each quotient level's.
+
+    After each query ``last_plan_size`` is the number of distinct queries
+    it planned: a report's plan size, and for an exists the size of what
+    it built (see ``gapped_exists``); 0 when the clamped gap is empty.
+    ``last_raw_pairs`` and ``last_max_multiplicity`` describe the last
+    report's pairs before deduplication.
     """
 
     def __init__(self, sets: Sequence[tuple[int, ...]], universe: int, kind: BackendKind,
@@ -522,11 +554,16 @@ def _plan_for(
     if plan is None:
         return None if clamped is None else plan_cover(*clamped)
     if clamped != (plan.gap_lo, plan.gap_hi):
-        raise FormatError(
-            f"plan for [{plan.gap_lo}, {plan.gap_hi}] does not match"
-            f" [{alpha}, {beta}] clamped to {clamped}"
-        )
+        raise _mismatched(plan, alpha, beta, clamped)
     return plan
+
+
+def _mismatched(plan: CoverPlan, alpha: int, beta: int,
+                clamped: Optional[tuple[int, int]]) -> FormatError:
+    return FormatError(
+        f"plan for [{plan.gap_lo}, {plan.gap_hi}] does not match"
+        f" [{alpha}, {beta}] clamped to {clamped}"
+    )
 
 
 # Marks a level whose differences are not yet listed (None: never listed).
@@ -550,54 +587,77 @@ def gapped_exists(
     fails ``range_meets``, an empty set included, lists and asks nothing.
     A listed level asks only the shifts on its list, and levels 0 and 1
     share one list when the pair fits both probe counts.
+
+    Without a ``plan`` the point shifts (``plan_points``) are asked first,
+    and ``plan_cover`` runs only when every one misses; the probes after
+    them are the plan's, so the witness is the same. ``g.last_plan_size``
+    is the size of what was built: the number of point shifts when a point
+    answered, the plan's size once a plan is built or passed in, and
+    otherwise 0: an empty clamped gap, or a pair that fails
+    ``range_meets`` with no plan passed in, asks nothing.
     """
-    plan = _plan_for(g, alpha, beta, plan)
+    clamped = g._clamped(alpha, beta)
+    if plan is not None and clamped != (plan.gap_lo, plan.gap_hi):
+        raise _mismatched(plan, alpha, beta, clamped)
     check_set_ids(g.exact, i, j)
-    if plan is None:
-        g.last_plan_size = 0
+    g.last_plan_size = 0 if plan is None else plan.size
+    if clamped is None:
         return None
-    g.last_plan_size = plan.size
+    lo, hi = clamped
     sa, sb = g.exact.base[i - 1], g.exact.base[j - 1]
-    if not range_meets(sa, sb, plan.gap_lo, plan.gap_hi):
+    if not range_meets(sa, sb, lo, hi):
         return None
+    if plan is None:
+        points = plan_points(lo, hi)
+        segments: Sequence[tuple[int, tuple[int, ...]]] = ((0, points),)
+        counts: Sequence[int] = (len(points),)
+        g.last_plan_size = len(points)
+    else:
+        segments, counts = plan.segments, plan.level_probes
     # Uncertain zones fit inside the clamped interval, so a plan never
     # reaches past the top level built for the universe.
     instances = g.instances
-    counts = plan.level_probes
-    listed: list = [_UNLISTED] * len(counts)
-    for level, shifts in plan.segments:
-        realized = listed[level]
-        if realized is _UNLISTED:
-            # Levels 0 and 1 are both the exact instance: a pair listed at
-            # level 0 that fits level 1's probe count has the same list.
-            if (level == 1 and listed[0] is not None and instances[1] is instances[0]
-                    and len(sa) <= counts[1] and len(sb) <= counts[1]):
-                realized = listed[0]
-            else:
-                realized = instances[level].backend.differences(i, j, counts[level])
-            listed[level] = realized
-        if realized is not None:
-            if realized.isdisjoint(shifts):
-                continue
-            shifts = [s for s in shifts if s in realized]
-        inst = instances[level]
-        for shift in shifts:
-            cert = inst._exists(i, j, shift)
-            if cert is None:
-                continue
-            if level == 0:
-                a, b = cert.a, cert.b
-            else:
-                # By the expansion lemma any originals will do; take the first.
-                a = originals(sa, level, cert.a)[0]
-                b = originals(sb, level, cert.b)[0]
-            if not alpha <= b - a <= beta:
-                raise GapIndexError(
-                    f"witness ({a}, {b}) of level-{level} shift {shift} is outside"
-                    f" [{alpha}, {beta}]"
-                )
-            return (a, b)
-    return None
+    listed: list = [_UNLISTED] * len(instances)
+    while True:
+        for level, shifts in segments:
+            realized = listed[level]
+            if realized is _UNLISTED:
+                # Levels 0 and 1 are both the exact instance: a pair listed
+                # at level 0 that fits level 1's probe count has the same list.
+                if (level == 1 and listed[0] is not None and instances[1] is instances[0]
+                        and len(sa) <= counts[1] and len(sb) <= counts[1]):
+                    realized = listed[0]
+                else:
+                    realized = instances[level].backend.differences(i, j, counts[level])
+                listed[level] = realized
+            if realized is not None:
+                if realized.isdisjoint(shifts):
+                    continue
+                shifts = [s for s in shifts if s in realized]
+            inst = instances[level]
+            for shift in shifts:
+                cert = inst._exists(i, j, shift)
+                if cert is None:
+                    continue
+                if level == 0:
+                    a, b = cert.a, cert.b
+                else:
+                    # By the expansion lemma any originals will do; take the first.
+                    a = originals(sa, level, cert.a)[0]
+                    b = originals(sb, level, cert.b)[0]
+                if not alpha <= b - a <= beta:
+                    raise GapIndexError(
+                        f"witness ({a}, {b}) of level-{level} shift {shift} is outside"
+                        f" [{alpha}, {beta}]"
+                    )
+                return (a, b)
+        if plan is not None:
+            return None
+        # Every point missed: plan the levels, and go on after the points,
+        # whose listing levels 0 and 1 may share.
+        plan = plan_cover(lo, hi)
+        segments, counts = plan.segments[1:], plan.level_probes
+        g.last_plan_size = plan.size
 
 
 def gapped_report(

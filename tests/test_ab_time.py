@@ -1,6 +1,7 @@
 """``tools/ab_time.py`` at the smoke config: the repo's ``src`` against
-itself times both sides and exits 0; against a copy whose string report
-drops its first pair it finds the changed answer and exits 1."""
+itself times both sides and exits 0, with one more line per query kind
+when the stream mixes kinds; against a copy whose string report drops its
+first pair it finds the changed answer and exits 1."""
 
 import pathlib
 import shutil
@@ -24,9 +25,31 @@ def test_the_same_tree_times_both_sides():
     lines = result.stdout.splitlines()
     assert lines[:2] == ["workload string-report seed 21 config smoke queries 40 reps 2",
                          "answers equal"]
+    assert len(lines) == 5
     for side, line in zip(("old", "new", "new/old"), lines[2:]):
         words = line.split()
         assert words[0] == side and words[1:9:2] == ["mean", "p50", "p90", "p99"]
+
+
+def test_a_mixed_stream_times_each_kind():
+    result = ab_time(ROOT / "src", ROOT / "src", "set-questions")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[:2] == ["workload set-questions seed 21 config smoke queries 80 reps 2",
+                         "answers equal"]
+    assert [line.split()[0] for line in lines[2:5]] == ["old", "new", "new/old"]
+    kinds = {}
+    for line in lines[5:]:
+        words = line.split()
+        assert words[0] == "kind" and words[2] == "queries", line
+        kinds[words[1]] = int(words[3])
+        for side, at in (("old", 4), ("new", 11), ("new/old", 18)):
+            assert words[at] == side and words[at + 1:at + 7:2] == ["mean", "p50", "p99"]
+        assert len(words) == 25
+    assert sorted(kinds) == sorted(["ssi_exists", "ssi_report", "gapped_exists",
+                                    "gapped_report", "smallest_shift", "jumbled_exists",
+                                    "jumbled_report"])
+    assert sum(kinds.values()) == 80
 
 
 def test_a_changed_answer_fails(tmp_path):

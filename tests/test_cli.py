@@ -24,7 +24,7 @@ from gapindex.persist import (
     save_artifact,
 )
 from gapindex.sets import format_collection
-from gapindex.textindex import baseline_linear_scan
+from gapindex.textindex import baseline_linear_scan, build_gapped_string_index
 
 
 def run_cli(args, capsys):
@@ -263,6 +263,43 @@ def test_gapped_string_query_prints_its_plan(tmp_path, capsys, mode):
     assert out.splitlines() == plan + answers[0] + small + answers[1] + answers[2]
     _, plain, _ = query_output(capsys, index, queries, "--mode", mode)
     assert plain.splitlines() == answers[0] + answers[1] + answers[2]
+
+
+def test_gapped_string_counters_name_the_plan_and_raw_pairs(tmp_path, capsys):
+    """``--count-queries`` on a gapped-string container prints the same
+    fields as on a gapped-set one, read from the string index's gapped
+    index: a YES's plan size, 0 for a NO that built no plan, and a report's
+    plan size and raw pairs as that index records them."""
+    src = tmp_path / "text.txt"
+    src.write_bytes(b"abracadabra")
+    index, _ = build(tmp_path, capsys, src, "gapped-string")
+    queries = tmp_path / "s.q"
+    queries.write_text("ab ra 2 40\nab ab 1 6\nab ab 20 30\n")
+    idx = build_gapped_string_index(b"abracadabra", LinearScan())
+    plan_size = plan_cover(2, 10).size
+    code, out, _ = query_output(capsys, index, queries, "--mode", "exists", "--count-queries")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[::2] == ["YES 8 10", "NO", "NO"]
+    calls = []
+    for query, line in zip(queries.read_text().splitlines(), lines[1::2]):
+        p1, p2, lo, hi = query.split()
+        idx.exists(p1.encode(), p2.encode(), int(lo), int(hi))
+        calls.append(idx.ssi_calls())
+        assert line == (f"# ssi_calls={calls[-1]} plan_size={idx.gapped.last_plan_size}"
+                        f" raw_pairs=0")
+    assert [line.split()[2] for line in lines[1::2]] == [f"plan_size={plan_size}",
+                                                         "plan_size=0", "plan_size=0"]
+    assert calls[0] > 0
+    queries.write_text("ab ra 2 40\n")
+    code, out, _ = query_output(capsys, index, queries, "--mode", "report", "--count-queries")
+    assert code == 0
+    idx = build_gapped_string_index(b"abracadabra", LinearScan())
+    assert idx.report(b"ab", b"ra", 2, 40) == [(1, 3), (1, 10), (8, 10)]
+    assert idx.gapped.last_plan_size == plan_size and idx.gapped.last_raw_pairs > 0
+    assert out.splitlines() == ["occ=3", "1 3", "1 10", "8 10",
+                                f"# ssi_calls={idx.ssi_calls()} plan_size={plan_size}"
+                                f" raw_pairs={idx.gapped.last_raw_pairs}"]
 
 
 def test_smallest_shift_query(tmp_path, capsys):

@@ -13,9 +13,16 @@ re-recorded once more when a report stopped scanning a cover pair whose
 difference range misses the gap (fewer SSI calls, the same probes) and an
 exists began to build its plan only for a pair that needs it
 (``last_plan_size`` 0 for a NO whose pairs never meet the gap); answers
-and stored sets are unchanged. ``tools/cli_digest.py`` runs one fixed
-command-line session; its line was re-recorded for the same changes and for
-``build --kind smallest-shift`` refusing ``--backend`` and ``--delta``.
+and stored sets are unchanged. The ``set-questions`` counters (smoke and
+full) were re-recorded when a gapped exists without a plan began to ask
+its point shifts first and to plan the rest only when they all miss:
+``last_plan_size`` is then the number of points when a point answers and 0
+for a pair whose difference range misses the gap, while SSI calls, probes
+and answers stay the same. ``tools/cli_digest.py`` runs one fixed
+command-line session; its line was re-recorded for the same changes, for
+``build --kind smallest-shift`` refusing ``--backend`` and ``--delta``, and
+for the gapped-set exists plan sizes above and the gapped-string
+``--count-queries`` line gaining ``plan_size`` and ``raw_pairs``.
 ``--per-query`` writes one line per query and leaves the digests as they
 are; ``tools/compare_queries.py`` compares two such files and fails on any
 changed answer."""
@@ -33,13 +40,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SMOKE_DIGESTS = [
     ("string-exists", ("c1bcd8fc6bf6395d", "aa37c8774f526714", "dad01f2c999db09a")),
     ("string-report", ("db09392f4892a9a7", "87166cf08477a578", "dad01f2c999db09a")),
-    ("set-questions", ("f5f392cb59d8d26d", "49e8cce2f0d913d0", "01a27b3ba67fe57f")),
+    ("set-questions", ("f5f392cb59d8d26d", "ab3f5b5bd0a682d1", "01a27b3ba67fe57f")),
 ]
 
 FULL_DIGESTS = [
     ("string-exists", ("0858f4183ffe7c68", "00bbc004194167f2", "2f431092b0be154e")),
     ("string-report", ("3c04ee53557c4257", "4b1c0d1ab45086bf", "2f431092b0be154e")),
-    ("set-questions", ("6935c9689661a3d1", "9d260c416093c92e", "1b86bfbcdde7306b")),
+    ("set-questions", ("6935c9689661a3d1", "ea3b524b249e731b", "1b86bfbcdde7306b")),
 ]
 
 
@@ -66,7 +73,7 @@ def test_full_digests_are_recorded(workload, expected):
     run_digest(workload, "full", expected)
 
 
-CLI_SESSION_DIGEST = "cb0f8a7749edd4c0"
+CLI_SESSION_DIGEST = "96fc6321482b231e"
 
 
 def test_cli_session_digest_is_recorded():
