@@ -451,10 +451,12 @@ class SsiBackend:
         order given, each shift's pairs sorted by a. The rule of ``exists``
         without the stop at the first hit: per shift, two bisections bound
         the smaller range to the elements whose partner can lie in the other
-        range, and each is looked up in the other set's members, in
-        O(log + min(|A|, |B|) + occ) steps. ``scans`` grows by one per call
-        and ``probes`` by the elements walked; an empty range has no pair
-        and walks nothing. The caller vouches for the ids and ranks.
+        range, and each is looked up in the other set's members; a hit's
+        partner is read from its set by a bisection, so pairs share the
+        sets' ints: O(log + min(|A|, |B|) + occ * log) steps. ``scans``
+        grows by one per call and ``probes`` by the elements walked; an
+        empty range has no pair and walks nothing. The caller vouches for
+        the ids and ranks.
         """
         self.scans += 1
         if a_hi < a_lo or b_hi < b_lo:
@@ -468,14 +470,16 @@ class SsiBackend:
                 lo = bisect_left(sa, first - s, a_lo - 1, a_hi)
                 hi = bisect_right(sa, last - s, lo, a_hi)
                 walked += hi - lo
-                out += [(x, x + s) for x in sa[lo:hi] if x + s in member]
+                out += [(x, sb[bisect_left(sb, x + s, b_lo - 1, b_hi)])
+                        for x in sa[lo:hi] if x + s in member]
         else:
             member, first, last = self.members[i - 1], sa[a_lo - 1], sa[a_hi - 1]
             for s in shifts:
                 lo = bisect_left(sb, first + s, b_lo - 1, b_hi)
                 hi = bisect_right(sb, last + s, lo, b_hi)
                 walked += hi - lo
-                out += [(y - s, y) for y in sb[lo:hi] if y - s in member]
+                out += [(sa[bisect_left(sa, y - s, a_lo - 1, a_hi)], y)
+                        for y in sb[lo:hi] if y - s in member]
         self.probes += walked
         return out
 

@@ -30,7 +30,6 @@ from typing import Iterator
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, build_backend, parse_backend
 from .errors import BudgetError, FormatError
-from .gapped import gapped_report, plan_cover
 from .generators import random_collection, random_pattern_from, random_text
 from .textindex import GappedStringIndex, build_gapped_string_index
 
@@ -162,10 +161,12 @@ def _gapped_string_record(entry: dict, mem_budget: int) -> dict:
     record["queries"] = queries
     record["occ_total"] = occ
     record["base_ssi_calls"] = calls
-    # Outside the timed loop: a report's multiplicity is each cover pair's.
-    record["dedup_max_multiplicity"] = max(
-        (_max_multiplicity(index, *query) for query in stream), default=0
-    )
+    # Outside the timed loop: each report leaves its largest multiplicity.
+    multiplicity = 0
+    for query in stream:
+        index.report(*query)
+        multiplicity = max(multiplicity, index.gapped.last_max_multiplicity)
+    record["dedup_max_multiplicity"] = multiplicity
     record["query_us"] = query_us
     yes, calls, query_us = _timed(index, stream, index.exists, lambda hit: hit is not None)
     record["exists_yes"] = yes
@@ -184,24 +185,6 @@ def _timed(index: GappedStringIndex, stream: list, ask, score) -> tuple[int, int
         total += score(ask(*query))
     elapsed = time.perf_counter() - started
     return total, index.ssi_calls() - calls, round(elapsed / max(len(stream), 1) * 1e6, 3)
-
-
-def _max_multiplicity(
-    index: GappedStringIndex, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int
-) -> int:
-    """The largest ``last_max_multiplicity`` over the cover pairs of one
-    report, each asked as the report asks it."""
-    covers = index._covers(p1, p2, gap_lo, gap_hi)
-    if covers is None:
-        return 0
-    cover_a, cover_b, clamped = covers
-    plan = plan_cover(*clamped)
-    best = 0
-    for ida in cover_a:
-        for idb in cover_b:
-            gapped_report(index.gapped, ida, idb, gap_lo, gap_hi, plan=plan)
-            best = max(best, index.gapped.last_max_multiplicity)
-    return best
 
 
 def run_bench(spec: dict, mem_budget: int = DEFAULT_MEM_BUDGET) -> Iterator[dict]:

@@ -25,11 +25,12 @@ quotient hit has its gap in [alpha, beta]: report keeps every expanded
 pair, and exists returns the first originals as its witness.
 
 A level-l query asks the quotient shifts 2*kappa - 1, 2*kappa and
-2*kappa + 1, so adjacent queries of one level share a shift. The plan lists
-every distinct primitive probe once, and a query asks each of them once per
-(level, shift) of a set pair. Levels 0 and 1 are both answered by the exact
-instance, so a shift the plan issues both as a point and at level 1 is
-asked of the same pair twice.
+2*kappa + 1, so adjacent queries of one level share a shift. Level 1
+divides by 2^0, so its quotient shifts are exact shifts, and its YES and
+NO zones are the same three shifts: the plan issues them as level-0
+probes beside the point shifts, and no probe has level 1. The plan lists
+every distinct primitive probe once, and a query asks each of them once
+per (level, shift) of a set pair, so no exact shift is asked twice.
 
 Plans as runs: each pass (forward from alpha, mirrored from beta) issues up
 to three point shifts and then, per level l, a run of at most three
@@ -58,9 +59,9 @@ unwraps a collection, and the string index hands its interval tuples over
 as they are. After the gap, every query checks its set ids against the k
 base sets (``reporting.check_set_ids``).
 
-Level 1 divides by 2^0 = 1, so its quotient sets are the sets themselves
-and the exact instance answers it: ``instances[l]`` names the instance
-for plan level l, and only levels from 2 build quotients. They are built
+Level 1 divides by 2^0 = 1, so its quotient sets are the sets themselves:
+the exact instance answers a level-1 ``ApproxQuery``, ``instances[l]``
+names the instance for level l, and only levels from 2 build quotients,
 in one bulk pass (``quotient_levels``): since a >> l = (a >> (l-1)) >> 1,
 each level is the level below shifted right by one with repeats inside a
 set dropped, over one flattened int64 array. A level is a list of element
@@ -74,8 +75,8 @@ When neither set has more than P_l elements, the differences are listed
 once and the wanted ones kept, in at most P_l * min(|A|, |B|) steps;
 otherwise the call is one ``scan`` over the whole sets at all P_l shifts,
 whose cut walk of the smaller set runs once per shift, in at most
-P_l * (log + min(|A|, |B|)) + occ steps. A walking pass counts as one
-backend call, a listing as none. Tabulated pairs (both sets above the
+P_l * (log + min(|A|, |B|)) + occ * log steps. A walking pass counts as
+one backend call, a listing as none. Tabulated pairs (both sets above the
 backend's threshold) ask each probe through ``report_shift``, one lookup
 per miss, and the level's reports are read as one flat list too.
 
@@ -90,14 +91,14 @@ An exists stops at its first hit, so it asks the probes lazily in order.
 Given no plan, it plans no more than it asks: the point shifts lead every
 plan and depend only on the gap's ends (``plan_points``, which
 ``plan_cover`` shares), so they are asked first, and ``plan_cover`` runs
-only when every point misses; the probes then go on from the plan's first
-level. A level's differences (``SsiBackend.differences``) are listed when
-the probe order first reaches it. Levels 0 and 1 share the exact
-instance, so a pair listed at level 0 that also fits level 1's probe
-count reuses that list. A run of probes whose shifts are all off the list
-is passed over by one ``isdisjoint``, a probe whose shift is not on the
-list makes no backend call, and every other probe, a sure hit, is asked
-through the backend. Tabulated pairs are not listed.
+only when every point misses; the probes then go on after the points. A
+level's differences (``SsiBackend.differences``) are listed when the probe
+order first reaches it; once a plan is built after the points, a pair too
+large to list for the points alone is weighed again against the plan's
+exact probes. A run of probes whose shifts are all off the list is passed
+over by one ``isdisjoint``, a probe whose shift is not on the list makes
+no backend call, and every other probe, a sure hit, is asked through the
+backend. Tabulated pairs are not listed.
 """
 
 from __future__ import annotations
@@ -174,11 +175,12 @@ class CoverPlan:
     ``segments`` lists the distinct primitive probes as (level, shifts)
     groups in the order the point shifts (level 0) and then the approximate
     queries first issue them, ``level_probes[l]`` is the number of level-l
-    probes and ``size`` the number of distinct queries. Everything else is
-    derived from the runs on first read: ``probes`` as (level, shift) pairs,
-    ``level_shifts`` (each level's shifts in probe order), the distinct
-    ``approx_centers`` (forward pass first), each pass's centers and its
-    ApproxQuery values, and the phase counts.
+    probes and ``size`` the number of distinct queries. A level-1 query's
+    shifts are exact, so they are level-0 probes and ``level_probes[1]`` is
+    0. Everything else is derived from the runs on first read: ``probes``
+    as (level, shift) pairs, ``level_shifts`` (each level's shifts in probe
+    order), the distinct ``approx_centers`` (forward pass first), each
+    pass's centers and its ApproxQuery values, and the phase counts.
     """
 
     gap_lo: int
@@ -352,7 +354,9 @@ def plan_cover(alpha: int, beta: int) -> CoverPlan:
     # center, so a run's lowest center bounds its zones below and its
     # highest center above. A level-l query at kappa*2^l asks the quotient
     # shifts 2*kappa - 1, 2*kappa and 2*kappa + 1, so a forward run asks
-    # one range of shifts.
+    # one range of shifts. Level 1 divides by 2^0, so its shifts are exact
+    # shifts: those that are not points (alpha to alpha + 2 and beta - 2 to
+    # beta, once the gap has runs) join the level-0 probes.
     segments = [(0, points)]
     level_probes = [len(points)]
     size = len(points)
@@ -362,12 +366,20 @@ def plan_cover(alpha: int, beta: int) -> CoverPlan:
             raise _escaped(alpha, beta, level, first)
         if (last << level) + reach > beta:
             raise _escaped(alpha, beta, level, last)
-        segments.append((level, tuple(range(2 * first - 1, 2 * last + 2))))
-        level_probes.append(2 * (last - first) + 3)
         size += last - first + 1
+        if level > 1:
+            segments.append((level, tuple(range(2 * first - 1, 2 * last + 2))))
+            level_probes.append(2 * (last - first) + 3)
+            continue
+        shifts = range(max(2 * first - 1, alpha + 3), min(2 * last + 2, beta - 2))
+        level_probes[0] += len(shifts)
+        level_probes.append(0)
+        if shifts:
+            segments.append((0, tuple(shifts)))
     # A backward run asks, from its top center K down, 2K - 1, 2K, 2K + 1
     # and then 2K' - 1, 2K' for each next K'. A shift the forward run of
-    # the same level already asks is not a new probe, nor is its center.
+    # the same level already asks is not a new probe, nor is its center,
+    # and neither is a point at level 1.
     backward = []
     for level, top, bottom in mirrored:
         first, last = -top, -bottom
@@ -389,8 +401,10 @@ def plan_cover(alpha: int, beta: int) -> CoverPlan:
                 s0, s1 = 2 * f0 - 1, 2 * f1 + 1
                 shifts = tuple([s for s in shifts if not s0 <= s <= s1])
                 size -= max(0, min(f1, first) - max(f0, last) + 1)
-                if not shifts:
-                    continue
+            if level == 1:
+                shifts, level = tuple([s for s in shifts if alpha + 2 < s < beta - 2]), 0
+            if not shifts:
+                continue
             level_probes[level] += len(shifts)
         segments.append((level, shifts))
     return CoverPlan(
@@ -409,8 +423,8 @@ def originals(elements: tuple[int, ...], level: int, quotient_value: int) -> lis
     """The elements of a sorted set whose level-l quotient is ``quotient_value``.
 
     They are the run inside [q << (level - 1), (q + 1) << (level - 1)),
-    found by two bisections. At level 1 the run is the element itself, read
-    from the set's tuple, so answers share the tuple's ints.
+    found by two bisections and read from the set's tuple, so answers share
+    the tuple's ints. Queries expand only levels from 2; level 1 is exact.
     """
     shift = level - 1
     lo = bisect_left(elements, quotient_value << shift)
@@ -476,10 +490,11 @@ class GappedIndex:
     """Exact shift index plus one LevelIndex per approximate level from 2.
 
     ``sets`` holds k sorted element tuples over {1..universe}, kept as
-    ``exact.base``. ``instances[l]`` is the instance that answers plan
-    level l: the exact one at levels 0 and 1, ``levels[l - 2].instance``
-    above. ``total_elements`` counts each stored collection once: the
-    exact instance's and each quotient level's.
+    ``exact.base``. ``instances[l]`` is the instance that answers level
+    l: the exact one at level 0 and for a level-1 ``ApproxQuery`` (a plan
+    asks level 1's shifts at level 0), ``levels[l - 2].instance`` above.
+    ``total_elements`` counts each stored collection once: the exact
+    instance's and each quotient level's.
 
     After each query ``last_plan_size`` is the number of distinct queries
     it planned: a report's plan size, and for an exists the size of what
@@ -542,28 +557,20 @@ def approx_exists(g: GappedIndex, i: int, j: int, q: ApproxQuery) -> bool:
     return False
 
 
-def _plan_for(
-    g: GappedIndex, alpha: int, beta: int, plan: Optional[CoverPlan]
-) -> Optional[CoverPlan]:
-    """The plan for [alpha, beta] clamped to the universe, or None when empty.
+def _clamped_gap(g: GappedIndex, alpha: int, beta: int,
+                 plan: Optional[CoverPlan]) -> Optional[tuple[int, int]]:
+    """[alpha, beta] clamped to the universe, or None when empty.
 
     A caller that asks many set pairs the same interval plans it once and
     passes the plan in; it must be the plan of the clamped interval.
     """
     clamped = g._clamped(alpha, beta)
-    if plan is None:
-        return None if clamped is None else plan_cover(*clamped)
-    if clamped != (plan.gap_lo, plan.gap_hi):
-        raise _mismatched(plan, alpha, beta, clamped)
-    return plan
-
-
-def _mismatched(plan: CoverPlan, alpha: int, beta: int,
-                clamped: Optional[tuple[int, int]]) -> FormatError:
-    return FormatError(
-        f"plan for [{plan.gap_lo}, {plan.gap_hi}] does not match"
-        f" [{alpha}, {beta}] clamped to {clamped}"
-    )
+    if plan is not None and clamped != (plan.gap_lo, plan.gap_hi):
+        raise FormatError(
+            f"plan for [{plan.gap_lo}, {plan.gap_hi}] does not match"
+            f" [{alpha}, {beta}] clamped to {clamped}"
+        )
+    return clamped
 
 
 # Marks a level whose differences are not yet listed (None: never listed).
@@ -585,20 +592,18 @@ def gapped_exists(
     repeat would give the same answer, so the first witness is the one the
     full sequence of point and approximate queries finds. A pair that
     fails ``range_meets``, an empty set included, lists and asks nothing.
-    A listed level asks only the shifts on its list, and levels 0 and 1
-    share one list when the pair fits both probe counts.
+    A listed level asks only the shifts on its list.
 
     Without a ``plan`` the point shifts (``plan_points``) are asked first,
     and ``plan_cover`` runs only when every one misses; the probes after
-    them are the plan's, so the witness is the same. ``g.last_plan_size``
-    is the size of what was built: the number of point shifts when a point
-    answered, the plan's size once a plan is built or passed in, and
-    otherwise 0: an empty clamped gap, or a pair that fails
-    ``range_meets`` with no plan passed in, asks nothing.
+    them are the plan's, so the witness is the same, and a pair too large
+    to list for the points is weighed again against the plan's exact
+    probes. ``g.last_plan_size`` is the size of what was built: the number
+    of point shifts when a point answered, the plan's size once a plan is
+    built or passed in, and otherwise 0: an empty clamped gap, or a pair
+    that fails ``range_meets`` with no plan passed in, asks nothing.
     """
-    clamped = g._clamped(alpha, beta)
-    if plan is not None and clamped != (plan.gap_lo, plan.gap_hi):
-        raise _mismatched(plan, alpha, beta, clamped)
+    clamped = _clamped_gap(g, alpha, beta, plan)
     check_set_ids(g.exact, i, j)
     g.last_plan_size = 0 if plan is None else plan.size
     if clamped is None:
@@ -620,21 +625,14 @@ def gapped_exists(
     listed: list = [_UNLISTED] * len(instances)
     while True:
         for level, shifts in segments:
+            inst = instances[level]
             realized = listed[level]
             if realized is _UNLISTED:
-                # Levels 0 and 1 are both the exact instance: a pair listed
-                # at level 0 that fits level 1's probe count has the same list.
-                if (level == 1 and listed[0] is not None and instances[1] is instances[0]
-                        and len(sa) <= counts[1] and len(sb) <= counts[1]):
-                    realized = listed[0]
-                else:
-                    realized = instances[level].backend.differences(i, j, counts[level])
-                listed[level] = realized
+                realized = listed[level] = inst.backend.differences(i, j, counts[level])
             if realized is not None:
                 if realized.isdisjoint(shifts):
                     continue
                 shifts = [s for s in shifts if s in realized]
-            inst = instances[level]
             for shift in shifts:
                 cert = inst._exists(i, j, shift)
                 if cert is None:
@@ -653,11 +651,13 @@ def gapped_exists(
                 return (a, b)
         if plan is not None:
             return None
-        # Every point missed: plan the levels, and go on after the points,
-        # whose listing levels 0 and 1 may share.
+        # Every point missed: plan the levels and go on after the points,
+        # weighing a pair too large to list for the points alone again.
         plan = plan_cover(lo, hi)
         segments, counts = plan.segments[1:], plan.level_probes
         g.last_plan_size = plan.size
+        if listed[0] is None:
+            listed[0] = _UNLISTED
 
 
 def gapped_report(
@@ -678,17 +678,19 @@ def gapped_report(
     ``report_shift``, any other pair asks all the level's shifts in one
     ``scan_shifts`` pass.
     """
-    plan = _plan_for(g, alpha, beta, plan)
+    clamped = _clamped_gap(g, alpha, beta, plan)
+    if plan is None and clamped is not None:
+        plan = plan_cover(*clamped)
     check_set_ids(g.exact, i, j)
     g.last_plan_size = 0 if plan is None else plan.size
-    g.last_raw_pairs = 0
-    g.last_max_multiplicity = 0
+    g.last_raw_pairs = g.last_max_multiplicity = 0
     elements_a, elements_b = g.exact.base[i - 1], g.exact.base[j - 1]
     if plan is None or not range_meets(elements_a, elements_b, plan.gap_lo, plan.gap_hi):
         return []
     raw: list[tuple[int, int]] = []
-    # Every level from 0 to the plan's top has probes.
     for level, shifts in enumerate(plan.level_shifts):
+        if not shifts:  # level 1, whose shifts the plan asks at level 0
+            continue
         inst = g.instances[level]
         if inst.backend.tabulated(i, j):
             found = [pair for s in shifts for pair in report_shift(inst, i, j, s)]

@@ -14,8 +14,9 @@ Every other node, the root of a pair the backend probes and each child
 with a side at or below the threshold, is answered by one scan
 (``SsiBackend.scan``): the smaller range is walked against the other base
 set's members without stopping at a hit. That costs O(log + min(|A|, |B|)
-+ occ) element steps, one missed probe's cost plus the pairs reported,
-where the recursion would spend a logarithmic number of calls per pair.
++ occ * log) element steps, one missed probe's cost plus one bisection per
+pair reported, where the recursion would spend a logarithmic number of
+calls per pair.
 
 Only a lookup addresses a block, so an instance stores only the blocks
 above the threshold: none under ``LinearScan``, all of them under

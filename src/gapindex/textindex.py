@@ -280,17 +280,26 @@ class GappedStringIndex:
         """All pairs (i, j): p1 at i, p2 at j, j - i in [gap_lo, gap_hi].
 
         Every cover pair shares the query's one plan; a pair that fails
-        ``range_meets`` reports nothing without running it.
+        ``range_meets`` reports nothing without running it. Afterwards
+        ``gapped.last_plan_size`` is the plan's size (0 when no cover pair
+        runs), ``last_raw_pairs`` the sum of the cover pairs' raw pairs and
+        ``last_max_multiplicity`` the largest of theirs.
         """
+        g = self.gapped
+        g.last_plan_size = g.last_raw_pairs = g.last_max_multiplicity = 0
         covers = self._covers(p1, p2, gap_lo, gap_hi)
         if covers is None:
             return []
         cover_a, cover_b, clamped = covers
         plan = gapped.plan_cover(*clamped)
         raw: list[tuple[int, int]] = []
+        raw_pairs = multiplicity = 0
         for ida in cover_a:
             for idb in cover_b:
-                raw.extend(gapped_report(self.gapped, ida, idb, gap_lo, gap_hi, plan=plan))
+                raw.extend(gapped_report(g, ida, idb, gap_lo, gap_hi, plan=plan))
+                raw_pairs += g.last_raw_pairs
+                multiplicity = max(multiplicity, g.last_max_multiplicity)
+        g.last_raw_pairs, g.last_max_multiplicity = raw_pairs, multiplicity
         # Each pattern's cover blocks partition its occurrences, so pairs
         # from different cover pairs differ and need no deduplication.
         return sorted(raw)

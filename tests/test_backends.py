@@ -514,3 +514,25 @@ def test_an_instance_without_blocks_shares_its_sets_and_keeps_one_block_id():
     stored = AugmentedInstance(base, FullTabulation())
     assert stored.backend.sets is not base and stored.backend.sets[:3] == base
     assert [stored.first_block_id(i) for i in (1, 2, 3)] == [4, 8, 9]
+
+
+@pytest.mark.parametrize("kind", [LinearScan(), SmallUniverse(delta=0.5)])
+def test_scan_pairs_hold_the_sets_own_ints(kind):
+    """A kept answer shares the stored sets' int objects: a scan reads each
+    pair's partner from its set, whichever side it walks. Values above 256
+    are not cached by the interpreter, so a computed one would be a new
+    object."""
+    rng = random.Random(97)
+    checked = 0
+    for _ in range(30):
+        sets = [tuple(sorted(rng.sample(range(1000, 1400), rng.randint(1, 30))))
+                for _ in range(3)]
+        backend = build_backend(sets, kind)
+        i, j = rng.randint(1, 3), rng.randint(1, 3)
+        sa, sb = sets[i - 1], sets[j - 1]
+        shifts = list({b - a for a in sa for b in sb})[:6]
+        ids_a, ids_b = {id(a) for a in sa}, {id(b) for b in sb}
+        for a, b in backend.scan(i, 1, len(sa), j, 1, len(sb), shifts):
+            assert id(a) in ids_a and id(b) in ids_b, (a, b)
+            checked += 1
+    assert checked > 100

@@ -302,6 +302,28 @@ def test_gapped_string_counters_name_the_plan_and_raw_pairs(tmp_path, capsys):
                                 f" raw_pairs={idx.gapped.last_raw_pairs}"]
 
 
+def test_gapped_string_report_counters_describe_the_query(tmp_path, capsys):
+    """A string report's ``raw_pairs`` sums its cover pairs' raw pairs, and a
+    report with no cover pair (a gap past the text, an absent pattern) reads
+    ``plan_size=0 raw_pairs=0`` whatever the query before it left."""
+    src = tmp_path / "text.txt"
+    src.write_bytes(b"abracadabra")
+    index, _ = build(tmp_path, capsys, src, "gapped-string")
+    queries = tmp_path / "s.q"
+    queries.write_text("ab ra 2 40\nab ab 20 30\nzz ab 1 3\n")
+    code, out, _ = query_output(capsys, index, queries, "--mode", "report", "--count-queries")
+    assert code == 0
+    plan_size = plan_cover(2, 10).size
+    assert out.splitlines() == [
+        "occ=3", "1 3", "1 10", "8 10", f"# ssi_calls=0 plan_size={plan_size} raw_pairs=3",
+        "occ=0", "# ssi_calls=0 plan_size=0 raw_pairs=0",
+        "occ=0", "# ssi_calls=0 plan_size=0 raw_pairs=0",
+    ]
+    idx = build_gapped_string_index(b"abracadabra", LinearScan())
+    idx.report(b"ab", b"ra", 2, 40)
+    assert (idx.gapped.last_raw_pairs, idx.gapped.last_max_multiplicity) == (3, 1)
+
+
 def test_smallest_shift_query(tmp_path, capsys):
     src = tmp_path / "s.txt"
     src.write_text("16 3\n5 10\n7\n3\n")

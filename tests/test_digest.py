@@ -18,11 +18,18 @@ full) were re-recorded when a gapped exists without a plan began to ask
 its point shifts first and to plan the rest only when they all miss:
 ``last_plan_size`` is then the number of points when a point answers and 0
 for a pair whose difference range misses the gap, while SSI calls, probes
-and answers stay the same. ``tools/cli_digest.py`` runs one fixed
-command-line session; its line was re-recorded for the same changes, for
-``build --kind smallest-shift`` refusing ``--backend`` and ``--delta``, and
-for the gapped-set exists plan sizes above and the gapped-string
-``--count-queries`` line gaining ``plan_size`` and ``raw_pairs``.
+and answers stay the same. Every workload's counters (smoke and full)
+were re-recorded when a plan began to ask level 1's shifts as exact
+probes, each once: no query's SSI calls or probes rose and no answer
+moved. A string report then began to leave its counters summed over its
+cover pairs (``last_raw_pairs``, the largest ``last_max_multiplicity``)
+and 0 when no cover pair runs, where it left its last cover pair's.
+``tools/cli_digest.py`` runs one fixed command-line session; its line was
+re-recorded for the same changes, for ``build --kind smallest-shift``
+refusing ``--backend`` and ``--delta``, for the gapped-set exists plan
+sizes above and the gapped-string ``--count-queries`` line gaining
+``plan_size`` and ``raw_pairs``, and for the level-1 and string-report
+changes, which moved only ``#`` counter lines.
 ``--per-query`` writes one line per query and leaves the digests as they
 are; ``tools/compare_queries.py`` compares two such files and fails on any
 changed answer."""
@@ -38,15 +45,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 SMOKE_DIGESTS = [
-    ("string-exists", ("c1bcd8fc6bf6395d", "aa37c8774f526714", "dad01f2c999db09a")),
-    ("string-report", ("db09392f4892a9a7", "87166cf08477a578", "dad01f2c999db09a")),
-    ("set-questions", ("f5f392cb59d8d26d", "ab3f5b5bd0a682d1", "01a27b3ba67fe57f")),
+    ("string-exists", ("c1bcd8fc6bf6395d", "4ea4a3326b572324", "dad01f2c999db09a")),
+    ("string-report", ("db09392f4892a9a7", "4194e5316efe4115", "dad01f2c999db09a")),
+    ("set-questions", ("f5f392cb59d8d26d", "21afe2548c1e028c", "01a27b3ba67fe57f")),
 ]
 
 FULL_DIGESTS = [
-    ("string-exists", ("0858f4183ffe7c68", "00bbc004194167f2", "2f431092b0be154e")),
-    ("string-report", ("3c04ee53557c4257", "4b1c0d1ab45086bf", "2f431092b0be154e")),
-    ("set-questions", ("6935c9689661a3d1", "ea3b524b249e731b", "1b86bfbcdde7306b")),
+    ("string-exists", ("0858f4183ffe7c68", "417eabd282238ab4", "2f431092b0be154e")),
+    ("string-report", ("3c04ee53557c4257", "80c712277e18cfa0", "2f431092b0be154e")),
+    ("set-questions", ("6935c9689661a3d1", "8a627bc9722b6074", "1b86bfbcdde7306b")),
 ]
 
 
@@ -73,7 +80,7 @@ def test_full_digests_are_recorded(workload, expected):
     run_digest(workload, "full", expected)
 
 
-CLI_SESSION_DIGEST = "96fc6321482b231e"
+CLI_SESSION_DIGEST = "12e573095d40f666"
 
 
 def test_cli_session_digest_is_recorded():

@@ -81,12 +81,12 @@ def test_plan_10_20_frozen():
     assert plan.size == 10
     assert plan.probes == (
         (0, 10), (0, 11), (0, 12), (0, 20), (0, 19), (0, 18),
-        (1, 11), (1, 12), (1, 13), (1, 14), (1, 15), (1, 16), (1, 17), (1, 18), (1, 19),
+        (0, 13), (0, 14), (0, 15), (0, 16), (0, 17),
     )
-    # Level 1 divides by 2^0, so each quotient probe expands to its own shift.
-    assert [expansion_range(level, t) for level, t in plan.probes[6:]] == [
-        (t, t) for t in range(11, 20)
-    ]
+    # Level 1 divides by 2^0, so each quotient shift of the level-1 queries
+    # expands to itself, and the plan asks them as exact probes.
+    assert [expansion_range(1, t) for t in range(11, 20)] == [(t, t) for t in range(11, 20)]
+    assert set(range(11, 20)) <= set(plan.level_shifts[0])
 
 
 def test_plan_rejects_bad_interval():
@@ -386,20 +386,18 @@ def test_level_accounting_guard_raises(monkeypatch):
 
 
 def test_quotient_witness_guard_raises(monkeypatch):
-    # Set 2 has 10 elements, more than the 9 level-1 probes of [10, 20], so
-    # its level-1 differences are not listed and every probe reaches the
-    # backend; no difference lies in [10, 20].
-    c = ingest_collection([[1], [2, 3, 4, 5, 6, 7, 8, 9, 10, 30]], u=32)
+    # Set 2 has 25 elements and 16 level-2 quotients, more than the 16 exact
+    # and 14 level-2 probes of [20, 60], so neither level is listed and every
+    # probe reaches the backend; no difference lies in [20, 60].
+    c = ingest_collection([[1], [*range(2, 20), *range(62, 76, 2)]], u=128)
     g = build_gapped_index(c, LinearScan())
-    assert plan_cover(10, 20).level_probes == (6, 9)
-    assert gapped_exists(g, 1, 2, 10, 20) is None
-    # The exact instance also answers level 1. Its 6 level-0 probes miss,
-    # then a level-1 certificate has originals 29 apart, outside [10, 20].
-    misses = iter([None] * 6)
-    monkeypatch.setattr(g.instances[1], "_exists",
-                        lambda i, j, s: next(misses, ShiftCertificate(1, 30)))
-    with pytest.raises(GapIndexError, match=r"witness \(1, 30\) of level-1 shift 11 is outside"):
-        gapped_exists(g, 1, 2, 10, 20)
+    assert plan_cover(20, 60).level_probes == (16, 0, 14, 3)
+    assert gapped_exists(g, 1, 2, 20, 60) is None
+    # The exact probes miss, then a level-2 certificate of quotients 0 and
+    # 31 has originals 1 and 62, 61 apart, outside [20, 60].
+    monkeypatch.setattr(g.instances[2], "_exists", lambda i, j, s: ShiftCertificate(0, 31))
+    with pytest.raises(GapIndexError, match=r"witness \(1, 62\) of level-2 shift 13 is outside"):
+        gapped_exists(g, 1, 2, 20, 60)
 
 
 def test_quotient_levels_share_one_int_per_value():

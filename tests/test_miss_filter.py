@@ -169,22 +169,26 @@ def test_string_queries_match_probing_every_shift():
 @pytest.mark.parametrize(
     "query, calls",
     [
-        # An exists asks each live probe by one backend call.
-        (gapped_exists, (0, 6, 6, 6 + 9)),
+        # An exists lists the pair for its 6 points, or asks each of them by
+        # one backend call and weighs the pair again for the plan's 11 exact
+        # probes, asking each live one by a call.
+        (gapped_exists, (0, 6, 6, 6 + 5)),
         # A report answers a level by one pass, a call only when it walks.
-        (gapped_report, (0, 1, 1, 1 + 1)),
+        (gapped_report, (0, 0, 0, 1)),
     ],
     ids=["gapped_exists", "gapped_report"],
 )
 def test_listing_boundary_is_the_level_probe_count(query, calls):
     plan = plan_cover(10, 20)
-    assert plan.level_probes == (6, 9)
-    # Level 1 divides by 2^0, so the exact instance answers levels 0 and 1
-    # and counts the calls of both. Set 2 has m elements, 1..m-1 and 30
-    # above set 1's, so no pair has its gap in range: listing stops at
-    # m = 7 for level 0 and at m = 10 for level 1.
-    for m, exact_calls in zip((6, 7, 9, 10), calls):
-        c = ingest_collection([[1], [*range(2, m + 1), 31]], u=32)
+    assert plan.level_probes == (11, 0)
+    # Level 1 divides by 2^0, so the plan asks the level-1 shifts 13..17
+    # as exact probes beside the 6 points, and the exact instance counts
+    # every call. Set 2 has m elements above set 1's: up to 9 of 2..10,
+    # then 22 on and 31, so no pair has its gap in range: listing stops at
+    # m = 7 for the points alone and at m = 12 for all 11 exact probes.
+    for m, exact_calls in zip((6, 7, 11, 12), calls):
+        low = min(m, 10)
+        c = ingest_collection([[1], [*range(2, low + 1), *range(22, 22 + m - low), 31]], u=32)
         assert len(c.set(2)) == m
         g = build_gapped_index(c, LinearScan())
         assert not query(g, 1, 2, 10, 20)
@@ -241,10 +245,11 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
                 assert passes == [] and reported == []
                 missed += 1
                 continue
-            # Levels 0 and 1 share the exact backend, so passes are matched
-            # to levels in order: one per untabulated level, none otherwise.
+            # Passes are matched to levels in order: one per untabulated
+            # level with shifts, none otherwise; level 1 has none, since the
+            # plan asks its shifts at level 0.
             untabulated = [(level, shifts) for level, shifts in enumerate(plan.level_shifts)
-                           if not tabulated(level_backend(g, level), i, j)]
+                           if shifts and not tabulated(level_backend(g, level), i, j)]
             assert [(b, asked) for b, asked, _ in passes] == [
                 (level_backend(g, level), shifts) for level, shifts in untabulated]
             for (level, shifts), (backend, _, found) in zip(untabulated, passes):
@@ -285,7 +290,9 @@ def test_ids_past_the_k_sets_are_rejected(query):
 
 def test_bench_multiplicity_is_the_largest_over_every_cover_pair():
     """``gapindex bench`` records each report's largest multiplicity over
-    all its cover pairs, not the one the last cover pair leaves behind."""
+    all its cover pairs, which the string report leaves behind, where it
+    once left its last cover pair's: in some report here an earlier pair
+    multiplies more than the last."""
     last_pair_lower = 0
     for n, sigma, seed in ((100, 3, 2), (100, 3, 4), (120, 4, 5), (60, 2, 4)):
         queries = 12
@@ -304,10 +311,11 @@ def test_bench_multiplicity_is_the_largest_over_every_cover_pair():
             hi = lo + rng.randint(0, n // 2)
             clamped = g._clamped(lo, hi)
             plan = plan_cover(*clamped) if clamped else None
-            for a, b in cover_pairs(idx, p1, p2):
-                want = max(want, probe_all_report(g, a, b, lo, hi, plan)[2])
+            per_pair = [probe_all_report(g, a, b, lo, hi, plan)[2]
+                        for a, b in cover_pairs(idx, p1, p2)]
             idx.report(p1, p2, lo, hi)
-            last_pair = max(last_pair, g.last_max_multiplicity)
+            assert g.last_max_multiplicity == max(per_pair, default=0), (p1, p2, lo, hi)
+            want = max(want, g.last_max_multiplicity)
+            last_pair_lower += bool(per_pair) and per_pair[-1] < max(per_pair)
         assert record["dedup_max_multiplicity"] == want, (n, sigma, seed)
-        last_pair_lower += last_pair < want
     assert last_pair_lower > 0

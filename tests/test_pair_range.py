@@ -5,9 +5,11 @@ When that range misses [alpha, beta], or a set is empty, no probe of the pair
 can hit, so ``gapped_exists`` returns None and ``gapped_report`` [] before
 either lists, scans or asks anything. The ``listing_exists`` reference keeps
 the probe loop without that check: each level's differences listed when the
-probe order first reaches it (levels 0 and 1 each listing their own), a
-shift not on the list skipped, and every other probe asked through the
-backend. The ``scanning_report`` reference answers every level of every
+probe order first reaches it (without a plan the points are listed for
+their own count, as ``gapped_exists`` lists them before it plans, and a
+pair too large for that is weighed again against the plan's exact
+probes), a shift not on the list skipped, and every other probe asked
+through the backend. The ``scanning_report`` reference answers every level of every
 pair: a tabulated pair through ``report_shift``, any other by one
 ``scan_shifts`` pass. The library must give the same witness and the same
 pairs, those of brute force, with no more SSI calls, under all three
@@ -31,7 +33,6 @@ from gapindex.gapped import (
 )
 from gapindex.generators import random_collection, random_pattern_from, random_text
 from gapindex.reporting import report_shift
-from gapindex.sets import ingest_collection
 from gapindex.textindex import baseline_linear_scan, build_gapped_string_index
 from test_plan_once import calls_of, cover_pairs
 
@@ -44,13 +45,17 @@ def listing_exists(g, i, j, alpha, beta, plan=None):
     clamped = g._clamped(alpha, beta)
     if clamped is None:
         return None
+    points_first = plan is None
     plan = plan or plan_cover(*clamped)
     counts = plan.level_probes
     listed = [_UNLISTED] * len(counts)
-    for level, shifts in plan.segments:
+    for n, (level, shifts) in enumerate(plan.segments):
         inst = g.instances[level]
+        if points_first and n == 1 and listed[0] is None:
+            listed[0] = _UNLISTED
         if listed[level] is _UNLISTED:
-            listed[level] = inst.backend.differences(i, j, counts[level])
+            count = len(shifts) if points_first and n == 0 else counts[level]
+            listed[level] = inst.backend.differences(i, j, count)
         for shift in shifts:
             if listed[level] is not None and shift not in listed[level]:
                 continue
@@ -72,6 +77,8 @@ def scanning_report(g, i, j, alpha, beta, plan=None):
     sa, sb = g.exact.base[i - 1], g.exact.base[j - 1]
     raw = []
     for level, shifts in enumerate(plan.level_shifts):
+        if not shifts:
+            continue
         inst = g.instances[level]
         if inst.backend.tabulated(i, j):
             found = [pair for s in shifts for pair in report_shift(inst, i, j, s)]
@@ -227,30 +234,3 @@ def test_an_empty_set_meets_no_gap(kind):
             assert (g.ssi_calls(), probes(g)) == before
     assert gapped_exists(g, 1, 1, 4, 4) == (1, 5)
     assert gapped_report(g, 1, 1, 0, 5) == [(1, 1), (1, 5), (5, 5)]
-
-
-@pytest.mark.parametrize(
-    "set_b, calls, listings",
-    [
-        # 6 elements fit the 6 level-0 and 9 level-1 probes of [10, 20]:
-        # one listing serves both levels, and no probe misses.
-        ([2, 3, 4, 5, 6, 31], 0, [6]),
-        # 7 elements: level 0 asks its 6 probes, and level 1 lists its own.
-        ([2, 3, 4, 5, 6, 7, 31], 6, [6, 9]),
-    ],
-    ids=["shared", "level-1-only"],
-)
-def test_levels_0_and_1_share_one_listing(monkeypatch, set_b, calls, listings):
-    # The range [1, 30] of every pair here meets the gap.
-    g = build_gapped_index(ingest_collection([[1], set_b], u=32), LinearScan())
-    assert plan_cover(10, 20).level_probes == (6, 9)
-    counts = []
-    differences = g.exact.backend.differences
-
-    def counted(i, j, count):
-        counts.append(count)
-        return differences(i, j, count)
-
-    monkeypatch.setattr(g.exact.backend, "differences", counted)
-    assert calls_of(g, gapped_exists, g, 1, 2, 10, 20) == (None, calls)
-    assert counts == listings

@@ -250,18 +250,20 @@ def test_probes_are_the_distinct_shifts_in_first_issue_order():
             for q in plan.approx_queries:
                 u0, u1 = q.uncertain()
                 for shift in _three_shifts(q):
-                    issued.append((q.level, shift))
+                    # Level 1 divides by 2^0: its shifts are exact probes.
+                    issued.append((q.level if q.level > 1 else 0, shift))
                     # The expansion lemma's step: the probe's original pairs
                     # stay inside the uncertain zone of each query issuing it.
                     lo, hi = expansion_range(q.level, shift)
                     assert u0 <= lo <= hi <= u1
             assert list(plan.probes) == list(dict.fromkeys(issued))
-            # Each level's shifts in the same order; no level is empty.
-            by_level = [
-                tuple(s for lv, s in plan.probes if lv == level)
-                for level in range(max(lv for lv, _ in plan.probes) + 1)
-            ]
-            assert plan.level_shifts == tuple(by_level) and all(by_level)
+            # Each level's shifts in the same order; only level 1 is empty.
+            top = max(q.level for q in plan.approx_queries) if plan.approx_queries else 0
+            by_level = [tuple(s for lv, s in plan.probes if lv == level)
+                        for level in range(top + 1)]
+            assert plan.level_shifts == tuple(by_level)
+            assert [level for level, shifts in enumerate(by_level) if not shifts] == (
+                [1] if top else [])
             assert plan.level_probes == tuple(map(len, by_level))
 
 
@@ -323,16 +325,17 @@ def test_large_covers_ask_each_probe_once_per_cover_pair():
     idx = build_gapped_string_index(text, LinearScan())
     p1, p2, lo, hi = b"b", b"a", 0, 9
     plan = plan_cover(lo, hi)
-    assert plan.level_probes == (6, 7)
+    assert plan.level_probes == (10, 0)
     pairs = cover_pairs(idx, p1, p2)
     meeting = [pair for pair in pairs if meets_the_gap(idx, pair, lo, hi)]
     assert 1 < len(meeting) < len(pairs)
     # Every cover set outnumbers each level's probes, so nothing is listed.
     assert unlisted_probes(idx, pairs, plan) == len(pairs) * len(plan.probes)
     # An exists walks each pair whose range meets the gap, finds no
-    # difference in it and runs no plan: no call. A report walks each level
-    # of each such pair in one pass, and asks nothing of the others.
-    for query, want in ((idx.exists, 0), (idx.report, 2 * len(meeting))):
+    # difference in it and runs no plan: no call. A report walks the one
+    # level with shifts (level 0, which holds level 1's) of each such pair
+    # in one pass, and asks nothing of the others.
+    for query, want in ((idx.exists, 0), (idx.report, len(meeting))):
         answer, calls = calls_of(idx, query, p1, p2, lo, hi)
         assert not answer
         assert calls == want

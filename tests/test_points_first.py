@@ -25,8 +25,11 @@ _UNLISTED = object()
 
 
 def plan_first_exists(g, i, j, alpha, beta):
-    """The witness and the level that found it, planning the whole gap first;
-    (None, None) when there is none."""
+    """The witness and the number of the plan segment that found it,
+    planning the whole gap first; (None, None) when there is none. The
+    points are listed for their own count, as an exists that has not
+    planned yet lists them, and a pair too large for that is weighed again
+    against the plan's exact probes."""
     clamped = g._clamped(alpha, beta)
     if clamped is None:
         return None, None
@@ -36,14 +39,13 @@ def plan_first_exists(g, i, j, alpha, beta):
         return None, None
     counts = plan.level_probes
     listed = [_UNLISTED] * len(counts)
-    for level, shifts in plan.segments:
+    for n, (level, shifts) in enumerate(plan.segments):
         inst = g.instances[level]
+        if n == 1 and listed[0] is None:
+            listed[0] = _UNLISTED
         if listed[level] is _UNLISTED:
-            if (level == 1 and listed[0] is not None and g.instances[1] is g.instances[0]
-                    and len(sa) <= counts[1] and len(sb) <= counts[1]):
-                listed[1] = listed[0]
-            else:
-                listed[level] = inst.backend.differences(i, j, counts[level])
+            count = len(shifts) if n == 0 else counts[level]
+            listed[level] = inst.backend.differences(i, j, count)
         for shift in shifts:
             if listed[level] is not None and shift not in listed[level]:
                 continue
@@ -51,8 +53,8 @@ def plan_first_exists(g, i, j, alpha, beta):
             if cert is None:
                 continue
             if level == 0:
-                return (cert.a, cert.b), 0
-            return (originals(sa, level, cert.a)[0], originals(sb, level, cert.b)[0]), level
+                return (cert.a, cert.b), n
+            return (originals(sa, level, cert.a)[0], originals(sb, level, cert.b)[0]), n
     return None, None
 
 
@@ -140,15 +142,15 @@ def test_exists_matches_the_plan_first_loop(kind):
             i = rng.randint(1, k)
             j = i if rng.random() < 0.2 else rng.randint(1, k)
             alpha, beta = random_gap(rng, g.universe)
-            (want, level), want_calls, want_probes = counted(g, plan_first_exists, i, j,
-                                                             alpha, beta)
+            (want, segment), want_calls, want_probes = counted(g, plan_first_exists, i, j,
+                                                               alpha, beta)
             got, calls, spent = counted(g, gapped_exists, i, j, alpha, beta)
             assert (got, calls, spent) == (want, want_calls, want_probes), (i, j, alpha, beta)
             clamped = g._clamped(alpha, beta)
             sa, sb = g.exact.base[i - 1], g.exact.base[j - 1]
             if clamped is None or not range_meets(sa, sb, *clamped):
                 expected, case = 0, "none"
-            elif level == 0:
+            elif segment == 0:
                 expected, case = len(plan_cover(*clamped).point_shifts), "point"
             else:
                 expected, case = plan_cover(*clamped).size, "plan"
