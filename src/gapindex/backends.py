@@ -357,7 +357,7 @@ class SsiBackend:
     def __init__(self, sets: list[tuple[int, ...]], kind: BackendKind,
                  mem_budget: int = DEFAULT_MEM_BUDGET,
                  blocks: Sequence[tuple[int, ...]] = (),
-                 total_elements: Optional[int] = None):
+                 threshold: Optional[float] = None):
         probed = sets
         if blocks:
             sets = [*sets, *blocks]
@@ -365,9 +365,9 @@ class SsiBackend:
         self.kind = kind
         self.probes = 0
         self.scans = 0
-        if total_elements is None:
-            total_elements = sum(len(s) for s in sets)
-        self.threshold = threshold = size_threshold(kind, total_elements)
+        if threshold is None:
+            threshold = size_threshold(kind, sum(len(s) for s in sets))
+        self.threshold = threshold
         # No set is above LinearScan's infinite threshold.
         large_ids = [] if threshold == math.inf else [
             i for i, s in enumerate(sets, start=1) if len(s) > threshold
@@ -575,15 +575,15 @@ def build_backend(
     kind: BackendKind,
     mem_budget: int = DEFAULT_MEM_BUDGET,
     blocks: Sequence[tuple[int, ...]] = (),
-    total_elements: Optional[int] = None,
+    threshold: Optional[float] = None,
 ) -> SsiBackend:
     """Build the requested backend over a collection or raw sorted sets.
 
     ``blocks`` are sorted sets stored after them as table operands only,
-    with no member set. ``total_elements`` is the N of ``SmallUniverse``'s
-    threshold; by default the stored sets' total size.
+    with no member set. ``threshold`` is the size above which a set is
+    large; by default ``size_threshold`` of the stored sets' total size.
     """
-    return SsiBackend(_as_element_lists(c), kind, mem_budget, blocks, total_elements)
+    return SsiBackend(_as_element_lists(c), kind, mem_budget, blocks, threshold)
 
 
 def brute_force_ssi(

@@ -703,6 +703,7 @@ def gapped_report(
         for qa, qb in found:
             raw.extend(product(originals(elements_a, level, qa),
                                originals(elements_b, level, qb)))
+    counts = Counter(raw)
     g.last_raw_pairs = len(raw)
-    g.last_max_multiplicity = max(Counter(raw).values()) if raw else 0
-    return sorted(set(raw))
+    g.last_max_multiplicity = max(counts.values(), default=0)
+    return sorted(counts)

@@ -111,9 +111,7 @@ class AugmentedInstance:
                 for j in range(lowest, m.bit_length()):
                     size = 1 << j
                     blocks.extend(el[lo : lo + size] for lo in range(0, (m >> j) << j, size))
-        self.backend = build_backend(
-            sets, kind, mem_budget, blocks=blocks, total_elements=self.total_elements
-        )
+        self.backend = build_backend(sets, kind, mem_budget, blocks=blocks, threshold=threshold)
         self.existence_calls = 0
         self.last_query_calls = 0
 

@@ -1,7 +1,8 @@
 """``tools/ab_time.py`` at the smoke config: the repo's ``src`` against
 itself times both sides and exits 0, with one more line per query kind
-when the stream mixes kinds; against a copy whose string report drops its
-first pair it finds the changed answer and exits 1."""
+when the stream mixes kinds, and each side runs first as often as the
+other; against a copy whose string report drops its first pair it finds
+the changed answer and exits 1."""
 
 import pathlib
 import shutil
@@ -10,25 +11,43 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# Runs the tool with ``Tree.activate`` logged: each tree is activated once
+# to build, then once before each of its timed calls, so every other entry
+# after the first two is the side that ran a query first.
+COUNT_FIRSTS = """
+import sys
+sys.path.insert(0, sys.argv.pop(1))
+import ab_time
+activated = []
+activate = ab_time.Tree.activate
+ab_time.Tree.activate = lambda tree: (activated.append(tree), activate(tree))[1]
+code = ab_time.main(sys.argv[1:])
+firsts = activated[2::2]
+print("first", *(firsts.count(tree) for tree in activated[:2]))
+sys.exit(code)
+"""
 
-def ab_time(old, new, workload):
+
+def ab_time(old, new, workload, reps=2):
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab_time.py"), str(old), str(new),
-         "--workload", workload, "--seed", "21", "--config", "smoke", "--reps", "2"],
+        [sys.executable, "-c", COUNT_FIRSTS, str(ROOT / "tools"), str(old), str(new),
+         "--workload", workload, "--seed", "21", "--config", "smoke", "--reps", str(reps)],
         capture_output=True, text=True, timeout=300,
     )
 
 
 def test_the_same_tree_times_both_sides():
-    result = ab_time(ROOT / "src", ROOT / "src", "string-report")
+    result = ab_time(ROOT / "src", ROOT / "src", "string-report", reps=3)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[:2] == ["workload string-report seed 21 config smoke queries 40 reps 2",
+    assert lines[:2] == ["workload string-report seed 21 config smoke queries 40 reps 3",
                          "answers equal"]
-    assert len(lines) == 5
-    for side, line in zip(("old", "new", "new/old"), lines[2:]):
+    assert len(lines) == 6
+    for side, line in zip(("old", "new", "new/old"), lines[2:5]):
         words = line.split()
         assert words[0] == side and words[1:9:2] == ["mean", "p50", "p90", "p99"]
+    # An odd number of repetitions still runs each side first 60 times.
+    assert lines[5] == "first 60 60"
 
 
 def test_a_mixed_stream_times_each_kind():
@@ -38,8 +57,9 @@ def test_a_mixed_stream_times_each_kind():
     assert lines[:2] == ["workload set-questions seed 21 config smoke queries 80 reps 2",
                          "answers equal"]
     assert [line.split()[0] for line in lines[2:5]] == ["old", "new", "new/old"]
+    assert lines[-1] == "first 80 80"
     kinds = {}
-    for line in lines[5:]:
+    for line in lines[5:-1]:
         words = line.split()
         assert words[0] == "kind" and words[2] == "queries", line
         kinds[words[1]] = int(words[3])

@@ -1,29 +1,16 @@
 """Pinned counters over small fixed query streams.
 
-Each stream runs exists and report queries against one gapped index and
-records, per query, the answer, the SSI calls and backend probes it spent,
-and the plan size, raw pairs and largest multiplicity it left behind. The
-totals and a digest of the per-query records are pinned, so a change to how
-a pair is routed or counted shows here even when every answer stays right.
-The string stream's pin moved from 1562 to 1526 SSI calls when a report
-stopped scanning cover pairs whose difference range misses the gap: each
-such pass walked no element, so the probes and every answer stayed the same.
-The set stream's digests moved when an exists without a plan began to ask
-its point shifts before planning the rest: ``last_plan_size`` became the
-number of points when a point answers and 0 when the pair's difference
-range misses the gap, while the calls, probes, raw pairs and every answer
-stayed the same. Every pin moved when a plan began to ask level 1's shifts
-as exact probes, each once, with every answer the same: the set stream's
-calls 141 -> 117 (``linear``), 1147 -> 1012 (``smalluniverse``) and
-3398 -> 3176 (``fulltab``) and raw pairs 1567 -> 1517, the string
-stream's calls 1526 -> 928, probes 55063 -> 44372 and raw pairs
-19137 -> 18636. The string digest also records a report's plan size and
-largest multiplicity, which since then describe the whole query.
+Each stream runs exists and report queries against one gapped index, and
+``tools/digest.py``'s recorder takes, per query, the answer, the SSI calls
+and backend probes it spent, and the plan size, raw pairs and largest
+multiplicity it left behind. Each stream's pin in ``tests/pins/`` holds
+those rows, so a change to how a pair is routed or counted shows here
+even when every answer stays right.
 """
 
-import hashlib
 import random
 
+import digest
 import pytest
 
 from gapindex import textindex
@@ -33,25 +20,11 @@ from gapindex.generators import random_collection, random_pattern_from, random_t
 from gapindex.textindex import build_gapped_string_index
 
 
-def _probes(g) -> int:
-    return sum(inst.backend.probes for inst in [g.exact] + [lvl.instance for lvl in g.levels])
-
-
-def _run(g, queries, ask) -> tuple[int, int, int, str]:
-    """Total SSI calls, probes and raw pairs, and a digest of every query's record.
-
-    ``ask(mode, *args)`` returns the answer and the raw pairs it gathered.
-    """
-    records = []
-    raw_total = 0
-    for mode, *args in queries:
-        calls, probes = g.ssi_calls(), _probes(g)
-        answer, raw = ask(mode, *args)
-        raw_total += raw
-        records.append((mode, args, answer, g.ssi_calls() - calls, _probes(g) - probes,
-                        g.last_plan_size, raw, g.last_max_multiplicity))
-    digest = hashlib.sha256(repr(records).encode()).hexdigest()[:16]
-    return g.ssi_calls(), _probes(g), raw_total, digest
+def pin_stream(g, call, queries) -> str:
+    """The pin of ``queries`` asked through ``call``, counted on the gapped
+    index ``g``."""
+    augmented = [g.exact] + [lvl.instance for lvl in g.levels]
+    return digest.pin(*digest.record(call, queries, augmented, [g]))
 
 
 def _set_stream(rng, c, count):
@@ -63,26 +36,25 @@ def _set_stream(rng, c, count):
     return out
 
 
-@pytest.mark.parametrize("kind, expected", [
-    (LinearScan(), (117, 5815, 1517, "1ad258b0b7e55e99")),
-    (SmallUniverse(0.5), (1012, 4911, 1517, "2e308d9a6855d58a")),
-    (FullTabulation(), (3176, 0, 1517, "c662ac0c01d06bd8")),
-])
-def test_gapped_set_counters_are_pinned(kind, expected):
+@pytest.mark.parametrize("kind", [LinearScan(), SmallUniverse(0.5), FullTabulation()],
+                         ids=lambda kind: kind.name)
+def test_gapped_set_counters_are_pinned(kind, pin):
     rng = random.Random(14)
     c = random_collection(rng, 6, 92, 256, [4, 4, 4, 24, 24, 32])
     g = build_gapped_index(c, kind)
-    queries = _set_stream(rng, c, 60)
 
-    def ask(mode, i, j, lo, hi):
+    def call(q):
+        mode, i, j, lo, hi = q
         if mode == "exists":
-            return gapped_exists(g, i, j, lo, hi), 0
-        return gapped_report(g, i, j, lo, hi), g.last_raw_pairs
+            # An exists gathers no raw pairs; it leaves the last report's.
+            g.last_raw_pairs = 0
+            return gapped_exists(g, i, j, lo, hi)
+        return gapped_report(g, i, j, lo, hi)
 
-    assert _run(g, queries, ask) == expected
+    pin(f"counters-set-{kind.name}", pin_stream(g, call, _set_stream(rng, c, 60)))
 
 
-def test_gapped_string_counters_are_pinned(monkeypatch):
+def test_gapped_string_counters_are_pinned(pin, monkeypatch):
     rng = random.Random(14)
     text = random_text(rng, 300, 3)
     idx = build_gapped_string_index(text, LinearScan())
@@ -103,12 +75,14 @@ def test_gapped_string_counters_are_pinned(monkeypatch):
 
     monkeypatch.setattr(textindex, "gapped_report", counted_report)
 
-    def ask(mode, p1, p2, lo, hi):
+    def call(q):
+        mode, p1, p2, lo, hi = q
         if mode == "exists":
-            return idx.exists(p1, p2, lo, hi), 0
+            idx.gapped.last_raw_pairs = 0  # as above
+            return idx.exists(p1, p2, lo, hi)
         raw[0] = 0
         pairs = idx.report(p1, p2, lo, hi)
         assert idx.gapped.last_raw_pairs == raw[0]
-        return pairs, raw[0]
+        return pairs
 
-    assert _run(idx.gapped, queries, ask) == (928, 44372, 18636, "fd5d658517644006")
+    pin("counters-string", pin_stream(idx.gapped, call, queries))

@@ -3,17 +3,10 @@
 ``reference_plan_cover`` is the planner that issued one approximate query
 at a time and deduplicated probes through a dict; ``plan_cover`` computes
 each level's run of centers in closed form. Every field, derived or not,
-and ``describe()`` must agree on every gap tested. A digest pins the
-witnesses ``exists`` returns, the first hit in probe order, with its
-backend call and probe counts; the ``linear`` and ``smalluniverse``
-digests were re-recorded when an exists began to run the plan only on the
-cover pair whose walk meets the gap, with every answer unchanged, and all
-three when the plan began to ask level 1's shifts as exact probes, once
-each: the witnesses-only digests are those of the earlier code, while the
-600 queries' SSI calls fell from 3,481 to 1,653 (``fulltab``: 716 to 680).
-"""
+and ``describe()`` must agree on every gap tested. A pin in ``tests/pins/``
+holds the witnesses ``exists`` returns, the first hit in probe order, with
+each query's backend calls and probes."""
 
-import hashlib
 import random
 from dataclasses import dataclass
 
@@ -24,6 +17,7 @@ from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import ApproxQuery, _quotient_shifts, _uncertain, plan_cover
 from gapindex.generators import random_pattern_from, random_text
 from gapindex.textindex import build_gapped_string_index
+from test_counter_pins import pin_stream
 
 
 @dataclass(frozen=True)
@@ -187,43 +181,33 @@ def test_runs_equal_the_per_step_planner_on_sampled_wide_gaps():
         assert_same_plan(alpha, beta, queries=n % 16 == 0)
 
 
-def exists_digest(kind, n, queries, seed=512):
-    """sha256 over a seeded stream of gapped-string exists queries: of the
-    answers alone, and of each answer with the index's SSI calls and
-    backend probes so far."""
+def exists_stream(kind, n, queries, seed=512) -> str:
+    """The pin of a seeded stream of gapped-string exists queries."""
     rng = random.Random(seed)
     text = random_text(rng, n, 4)
     idx = build_gapped_string_index(text, kind)
-    backends = [idx.gapped.exact.backend] + [lvl.instance.backend for lvl in idx.gapped.levels]
-    witnesses, digest = hashlib.sha256(), hashlib.sha256()
+    stream = []
     for _ in range(queries):
         p1, p2 = random_pattern_from(rng, text, 5), random_pattern_from(rng, text, 5)
         lo = rng.randint(0, n // 3)
-        hi = lo + rng.randint(0, n * 2 // 5)
-        answer = idx.exists(p1, p2, lo, hi)
-        witnesses.update(repr(answer).encode())
-        digest.update(repr((answer, idx.ssi_calls(), sum(b.probes for b in backends))).encode())
-    return witnesses.hexdigest(), digest.hexdigest()
+        stream.append((p1, p2, lo, lo + rng.randint(0, n * 2 // 5)))
+    return pin_stream(idx.gapped, lambda q: idx.exists(*q), stream)
 
 
 @pytest.mark.parametrize(
-    "kind, n, want",
+    "kind, n",
     [
-        (LinearScan(), 512, ("c81c4f40ae9e562f9e09e0f7b5505a558ea93a6c085c3d34eca987d0cb1a8b28",
-                             "2d212925490123114e3ae99405dd1a1dcdd4b5758f3ab944c217e75cb03515d2")),
+        (LinearScan(), 512),
         # No cover set of these patterns is above the threshold, so no pair
         # is tabulated and the counts are those of linear.
-        (SmallUniverse(delta=0.5), 512,
-         ("c81c4f40ae9e562f9e09e0f7b5505a558ea93a6c085c3d34eca987d0cb1a8b28",
-          "2d212925490123114e3ae99405dd1a1dcdd4b5758f3ab944c217e75cb03515d2")),
+        (SmallUniverse(delta=0.5), 512),
         # Tabulating every pair is quadratic in the stored sets: a small text.
-        (FullTabulation(), 16, ("207846e72279ee77febd0a3771de6c46574475c2545ef1f6b862eab5c994b30b",
-                                "3d787f3c606188be8f11318acf4c707ccd92a6d07cb05e1aec6bed15145a2b1e")),
+        (FullTabulation(), 16),
     ],
     ids=["linear", "smalluniverse", "fulltab"],
 )
-def test_exists_witnesses_and_counts_are_pinned(kind, n, want):
+def test_exists_witnesses_and_counts_are_pinned(kind, n, pin):
     """The witness is the first hit in probe order and the CLI prints it, so
-    a plan that reorders its probes changes the first digest; a change in
-    how many calls or probes a query spends changes the second."""
-    assert exists_digest(kind, n, 600) == want
+    a plan that reorders its probes moves the answers; a change in how
+    many calls or probes a query spends moves the counters."""
+    pin(f"plan-runs-{kind.name}", exists_stream(kind, n, 600))

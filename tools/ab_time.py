@@ -9,8 +9,9 @@ checkout's ``src``). The workload (inputs, structures and stream) comes
 from ``perfbench/workloads.py`` next to this directory, imported as it is,
 once per tree, so each tree builds its own structures from the same
 inputs. Each repetition asks every query of the stream of both trees in
-turn, the two trees alternating which goes first from one repetition to
-the next, so drift on the machine falls on both sides alike. Every
+turn, the tree that goes first alternating from one query to the next
+and, for each query, from one repetition to the next, so drift on the
+machine falls on both sides alike at any number of repetitions. Every
 answer's repr must be the same under both trees: the first query that
 differs is printed and the exit code is 1. Otherwise the tool prints, per
 side, the mean, p50, p90 and p99 of the per-query microseconds pooled
@@ -119,9 +120,8 @@ def run(old: Path, new: Path, workload: str, seed: int, config: str, reps: int) 
     micros: list[list[float]] = [[], []]
     answers: list[list[str]] = [[], []]
     for rep in range(reps):
-        order = (0, 1) if rep % 2 == 0 else (1, 0)
-        for q in stream:
-            for side in order:
+        for number, q in enumerate(stream):
+            for side in (0, 1) if (rep + number) % 2 == 0 else (1, 0):
                 trees[side].activate()
                 started = perf_counter_ns()
                 answer = calls[side](q)

@@ -5,8 +5,11 @@ argv, exit code, stdout and stderr, and the bytes of every file it writes.
 
 The package comes from the ``src`` next to this directory. The session runs
 in a new temporary directory, whose path is replaced by ``<tmp>`` before it
-is digested, and each command is one ``gapindex.cli.main`` call. Two
-checkouts that print the same line answered the same session byte for byte.
+is digested, and each command is one ``gapindex.cli.main`` call. It prints
+the session's pin: a ``session`` digest of everything with each counter
+line (``--count-queries``: ``#`` and ``name=value`` pairs) cut to ``#``, the
+total of each counter field, and a ``counters`` digest of those lines. Two
+checkouts that print the same pin answered the same session byte for byte.
 
 The session:
 
@@ -40,8 +43,10 @@ import contextlib
 import hashlib
 import io
 import random
+import re
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -180,26 +185,30 @@ def run_session(tmp: Path, record) -> None:
             session("gapped-set", wide, backend)
 
 
+COUNTER_LINE = re.compile(r"^#(?: \w+=-?\d+)*$", re.MULTILINE)
+
+
 def digest() -> str:
-    h = hashlib.sha256()
+    session, counters, totals = hashlib.sha256(), hashlib.sha256(), Counter()
     with tempfile.TemporaryDirectory() as name:
-        tmp = Path(name)
 
         def record(argv, code, out, err, written):
-            for part in (repr(argv), str(code), out, err):
-                h.update(part.replace(name, "<tmp>").encode())
-                h.update(b"\0")
-            for data in written:
-                h.update(data)
-                h.update(b"\0")
+            for line in COUNTER_LINE.findall(out):
+                counters.update(line.encode() + b"\n")
+                totals.update({k: int(v) for k, v in (f.split("=") for f in line.split()[1:])})
+            for part in (repr(argv), str(code), COUNTER_LINE.sub("#", out), err):
+                session.update(part.replace(name, "<tmp>").encode() + b"\0")
+            session.update(b"".join(data + b"\0" for data in written))
 
-        run_session(tmp, record)
-    return h.hexdigest()[:16]
+        run_session(Path(name), record)
+    return "".join([f"session {session.hexdigest()[:16]}\n",
+                    *(f"{field} {totals[field]}\n" for field in sorted(totals)),
+                    f"counters {counters.hexdigest()[:16]}\n"])
 
 
 def main() -> int:
     sys.path[:0] = [str(ROOT / "src")]
-    print(f"session {digest()}")
+    sys.stdout.write(digest())
     return 0
 
 
