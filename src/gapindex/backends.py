@@ -43,18 +43,20 @@ one untabulated pair at many shifts in one pass, as the gapped index asks
 a plan's level: it lists the pair's differences once when neither set
 outnumbers the shifts, and otherwise is one ``scan`` over the whole sets.
 ``differences`` gives the set of b - a that such a listing reads.
-Beside ``scan``, ``meets`` is the deciding walk: whether any b - a of an
-untabulated pair lies in a gap [lo, hi], by one walk of the smaller set
-that stops at the first such difference, as a gapped-string exists asks
-each cover pair before it runs the pair's plan. Both start from
-``range_meets``, the one test of a pair's difference range against a gap
-that ``meets`` and the gapped queries share.
+``meets`` decides whether any b - a of a pair lies in a gap [lo, hi], as
+a gapped-string exists asks of each cover pair before it runs the plan,
+and follows ``tabulated`` as ``exists`` does: a tabulated pair reads the
+gap's range of its table (one bisection of a sorted table, or one count
+of the sentinel row over a dense table's slots), and any other pair is
+one walk of its smaller set that stops at the first such difference. The
+walk starts from ``range_meets``, the one test of a pair's difference
+range against a gap that it and the gapped queries share.
 
 The backend counts its own work: ``probes`` grows by the elements a probe
 or walk visits, and ``scans`` by one per ``scan``, a walking
-``scan_shifts`` pass included; a listing or a ``meets`` walk counts no
-call. Apart from these two counters a backend is immutable after build;
-queries are read-only.
+``scan_shifts`` pass included; a listing or a ``meets``, walked or read
+from a table, counts no call. Apart from these two counters a backend is
+immutable after build; queries are read-only.
 """
 
 from __future__ import annotations
@@ -251,6 +253,9 @@ class _TabulatedPairs:
       table is ``array('i')`` when its shifts and a-values fit in int32,
       else ``array('q')``; a small pair or values outside int64 keep lists.
 
+    ``meets`` reads a gap's range of the same table: the first realized
+    shift at or above its low end, or the rows of its slots.
+
     Each unordered pair {i, j} is tabulated once, as the ordered pair
     (i, j) it is added as, and (j, i) reads the same stored objects with
     ``mirrored`` set: (j, i)'s certificate at shift s is (a - s, a), where
@@ -327,6 +332,24 @@ class _TabulatedPairs:
             return None
         a = values[r]
         return ShiftCertificate(a - s, a) if mirrored else ShiftCertificate(a, a + s)
+
+    def meets(self, i: int, j: int, lo: int, hi: int) -> bool:
+        """Whether (i, j) realizes some shift in [lo, hi]: a mirrored pair
+        reads its stored table at [-hi, -lo]. A sorted table is one
+        ``bisect_left``; a dense one counts, at C speed, the sentinel rows
+        among the gap's slots, and meets unless every slot is one."""
+        lo_slot, rows, values, mirrored = self._pairs[(i, j)]
+        if mirrored:
+            lo, hi = -hi, -lo
+        if lo_slot is None:
+            r = bisect_left(rows, lo)
+            return r < len(rows) and rows[r] <= hi
+        start, stop = max(lo - lo_slot, 0), min(hi - lo_slot + 1, len(rows))
+        if start >= stop:
+            return False
+        if type(rows) is bytes:
+            return rows.count(len(values), start, stop) < stop - start
+        return rows[start:stop].count(len(values)) < stop - start
 
 
 def size_threshold(kind: BackendKind, total: int) -> float:
@@ -486,16 +509,25 @@ class SsiBackend:
     def meets(self, i: int, j: int, lo: int, hi: int) -> bool:
         """Whether some b - a lies in [lo, hi], a of set i and b of set j.
 
-        A pair that fails ``range_meets`` walks nothing. Otherwise the
-        smaller set is walked in ascending order, one ``bisect_left`` into
-        the other set per element for the nearest partner, from a bound
-        that only moves forward, and the walk stops at the first b - a in
-        [lo, hi] or once no partner is left: at most
-        min(|A|, |B|) * log(max(|A|, |B|)) steps. ``probes`` grows by the
-        elements walked; like a listing, a walk counts no call. The caller
-        vouches for the ids.
+        The rule of ``exists``: a tabulated pair reads its table, which holds
+        every realized shift, by one range read (``_TabulatedPairs.meets``)
+        that walks nothing. Any other pair that fails ``range_meets`` walks
+        nothing either. Otherwise the smaller set is walked in ascending
+        order, one ``bisect_left`` into the other set per element for the
+        nearest partner, from a bound that only moves forward, and the walk
+        stops at the first b - a in [lo, hi] or once no partner is left: at
+        most min(|A|, |B|) * log(max(|A|, |B|)) steps. ``probes`` grows by
+        the elements walked; like a listing, neither route counts a call.
+        Ids outside 1..len(sets) raise FormatError, as in ``exists``.
         """
+        if not (1 <= i <= len(self.sets) and 1 <= j <= len(self.sets)):
+            raise FormatError(
+                f"set indices ({i}, {j}) out of range 1..{len(self.sets)}"
+            )
         sa, sb = self.sets[i - 1], self.sets[j - 1]
+        # The rule of ``tabulated``, inline, as in ``exists``.
+        if len(sa) > self.threshold and len(sb) > self.threshold:
+            return self.table.meets(i, j, lo, hi)
         if not range_meets(sa, sb, lo, hi):
             return False
         # Walking a looks for the first b >= a + lo; walking b for the first

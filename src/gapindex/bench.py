@@ -9,6 +9,11 @@ A bench spec is a JSON object with optional keys:
 * ``"gapped_string"``: list of {"n", "sigma", "backend", "delta"?,
   "queries", "seed"} entries.
 
+``"delta"`` applies only to the ``smalluniverse`` backend, the default of
+an ``ssi`` entry; an entry that gives it with another backend is
+malformed. Every record names its ``backend`` and ``delta`` (null for a
+backend without one).
+
 Each entry yields one line-delimited JSON record. A malformed spec raises
 FormatError before the first record. Budget overruns are recorded in the
 record, not fatal. An ``ssi`` record gives the nominal
@@ -45,6 +50,9 @@ _ENTRY_KEYS = {
 
 def _backend(entry: dict, kind: str) -> BackendKind:
     backend, delta = entry.get("backend", _ENTRY_KEYS[kind][0]), entry.get("delta", 0.5)
+    if "delta" in entry and backend != "smalluniverse":
+        raise FormatError(f"bench {kind} entry: 'delta' applies only to backend"
+                          f" 'smalluniverse', not {backend!r}")
     try:
         return parse_backend(backend, delta)
     except (TypeError, ValueError) as e:
@@ -54,7 +62,8 @@ def _backend(entry: dict, kind: str) -> BackendKind:
 
 def _check_spec(spec) -> None:
     """Raise FormatError unless spec is an object whose entries are objects
-    with their required integers and a backend ``parse_backend`` accepts."""
+    with their required integers and a backend ``parse_backend`` accepts,
+    given a ``delta`` only when it is ``smalluniverse``."""
     if not isinstance(spec, dict):
         raise FormatError(f"bench spec must be a JSON object, got {type(spec).__name__}")
     for kind, (_, least) in _ENTRY_KEYS.items():
@@ -139,6 +148,7 @@ def _gapped_string_record(entry: dict, mem_budget: int) -> dict:
         "n": n,
         "sigma": sigma,
         "backend": kind.name,
+        "delta": getattr(kind, "delta", None),
         "seed": seed,
     }
     started = time.perf_counter()

@@ -47,7 +47,8 @@ def _parser() -> argparse.ArgumentParser:
     p_build.add_argument("input")
     p_build.add_argument("-o", "--out", required=True)
     p_build.add_argument("--kind", required=True, choices=KINDS)
-    # Unset means linear and 0.5; smallest-shift refuses either when given.
+    # Unset means linear and 0.5; smallest-shift refuses either when given,
+    # and only smalluniverse takes --delta.
     p_build.add_argument("--backend", choices=["linear", "fulltab", "smalluniverse"])
     p_build.add_argument("--delta", type=float)
     p_build.add_argument("--mem-budget", type=int, default=DEFAULT_MEM_BUDGET)
@@ -89,6 +90,8 @@ def _cmd_build(args) -> int:
     if args.kind == "smallest-shift" and (args.backend, args.delta) != (None, None):
         raise FormatError("--backend and --delta do not apply to --kind smallest-shift,"
                           " which builds no backend")
+    if args.delta is not None and args.backend != "smalluniverse":
+        raise FormatError("--delta applies only to --backend smalluniverse")
     try:
         backend = parse_backend(args.backend or "linear",
                                 0.5 if args.delta is None else args.delta)

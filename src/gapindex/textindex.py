@@ -8,15 +8,14 @@ over those sets. Each query plans its gap at most once and runs the plan
 on the cover pairs (one dyadic block of each pattern's interval). A
 report plans the gap up front and runs it on every pair, and a pair whose
 difference range misses the gap (``backends.range_meets``) does no work.
-An exists follows the paper's light/heavy split: a light pair, one the
-backend does not tabulate, is decided by walking its smaller block
-(``SsiBackend.meets``), and only the first pair that meets the gap runs
-the plan, which yields the witness; a heavy pair, both blocks tabulated,
-runs the plan directly. An exists builds its plan only for the first
-pair that runs it, so a NO whose light pairs never meet the gap plans
-nothing. Two self-contained baselines
-(a two-finger linear scan and a precomputed per-distance table) provide
-independent answers for cross-checking.
+An exists asks each cover pair one question, whether some difference
+lies in the gap (``SsiBackend.meets``), and the backend decides how: it
+reads a tabulated (heavy) pair's table and walks a light pair's smaller
+block. Only the first pair that meets the gap builds the plan and runs
+it, which yields the witness, so an exists builds at most one plan and a
+NO whose pairs never meet the gap plans nothing. Two self-contained
+baselines (a two-finger linear scan and a precomputed per-distance table)
+provide independent answers for cross-checking.
 
 All positions are 1-based, matching the on-disk query/output formats.
 """
@@ -239,15 +238,15 @@ class GappedStringIndex:
     def exists(self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int) -> Optional[tuple[int, int]]:
         """First witness pair (i, j) with the required gap, or None.
 
-        Cover pairs are asked in order, and the query's one plan is built
-        only when the first pair needs it. A pair the exact backend does
-        not tabulate is first decided by one walk (``SsiBackend.meets``),
-        and only a pair that meets the gap runs the plan, so the witness is
+        Cover pairs are asked in order whether some difference lies in the
+        gap (``SsiBackend.meets``: a table read for a pair the backend
+        tabulates, a walk for any other), and only the first pair that
+        meets it builds the query's one plan and runs it, so the witness is
         the plan-order one of the first pair that has any. Since the plan
         covers the whole gap, that pair's ``gapped_exists`` must find a
-        witness: finding none raises GapIndexError. Tabulated pairs run the
-        plan directly. Afterwards ``gapped.last_plan_size`` is the size of
-        the plan built, or 0 when no pair needed one.
+        witness: finding none raises GapIndexError. Afterwards
+        ``gapped.last_plan_size`` is the size of the plan built, or 0 when
+        no pair met the gap.
         """
         g = self.gapped
         g.last_plan_size = 0
@@ -255,25 +254,21 @@ class GappedStringIndex:
         if covers is None:
             return None
         cover_a, cover_b, (lo, hi) = covers
-        backend = g.exact.backend
-        plan = None
+        meets = g.exact.backend.meets
         for ida in cover_a:
             for idb in cover_b:
-                light = not backend.tabulated(ida, idb)
-                if light and not backend.meets(ida, idb, lo, hi):
+                if not meets(ida, idb, lo, hi):
                     continue
-                if plan is None:
-                    # Looked up on the module, so a wrapper installed there
-                    # sees each plan.
-                    plan = gapped.plan_cover(lo, hi)
-                hit = gapped_exists(g, ida, idb, gap_lo, gap_hi, plan=plan)
-                if hit is not None:
-                    return hit
-                if light:
+                # Looked up on the module, so a wrapper installed there sees
+                # each plan.
+                hit = gapped_exists(g, ida, idb, gap_lo, gap_hi,
+                                    plan=gapped.plan_cover(lo, hi))
+                if hit is None:
                     raise GapIndexError(
                         f"cover pair ({ida}, {idb}) has a difference in"
                         f" [{lo}, {hi}] that its plan missed"
                     )
+                return hit
         return None
 
     def report(self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int) -> list[tuple[int, int]]:

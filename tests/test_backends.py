@@ -14,7 +14,7 @@ from gapindex.backends import (
     build_backend,
     parse_backend,
 )
-from gapindex.errors import BudgetError
+from gapindex.errors import BudgetError, FormatError
 from gapindex.generators import random_collection
 from gapindex.reductions import reduce_3sum_to_ssi
 from gapindex.reporting import AugmentedInstance
@@ -462,9 +462,23 @@ def test_meets_examples():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_meets_refuses_set_ids_out_of_range(kind):
+    """An id outside 1..len(sets) raises the FormatError of ``exists``:
+    id 0 would read the last set through a negative index."""
+    backend = build_backend([(1, 2), (5,)], kind)
+    for i, j in ((0, 1), (1, 0), (-1, 2), (3, 1), (1, 3)):
+        with pytest.raises(FormatError, match=r"out of range 1\.\.2"):
+            backend.meets(i, j, -4, -3)
+        with pytest.raises(FormatError, match=r"out of range 1\.\.2"):
+            backend.exists(i, j, 3)
+    assert backend.meets(1, 2, 3, 4) and not backend.meets(2, 1, 3, 4)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_meets_is_some_difference_in_the_gap(kind):
-    """``meets`` equals the brute-force "some b - a in [lo, hi]", adds the
-    elements it walks to ``probes`` and moves no call counter."""
+    """``meets`` equals the brute-force "some b - a in [lo, hi]" and moves
+    no call counter. An untabulated pair adds the elements it walks to
+    ``probes``; a tabulated pair reads its table and walks nothing."""
     rng = random.Random(89)
     seen = set()
     for _ in range(25):
@@ -486,15 +500,20 @@ def test_meets_is_some_difference_in_the_gap(kind):
                 probes, calls = backend.probes, inst.ssi_calls()
                 got = backend.meets(i, j, lo, hi)
                 assert got == any(lo <= d <= hi for d in diffs), (sets, i, j, lo, hi)
-                assert backend.probes - probes == _meets_walk(sa, sb, lo, hi)
+                walked = 0 if backend.tabulated(i, j) else _meets_walk(sa, sb, lo, hi)
+                assert backend.probes - probes == walked
                 assert inst.ssi_calls() == calls and inst.existence_calls == 0
                 assert backend.scans == 0
                 seen.add(got)
+            seen.add("tabulated" if backend.tabulated(i, j) else "walked")
             seen.add("same set" if i == j else "smaller i" if len(sa) < len(sb)
                      else "smaller j" if len(sb) < len(sa) else "tie")
             seen.update(f"{len(s)} elements" for s in (sa, sb) if len(s) < 2)
     assert seen >= {True, False, "same set", "smaller i", "smaller j",
                     "0 elements", "1 elements"}
+    routes = {"linear": {"walked"}, "fulltab": {"tabulated"}}.get(kind.name,
+                                                                  {"walked", "tabulated"})
+    assert seen & {"walked", "tabulated"} == routes
 
 
 def test_an_instance_without_blocks_shares_its_sets_and_keeps_one_block_id():

@@ -620,6 +620,11 @@ GOOD_SSI = {"N": 20, "u": 10, "queries": 2}
     ({"gapped_string": [{"n": 0}]}, "'n' must be an integer >= 1"),
     ({"ssi": [GOOD_SSI, {"u": 10, "sizes": [[2, 0]]}]}, "'sizes' must be"),
     ({"ssi": [GOOD_SSI, {**GOOD_SSI, "delta": "x"}]}, "delta 'x'"),
+    # A gapped_string entry defaults to linear, which takes no delta.
+    ({"ssi": [GOOD_SSI], "gapped_string": [{"n": 20, "delta": 0.3}]},
+     "'delta' applies only to backend 'smalluniverse', not 'linear'"),
+    ({"ssi": [GOOD_SSI, {**GOOD_SSI, "backend": "fulltab", "delta": 0.5}]},
+     "'delta' applies only to backend 'smalluniverse', not 'fulltab'"),
 ])
 def test_bench_rejects_a_malformed_spec_before_any_record(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
@@ -791,6 +796,39 @@ def test_malformed_container_exits_2(tmp_path, capsys, shape, kind, backend, sec
     assert code == 2
     assert out == ""
     assert err.startswith("format error:")
+
+
+@pytest.mark.parametrize("flags", [["--delta", "0.3"], ["--backend", "fulltab", "--delta", "0.9"],
+                                   ["--backend", "linear", "--delta", "0.5"]],
+                         ids=["no-backend", "fulltab", "linear"])
+def test_build_refuses_delta_without_smalluniverse(tmp_path, capsys, collection_file, flags):
+    """Only ``smalluniverse`` reads delta: any other build given one exits 2
+    and writes nothing, where it once built and dropped delta."""
+    out = tmp_path / "x.gidx"
+    code, stdout, err = run_cli(
+        ["build", str(collection_file), "-o", str(out), "--kind", "gapped-set", *flags], capsys
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "format error: --delta applies only to --backend smalluniverse\n"
+    assert not out.exists()
+
+
+def test_gapped_string_records_name_their_delta(tmp_path, capsys):
+    """Two smalluniverse entries that differ only in delta say which delta
+    each ran; a backend without one records null."""
+    spec = tmp_path / "spec.json"
+    entry = {"n": 40, "sigma": 3, "queries": 2, "seed": 3}
+    spec.write_text(json.dumps({"gapped_string": [
+        {**entry, "backend": "smalluniverse", "delta": 0.3},
+        {**entry, "backend": "smalluniverse", "delta": 0.7},
+        {**entry, "backend": "fulltab"},
+        entry,
+    ]}))
+    code, out, _ = run_cli(["bench", str(spec)], capsys)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["backend"], r["delta"]) for r in records] == [
+        ("smalluniverse", 0.3), ("smalluniverse", 0.7), ("fulltab", None), ("linear", None)]
 
 
 def test_build_with_delta_outside_unit_interval_exits_2(tmp_path, capsys, collection_file):

@@ -3,9 +3,10 @@
 Each stream runs exists and report queries against one gapped index, and
 ``tools/digest.py``'s recorder takes, per query, the answer, the SSI calls
 and backend probes it spent, and the plan size, raw pairs and largest
-multiplicity it left behind. Each stream's pin in ``tests/pins/`` holds
-those rows, so a change to how a pair is routed or counted shows here
-even when every answer stays right.
+multiplicity it left behind (0 for a counter the query does not set).
+Each stream's pin in ``tests/pins/`` holds those rows, so a change to how
+a pair is routed or counted shows here even when every answer stays
+right.
 """
 
 import random
@@ -46,8 +47,6 @@ def test_gapped_set_counters_are_pinned(kind, pin):
     def call(q):
         mode, i, j, lo, hi = q
         if mode == "exists":
-            # An exists gathers no raw pairs; it leaves the last report's.
-            g.last_raw_pairs = 0
             return gapped_exists(g, i, j, lo, hi)
         return gapped_report(g, i, j, lo, hi)
 
@@ -78,7 +77,6 @@ def test_gapped_string_counters_are_pinned(pin, monkeypatch):
     def call(q):
         mode, p1, p2, lo, hi = q
         if mode == "exists":
-            idx.gapped.last_raw_pairs = 0  # as above
             return idx.exists(p1, p2, lo, hi)
         raw[0] = 0
         pairs = idx.report(p1, p2, lo, hi)

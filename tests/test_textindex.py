@@ -5,7 +5,7 @@ from typing import NamedTuple
 import pytest
 
 from gapindex import gapped, textindex
-from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
+from gapindex.backends import FullTabulation, LinearScan, SmallUniverse, range_meets
 from gapindex.errors import BudgetError, FormatError, GapIndexError
 from gapindex.gapped import gapped_exists, gapped_report, plan_cover
 from gapindex.generators import random_pattern_from, random_text
@@ -220,12 +220,11 @@ def test_string_index_rejects_bad_gap_before_pattern_lookup():
     assert idx.report(b"an", b"na", 9, 12) == []
 
 
-def test_exists_raises_when_the_plan_misses_a_meeting_pair(monkeypatch):
-    """A pair whose walk meets the gap must get a witness from its plan: a
-    plan that drops every segment asking the pair's only hit makes
-    ``exists`` raise where it would otherwise answer NO."""
+def _exists_with_a_plan_that_misses(monkeypatch, kind):
+    """Ask an exists whose only cover pair meets the gap, with a plan that
+    drops every segment asking the pair's only hit; returns the pair."""
     text = b"axxxbxxx"  # one "a" at 1, one "b" at 5: the only pair has gap 4
-    idx = build_gapped_string_index(text, LinearScan())
+    idx = build_gapped_string_index(text, kind)
     lo, hi = 0, 7
     assert idx.exists(b"a", b"b", lo, hi) == (1, 5)
     a, b = 1, 5
@@ -245,10 +244,79 @@ def test_exists_raises_when_the_plan_misses_a_meeting_pair(monkeypatch):
     ida, idb = (idx._cover_ids(rank, rank)[0]
                 for rank, _ in (pattern_interval(idx.suffixes, p) for p in (b"a", b"b")))
     # The pair meets the gap, but its doctored plan finds nothing.
-    assert idx.gapped.exact.backend.meets(ida, idb, lo, hi)
+    backend = idx.gapped.exact.backend
+    assert backend.meets(ida, idb, lo, hi)
     assert gapped_exists(idx.gapped, ida, idb, lo, hi, plan=doctored_plan_cover(lo, hi)) is None
     with pytest.raises(GapIndexError, match="plan missed"):
         idx.exists(b"a", b"b", lo, hi)
+    return backend, (ida, idb)
+
+
+def test_exists_raises_when_the_plan_misses_a_meeting_pair(monkeypatch):
+    """A pair whose walk meets the gap must get a witness from its plan: a
+    plan that drops every segment asking the pair's only hit makes
+    ``exists`` raise where it would otherwise answer NO."""
+    backend, pair = _exists_with_a_plan_that_misses(monkeypatch, LinearScan())
+    assert not backend.tabulated(*pair)
+
+
+def test_exists_raises_when_the_plan_misses_a_meeting_heavy_pair(monkeypatch):
+    """The same holds for a tabulated (heavy) pair, whose table says that
+    it meets the gap: it raises, where it once went on to the next pair."""
+    backend, pair = _exists_with_a_plan_that_misses(monkeypatch, FullTabulation())
+    assert backend.tabulated(*pair)
+
+
+def test_fulltab_exists_plans_only_for_a_pair_whose_table_meets_the_gap(monkeypatch):
+    """Under fulltab every cover pair is tabulated, and its table decides
+    whether the pair meets the gap. In "banana", "a" is at 2, 4, 6 and
+    "n" at 3, 5, so every gap between them is odd: the cover pairs'
+    difference ranges meet [2, 2], but no table holds shift 2, and the
+    exists builds no plan and makes no call. Over a random stream a query
+    plans once when it answers YES and never when it answers NO, and its
+    witness is the one ``linear`` gives."""
+    plans = []
+
+    def counting_plan(alpha, beta):
+        plans.append((alpha, beta))
+        return plan_cover(alpha, beta)
+
+    monkeypatch.setattr(gapped, "plan_cover", counting_plan)
+    idx = build_gapped_string_index(b"banana", FullTabulation())
+    g = idx.gapped
+    pairs = [(ida, idb) for ida in idx._cover_ids(*_ranks(idx, b"a"))
+             for idb in idx._cover_ids(*_ranks(idx, b"n"))]
+    assert all(g.exact.backend.tabulated(*pair) for pair in pairs)
+    assert any(range_meets(g.exact.base[ida - 1], g.exact.base[idb - 1], 2, 2)
+               for ida, idb in pairs)
+    calls = idx.ssi_calls()
+    assert idx.exists(b"a", b"n", 2, 2) is None
+    assert plans == [] and idx.ssi_calls() == calls and g.last_plan_size == 0
+    hit = idx.exists(b"a", b"n", 1, 1)
+    assert hit is not None and hit[1] - hit[0] == 1 and plans == [(1, 1)]
+
+    rng = random.Random(32)
+    text = random_text(rng, 48, 3)
+    heavy = build_gapped_string_index(text, FullTabulation())
+    light = build_gapped_string_index(text, LinearScan())
+    answers = set()
+    for _ in range(300):
+        p1, p2 = random_pattern_from(rng, text, 3), random_pattern_from(rng, text, 3)
+        lo = rng.randint(0, 24)
+        query = (p1, p2, lo, lo + rng.randint(0, 12))
+        want = light.exists(*query)
+        plans.clear()
+        hit = heavy.exists(*query)
+        assert hit == want, query
+        assert len(plans) == (hit is not None), query
+        answers.add(hit is None)
+    assert answers == {True, False}
+
+
+def _ranks(idx, pattern):
+    """The pattern's suffix-array ranks, as the closed range of ``_cover_ids``."""
+    s, e = pattern_interval(idx.suffixes, pattern)
+    return s, e - 1
 
 
 def test_exists_leaves_its_own_plan_size():

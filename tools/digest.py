@@ -19,9 +19,10 @@ pin, as ``tests/pins/`` holds them:
 * The rows, one JSON line per query: its number, its answer's digest, the
   SSI calls (``ssi_calls()`` summed over the augmented instances) and
   backend probes it made, each gapped index's ``last_plan_size``,
-  ``last_raw_pairs`` and ``last_max_multiplicity`` after it, and each
-  smallest-shift index's probes. Over ``ROWS_AS_TEXT`` queries, one
-  ``rows`` digest of those lines stands for them.
+  ``last_raw_pairs`` and ``last_max_multiplicity`` after it (all three are
+  set to 0 before each query, so a row holds only what its own query
+  left), and each smallest-shift index's probes. Over ``ROWS_AS_TEXT``
+  queries, one ``rows`` digest of those lines stands for them.
 
 ``--per-query FILE`` writes every row to FILE, for
 ``tools/compare_queries.py``. ``record`` and ``pin`` serve any stream.
@@ -54,6 +55,10 @@ def record(call, stream, augmented, gapped, shift=()) -> tuple[str, list[dict]]:
 
     answers, rows, before = hashlib.sha256(), [], counts()
     for number, q in enumerate(stream):
+        # A query that does not set a counter leaves it 0, not as the last
+        # query that set it left it.
+        for g in gapped:
+            g.last_plan_size = g.last_raw_pairs = g.last_max_multiplicity = 0
         answer = repr(call(q))
         answers.update(answer.encode() + b"\n")
         after = counts()
