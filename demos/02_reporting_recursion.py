@@ -8,30 +8,39 @@ halves, the halves decompose into a logarithmic number of blocks, and only
 block pairs whose shifted value ranges still overlap are visited again. A
 pair the backend probes instead is reported by one scan of the smaller
 side, so the linear backend stores no blocks at all.
+
+A stored block is a slice of its set's tuple (``dyadic_subsets``); a cover
+(``cover_blocks``) names blocks by rank range and reads their values from
+the set itself.
 """
 
 from gapindex import (
     FullTabulation,
     LinearScan,
     build_reporting_index,
-    cover_rank_range,
-    dyadic_subsets,
     ingest_collection,
     report_3sum,
     report_shift,
 )
+from gapindex.sets import cover_blocks, dyadic_subsets, level_starts
 
 values = [4, 9, 11, 15, 20, 26, 31, 40, 47, 52, 58, 63, 70]
 collection = ingest_collection([values, [v + 7 for v in values[:9]] + [99, 104]], u=120)
-s1 = collection.set(1)
+s1 = collection.set(1).elements
 
+# Level j holds len(s1) >> j blocks of 2^j elements, numbered from level_starts[j].
 print("dyadic blocks of S_1 (rank ranges):")
-for sub in dyadic_subsets(s1):
-    print(f"  level {sub.level} block {sub.block}: ranks [{sub.rank_lo}, {sub.rank_hi}]"
-          f" values [{sub.min_value}, {sub.max_value}]")
+blocks = dyadic_subsets(s1, 0)
+starts = level_starts(len(s1))
+for j in range(len(starts) - 1):
+    for kappa in range(starts[j + 1] - starts[j]):
+        block = blocks[starts[j] + kappa]
+        lo = kappa * len(block) + 1
+        print(f"  level {j} block {kappa}: ranks [{lo}, {lo + len(block) - 1}]"
+              f" values [{block[0]}, {block[-1]}]")
 
 print("\ncover of ranks [2, 11]:",
-      [(c.rank_lo, c.rank_hi) for c in cover_rank_range(s1, 2, 11)])
+      [(lo, hi) for _, _, lo, hi in cover_blocks(2, 11)])
 
 for kind in (FullTabulation(), LinearScan()):
     idx = build_reporting_index(collection, kind)

@@ -60,11 +60,8 @@ from .reporting import (
     report_shift,
 )
 from .sets import (
-    DyadicSubset,
     IntSet,
     SetCollection,
-    cover_rank_range,
-    dyadic_subsets,
     ingest_collection,
     parse_collection,
 )

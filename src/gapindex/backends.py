@@ -130,6 +130,8 @@ def parse_backend(name: str, delta: float = 0.5) -> BackendKind:
     if name == "fulltab":
         return FullTabulation()
     if name == "smalluniverse":
+        if isinstance(delta, bool) or not isinstance(delta, (int, float)):
+            raise ValueError(f"delta must be a number in [0, 1], got {delta!r}")
         if not 0.0 <= delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {delta}")
         return SmallUniverse(delta=delta)

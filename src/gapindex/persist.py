@@ -137,9 +137,12 @@ def load_artifact(path: str, mem_budget: int = DEFAULT_MEM_BUDGET) -> Artifact:
         raise FormatError(f"{path}: unknown artifact kind {kind!r}")
     # A smallest-shift manifest names no backend; an older one that does is
     # still read.
-    default = "linear" if kind == "smallest-shift" else None
+    name = manifest.get("backend", "linear" if kind == "smallest-shift" else None)
+    if "delta" in manifest and name != "smalluniverse":
+        raise FormatError(f"{path}: bad backend in manifest: delta applies only to backend"
+                          f" 'smalluniverse', not {name!r}")
     try:
-        backend = parse_backend(manifest.get("backend", default), manifest.get("delta", 0.5))
+        backend = parse_backend(name, manifest.get("delta", 0.5))
     except (TypeError, ValueError) as e:
         raise FormatError(f"{path}: bad backend in manifest: {e}") from None
     text_kind = kind in ("gapped-string", "jumbled")
@@ -195,10 +198,7 @@ def _sections_to_collection(sections: dict) -> SetCollection:
     if falls.any():
         raise FormatError("a set's values are not strictly increasing")
     values, bounds = elements.tolist(), offsets.tolist()
-    sets = tuple(
-        IntSet(id=idx + 1, elements=tuple(values[bounds[idx] : bounds[idx + 1]]))
-        for idx in range(len(bounds) - 1)
-    )
+    sets = tuple(IntSet(tuple(values[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
     return SetCollection(sets=sets, universe=u)
 
 

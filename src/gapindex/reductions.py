@@ -57,8 +57,8 @@ def reduce_3sum_to_ssi(A: list[int]) -> tuple[SetCollection, ThreeSumToSsiMap]:
         raise GuardError(f"3SUM elements must be >= 1, got {vals[0]}")
     u = vals[-1]
     offset = u + 1
-    s1 = IntSet(id=1, elements=tuple(vals))
-    s2 = IntSet(id=2, elements=tuple(sorted(offset - a for a in vals)))
+    s1 = IntSet(tuple(vals))
+    s2 = IntSet(tuple(sorted(offset - a for a in vals)))
     collection = SetCollection(sets=(s1, s2), universe=u)
     return collection, ThreeSumToSsiMap(offset=offset)
 
@@ -108,9 +108,9 @@ def reduce_ssi_to_3sum(c: SetCollection) -> tuple[ThreeSumInstance, SsiToThreeSu
     stride = 2 * u
     a_side = []
     b_side = []
-    for s in c.sets:
-        block_a = s.id * (k + 1) * stride
-        block_b = s.id * stride
+    for sid, s in enumerate(c.sets, start=1):
+        block_a = sid * (k + 1) * stride
+        block_b = sid * stride
         for e in s.elements:
             a_side.append(e + block_a)
             b_side.append(block_b - e)

@@ -25,13 +25,13 @@ ceil(N^delta) still counts every block in N.
 
 Backend set ids follow one layout, so a block's id is computed, not looked
 up: base set i is id i; after the k base sets come the stored blocks of
-set 1, then of set 2, and so on, each set's in the level-major order of
-``dyadic_subsets``. Level j's blocks hold 2^j elements, so the stored
-levels are those from ``lowest_level``, the first whose 2^j is above the
-threshold. Block (j, kappa) of set i is therefore id ``first_block_id(i)
-+ starts[j] - starts[lowest_level] + kappa``, with ``starts =
-level_starts(len(S_i))``; under ``FullTabulation`` ``lowest_level`` is 0
-and the ids are those of every block.
+set 1, then of set 2, and so on, each set's as ``dyadic_subsets`` slices
+them from its tuple, in level-major order. Level j's blocks hold 2^j
+elements, so the stored levels are those from ``lowest_level``, the first
+whose 2^j is above the threshold. Block (j, kappa) of set i is therefore
+id ``first_block_id(i) + starts[j] - starts[lowest_level] + kappa``, with
+``starts = level_starts(len(S_i))``; under ``FullTabulation``
+``lowest_level`` is 0 and the ids are those of every block.
 """
 
 from __future__ import annotations
@@ -49,11 +49,7 @@ from .backends import (
 )
 from .errors import FormatError, GapIndexError
 from .reductions import reduce_3sum_to_ssi
-from .sets import Block, SetCollection, cover_blocks, level_starts
-
-# The benchmark's tracer wraps dyadic_subsets by this module's name, as it
-# wraps build_backend; the build itself places blocks by arithmetic.
-from .sets import dyadic_subsets  # noqa: F401
+from .sets import Block, SetCollection, cover_blocks, dyadic_subsets, level_starts
 
 
 def dyadic_block_elements(m: int) -> int:
@@ -106,11 +102,9 @@ class AugmentedInstance:
             self.first_block: Union[int, list[int]] = k + 1
         else:
             self.first_block = []
-            for el, m in zip(sets, sizes):
+            for el in sets:
                 self.first_block.append(k + 1 + len(blocks))
-                for j in range(lowest, m.bit_length()):
-                    size = 1 << j
-                    blocks.extend(el[lo : lo + size] for lo in range(0, (m >> j) << j, size))
+                blocks.extend(dyadic_subsets(el, lowest))
         self.backend = build_backend(sets, kind, mem_budget, blocks=blocks, threshold=threshold)
         self.existence_calls = 0
         self.last_query_calls = 0

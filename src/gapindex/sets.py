@@ -8,14 +8,13 @@ into dyadic rank blocks, and covering an arbitrary rank range by at most
 A cover is a list of ``(level, block, rank_lo, rank_hi)`` tuples from
 ``cover_blocks``. A tuple names no set, so one cover serves any set (or
 the positions [1, n] of a suffix array): a block's values are the set's
-elements at ``rank_lo - 1`` and ``rank_hi - 1``. ``DyadicSubset`` is a
-block with its set id and end values attached.
+elements at ``rank_lo - 1`` and ``rank_hi - 1``. ``dyadic_subsets``
+slices the blocks themselves from the tuple, for a build that stores them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import FormatError, GuardError
 
@@ -29,9 +28,8 @@ Block = tuple[int, int, int, int]
 
 @dataclass(frozen=True, slots=True)
 class IntSet:
-    """A strictly increasing tuple of integers with its 1-based collection id."""
+    """A strictly increasing tuple of integers; its id is its 1-based position."""
 
-    id: int
     elements: tuple[int, ...]
 
     def __len__(self) -> int:
@@ -59,22 +57,6 @@ class SetCollection:
         return self.sets[i - 1]
 
 
-class DyadicSubset(NamedTuple):
-    """Elements of a parent set whose ranks form the block [kappa*2^j+1, (kappa+1)*2^j]."""
-
-    parent_id: int
-    level: int
-    block: int
-    rank_lo: int
-    rank_hi: int
-    min_value: int
-    max_value: int
-
-    @property
-    def size(self) -> int:
-        return self.rank_hi - self.rank_lo + 1
-
-
 def ingest_collection(raw: list[list[int]], u: int) -> SetCollection:
     """Sort, dedupe and validate raw sets against universe {1..u}."""
     if u < 1:
@@ -88,7 +70,7 @@ def ingest_collection(raw: list[list[int]], u: int) -> SetCollection:
         for v in values:
             if not 1 <= v <= u:
                 raise FormatError(f"set {idx}: value {v} outside universe 1..{u}")
-        sets.append(IntSet(id=idx, elements=tuple(sorted(set(values)))))
+        sets.append(IntSet(tuple(sorted(set(values)))))
     return SetCollection(sets=tuple(sets), universe=u)
 
 
@@ -125,28 +107,15 @@ def cover_blocks(lo: int, hi: int) -> list[Block]:
     return out
 
 
-def dyadic_subsets(s: IntSet) -> list[DyadicSubset]:
-    """All dyadic rank blocks of s, for j = 0..floor(log2 m)."""
-    m = len(s)
-    if m == 0:
-        raise FormatError("cannot decompose an empty set")
-    el, sid = s.elements, s.id
+def dyadic_subsets(elements: tuple[int, ...], lowest: int) -> list[tuple[int, ...]]:
+    """The dyadic rank blocks of a sorted set from level ``lowest`` up, as
+    slices of its tuple, in the level-major order of ``level_starts``."""
+    m = len(elements)
     out = []
-    for j in range(m.bit_length()):
+    for j in range(lowest, m.bit_length()):
         size = 1 << j
-        for kappa in range(m // size):
-            lo, hi = kappa * size + 1, (kappa + 1) * size
-            out.append(DyadicSubset(sid, j, kappa, lo, hi, el[lo - 1], el[hi - 1]))
+        out.extend(elements[lo : lo + size] for lo in range(0, (m >> j) << j, size))
     return out
-
-
-def cover_rank_range(s: IntSet, lo: int, hi: int) -> list[DyadicSubset]:
-    """Disjoint dyadic blocks whose union is exactly ranks [lo, hi] of s."""
-    if not 1 <= lo <= hi <= len(s.elements):
-        raise FormatError(f"invalid rank range [{lo}, {hi}] for set of size {len(s.elements)}")
-    el, sid = s.elements, s.id
-    return [DyadicSubset(sid, j, k, a, b, el[a - 1], el[b - 1])
-            for j, k, a, b in cover_blocks(lo, hi)]
 
 
 def parse_collection(text: str) -> SetCollection:

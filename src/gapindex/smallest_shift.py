@@ -20,7 +20,7 @@ class ShiftIndex:
         self.collection = c
         n = c.total_size
         self.threshold = math.isqrt(n - 1) + 1 if n > 0 else 0  # ceil(sqrt(N))
-        self.large_ids = [s.id for s in c.sets if len(s) > self.threshold]
+        self.large_ids = [sid for sid, s in enumerate(c.sets, start=1) if len(s) > self.threshold]
         self._large_pos = {sid: t for t, sid in enumerate(self.large_ids)}
         if len(self.large_ids) > self.threshold:
             raise GapIndexError("more large sets than sqrt(N)")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,10 @@ def test_parse_backend():
         parse_backend("nope")
     with pytest.raises(ValueError):
         parse_backend("smalluniverse", 1.5)
+    assert parse_backend("smalluniverse", 1) == SmallUniverse(delta=1)
+    for delta in (True, False, "0.5", None):
+        with pytest.raises(ValueError, match=re.escape(f"number in [0, 1], got {delta!r}")):
+            parse_backend("smalluniverse", delta)
 
 
 def test_space_accounting_monotone_in_delta():

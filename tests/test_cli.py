@@ -620,6 +620,11 @@ GOOD_SSI = {"N": 20, "u": 10, "queries": 2}
     ({"gapped_string": [{"n": 0}]}, "'n' must be an integer >= 1"),
     ({"ssi": [GOOD_SSI, {"u": 10, "sizes": [[2, 0]]}]}, "'sizes' must be"),
     ({"ssi": [GOOD_SSI, {**GOOD_SSI, "delta": "x"}]}, "delta 'x'"),
+    # Delta is a number, never a bool or a numeric string.
+    ({"ssi": [GOOD_SSI, {**GOOD_SSI, "delta": True}]},
+     "delta must be a number in [0, 1], got True"),
+    ({"ssi": [GOOD_SSI, {**GOOD_SSI, "delta": "0.5"}]},
+     "delta must be a number in [0, 1], got '0.5'"),
     # A gapped_string entry defaults to linear, which takes no delta.
     ({"ssi": [GOOD_SSI], "gapped_string": [{"n": 20, "delta": 0.3}]},
      "'delta' applies only to backend 'smalluniverse', not 'linear'"),
@@ -677,7 +682,7 @@ def test_gapped_string_container_with_derived_sections_still_loads(tmp_path):
     slim = build_artifact("gapped-string", text, LinearScan())
     index = make_string_index(slim)
     intervals = SetCollection(
-        sets=tuple(IntSet(t, s) for t, s in enumerate(index.gapped.exact.base, start=1)),
+        sets=tuple(IntSet(s) for s in index.gapped.exact.base),
         universe=len(text),
     )
     old = build_artifact("gapped-string", text, LinearScan())
@@ -841,6 +846,26 @@ def test_build_with_delta_outside_unit_interval_exits_2(tmp_path, capsys, collec
     assert code == 2
     assert "delta must be in [0, 1]" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("backend, delta, message", [
+    (SmallUniverse(0.5), True, "delta must be a number in [0, 1], got True"),
+    (LinearScan(), 0.3, "delta applies only to backend 'smalluniverse', not 'linear'"),
+])
+def test_load_refuses_a_manifest_delta_build_would_refuse(
+        tmp_path, capsys, collection_file, backend, delta, message):
+    """A container whose manifest was edited to a bool delta, or to a delta
+    beside a backend that reads none, does not load."""
+    artifact = build_artifact("ssi", collection_file.read_bytes(), backend)
+    artifact.manifest["delta"] = delta
+    path = tmp_path / "edited.gidx"
+    save_artifact(str(path), artifact)
+    queries = tmp_path / "q.txt"
+    queries.write_text("1 2 3\n")
+    code, out, err = query_output(capsys, path, queries)
+    assert code == 2
+    assert out == ""
+    assert err == f"format error: {path}: bad backend in manifest: {message}\n"
 
 
 def test_exists_plan_size_reads_0_for_a_gap_beyond_the_universe(tmp_path, capsys):

@@ -168,7 +168,7 @@ def test_quotient_levels_match_the_definition(c):
 
 def test_quotient_levels_of_hand_built_sets():
     # Not ingested: values below 1 and an empty set shift like any other.
-    c = SetCollection((IntSet(1, (-9, -4, -3, 0, 5)), IntSet(2, ()), IntSet(3, (6, 7))), 16)
+    c = SetCollection((IntSet((-9, -4, -3, 0, 5)), IntSet(()), IntSet((6, 7))), 16)
     levels = list(quotient_levels([s.elements for s in c.sets], 4))
     assert len(levels) == 3
     for level, quotients in enumerate(levels, start=2):
@@ -178,7 +178,7 @@ def test_quotient_levels_of_hand_built_sets():
 
 
 def test_quotient_levels_name_an_element_outside_int64():
-    c = SetCollection((IntSet(1, (3, 5)), IntSet(2, (1, 2**70))), 8)
+    c = SetCollection((IntSet((3, 5)), IntSet((1, 2**70))), 8)
     with pytest.raises(FormatError, match=str(2**70)):
         build_gapped_index(c, LinearScan())
 

@@ -2,9 +2,10 @@
 only the modules that make user-facing collections build ``IntSet`` or
 ``SetCollection``.
 
-``__init__`` only re-exports, ``from __future__`` imports set compiler
-flags, and a line marked ``# noqa: F401`` keeps an import on purpose (a
-name a tracer patches on the module, for example).
+``__init__`` only re-exports and ``from __future__`` imports set compiler
+flags; every other import must be read, a ``# noqa: F401`` mark
+notwithstanding. A name a tracer patches on a module is one the module
+calls.
 
 Below the public builders the index holds each set as an element tuple:
 ``sets`` ingests collections, ``persist`` decodes them and ``reductions``
@@ -24,14 +25,11 @@ SET_TYPES = {"IntSet", "SetCollection"}
 
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
-    lines = source.splitlines()
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            if "# noqa: F401" in lines[node.lineno - 1]:
-                continue
             for alias in node.names:
                 # ``import a.b`` binds ``a``.
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -47,7 +45,7 @@ def test_every_import_is_read(path):
 def test_the_check_finds_an_unread_import():
     source = ("from __future__ import annotations\nimport os\nimport a.b\n"
               "from x import y, z as w  # noqa: F401\nfrom q import r, t\nprint(a, t)\n")
-    assert unused_imports(source) == ["line 2: os", "line 5: r"]
+    assert unused_imports(source) == ["line 2: os", "line 4: y", "line 4: w", "line 5: r"]
 
 
 def set_constructions(source: str) -> list[str]:
@@ -71,6 +69,6 @@ def test_only_the_collection_modules_build_set_objects(path):
 
 
 def test_the_check_finds_a_set_construction():
-    source = ("from . import sets\nfrom .sets import IntSet\nx = IntSet(1, (2,))\n"
+    source = ("from . import sets\nfrom .sets import IntSet\nx = IntSet((2,))\n"
               "y = sets.SetCollection(sets=(x,), universe=2)\nz = IntSet\n")
     assert set_constructions(source) == ["line 3: IntSet", "line 4: SetCollection"]

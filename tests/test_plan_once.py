@@ -10,8 +10,8 @@ where each report is one scan, reports are checked against the oracles.
 
 The references find block ids and quotient originals their own way: a
 ``(parent, level, block) -> id`` dict from enumerating the base sets and
-then each set's ``dyadic_subsets`` in order, and a scan of the parent set,
-so they also check the library's arithmetic and bisection.
+then each set's blocks level by level, and a scan of the parent set, so
+they also check the library's arithmetic and bisection.
 """
 
 import random
@@ -31,7 +31,7 @@ from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import build_gapped_index, gapped_exists, gapped_report, plan_cover
 from gapindex.generators import random_collection, random_pattern_from, random_text
 from gapindex.reporting import _Node, build_reporting_index, matching_pairs, report_shift
-from gapindex.sets import IntSet, cover_blocks, dyadic_subsets, ingest_collection
+from gapindex.sets import cover_blocks, ingest_collection
 from gapindex.textindex import baseline_linear_scan, build_gapped_string_index, pattern_interval
 from test_gapped import expansion_range
 
@@ -45,9 +45,10 @@ def reference_block_ids(inst):
         ids = {}
         next_id = len(inst.base) + 1
         for sid, elements in enumerate(inst.base, start=1):
-            for sub in dyadic_subsets(IntSet(sid, elements)):
-                ids[(sub.parent_id, sub.level, sub.block)] = next_id
-                next_id += 1
+            for level in range(len(elements).bit_length()):
+                for block in range(len(elements) >> level):
+                    ids[(sid, level, block)] = next_id
+                    next_id += 1
         _block_ids[inst] = ids
     return _block_ids[inst]
 

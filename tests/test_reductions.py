@@ -61,12 +61,12 @@ def test_ssi_to_3sum_sizes_and_round_trip():
     assert len(instance.A) == n and len(instance.B) == n
     bound = (c.k * (c.k + 1) + c.k + 1) * 2 * c.universe
     assert max(instance.A) < bound and max(instance.B) < bound
-    for s in c.sets:
+    for sid, s in enumerate(c.sets, start=1):
         for e in s.elements:
-            a_enc = e + s.id * (c.k + 1) * 2 * c.universe
-            b_enc = -e + s.id * 2 * c.universe
-            assert mapping.decode_a(a_enc) == (s.id, e)
-            assert mapping.decode_b(b_enc) == (s.id, e)
+            a_enc = e + sid * (c.k + 1) * 2 * c.universe
+            b_enc = -e + sid * 2 * c.universe
+            assert mapping.decode_a(a_enc) == (sid, e)
+            assert mapping.decode_b(b_enc) == (sid, e)
 
 
 def test_claim1_equivalence_fuzz():

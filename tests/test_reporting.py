@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from gapindex import reporting, sets
+from gapindex import reporting
 from gapindex.backends import (
     FullTabulation,
     LinearScan,
@@ -25,7 +25,6 @@ from gapindex.reporting import (
 )
 from gapindex.sets import (
     cover_blocks,
-    dyadic_subsets,
     ingest_collection,
     level_starts,
 )
@@ -362,11 +361,11 @@ def test_scanned_and_mixed_nodes_match_the_oracle():
 
 
 def test_report_shift_builds_no_dyadic_subset(monkeypatch):
-    """The recursion splits nodes by ``cover_blocks`` tuples alone."""
+    """The recursion splits nodes by ``cover_blocks`` tuples alone; only the
+    build slices blocks."""
 
-    class NoSubsets:
-        def __init__(self, *args):
-            raise AssertionError("report_shift built a DyadicSubset")
+    def no_slicing(*args):
+        raise AssertionError("report_shift sliced a dyadic block")
 
     rng = random.Random(23)
     cases = []
@@ -376,7 +375,7 @@ def test_report_shift_builds_no_dyadic_subset(monkeypatch):
         c = random_collection(rng, k, rng.randint(k, 60), u)
         for kind in (FullTabulation(), SmallUniverse(delta=0.0)):
             cases.append((c, build_reporting_index(c, kind)))
-    monkeypatch.setattr(sets, "DyadicSubset", NoSubsets)
+    monkeypatch.setattr(reporting, "dyadic_subsets", no_slicing)
     lookups = 0
     for c, idx in cases:
         for _ in range(10):
@@ -401,9 +400,12 @@ def test_blocks_stored_are_those_a_lookup_addresses():
         full = [s.elements for s in c.sets]
         full_ids = {}
         for p, s in enumerate(c.sets, start=1):
-            for sub in dyadic_subsets(s):
-                full.append(s.elements[sub.rank_lo - 1 : sub.rank_hi])
-                full_ids[p, sub.level, sub.block] = len(full)
+            m = len(s.elements)
+            for level in range(m.bit_length()):
+                size = 1 << level
+                for block in range(m >> level):
+                    full.append(s.elements[block * size : (block + 1) * size])
+                    full_ids[p, level, block] = len(full)
         assert sum(map(len, full)) == build_reporting_index(c, LinearScan()).total_elements
         assert build_reporting_index(c, LinearScan()).backend.sets == full[:k]
         tab = build_reporting_index(c, FullTabulation())

@@ -1,9 +1,10 @@
 import pytest
 
 from gapindex.errors import FormatError, GuardError
+from gapindex.reporting import dyadic_block_elements
 from gapindex.sets import (
     IntSet,
-    cover_rank_range,
+    cover_blocks,
     dyadic_subsets,
     format_collection,
     ingest_collection,
@@ -13,12 +14,9 @@ from gapindex.sets import (
 )
 
 
-def make_set(values, sid=1):
-    return IntSet(id=sid, elements=tuple(sorted(set(values))))
-
-
 def test_ingest_sorts_and_dedupes():
     c = ingest_collection([[3, 1, 3]], u=5)
+    assert c.sets[0] == IntSet((1, 3))
     assert c.sets[0].elements == (1, 3)
     assert c.total_size == 2
 
@@ -45,92 +43,83 @@ def test_ingest_universe_guard():
 
 
 def test_dyadic_subsets_power_of_two():
-    subs = dyadic_subsets(make_set(range(1, 9)))
-    assert len(subs) == 15  # 8 + 4 + 2 + 1
+    elements = tuple(range(1, 9))
+    assert len(dyadic_subsets(elements, 0)) == 15  # 8 + 4 + 2 + 1
+    assert dyadic_subsets(elements, 3) == [elements]
+    assert dyadic_subsets(elements, 4) == []
 
 
 def test_dyadic_subsets_singleton():
-    subs = dyadic_subsets(make_set([7]))
-    assert len(subs) == 1
-    assert subs[0].level == 0 and subs[0].rank_lo == subs[0].rank_hi == 1
+    assert dyadic_subsets((7,), 0) == [(7,)]
+    assert dyadic_subsets((), 0) == []
 
 
 def test_dyadic_subsets_size_five():
     # Enumerating kappa <= floor(m / 2^j) - 1: five at j=0, two at j=1, one at j=2.
-    subs = dyadic_subsets(make_set([2, 3, 5, 8, 13]))
-    by_level = {}
-    for sub in subs:
-        by_level.setdefault(sub.level, []).append(sub)
-    assert len(by_level[0]) == 5
-    assert len(by_level[1]) == 2
-    assert [(s.rank_lo, s.rank_hi) for s in by_level[1]] == [(1, 2), (3, 4)]
-    assert len(by_level[2]) == 1
-    assert len(subs) == 8
+    assert dyadic_subsets((2, 3, 5, 8, 13), 0) == [
+        (2,), (3,), (5,), (8,), (13,), (2, 3), (5, 8), (2, 3, 5, 8),
+    ]
+    assert dyadic_subsets((2, 3, 5, 8, 13), 1) == [(2, 3), (5, 8), (2, 3, 5, 8)]
 
 
 def test_dyadic_subsets_match_contents():
-    s = make_set([4, 9, 11, 20, 21, 30])
-    for sub in dyadic_subsets(s):
-        chunk = s.elements[sub.rank_lo - 1 : sub.rank_hi]
-        assert sub.min_value == chunk[0]
-        assert sub.max_value == chunk[-1]
-        assert sub.size == len(chunk) == 1 << sub.level
+    elements = (4, 9, 11, 20, 21, 30)
+    assert dyadic_subsets(elements, 0) == [
+        (4,), (9,), (11,), (20,), (21,), (30,), (4, 9), (11, 20), (21, 30), (4, 9, 11, 20),
+    ]
+    assert dyadic_subsets(elements, 2) == [(4, 9, 11, 20)]
 
 
 def test_dyadic_subsets_fixed_level_disjoint():
-    s = make_set(range(1, 14))
-    by_level = {}
-    for sub in dyadic_subsets(s):
-        by_level.setdefault(sub.level, []).append((sub.rank_lo, sub.rank_hi))
-    for blocks in by_level.values():
-        covered = []
-        for lo, hi in blocks:
-            covered.extend(range(lo, hi + 1))
+    elements = tuple(range(1, 14))
+    starts = level_starts(len(elements))
+    blocks = dyadic_subsets(elements, 0)
+    for j in range(len(starts) - 1):
+        covered = [v for block in blocks[starts[j] : starts[j + 1]] for v in block]
         assert len(covered) == len(set(covered))
 
 
 def test_level_starts_number_the_blocks_in_order():
-    for m in range(1, 65):
-        subs = dyadic_subsets(make_set(range(1, m + 1)))
+    """For every lowest level, level j holds m >> j slices of 2^j elements
+    at multiples of 2^j, block (j, kappa) at index level_starts(m)[j] -
+    level_starts(m)[lowest] + kappa; the slices share the set's ints."""
+    for m in range(65):
+        elements = tuple(10**6 + 7 * r for r in range(m))
         starts = level_starts(m)
-        assert starts[-1] == len(subs)
-        for j in range(m.bit_length()):
-            for kappa in range(m >> j):
-                sub = subs[starts[j] + kappa]
-                assert (sub.level, sub.block) == (j, kappa)
-                assert (sub.rank_lo, sub.rank_hi) == (kappa * 2**j + 1, (kappa + 1) * 2**j)
+        for lowest in range(m.bit_length() + 1):
+            blocks = dyadic_subsets(elements, lowest)
+            assert len(blocks) == starts[-1] - starts[lowest]
+            for j in range(lowest, m.bit_length()):
+                for kappa in range(m >> j):
+                    block = blocks[starts[j] - starts[lowest] + kappa]
+                    lo = kappa << j
+                    assert block == elements[lo : lo + (1 << j)]
+                    assert all(a is b for a, b in zip(block, elements[lo:]))
+        assert dyadic_subsets(elements, m.bit_length() + 1) == []
 
 
 def test_dyadic_total_size_bound():
     for m in (1, 2, 3, 5, 8, 13, 33, 64):
-        s = make_set(range(1, m + 1))
-        total = sum(sub.size for sub in dyadic_subsets(s))
+        total = sum(map(len, dyadic_subsets(tuple(range(1, m + 1)), 0)))
+        assert total == dyadic_block_elements(m)
         assert total <= m * m.bit_length()
 
 
 def test_cover_full_range_is_one_block():
-    s = make_set(range(10, 18))
-    cover = cover_rank_range(s, 1, 8)
-    assert len(cover) == 1 and cover[0].level == 3
+    elements = tuple(range(10, 18))
+    cover = cover_blocks(1, 8)
+    assert len(cover) == 1 and cover[0][0] == 3
+    assert elements[cover[0][2] - 1 : cover[0][3]] == elements
 
 
 def test_cover_2_to_7_frozen():
-    s = make_set(range(1, 9))
-    cover = cover_rank_range(s, 2, 7)
-    assert [(c.rank_lo, c.rank_hi) for c in cover] == [(2, 2), (3, 4), (5, 6), (7, 7)]
+    cover = cover_blocks(2, 7)
+    assert [(lo, hi) for _, _, lo, hi in cover] == [(2, 2), (3, 4), (5, 6), (7, 7)]
 
 
 def test_cover_single_rank():
-    s = make_set(range(1, 9))
-    cover = cover_rank_range(s, 5, 5)
-    assert len(cover) == 1 and cover[0].size == 1
-
-
-def test_cover_invalid_range_rejected():
-    s = make_set([1, 2, 3])
-    for lo, hi in ((0, 2), (2, 1), (1, 4)):
-        with pytest.raises(FormatError):
-            cover_rank_range(s, lo, hi)
+    cover = cover_blocks(5, 5)
+    assert len(cover) == 1 and cover[0][2] == cover[0][3] == 5
 
 
 def test_cover_rank_exhaustive_small():
@@ -138,13 +127,15 @@ def test_cover_rank_exhaustive_small():
     for every range of every size up to 64."""
     worst = 0
     for m in range(1, 65):
-        s = make_set(range(1, m + 1))
+        elements = tuple(range(3, 3 * m + 3, 3))
         bound = max_cover_blocks(m)
         for lo in range(1, m + 1):
             for hi in range(lo, m + 1):
-                cover = cover_rank_range(s, lo, hi)
-                ranks = [r for c in cover for r in range(c.rank_lo, c.rank_hi + 1)]
-                assert ranks == list(range(lo, hi + 1))
+                cover = cover_blocks(lo, hi)
+                union = tuple(v for _, _, a, b in cover for v in elements[a - 1 : b])
+                assert union == elements[lo - 1 : hi]
+                for level, kappa, a, b in cover:
+                    assert (a, b) == (kappa * 2**level + 1, (kappa + 1) * 2**level)
                 assert len(cover) <= bound
                 worst = max(worst, len(cover) - 2 * (m - 1).bit_length())
     # Measured maximum overhang over the 2*ceil(log2 m) part of the bound.
