@@ -46,17 +46,21 @@ outnumbers the shifts, and otherwise is one ``scan`` over the whole sets.
 ``meets`` decides whether any b - a of a pair lies in a gap [lo, hi], as
 a gapped-string exists asks of each cover pair before it runs the plan,
 and follows ``tabulated`` as ``exists`` does: a tabulated pair reads the
-gap's range of its table (one bisection of a sorted table, or one count
-of the sentinel row over a dense table's slots), and any other pair is
-one walk of its smaller set that stops at the first such difference. The
-walk starts from ``range_meets``, the one test of a pair's difference
-range against a gap that it and the gapped queries share.
+gap's range of its table (``table.smallest``: one bisection of a sorted
+table, or a strip of the sentinel rows off a dense table's slots), and
+any other pair is one walk of its smaller set that stops at the first
+such difference. The walk starts from ``range_meets``, the one test of a
+pair's difference range against a gap that it and the gapped queries
+share. A gapped query on a tabulated pair reads the same range:
+``table.smallest`` gives the smallest realized shift in a gap, whose
+certificate an exists asks for, and ``table.realized`` every realized
+shift in it, each of which a report asks ``report_shift`` for.
 
 The backend counts its own work: ``probes`` grows by the elements a probe
 or walk visits, and ``scans`` by one per ``scan``, a walking
-``scan_shifts`` pass included; a listing or a ``meets``, walked or read
-from a table, counts no call. Apart from these two counters a backend is
-immutable after build; queries are read-only.
+``scan_shifts`` pass included; a listing, a ``meets`` (walked or read
+from a table) and a table read count no call. Apart from these two
+counters a backend is immutable after build; queries are read-only.
 """
 
 from __future__ import annotations
@@ -255,8 +259,9 @@ class _TabulatedPairs:
       table is ``array('i')`` when its shifts and a-values fit in int32,
       else ``array('q')``; a small pair or values outside int64 keep lists.
 
-    ``meets`` reads a gap's range of the same table: the first realized
-    shift at or above its low end, or the rows of its slots.
+    ``smallest`` and ``realized`` read a gap's range of the same table:
+    realized shifts found by bisection, or the rows of the gap's slots.
+    Neither counts a call or a probe.
 
     Each unordered pair {i, j} is tabulated once, as the ordered pair
     (i, j) it is added as, and (j, i) reads the same stored objects with
@@ -335,23 +340,54 @@ class _TabulatedPairs:
         a = values[r]
         return ShiftCertificate(a - s, a) if mirrored else ShiftCertificate(a, a + s)
 
-    def meets(self, i: int, j: int, lo: int, hi: int) -> bool:
-        """Whether (i, j) realizes some shift in [lo, hi]: a mirrored pair
-        reads its stored table at [-hi, -lo]. A sorted table is one
-        ``bisect_left``; a dense one counts, at C speed, the sentinel rows
-        among the gap's slots, and meets unless every slot is one."""
+    def smallest(self, i: int, j: int, lo: int, hi: int) -> Optional[int]:
+        """The smallest shift in [lo, hi] that (i, j) realizes, or None.
+
+        A mirrored pair wants the largest stored shift in [-hi, -lo]. A
+        sorted table is one bisection. A dense ``bytes`` table strips the
+        sentinel byte off the gap's slots at C speed; an ``array`` table
+        first counts the sentinel rows among them, also at C speed, and
+        only a slot range with a realized shift is searched in Python.
+        """
         lo_slot, rows, values, mirrored = self._pairs[(i, j)]
-        if mirrored:
-            lo, hi = -hi, -lo
+        t_lo, t_hi = (-hi, -lo) if mirrored else (lo, hi)
         if lo_slot is None:
-            r = bisect_left(rows, lo)
-            return r < len(rows) and rows[r] <= hi
-        start, stop = max(lo - lo_slot, 0), min(hi - lo_slot + 1, len(rows))
+            if mirrored:
+                r = bisect_right(rows, t_hi) - 1
+                return -rows[r] if r >= 0 and rows[r] >= t_lo else None
+            r = bisect_left(rows, t_lo)
+            return rows[r] if r < len(rows) and rows[r] <= t_hi else None
+        start, stop = max(t_lo - lo_slot, 0), min(t_hi - lo_slot + 1, len(rows))
         if start >= stop:
-            return False
-        if type(rows) is bytes:
-            return rows.count(len(values), start, stop) < stop - start
-        return rows[start:stop].count(len(values)) < stop - start
+            return None
+        slots, miss = rows[start:stop], len(values)
+        if type(slots) is bytes:
+            kept = slots.rstrip(bytes((miss,))) if mirrored else slots.lstrip(bytes((miss,)))
+            if not kept:
+                return None
+            k = len(kept) - 1 if mirrored else len(slots) - len(kept)
+        else:
+            if slots.count(miss) == len(slots):
+                return None
+            order = range(len(slots) - 1, -1, -1) if mirrored else range(len(slots))
+            k = next(k for k in order if slots[k] != miss)
+        t = lo_slot + start + k
+        return -t if mirrored else t
+
+    def realized(self, i: int, j: int, lo: int, hi: int) -> list[int]:
+        """Every shift in [lo, hi] that (i, j) realizes, ascending: a slice
+        of a sorted table, or the gap's slots of a dense one that are not
+        the sentinel row. A mirrored pair reads [-hi, -lo], negated."""
+        lo_slot, rows, values, mirrored = self._pairs[(i, j)]
+        t_lo, t_hi = (-hi, -lo) if mirrored else (lo, hi)
+        if lo_slot is None:
+            found = list(rows[bisect_left(rows, t_lo):bisect_right(rows, t_hi)])
+        else:
+            start = max(t_lo - lo_slot, 0)
+            miss, base = len(values), lo_slot + start
+            found = [base + k for k, r in
+                     enumerate(rows[start:max(t_hi - lo_slot + 1, start)]) if r != miss]
+        return [-t for t in reversed(found)] if mirrored else found
 
 
 def size_threshold(kind: BackendKind, total: int) -> float:
@@ -512,7 +548,7 @@ class SsiBackend:
         """Whether some b - a lies in [lo, hi], a of set i and b of set j.
 
         The rule of ``exists``: a tabulated pair reads its table, which holds
-        every realized shift, by one range read (``_TabulatedPairs.meets``)
+        every realized shift, by one range read (``_TabulatedPairs.smallest``)
         that walks nothing. Any other pair that fails ``range_meets`` walks
         nothing either. Otherwise the smaller set is walked in ascending
         order, one ``bisect_left`` into the other set per element for the
@@ -529,7 +565,7 @@ class SsiBackend:
         sa, sb = self.sets[i - 1], self.sets[j - 1]
         # The rule of ``tabulated``, inline, as in ``exists``.
         if len(sa) > self.threshold and len(sb) > self.threshold:
-            return self.table.meets(i, j, lo, hi)
+            return self.table.smallest(i, j, lo, hi) is not None
         if not range_meets(sa, sb, lo, hi):
             return False
         # Walking a looks for the first b >= a + lo; walking b for the first
@@ -551,15 +587,16 @@ class SsiBackend:
         return False
 
     def differences(self, i: int, j: int, count: int) -> Optional[set[int]]:
-        """Every difference b - a over sets i and j, or None when the pair is
-        tabulated or a set has more than ``count`` elements.
+        """Every difference b - a over sets i and j, or None when a set has
+        more than ``count`` elements.
 
         Listing takes |A|*|B| <= ``count`` * min(|A|, |B|) steps, no more
-        than ``count`` probes spend when every one misses; a tabulated pair
-        answers each probe by one lookup instead. Listing counts no call.
+        than ``count`` probes spend when every one misses. Listing counts
+        no call. The gapped queries list only pairs that are not tabulated:
+        a tabulated pair reads its table instead.
         """
         sa, sb = self.sets[i - 1], self.sets[j - 1]
-        if len(sa) > count or len(sb) > count or self.tabulated(i, j):
+        if len(sa) > count or len(sb) > count:
             return None
         return {b - a for a in sa for b in sb}
 

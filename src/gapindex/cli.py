@@ -128,6 +128,18 @@ def _parse_ints(tokens: list[str], want: int, line: str) -> list[int]:
         raise FormatError(f"bad integer in {line!r}: {e}") from None
 
 
+def _pattern(token: str) -> bytes:
+    """A gapped-string pattern field: its UTF-8 bytes, or, after a ``hex:``
+    prefix, the bytes its hex digits spell, so a pattern can hold
+    whitespace or bytes that are not UTF-8."""
+    if not token.startswith("hex:"):
+        return token.encode()
+    try:
+        return bytes.fromhex(token[4:])
+    except ValueError as e:
+        raise FormatError(f"bad hex pattern {token!r}: {e}") from None
+
+
 def _write_report(pairs, out) -> None:
     """A report answer: ``occ=<n>``, then one ``a b`` line per pair."""
     out.write(f"occ={len(pairs)}\n")
@@ -204,7 +216,7 @@ class _QueryEngine:
         elif kind == "gapped-string":
             if len(tokens) != 4:
                 raise FormatError(f"expected 'P1 P2 lo hi', got {line!r}")
-            p1, p2 = tokens[0].encode(), tokens[1].encode()
+            p1, p2 = _pattern(tokens[0]), _pattern(tokens[1])
             lo, hi = _parse_ints(tokens[2:], 2, line)
             self._write_plan(self.index.gapped, lo, hi, out)
             if self.mode == "exists":
@@ -237,7 +249,7 @@ def _cmd_query(args) -> int:
             if args.count_queries:
                 print(engine.counters())
         except FormatError as e:
-            print(f"error: {e}", file=sys.stderr)
+            print(f"format error: {e}", file=sys.stderr)
             status = EXIT_FORMAT
     return status
 

@@ -67,25 +67,36 @@ each level is the level below shifted right by one with repeats inside a
 set dropped, over one flattened int64 array. A level is a list of element
 tuples, one per set, sharing one int object per distinct value.
 
-How each (pair, level) is answered is the backend's rule,
-``SsiBackend.tabulated``. A report asks each level of a pair the backend
-does not tabulate by one call, ``SsiBackend.scan_shifts``, holding the
-level's P_l shifts, and reads back one flat list of the level's pairs.
-When neither set has more than P_l elements, the differences are listed
-once and the wanted ones kept, in at most P_l * min(|A|, |B|) steps;
-otherwise the call is one ``scan`` over the whole sets at all P_l shifts,
-whose cut walk of the smaller set runs once per shift, in at most
-P_l * (log + min(|A|, |B|)) + occ * log steps. A walking pass counts as
-one backend call, a listing as none. Tabulated pairs (both sets above the
-backend's threshold) ask each probe through ``report_shift``, one lookup
-per miss, and the level's reports are read as one flat list too.
+A pair the exact instance tabulates (``SsiBackend.tabulated``: both sets
+above its threshold) answers from its own table, which holds every
+realized shift with its smallest-a certificate, and builds no plan. An
+exists reads the smallest realized shift in the clamped gap
+(``_TabulatedPairs.smallest``) and asks the exact instance for that
+shift's certificate by one call: its witness has the smallest b - a in
+the gap and, among those, the smallest a. A report asks ``report_shift``
+at the exact instance for each realized shift in the gap
+(``_TabulatedPairs.realized``); pairs at distinct shifts differ, so
+nothing is expanded or deduplicated. Neither read counts a call or a
+probe. Only the other pairs run the plan, and no level answers a
+tabulated pair, so every quotient level is built under ``LinearScan``
+whatever the exact backend: it holds member sets, and no table or block.
+
+A report asks each level of a pair the exact instance does not tabulate
+by one call, ``SsiBackend.scan_shifts``, holding the level's P_l shifts,
+and reads back one flat list of the level's pairs. When neither set has
+more than P_l elements, the differences are listed once and the wanted
+ones kept, in at most P_l * min(|A|, |B|) steps; otherwise the call is one
+``scan`` over the whole sets at all P_l shifts, whose cut walk of the
+smaller set runs once per shift, in at most P_l * (log + min(|A|, |B|)) +
+occ * log steps. A walking pass counts as one backend call, a listing as
+none.
 
 Both queries first read the ends of the pair's two sets
 (``backends.range_meets``): every difference b - a lies in
 [min B - max A, max B - min A], so when that range misses [alpha, beta],
 or a set is empty, no probe can hit. Such a pair lists, scans and asks
 nothing: an exists returns None and a report [] with no raw pairs. Any
-other pair runs the plan.
+other pair reads its table or runs the plan.
 
 An exists stops at its first hit, so it asks the probes lazily in order.
 Given no plan, it plans no more than it asks: the point shifts lead every
@@ -98,7 +109,7 @@ large to list for the points alone is weighed again against the plan's
 exact probes. A run of probes whose shifts are all off the list is passed
 over by one ``isdisjoint``, a probe whose shift is not on the list makes
 no backend call, and every other probe, a sure hit, is asked through the
-backend. Tabulated pairs are not listed.
+backend.
 """
 
 from __future__ import annotations
@@ -112,7 +123,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .backends import DEFAULT_MEM_BUDGET, BackendKind, range_meets
+from .backends import DEFAULT_MEM_BUDGET, BackendKind, LinearScan, range_meets
 from .errors import FormatError, GapIndexError
 from .reporting import AugmentedInstance, check_set_ids, report_shift
 from .sets import SetCollection
@@ -478,6 +489,7 @@ class LevelIndex:
     pass from the level below, and ``originals`` maps a quotient back.
     Level 1 divides by 1, so its quotient sets are the parent's own and the
     exact instance answers it: no LevelIndex exists for level 1.
+    ``GappedIndex`` builds every level under ``LinearScan``.
     """
 
     def __init__(self, quotients: Sequence[tuple[int, ...]], level: int, kind: BackendKind,
@@ -491,8 +503,11 @@ class GappedIndex:
 
     ``sets`` holds k sorted element tuples over {1..universe}, kept as
     ``exact.base``. ``instances[l]`` is the instance that answers level
-    l: the exact one at level 0 and for a level-1 ``ApproxQuery`` (a plan
-    asks level 1's shifts at level 0), ``levels[l - 2].instance`` above.
+    l: the exact one, under ``kind``, at level 0 and for a level-1
+    ``ApproxQuery`` (a plan asks level 1's shifts at level 0), and
+    ``levels[l - 2].instance`` above, under ``LinearScan``: only pairs the
+    exact instance does not tabulate ask a level, so no level stores a
+    table.
     ``total_elements`` counts each stored collection once: the exact
     instance's and each quotient level's.
 
@@ -511,7 +526,7 @@ class GappedIndex:
         self.max_level = max(universe - 1, 0).bit_length()  # ceil(log2 u)
         quotients = quotient_levels(self.exact.base, self.max_level)
         self.levels = [
-            LevelIndex(level_sets, level, kind, mem_budget)
+            LevelIndex(level_sets, level, LinearScan(), mem_budget)
             for level, level_sets in enumerate(quotients, start=2)
         ]
         above = [lvl.instance for lvl in self.levels]
@@ -588,6 +603,11 @@ def gapped_exists(
 ) -> Optional[tuple[int, int]]:
     """Some (a, b) with b - a in [alpha, beta], or None when none exists.
 
+    A pair the exact instance tabulates reads the smallest realized shift
+    in the clamped gap from its table and asks that shift's smallest-a
+    certificate by one call: it builds no plan, and ignores one passed in.
+    Any other pair runs the plan.
+
     Each distinct probe of the plan is asked once, in first-issue order; a
     repeat would give the same answer, so the first witness is the one the
     full sequence of point and approximate queries finds. A pair that
@@ -601,7 +621,7 @@ def gapped_exists(
     probes. ``g.last_plan_size`` is the size of what was built: the number
     of point shifts when a point answered, the plan's size once a plan is
     built or passed in, and otherwise 0: an empty clamped gap, or a pair
-    that fails ``range_meets`` with no plan passed in, asks nothing.
+    that fails ``range_meets`` or is tabulated, with no plan passed in.
     """
     clamped = _clamped_gap(g, alpha, beta, plan)
     check_set_ids(g.exact, i, j)
@@ -612,6 +632,13 @@ def gapped_exists(
     sa, sb = g.exact.base[i - 1], g.exact.base[j - 1]
     if not range_meets(sa, sb, lo, hi):
         return None
+    if g.exact.backend.tabulated(i, j):
+        shift = g.exact.backend.table.smallest(i, j, lo, hi)
+        if shift is None:
+            return None
+        # The lookup reads the table that holds the shift: a certificate.
+        cert = g.exact._exists(i, j, shift)
+        return (cert.a, cert.b)
     if plan is None:
         points = plan_points(lo, hi)
         segments: Sequence[tuple[int, tuple[int, ...]]] = ((0, points),)
@@ -672,30 +699,34 @@ def gapped_report(
     """All pairs (a, b) with b - a in [alpha, beta], sorted and deduplicated.
 
     A pair that fails ``range_meets``, an empty set included, has no pair
-    to report: it lists, scans and looks up nothing. Any other pair's plan
-    is answered one level at a time, each level read as one flat list of
-    pairs: a pair the level's backend tabulates asks each shift through
-    ``report_shift``, any other pair asks all the level's shifts in one
-    ``scan_shifts`` pass.
+    to report: it lists, scans and looks up nothing. A pair the exact
+    instance tabulates asks ``report_shift`` at the exact instance for each
+    shift in the clamped gap that its table holds, and plans nothing; its
+    raw pairs are its pairs, each once. Any other pair's plan is answered
+    one level at a time, each level asked all its shifts in one
+    ``scan_shifts`` pass that returns one flat list of pairs.
     """
     clamped = _clamped_gap(g, alpha, beta, plan)
-    if plan is None and clamped is not None:
-        plan = plan_cover(*clamped)
     check_set_ids(g.exact, i, j)
+    tabulated = g.exact.backend.tabulated(i, j)
+    if plan is None and clamped is not None and not tabulated:
+        plan = plan_cover(*clamped)
     g.last_plan_size = 0 if plan is None else plan.size
     g.last_raw_pairs = g.last_max_multiplicity = 0
     elements_a, elements_b = g.exact.base[i - 1], g.exact.base[j - 1]
-    if plan is None or not range_meets(elements_a, elements_b, plan.gap_lo, plan.gap_hi):
+    if clamped is None or not range_meets(elements_a, elements_b, *clamped):
         return []
+    if tabulated:
+        # Pairs at distinct shifts differ, so there is nothing to deduplicate.
+        found = [pair for s in g.exact.backend.table.realized(i, j, *clamped)
+                 for pair in report_shift(g.exact, i, j, s)]
+        g.last_raw_pairs, g.last_max_multiplicity = len(found), min(len(found), 1)
+        return sorted(found)
     raw: list[tuple[int, int]] = []
     for level, shifts in enumerate(plan.level_shifts):
         if not shifts:  # level 1, whose shifts the plan asks at level 0
             continue
-        inst = g.instances[level]
-        if inst.backend.tabulated(i, j):
-            found = [pair for s in shifts for pair in report_shift(inst, i, j, s)]
-        else:
-            found = inst.backend.scan_shifts(i, j, shifts)
+        found = g.instances[level].backend.scan_shifts(i, j, shifts)
         if level == 0:
             raw += found
             continue

@@ -11,9 +11,11 @@ difference range misses the gap (``backends.range_meets``) does no work.
 An exists asks each cover pair one question, whether some difference
 lies in the gap (``SsiBackend.meets``), and the backend decides how: it
 reads a tabulated (heavy) pair's table and walks a light pair's smaller
-block. Only the first pair that meets the gap builds the plan and runs
-it, which yields the witness, so an exists builds at most one plan and a
-NO whose pairs never meet the gap plans nothing. Two self-contained
+block. Only the first pair that meets the gap gives the witness: a heavy
+pair from its table (its smallest realized shift in the gap, with the
+smallest a), a light one by building the plan and running it. So an
+exists builds at most one plan, and a NO whose pairs never meet the gap
+plans nothing. Two self-contained
 baselines (a two-finger linear scan and a precomputed per-distance table)
 provide independent answers for cross-checking.
 
@@ -241,12 +243,12 @@ class GappedStringIndex:
         Cover pairs are asked in order whether some difference lies in the
         gap (``SsiBackend.meets``: a table read for a pair the backend
         tabulates, a walk for any other), and only the first pair that
-        meets it builds the query's one plan and runs it, so the witness is
-        the plan-order one of the first pair that has any. Since the plan
-        covers the whole gap, that pair's ``gapped_exists`` must find a
-        witness: finding none raises GapIndexError. Afterwards
-        ``gapped.last_plan_size`` is the size of the plan built, or 0 when
-        no pair met the gap.
+        meets it answers: a tabulated pair from its table with no plan
+        (``gapped_exists``' table witness), any other by building the
+        query's one plan and running it, so the witness is the plan-order
+        one. That pair's ``gapped_exists`` must find a witness: finding
+        none raises GapIndexError. Afterwards ``gapped.last_plan_size`` is
+        the size of the plan built, or 0 when none was.
         """
         g = self.gapped
         g.last_plan_size = 0
@@ -254,19 +256,20 @@ class GappedStringIndex:
         if covers is None:
             return None
         cover_a, cover_b, (lo, hi) = covers
-        meets = g.exact.backend.meets
+        backend = g.exact.backend
         for ida in cover_a:
             for idb in cover_b:
-                if not meets(ida, idb, lo, hi):
+                if not backend.meets(ida, idb, lo, hi):
                     continue
-                # Looked up on the module, so a wrapper installed there sees
-                # each plan.
-                hit = gapped_exists(g, ida, idb, gap_lo, gap_hi,
-                                    plan=gapped.plan_cover(lo, hi))
+                # A tabulated pair answers from its table, with no plan. The
+                # plan is looked up on the module, so a wrapper installed
+                # there sees each one.
+                plan = None if backend.tabulated(ida, idb) else gapped.plan_cover(lo, hi)
+                hit = gapped_exists(g, ida, idb, gap_lo, gap_hi, plan=plan)
                 if hit is None:
                     raise GapIndexError(
                         f"cover pair ({ida}, {idb}) has a difference in"
-                        f" [{lo}, {hi}] that its plan missed"
+                        f" [{lo}, {hi}] that its {'plan' if plan else 'table'} missed"
                     )
                 return hit
         return None

@@ -2,7 +2,8 @@
 itself times both sides and exits 0, with one more line per query kind
 when the stream mixes kinds, and each side runs first as often as the
 other; against a copy whose string report drops its first pair it finds
-the changed answer and exits 1."""
+the changed answer and exits 1. With ``--oracle``, answers that differ
+pass when both pass the workload's check."""
 
 import pathlib
 import shutil
@@ -28,12 +29,24 @@ sys.exit(code)
 """
 
 
-def ab_time(old, new, workload, reps=2):
+def ab_time(old, new, workload, reps=2, *flags):
     return subprocess.run(
         [sys.executable, "-c", COUNT_FIRSTS, str(ROOT / "tools"), str(old), str(new),
-         "--workload", workload, "--seed", "21", "--config", "smoke", "--reps", str(reps)],
+         "--workload", workload, "--seed", "21", "--config", "smoke", "--reps", str(reps),
+         *flags],
         capture_output=True, text=True, timeout=300,
     )
+
+
+def doctored(tmp_path, name, module, old, new):
+    """A copy of the repo's ``src`` with one line of a module replaced."""
+    src = tmp_path / name
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "gapindex" / module
+    source = path.read_text()
+    assert source.count(old) == 1
+    path.write_text(source.replace(old, new))
+    return src
 
 
 def test_the_same_tree_times_both_sides():
@@ -73,12 +86,40 @@ def test_a_mixed_stream_times_each_kind():
 
 
 def test_a_changed_answer_fails(tmp_path):
-    doctored = tmp_path / "src"
-    shutil.copytree(ROOT / "src", doctored, ignore=shutil.ignore_patterns("__pycache__"))
-    textindex = doctored / "gapindex" / "textindex.py"
-    source = textindex.read_text()
-    assert source.count("return sorted(raw)\n") == 1
-    textindex.write_text(source.replace("return sorted(raw)\n", "return sorted(raw)[1:]\n"))
-    result = ab_time(ROOT / "src", doctored, "string-report")
+    src = doctored(tmp_path, "src", "textindex.py", "return sorted(raw)\n",
+                   "return sorted(raw)[1:]\n")
+    result = ab_time(ROOT / "src", src, "string-report")
     assert result.returncode == 1, result.stderr
     assert result.stdout.startswith("answers differ at query ")
+
+
+TABLE_SHIFT = "shift = g.exact.backend.table.smallest(i, j, lo, hi)\n"
+
+
+def test_the_oracle_lets_witnesses_differ_when_both_pass_the_check(tmp_path):
+    """A copy whose gapped exists takes a tabulated pair's largest realized
+    shift in the gap, not its smallest, gives other witnesses that still
+    hold. Without ``--oracle`` the first one fails the run; with it the
+    run passes and counts them. A copy whose witness is off by one fails
+    the check, and the run, either way."""
+    largest = doctored(tmp_path, "largest", "gapped.py", TABLE_SHIFT,
+                       "shift = (g.exact.backend.table.realized(i, j, lo, hi) or [None])[-1]\n")
+    result = ab_time(ROOT / "src", largest, "set-questions", 1)
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.startswith("answers differ at query ")
+    assert "check" not in result.stdout
+    result = ab_time(ROOT / "src", largest, "set-questions", 1, "--oracle")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "workload set-questions seed 21 config smoke queries 80 reps 1"
+    words = lines[1].split()
+    assert words[:3] == ["answers", "differ", "on"] and int(words[3]) > 0
+    assert " ".join(words[4:]) == "queries, each passing the workload's check"
+    # The rest is printed as for equal answers.
+    assert [line.split()[0] for line in lines[2:5]] == ["old", "new", "new/old"]
+    wrong = doctored(tmp_path, "wrong", "gapped.py", "        return (cert.a, cert.b)\n",
+                     "        return (cert.a, cert.b + 1)\n")
+    result = ab_time(ROOT / "src", wrong, "set-questions", 1, "--oracle")
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.startswith("answers differ at query ")
+    assert result.stdout.splitlines()[0].endswith("; the new answer fails the check")

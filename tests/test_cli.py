@@ -232,6 +232,60 @@ def test_query_golden_outputs(tmp_path, capsys):
     assert out == "occ=1\n1 8\n"
 
 
+@pytest.mark.parametrize("mode", ["exists", "report"])
+def test_gapped_string_patterns_take_a_hex_escape(tmp_path, capsys, mode):
+    """A ``hex:`` pattern is the bytes its digits spell, in either case, so
+    a query can hold whitespace and bytes that are not UTF-8: a container
+    answers it as the in-memory index answers those bytes, and a UTF-8
+    pattern spelled in hex as the plain pattern."""
+    text = b"ab \xff\tab \xffcd\xff \xfe ab \xff"
+    src = tmp_path / "text.bin"
+    src.write_bytes(text)
+    index, _ = build(tmp_path, capsys, src, "gapped-string")
+    idx = build_gapped_string_index(text, LinearScan())
+    cases = [(b" \xff", b"\xff", 0, 20), (b"ab", b"\t", 0, 5), (b"\xfe", b"ab", 1, 4),
+             (b"ab", b"ab", 1, 20), (b"\xff \xfe", b"cd", 0, 9)]
+    lines, want = [], []
+    for p1, p2, lo, hi in cases:
+        spelled = [f"hex:{p1.hex()} hex:{p2.hex().upper()} {lo} {hi}"]
+        if (p1 + p2).isalpha():
+            spelled.append(f"{p1.decode()} {p2.decode()} {lo} {hi}")
+        for line in spelled:
+            lines.append(line)
+            if mode == "exists":
+                hit = idx.exists(p1, p2, lo, hi)
+                want.append(f"YES {hit[0]} {hit[1]}" if hit else "NO")
+            else:
+                pairs = idx.report(p1, p2, lo, hi)
+                assert pairs == baseline_linear_scan(text, p1, p2, lo, hi)
+                want += [f"occ={len(pairs)}"] + [f"{a} {b}" for a, b in pairs]
+    queries = tmp_path / "hex.q"
+    queries.write_text("\n".join(lines) + "\n")
+    code, out, err = query_output(capsys, index, queries, "--mode", mode)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == want
+    empty = {"NO", "occ=0"}
+    assert empty & set(want) and set(want) - empty
+
+
+def test_a_bad_hex_pattern_is_a_format_error(tmp_path, capsys):
+    """Digits that spell no bytes (a letter past f, an odd count) or spell
+    none at all exit 2 with one ``format error:`` line per bad line; the
+    other lines are answered."""
+    src = tmp_path / "text.bin"
+    src.write_bytes(b"ab ab")
+    index, _ = build(tmp_path, capsys, src, "gapped-string")
+    queries = tmp_path / "bad.q"
+    queries.write_text("hex:zz ab 0 3\nab hex:616 0 3\nhex:6162 hex:2061 0 3\nhex: ab 0 3\n")
+    code, out, err = query_output(capsys, index, queries)
+    assert code == 2
+    assert out == "YES 1 3\n"
+    lines = err.splitlines()
+    assert len(lines) == 3 and all(line.startswith("format error: ") for line in lines)
+    assert "bad hex pattern 'hex:zz'" in lines[0] and "bad hex pattern 'hex:616'" in lines[1]
+    assert lines[2] == "format error: pattern must be nonempty"
+
+
 def test_gapped_set_query_and_plan(tmp_path, capsys, collection_file):
     index, _ = build(tmp_path, capsys, collection_file, "gapped-set")
     queries = tmp_path / "g.q"

@@ -13,7 +13,7 @@ import gc
 import random
 import tracemalloc
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -350,12 +350,13 @@ def test_sorted_tables_narrow_at_the_int32_bounds(first, code):
 def _meets_gaps(diffs, slots):
     """Gaps to ask of a pair with the sorted realized shifts ``diffs`` and
     the slot range ``slots`` (empty for a sorted table): gaps that touch
-    each end of either range or stop just short of it, the whole range
+    each end of either range, stop just short of it or two slots short of
+    it, the whole range
     with and without a margin, runs of unrealized shifts (a miss) and the
     same runs widened by one slot (a hit), and far-off gaps."""
     ends = {diffs[0], diffs[-1], *slots} if diffs else set(slots)
     gaps = [(e + a, e + b) for e in ends
-            for a, b in ((0, 0), (-3, 0), (0, 3), (-3, -1), (1, 3), (-1, 1))]
+            for a, b in ((0, 0), (-3, 0), (0, 3), (-3, -1), (1, 3), (-1, 1), (-5, -2), (2, 5))]
     if diffs:
         gaps += [(diffs[0], diffs[-1]), (diffs[0] - 9, diffs[-1] + 9)]
         holes = [(x + 1, y - 1) for x, y in zip(diffs, diffs[1:]) if y - x > 1]
@@ -365,9 +366,10 @@ def _meets_gaps(diffs, slots):
     return gaps + [(a, b) for a in _FAR for b in _FAR if a <= b]
 
 
-def _check_meets(table, i, j, sa, sb):
+def _check_reads(table, i, j, sa, sb):
     """Every gap of ``_meets_gaps`` gives, on (i, j) of ``table``, what a
-    listing of every b - a gives; returns the stored layout."""
+    listing of every b - a gives: ``smallest`` its first difference in the
+    gap, ``realized`` all of them. Returns the stored layout."""
     diffs = sorted({b - a for a in sa for b in sb})
     lo_slot, rows, _, mirrored = table._pairs[(i, j)]
     slots = ()
@@ -375,22 +377,24 @@ def _check_meets(table, i, j, sa, sb):
         slots = (lo_slot, lo_slot + len(rows) - 1)
         slots = tuple(-t for t in slots) if mirrored else slots
     for lo, hi in _meets_gaps(diffs, slots):
-        k = bisect_left(diffs, lo)
-        assert table.meets(i, j, lo, hi) == (k < len(diffs) and diffs[k] <= hi), (i, j, lo, hi)
+        inside = diffs[bisect_left(diffs, lo):bisect_right(diffs, hi)]
+        assert table.smallest(i, j, lo, hi) == (inside[0] if inside else None), (i, j, lo, hi)
+        assert table.realized(i, j, lo, hi) == inside, (i, j, lo, hi)
     return _layout(table, i, j)
 
 
-def test_meets_reads_every_layout_as_a_listing():
-    """``meets`` of a tabulated pair, stored, mirrored or (i, i), equals
-    "some b - a in [lo, hi]" over a listing of every difference, in every
-    stored layout, and walks nothing."""
+def test_table_reads_every_layout_as_a_listing():
+    """``smallest`` and ``realized`` of a tabulated pair, stored, mirrored
+    or (i, i), equal a listing of every difference, in every stored
+    layout; ``meets``, which reads ``smallest``, says whether some b - a
+    lies in the gap, and walks nothing."""
     layouts = set()
     for sets in _layout_collections():
         backend = build_backend(sets, FullTabulation())
         for i, sa in enumerate(sets, start=1):
             for j, sb in enumerate(sets, start=1):
                 assert backend.tabulated(i, j)
-                layouts.add(_check_meets(backend.table, i, j, sa, sb))
+                layouts.add(_check_reads(backend.table, i, j, sa, sb))
                 for lo, hi in ((-5, 5), (0, 0), (-2**70, 2**70)):
                     want = any(lo <= b - a <= hi for a in sa for b in sb)
                     assert backend.meets(i, j, lo, hi) == want
@@ -400,6 +404,6 @@ def test_meets_reads_every_layout_as_a_listing():
     sa, sb = tuple(range(m)), (0, 2)
     table = _TabulatedPairs()
     table.add_pair(1, 2, sa, sb, np.asarray(sa, dtype=np.int64), np.asarray(sb, dtype=np.int64))
-    layouts.add(_check_meets(table, 1, 2, sa, sb))
-    layouts.add(_check_meets(table, 2, 1, sb, sa))
+    layouts.add(_check_reads(table, 1, 2, sa, sb))
+    layouts.add(_check_reads(table, 2, 1, sb, sa))
     assert layouts == {"B", "H", "I", "i", "q", "list"}

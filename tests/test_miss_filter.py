@@ -6,7 +6,9 @@ listed once; a probe whose shift is not among them is dropped. A report
 keeps the listed pairs and answers any other untabulated level by one
 walking pass. The ``probe_all_*`` references keep the loop that asks the
 backend every probe, so the filtered queries must give the same answers,
-witnesses and statistics with no more SSI calls.
+witnesses and statistics with no more SSI calls. A pair the exact
+instance tabulates takes no plan, so it is checked against brute force
+(``test_table_route``) instead.
 """
 
 import random
@@ -37,6 +39,7 @@ from gapindex.reporting import report_shift
 from gapindex.sets import ingest_collection, level_starts
 from gapindex.textindex import build_gapped_string_index
 from test_plan_once import calls_of, cover_pairs
+from test_table_route import gap_pairs, table_witness
 
 KINDS = (LinearScan(), SmallUniverse(delta=0.5))
 
@@ -90,7 +93,7 @@ def listed(g, i, j, level, plan):
 
 def test_set_queries_match_probing_every_shift():
     rng = random.Random(53)
-    saved = listed_levels = 0
+    saved = listed_levels = tabled = 0
     for trial in range(40):
         kind = KINDS[trial % 2]
         k = rng.randint(2, 5)
@@ -101,6 +104,14 @@ def test_set_queries_match_probing_every_shift():
             i, j = rng.randint(1, k), rng.randint(1, k)
             lo = rng.randint(0, u)
             hi = lo + rng.randint(0, u)
+            if g.exact.backend.tabulated(i, j):
+                pairs = gap_pairs(c.set(i).elements, c.set(j).elements, lo, hi)
+                assert gapped_exists(g, i, j, lo, hi) == table_witness(pairs)
+                got = gapped_report(g, i, j, lo, hi)
+                assert (got, g.last_raw_pairs, g.last_max_multiplicity) == (
+                    pairs, len(pairs), min(len(pairs), 1))
+                tabled += 1
+                continue
             want, want_calls = calls_of(g, probe_all_exists, g, i, j, lo, hi)
             got, got_calls = calls_of(g, gapped_exists, g, i, j, lo, hi)
             assert got == want, (c, i, j, lo, hi)
@@ -118,7 +129,7 @@ def test_set_queries_match_probing_every_shift():
                 listed_levels += sum(
                     listed(g, i, j, level, plan) for level in range(len(plan.level_probes))
                 )
-    assert saved > 0 and listed_levels > 0
+    assert saved > 0 and listed_levels > 0 and tabled > 0
 
 
 def test_string_queries_match_probing_every_shift():
@@ -195,11 +206,16 @@ def test_listing_boundary_is_the_level_probe_count(query, calls):
         assert g.exact.ssi_calls() == g.ssi_calls() == exact_calls
 
 
-def test_tabulated_pairs_are_not_listed():
+def test_tabulated_pairs_are_not_listed(monkeypatch):
+    """A tabulated pair reads its table, which holds every realized shift:
+    it lists nothing, and asks one call only for the witness's shift."""
+    monkeypatch.setattr(SsiBackend, "differences", None)
     c = ingest_collection([[1], [2, 3, 4, 31]], u=32)
     g = build_gapped_index(c, FullTabulation())
     assert gapped_exists(g, 1, 2, 10, 20) is None
-    assert g.ssi_calls() == len(plan_cover(10, 20).probes)
+    assert g.ssi_calls() == 0
+    assert gapped_exists(g, 1, 2, 10, 30) == (1, 31)
+    assert g.ssi_calls() == 1
 
 
 def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
@@ -223,7 +239,7 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
 
     monkeypatch.setattr(SsiBackend, "scan_shifts", recording_pass)
     monkeypatch.setattr(gapped, "report_shift", recording_report)
-    checked = missed = 0
+    checked = missed = tabled = 0
     for trial in range(30):
         kind = KINDS[trial % 2]
         k = rng.randint(2, 4)
@@ -245,6 +261,12 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
                 assert passes == [] and reported == []
                 missed += 1
                 continue
+            # A pair the exact instance tabulates asks report_shift there,
+            # once per realized shift, and makes no pass.
+            if g.exact.backend.tabulated(i, j):
+                assert passes == [] and set(reported) <= {g.exact}
+                tabled += 1
+                continue
             # Passes are matched to levels in order: one per untabulated
             # level with shifts, none otherwise; level 1 has none, since the
             # plan asks its shifts at level 0.
@@ -263,7 +285,7 @@ def test_every_probe_let_through_a_listed_level_hits(monkeypatch):
                     pairs = [(a, b) for a, b in found if b - a == s]
                     assert pairs and pairs == report_shift(g.instances[level], i, j, s)
                 checked += len(hit)
-    assert checked > 100 and missed > 0
+    assert checked > 100 and missed > 0 and tabled > 0
 
 
 @pytest.mark.parametrize("query", [gapped_exists, gapped_report])

@@ -14,7 +14,9 @@ pair: a tabulated pair through ``report_shift``, any other by one
 ``scan_shifts`` pass. The library must give the same witness and the same
 pairs, those of brute force, with no more SSI calls, under all three
 backends, including pairs whose range touches the gap at exactly one end;
-a missing pair spends no call and no probe.
+a missing pair spends no call and no probe. A pair the exact instance
+tabulates answers from its table with no plan, so its references are
+``test_table_route``'s, written from brute force.
 """
 
 import random
@@ -35,6 +37,7 @@ from gapindex.generators import random_collection, random_pattern_from, random_t
 from gapindex.reporting import report_shift
 from gapindex.textindex import baseline_linear_scan, build_gapped_string_index
 from test_plan_once import calls_of, cover_pairs
+from test_table_route import table_exists, table_report
 
 KINDS = (LinearScan(), SmallUniverse(delta=0.5), FullTabulation())
 
@@ -119,20 +122,24 @@ def touching_gaps(sa, sb, rng, width):
 
 class Tally:
     def __init__(self):
-        self.saved = self.saved_reports = self.skipped = self.touched = 0
+        self.saved = self.saved_reports = self.skipped = self.touched = self.tabled = 0
 
     def check(self, g, counted, i, j, lo, hi, meets=None):
         """Library against references on one pair, exists and report;
         ``meets`` says whether the pair's range meets the gap, when the
         caller placed it there."""
-        want, want_calls = calls_of(counted, listing_exists, g, i, j, lo, hi)
+        tabled = g.exact.backend.tabulated(i, j)
+        self.tabled += tabled
+        references = (table_exists, table_report) if tabled else (listing_exists,
+                                                                  scanning_report)
+        want, want_calls = calls_of(counted, references[0], g, i, j, lo, hi)
         before = probes(g)
         got, got_calls = calls_of(counted, gapped_exists, g, i, j, lo, hi)
         exists_probes = probes(g) - before
         assert got == want, (i, j, lo, hi)
         assert got_calls <= want_calls
         self.saved += want_calls - got_calls
-        pairs, want_calls = calls_of(counted, scanning_report, g, i, j, lo, hi)
+        pairs, want_calls = calls_of(counted, references[1], g, i, j, lo, hi)
         assert pairs == brute_report(g, i, j, lo, hi), (i, j, lo, hi)
         before = probes(g)
         got_pairs, got_calls = calls_of(counted, gapped_report, g, i, j, lo, hi)
@@ -140,16 +147,24 @@ class Tally:
         assert got_pairs == pairs, (i, j, lo, hi)
         assert got_calls <= want_calls
         self.saved_reports += want_calls - got_calls
-        if meets is False:
+        if meets is False or (tabled and not pairs):
             assert (got, got_calls, exists_probes) == (None, 0, 0)
             assert (got_pairs, got_calls, report_probes) == ([], 0, 0)
             assert (g.last_raw_pairs, g.last_max_multiplicity) == (0, 0)
-            self.skipped += 1
+            self.skipped += meets is False
         elif meets:
             # The end of the range is a difference in the gap.
             assert got is not None and lo <= got[1] - got[0] <= hi
             assert got in got_pairs
             self.touched += 1
+
+    def assert_covered(self, kind, tabled):
+        """Each case was met: the plan's savings (no plan runs under
+        fulltab, which tabulates every pair), skipped and touched pairs,
+        and tabulated pairs exactly when ``tabled``."""
+        assert (self.saved > 0 and self.saved_reports > 0) == (kind != FullTabulation())
+        assert self.skipped > 0 and self.touched > 0
+        assert (self.tabled > 0) == tabled
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=["linear", "smalluniverse", "fulltab"])
@@ -168,8 +183,7 @@ def test_set_queries_match_the_listing_loop(kind):
             tally.check(g, g, i, j, lo, lo + rng.randint(0, u))
             for lo, hi, meets in touching_gaps(g.exact.base[i - 1], g.exact.base[j - 1], rng, u):
                 tally.check(g, g, i, j, lo, hi, meets=meets)
-    assert tally.saved > 0 and tally.saved_reports > 0
-    assert tally.skipped > 0 and tally.touched > 0
+    tally.assert_covered(kind, tabled=kind != LinearScan())
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=["linear", "smalluniverse", "fulltab"])
@@ -193,14 +207,18 @@ def test_string_queries_match_the_listing_loop(kind):
 
             def reference():
                 for a, b in pairs:
-                    hit = listing_exists(g, a, b, lo, hi, plan)
+                    if g.exact.backend.tabulated(a, b):
+                        hit = table_exists(g, a, b, lo, hi)
+                    else:
+                        hit = listing_exists(g, a, b, lo, hi, plan)
                     if hit is not None:
                         return hit
                 return None
 
             def scanning():
-                return sorted(pair for a, b in pairs
-                              for pair in scanning_report(g, a, b, lo, hi, plan))
+                return sorted(pair for a, b in pairs for pair in (
+                    table_report(g, a, b, lo, hi) if g.exact.backend.tabulated(a, b)
+                    else scanning_report(g, a, b, lo, hi, plan)))
 
             want, want_calls = calls_of(idx, reference)
             got, got_calls = calls_of(idx, idx.exists, p1, p2, lo, hi)
@@ -216,8 +234,8 @@ def test_string_queries_match_the_listing_loop(kind):
                 for glo, ghi, meets in touching_gaps(g.exact.base[a - 1], g.exact.base[b - 1],
                                                      rng, len(text)):
                     tally.check(g, idx, a, b, glo, ghi, meets=meets)
-    assert tally.saved > 0 and tally.saved_reports > 0
-    assert tally.skipped > 0 and tally.touched > 0
+    # These texts have no cover set above smalluniverse's threshold.
+    tally.assert_covered(kind, tabled=kind == FullTabulation())
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=["linear", "smalluniverse", "fulltab"])

@@ -4,8 +4,10 @@
 at a time and deduplicated probes through a dict; ``plan_cover`` computes
 each level's run of centers in closed form. Every field, derived or not,
 and ``describe()`` must agree on every gap tested. A pin in ``tests/pins/``
-holds the witnesses ``exists`` returns, the first hit in probe order, with
-each query's backend calls and probes."""
+holds the witnesses ``exists`` returns, the first hit in probe order (or,
+for a pair the exact instance tabulates, the smallest realized shift in
+the gap with its smallest a), with each query's backend calls and
+probes."""
 
 import random
 from dataclasses import dataclass
@@ -202,12 +204,14 @@ def exists_stream(kind, n, queries, seed=512) -> str:
         # is tabulated and the counts are those of linear.
         (SmallUniverse(delta=0.5), 512),
         # Tabulating every pair is quadratic in the stored sets: a small text.
+        # Every pair answers from its table, so no query plans.
         (FullTabulation(), 16),
     ],
     ids=["linear", "smalluniverse", "fulltab"],
 )
 def test_exists_witnesses_and_counts_are_pinned(kind, n, pin):
-    """The witness is the first hit in probe order and the CLI prints it, so
-    a plan that reorders its probes moves the answers; a change in how
-    many calls or probes a query spends moves the counters."""
+    """An untabulated pair's witness is the first hit in probe order and
+    the CLI prints it, so a plan that reorders its probes moves the
+    answers; a change in how many calls or probes a query spends moves the
+    counters."""
     pin(f"plan-runs-{kind.name}", exists_stream(kind, n, 600))

@@ -7,7 +7,9 @@ plan through ``gapped.plan_cover`` only when every point misses. The
 its first probe. Both must give the same witness with the same SSI calls
 and probes, and ``last_plan_size`` is the size of what was built: the
 number of point shifts when a point answered, the plan's size once it was
-built, and 0 when nothing was asked.
+built, and 0 when nothing was asked. A pair the exact instance tabulates
+plans nothing: it answers from its table, as ``test_table_route``'s
+brute-force reference does, with size 0.
 """
 
 import random
@@ -17,6 +19,7 @@ import pytest
 from gapindex import gapped
 from gapindex.backends import FullTabulation, LinearScan, SmallUniverse, range_meets
 from gapindex.gapped import GappedIndex, gapped_exists, originals, plan_cover
+from test_table_route import table_exists
 
 KINDS = (LinearScan(), SmallUniverse(delta=0.5), FullTabulation())
 KIND_IDS = ["linear", "smalluniverse", "fulltab"]
@@ -108,6 +111,8 @@ def test_exists_plans_only_once_every_point_misses(plans, kind):
         (3, 3, 0, 3, (11, 11), [], 4),  # i == j: shift 0 is a point of [0, 3]
     ]
     for i, j, alpha, beta, witness, asked, size in cases:
+        if g.exact.backend.tabulated(i, j):  # every pair, under fulltab
+            asked, size = [], 0
         plans.clear()
         g.last_plan_size = -1
         assert gapped_exists(g, i, j, alpha, beta) == witness
@@ -134,7 +139,7 @@ def random_gap(rng, universe):
 @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
 def test_exists_matches_the_plan_first_loop(kind):
     rng = random.Random(280)
-    sizes = {"point": 0, "plan": 0, "none": 0}
+    sizes = {"point": 0, "plan": 0, "none": 0, "table": 0}
     for _ in range(60):
         g = random_index(rng, kind)
         k = len(g.exact.base)
@@ -142,18 +147,27 @@ def test_exists_matches_the_plan_first_loop(kind):
             i = rng.randint(1, k)
             j = i if rng.random() < 0.2 else rng.randint(1, k)
             alpha, beta = random_gap(rng, g.universe)
-            (want, segment), want_calls, want_probes = counted(g, plan_first_exists, i, j,
-                                                               alpha, beta)
+            tabulated = g.exact.backend.tabulated(i, j)
+            if tabulated:
+                (want, want_calls, want_probes), segment = counted(
+                    g, table_exists, i, j, alpha, beta), None
+            else:
+                (want, segment), want_calls, want_probes = counted(g, plan_first_exists, i, j,
+                                                                   alpha, beta)
             got, calls, spent = counted(g, gapped_exists, i, j, alpha, beta)
             assert (got, calls, spent) == (want, want_calls, want_probes), (i, j, alpha, beta)
             clamped = g._clamped(alpha, beta)
             sa, sb = g.exact.base[i - 1], g.exact.base[j - 1]
             if clamped is None or not range_meets(sa, sb, *clamped):
                 expected, case = 0, "none"
+            elif tabulated:
+                expected, case = 0, "table"
             elif segment == 0:
                 expected, case = len(plan_cover(*clamped).point_shifts), "point"
             else:
                 expected, case = plan_cover(*clamped).size, "plan"
             assert g.last_plan_size == expected, (i, j, alpha, beta)
             sizes[case] += 1
-    assert min(sizes.values()) > 20, sizes
+    # fulltab tabulates every pair, linear none.
+    cases = {"linear": ("point", "plan"), "fulltab": ("table",)}.get(kind.name, sizes)
+    assert min(sizes[case] for case in ("none", *cases)) > 20, sizes

@@ -261,14 +261,18 @@ def test_member_rule_on_a_string_index_and_a_skewed_collection():
     for inst in _instances(idx.gapped):
         _assert_member_rule(inst)
     # The benchmark's set-questions shape, scaled down: small and large sets
-    # under SmallUniverse(0.5), which stores the large sets' upper blocks.
+    # under SmallUniverse, whose exact instances store the large sets' upper
+    # blocks at delta 0.4; quotient levels, built under LinearScan, store
+    # none.
     sizes = [16] * 10 + [200] * 10
     c = random_collection(random.Random(21), len(sizes), sum(sizes), 8192, sizes)
-    kind = SmallUniverse(delta=0.5)
-    instances = [build_reporting_index(c, kind)] + _instances(build_gapped_index(c, kind))
-    for inst in instances:
-        _assert_member_rule(inst)
-    assert any(len(inst.backend.sets) > len(inst.base) for inst in instances)
+    for kind in (SmallUniverse(delta=0.5), SmallUniverse(delta=0.4)):
+        g = build_gapped_index(c, kind)
+        instances = [build_reporting_index(c, kind)] + _instances(g)
+        for inst in instances:
+            _assert_member_rule(inst)
+        assert all(len(lvl.instance.backend.sets) == c.k for lvl in g.levels)
+    assert len(g.exact.backend.sets) > c.k
 
 
 def test_string_index_memory_is_bounded():
@@ -434,8 +438,8 @@ def test_report_shift_refuses_a_block_id_past_the_base_sets():
     # is a stored set: the range check must count the k base sets only.
     c = ingest_collection([[1, 2, 5, 9], [3, 4, 7], [2, 6]], u=16)
     reporting_index = build_reporting_index(c, FullTabulation())
-    level2 = build_gapped_index(c, FullTabulation()).levels[0].instance
-    for inst in (reporting_index, level2):
+    exact = build_gapped_index(c, FullTabulation()).exact
+    for inst in (reporting_index, exact):
         assert len(inst.backend.sets) > c.k + 1
         for i, j in ((c.k + 1, 1), (1, c.k + 1)):
             with pytest.raises(FormatError, match=rf"set index {c.k + 1} out of range 1\.\.{c.k}$"):

@@ -5,7 +5,13 @@ from typing import NamedTuple
 import pytest
 
 from gapindex import gapped, textindex
-from gapindex.backends import FullTabulation, LinearScan, SmallUniverse, range_meets
+from gapindex.backends import (
+    FullTabulation,
+    LinearScan,
+    SmallUniverse,
+    SsiBackend,
+    range_meets,
+)
 from gapindex.errors import BudgetError, FormatError, GapIndexError
 from gapindex.gapped import gapped_exists, gapped_report, plan_cover
 from gapindex.generators import random_pattern_from, random_text
@@ -19,6 +25,8 @@ from gapindex.textindex import (
     occurrences,
     pattern_interval,
 )
+from test_plan_once import cover_pairs
+from test_table_route import gap_pairs, table_witness
 
 
 class DyadicInterval(NamedTuple):
@@ -220,11 +228,12 @@ def test_string_index_rejects_bad_gap_before_pattern_lookup():
     assert idx.report(b"an", b"na", 9, 12) == []
 
 
-def _exists_with_a_plan_that_misses(monkeypatch, kind):
-    """Ask an exists whose only cover pair meets the gap, with a plan that
-    drops every segment asking the pair's only hit; returns the pair."""
+def test_exists_raises_when_the_plan_misses_a_meeting_pair(monkeypatch):
+    """A pair whose walk meets the gap must get a witness from its plan: a
+    plan that drops every segment asking the pair's only hit makes
+    ``exists`` raise where it would otherwise answer NO."""
     text = b"axxxbxxx"  # one "a" at 1, one "b" at 5: the only pair has gap 4
-    idx = build_gapped_string_index(text, kind)
+    idx = build_gapped_string_index(text, LinearScan())
     lo, hi = 0, 7
     assert idx.exists(b"a", b"b", lo, hi) == (1, 5)
     a, b = 1, 5
@@ -245,36 +254,41 @@ def _exists_with_a_plan_that_misses(monkeypatch, kind):
                 for rank, _ in (pattern_interval(idx.suffixes, p) for p in (b"a", b"b")))
     # The pair meets the gap, but its doctored plan finds nothing.
     backend = idx.gapped.exact.backend
-    assert backend.meets(ida, idb, lo, hi)
+    assert backend.meets(ida, idb, lo, hi) and not backend.tabulated(ida, idb)
     assert gapped_exists(idx.gapped, ida, idb, lo, hi, plan=doctored_plan_cover(lo, hi)) is None
     with pytest.raises(GapIndexError, match="plan missed"):
         idx.exists(b"a", b"b", lo, hi)
-    return backend, (ida, idb)
 
 
-def test_exists_raises_when_the_plan_misses_a_meeting_pair(monkeypatch):
-    """A pair whose walk meets the gap must get a witness from its plan: a
-    plan that drops every segment asking the pair's only hit makes
-    ``exists`` raise where it would otherwise answer NO."""
-    backend, pair = _exists_with_a_plan_that_misses(monkeypatch, LinearScan())
-    assert not backend.tabulated(*pair)
+def test_exists_raises_when_the_table_misses_a_meeting_heavy_pair(monkeypatch):
+    """A tabulated (heavy) pair builds no plan: its table gives the
+    witness. A pair that ``meets`` says meets the gap, but whose table
+    read finds no shift there, raises where it would otherwise answer
+    NO."""
+    plans = []
+
+    def counting_plan(alpha, beta):
+        plans.append((alpha, beta))
+        return plan_cover(alpha, beta)
+
+    monkeypatch.setattr(gapped, "plan_cover", counting_plan)
+    idx = build_gapped_string_index(b"axxxbxxx", FullTabulation())
+    assert idx.exists(b"a", b"b", 0, 7) == (1, 5) and plans == []
+    assert idx.exists(b"a", b"b", 5, 7) is None  # the only pair has gap 4
+    monkeypatch.setattr(SsiBackend, "meets", lambda *args: True)
+    with pytest.raises(GapIndexError, match="table missed"):
+        idx.exists(b"a", b"b", 5, 7)
+    assert plans == []
 
 
-def test_exists_raises_when_the_plan_misses_a_meeting_heavy_pair(monkeypatch):
-    """The same holds for a tabulated (heavy) pair, whose table says that
-    it meets the gap: it raises, where it once went on to the next pair."""
-    backend, pair = _exists_with_a_plan_that_misses(monkeypatch, FullTabulation())
-    assert backend.tabulated(*pair)
-
-
-def test_fulltab_exists_plans_only_for_a_pair_whose_table_meets_the_gap(monkeypatch):
+def test_fulltab_exists_takes_the_table_witness_and_builds_no_plan(monkeypatch):
     """Under fulltab every cover pair is tabulated, and its table decides
     whether the pair meets the gap. In "banana", "a" is at 2, 4, 6 and
     "n" at 3, 5, so every gap between them is odd: the cover pairs'
     difference ranges meet [2, 2], but no table holds shift 2, and the
-    exists builds no plan and makes no call. Over a random stream a query
-    plans once when it answers YES and never when it answers NO, and its
-    witness is the one ``linear`` gives."""
+    exists makes no call. Over a random stream no query builds a plan, a
+    YES makes one call, and its witness is the table witness of the first
+    cover pair with a pair in the gap; YES and NO are those of ``linear``."""
     plans = []
 
     def counting_plan(alpha, beta):
@@ -293,7 +307,8 @@ def test_fulltab_exists_plans_only_for_a_pair_whose_table_meets_the_gap(monkeypa
     assert idx.exists(b"a", b"n", 2, 2) is None
     assert plans == [] and idx.ssi_calls() == calls and g.last_plan_size == 0
     hit = idx.exists(b"a", b"n", 1, 1)
-    assert hit is not None and hit[1] - hit[0] == 1 and plans == [(1, 1)]
+    assert hit is not None and hit[1] - hit[0] == 1 and plans == []
+    assert idx.ssi_calls() == calls + 1
 
     rng = random.Random(32)
     text = random_text(rng, 48, 3)
@@ -305,10 +320,15 @@ def test_fulltab_exists_plans_only_for_a_pair_whose_table_meets_the_gap(monkeypa
         lo = rng.randint(0, 24)
         query = (p1, p2, lo, lo + rng.randint(0, 12))
         want = light.exists(*query)
+        g = heavy.gapped
+        first = next((pairs for a, b in cover_pairs(heavy, p1, p2)
+                      if (pairs := gap_pairs(g.exact.base[a - 1], g.exact.base[b - 1],
+                                             *query[2:]))), [])
         plans.clear()
+        calls = heavy.ssi_calls()
         hit = heavy.exists(*query)
-        assert hit == want, query
-        assert len(plans) == (hit is not None), query
+        assert hit == table_witness(first) and (hit is None) == (want is None), query
+        assert plans == [] and heavy.ssi_calls() - calls == (hit is not None), query
         answers.add(hit is None)
     assert answers == {True, False}
 

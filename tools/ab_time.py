@@ -2,7 +2,7 @@
 process, query by query, and check that both give the same answers.
 
     python3 tools/ab_time.py OLD_SRC NEW_SRC --workload string-report --seed 21
-        [--config full|smoke] [--reps 3]
+        [--config full|smoke] [--reps 3] [--oracle]
 
 OLD_SRC and NEW_SRC are directories that hold a ``gapindex`` package (a
 checkout's ``src``). The workload (inputs, structures and stream) comes
@@ -13,7 +13,12 @@ turn, the tree that goes first alternating from one query to the next
 and, for each query, from one repetition to the next, so drift on the
 machine falls on both sides alike at any number of repetitions. Every
 answer's repr must be the same under both trees: the first query that
-differs is printed and the exit code is 1. Otherwise the tool prints, per
+differs is printed and the exit code is 1. With ``--oracle`` a query whose
+answers differ passes when each tree's answer passes that tree's
+workload ``check`` (an exists may then change its witness); the second
+line counts such queries, ``answers differ on K queries, each passing
+the workload's check``, and the first query with an answer that fails the
+check is printed, with exit code 1. Otherwise the tool prints, per
 side, the mean, p50, p90 and p99 of the per-query microseconds pooled
 over the repetitions, and the new/old ratio of each. When the stream mixes
 query kinds (``q[0]``, as ``set-questions`` does), one more line per kind,
@@ -105,20 +110,21 @@ def kind_lines(stream: list, micros: list[list[float]]) -> list[str]:
     return lines
 
 
-def run(old: Path, new: Path, workload: str, seed: int, config: str, reps: int) -> int:
+def run(old: Path, new: Path, workload: str, seed: int, config: str, reps: int,
+        oracle: bool = False) -> int:
     trees = [Tree(old), Tree(new)]
-    calls, streams = [], []
+    loads, calls = [], []
     for tree in trees:
         tree.activate()
         wl = tree.workloads.WORKLOADS[workload](seed, config)
         calls.append(wl.dispatch({name: step() for name, step in wl.build_steps()}))
-        streams.append(wl.stream)
-    if streams[0] != streams[1]:
+        loads.append(wl)
+    if loads[0].stream != loads[1].stream:
         print("streams differ")
         return 1
-    stream = streams[0]
+    stream = loads[0].stream
     micros: list[list[float]] = [[], []]
-    answers: list[list[str]] = [[], []]
+    answers: list[list] = [[], []]
     for rep in range(reps):
         for number, q in enumerate(stream):
             for side in (0, 1) if (rep + number) % 2 == 0 else (1, 0):
@@ -127,13 +133,25 @@ def run(old: Path, new: Path, workload: str, seed: int, config: str, reps: int) 
                 answer = calls[side](q)
                 micros[side].append((perf_counter_ns() - started) / 1e3)
                 if rep == 0:
-                    answers[side].append(repr(answer))
-    for number, (a, b) in enumerate(zip(*answers)):
-        if a != b:
-            print(f"answers differ at query {number}: {stream[number]!r}")
+                    answers[side].append(answer)
+    differ = [number for number, (a, b) in enumerate(zip(*answers)) if repr(a) != repr(b)]
+    for number in differ:
+        q = stream[number]
+        if not oracle:
+            print(f"answers differ at query {number}: {q!r}")
+            return 1
+        failed = []
+        for side, name in enumerate(("old", "new")):
+            trees[side].activate()
+            if not loads[side].check(q, answers[side][number]):
+                failed.append(name)
+        if failed:
+            print(f"answers differ at query {number}: {q!r};"
+                  f" the {' and '.join(failed)} answer fails the check")
             return 1
     print(f"workload {workload} seed {seed} config {config} queries {len(stream)} reps {reps}")
-    print("answers equal")
+    print(f"answers differ on {len(differ)} queries, each passing the workload's check"
+          if differ else "answers equal")
     stats = [summary(samples) for samples in micros]
     for name, side in zip(("old", "new"), stats):
         print(f"{name} " + " ".join(f"{key} {value:.1f}" for key, value in side.items()) + " us")
@@ -153,11 +171,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--config", default="full", choices=["full", "smoke"])
     parser.add_argument("--reps", type=int, default=3)
+    parser.add_argument("--oracle", action="store_true",
+                        help="let answers differ when both pass the workload's check")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
     return run(args.old.resolve(), args.new.resolve(), args.workload, args.seed,
-               args.config, args.reps)
+               args.config, args.reps, args.oracle)
 
 
 if __name__ == "__main__":

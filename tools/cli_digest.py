@@ -29,9 +29,10 @@ The session:
   pass ``--backend fulltab`` and ``--backend smalluniverse --delta 0.0``
   and are refused.
 * Per container, ``query --mode exists`` and ``--mode report``, both with
-  ``--count-queries`` and, on the gapped kinds, ``--plan``; each query file
-  ends in one line that is an error: a set id past the collection or a
-  malformed line. Then ``verify --trials 50``. The wide ``ssi``
+  ``--count-queries`` and, on the gapped kinds, ``--plan``; a gapped-string
+  query file repeats its first query with the first pattern as a ``hex:``
+  escape, and each query file ends in one line that is an error: a set id
+  past the collection or a malformed line. Then ``verify --trials 50``. The wide ``ssi``
   containers under ``fulltab`` and delta 0.0 answer ``exists`` only: a
   report, and ``verify``, which checks reports, would tabulate every
   dyadic block of its 561 elements.
@@ -114,6 +115,10 @@ def _text_queries(text: bytes, kind: str, rng: random.Random) -> str:
             start = rng.randrange(len(text) - 3)
             window = text[start:start + rng.randint(1, 4)]
             lines.append(" ".join(str(window.count(c)) for c in b"abc"))
+    if kind == "gapped-string":
+        # The first query again, its first pattern spelled in hex.
+        p1, rest = lines[0].split(" ", 1)
+        lines.append(f"hex:{p1.encode().hex()} {rest}")
     lines.append("ab" if kind == "gapped-string" else "1 x 0")
     return "\n".join(lines) + "\n"
 
