@@ -1,16 +1,27 @@
 """Versioned binary container for built indexes.
 
-One file holds a JSON manifest plus named binary sections (little-endian
-int64 arrays or raw bytes) with a payload digest, so a corrupted or
-truncated file is rejected at load. Only the primary input is persisted:
-the set collection (``universe``, ``set_offsets``, ``set_elements``) for
-the set kinds, and the ``text`` for the text kinds. Everything else, the
-suffix array, the dyadic interval sets and the jumbled alphabet included,
-is rebuilt deterministically on load, which keeps the container portable
-and query outputs bit-exact across save/load. Containers written with
-extra sections (``sa``, ``lcp`` and interval sets for gapped-string,
-``alphabet`` for jumbled) still load; their index is rebuilt from the
-text alone.
+One file holds a JSON manifest plus named binary sections (int64 arrays or
+raw bytes) with a payload digest, so a corrupted or truncated file is
+rejected at load. Only the primary input is persisted: the set collection
+(``universe``, ``set_offsets``, ``set_elements``) for the set kinds, and the
+``text`` for the text kinds. Everything else, the suffix array, the dyadic
+interval sets and the jumbled alphabet included, is rebuilt
+deterministically on load, which keeps the container portable and query
+outputs bit-exact across save/load. Containers written with extra sections
+(``sa``, ``lcp`` and interval sets for gapped-string, ``alphabet`` for
+jumbled) still load; their index is rebuilt from the text alone.
+
+Format 2 stores every section zlib-compressed at level ``ZLIB_LEVEL`` and
+records its decoded byte length: an int64 array as its first differences
+(little-endian int64, wrapping), so sorted sets and offsets become small
+gaps, and raw bytes as they are. Format 1 stored the same sections
+uncompressed; its containers, and its two section tags, still load. A load
+inflates each section to exactly its declared length and refuses, before
+inflating anything more, sections whose declared lengths add up to more
+than the memory budget. In memory a section is an int64 array or
+``bytes`` under either format. The compressed bytes come from the zlib
+build, so a container's bytes, though never its answers, may differ
+between machines.
 """
 
 from __future__ import annotations
@@ -18,22 +29,27 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, SmallUniverse, parse_backend
-from .errors import FormatError
+from .errors import BudgetError, FormatError
 from .sets import MAX_UNIVERSE, IntSet, SetCollection, parse_collection
 
 MAGIC = b"GIDX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+ZLIB_LEVEL = 9
 
 KINDS = ("ssi", "gapped-set", "gapped-string", "jumbled", "smallest-shift")
 
-_SEC_I64 = 0
-_SEC_RAW = 1
+# Section tags: format 1 wrote the first two, format 2 writes the last two.
+_SEC_I64 = 0  # little-endian int64 values
+_SEC_RAW = 1  # bytes as they are
+_SEC_I64_DIFFS_Z = 2  # decoded length, then zlib of the int64 first differences
+_SEC_RAW_Z = 3  # decoded length, then zlib of the bytes
 
 
 @dataclass
@@ -56,19 +72,44 @@ def _digest(data: bytes) -> str:
 def _encode_sections(sections: dict) -> bytes:
     out = [struct.pack("<I", len(sections))]
     for name, value in sections.items():
-        blob = value.astype("<i8").tobytes() if isinstance(value, np.ndarray) else bytes(value)
-        tag = _SEC_I64 if isinstance(value, np.ndarray) else _SEC_RAW
+        if isinstance(value, np.ndarray):
+            tag, raw = _SEC_I64_DIFFS_Z, np.diff(value.astype("<i8"), prepend=0).tobytes()
+        else:
+            tag, raw = _SEC_RAW_Z, bytes(value)
+        blob = zlib.compress(raw, ZLIB_LEVEL)
         encoded_name = name.encode()
         out.append(struct.pack("<H", len(encoded_name)))
         out.append(encoded_name)
-        out.append(struct.pack("<BQ", tag, len(blob)))
+        out.append(struct.pack("<BQQ", tag, len(blob), len(raw)))
         out.append(blob)
     return b"".join(out)
 
 
-def _decode_sections(blob: bytes) -> dict:
+def _inflate(name: str, blob: bytes, size: int) -> bytes:
+    """The zlib stream ``blob``, which must inflate to exactly ``size`` bytes."""
+    stream = zlib.decompressobj()
+    try:
+        data = stream.decompress(blob, size + 1)
+    except zlib.error as e:
+        raise FormatError(f"section {name!r} is not a zlib stream: {e}") from None
+    if len(data) != size:
+        more = "more" if len(data) > size else "fewer"
+        raise FormatError(f"section {name!r} inflates to {more} bytes than its declared {size}")
+    if not stream.eof or stream.unused_data:
+        raise FormatError(f"section {name!r} is not one complete zlib stream")
+    return data
+
+
+def _int64s(name: str, data: bytes) -> np.ndarray:
+    if len(data) % 8:
+        raise FormatError(f"int64 section {name!r} holds {len(data)} bytes, not a multiple of 8")
+    return np.frombuffer(data, dtype="<i8").astype(np.int64)
+
+
+def _decode_sections(blob: bytes, mem_budget: int) -> dict:
     view = memoryview(blob)
     off = 0
+    declared = 0
 
     def take(n: int) -> memoryview:
         nonlocal off
@@ -86,11 +127,23 @@ def _decode_sections(blob: bytes) -> dict:
             name = bytes(take(name_len)).decode()
         except UnicodeDecodeError:
             raise FormatError("section name is not UTF-8") from None
+        if name in sections:
+            raise FormatError(f"section {name!r} appears twice")
         tag, length = struct.unpack("<BQ", take(9))
-        data = bytes(take(length))
+        if tag in (_SEC_I64_DIFFS_Z, _SEC_RAW_Z):
+            (size,) = struct.unpack("<Q", take(8))
+            declared += size
+            if declared > mem_budget:
+                raise BudgetError(f"container sections declare {declared} decoded bytes,"
+                                  f" over budget {mem_budget}")
+            data = _inflate(name, bytes(take(length)), size)
+        else:
+            data = bytes(take(length))
         if tag == _SEC_I64:
-            sections[name] = np.frombuffer(data, dtype="<i8").astype(np.int64)
-        elif tag == _SEC_RAW:
+            sections[name] = _int64s(name, data)
+        elif tag == _SEC_I64_DIFFS_Z:
+            sections[name] = np.cumsum(_int64s(name, data), dtype=np.int64)
+        elif tag in (_SEC_RAW, _SEC_RAW_Z):
             sections[name] = data
         else:
             raise FormatError(f"unknown section tag {tag}")
@@ -101,7 +154,7 @@ def _decode_sections(blob: bytes) -> dict:
 
 def save_artifact(path: str, artifact: Artifact) -> None:
     payload = _encode_sections(artifact.sections)
-    manifest = dict(artifact.manifest)
+    manifest = dict(artifact.manifest, format_version=FORMAT_VERSION)
     manifest["payload_digest"] = _digest(payload)
     manifest_blob = json.dumps(manifest, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -118,7 +171,7 @@ def load_artifact(path: str, mem_budget: int = DEFAULT_MEM_BUDGET) -> Artifact:
     if data[:4] != MAGIC or len(data) < 16:
         raise FormatError(f"{path}: not a gapindex container (bad magic or short header)")
     (version,) = struct.unpack("<I", data[4:8])
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise FormatError(f"{path}: unsupported container version {version}")
     (mlen,) = struct.unpack("<Q", data[8:16])
     manifest_blob = data[16 : 16 + mlen]
@@ -131,7 +184,7 @@ def load_artifact(path: str, mem_budget: int = DEFAULT_MEM_BUDGET) -> Artifact:
         raise FormatError(f"{path}: manifest is not a JSON object")
     if manifest.get("payload_digest") != _digest(payload):
         raise FormatError(f"{path}: payload digest mismatch (corrupted file)")
-    sections = _decode_sections(payload)
+    sections = _decode_sections(payload, mem_budget)
     kind = manifest.get("kind")
     if kind not in KINDS:
         raise FormatError(f"{path}: unknown artifact kind {kind!r}")

@@ -5,9 +5,11 @@ with j - i inside a gap range. The index covers the suffix array with
 dyadic intervals, turns each interval's slice of starting positions into a
 sorted set, and answers queries through the gapped set intersection index
 over those sets. Each query plans its gap at most once and runs the plan
-on the cover pairs (one dyadic block of each pattern's interval). A
-report plans the gap up front and runs it on every pair, and a pair whose
-difference range misses the gap (``backends.range_meets``) does no work.
+on the cover pairs (one dyadic block of each pattern's interval). In a
+report a pair whose difference range misses the gap
+(``backends.range_meets``) does no work and a tabulated pair reads its
+table; the gap is planned at the first other pair, and later pairs share
+that plan, so a report whose pairs all miss the gap plans nothing.
 An exists asks each cover pair one question, whether some difference
 lies in the gap (``SsiBackend.meets``), and the backend decides how: it
 reads a tabulated (heavy) pair's table and walks a light pair's smaller
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gapped
-from .backends import DEFAULT_MEM_BUDGET, BackendKind
+from .backends import DEFAULT_MEM_BUDGET, BackendKind, range_meets
 from .errors import BudgetError, FormatError, GapIndexError
 from .gapped import GappedIndex, gapped_exists, gapped_report
 from .sets import cover_blocks, level_starts
@@ -277,11 +279,12 @@ class GappedStringIndex:
     def report(self, p1: bytes, p2: bytes, gap_lo: int, gap_hi: int) -> list[tuple[int, int]]:
         """All pairs (i, j): p1 at i, p2 at j, j - i in [gap_lo, gap_hi].
 
-        Every cover pair shares the query's one plan; a pair that fails
-        ``range_meets`` reports nothing without running it. Afterwards
-        ``gapped.last_plan_size`` is the plan's size (0 when no cover pair
-        runs), ``last_raw_pairs`` the sum of the cover pairs' raw pairs and
-        ``last_max_multiplicity`` the largest of theirs.
+        A cover pair that fails ``range_meets`` reports nothing and is not
+        run; a tabulated pair reports from its table. The query's one plan is
+        built at the first other pair, and every later one shares it.
+        Afterwards ``gapped.last_plan_size`` is that plan's size (0 when no
+        pair needed one), ``last_raw_pairs`` the sum of the cover pairs' raw
+        pairs and ``last_max_multiplicity`` the largest of theirs.
         """
         g = self.gapped
         g.last_plan_size = g.last_raw_pairs = g.last_max_multiplicity = 0
@@ -289,14 +292,21 @@ class GappedStringIndex:
         if covers is None:
             return []
         cover_a, cover_b, clamped = covers
-        plan = gapped.plan_cover(*clamped)
+        base, backend = g.exact.base, g.exact.backend
+        plan = None
         raw: list[tuple[int, int]] = []
         raw_pairs = multiplicity = 0
         for ida in cover_a:
             for idb in cover_b:
+                if not range_meets(base[ida - 1], base[idb - 1], *clamped):
+                    continue
+                if plan is None and not backend.tabulated(ida, idb):
+                    # Looked up on the module, so a wrapper installed there sees it.
+                    plan = gapped.plan_cover(*clamped)
                 raw.extend(gapped_report(g, ida, idb, gap_lo, gap_hi, plan=plan))
                 raw_pairs += g.last_raw_pairs
                 multiplicity = max(multiplicity, g.last_max_multiplicity)
+        g.last_plan_size = 0 if plan is None else plan.size
         g.last_raw_pairs, g.last_max_multiplicity = raw_pairs, multiplicity
         # Each pattern's cover blocks partition its occurrences, so pairs
         # from different cover pairs differ and need no deduplication.

@@ -26,6 +26,8 @@ from gapindex.persist import (
 from gapindex.sets import format_collection
 from gapindex.textindex import baseline_linear_scan, build_gapped_string_index
 
+import test_container_format as fmt
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -827,6 +829,16 @@ SET_SECTIONS = {
         ("section_name_not_utf8", "ssi", "linear", None),
         ("text_not_a_raw_section", "jumbled", "linear",
          {"text": np.array([97, 98, 97, 98], dtype=np.int64)}),
+        # Lists of format-1 section records, written under a matching digest:
+        ("int64_section_not_whole_values", "ssi", "linear",
+         [fmt.section("universe", 0, struct.pack("<q", 8)),
+          fmt.section("set_offsets", 0, struct.pack("<3q", 0, 2, 3)),
+          fmt.section("set_elements", 0, struct.pack("<3q", 1, 5, 7)[:-1])]),
+        ("section_named_twice", "ssi", "linear",
+         [fmt.section("universe", 0, struct.pack("<q", 8)),
+          fmt.section("set_offsets", 0, struct.pack("<3q", 0, 2, 3)),
+          fmt.section("set_elements", 0, struct.pack("<3q", 1, 5, 7)),
+          fmt.section("set_elements", 0, struct.pack("<3q", 2, 3, 4))]),
     ],
 )
 def test_malformed_container_exits_2(tmp_path, capsys, shape, kind, backend, sections):
@@ -842,6 +854,9 @@ def test_malformed_container_exits_2(tmp_path, capsys, shape, kind, backend, sec
         blob = json.dumps({"format_version": FORMAT_VERSION, "kind": kind, "backend": backend,
                            "payload_digest": hashlib.sha256(payload).hexdigest()}).encode()
         bad.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob + payload)
+    elif isinstance(sections, list):
+        bad.write_bytes(fmt.container({"kind": kind, "backend": backend},
+                                      fmt.payload(*sections), 1))
     else:
         # save_artifact writes a matching digest, so only the named defect remains.
         manifest = {"format_version": FORMAT_VERSION, "kind": kind, "counters": {}}

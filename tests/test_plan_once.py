@@ -28,7 +28,9 @@ from gapindex.backends import (
     LinearScan,
     ShiftCertificate,
     ShiftQuery,
+    SmallUniverse,
     brute_force_ssi,
+    range_meets,
 )
 from gapindex.errors import FormatError, GapIndexError
 from gapindex.gapped import build_gapped_index, gapped_exists, gapped_report, plan_cover
@@ -296,11 +298,12 @@ def test_no_string_query_asks_each_probe_once_per_cover_pair(monkeypatch):
     monkeypatch.setattr(gapped, "plan_cover", counting_plan)
     p1, p2, lo, hi = b"ba", b"ba", 13, 15
     assert idx.report(p1, p2, lo, hi) == []
-    assert plans == [(13, 15)]
+    # No cover pair's difference range meets the gap, so the report builds
+    # no plan, and no pair meets it, so neither does the exists.
+    assert plans == []
     answer, calls = calls_of(idx, idx.exists, p1, p2, lo, hi)
     assert answer is None
-    # No cover pair meets the gap, so the exists builds no plan.
-    assert plans == [(13, 15)]
+    assert plans == []
     pairs = cover_pairs(idx, p1, p2)
     assert len(pairs) > 1
     # Every cover set here has at most 2 elements, no more than the plan's
@@ -308,7 +311,44 @@ def test_no_string_query_asks_each_probe_once_per_cover_pair(monkeypatch):
     # misses make no backend call.
     assert calls == unlisted_probes(idx, pairs, plan_cover(lo, hi)) == 0
     assert idx.exists(b"ab", b"ab", 0, 40) is not None
-    assert plans[1:] == [(0, 15)]  # clamped to the text once per query
+    assert plans == [(0, 15)]  # clamped to the text once per query
+
+
+@pytest.mark.parametrize("kind", [LinearScan(), SmallUniverse(0.5), FullTabulation()],
+                         ids=lambda kind: kind.name)
+def test_a_string_report_plans_only_for_a_pair_that_runs_the_plan(monkeypatch, kind):
+    """A report builds its plan, once, at the first cover pair that is
+    untabulated and passes ``range_meets``, and ``last_plan_size`` reads 0
+    when there is none; the calls are counted through the module attribute."""
+    rng = random.Random(21)
+    fulltab = kind == FullTabulation()
+    text = random_text(rng, 16 if fulltab else 256, 4)
+    idx = build_gapped_string_index(text, kind)
+    g = idx.gapped
+    plans = []
+
+    def counting_plan(alpha, beta):
+        plans.append((alpha, beta))
+        return plan_cover(alpha, beta)
+
+    monkeypatch.setattr(gapped, "plan_cover", counting_plan)
+    planned = 0
+    for _ in range(150):
+        p1, p2 = (random_pattern_from(rng, text, 3) for _ in range(2))
+        lo = rng.randint(0, len(text) // 4)
+        hi = lo + rng.randint(0, len(text) // 2)
+        plans.clear()
+        assert idx.report(p1, p2, lo, hi) == baseline_linear_scan(text, p1, p2, lo, hi)
+        clamped = g._clamped(lo, hi)
+        runs = clamped is not None and any(
+            range_meets(g.exact.base[a - 1], g.exact.base[b - 1], *clamped)
+            and not g.exact.backend.tabulated(a, b)
+            for a, b in cover_pairs(idx, p1, p2))
+        assert plans == ([clamped] if runs else [])
+        assert g.last_plan_size == (plan_cover(*clamped).size if runs else 0)
+        planned += runs
+    # Under fulltab every pair reads its table; otherwise both cases occur.
+    assert planned == 0 if fulltab else 0 < planned < 150
 
 
 def unlisted_probes(idx, pairs, plan):

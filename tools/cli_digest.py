@@ -36,6 +36,13 @@ The session:
   containers under ``fulltab`` and delta 0.0 answer ``exists`` only: a
   report, and ``verify``, which checks reports, would tabulate every
   dyadic block of its 561 elements.
+* ``query --mode report`` of a format-1 ``gapped-set`` container of the
+  small collection under ``linear``, written by ``write_v1_container``, a
+  frozen copy of that format's writer, so the session also reads the old
+  format.
+
+The containers are zlib-compressed, so the ``session`` digest, though not
+the answers or the counters, can differ under another zlib build.
 """
 
 from __future__ import annotations
@@ -43,8 +50,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import random
 import re
+import struct
 import sys
 import tempfile
 from collections import Counter
@@ -77,6 +86,23 @@ def _wide_collection() -> str:
 
 def _read_sets(path: Path) -> list[list[int]]:
     return [list(map(int, line.split())) for line in path.read_text().splitlines()[1:]]
+
+
+def write_v1_container(path: Path, kind: str, backend: str, collection: Path) -> None:
+    """A format-1 container of a collection file: each section as
+    uncompressed little-endian int64 values under tag 0."""
+    sets, offsets = _read_sets(collection), [0]
+    for values in sets:
+        offsets.append(offsets[-1] + len(values))
+    sections = {"universe": [int(collection.read_text().split()[0])], "set_offsets": offsets,
+                "set_elements": [x for values in sets for x in values]}
+    payload = struct.pack("<I", len(sections)) + b"".join(
+        struct.pack("<H", len(name)) + name.encode() + struct.pack("<BQ", 0, 8 * len(values))
+        + struct.pack(f"<{len(values)}q", *values) for name, values in sections.items())
+    manifest = json.dumps({"backend": backend, "counters": {}, "format_version": 1, "kind": kind,
+                           "payload_digest": hashlib.sha256(payload).hexdigest()},
+                          sort_keys=True).encode()
+    path.write_bytes(b"GIDX" + struct.pack("<IQ", 1, len(manifest)) + manifest + payload)
 
 
 def _set_queries(sets: list[list[int]], kind: str, rng: random.Random) -> str:
@@ -188,6 +214,9 @@ def run_session(tmp: Path, record) -> None:
         session("ssi", wide, backend, reports)
         if reports:
             session("gapped-set", wide, backend)
+    old = tmp / "gapped-set-small-v1.gidx"
+    write_v1_container(old, "gapped-set", "linear", small)
+    run("query", str(old), str(tmp / "gapped-set-small.q"), "--mode", "report", "--count-queries")
 
 
 COUNTER_LINE = re.compile(r"^#(?: \w+=-?\d+)*$", re.MULTILINE)
