@@ -20,14 +20,18 @@ record, not fatal. An ``ssi`` record gives the nominal
 ``build_bytes`` (``SsiBackend.space_bytes``) and, beside it, the bytes its
 tabulated pairs physically store (``table_bytes``) and the number of
 tables stored (``table_pairs``: one per unordered pair of large sets).
-A ``gapped_string`` record times its query stream twice: in ``report``
-mode (``occ_total``, ``base_ssi_calls``, ``query_us``) and in ``exists``
-mode (``exists_yes``, the YES answers; ``exists_ssi_calls``;
-``exists_query_us``).
+A ``gapped_string`` record gives the number of quotient levels its index
+built (``levels``: levels 2 up to the manifest's ``levels``) and, beside
+``build_seconds``, the seconds of it spent inside Python's cyclic
+collector (``build_gc_seconds``, timed through ``gc.callbacks``). It
+times its query stream twice: in ``report`` mode (``occ_total``,
+``base_ssi_calls``, ``query_us``) and in ``exists`` mode (``exists_yes``,
+the YES answers; ``exists_ssi_calls``; ``exists_query_us``).
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import time
@@ -136,6 +140,27 @@ def _ssi_record(entry: dict, mem_budget: int) -> dict:
     return record
 
 
+class _CollectorClock:
+    """Seconds spent inside the cyclic collector while entered."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.started = 0.0
+
+    def _tick(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self.started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self.started
+
+    def __enter__(self) -> "_CollectorClock":
+        gc.callbacks.append(self._tick)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._tick)
+
+
 def _gapped_string_record(entry: dict, mem_budget: int) -> dict:
     seed = entry.get("seed", 0)
     n = entry["n"]
@@ -153,11 +178,14 @@ def _gapped_string_record(entry: dict, mem_budget: int) -> dict:
     }
     started = time.perf_counter()
     try:
-        index = build_gapped_string_index(text, kind, mem_budget)
+        with _CollectorClock() as collector:
+            index = build_gapped_string_index(text, kind, mem_budget)
     except BudgetError as e:
         record["error"] = str(e)
         return record
     record["build_seconds"] = round(time.perf_counter() - started, 6)
+    record["build_gc_seconds"] = round(collector.seconds, 6)
+    record["levels"] = len(index.gapped.levels)
     record["set_elements"] = index.set_elements
     record["stored_elements"] = index.gapped.total_elements
     queries = entry.get("queries", 20)

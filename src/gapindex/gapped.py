@@ -67,6 +67,17 @@ each level is the level below shifted right by one with repeats inside a
 set dropped, over one flattened int64 array. A level is a list of element
 tuples, one per set, sharing one int object per distinct value.
 
+Only the levels a plan can ask are built: 2..R, where R = ``reach(u)``
+is the top level of the two passes over the whole range [0, u - 1],
+three or four below ceil(log2 u) at every universe from 2^10 to 2^40. A
+pass over a narrower gap climbs no higher (checked over every gap for u
+up to 96, and at random for larger u, in ``test_reachable_levels``), so
+no plan over a clamped gap asks above R, and a plan that does is refused
+with GapIndexError. The build pauses the cyclic collector: it leaves no
+reference cycle behind, so every pass would walk the growing heap and
+free nothing. It runs the one young collection that re-enabling owes
+before it returns, and leaves the collector as it found it.
+
 A pair the exact instance tabulates (``SsiBackend.tabulated``: both sets
 above its threshold) answers from its own table, which holds every
 realized shift with its smallest-a certificate, and builds no plan. An
@@ -114,6 +125,7 @@ backend.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -326,6 +338,19 @@ def _pass(lo: int, hi: int) -> tuple[tuple[int, ...], list[tuple[int, int, int]]
         level += 1
 
 
+def reach(universe: int) -> int:
+    """The highest level a plan over a gap inside [0, universe - 1] asks.
+
+    It is the top level of the two passes over the whole range, forward
+    from 0 and mirrored from universe - 1: no narrower gap inside the range
+    asks a higher one. A range of two to five shifts, too narrow for any
+    run, still gets level 1, which the exact instance answers at no cost.
+    """
+    top = max(universe - 1, 0)
+    runs = _pass(0, top)[1] + _pass(-top, 0)[1]
+    return max([level for level, _, _ in runs], default=min(top, 1))
+
+
 def _escaped(alpha: int, beta: int, level: int, kappa: int) -> GapIndexError:
     return GapIndexError(
         f"uncertainty of the level-{level} query at {kappa << level}"
@@ -489,7 +514,7 @@ class LevelIndex:
     pass from the level below, and ``originals`` maps a quotient back.
     Level 1 divides by 1, so its quotient sets are the parent's own and the
     exact instance answers it: no LevelIndex exists for level 1.
-    ``GappedIndex`` builds every level under ``LinearScan``.
+    ``GappedIndex`` builds levels 2..``max_level`` under ``LinearScan``.
     """
 
     def __init__(self, quotients: Sequence[tuple[int, ...]], level: int, kind: BackendKind,
@@ -499,15 +524,23 @@ class LevelIndex:
 
 
 class GappedIndex:
-    """Exact shift index plus one LevelIndex per approximate level from 2.
+    """Exact shift index plus one LevelIndex per approximate level from 2
+    to ``max_level``.
 
-    ``sets`` holds k sorted element tuples over {1..universe}, kept as
-    ``exact.base``. ``instances[l]`` is the instance that answers level
-    l: the exact one, under ``kind``, at level 0 and for a level-1
+    ``sets`` holds k sorted element tuples whose elements span at most
+    ``universe`` values, as {1..universe} does, kept as ``exact.base``; a
+    wider span would leave differences past the clamp at universe - 1, and
+    is refused with FormatError. ``max_level`` is ``reach(universe)``, the
+    highest level a plan over the clamped gap can ask; it is 0 for a
+    universe of one value and at least 1 above that. ``instances[l]`` is
+    the instance that answers level l, for l up to ``max_level``: the
+    exact one, under ``kind``, at level 0 and for a level-1
     ``ApproxQuery`` (a plan asks level 1's shifts at level 0), and
     ``levels[l - 2].instance`` above, under ``LinearScan``: only pairs the
     exact instance does not tabulate ask a level, so no level stores a
-    table.
+    table. The build runs with the cyclic collector paused, then runs one
+    young collection when the caller had it enabled, and restores the
+    caller's setting even when the build raises.
     ``total_elements`` counts each stored collection once: the exact
     instance's and each quotient level's.
 
@@ -520,15 +553,27 @@ class GappedIndex:
 
     def __init__(self, sets: Sequence[tuple[int, ...]], universe: int, kind: BackendKind,
                  mem_budget: int = DEFAULT_MEM_BUDGET):
+        ends = [end for s in sets if s for end in (s[0], s[-1])]
+        if ends and max(ends) - min(ends) >= universe:
+            raise FormatError(f"set elements span [{min(ends)}, {max(ends)}],"
+                              f" wider than universe {universe}")
         self.universe = universe
         self.kind = kind
-        self.exact = AugmentedInstance(sets, kind, mem_budget)
-        self.max_level = max(universe - 1, 0).bit_length()  # ceil(log2 u)
-        quotients = quotient_levels(self.exact.base, self.max_level)
-        self.levels = [
-            LevelIndex(level_sets, level, LinearScan(), mem_budget)
-            for level, level_sets in enumerate(quotients, start=2)
-        ]
+        self.max_level = reach(universe)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.exact = AugmentedInstance(sets, kind, mem_budget)
+            quotients = quotient_levels(self.exact.base, self.max_level)
+            self.levels = [
+                LevelIndex(level_sets, level, LinearScan(), mem_budget)
+                for level, level_sets in enumerate(quotients, start=2)
+            ]
+        finally:
+            if enabled:
+                gc.enable()
+        if enabled:
+            gc.collect(0)
         above = [lvl.instance for lvl in self.levels]
         self.instances = [self.exact] * min(2, self.max_level + 1) + above
         self.total_elements = sum(inst.total_elements for inst in [self.exact] + above)
@@ -563,7 +608,11 @@ def build_gapped_index(
 
 
 def approx_exists(g: GappedIndex, i: int, j: int, q: ApproxQuery) -> bool:
-    """Answer one approximate query through the level's quotient instance."""
+    """Answer one approximate query through the level's quotient instance.
+
+    Only levels 1..``g.max_level`` are built; a query at any other level is
+    refused with FormatError.
+    """
     inst = g._instance(q.level)
     check_set_ids(inst, i, j)
     for shift in _quotient_shifts(q.level, q.center):
@@ -586,6 +635,16 @@ def _clamped_gap(g: GappedIndex, alpha: int, beta: int,
             f" [{alpha}, {beta}] clamped to {clamped}"
         )
     return clamped
+
+
+def _reached(g: GappedIndex, plan: CoverPlan) -> CoverPlan:
+    """The plan, once it is known to ask no level above ``g.max_level``."""
+    if len(plan.level_probes) > g.max_level + 1:
+        raise GapIndexError(
+            f"plan for [{plan.gap_lo}, {plan.gap_hi}] asks level"
+            f" {len(plan.level_probes) - 1}, above the top level built, {g.max_level}"
+        )
+    return plan
 
 
 # Marks a level whose differences are not yet listed (None: never listed).
@@ -645,9 +704,7 @@ def gapped_exists(
         counts: Sequence[int] = (len(points),)
         g.last_plan_size = len(points)
     else:
-        segments, counts = plan.segments, plan.level_probes
-    # Uncertain zones fit inside the clamped interval, so a plan never
-    # reaches past the top level built for the universe.
+        segments, counts = _reached(g, plan).segments, plan.level_probes
     instances = g.instances
     listed: list = [_UNLISTED] * len(instances)
     while True:
@@ -680,7 +737,7 @@ def gapped_exists(
             return None
         # Every point missed: plan the levels and go on after the points,
         # weighing a pair too large to list for the points alone again.
-        plan = plan_cover(lo, hi)
+        plan = _reached(g, plan_cover(lo, hi))
         segments, counts = plan.segments[1:], plan.level_probes
         g.last_plan_size = plan.size
         if listed[0] is None:
@@ -723,7 +780,7 @@ def gapped_report(
         g.last_raw_pairs, g.last_max_multiplicity = len(found), min(len(found), 1)
         return sorted(found)
     raw: list[tuple[int, int]] = []
-    for level, shifts in enumerate(plan.level_shifts):
+    for level, shifts in enumerate(_reached(g, plan).level_shifts):
         if not shifts:  # level 1, whose shifts the plan asks at level 0
             continue
         found = g.instances[level].backend.scan_shifts(i, j, shifts)

@@ -3,12 +3,16 @@ itself times both sides and exits 0, with one more line per query kind
 when the stream mixes kinds, and each side runs first as often as the
 other; against a copy whose string report drops its first pair it finds
 the changed answer and exits 1. With ``--oracle``, answers that differ
-pass when both pass the workload's check."""
+pass when both pass the workload's check. With ``--build`` it times the
+builds and loads of both sides instead, each side first in every other
+repetition, and reports the time inside the cyclic collector too."""
 
 import pathlib
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -83,6 +87,25 @@ def test_a_mixed_stream_times_each_kind():
                                     "gapped_report", "smallest_shift", "jumbled_exists",
                                     "jumbled_report"])
     assert sum(kinds.values()) == 80
+
+
+@pytest.mark.parametrize("workload", ["string-exists", "set-questions"])
+def test_build_times_builds_and_loads(workload):
+    result = ab_time(ROOT / "src", ROOT / "src", workload, 2, "--build")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == f"workload {workload} seed 21 config smoke reps 2 builds"
+    for at, phase in ((1, "build"), (4, "load")):
+        for side, line in zip(("old", "new"), lines[at:at + 2]):
+            words = line.split()
+            assert words[:2] == [phase, side] and words[2:8:2] == ["median", "min", "gc"]
+            assert words[-1] == "ms" and len(words) == 9
+            assert all(float(w) >= 0 for w in words[3:9:2])
+        words = lines[at + 2].split()
+        assert words[:2] == [phase, "new/old"] and words[2::2] == ["median", "min"]
+    # Each side runs first in one of the two repetitions, in both phases.
+    assert lines[7] == "first 2 2"
+    assert len(lines) == 8
 
 
 def test_a_changed_answer_fails(tmp_path):

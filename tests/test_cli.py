@@ -74,6 +74,9 @@ def test_gapped_string_manifest_accounting(tmp_path, capsys):
     assert counters["n"] == 6
     assert counters["set_elements"] == 16
     assert counters["set_elements_bound"] == 18
+    # The top level a plan over a gap inside [0, 5] asks: level 1, which the
+    # exact instance answers, so no quotient level is built.
+    assert counters["levels"] == 1
 
 
 def test_universe_guard_exit_code(tmp_path, capsys):
@@ -661,6 +664,9 @@ def test_bench_records(tmp_path, capsys):
     # a pair.
     assert 0 < gs[0]["exists_yes"] <= min(gs[0]["queries"], gs[0]["occ_total"])
     assert gs[0]["exists_ssi_calls"] >= 0 and gs[0]["exists_query_us"] > 0
+    # Levels 2..reach(60) = 3 are built; the collector's time is part of the build's.
+    assert gs[0]["levels"] == 2
+    assert 0 < gs[0]["build_gc_seconds"] <= gs[0]["build_seconds"]
 
 
 GOOD_SSI = {"N": 20, "u": 10, "queries": 2}

@@ -127,7 +127,8 @@ def test_approx_query_validation():
 
 
 def test_build_levels_and_quotients():
-    c = ingest_collection([[4, 5], [7]], u=8)
+    # u = 35 is the least universe whose plans reach level 3.
+    c = ingest_collection([[4, 5], [7]], u=35)
     g = build_gapped_index(c, LinearScan())
     assert g.max_level == 3
     level2 = g.levels[0]
@@ -178,14 +179,16 @@ def test_quotient_levels_of_hand_built_sets():
 
 
 def test_quotient_levels_name_an_element_outside_int64():
-    c = SetCollection((IntSet((3, 5)), IntSet((1, 2**70))), 8)
+    # The universe spans the element, so the quotient levels meet it.
+    c = SetCollection((IntSet((3, 5)), IntSet((1, 2**70))), 2**71)
     with pytest.raises(FormatError, match=str(2**70)):
         build_gapped_index(c, LinearScan())
 
 
 def test_total_elements_counts_each_stored_collection_once():
-    # Level 1 is the exact instance's collection: it is counted once.
-    c = ingest_collection([[1, 5, 9, 13], [2, 3]], u=16)
+    # Level 1 is the exact instance's collection: it is counted once. u = 71
+    # is the least universe whose plans reach level 4.
+    c = ingest_collection([[1, 5, 9, 13], [2, 3]], u=71)
     g = build_gapped_index(c, LinearScan())
     assert g.max_level == 4 and len(g.levels) == 3
     assert g.total_elements == g.exact.total_elements + sum(
@@ -195,8 +198,9 @@ def test_total_elements_counts_each_stored_collection_once():
 
 def test_level_one_keeps_the_parent_collection():
     # Level 1 divides by 2^0 = 1: its quotients are the parent sets, so the
-    # exact instance answers it and no level is built for it.
-    c = ingest_collection([[4, 5], [7]], u=8)
+    # exact instance answers it and no level is built for it. u = 15 is the
+    # least universe whose plans reach level 2.
+    c = ingest_collection([[4, 5], [7]], u=15)
     g = build_gapped_index(c, LinearScan())
     assert g.instances[1] is g.exact
     assert g.exact.base == [s.elements for s in c.sets]
@@ -378,7 +382,8 @@ def test_level_accounting_guard_raises(monkeypatch):
             super().__init__(*args)
             self.instance.total_elements += 10**6
 
-    c = ingest_collection([[1, 3, 5], [2, 4]], u=8)
+    # u = 15 is the least universe that builds a level.
+    c = ingest_collection([[1, 3, 5], [2, 4]], u=15)
     build_gapped_index(c, LinearScan())
     monkeypatch.setattr(gapped, "LevelIndex", InflatedLevel)
     with pytest.raises(GapIndexError, match="gapped element accounting"):
@@ -420,7 +425,8 @@ def test_quotient_levels_near_2_40_allocate_no_universe_sized_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(g.levels) == 39
+    # Levels 2..reach(2^40) = 37; ceil(log2 2^40) = 40 would build 39.
+    assert len(g.levels) == 36
     assert peak < 4 << 20
     for lvl in g.levels:
         for s, q in zip(c.sets, lvl.instance.base):

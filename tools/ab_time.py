@@ -2,7 +2,7 @@
 process, query by query, and check that both give the same answers.
 
     python3 tools/ab_time.py OLD_SRC NEW_SRC --workload string-report --seed 21
-        [--config full|smoke] [--reps 3] [--oracle]
+        [--config full|smoke] [--reps 3] [--oracle | --build]
 
 OLD_SRC and NEW_SRC are directories that hold a ``gapindex`` package (a
 checkout's ``src``). The workload (inputs, structures and stream) comes
@@ -26,15 +26,34 @@ in the order the kinds first appear, gives the kind's query count, each
 side's mean, p50 and p99 and their new/old ratios:
 
     kind gapped_exists queries 400 old mean 30.1 p50 28.5 p99 95.0 new mean ...
+
+With ``--build`` the tool times set-up instead of queries. Each tree saves
+the workload's containers once (``artifacts`` and ``save_artifact``, into
+a temporary directory). Each repetition then builds every structure of
+``build_steps()`` under both trees, and then loads the containers
+(``load_artifact`` and ``make``) under both, the tree that goes first
+alternating from one repetition to the next. A full collection runs
+before each timed build or load, outside its time, as ``perfbench`` does.
+Per phase and side, one line gives the median and the minimum
+milliseconds over the repetitions and the median milliseconds spent
+inside the cyclic collector (timed from ``gc.callbacks``), then one line
+the new/old ratios of the median and the minimum:
+
+    build old median 35.8 min 34.9 gc 8.1 ms
+    build new median 29.9 min 28.8 gc 0.9 ms
+    build new/old median 0.835 min 0.825
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import pkgutil
 import statistics
 import sys
+import tempfile
+from functools import partial
 from pathlib import Path
 from time import perf_counter_ns
 
@@ -162,6 +181,87 @@ def run(old: Path, new: Path, workload: str, seed: int, config: str, reps: int,
     return 0
 
 
+class CollectorClock:
+    """Nanoseconds spent inside the cyclic collector, from ``gc.callbacks``,
+    while the clock is entered."""
+
+    def __init__(self):
+        self.ns = 0
+        self.started = 0
+
+    def tick(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self.started = perf_counter_ns()
+        else:
+            self.ns += perf_counter_ns() - self.started
+
+    def __enter__(self):
+        gc.callbacks.append(self.tick)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self.tick)
+
+
+def timed(work) -> tuple[float, float]:
+    """Milliseconds that ``work()`` took and that the collector spent in it,
+    after a full collection outside the time."""
+    gc.collect()
+    with CollectorClock() as clock:
+        started = perf_counter_ns()
+        work()
+        elapsed = perf_counter_ns() - started
+    return elapsed / 1e6, clock.ns / 1e6
+
+
+def build_all(wl) -> dict:
+    return {name: step() for name, step in wl.build_steps()}
+
+
+def load_all(wl, persist, paths) -> dict:
+    structures = {}
+    for kind, path in paths:
+        name, make = wl.make(kind)
+        structures[name] = make(persist.load_artifact(str(path)))
+    return structures
+
+
+def run_builds(old: Path, new: Path, workload: str, seed: int, config: str,
+               reps: int) -> int:
+    trees = [Tree(old), Tree(new)]
+    works: dict[str, list] = {"build": [], "load": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for number, tree in enumerate(trees):
+            tree.activate()
+            wl = tree.workloads.WORKLOADS[workload](seed, config)
+            persist = tree.modules["gapindex.persist"]
+            paths = []
+            for kind, artifact in wl.artifacts():
+                path = Path(tmp) / f"{number}-{kind}.gidx"
+                persist.save_artifact(str(path), artifact)
+                paths.append((kind, path))
+            works["build"].append(partial(build_all, wl))
+            works["load"].append(partial(load_all, wl, persist, paths))
+        samples = {phase: ([], []) for phase in works}
+        for rep in range(reps):
+            order = (0, 1) if rep % 2 == 0 else (1, 0)
+            for phase, work in works.items():
+                for side in order:
+                    trees[side].activate()
+                    samples[phase][side].append(timed(work[side]))
+    print(f"workload {workload} seed {seed} config {config} reps {reps} builds")
+    for phase, both in samples.items():
+        stats = []
+        for name, pairs in zip(("old", "new"), both):
+            ms = [t for t, _ in pairs]
+            stats.append((statistics.median(ms), min(ms)))
+            print(f"{phase} {name} median {stats[-1][0]:.1f} min {stats[-1][1]:.1f}"
+                  f" gc {statistics.median(g for _, g in pairs):.1f} ms")
+        print(f"{phase} new/old median {stats[1][0] / stats[0][0]:.3f}"
+              f" min {stats[1][1] / stats[0][1]:.3f}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, metavar="OLD_SRC")
@@ -173,9 +273,16 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--oracle", action="store_true",
                         help="let answers differ when both pass the workload's check")
+    parser.add_argument("--build", action="store_true",
+                        help="time builds and loads instead of queries")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if args.build and args.oracle:
+        parser.error("--oracle applies to queries, not to --build")
+    if args.build:
+        return run_builds(args.old.resolve(), args.new.resolve(), args.workload, args.seed,
+                          args.config, args.reps)
     return run(args.old.resolve(), args.new.resolve(), args.workload, args.seed,
                args.config, args.reps, args.oracle)
 
