@@ -28,11 +28,16 @@ mirror. ``space_bytes`` stays nominal, counting both orientations;
 ``table.nbytes`` gives the bytes the tables store.
 
 Only a probe or a walk reads a member set, so only the sets a caller
-names keep one: a tuple of at most ``_TUPLE_MEMBERS`` elements answers
-``in`` itself, and a larger set builds a frozenset. Blocks, stored after
-the sets (the dyadic blocks of an augmented instance), are table operands
-only: they keep no member set, and ``exists`` refuses an untabulated pair
-that names one.
+names keep one, made on the set's first probe: a tuple of at most
+``_TUPLE_MEMBERS`` elements answers ``in`` itself, and a larger set builds
+a frozenset. Blocks, stored after the sets (the dyadic blocks of an
+augmented instance), are table operands only: they keep no member set, and
+``exists`` refuses an untabulated pair that names one.
+
+The sets may be a ``SlicedSets`` (a quotient level), whose tuples are
+sliced on first read: the queries read its ``rows`` list and index the
+sequence only on a set not yet read, and a build with no large set reads
+none.
 
 The backend owns each pair's route: ``tabulated(i, j)`` states the rule
 that every caller asks. Besides ``exists``, ``scan`` is the one walk: it
@@ -60,7 +65,10 @@ The backend counts its own work: ``probes`` grows by the elements a probe
 or walk visits, and ``scans`` by one per ``scan``, a walking
 ``scan_shifts`` pass included; a listing, a ``meets`` (walked or read
 from a table) and a table read count no call. Apart from these two
-counters a backend is immutable after build; queries are read-only.
+counters, the member sets and a ``SlicedSets``'s tuples, which are filled
+on first read, a backend is immutable after build. A fill is idempotent,
+so concurrent reads stay safe with no lock: two threads that both fill
+one set's tuple or member set make equal ones, either of which is kept.
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetError, FormatError
-from .sets import SetCollection
+from .sets import SetCollection, SlicedSets, set_sizes
 
 # Nominal per-entry accounting used for space instrumentation: one stored
 # integer is 8 bytes, one tabulated certificate (shift -> pair) is 24.
@@ -89,7 +97,8 @@ _NP_SAFE = 1 << 62
 # A sorted table narrows to array('i') when its values lie in [-_INT32, _INT32).
 _INT32 = 1 << 31
 
-# A set of at most this many elements is its own member set. Averaged over
+# A set of at most this many elements is its own member set, made like a
+# frozenset on the set's first probe. Averaged over
 # its hits and one miss, ``in`` took ~73 ns on an 8-tuple against ~28 ns
 # on a frozenset (~119 ns on a 16-tuple), on a 2-core Xeon VM under
 # Python 3.11; the tuple is 104 bytes where the frozenset takes 728.
@@ -142,11 +151,16 @@ def parse_backend(name: str, delta: float = 0.5) -> BackendKind:
     raise ValueError(f"unknown backend {name!r} (linear, fulltab, smalluniverse)")
 
 
-def _as_element_lists(c: Union[SetCollection, Sequence[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+def _as_element_lists(
+    c: Union[SetCollection, Sequence[tuple[int, ...]]]
+) -> Sequence[tuple[int, ...]]:
     """The sets as a list of element tuples: the caller's own list when it
-    already is one, so that a backend shares its instance's list."""
+    already is one, so that a backend shares its instance's list. A
+    ``SlicedSets`` is returned as it is, with no set read."""
     if isinstance(c, SetCollection):
         return [s.elements for s in c.sets]
+    if isinstance(c, SlicedSets):
+        return c
     if type(c) is list and all(type(s) is tuple for s in c):
         return c
     return [s if type(s) is tuple else tuple(s) for s in c]
@@ -408,30 +422,36 @@ class SsiBackend:
     """Tabulate every pair of large sets; probe the smaller set otherwise.
 
     The three kinds differ only in ``threshold``. ``sets`` holds the sets
-    and then the ``blocks``, which only tables read. Member sets serve the
-    probes, so ``FullTabulation``, which never probes, keeps none; the
-    others keep ``members[t]`` for each of the sets, not the blocks: set
-    t's own tuple when it has at most ``_TUPLE_MEMBERS`` elements, else a
-    frozenset.
+    and then the ``blocks``, which only tables read; ``count`` is their
+    number, and ``rows`` the list the queries read them from (``sets``
+    itself, or a ``SlicedSets``'s rows, where a set not yet read is None
+    and is read from ``sets`` instead). Member sets serve the probes, so
+    ``FullTabulation``, which never probes, keeps none; the others keep
+    ``members[t]`` for each of the sets, not the blocks, None until set
+    t + 1's first probe (``member``): set t's own tuple when it has at
+    most ``_TUPLE_MEMBERS`` elements, else a frozenset.
     """
 
-    def __init__(self, sets: list[tuple[int, ...]], kind: BackendKind,
+    def __init__(self, sets: Sequence[tuple[int, ...]], kind: BackendKind,
                  mem_budget: int = DEFAULT_MEM_BUDGET,
                  blocks: Sequence[tuple[int, ...]] = (),
                  threshold: Optional[float] = None):
-        probed = sets
+        probed = len(sets)
         if blocks:
             sets = [*sets, *blocks]
         self.sets = sets
+        self.count = len(sets)
+        self.rows = sets.rows if isinstance(sets, SlicedSets) else sets
         self.kind = kind
         self.probes = 0
         self.scans = 0
+        sizes = set_sizes(sets)
         if threshold is None:
-            threshold = size_threshold(kind, sum(len(s) for s in sets))
+            threshold = size_threshold(kind, sum(sizes))
         self.threshold = threshold
         # No set is above LinearScan's infinite threshold.
         large_ids = [] if threshold == math.inf else [
-            i for i, s in enumerate(sets, start=1) if len(s) > threshold
+            i for i, m in enumerate(sizes, start=1) if m > threshold
         ]
         self.table = _TabulatedPairs()
         # Without large sets (always so for LinearScan) skip the two scans
@@ -455,18 +475,25 @@ class SsiBackend:
                     i, j = (q, p) if len(sets[q - 1]) < len(sets[p - 1]) else (p, q)
                     self.table.add_pair(i, j, sets[i - 1], sets[j - 1],
                                         arrays.get(i), arrays.get(j))
-        self.members: list[Union[frozenset, tuple[int, ...]]] = []
+        self.members: list[Union[frozenset, tuple[int, ...], None]] = []
         self.dict_entries = 0
         if not isinstance(kind, FullTabulation):
-            self.members = [s if len(s) <= _TUPLE_MEMBERS else frozenset(s) for s in probed]
+            self.members = [None] * probed
             # Logical space: one entry per stored element, as if every set
             # and block kept its own members.
-            self.dict_entries = sum(map(len, sets))
+            self.dict_entries = sum(sizes)
 
     @property
     def large(self) -> list[bool]:
         """Per set, whether it is above the threshold (tabulated against the others)."""
-        return [len(s) > self.threshold for s in self.sets]
+        return [m > self.threshold for m in set_sizes(self.sets)]
+
+    def member(self, t: int) -> Union[frozenset, tuple[int, ...]]:
+        """Set t's member set, made and kept: its own tuple when it has at
+        most ``_TUPLE_MEMBERS`` elements, else a frozenset."""
+        s = self.sets[t - 1]
+        self.members[t - 1] = member = s if len(s) <= _TUPLE_MEMBERS else frozenset(s)
+        return member
 
     def tabulated(self, i: int, j: int) -> bool:
         """Whether the pair is answered by table lookups: both sets are large.
@@ -475,11 +502,10 @@ class SsiBackend:
 
     def exists(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
         """Smallest-a certificate for a + s = b over sets i, j, or None."""
-        if not (1 <= i <= len(self.sets) and 1 <= j <= len(self.sets)):
-            raise FormatError(
-                f"set indices ({i}, {j}) out of range 1..{len(self.sets)}"
-            )
-        sa, sb = self.sets[i - 1], self.sets[j - 1]
+        if not (1 <= i <= self.count and 1 <= j <= self.count):
+            raise FormatError(f"set indices ({i}, {j}) out of range 1..{self.count}")
+        rows = self.rows
+        sa, sb = rows[i - 1] or self.sets[i - 1], rows[j - 1] or self.sets[j - 1]
         # The rule of ``tabulated``, inline: this is the hot path.
         if len(sa) > self.threshold and len(sb) > self.threshold:
             return self.table.lookup(i, j, s)
@@ -492,9 +518,12 @@ class SsiBackend:
         # Scan the smaller side against the other's members; scanning the
         # b-side finds a = b - s in ascending order too.
         if len(sa) <= len(sb):
-            scan, member, step = sa, members[j - 1], s
+            scan, t, step = sa, j, s
         else:
-            scan, member, step = sb, members[i - 1], -s
+            scan, t, step = sb, i, -s
+        member = members[t - 1]
+        if member is None:
+            member = self.member(t)
         n = 0
         for x in scan:
             n += 1
@@ -522,11 +551,14 @@ class SsiBackend:
         self.scans += 1
         if a_hi < a_lo or b_hi < b_lo:
             return []
-        sa, sb = self.sets[i - 1], self.sets[j - 1]
+        rows = self.rows
+        sa, sb = rows[i - 1] or self.sets[i - 1], rows[j - 1] or self.sets[j - 1]
         out: list[tuple[int, int]] = []
         walked = 0
         if a_hi - a_lo <= b_hi - b_lo:
             member, first, last = self.members[j - 1], sb[b_lo - 1], sb[b_hi - 1]
+            if member is None:
+                member = self.member(j)
             for s in shifts:
                 lo = bisect_left(sa, first - s, a_lo - 1, a_hi)
                 hi = bisect_right(sa, last - s, lo, a_hi)
@@ -535,6 +567,8 @@ class SsiBackend:
                         for x in sa[lo:hi] if x + s in member]
         else:
             member, first, last = self.members[i - 1], sa[a_lo - 1], sa[a_hi - 1]
+            if member is None:
+                member = self.member(i)
             for s in shifts:
                 lo = bisect_left(sb, first + s, b_lo - 1, b_hi)
                 hi = bisect_right(sb, last + s, lo, b_hi)
@@ -558,11 +592,10 @@ class SsiBackend:
         the elements walked; like a listing, neither route counts a call.
         Ids outside 1..len(sets) raise FormatError, as in ``exists``.
         """
-        if not (1 <= i <= len(self.sets) and 1 <= j <= len(self.sets)):
-            raise FormatError(
-                f"set indices ({i}, {j}) out of range 1..{len(self.sets)}"
-            )
-        sa, sb = self.sets[i - 1], self.sets[j - 1]
+        if not (1 <= i <= self.count and 1 <= j <= self.count):
+            raise FormatError(f"set indices ({i}, {j}) out of range 1..{self.count}")
+        rows = self.rows
+        sa, sb = rows[i - 1] or self.sets[i - 1], rows[j - 1] or self.sets[j - 1]
         # The rule of ``tabulated``, inline, as in ``exists``.
         if len(sa) > self.threshold and len(sb) > self.threshold:
             return self.table.smallest(i, j, lo, hi) is not None
@@ -595,7 +628,8 @@ class SsiBackend:
         no call. The gapped queries list only pairs that are not tabulated:
         a tabulated pair reads its table instead.
         """
-        sa, sb = self.sets[i - 1], self.sets[j - 1]
+        rows = self.rows
+        sa, sb = rows[i - 1] or self.sets[i - 1], rows[j - 1] or self.sets[j - 1]
         if len(sa) > count or len(sb) > count:
             return None
         return {b - a for a in sa for b in sb}
@@ -611,7 +645,8 @@ class SsiBackend:
         Otherwise one ``scan`` over the whole sets walks the smaller set
         once per shift. The caller vouches for the ids.
         """
-        sa, sb = self.sets[i - 1], self.sets[j - 1]
+        rows = self.rows
+        sa, sb = rows[i - 1] or self.sets[i - 1], rows[j - 1] or self.sets[j - 1]
         if len(sa) <= len(shifts) and len(sb) <= len(shifts):
             wanted = set(shifts)
             return [(a, b) for a in sa for b in sb if b - a in wanted]

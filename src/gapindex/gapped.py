@@ -64,8 +64,11 @@ the exact instance answers a level-1 ``ApproxQuery``, ``instances[l]``
 names the instance for level l, and only levels from 2 build quotients,
 in one bulk pass (``quotient_levels``): since a >> l = (a >> (l-1)) >> 1,
 each level is the level below shifted right by one with repeats inside a
-set dropped, over one flattened int64 array. A level is a list of element
-tuples, one per set, sharing one int object per distinct value.
+set dropped, over one flattened int64 array. A level keeps one flat tuple
+of its sets' elements, sharing one int object per distinct value, as a
+``sets.SlicedSets``: a set's tuple is sliced from it on the set's first
+read, and its member set made on its first probe, so a build slices no
+quotient set and a query pass reads only the sets it asks.
 
 Only the levels a plan can ask are built: 2..R, where R = ``reach(u)``
 is the top level of the two passes over the whole range [0, u - 1],
@@ -126,6 +129,7 @@ backend.
 from __future__ import annotations
 
 import gc
+from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -138,7 +142,7 @@ import numpy as np
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, LinearScan, range_meets
 from .errors import FormatError, GapIndexError
 from .reporting import AugmentedInstance, check_set_ids, report_shift
-from .sets import SetCollection
+from .sets import SetCollection, SlicedSets
 
 _INT64 = np.iinfo(np.int64)
 
@@ -467,9 +471,9 @@ def originals(elements: tuple[int, ...], level: int, quotient_value: int) -> lis
     return list(elements[lo : bisect_left(elements, (quotient_value + 1) << shift, lo)])
 
 
-def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[list[tuple[int, ...]]]:
-    """The quotient sets of levels 2..top, one list of element tuples per
-    level, each made in one bulk pass from the one below.
+def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[SlicedSets]:
+    """The quotient sets of levels 2..top, one ``SlicedSets`` per level,
+    each made in one bulk pass from the one below.
 
     Level l's quotient of a is a >> (l - 1) = (a >> (l - 2)) >> 1. The
     sets are flattened once into one int64 array, with each element's
@@ -479,9 +483,10 @@ def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[list[
     when its code or its owner differs from the previous element's: every
     quotient set comes out sorted and free of repeats, as dict.fromkeys
     over a >> (l - 1) for a in S would make it. Each distinct value
-    becomes one int in an object table no longer than the level, which
-    every set's tuple (a slice at the per-owner counts) shares. An element
-    outside int64 raises FormatError.
+    becomes one int in an object table no longer than the level, and the
+    level's elements one flat tuple of those ints, cut at the cumulative
+    per-owner counts: each set's tuple is sliced from it on first read,
+    and shares its ints. An element outside int64 raises FormatError.
     """
     sizes = list(map(len, sets))
     try:
@@ -500,18 +505,18 @@ def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[list[
         keep[1:] |= owners[1:] != owners[:-1]
         codes, owners = codes[keep], owners[keep]
         flat = tuple(distinct.astype(object)[codes].tolist())
-        ends = np.bincount(owners, minlength=len(sets)).cumsum().tolist()
-        ones: dict[int, tuple[int]] = {}
-        yield [flat[lo:hi] if hi - lo != 1 else ones.setdefault(flat[lo], flat[lo:hi])
-               for lo, hi in zip([0] + ends, ends)]
+        ends = np.bincount(owners, minlength=len(sets)).cumsum()
+        yield SlicedSets(flat, array("q", ends.astype(np.int64).tobytes()))
 
 
 class LevelIndex:
     """Quotient sets for one level l >= 2 behind their own instance.
 
     ``quotients[i - 1]`` holds a >> (level - 1) for a in S_i, in order since
-    S_i is sorted; ``quotient_levels`` makes every level's tuples in one
-    pass from the level below, and ``originals`` maps a quotient back.
+    S_i is sorted; ``quotient_levels`` makes every level's flat tuple in
+    one pass from the level below, and ``originals`` maps a quotient back.
+    The instance reads no set at build: a set's tuple is sliced on its
+    first read, and its member set made on its first probe.
     Level 1 divides by 1, so its quotient sets are the parent's own and the
     exact instance answers it: no LevelIndex exists for level 1.
     ``GappedIndex`` builds levels 2..``max_level`` under ``LinearScan``.

@@ -49,7 +49,7 @@ from .backends import (
 )
 from .errors import FormatError, GapIndexError
 from .reductions import reduce_3sum_to_ssi
-from .sets import Block, SetCollection, cover_blocks, dyadic_subsets, level_starts
+from .sets import Block, SetCollection, cover_blocks, dyadic_subsets, level_starts, set_sizes
 
 
 def dyadic_block_elements(m: int) -> int:
@@ -62,7 +62,9 @@ class AugmentedInstance:
     """Base sets plus the dyadic rank blocks a lookup can address, behind
     one existence backend.
 
-    ``base`` is the k base sets' element tuples, as given. ``total_elements``
+    ``base`` is the k base sets' element tuples, as given: a quotient
+    level's ``SlicedSets`` is built over with no set sliced, since its
+    sizes are read off its ends. ``total_elements``
     counts the base sets and every dyadic block, stored or not. Of the
     block ids it keeps only ``first_block``, each base set's first stored
     one, or one int when no set stores a block, read through
@@ -76,7 +78,7 @@ class AugmentedInstance:
                  mem_budget: int = DEFAULT_MEM_BUDGET):
         self.base = sets
         self.kind = kind
-        sizes = list(map(len, sets))
+        sizes = set_sizes(sets)
         n = sum(sizes)
         self.base_elements = n
         # Many sets share a size (every quotient level of a string index).

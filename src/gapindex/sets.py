@@ -10,11 +10,19 @@ A cover is a list of ``(level, block, rank_lo, rank_hi)`` tuples from
 the positions [1, n] of a suffix array): a block's values are the set's
 elements at ``rank_lo - 1`` and ``rank_hi - 1``. ``dyadic_subsets``
 slices the blocks themselves from the tuple, for a build that stores them.
+
+A ``SlicedSets`` holds k sorted sets as one flat tuple and slices each
+set's tuple on its first read (the quotient levels of a gapped index);
+``set_sizes`` reads the sizes of any sequence of sets, slicing none.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import FormatError, GuardError
 
@@ -55,6 +63,77 @@ class SetCollection:
         if not 1 <= i <= len(self.sets):
             raise FormatError(f"set index {i} out of range 1..{len(self.sets)}")
         return self.sets[i - 1]
+
+
+class SlicedSets:
+    """k sorted element tuples, each sliced from one flat tuple on first read.
+
+    Set t (from 0) is ``flat[ends[t - 1]:ends[t]]``, with 0 before set 0,
+    and ``ends`` an ``array('q')``. A read slices the set once and keeps
+    it in ``rows``, a plain list that holds None for a set not yet read:
+    a caller on a hot path reads ``rows`` and falls back to indexing the
+    sequence on None, so a filled read is one list lookup. A one-element
+    set shares one tuple per value. Every tuple holds the flat tuple's int
+    objects. A fill is idempotent, so it takes no lock: two threads that
+    read an unread set at once may each slice it, and either of the equal
+    tuples is kept.
+
+    ``len``, indexing, iteration, ``==`` against a list and ``repr``
+    behave as the list of tuples would; iterating or comparing fills every
+    set. ``sizes`` reads the sizes off ``ends`` and fills none;
+    ``filled`` counts the sets read so far.
+    """
+
+    __slots__ = ("flat", "ends", "rows", "_ones")
+
+    def __init__(self, flat: tuple[int, ...], ends: array):
+        self.flat = flat
+        self.ends = ends
+        self.rows: list = [None] * len(ends)
+        self._ones: dict[int, tuple[int]] = {}
+
+    def __getitem__(self, t):
+        s = self.rows[t]
+        if s is None:
+            if t < 0:
+                t += len(self.rows)
+            ends = self.ends
+            lo, hi = ends[t - 1] if t else 0, ends[t]
+            s = self.flat[lo:hi]
+            if hi - lo == 1:
+                s = self._ones.setdefault(s[0], s)
+            self.rows[t] = s
+        elif type(t) is slice:
+            return [self[x] for x in range(*t.indices(len(self.rows)))]
+        return s
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.rows)))
+
+    def __eq__(self, other):
+        if isinstance(other, (list, SlicedSets)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def filled(self) -> int:
+        """The number of sets read so far."""
+        return len(self.rows) - self.rows.count(None)
+
+    def sizes(self) -> list[int]:
+        return np.diff(np.frombuffer(self.ends, np.int64), prepend=0).tolist()
+
+
+def set_sizes(sets: Sequence[tuple[int, ...]]) -> list[int]:
+    """Each set's size; a ``SlicedSets`` answers without slicing a set."""
+    return sets.sizes() if isinstance(sets, SlicedSets) else list(map(len, sets))
 
 
 def ingest_collection(raw: list[list[int]], u: int) -> SetCollection:

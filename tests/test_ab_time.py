@@ -1,11 +1,12 @@
 """``tools/ab_time.py`` at the smoke config: the repo's ``src`` against
-itself times both sides and exits 0, with one more line per query kind
-when the stream mixes kinds, and each side runs first as often as the
-other; against a copy whose string report drops its first pair it finds
+itself times both sides and exits 0, with a ``first`` and a ``rest`` line
+splitting the samples by repetition, one more line per query kind when
+the stream mixes kinds, and each side runs first as often as the other; against a copy whose string report drops its first pair it finds
 the changed answer and exits 1. With ``--oracle``, answers that differ
 pass when both pass the workload's check. With ``--build`` it times the
 builds and loads of both sides instead, each side first in every other
-repetition, and reports the time inside the cyclic collector too."""
+repetition, and reports the time inside the cyclic collector too, and the
+memory one build of each side holds."""
 
 import pathlib
 import shutil
@@ -59,12 +60,34 @@ def test_the_same_tree_times_both_sides():
     lines = result.stdout.splitlines()
     assert lines[:2] == ["workload string-report seed 21 config smoke queries 40 reps 3",
                          "answers equal"]
-    assert len(lines) == 6
+    assert len(lines) == 8
     for side, line in zip(("old", "new", "new/old"), lines[2:5]):
         words = line.split()
         assert words[0] == side and words[1:9:2] == ["mean", "p50", "p90", "p99"]
+    _assert_compared(lines[5], ["first", "reps", "1"])
+    _assert_compared(lines[6], ["rest", "reps", "2"])
     # An odd number of repetitions still runs each side first 60 times.
-    assert lines[5] == "first 60 60"
+    assert lines[7] == "first 60 60"
+
+
+def _assert_compared(line, head):
+    """``head``, then each side's mean, p50 and p99 and their ratios."""
+    words = line.split()
+    at = len(head)
+    assert words[:at] == head, line
+    for side, start in (("old", at), ("new", at + 7), ("new/old", at + 14)):
+        assert words[start] == side and words[start + 1:start + 7:2] == ["mean", "p50", "p99"]
+        assert all(float(w) >= 0 for w in words[start + 2:start + 7:2])
+    assert len(words) == at + 21
+
+
+def test_one_repetition_has_no_rest_line():
+    result = ab_time(ROOT / "src", ROOT / "src", "string-exists", 1)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split()[0] for line in lines[2:]] == ["old", "new", "new/old", "first",
+                                                        "first"]
+    _assert_compared(lines[5], ["first", "reps", "1"])
 
 
 def test_a_mixed_stream_times_each_kind():
@@ -74,15 +97,15 @@ def test_a_mixed_stream_times_each_kind():
     assert lines[:2] == ["workload set-questions seed 21 config smoke queries 80 reps 2",
                          "answers equal"]
     assert [line.split()[0] for line in lines[2:5]] == ["old", "new", "new/old"]
+    _assert_compared(lines[5], ["first", "reps", "1"])
+    _assert_compared(lines[6], ["rest", "reps", "1"])
     assert lines[-1] == "first 80 80"
     kinds = {}
-    for line in lines[5:-1]:
+    for line in lines[7:-1]:
         words = line.split()
         assert words[0] == "kind" and words[2] == "queries", line
         kinds[words[1]] = int(words[3])
-        for side, at in (("old", 4), ("new", 11), ("new/old", 18)):
-            assert words[at] == side and words[at + 1:at + 7:2] == ["mean", "p50", "p99"]
-        assert len(words) == 25
+        _assert_compared(line, words[:4])
     assert sorted(kinds) == sorted(["ssi_exists", "ssi_report", "gapped_exists",
                                     "gapped_report", "smallest_shift", "jumbled_exists",
                                     "jumbled_report"])
@@ -103,9 +126,14 @@ def test_build_times_builds_and_loads(workload):
             assert all(float(w) >= 0 for w in words[3:9:2])
         words = lines[at + 2].split()
         assert words[:2] == [phase, "new/old"] and words[2::2] == ["median", "min"]
+    # One build of each side, outside the timed repetitions.
+    words = lines[7].split()
+    assert words[:2] == ["held", "old"] and words[3] == "new"
+    assert words[5:7] == ["MB", "new/old"] and len(words) == 8
+    assert all(float(words[at]) > 0 for at in (2, 4, 7))
     # Each side runs first in one of the two repetitions, in both phases.
-    assert lines[7] == "first 2 2"
-    assert len(lines) == 8
+    assert lines[8] == "first 2 2"
+    assert len(lines) == 9
 
 
 def test_a_changed_answer_fails(tmp_path):

@@ -137,8 +137,10 @@ def test_a_build_leaves_the_collector_as_it_found_it(enabled):
 
 
 def test_a_build_runs_its_deferred_young_collection(monkeypatch):
-    # 1,500 sets: every level makes a tuple per set.
-    c = random_collection(random.Random(7), 1500, 6000, 4000)
+    # A quotient level slices no set at build, so containers come from the
+    # exact instance: FullTabulation tabulates every pair of 60 one-element
+    # sets and their 60 one-element blocks, 7,260 tables.
+    c = random_collection(random.Random(7), 60, 60, 4000, [1] * 60)
     sets = [s.elements for s in c.sets]
     passes, asked = [], []
     collect = gc.collect
@@ -156,7 +158,7 @@ def test_a_build_runs_its_deferred_young_collection(monkeypatch):
     monkeypatch.setattr(gc, "collect", spy)
     gc.callbacks.append(log)
     try:
-        g = GappedIndex(sets, c.universe, LinearScan())
+        g = GappedIndex(sets, c.universe, FullTabulation())
     finally:
         gc.callbacks.remove(log)
     # The build made far more containers than one young generation holds,

@@ -242,10 +242,13 @@ def _instances(g):
 
 
 def _assert_member_rule(inst):
+    """A build makes no member set; asking one makes and keeps it."""
     backend = inst.backend
     assert len(backend.members) == len(inst.base)
+    assert backend.members == [None] * len(inst.base)
     for t, elements in enumerate(inst.base):
-        member = backend.members[t]
+        member = backend.member(t + 1)
+        assert backend.members[t] is member
         assert backend.sets[t] == elements
         if len(elements) <= 8:
             assert member is backend.sets[t]

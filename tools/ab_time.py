@@ -20,10 +20,18 @@ line counts such queries, ``answers differ on K queries, each passing
 the workload's check``, and the first query with an answer that fails the
 check is printed, with exit code 1. Otherwise the tool prints, per
 side, the mean, p50, p90 and p99 of the per-query microseconds pooled
-over the repetitions, and the new/old ratio of each. When the stream mixes
-query kinds (``q[0]``, as ``set-questions`` does), one more line per kind,
-in the order the kinds first appear, gives the kind's query count, each
-side's mean, p50 and p99 and their new/old ratios:
+over the repetitions, and the new/old ratio of each. Two lines then split
+the pooled samples by repetition, so that a change which fills caches on
+a query's first read shows both costs: ``first``, repetition 1, and
+``rest``, repetitions 2 to R (printed when R is at least 2), each with
+each side's mean, p50 and p99 and their new/old ratios:
+
+    first reps 1 old mean 30.1 p50 28.5 p99 95.0 new mean ... new/old mean ...
+    rest reps 2 old mean 29.8 p50 28.1 p99 94.2 new mean ... new/old mean ...
+
+When the stream mixes query kinds (``q[0]``, as ``set-questions`` does),
+one more line per kind, in the order the kinds first appear, gives the
+kind's query count and the same figures:
 
     kind gapped_exists queries 400 old mean 30.1 p50 28.5 p99 95.0 new mean ...
 
@@ -37,11 +45,15 @@ before each timed build or load, outside its time, as ``perfbench`` does.
 Per phase and side, one line gives the median and the minimum
 milliseconds over the repetitions and the median milliseconds spent
 inside the cyclic collector (timed from ``gc.callbacks``), then one line
-the new/old ratios of the median and the minimum:
+the new/old ratios of the median and the minimum. A last line gives the
+megabytes ``tracemalloc`` reads held by one build of each side, made
+once before the timed repetitions and outside their time:
 
     build old median 35.8 min 34.9 gc 8.1 ms
     build new median 29.9 min 28.8 gc 0.9 ms
     build new/old median 0.835 min 0.825
+    ...
+    held old 6.56 new 2.08 MB new/old 0.317
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ import pkgutil
 import statistics
 import sys
 import tempfile
+import tracemalloc
 from functools import partial
 from pathlib import Path
 from time import perf_counter_ns
@@ -109,24 +122,39 @@ def summary(samples: list[float]) -> dict[str, float]:
             "p90": percentile(ordered, 0.9), "p99": percentile(ordered, 0.99)}
 
 
+def compared(head: str, old: list[float], new: list[float]) -> str:
+    """``head``, then each side's mean/p50/p99 of its samples and their
+    new/old ratios."""
+    stats = [summary(old), summary(new)]
+    words = [head]
+    for name, side in zip(("old", "new"), stats):
+        words.append(name + "".join(f" {key} {side[key]:.1f}" for key in KIND_KEYS))
+    words.append("new/old" + "".join(f" {key} {stats[1][key] / stats[0][key]:.3f}"
+                                     for key in KIND_KEYS))
+    return " ".join(words)
+
+
+def rep_lines(stream: list, micros: list[list[float]]) -> list[str]:
+    """The ``first`` line, over repetition 1, and the ``rest`` line, over
+    repetitions 2 to R when there are any."""
+    cut = len(stream)
+    reps = len(micros[0]) // max(cut, 1)
+    lines = [compared("first reps 1", micros[0][:cut], micros[1][:cut])]
+    if reps > 1:
+        lines.append(compared(f"rest reps {reps - 1}", micros[0][cut:], micros[1][cut:]))
+    return lines
+
+
 def kind_lines(stream: list, micros: list[list[float]]) -> list[str]:
     """One line per query kind (``q[0]``) when the stream mixes kinds: its
     query count, each side's mean/p50/p99 and their new/old ratios."""
     kinds = list(dict.fromkeys(q[0] for q in stream))
     if len(kinds) < 2:
         return []
-    lines = []
-    for kind in kinds:
-        stats = [summary([us for number, us in enumerate(samples)
-                          if stream[number % len(stream)][0] == kind])
-                 for samples in micros]
-        words = [f"kind {kind} queries {sum(q[0] == kind for q in stream)}"]
-        for name, side in zip(("old", "new"), stats):
-            words.append(name + "".join(f" {key} {side[key]:.1f}" for key in KIND_KEYS))
-        words.append("new/old" + "".join(f" {key} {stats[1][key] / stats[0][key]:.3f}"
-                                         for key in KIND_KEYS))
-        lines.append(" ".join(words))
-    return lines
+    return [compared(f"kind {kind} queries {sum(q[0] == kind for q in stream)}",
+                     *([us for number, us in enumerate(samples)
+                        if stream[number % len(stream)][0] == kind] for samples in micros))
+            for kind in kinds]
 
 
 def run(old: Path, new: Path, workload: str, seed: int, config: str, reps: int,
@@ -176,7 +204,7 @@ def run(old: Path, new: Path, workload: str, seed: int, config: str, reps: int,
         print(f"{name} " + " ".join(f"{key} {value:.1f}" for key, value in side.items()) + " us")
     print("new/old " + " ".join(f"{key} {stats[1][key] / stats[0][key]:.3f}"
                                 for key in stats[0]))
-    for line in kind_lines(stream, micros):
+    for line in rep_lines(stream, micros) + kind_lines(stream, micros):
         print(line)
     return 0
 
@@ -218,6 +246,20 @@ def build_all(wl) -> dict:
     return {name: step() for name, step in wl.build_steps()}
 
 
+def held_mb(work) -> float:
+    """Megabytes ``tracemalloc`` reads held by what ``work()`` returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = work()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del built
+    return held / 2**20
+
+
 def load_all(wl, persist, paths) -> dict:
     structures = {}
     for kind, path in paths:
@@ -230,6 +272,7 @@ def run_builds(old: Path, new: Path, workload: str, seed: int, config: str,
                reps: int) -> int:
     trees = [Tree(old), Tree(new)]
     works: dict[str, list] = {"build": [], "load": []}
+    held = []
     with tempfile.TemporaryDirectory() as tmp:
         for number, tree in enumerate(trees):
             tree.activate()
@@ -242,6 +285,7 @@ def run_builds(old: Path, new: Path, workload: str, seed: int, config: str,
                 paths.append((kind, path))
             works["build"].append(partial(build_all, wl))
             works["load"].append(partial(load_all, wl, persist, paths))
+            held.append(held_mb(works["build"][-1]))
         samples = {phase: ([], []) for phase in works}
         for rep in range(reps):
             order = (0, 1) if rep % 2 == 0 else (1, 0)
@@ -259,6 +303,7 @@ def run_builds(old: Path, new: Path, workload: str, seed: int, config: str,
                   f" gc {statistics.median(g for _, g in pairs):.1f} ms")
         print(f"{phase} new/old median {stats[1][0] / stats[0][0]:.3f}"
               f" min {stats[1][1] / stats[0][1]:.3f}")
+    print(f"held old {held[0]:.2f} new {held[1]:.2f} MB new/old {held[1] / held[0]:.3f}")
     return 0
 
 
