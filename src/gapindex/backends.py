@@ -161,7 +161,7 @@ def _as_element_lists(
         return [s.elements for s in c.sets]
     if isinstance(c, SlicedSets):
         return c
-    if type(c) is list and all(type(s) is tuple for s in c):
+    if type(c) is list and set(map(type, c)) <= {tuple}:
         return c
     return [s if type(s) is tuple else tuple(s) for s in c]
 
@@ -430,6 +430,11 @@ class SsiBackend:
     ``members[t]`` for each of the sets, not the blocks, None until set
     t + 1's first probe (``member``): set t's own tuple when it has at
     most ``_TUPLE_MEMBERS`` elements, else a frozenset.
+
+    The build reads the sizes once, as one int64 array (``set_sizes``):
+    the threshold total, ``dict_entries`` and the large ids are each one
+    numpy expression over it, so a build with no large set (every
+    ``LinearScan`` build) reads no set.
     """
 
     def __init__(self, sets: Sequence[tuple[int, ...]], kind: BackendKind,
@@ -446,13 +451,11 @@ class SsiBackend:
         self.probes = 0
         self.scans = 0
         sizes = set_sizes(sets)
+        stored = int(sizes.sum())
         if threshold is None:
-            threshold = size_threshold(kind, sum(sizes))
+            threshold = size_threshold(kind, stored)
         self.threshold = threshold
-        # No set is above LinearScan's infinite threshold.
-        large_ids = [] if threshold == math.inf else [
-            i for i, m in enumerate(sizes, start=1) if m > threshold
-        ]
+        large_ids = (np.flatnonzero(sizes > threshold) + 1).tolist()
         self.table = _TabulatedPairs()
         # Without large sets (always so for LinearScan) skip the two scans
         # over every set that only the tabulation needs.
@@ -481,12 +484,12 @@ class SsiBackend:
             self.members = [None] * probed
             # Logical space: one entry per stored element, as if every set
             # and block kept its own members.
-            self.dict_entries = sum(sizes)
+            self.dict_entries = stored
 
     @property
     def large(self) -> list[bool]:
         """Per set, whether it is above the threshold (tabulated against the others)."""
-        return [m > self.threshold for m in set_sizes(self.sets)]
+        return (set_sizes(self.sets) > self.threshold).tolist()
 
     def member(self, t: int) -> Union[frozenset, tuple[int, ...]]:
         """Set t's member set, made and kept: its own tuple when it has at

@@ -135,6 +135,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -142,7 +143,7 @@ import numpy as np
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, LinearScan, range_meets
 from .errors import FormatError, GapIndexError
 from .reporting import AugmentedInstance, check_set_ids, report_shift
-from .sets import SetCollection, SlicedSets
+from .sets import SetCollection, SlicedSets, set_sizes
 
 _INT64 = np.iinfo(np.int64)
 
@@ -482,15 +483,19 @@ def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[Slice
     distinct values, maps each code to its half's, and keeps an element
     when its code or its owner differs from the previous element's: every
     quotient set comes out sorted and free of repeats, as dict.fromkeys
-    over a >> (l - 1) for a in S would make it. Each distinct value
-    becomes one int in an object table no longer than the level, and the
-    level's elements one flat tuple of those ints, cut at the cumulative
-    per-owner counts: each set's tuple is sliced from it on first read,
-    and shares its ints. An element outside int64 raises FormatError.
+    over a >> (l - 1) for a in S would make it. The distinct values stay
+    sorted, and so do their halves, so a level needs no sort: a half is
+    new where it differs from its left neighbour, and its code counts the
+    new halves up to it (a ``cumsum``), as ``np.unique`` would number it.
+    Each distinct value becomes one int in an object table no longer than
+    the level, and the level's elements one flat tuple of those ints, cut
+    at the cumulative per-owner counts: each set's tuple is sliced from it
+    on first read, and shares its ints. An element outside int64 raises
+    FormatError.
     """
-    sizes = list(map(len, sets))
+    sizes = set_sizes(sets)
     try:
-        values = np.fromiter(chain.from_iterable(sets), np.int64, sum(sizes))
+        values = np.fromiter(chain.from_iterable(sets), np.int64, int(sizes.sum()))
     except OverflowError:
         bad = next(a for s in sets for a in s if not _INT64.min <= a <= _INT64.max)
         raise FormatError(f"element {bad} does not fit the quotient levels' int64") from None
@@ -498,8 +503,11 @@ def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[Slice
     owners = np.repeat(np.arange(len(sets)), sizes)
     keep = np.ones(len(codes), dtype=bool)
     for _ in range(2, top + 1):
-        distinct, halves = np.unique(distinct >> 1, return_inverse=True)
-        codes = halves[codes]
+        halved = distinct >> 1
+        new = np.ones(len(halved), dtype=bool)
+        np.not_equal(halved[1:], halved[:-1], out=new[1:])
+        distinct = halved[new]
+        codes = (np.cumsum(new) - 1)[codes]
         keep = keep[: len(codes)]
         np.not_equal(codes[1:], codes[:-1], out=keep[1:])
         keep[1:] |= owners[1:] != owners[:-1]
@@ -558,9 +566,11 @@ class GappedIndex:
 
     def __init__(self, sets: Sequence[tuple[int, ...]], universe: int, kind: BackendKind,
                  mem_budget: int = DEFAULT_MEM_BUDGET):
-        ends = [end for s in sets if s for end in (s[0], s[-1])]
-        if ends and max(ends) - min(ends) >= universe:
-            raise FormatError(f"set elements span [{min(ends)}, {max(ends)}],"
+        # Each set is sorted, so its ends bound it; read at C speed.
+        low = min(map(itemgetter(0), filter(None, sets)), default=None)
+        high = max(map(itemgetter(-1), filter(None, sets)), default=None)
+        if low is not None and high - low >= universe:
+            raise FormatError(f"set elements span [{low}, {high}],"
                               f" wider than universe {universe}")
         self.universe = universe
         self.kind = kind

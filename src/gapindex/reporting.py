@@ -37,8 +37,9 @@ id ``first_block_id(i) + starts[j] - starts[lowest_level] + kappa``, with
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from typing import NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from .backends import (
     DEFAULT_MEM_BUDGET,
@@ -52,10 +53,11 @@ from .reductions import reduce_3sum_to_ssi
 from .sets import Block, SetCollection, cover_blocks, dyadic_subsets, level_starts, set_sizes
 
 
-def dyadic_block_elements(m: int) -> int:
+def dyadic_block_elements(m):
     """Elements in all dyadic blocks of an m-element set: level j has m >> j
-    blocks of 2^j elements."""
-    return sum((m >> j) << j for j in range(m.bit_length()))
+    blocks of 2^j elements. Given an int64 array of set sizes, it gives
+    the count of each set, in one array."""
+    return sum((m >> j) << j for j in range(int(np.max(m, initial=0)).bit_length()))
 
 
 class AugmentedInstance:
@@ -64,7 +66,10 @@ class AugmentedInstance:
 
     ``base`` is the k base sets' element tuples, as given: a quotient
     level's ``SlicedSets`` is built over with no set sliced, since its
-    sizes are read off its ends. ``total_elements``
+    sizes are read off its ends. The accounting reads one int64 array of
+    the sizes (``set_sizes``): the base and dyadic element counts, the
+    largest size and the backend's threshold total are each one numpy
+    expression over it, with no Python loop per set. ``total_elements``
     counts the base sets and every dyadic block, stored or not. Of the
     block ids it keeps only ``first_block``, each base set's first stored
     one, or one int when no set stores a block, read through
@@ -79,12 +84,9 @@ class AugmentedInstance:
         self.base = sets
         self.kind = kind
         sizes = set_sizes(sets)
-        n = sum(sizes)
+        n = int(sizes.sum())
         self.base_elements = n
-        # Many sets share a size (every quotient level of a string index).
-        self.dyadic_elements = sum(
-            dyadic_block_elements(m) * count for m, count in Counter(sizes).items()
-        )
+        self.dyadic_elements = int(np.sum(dyadic_block_elements(sizes)))
         self.total_elements = n + self.dyadic_elements
         bound = n * n.bit_length() + n  # N*(floor(log2 N)+1) + N
         if self.total_elements > bound:
@@ -98,7 +100,7 @@ class AugmentedInstance:
         self.lowest_level = lowest
         k = len(sets)
         blocks: list[tuple[int, ...]] = []
-        if lowest >= max(sizes, default=0).bit_length():
+        if lowest >= int(sizes.max(initial=0)).bit_length():
             # No set stores a block (under LinearScan, never): every set's
             # first block id is k + 1, kept as one int.
             self.first_block: Union[int, list[int]] = k + 1

@@ -13,7 +13,9 @@ slices the blocks themselves from the tuple, for a build that stores them.
 
 A ``SlicedSets`` holds k sorted sets as one flat tuple and slices each
 set's tuple on its first read (the quotient levels of a gapped index);
-``set_sizes`` reads the sizes of any sequence of sets, slicing none.
+``set_sizes`` reads the sizes of any sequence of sets into one int64
+array, slicing none, so a build's per-set bookkeeping is numpy
+expressions over that array.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class SlicedSets:
 
     ``len``, indexing, iteration, ``==`` against a list and ``repr``
     behave as the list of tuples would; iterating or comparing fills every
-    set. ``sizes`` reads the sizes off ``ends`` and fills none;
+    set. ``sizes`` reads the sizes off ``ends`` as an int64 array and
+    fills none;
     ``filled`` counts the sets read so far.
     """
 
@@ -127,13 +130,18 @@ class SlicedSets:
         """The number of sets read so far."""
         return len(self.rows) - self.rows.count(None)
 
-    def sizes(self) -> list[int]:
-        return np.diff(np.frombuffer(self.ends, np.int64), prepend=0).tolist()
+    def sizes(self) -> np.ndarray:
+        return np.diff(np.frombuffer(self.ends, np.int64), prepend=0)
 
 
-def set_sizes(sets: Sequence[tuple[int, ...]]) -> list[int]:
-    """Each set's size; a ``SlicedSets`` answers without slicing a set."""
-    return sets.sizes() if isinstance(sets, SlicedSets) else list(map(len, sets))
+def set_sizes(sets: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Each set's size, in one int64 array: a ``SlicedSets`` reads them off
+    its ends without slicing a set, any other sequence is asked ``len`` of
+    each set at C speed. The instance and backend accounting read sums,
+    maxima and masks of this array, with no Python loop over the sets."""
+    if isinstance(sets, SlicedSets):
+        return sets.sizes()
+    return np.array(list(map(len, sets)), dtype=np.int64)
 
 
 def ingest_collection(raw: list[list[int]], u: int) -> SetCollection:

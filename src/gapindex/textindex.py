@@ -109,10 +109,11 @@ def _lcp_kasai(data: bytes, order: Sequence[int]) -> list[int]:
 
 
 def build_suffix_array(text: bytes) -> SuffixArray:
-    """Suffix array (LCP on first read) for a nonempty byte string."""
+    """Suffix array (LCP on first read) for a nonempty byte string. The
+    1-based positions are converted to Python ints in one ``tolist``."""
     if not text:
         raise FormatError("text must be nonempty")
-    return SuffixArray(text=text, sa=tuple(int(x) + 1 for x in _suffix_order(text)))
+    return SuffixArray(text=text, sa=tuple((_suffix_order(text) + 1).tolist()))
 
 
 def pattern_interval(sa: SuffixArray, pattern: bytes) -> tuple[int, int]:
@@ -182,19 +183,22 @@ def _dyadic_interval_sets(sa: Sequence[int]) -> list[tuple[int, ...]]:
     Level j's intervals are the rows of an (n >> j) x 2^j array. A row of
     level j + 1 joins two sorted rows of level j, which a stable sort (a
     merge of two runs) orders in linear time. Each level's positions are
-    read back as the suffix array's own int objects, which every set
-    shares, and each set's tuple is a slice of them.
+    gathered in one fancy index from an object array that holds the
+    suffix array's own int objects, so every set shares them, and the
+    level's list is cut into 2^j-element tuples by ``zip`` over one
+    iterator: no Python loop runs per set or per element.
     """
     n = len(sa)
-    rows = np.asarray(sa, dtype=np.int64)[:, None]
-    ints = [0, *sorted(sa)]  # ints[p] is the suffix array's object for p
+    rows = np.asarray(sa, dtype=np.int64)
+    ints = np.empty(n + 1, dtype=object)
+    ints[rows] = sa  # ints[p] is the suffix array's object for p
+    rows = rows[:, None]
     sets: list[tuple[int, ...]] = []
     for j in range(n.bit_length()):
         if j:
             count = n >> j
             rows = np.sort(rows[: 2 * count].reshape(count, 1 << j), axis=1, kind="stable")
-        flat, size = tuple(map(ints.__getitem__, rows.ravel().tolist())), 1 << j
-        sets.extend(flat[lo : lo + size] for lo in range(0, len(flat), size))
+        sets.extend(zip(*[iter(ints[rows.ravel()].tolist())] * (1 << j)))
     return sets
 
 
@@ -210,7 +214,7 @@ class GappedStringIndex:
         n = len(text)
         sets = _dyadic_interval_sets(self.suffixes.sa)
         self._level_starts = level_starts(n)
-        self.set_elements = sum(len(s) for s in sets)
+        self.set_elements = sum(map(len, sets))
         if self.set_elements > n * n.bit_length():
             raise GapIndexError("dyadic interval accounting bound violated")
         self.gapped = GappedIndex(sets, n, kind, mem_budget)

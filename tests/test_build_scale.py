@@ -1,0 +1,37 @@
+"""``tools/build_scale.py`` at n = 256 and one repetition: the repo's
+``src`` against itself builds once per side, each in its own process, and
+prints each run, each side's median and collector time, the ratio and the
+held megabytes; a tree with no package is refused."""
+
+import pathlib
+import re
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "build_scale.py"
+
+
+def build_scale(*args):
+    return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_one_repetition_times_both_sides():
+    result = build_scale(ROOT / "src", ROOT / "src", "--n", 256, "--reps", 1)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert len(lines) == 6, lines
+    run = r"n 256 rep 1 (old|new) \d+\.\d{4} s gc \d+\.\d{4} s in \d+ passes"
+    assert [re.fullmatch(run, line).group(1) for line in lines[:2]] == ["old", "new"]
+    for line, side in zip(lines[2:4], ("old", "new")):
+        assert re.fullmatch(rf"n 256 {side} median \d+\.\d{{4}} s gc \d+\.\d{{4}} s", line)
+    assert re.fullmatch(r"n 256 new/old median \d+\.\d{3}", lines[4])
+    held = re.fullmatch(r"n 256 held old (\S+) new (\S+) MB new/old \d+\.\d{3}", lines[5])
+    assert held and float(held.group(1)) > 0 and float(held.group(2)) > 0
+
+
+def test_a_tree_with_no_package_is_refused(tmp_path):
+    result = build_scale(tmp_path, ROOT / "src", "--n", 256, "--reps", 1)
+    assert result.returncode != 0
+    assert "holds no gapindex package" in result.stderr

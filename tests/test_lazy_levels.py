@@ -132,7 +132,7 @@ def test_a_level_reads_as_the_list_it_replaces():
     for level, got in enumerate(quotient_levels(sets, 4), start=2):
         eager = [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in sets]
         assert isinstance(got, SlicedSets) and got.filled() == 0
-        assert got.sizes() == [len(q) for q in eager] and got.filled() == 0
+        assert got.sizes().tolist() == [len(q) for q in eager] and got.filled() == 0
         assert len(got) == len(eager) and got[-1] == eager[-1] and got[1:4] == eager[1:4]
         assert got.filled() == 4
         assert got == eager and eager == got and got != eager[:-1]

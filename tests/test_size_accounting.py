@@ -1,0 +1,189 @@
+"""A build's per-set bookkeeping, read from one int64 array of sizes,
+equals a reference computed set by set here.
+
+Instance and backend accounting (element counts, threshold, stored block
+levels and ids, large flags, member-set entries, table entries and
+nominal bytes) is checked over lists of tuples, ``SetCollection``s,
+quotient-level ``SlicedSets``, an empty collection, all-empty sets and one
+large set, under every backend kind. The dyadic interval tuples of the
+string index are the sorted suffix-array slices and hold the suffix
+array's own int objects. The sort-free halving of the quotient levels
+gives the levels that ``np.unique`` numbering gives.
+"""
+
+import random
+from array import array
+from itertools import chain
+
+import numpy as np
+import pytest
+
+from gapindex.backends import (
+    FullTabulation,
+    LinearScan,
+    SmallUniverse,
+    build_backend,
+    size_threshold,
+)
+from gapindex.generators import random_collection, random_text
+from gapindex.gapped import quotient_levels
+from gapindex.reporting import AugmentedInstance, build_reporting_index
+from gapindex.sets import SlicedSets, level_starts, set_sizes
+from gapindex.textindex import _dyadic_interval_sets, build_suffix_array
+
+KINDS = [LinearScan(), FullTabulation()] + [SmallUniverse(d) for d in (0, 0.3, 0.5, 1)]
+KIND_IDS = ["linear", "fulltab"] + [f"smalluniverse-{d}" for d in (0, 0.3, 0.5, 1)]
+
+
+def _entries(sets: list[tuple[int, ...]], large: list[bool]) -> int:
+    """Realized shifts over every ordered pair of large sets."""
+    big = [s for s, flag in zip(sets, large) if flag]
+    return sum(len({b - a for a in sa for b in sb}) for sa in big for sb in big)
+
+
+def _assert_backend(backend, sets, kind, threshold):
+    """``sets`` are the backend's stored sets, base sets then blocks."""
+    sizes = [len(s) for s in sets]
+    large = [m > threshold for m in sizes]
+    assert backend.threshold == threshold
+    assert backend.large == large
+    dict_entries = 0 if isinstance(kind, FullTabulation) else sum(sizes)
+    assert backend.dict_entries == dict_entries
+    entries = _entries(sets, large)
+    assert backend.table.entries == entries
+    assert backend.space_bytes() == 8 * dict_entries + 24 * entries
+
+
+def _assert_instance(inst, sets, kind):
+    """``sets`` are the base sets as a list of tuples."""
+    sizes = [len(s) for s in sets]
+    base = sum(sizes)
+    dyadic = sum(sum((m >> j) << j for j in range(m.bit_length())) for m in sizes)
+    assert (inst.base_elements, inst.dyadic_elements) == (base, dyadic)
+    assert inst.total_elements == base + dyadic
+    threshold = size_threshold(kind, base + dyadic)
+    lowest = 0
+    while lowest < base.bit_length() and 1 << lowest <= threshold:
+        lowest += 1
+    assert inst.lowest_level == lowest
+    blocks = []
+    first = []
+    for s in sets:
+        first.append(len(sets) + 1 + len(blocks))
+        for j in range(lowest, len(s).bit_length()):
+            blocks.extend(s[lo:lo + (1 << j)] for lo in range(0, (len(s) >> j) << j, 1 << j))
+    assert inst.first_block == (first if blocks else len(sets) + 1)
+    _assert_backend(inst.backend, list(sets) + blocks, kind, threshold)
+
+
+def _collections():
+    rng = random.Random(5)
+    sized = [1, 2, 3, 4, 7, 8, 9, 16, 33]
+    return {
+        "tuples": [tuple(sorted(rng.sample(range(-50, 400), m))) for m in sized],
+        "collection": random_collection(rng, 6, 60, 120),
+        "empty": [],
+        "all-empty": [(), (), ()],
+        "one-large": [tuple(range(3, 300, 2))],
+    }
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("name", list(_collections()))
+def test_instance_accounting_matches_set_by_set(name, kind):
+    c = _collections()[name]
+    if name == "collection":
+        sets, inst = [s.elements for s in c.sets], build_reporting_index(c, kind)
+    else:
+        sets, inst = c, AugmentedInstance(c, kind)
+    _assert_backend(build_backend(c, kind), sets, kind, size_threshold(kind, sum(map(len, sets))))
+    _assert_instance(inst, sets, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+def test_quotient_level_accounting_matches_set_by_set(kind):
+    rng = random.Random(9)
+    sets = [tuple(sorted(rng.sample(range(1, 2000), m))) for m in (1, 2, 5, 9, 17, 40, 70)]
+    sets.insert(3, ())
+    for level, got in enumerate(quotient_levels(sets, 5), start=2):
+        eager = [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in sets]
+        assert list(set_sizes(got)) == [len(q) for q in eager] and got.filled() == 0
+        inst = AugmentedInstance(got, kind)
+        if isinstance(kind, LinearScan):
+            assert got.filled() == 0  # the accounting reads no set
+        _assert_instance(inst, eager, kind)
+
+
+def test_set_sizes_is_one_int64_array():
+    for sets in ([(1, 2), (), (5,)], [], SlicedSets((1, 2, 5), array("q", [2, 2, 3]))):
+        sizes = set_sizes(sets)
+        assert isinstance(sizes, np.ndarray) and sizes.dtype == np.int64
+        assert sizes.tolist() == [len(s) for s in sets]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 2048])
+def test_interval_tuples_are_sorted_slices_of_the_suffix_arrays_ints(n):
+    sa = build_suffix_array(random_text(random.Random(n), n, 4)).sa
+    assert all(type(p) is int for p in sa)
+    own = {p: p for p in sa}
+    sets = _dyadic_interval_sets(sa)
+    starts = level_starts(n)
+    assert len(sets) == starts[-1]
+    for j in range(n.bit_length()):
+        size = 1 << j
+        for kappa in range(n >> j):
+            got = sets[starts[j] + kappa]
+            assert type(got) is tuple
+            assert got == tuple(sorted(sa[kappa * size:(kappa + 1) * size]))
+            assert all(p is own[p] for p in got)
+
+
+def _unique_levels(sets, top):
+    """Quotient levels 2..top numbered by ``np.unique`` at every level, as
+    (flat values, ends) pairs."""
+    sizes = [len(s) for s in sets]
+    values = np.fromiter(chain.from_iterable(sets), np.int64, sum(sizes))
+    distinct, codes = np.unique(values, return_inverse=True)
+    owners = np.repeat(np.arange(len(sets)), sizes)
+    out = []
+    for _ in range(2, top + 1):
+        distinct, halves = np.unique(distinct >> 1, return_inverse=True)
+        codes = halves[codes]
+        keep = np.ones(len(codes), dtype=bool)
+        keep[1:] = (codes[1:] != codes[:-1]) | (owners[1:] != owners[:-1])
+        codes, owners = codes[keep], owners[keep]
+        out.append((distinct[codes].tolist(),
+                    np.bincount(owners, minlength=len(sets)).cumsum().tolist()))
+    return out
+
+
+LO, HI = -(1 << 63), (1 << 63) - 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sort_free_halving_gives_the_unique_levels(seed):
+    rng = random.Random(seed)
+    pools = [range(-300, 300), range(LO, LO + 200), range(HI - 200, HI + 1),
+             range(0, 1 << 40, 1 << 30)]
+    sets = []
+    for _ in range(rng.randint(1, 12)):
+        pool = rng.choice(pools)
+        sets.append(tuple(sorted(rng.sample(pool, rng.randint(0, 30)))))
+    top = rng.randint(2, 12)
+    got = list(quotient_levels(sets, top))
+    assert len(got) == top - 1
+    for level, (level_sets, (flat, ends)) in enumerate(zip(got, _unique_levels(sets, top)), 2):
+        assert list(level_sets.flat) == flat and list(level_sets.ends) == ends
+        assert level_sets == [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in sets]
+
+
+def test_single_value_levels():
+    sets = [(0, 1), (1,), (), (2, 3), (LO, LO + 1), (HI - 1, HI)]
+    for level, (level_sets, (flat, ends)) in enumerate(
+            zip(quotient_levels(sets, 70), _unique_levels(sets, 70)), 2):
+        assert list(level_sets.flat) == flat and list(level_sets.ends) == ends
+        expect = [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in sets]
+        assert level_sets == expect
+    # From level 64 every value is 0 or -1: each set holds one value.
+    assert level_sets == [(0,), (0,), (), (0,), (-1,), (0,)]
+    assert len(level_sets.flat) == 5
