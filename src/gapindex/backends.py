@@ -22,10 +22,15 @@ for sides of 255 or 65,536 and more elements) per shift slot names the
 certificate's row in set i, so r is one index. Any other pair is a
 sorted table of its realized shifts and their a-values, and r is one
 bisection. Both are plain ``bytes``, ``array`` or list objects; numpy
-only builds them. Each unordered pair is stored once, with the smaller
-set as set i: (j, i) at shift s reads (i, j)'s table at -s as its
-mirror. ``space_bytes`` stays nominal, counting both orientations;
-``table.nbytes`` gives the bytes the tables store.
+only builds them, and only when every stored value lies inside
+(-2^62, 2^62), so that no difference leaves int64: the build reads the
+stored sets' least and greatest values once (``sets.value_range``), and
+any other collection tabulates with a dict. ``_TabulatedPairs.add_pair``
+is the one place that turns a pair into its table. Each unordered pair
+is stored once, with the smaller set as set i: (j, i) at shift s reads
+(i, j)'s table at -s as its mirror. ``space_bytes`` stays nominal,
+counting both orientations; ``table.nbytes`` gives the bytes the tables
+store.
 
 Only a probe or a walk reads a member set, so only the sets a caller
 names keep one, made on the set's first probe: a tuple of at most
@@ -82,7 +87,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetError, FormatError
-from .sets import SetCollection, SlicedSets, set_sizes
+from .sets import SetCollection, SlicedSets, set_sizes, value_range
 
 # Nominal per-entry accounting used for space instrumentation: one stored
 # integer is 8 bytes, one tabulated certificate (shift -> pair) is 24.
@@ -91,7 +96,8 @@ _CERT_BYTES = 24
 
 DEFAULT_MEM_BUDGET = 1 << 30
 
-# numpy fast paths require differences to stay inside int64.
+# numpy fast paths require differences to stay inside int64: the stored
+# values' range must lie inside (-_NP_SAFE, _NP_SAFE).
 _NP_SAFE = 1 << 62
 
 # A sorted table narrows to array('i') when its values lie in [-_INT32, _INT32).
@@ -178,10 +184,6 @@ def range_meets(sa: Sequence[int], sb: Sequence[int], lo: int, hi: int) -> bool:
     return sb[-1] - sa[0] >= lo and sb[0] - sa[-1] <= hi
 
 
-def _np_safe(sets: list[tuple[int, ...]]) -> bool:
-    return all(-_NP_SAFE < s[0] and s[-1] < _NP_SAFE for s in sets if s)
-
-
 def _row_code(m: int) -> str:
     """Type code (numpy and ``array`` alike) of a row table over an m-row
     side: it must also hold the sentinel m."""
@@ -243,19 +245,6 @@ def _int64(s: tuple[int, ...]) -> np.ndarray:
     return np.asarray(s, dtype=np.int64)
 
 
-def _pair_shift_certs(sa: tuple[int, ...], sb: tuple[int, ...], use_np: bool):
-    """All realized shifts b - a over sa x sb with the smallest-a certificate each.
-
-    Returns (shifts ascending, a-values) as parallel sequences: read off
-    the scatter for a pair ``_scatter_rows`` covers, else ``_sorted_certs``.
-    """
-    aa, bb = (_int64(sa), _int64(sb)) if use_np else (None, None)
-    scattered = _scatter_rows(sa, sb, aa, bb)
-    if scattered is not None:
-        return _certs_from_rows(aa, *scattered)
-    return _sorted_certs(sa, sb, aa, bb)
-
-
 class _TabulatedPairs:
     """Shared (i, j) -> shift table with smallest-a certificates.
 
@@ -303,7 +292,10 @@ class _TabulatedPairs:
         """Tabulate (i, j) over sets sa and sb, and (j, i) as its mirror.
 
         ``aa`` and ``bb`` are sa and sb as int64 arrays, or None (the
-        default) to tabulate without numpy.
+        default) to tabulate without numpy. The only composition of
+        ``_scatter_rows``, ``_certs_from_rows`` and ``_sorted_certs``: a
+        scattered pair is kept dense or read off its rows into the sorted
+        form, and any other pair is sorted directly.
         """
         scattered = _scatter_rows(sa, sb, aa, bb)
         if scattered is None:
@@ -434,7 +426,11 @@ class SsiBackend:
     The build reads the sizes once, as one int64 array (``set_sizes``):
     the threshold total, ``dict_entries`` and the large ids are each one
     numpy expression over it, so a build with no large set (every
-    ``LinearScan`` build) reads no set.
+    ``LinearScan`` build) reads no set. With large sets it reads the
+    stored values' range once (``value_range``): the budget caps each
+    pair's certificates at that range's 2 * (high - low) + 1 shifts, and
+    the numpy table path runs only when the range lies inside int64's
+    (-2^62, 2^62); otherwise every pair tabulates with a dict.
     """
 
     def __init__(self, sets: Sequence[tuple[int, ...]], kind: BackendKind,
@@ -457,10 +453,12 @@ class SsiBackend:
         self.threshold = threshold
         large_ids = (np.flatnonzero(sizes > threshold) + 1).tolist()
         self.table = _TabulatedPairs()
-        # Without large sets (always so for LinearScan) skip the two scans
-        # over every set that only the tabulation needs.
+        # Without large sets (always so for LinearScan) no set is read: only
+        # the tabulation needs the sets' value range.
         if large_ids:
-            span = _shift_span(sets)
+            # Every difference b - a lies in [low - high, high - low].
+            low, high = value_range(sets) or (0, 0)
+            span = 2 * (high - low) + 1
             needed = _CERT_BYTES * sum(
                 min(len(sets[i - 1]) * len(sets[j - 1]), span)
                 for i in large_ids
@@ -471,7 +469,8 @@ class SsiBackend:
                     f"{kind.name} build needs ~{needed} bytes, over budget {mem_budget}"
                 )
             # Each large set is converted to int64 once, not once per pair.
-            arrays = {i: _int64(sets[i - 1]) for i in large_ids} if _np_safe(sets) else {}
+            np_safe = -_NP_SAFE < low and high < _NP_SAFE
+            arrays = {i: _int64(sets[i - 1]) for i in large_ids} if np_safe else {}
             for x, p in enumerate(large_ids):
                 for q in large_ids[x:]:
                     # The smaller set is the row side: the narrowest rows.
@@ -668,15 +667,6 @@ def _ceil_pow(total: int, delta: float) -> int:
     while t > 1 and (t - 1) >= total**delta:
         t -= 1
     return t
-
-
-def _shift_span(sets: list[tuple[int, ...]]) -> int:
-    nonempty = [s for s in sets if s]
-    if not nonempty:
-        return 1
-    lo = min(s[0] for s in nonempty)
-    hi = max(s[-1] for s in nonempty)
-    return 2 * (hi - lo) + 1
 
 
 def build_backend(

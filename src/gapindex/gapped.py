@@ -135,7 +135,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -143,7 +142,7 @@ import numpy as np
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, LinearScan, range_meets
 from .errors import FormatError, GapIndexError
 from .reporting import AugmentedInstance, check_set_ids, report_shift
-from .sets import SetCollection, SlicedSets, set_sizes
+from .sets import SetCollection, SlicedSets, set_sizes, value_range
 
 _INT64 = np.iinfo(np.int64)
 
@@ -542,10 +541,10 @@ class GappedIndex:
 
     ``sets`` holds k sorted element tuples whose elements span at most
     ``universe`` values, as {1..universe} does, kept as ``exact.base``; a
-    wider span would leave differences past the clamp at universe - 1, and
-    is refused with FormatError. ``max_level`` is ``reach(universe)``, the
-    highest level a plan over the clamped gap can ask; it is 0 for a
-    universe of one value and at least 1 above that. ``instances[l]`` is
+    wider span (``value_range``) would leave differences past the clamp at
+    universe - 1, and is refused with FormatError. ``max_level`` is
+    ``reach(universe)``, the highest level a plan over the clamped gap can
+    ask; it is 0 for a universe of one value and at least 1 above that. ``instances[l]`` is
     the instance that answers level l, for l up to ``max_level``: the
     exact one, under ``kind``, at level 0 and for a level-1
     ``ApproxQuery`` (a plan asks level 1's shifts at level 0), and
@@ -566,11 +565,9 @@ class GappedIndex:
 
     def __init__(self, sets: Sequence[tuple[int, ...]], universe: int, kind: BackendKind,
                  mem_budget: int = DEFAULT_MEM_BUDGET):
-        # Each set is sorted, so its ends bound it; read at C speed.
-        low = min(map(itemgetter(0), filter(None, sets)), default=None)
-        high = max(map(itemgetter(-1), filter(None, sets)), default=None)
-        if low is not None and high - low >= universe:
-            raise FormatError(f"set elements span [{low}, {high}],"
+        span = value_range(sets)
+        if span and span[1] - span[0] >= universe:
+            raise FormatError(f"set elements span [{span[0]}, {span[1]}],"
                               f" wider than universe {universe}")
         self.universe = universe
         self.kind = kind

@@ -15,14 +15,18 @@ A ``SlicedSets`` holds k sorted sets as one flat tuple and slices each
 set's tuple on its first read (the quotient levels of a gapped index);
 ``set_sizes`` reads the sizes of any sequence of sets into one int64
 array, slicing none, so a build's per-set bookkeeping is numpy
-expressions over that array.
+expressions over that array. ``value_range`` reads the least and the
+greatest element of a sequence of sorted sets off their ends: the
+gapped index's span check, the tabulation budget's shift span and the
+int64 guard of the numpy table path all read it.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -142,6 +146,19 @@ def set_sizes(sets: Sequence[tuple[int, ...]]) -> np.ndarray:
     if isinstance(sets, SlicedSets):
         return sets.sizes()
     return np.array(list(map(len, sets)), dtype=np.int64)
+
+
+def value_range(sets: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
+    """(least first element, greatest last element) over the non-empty
+    sorted sets, or None when every set is empty (or there is none). Each
+    set is sorted, so its ends bound it: two passes of ``min`` and ``max``
+    over ``itemgetter`` maps, at C speed, read two elements per set and
+    build no list. Values past int64 are read as the Python ints they are.
+    """
+    low = min(map(itemgetter(0), filter(None, sets)), default=None)
+    if low is None:
+        return None
+    return low, max(map(itemgetter(-1), filter(None, sets)))
 
 
 def ingest_collection(raw: list[list[int]], u: int) -> SetCollection:

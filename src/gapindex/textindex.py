@@ -26,6 +26,7 @@ All positions are 1-based, matching the on-disk query/output formats.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -119,30 +120,21 @@ def build_suffix_array(text: bytes) -> SuffixArray:
 def pattern_interval(sa: SuffixArray, pattern: bytes) -> tuple[int, int]:
     """Half-open 1-based interval [s, e) of suffixes with the pattern prefix.
 
-    Empty interval (s == e) when the pattern does not occur; patterns longer
-    than the text simply never occur.
+    The suffixes' m-byte prefixes, m = len(pattern), ascend in suffix
+    order, so ``bisect_left`` and ``bisect_right`` over the suffix array,
+    keyed by ``text[p - 1 : p - 1 + m]``, find both ends; the second
+    starts from the first. Empty interval (s == e) when the pattern does
+    not occur; patterns longer than the text simply never occur.
     """
     if not pattern:
         raise FormatError("pattern must be nonempty")
-    text, order, m = sa.text, sa.sa, len(pattern)
-    lo, hi = 0, len(order)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        start = order[mid] - 1
-        if text[start : start + m] < pattern:
-            lo = mid + 1
-        else:
-            hi = mid
-    first = lo
-    hi = len(order)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        start = order[mid] - 1
-        if text[start : start + m] <= pattern:
-            lo = mid + 1
-        else:
-            hi = mid
-    return (first + 1, lo + 1)
+    text, m = sa.text, len(pattern)
+
+    def prefix(p: int) -> bytes:
+        return text[p - 1 : p - 1 + m]
+
+    first = bisect_left(sa.sa, pattern, key=prefix)
+    return (first + 1, bisect_right(sa.sa, pattern, first, key=prefix) + 1)
 
 
 def occurrences(sa: SuffixArray, pattern: bytes) -> list[int]:

@@ -10,7 +10,7 @@ from gapindex.backends import (
     LinearScan,
     ShiftQuery,
     SmallUniverse,
-    _pair_shift_certs,
+    _TabulatedPairs,
     brute_force_ssi,
     build_backend,
     parse_backend,
@@ -226,6 +226,17 @@ def _random_side(rng, size, lo, hi):
     return tuple(sorted(rng.sample(range(lo, hi), size)))
 
 
+_FAR_SHIFTS = [2**31, -2**31 - 1, 2**40, -2**40, 2**70, -2**70]
+
+
+def _reads(table, i, j, shifts, whole):
+    """Every read of (i, j): each shift's ``lookup``, and ``smallest`` and
+    ``realized`` of each gap [s, s + 2], of ``whole`` and of far gaps."""
+    gaps = [(s, s + 2) for s in shifts] + [whole, (2**31, 2**40), (-2**70, 2**70)]
+    return ([table.lookup(i, j, s) for s in shifts + _FAR_SHIFTS],
+            [(table.smallest(i, j, *g), table.realized(i, j, *g)) for g in gaps])
+
+
 def test_pair_shift_certs_numpy_matches_dict_path():
     rng = random.Random(8)
     # (|sa|, |sb|, value range): products at and just under 64, one-element
@@ -237,13 +248,26 @@ def test_pair_shift_certs_numpy_matches_dict_path():
     for na, nb, (lo, hi) in shapes:
         for _ in range(20):
             sa, sb = _random_side(rng, na, lo, hi), _random_side(rng, nb, lo, hi)
-            shifts, avals = _pair_shift_certs(sa, sb, use_np=True)
-            ref_shifts, ref_avals = _pair_shift_certs(sa, sb, use_np=False)
-            assert list(shifts) == ref_shifts
-            assert list(avals) == ref_avals
+            with_np, without = _TabulatedPairs(), _TabulatedPairs()
+            with_np.add_pair(1, 2, sa, sb, np.asarray(sa, np.int64), np.asarray(sb, np.int64))
+            without.add_pair(1, 2, sa, sb)
+            assert (with_np.entries, with_np.pairs) == (without.entries, without.pairs)
+            d_lo, d_hi = sb[0] - sa[-1], sb[-1] - sa[0]
+            # Each order over its difference range and two shifts past either
+            # end; a wide range over its ends and the shifts next to each
+            # realized one.
+            for i, j, s_lo, s_hi in ((1, 2, d_lo, d_hi), (2, 1, -d_hi, -d_lo)):
+                if s_hi - s_lo <= 1000:
+                    shifts = list(range(s_lo - 2, s_hi + 3))
+                else:
+                    realized = without.realized(i, j, s_lo, s_hi)
+                    shifts = sorted({t + e for t in realized for e in (-1, 0, 1)}
+                                    | {*range(s_lo - 2, s_lo + 3), *range(s_hi - 2, s_hi + 3)})
+                whole = (s_lo - 2, s_hi + 2)
+                assert _reads(with_np, i, j, shifts, whole) == _reads(without, i, j, shifts, whole)
+            assert isinstance(without._pairs[(1, 2)][1], list)
             if na * nb >= 64:
-                assert isinstance(shifts, np.ndarray) and shifts.dtype == np.int64
-                assert isinstance(avals, np.ndarray) and avals.dtype == np.int64
+                assert not isinstance(with_np._pairs[(1, 2)][1], list)
                 width = (sb[-1] - sb[0]) + (sa[-1] - sa[0]) + 1
                 branches.add("scatter" if width <= na * nb else "sort")
     assert branches == {"scatter", "sort"}

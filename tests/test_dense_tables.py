@@ -22,7 +22,7 @@ from gapindex.backends import (
     FullTabulation,
     ShiftQuery,
     SmallUniverse,
-    _pair_shift_certs,
+    _sorted_certs,
     _TabulatedPairs,
     brute_force_ssi,
     build_backend,
@@ -72,7 +72,7 @@ def _check_every_pair(sets):
             stored = (len(sa), i) <= (len(sb), j)
             assert mine[-1] is (not stored) and theirs[-1] is (stored and i != j)
             assert all(x is y for x, y in zip(mine[:-1], theirs[:-1]))
-            shifts, avals = _pair_shift_certs(sa, sb, use_np=False)
+            shifts, avals = _sorted_certs(sa, sb, None, None)
             entries += len(shifts)
             sorted_form = dict(zip(shifts, avals))
             lo, hi = (sb[0] - sa[-1], sb[-1] - sa[0]) if sa and sb else (0, 0)
@@ -178,7 +178,7 @@ def test_a_sparse_pair_stays_sorted():
     assert _layout(table, 1, 2) == "i"
     assert _dense(table, 3, 3)
     assert table.entries == sum(
-        len(_pair_shift_certs(sa, sb, use_np=False)[0])
+        len(_sorted_certs(sa, sb, None, None)[0])
         for sa in (step, step, dense) for sb in (step, step, dense)
     )
 
