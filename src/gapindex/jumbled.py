@@ -27,6 +27,10 @@ asked only at values in [2u' + 2, 4u'], and only for a nonzero P <= h(S).
 
 So no positional carry can produce a false pair, and a pair that does not
 decode means a broken index: decoding raises GapIndexError on it.
+
+The encodings are Python ints with no width guard, so values past 2^63 are
+carried exactly. The one limit on sigma is the encoding guard: (n + 1)^sigma
+may not pass 2^120.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .errors import FormatError, GapIndexError, GuardError
 from .reporting import ThreeSumReporting
 
 _ENCODE_BITS = 120
-MAX_SIGMA = 8
 
 Symbol = Union[str, int]
 
@@ -90,11 +93,6 @@ class JumbledIndex:
     ):
         self.alphabet = tuple(sorted(set(alphabet)))
         self.sigma = len(self.alphabet)
-        if self.sigma > MAX_SIGMA:
-            raise GuardError(
-                f"alphabet size {self.sigma} over the cap {MAX_SIGMA}: the encoded"
-                f" universe grows as (n+1)^sigma and would leave the 120-bit guard"
-            )
         self.text = text
         self.n = len(text)
         self.base = self.n + 1

@@ -3,6 +3,9 @@
 The mappings carry explicit affine offsets so every derived collection keeps
 positive elements; decode helpers invert them exactly so a certificate on
 either side always converts to a certificate on the other.
+
+The arithmetic is Python ints, with no width guard: a value past 2^63 is
+carried exactly, and the backends keep it off their int64 table path.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from typing import Optional
 from .backends import ShiftQuery
 from .errors import GuardError
 from .sets import IntSet, SetCollection
-
-_INT63 = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,6 @@ class SsiToThreeSumMap:
 def reduce_ssi_to_3sum(c: SetCollection) -> tuple[ThreeSumInstance, SsiToThreeSumMap]:
     """Encode a collection into one 3SUM instance over universe O(k^2 u)."""
     k, u = c.k, c.universe
-    if k * (k + 2) * 2 * u >= _INT63:
-        bits = (k * (k + 2) * 2 * u).bit_length()
-        raise GuardError(f"reduction needs {bits}-bit arithmetic, over the 63-bit guard")
     stride = 2 * u
     a_side = []
     b_side = []
@@ -147,7 +145,5 @@ def merge_two_set_3sum(A: list[int], B: list[int], u_prime: int) -> MergedThreeS
         raise GuardError("merge needs nonempty A and B")
     if min(A) < 1 or min(B) < 1 or max(A) > u_prime or max(B) > u_prime:
         raise GuardError(f"elements must lie in 1..{u_prime}")
-    if 4 * u_prime >= _INT63:
-        raise GuardError("merged universe exceeds the 63-bit guard")
     merged = set(A) | {b + 2 * u_prime for b in B}
     return MergedThreeSum(values=tuple(sorted(merged)), u_prime=u_prime)

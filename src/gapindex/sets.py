@@ -32,8 +32,10 @@ import numpy as np
 
 from .errors import FormatError, GuardError
 
-# Ingestion cap: keeps every derived quantity (negated elements, offsets up
-# to ~4*k^2*u in the 3SUM mapping) comfortably inside 63 bits.
+# Ingestion cap: keeps an ingested collection's values, and the differences
+# of two of them, inside int64, where container sections, the numpy table
+# path and quotient levels hold them. Collections derived in memory (the
+# 3SUM mappings, jumbled encodings) are Python ints and need no cap.
 MAX_UNIVERSE = 1 << 40
 
 # A ``cover_blocks`` tuple: (level, block, rank_lo, rank_hi).

@@ -607,6 +607,32 @@ def test_gen_output_builds(tmp_path, capsys):
     build(tmp_path, capsys, text, "gapped-string")
 
 
+def test_eight_letter_jumbled_text_builds_verifies_and_reports(tmp_path, capsys):
+    # 300 letters over eight put the merged universe 4u' past 2^62.
+    from gapindex.jumbled import histogram, sliding_window_matches
+
+    text_path = tmp_path / "text8.txt"
+    code, _, _ = run_cli(["gen", "--kind", "text", "--sigma", "8", "--length", "300",
+                          "-o", str(text_path)], capsys)
+    assert code == 0
+    index, manifest = build(tmp_path, capsys, text_path, "jumbled")
+    assert manifest["counters"] == {"n": 300, "sigma": 8}
+    code, out, _ = run_cli(["verify", str(index), "--trials", "200"], capsys)
+    assert code == 0 and out.rstrip().endswith("ok"), out
+    text = text_path.read_text()
+    alphabet = sorted(set(text))
+    cuts = ((0, 1), (17, 3), (150, 9), (0, 300))
+    patterns = [histogram(text[i : i + m], alphabet) for i, m in cuts] + [(1,) * 8]
+    queries = tmp_path / "j8.q"
+    queries.write_text("".join(" ".join(map(str, p)) + "\n" for p in patterns))
+    code, out, _ = query_output(capsys, index, queries, "--mode", "report")
+    expected = ""
+    for p in patterns:
+        occurrences = sliding_window_matches(text, alphabet, p)
+        expected += f"occ={len(occurrences)}\n" + "".join(f"{i} {j}\n" for i, j in occurrences)
+    assert code == 0 and out == expected
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_rejects_fewer_than_one_trial(tmp_path, capsys, collection_file, trials):
     index, _ = build(tmp_path, capsys, collection_file, "ssi")

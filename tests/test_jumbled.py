@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
 from gapindex.errors import FormatError, GapIndexError, GuardError
 from gapindex.generators import random_text
 from gapindex.jumbled import (
@@ -12,6 +13,8 @@ from gapindex.jumbled import (
     histogram,
     sliding_window_matches,
 )
+
+from test_sorted_reads import _layouts
 
 
 def test_histogram_example():
@@ -58,6 +61,10 @@ def test_encode_decode_round_trip(coords, base):
 def test_encode_guard():
     with pytest.raises(GuardError, match="bits"):
         encode_vector([1] * 8, base=1 << 20, dim=8)
+    # The encoding guard, not a cap on sigma, refuses 13 letters at n = 1000.
+    text = random_text(random.Random(3), 1000, 13).decode()
+    with pytest.raises(GuardError, match="bits"):
+        build_jumbled_index(text, sorted(set(text)))
 
 
 def test_index_sizes_and_tables():
@@ -98,9 +105,14 @@ def test_query_dimension_check():
         idx.report((1,))
 
 
-def test_sigma_cap():
-    with pytest.raises(GuardError, match="cap"):
-        build_jumbled_index("abcdefghi", "abcdefghi")
+def test_nine_letter_alphabet_builds():
+    text = "abcdefghi"
+    idx = build_jumbled_index(text, text)
+    assert idx.report((1,) * 9) == [(1, 9)]
+    for i in range(9):
+        for j in range(i + 1, 10):
+            pattern = histogram(text[i:j], idx.alphabet)
+            assert idx.report(pattern) == sliding_window_matches(text, text, pattern)
 
 
 def test_fuzz_against_sliding_window():
@@ -176,3 +188,55 @@ def test_reports_share_one_int_per_position():
     assert first == second
     high = [(x, y) for p, q in zip(first, second) for x, y in zip(p, q) if x > 256]
     assert high and all(x is y for x, y in high)
+
+
+def _answers_as_the_oracle(text, alphabet, kind, queries=100):
+    """An index over text whose merged universe has 4u' >= 2^62, checked on
+    substring and random histograms."""
+    idx = build_jumbled_index(text, alphabet, kind)
+    assert 4 * idx.u_prime >= 1 << 62
+    rng = random.Random(len(text))
+    hits = 0
+    for q in range(queries):
+        if q % 2:
+            pattern = tuple(rng.randint(0, 3) for _ in range(idx.sigma))
+        else:
+            length = rng.randint(1, min(40, len(text)))
+            start = rng.randint(0, len(text) - length)
+            pattern = histogram(text[start : start + length], idx.alphabet)
+        expected = sliding_window_matches(text, idx.alphabet, pattern)
+        assert idx.report(pattern) == expected, pattern
+        assert idx.exists(pattern) == bool(expected), pattern
+        hits += bool(expected)
+    assert hits >= queries // 2
+    return idx
+
+
+@pytest.mark.parametrize("sigma, n", [(6, 2000), (7, 1000), (8, 250), (8, 1000)])
+def test_sigma_6_to_8_past_the_old_merge_limit_under_linear(sigma, n):
+    text = random_text(random.Random(3), n, sigma).decode()
+    _answers_as_the_oracle(text, sorted(set(text)), LinearScan())
+
+
+def test_sigma_7_and_8_past_the_old_merge_limit_under_smalluniverse():
+    kind = SmallUniverse(delta=0.5)
+    for sigma, n in ((7, 500), (8, 250)):
+        text = random_text(random.Random(3), n, sigma).decode()
+        idx = _answers_as_the_oracle(text, "abcdefgh"[:sigma], kind)
+        assert _layouts(idx.reporting.index.backend) == {"array"}
+    # Mostly the top letter: u' ~ n * (n + 1)^7 puts the values past 2^63,
+    # and every table is built as lists, not int64 arrays.
+    rng = random.Random(8)
+    text = "".join(rng.choice("abcdefg") if rng.random() < 0.1 else "h" for _ in range(220))
+    idx = _answers_as_the_oracle(text, "abcdefgh", kind)
+    assert idx.merged.values[-1] >= 1 << 63
+    assert _layouts(idx.reporting.index.backend) == {"list"}
+
+
+@pytest.mark.parametrize("kind", [SmallUniverse(delta=0.5), FullTabulation()],
+                         ids=["smalluniverse", "fulltab"])
+def test_sixteen_letters_past_2_63_tabulate_as_lists(kind):
+    text = random_text(random.Random(16), 20, 16).decode()
+    idx = _answers_as_the_oracle(text, "abcdefghijklmnop", kind)
+    assert idx.merged.values[-1] >= 1 << 63
+    assert _layouts(idx.reporting.index.backend) == {"list"}

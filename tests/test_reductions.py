@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from gapindex.backends import LinearScan, build_backend
+from gapindex.backends import (
+    FullTabulation,
+    LinearScan,
+    ShiftQuery,
+    SmallUniverse,
+    brute_force_ssi,
+    build_backend,
+)
 from gapindex.errors import GuardError
 from gapindex.generators import random_collection
 from gapindex.reductions import (
@@ -10,7 +17,10 @@ from gapindex.reductions import (
     reduce_3sum_to_ssi,
     reduce_ssi_to_3sum,
 )
+from gapindex.reporting import ThreeSumReporting
 from gapindex.sets import ingest_collection
+
+from test_sorted_reads import _layouts
 
 
 def test_3sum_to_ssi_example():
@@ -96,10 +106,38 @@ def test_claim1_equivalence_fuzz():
                         assert e1 + s == e2
 
 
-def test_reduction_overflow_guard():
-    big = ingest_collection([[1]] * 3000, u=1 << 40)
-    with pytest.raises(GuardError, match="63-bit"):
-        reduce_ssi_to_3sum(big)
+def _answers_as_brute_force(c, queries):
+    """Each (i, j, s) is YES in the reduction iff `brute_force_ssi` finds a
+    pair, and a YES decodes to i, j and a certificate pair."""
+    instance, mapping = reduce_ssi_to_3sum(c)
+    assert max(instance.A).bit_length() > 63
+    yes = 0
+    for i, j, s in queries:
+        expected = brute_force_ssi(c, ShiftQuery(i, j, s))
+        encoded = mapping.query(i, j, s)
+        pair = None if encoded is None else instance.query(encoded)
+        assert (pair is not None) == bool(expected), (i, j, s)
+        if pair is not None:
+            (pi, e1), (pj, e2) = mapping.decode_pair(*pair)
+            assert (pi, pj) == (i, j) and (e1, e2) in expected
+            yes += 1
+    return yes
+
+
+def test_reduction_past_63_bits_answers_as_brute_force():
+    # 3,000 sets at u = 2^40 encode to values past 2^64: Python ints carry them.
+    u = 1 << 40
+    rng = random.Random(40)
+    queries = [(rng.randint(1, 3000), rng.randint(1, 3000), s)
+               for s in (0, 0, 0, 1, -1, u - 1, 1 - u, u, rng.randint(-u, u))]
+    assert _answers_as_brute_force(ingest_collection([[1]] * 3000, u=u), queries) == 3
+    pool = [1, 2, u // 2, u - 1, u]
+    sets = [sorted(rng.sample(pool, rng.randint(1, 3))) for _ in range(3000)]
+    c = ingest_collection(sets, u=u)
+    queries = [(rng.randint(1, 3000), rng.randint(1, 3000), b - a)
+               for a in pool for b in pool for _ in range(3)]
+    yes = _answers_as_brute_force(c, queries)
+    assert 0 < yes < len(queries)
 
 
 def test_merge_two_set_example():
@@ -136,3 +174,36 @@ def test_merge_guards():
         merge_two_set_3sum([], [1], 4)
     with pytest.raises(GuardError):
         merge_two_set_3sum([5], [1], 4)
+
+
+@pytest.mark.parametrize("kind", [LinearScan(), SmallUniverse(delta=0.5), FullTabulation()],
+                         ids=["linear", "smalluniverse", "fulltab"])
+def test_three_sum_reporting_past_2_63_matches_the_pair_scan(kind):
+    rng = random.Random(63)
+    A = sorted({(1 << 64) + rng.randrange(1 << 12) for _ in range(48)})
+    reporting = ThreeSumReporting(A, kind)
+    # Values past int64 never reach the numpy table path.
+    tabulated = not isinstance(kind, LinearScan)
+    assert _layouts(reporting.index.backend) == ({"list"} if tabulated else set())
+    sums = [rng.choice(A) + rng.choice(A) for _ in range(40)]
+    for c in sums + [c + 1 for c in sums] + [2 * A[0] - 1, 2 * A[-1] + 1, 3]:
+        expected = sorted({(a, b) for a in A for b in A if a <= b and a + b == c})
+        assert reporting.report(c) == expected, c
+        hit = reporting.exists(c)
+        assert (hit in expected) if expected else hit is None, c
+
+
+def test_merge_past_2_63_answers_two_set_queries():
+    rng = random.Random(70)
+    u_prime = 1 << 70
+    A = sorted({rng.randint(1, u_prime) for _ in range(20)})
+    B = sorted({rng.randint(1, u_prime) for _ in range(20)})
+    merged = merge_two_set_3sum(A, B, u_prime)
+    reporting = ThreeSumReporting(list(merged.values), LinearScan())
+    for c in [rng.choice(A) + rng.choice(B) for _ in range(20)] + [A[0] + B[0] - 1]:
+        expected = sorted((a, b) for a in A for b in B if a + b == c)
+        got = sorted(
+            tuple(v for _, v in sorted(map(merged.decode, pair)))
+            for pair in reporting.report(merged.query_value(c))
+        )
+        assert got == expected, c
