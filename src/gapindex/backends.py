@@ -39,10 +39,11 @@ a frozenset. Blocks, stored after the sets (the dyadic blocks of an
 augmented instance), are table operands only: they keep no member set, and
 ``exists`` refuses an untabulated pair that names one.
 
-The sets may be a ``SlicedSets`` (a quotient level), whose tuples are
-sliced on first read: the queries read its ``rows`` list and index the
-sequence only on a set not yet read, and a build with no large set reads
-none.
+The sets may be a ``SlicedSets`` (a quotient level, or a string index's
+interval sets), whose tuples are sliced on first read: the queries, and
+``tabulated``, read its ``rows`` list and index the sequence only on a
+set not yet read, and a build with no large set reads none. The gapped
+queries read a base set of the exact instance the same way.
 
 The backend owns each pair's route: ``tabulated(i, j)`` states the rule
 that every caller asks. Besides ``exists``, ``scan`` is the one walk: it
@@ -500,7 +501,9 @@ class SsiBackend:
     def tabulated(self, i: int, j: int) -> bool:
         """Whether the pair is answered by table lookups: both sets are large.
         Any other pair is probed, walked or listed."""
-        return len(self.sets[i - 1]) > self.threshold and len(self.sets[j - 1]) > self.threshold
+        rows = self.rows
+        return (len(rows[i - 1] or self.sets[i - 1]) > self.threshold
+                and len(rows[j - 1] or self.sets[j - 1]) > self.threshold)
 
     def exists(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
         """Smallest-a certificate for a + s = b over sets i, j, or None."""

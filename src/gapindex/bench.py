@@ -29,9 +29,11 @@ in ``exists`` mode. The first pass of each gives the counts and the time
 that earlier records give: ``occ_total``, ``base_ssi_calls`` and
 ``query_us`` for ``report``; ``exists_yes`` (the YES answers),
 ``exists_ssi_calls`` and ``exists_query_us`` for ``exists``. The first
-pass also slices the quotient sets it reads, so the median of passes 2
-and 3 is given apart, as ``rest_query_us`` and ``rest_exists_query_us``.
-``level_sets_read`` counts the quotient sets the six passes sliced.
+pass also slices the interval and quotient sets it reads, so the median
+of passes 2 and 3 is given apart, as ``rest_query_us`` and
+``rest_exists_query_us``.
+``exact_sets_read`` counts the interval sets the six passes sliced, and
+``level_sets_read`` the quotient sets: a build slices neither.
 """
 
 from __future__ import annotations
@@ -222,6 +224,7 @@ def _gapped_string_record(entry: dict, mem_budget: int) -> dict:
     record["exists_ssi_calls"] = calls
     record["exists_query_us"] = query_us
     record["rest_exists_query_us"] = rest_us
+    record["exact_sets_read"] = index.gapped.exact.base.filled()
     record["level_sets_read"] = sum(lvl.instance.base.filled() for lvl in index.gapped.levels)
     return record
 

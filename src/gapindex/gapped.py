@@ -55,9 +55,11 @@ all of them miss, so the abstract's query bound
 O~(|P1| + |P2| + n^delta*(occ+1)) still holds.
 
 The index holds each set as a sorted element tuple: ``build_gapped_index``
-unwraps a collection, and the string index hands its interval tuples over
-as they are. After the gap, every query checks its set ids against the k
-base sets (``reporting.check_set_ids``).
+unwraps a collection, and the string index hands over its interval sets
+as one ``sets.SlicedSets``, whose tuples are sliced on first read; a
+query reads a base set through the exact backend's ``rows`` list, and
+indexes the sets only on a set not yet read. After the gap, every query
+checks its set ids against the k base sets (``reporting.check_set_ids``).
 
 Level 1 divides by 2^0 = 1, so its quotient sets are the sets themselves:
 the exact instance answers a level-1 ``ApproxQuery``, ``instances[l]``
@@ -471,15 +473,36 @@ def originals(elements: tuple[int, ...], level: int, quotient_value: int) -> lis
     return list(elements[lo : bisect_left(elements, (quotient_value + 1) << shift, lo)])
 
 
+def _numbered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values and each value's code among them, as
+    ``np.unique(values, return_inverse=True)`` gives them. When the values
+    span no more slots than there are values (a string index's positions
+    1..n), a counting pass numbers them with no sort: a presence mask over
+    the span, whose ``cumsum`` is each slot's code. The span is taken in
+    Python ints, so values near either end of int64 cannot overflow it."""
+    if values.size:
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if span <= values.size:
+            offsets = values - low
+            present = np.zeros(span, dtype=bool)
+            present[offsets] = True
+            return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[offsets]
+    return np.unique(values, return_inverse=True)
+
+
 def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[SlicedSets]:
     """The quotient sets of levels 2..top, one ``SlicedSets`` per level,
     each made in one bulk pass from the one below.
 
     Level l's quotient of a is a >> (l - 1) = (a >> (l - 2)) >> 1. The
-    sets are flattened once into one int64 array, with each element's
-    owner set beside it, and each element is kept as the code of its value
-    among the sorted distinct values. A level halves the level below's
-    distinct values, maps each code to its half's, and keeps an element
+    sets' elements are one int64 array, with each element's owner set
+    beside it: a ``SlicedSets``'s ``values`` when it carries them (the
+    string index's level matrices), else the sets flattened once. Each
+    element is kept as the code of its value among the sorted distinct
+    values (``_numbered``: a counting pass over a dense span, else
+    ``np.unique``). A level halves the level below's distinct values,
+    maps each code to its half's, and keeps an element
     when its code or its owner differs from the previous element's: every
     quotient set comes out sorted and free of repeats, as dict.fromkeys
     over a >> (l - 1) for a in S would make it. The distinct values stay
@@ -489,16 +512,20 @@ def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[Slice
     Each distinct value becomes one int in an object table no longer than
     the level, and the level's elements one flat tuple of those ints, cut
     at the cumulative per-owner counts: each set's tuple is sliced from it
-    on first read, and shares its ints. An element outside int64 raises
-    FormatError.
+    on first read, and shares its ints. The sets' sizes are read once
+    (``set_sizes``), and no set is sliced. An element outside int64
+    raises FormatError.
     """
     sizes = set_sizes(sets)
-    try:
-        values = np.fromiter(chain.from_iterable(sets), np.int64, int(sizes.sum()))
-    except OverflowError:
-        bad = next(a for s in sets for a in s if not _INT64.min <= a <= _INT64.max)
-        raise FormatError(f"element {bad} does not fit the quotient levels' int64") from None
-    distinct, codes = np.unique(values, return_inverse=True)
+    values = sets.values if isinstance(sets, SlicedSets) else None
+    if values is None:
+        try:
+            values = np.fromiter(chain.from_iterable(sets), np.int64, int(sizes.sum()))
+        except OverflowError:
+            bad = next(a for s in sets for a in s if not _INT64.min <= a <= _INT64.max)
+            raise FormatError(f"element {bad} does not fit the quotient levels' int64") from None
+    distinct, codes = _numbered(values)
+    del values
     owners = np.repeat(np.arange(len(sets)), sizes)
     keep = np.ones(len(codes), dtype=bool)
     for _ in range(2, top + 1):
@@ -542,9 +569,11 @@ class GappedIndex:
     ``sets`` holds k sorted element tuples whose elements span at most
     ``universe`` values, as {1..universe} does, kept as ``exact.base``; a
     wider span (``value_range``) would leave differences past the clamp at
-    universe - 1, and is refused with FormatError. ``max_level`` is
-    ``reach(universe)``, the highest level a plan over the clamped gap can
-    ask; it is 0 for a universe of one value and at least 1 above that. ``instances[l]`` is
+    universe - 1, and is refused with FormatError. ``sets`` may be a
+    ``SlicedSets`` (the string index's interval sets): the build slices
+    none of them, reads their range off their ``values``, hands those to
+    ``quotient_levels`` and drops them once the levels are made. ``max_level`` is ``reach(universe)``, the highest
+    level a plan over the clamped gap can ask; it is 0 for a universe of one value and at least 1 above that. ``instances[l]`` is
     the instance that answers level l, for l up to ``max_level``: the
     exact one, under ``kind``, at level 0 and for a level-1
     ``ApproxQuery`` (a plan asks level 1's shifts at level 0), and
@@ -581,6 +610,8 @@ class GappedIndex:
                 LevelIndex(level_sets, level, LinearScan(), mem_budget)
                 for level, level_sets in enumerate(quotients, start=2)
             ]
+            if isinstance(sets, SlicedSets):
+                sets.values = None  # only the levels read them
         finally:
             if enabled:
                 gc.enable()
@@ -700,7 +731,8 @@ def gapped_exists(
     if clamped is None:
         return None
     lo, hi = clamped
-    sa, sb = g.exact.base[i - 1], g.exact.base[j - 1]
+    rows, base = g.exact.backend.rows, g.exact.base
+    sa, sb = rows[i - 1] or base[i - 1], rows[j - 1] or base[j - 1]
     if not range_meets(sa, sb, lo, hi):
         return None
     if g.exact.backend.tabulated(i, j):
@@ -782,7 +814,8 @@ def gapped_report(
         plan = plan_cover(*clamped)
     g.last_plan_size = 0 if plan is None else plan.size
     g.last_raw_pairs = g.last_max_multiplicity = 0
-    elements_a, elements_b = g.exact.base[i - 1], g.exact.base[j - 1]
+    rows, base = g.exact.backend.rows, g.exact.base
+    elements_a, elements_b = rows[i - 1] or base[i - 1], rows[j - 1] or base[j - 1]
     if clamped is None or not range_meets(elements_a, elements_b, *clamped):
         return []
     if tabulated:

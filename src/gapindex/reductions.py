@@ -11,6 +11,7 @@ carried exactly, and the backends keep it off their int64 table path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .backends import ShiftQuery
@@ -26,9 +27,14 @@ class ThreeSumInstance:
     B: tuple[int, ...]
     universe_bound: int
 
+    @cached_property
+    def member_b(self) -> frozenset[int]:
+        """B's member set, made on the first query and kept."""
+        return frozenset(self.B)
+
     def query(self, c: int) -> Optional[tuple[int, int]]:
-        """Smallest-a witness for a + b = c, by scanning A against a set of B."""
-        member_b = set(self.B)
+        """Smallest-a witness for a + b = c, by scanning A against B's member set."""
+        member_b = self.member_b
         for a in self.A:
             if c - a in member_b:
                 return (a, c - a)

@@ -64,17 +64,18 @@ class AugmentedInstance:
     """Base sets plus the dyadic rank blocks a lookup can address, behind
     one existence backend.
 
-    ``base`` is the k base sets' element tuples, as given: a quotient
-    level's ``SlicedSets`` is built over with no set sliced, since its
-    sizes are read off its ends. The accounting reads one int64 array of
-    the sizes (``set_sizes``): the base and dyadic element counts, the
-    largest size and the backend's threshold total are each one numpy
-    expression over it, with no Python loop per set. ``total_elements``
-    counts the base sets and every dyadic block, stored or not. Of the
-    block ids it keeps only ``first_block``, each base set's first stored
-    one, or one int when no set stores a block, read through
-    ``first_block_id``; the layout in the module docstring places the
-    others.
+    ``base`` is the k base sets' element tuples, as given: a
+    ``SlicedSets`` (a quotient level, or the string index's interval
+    sets) is built over with no set sliced, since its sizes are read off
+    its ends, unless blocks are stored. The accounting reads one int64
+    array of the sizes (``set_sizes``): the base and dyadic element
+    counts, the largest size and the backend's threshold total are each
+    one numpy expression over it, with no Python loop per set.
+    ``total_elements`` counts the base sets and every dyadic block, stored
+    or not. Of the block ids it keeps only ``first_block``, each base
+    set's first stored one, or one int when no set stores a block, read
+    through ``first_block_id``; the layout in the module docstring places
+    the others.
     ``existence_calls`` counts the lookups asked through ``_exists``; the
     backend counts its own scans, and ``ssi_calls`` sums the two.
     """

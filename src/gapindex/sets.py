@@ -12,13 +12,16 @@ elements at ``rank_lo - 1`` and ``rank_hi - 1``. ``dyadic_subsets``
 slices the blocks themselves from the tuple, for a build that stores them.
 
 A ``SlicedSets`` holds k sorted sets as one flat tuple and slices each
-set's tuple on its first read (the quotient levels of a gapped index);
-``set_sizes`` reads the sizes of any sequence of sets into one int64
-array, slicing none, so a build's per-set bookkeeping is numpy
-expressions over that array. ``value_range`` reads the least and the
-greatest element of a sequence of sorted sets off their ends: the
-gapped index's span check, the tabulation budget's shift span and the
-int64 guard of the numpy table path all read it.
+set's tuple on its first read: the string index's dyadic interval sets
+and the quotient levels of a gapped index are each one. ``set_sizes``
+reads the sizes of any sequence of sets into one int64 array, slicing
+none (a ``SlicedSets`` reads them off its ends), so a build's per-set
+bookkeeping is numpy expressions over that array. ``value_range`` reads
+the least and the greatest element of a sequence of sorted sets off
+their ends, or off a ``SlicedSets``'s int64 ``values`` when it carries
+them, with no set sliced: the gapped index's span check, the tabulation
+budget's shift span and the int64 guard of the numpy table path all read
+it.
 """
 
 from __future__ import annotations
@@ -86,19 +89,27 @@ class SlicedSets:
     read an unread set at once may each slice it, and either of the equal
     tuples is kept.
 
+    ``values``, when the maker has them, are the flat elements again as
+    one int64 array, which ``gapped.quotient_levels`` numbers in place of
+    flattening the tuple, and ``value_range`` reads with no set sliced:
+    the string index's interval sets carry their level matrices there,
+    and ``GappedIndex`` drops them once its levels are made. Quotient
+    levels carry none.
+
     ``len``, indexing, iteration, ``==`` against a list and ``repr``
     behave as the list of tuples would; iterating or comparing fills every
     set. ``sizes`` reads the sizes off ``ends`` as an int64 array and
-    fills none;
-    ``filled`` counts the sets read so far.
+    fills none; ``filled`` counts the sets read so far.
     """
 
-    __slots__ = ("flat", "ends", "rows", "_ones")
+    __slots__ = ("flat", "ends", "rows", "values", "_ones")
 
-    def __init__(self, flat: tuple[int, ...], ends: array):
+    def __init__(self, flat: tuple[int, ...], ends: array,
+                 values: Optional[np.ndarray] = None):
         self.flat = flat
         self.ends = ends
         self.rows: list = [None] * len(ends)
+        self.values = values
         self._ones: dict[int, tuple[int]] = {}
 
     def __getitem__(self, t):
@@ -156,7 +167,12 @@ def value_range(sets: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
     set is sorted, so its ends bound it: two passes of ``min`` and ``max``
     over ``itemgetter`` maps, at C speed, read two elements per set and
     build no list. Values past int64 are read as the Python ints they are.
+    A ``SlicedSets`` that carries its ``values`` is read off them, with no
+    set sliced.
     """
+    if isinstance(sets, SlicedSets) and sets.values is not None:
+        values = sets.values
+        return (int(values.min()), int(values.max())) if values.size else None
     low = min(map(itemgetter(0), filter(None, sets)), default=None)
     if low is None:
         return None

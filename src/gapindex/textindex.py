@@ -4,12 +4,16 @@ A gapped query asks for all position pairs (i, j) where two patterns occur
 with j - i inside a gap range. The index covers the suffix array with
 dyadic intervals, turns each interval's slice of starting positions into a
 sorted set, and answers queries through the gapped set intersection index
-over those sets. Each query plans its gap at most once and runs the plan
-on the cover pairs (one dyadic block of each pattern's interval). In a
-report a pair whose difference range misses the gap
-(``backends.range_meets``) does no work and a tabulated pair reads its
-table; the gap is planned at the first other pair, and later pairs share
-that plan, so a report whose pairs all miss the gap plans nothing.
+over those sets. The sets are one ``sets.SlicedSets``: one flat tuple of
+the suffix array's own ints, cut at closed-form ends (2^j elements per
+set of level j), whose sets are sliced on first read, so a build slices
+none; its int64 copy numbers the quotient levels and is then dropped.
+Each query plans its gap at most once and runs the plan on the cover
+pairs (one dyadic block of each pattern's interval). In a report a pair
+whose difference range misses the gap (``backends.range_meets``) does no
+work and a tabulated pair reads its table; the gap is planned at the
+first other pair, and later pairs share that plan, so a report whose
+pairs all miss the gap plans nothing.
 An exists asks each cover pair one question, whether some difference
 lies in the gap (``SsiBackend.meets``), and the backend decides how: it
 reads a tabulated (heavy) pair's table and walks a light pair's smaller
@@ -26,6 +30,7 @@ All positions are 1-based, matching the on-disk query/output formats.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,7 +42,7 @@ from . import gapped
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, range_meets
 from .errors import BudgetError, FormatError, GapIndexError
 from .gapped import GappedIndex, gapped_exists, gapped_report
-from .sets import cover_blocks, level_starts
+from .sets import SlicedSets, cover_blocks, level_starts
 
 DEFAULT_QUAD_BUDGET = 512 << 20
 
@@ -168,35 +173,40 @@ def find_occurrences(text: bytes, pattern: bytes) -> list[int]:
     return out
 
 
-def _dyadic_interval_sets(sa: Sequence[int]) -> list[tuple[int, ...]]:
-    """The starting positions of each dyadic suffix-array interval as a
-    sorted tuple; interval (j, kappa) is set level_starts(n)[j] + kappa + 1.
+def _dyadic_interval_sets(sa: Sequence[int]) -> SlicedSets:
+    """The starting positions of each dyadic suffix-array interval as one
+    ``SlicedSets`` of sorted sets; interval (j, kappa) is set
+    level_starts(n)[j] + kappa + 1.
 
     Level j's intervals are the rows of an (n >> j) x 2^j array. A row of
     level j + 1 joins two sorted rows of level j, which a stable sort (a
-    merge of two runs) orders in linear time. Each level's positions are
-    gathered in one fancy index from an object array that holds the
-    suffix array's own int objects, so every set shares them, and the
-    level's list is cut into 2^j-element tuples by ``zip`` over one
-    iterator: no Python loop runs per set or per element.
+    merge of two runs) orders in linear time. The levels' arrays, raveled
+    and concatenated, are every set's elements in set order: their
+    positions are gathered in one fancy index from an object array that
+    holds the suffix array's own int objects, so every set shares them,
+    and become the flat tuple; the ends are the closed-form sizes, 2^j for
+    each set of level j. No set is sliced here, and no Python loop runs
+    per set or per element. The int64 array rides along as the sets'
+    ``values`` for ``gapped.quotient_levels``.
     """
     n = len(sa)
     rows = np.asarray(sa, dtype=np.int64)
     ints = np.empty(n + 1, dtype=object)
     ints[rows] = sa  # ints[p] is the suffix array's object for p
-    rows = rows[:, None]
-    sets: list[tuple[int, ...]] = []
-    for j in range(n.bit_length()):
-        if j:
-            count = n >> j
-            rows = np.sort(rows[: 2 * count].reshape(count, 1 << j), axis=1, kind="stable")
-        sets.extend(zip(*[iter(ints[rows.ravel()].tolist())] * (1 << j)))
-    return sets
+    levels = [rows]
+    for j in range(1, n.bit_length()):
+        count = n >> j
+        rows = np.sort(rows[: 2 * count].reshape(count, 1 << j), axis=1, kind="stable")
+        levels.append(rows.ravel())
+    values = np.concatenate(levels)
+    widths = np.arange(n.bit_length())
+    ends = np.repeat(1 << widths, n >> widths).cumsum()
+    return SlicedSets(tuple(ints[values].tolist()), array("q", ends.tobytes()), values)
 
 
 class GappedStringIndex:
     """Dyadic suffix-array interval sets behind a gapped intersection index,
-    which takes the interval tuples as they are, over universe n."""
+    which takes their ``SlicedSets`` as it is, over universe n."""
 
     def __init__(self, text: bytes, kind: BackendKind, mem_budget: int = DEFAULT_MEM_BUDGET):
         if not text:
@@ -206,7 +216,7 @@ class GappedStringIndex:
         n = len(text)
         sets = _dyadic_interval_sets(self.suffixes.sa)
         self._level_starts = level_starts(n)
-        self.set_elements = sum(map(len, sets))
+        self.set_elements = len(sets.flat)
         if self.set_elements > n * n.bit_length():
             raise GapIndexError("dyadic interval accounting bound violated")
         self.gapped = GappedIndex(sets, n, kind, mem_budget)
@@ -289,12 +299,14 @@ class GappedStringIndex:
             return []
         cover_a, cover_b, clamped = covers
         base, backend = g.exact.base, g.exact.backend
+        rows = backend.rows
         plan = None
         raw: list[tuple[int, int]] = []
         raw_pairs = multiplicity = 0
         for ida in cover_a:
             for idb in cover_b:
-                if not range_meets(base[ida - 1], base[idb - 1], *clamped):
+                if not range_meets(rows[ida - 1] or base[ida - 1],
+                                   rows[idb - 1] or base[idb - 1], *clamped):
                     continue
                 if plan is None and not backend.tabulated(ida, idb):
                     # Looked up on the module, so a wrapper installed there sees it.

@@ -1,7 +1,10 @@
-"""Quotient levels slice each set from one flat tuple on first read, and a
-backend makes a set's member set on its first probe.
+"""Quotient levels, and a string index's interval sets, slice each set
+from one flat tuple on first read, and a backend makes a set's member set
+on its first probe.
 
-A build slices no quotient set and makes no member set. A query pass fills
+A build slices no interval set and no quotient set, and makes no member
+set; ``gapindex bench`` counts the interval and quotient sets its passes
+read. A query pass fills
 only what it reads, every filled tuple is its set's quotient and holds the
 level's shared ints, and every member set made follows the 8-element
 rule. A fill is idempotent, so threads that share one fresh index give
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
+from gapindex.bench import run_bench
 from gapindex.errors import FormatError
 from gapindex.gapped import (
     ApproxQuery,
@@ -25,7 +29,7 @@ from gapindex.gapped import (
     gapped_report,
     quotient_levels,
 )
-from gapindex.generators import random_collection, random_text
+from gapindex.generators import random_collection, random_pattern_from, random_text
 from gapindex.sets import SlicedSets
 from gapindex.textindex import build_gapped_string_index
 
@@ -89,6 +93,43 @@ def test_a_build_fills_no_level_tuple_and_no_member_set():
     built = {name: step() for name, step in wl.build_steps()}
     (g,) = wl.parts(built)["gapped"]
     _assert_untouched(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 300, 2048])
+def test_a_linear_string_build_slices_no_set(n):
+    idx = build_gapped_string_index(random_text(random.Random(n), n, 4), LinearScan())
+    g = idx.gapped
+    exact = g.exact.base
+    assert isinstance(exact, SlicedSets) and exact.filled() == 0
+    assert g.exact.backend.rows is exact.rows
+    # The int64 values are dropped once the levels are made.
+    assert exact.values is None
+    assert all(lvl.instance.base.filled() == 0 for lvl in g.levels)
+    assert all(member is None for inst in _instances(g) for member in inst.backend.members)
+    assert idx.set_elements == len(exact.flat) == sum(exact.sizes())
+
+
+def test_bench_counts_the_sets_its_passes_read():
+    n, sigma, seed, queries = 300, 4, 3, 12
+    record = next(run_bench(
+        {"gapped_string": [{"n": n, "sigma": sigma, "queries": queries, "seed": seed}]}))
+    rng = random.Random(seed)
+    text = random_text(rng, n, sigma)
+    idx = build_gapped_string_index(text, LinearScan())
+    stream = []
+    for _ in range(queries):
+        p1 = random_pattern_from(rng, text, 5)
+        p2 = random_pattern_from(rng, text, 5)
+        lo = rng.randint(0, n // 2)
+        stream.append((p1, p2, lo, lo + rng.randint(0, n // 2)))
+    for ask in (idx.report, idx.exists):
+        for query in stream:
+            ask(*query)
+    g = idx.gapped
+    read = g.exact.base.filled()
+    assert record["exact_sets_read"] == read
+    assert 0 < read < len(g.exact.base)
+    assert record["level_sets_read"] == sum(lvl.instance.base.filled() for lvl in g.levels)
 
 
 def test_a_string_exists_pass_fills_only_what_it_reads():

@@ -13,6 +13,7 @@ from gapindex.backends import (
 from gapindex.errors import GuardError
 from gapindex.generators import random_collection
 from gapindex.reductions import (
+    ThreeSumInstance,
     merge_two_set_3sum,
     reduce_3sum_to_ssi,
     reduce_ssi_to_3sum,
@@ -138,6 +139,27 @@ def test_reduction_past_63_bits_answers_as_brute_force():
                for a in pool for b in pool for _ in range(3)]
     yes = _answers_as_brute_force(c, queries)
     assert 0 < yes < len(queries)
+
+
+@pytest.mark.parametrize("base", [0, (1 << 63) - 40, 1 << 64], ids=["small", "near-2^63", "past-2^64"])
+def test_three_sum_instance_answers_as_the_pair_scan(base):
+    # B's member set is made once, on the first query, and every query
+    # reads it; each answer is the smallest-a pair of a brute-force scan.
+    rng = random.Random(base % 997)
+    A = tuple(sorted({base + rng.randrange(80) for _ in range(25)}))
+    B = tuple(sorted({base + rng.randrange(80) for _ in range(25)}))
+    instance = ThreeSumInstance(A, B, universe_bound=2 * base + 160)
+    assert "member_b" not in vars(instance)
+    sums = sorted({a + b for a in A for b in B})
+    for c in sums + [2 * base - 1, 2 * base + 160, sums[0] - 1, sums[-1] + 1] + [
+            2 * base + rng.randrange(160) for _ in range(60)]:
+        expected = min(((a, b) for a in A for b in B if a + b == c), default=None)
+        assert instance.query(c) == expected, c
+    assert instance.member_b == frozenset(B)
+    member = instance.member_b
+    instance.query(sums[0])
+    assert instance.member_b is member
+    assert instance == ThreeSumInstance(A, B, universe_bound=2 * base + 160)
 
 
 def test_merge_two_set_example():

@@ -5,10 +5,14 @@ Instance and backend accounting (element counts, threshold, stored block
 levels and ids, large flags, member-set entries, table entries and
 nominal bytes) is checked over lists of tuples, ``SetCollection``s,
 quotient-level ``SlicedSets``, an empty collection, all-empty sets and one
-large set, under every backend kind. The dyadic interval tuples of the
-string index are the sorted suffix-array slices and hold the suffix
-array's own int objects. The sort-free halving of the quotient levels
-gives the levels that ``np.unique`` numbering gives.
+large set, under every backend kind. The string index's interval sets
+are one ``SlicedSets``, none sliced at build, whose sets are the sorted
+suffix-array slices and hold the suffix array's own int objects; its
+quotient levels equal those of the same sets as plain tuples. The
+sort-free halving of the quotient levels gives the levels that
+``np.unique`` numbering gives, and both numbering paths (the counting
+pass over a dense span, ``np.unique`` otherwise) give the levels of the
+definition.
 """
 
 import random
@@ -26,7 +30,7 @@ from gapindex.backends import (
     size_threshold,
 )
 from gapindex.generators import random_collection, random_text
-from gapindex.gapped import quotient_levels
+from gapindex.gapped import _numbered, quotient_levels
 from gapindex.reporting import AugmentedInstance, build_reporting_index
 from gapindex.sets import SlicedSets, level_starts, set_sizes
 from gapindex.textindex import _dyadic_interval_sets, build_suffix_array
@@ -127,15 +131,39 @@ def test_interval_tuples_are_sorted_slices_of_the_suffix_arrays_ints(n):
     assert all(type(p) is int for p in sa)
     own = {p: p for p in sa}
     sets = _dyadic_interval_sets(sa)
+    assert isinstance(sets, SlicedSets) and sets.filled() == 0
     starts = level_starts(n)
     assert len(sets) == starts[-1]
+    # The flat tuple and the carried int64 values are the same elements.
+    assert sets.values.dtype == np.int64 and sets.values.tolist() == list(sets.flat)
+    assert all(p is own[p] for p in sets.flat)
+    sizes = set_sizes(sets)
+    assert sets.filled() == 0
     for j in range(n.bit_length()):
         size = 1 << j
+        assert (sizes[starts[j]:starts[j + 1]] == size).all()
         for kappa in range(n >> j):
             got = sets[starts[j] + kappa]
-            assert type(got) is tuple
+            assert type(got) is tuple and len(got) == size
             assert got == tuple(sorted(sa[kappa * size:(kappa + 1) * size]))
             assert all(p is own[p] for p in got)
+    assert sets.filled() == len(sets)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 2048])
+def test_string_quotient_levels_equal_those_of_plain_tuples(n):
+    # The string path numbers the carried values by the counting pass; the
+    # plain tuples are flattened again and numbered the same way.
+    sets = _dyadic_interval_sets(build_suffix_array(random_text(random.Random(n), n, 4)).sa)
+    top = max(n.bit_length() + 1, 2)
+    string_levels = list(quotient_levels(sets, top))
+    assert sets.filled() == 0
+    plain = [tuple(s) for s in sets]
+    for level, (got, expect) in enumerate(zip(string_levels, quotient_levels(plain, top)), 2):
+        assert got.filled() == 0
+        assert list(got.flat) == list(expect.flat) and list(got.ends) == list(expect.ends)
+        assert got == [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in plain]
+    assert len(string_levels) == top - 1
 
 
 def _unique_levels(sets, top):
@@ -187,3 +215,53 @@ def test_single_value_levels():
     # From level 64 every value is 0 or -1: each set holds one value.
     assert level_sets == [(0,), (0,), (), (0,), (-1,), (0,)]
     assert len(level_sets.flat) == 5
+
+
+NUMBERING = {
+    "no-sets": [],
+    "empty-sets": [(), (), ()],
+    "one-set": [(3, 4, 9, 10, 11)],
+    "negative": [(-9, -4, -1), (), (-8, -5, 0, 3)],
+    "dense": [(1, 2, 3, 5), (2, 4, 5, 6), (1, 6)],
+    "sparse": [(1, 1000), (5, 1 << 40), (7,)],
+    "dense-near-low": [(LO, LO + 1, LO + 3), (LO + 2, LO + 3)],
+    "dense-near-high": [(HI - 3, HI - 1, HI), (), (HI - 2,)],
+    "sparse-both-ends": [(LO, LO + 1), (0,), (HI - 1, HI)],
+}
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["tuples", "carried-values"])
+@pytest.mark.parametrize("name", list(NUMBERING))
+def test_both_numbering_paths_give_the_defined_levels(name, carried, monkeypatch):
+    sets = NUMBERING[name]
+    values = [a for s in sets for a in s]
+    dense = bool(values) and max(values) - min(values) + 1 <= len(values)
+    arg = sets
+    if carried:
+        ends = array("q", np.cumsum([len(s) for s in sets], dtype=np.int64).tobytes())
+        arg = SlicedSets(tuple(values), ends, np.array(values, dtype=np.int64))
+    calls = []
+    real = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or real(*a, **k))
+    levels = list(quotient_levels(arg, 66))
+    # The counting pass runs exactly when the span is no larger than the count.
+    assert bool(calls) == (not dense)
+    assert len(levels) == 65
+    for level, got in enumerate(levels, 2):
+        assert got == [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in sets]
+    if carried:
+        assert arg.filled() == 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_counting_pass_numbers_as_np_unique(seed):
+    rng = random.Random(seed)
+    count = rng.randint(1, 200)
+    base = rng.choice([-50, 0, 1, LO, HI - 2 * count])
+    width = rng.choice([count // 2 + 1, count, count + 1, 50 * count])
+    values = np.array([base + rng.randrange(width) for _ in range(count)], dtype=np.int64)
+    distinct, codes = _numbered(values)
+    want_distinct, want_codes = np.unique(values, return_inverse=True)
+    assert distinct.tolist() == want_distinct.tolist()
+    assert codes.tolist() == want_codes.tolist()
+    assert (distinct[codes] == values).all()

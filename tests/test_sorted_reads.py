@@ -12,6 +12,7 @@ it, so these tests pin its edge cases and what each caller makes of them.
 import random
 from array import array
 
+import numpy as np
 import pytest
 
 from gapindex.backends import (
@@ -96,6 +97,12 @@ def test_value_range_edge_cases():
     assert value_range([[4, 6], array("q", [-1, 2])]) == (-1, 6)
     level = SlicedSets((1, 2, 5, 3, 7, 4), array("q", [3, 3, 5, 6]))
     assert value_range(level) == value_range(list(level)) == (1, 7)
+    # Sets that carry their int64 values are read off them, none sliced.
+    for flat, ends in (((-2**63, 0, 2**63 - 1), [1, 1, 3]), ((4, 9, 2), [2, 2, 3]), ((), [0, 0])):
+        carried = SlicedSets(flat, array("q", ends), np.array(flat, dtype=np.int64))
+        got = value_range(carried)
+        assert carried.filled() == 0 and got == value_range([tuple(s) for s in carried])
+        assert got is None or all(type(v) is int for v in got)
 
 
 def _tables_answer_as_the_oracle(sets, kind):

@@ -18,14 +18,14 @@ would otherwise pay. A change that moves collector work out of a build
 shows there, not as a build speed-up. One more process per tree builds
 under ``tracemalloc``, outside the timed runs, and reads the bytes the
 built index holds. Per n the tool prints each run, each side's median
-seconds, median collector seconds and median owed seconds, their
-new/old ratio, and the held megabytes:
+seconds, median collector seconds and passes and median owed seconds,
+their new/old ratio, and the held megabytes:
 
     n 10000 rep 1 old 0.1961 s gc 0.0342 s in 29 passes owed 0.0004 s
     n 10000 rep 1 new 0.0890 s gc 0.0093 s in 29 passes owed 0.0004 s
     ...
-    n 10000 old median 0.1961 s gc 0.0342 s owed 0.0004 s
-    n 10000 new median 0.0890 s gc 0.0093 s owed 0.0004 s
+    n 10000 old median 0.1961 s gc 0.0342 s in 29 passes owed 0.0004 s
+    n 10000 new median 0.0890 s gc 0.0093 s in 29 passes owed 0.0004 s
     n 10000 new/old median 0.454
     n 10000 held old 47.39 new 14.11 MB new/old 0.298
 """
@@ -106,10 +106,10 @@ def main(argv: list[str] | None = None) -> int:
                       f" owed {run['owed']:.4f} s", flush=True)
         median = {side: statistics.median(r["seconds"] for r in runs[side]) for side in sides}
         for side in sides:
-            gc_median, owed_median = (statistics.median(r[key] for r in runs[side])
-                                      for key in ("gc", "owed"))
+            gc_median, passes, owed_median = (statistics.median(r[key] for r in runs[side])
+                                              for key in ("gc", "passes", "owed"))
             print(f"n {n} {side} median {median[side]:.4f} s gc {gc_median:.4f} s"
-                  f" owed {owed_median:.4f} s")
+                  f" in {passes:g} passes owed {owed_median:.4f} s")
         print(f"n {n} new/old median {median['new'] / median['old']:.3f}")
         held = {side: one_build(sides[side], n, "held")["held"] / 1e6 for side in sides}
         print(f"n {n} held old {held['old']:.2f} new {held['new']:.2f} MB"
