@@ -9,9 +9,10 @@ block pairs whose shifted value ranges still overlap are visited again. A
 pair the backend probes instead is reported by one scan of the smaller
 side, so the linear backend stores no blocks at all.
 
-A stored block is a slice of its set's tuple (``dyadic_subsets``); a cover
-(``cover_blocks``) names blocks by rank range and reads their values from
-the set itself.
+A stored block is a slice of its set's tuple (``dyadic_subsets``) that
+only the backend's tables keep: blocks are tabulated against blocks, never
+against a set. A cover (``cover_blocks``) names blocks by rank range and
+reads their values from the set itself.
 """
 
 from gapindex import (
@@ -44,7 +45,8 @@ print("\ncover of ranks [2, 11]:",
 
 for kind in (FullTabulation(), LinearScan()):
     idx = build_reporting_index(collection, kind)
-    print(f"\n{kind.name}: index holds", len(idx.backend.sets), "sets;",
+    print(f"\n{kind.name}: index holds", len(idx.base), "sets and",
+          idx.backend.last_block - len(idx.base), "table-only blocks;",
           idx.total_elements, "elements counting every block",
           f"(base {idx.base_elements} + dyadic {idx.dyadic_elements})")
 

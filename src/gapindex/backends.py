@@ -11,9 +11,9 @@ only set the threshold:
 * ``FullTabulation``    -- -1: every pair is tabulated, no member sets kept.
 * ``SmallUniverse(d)``  -- ceil(N^d): sweeping d trades bytes for probes.
 
-N is the stored sets' total size unless the caller names another total:
-an augmented instance counts every dyadic block of its base sets, stored
-or not.
+N is the sets' total size unless the caller names another total: an
+augmented instance counts every dyadic block of its base sets, stored or
+not.
 
 A tabulated pair maps a shift t to a row r, and answers the a-value in
 row r, in one of two ways. A pair whose differences span no more slots
@@ -35,9 +35,9 @@ store.
 Only a probe or a walk reads a member set, so only the sets a caller
 names keep one, made on the set's first probe: a tuple of at most
 ``_TUPLE_MEMBERS`` elements answers ``in`` itself, and a larger set builds
-a frozenset. Blocks, stored after the sets (the dyadic blocks of an
-augmented instance), are table operands only: they keep no member set, and
-``exists`` refuses an untabulated pair that names one.
+a frozenset. Blocks (an augmented instance's dyadic blocks) are table
+operands only, with the ids after the sets: each pair of blocks is
+tabulated, never a set and a block, and only ``exists`` reads them.
 
 The sets may be a ``SlicedSets`` (a quotient level, or a string index's
 interval sets), whose tuples are sliced on first read: the queries, and
@@ -414,35 +414,34 @@ def size_threshold(kind: BackendKind, total: int) -> float:
 class SsiBackend:
     """Tabulate every pair of large sets; probe the smaller set otherwise.
 
-    The three kinds differ only in ``threshold``. ``sets`` holds the sets
-    and then the ``blocks``, which only tables read; ``count`` is their
-    number, and ``rows`` the list the queries read them from (``sets``
-    itself, or a ``SlicedSets``'s rows, where a set not yet read is None
-    and is read from ``sets`` instead). Member sets serve the probes, so
+    The three kinds differ only in ``threshold``. ``sets`` holds the
+    caller's sets, shared; ``count`` is their number, and ``rows`` the
+    list the queries read them from (``sets`` itself, or a ``SlicedSets``'s
+    rows, where a set not yet read is None and is read from ``sets``
+    instead). The ``blocks`` take ids count + 1 to ``last_block``, and
+    only their tables keep them. Member sets serve the probes, so
     ``FullTabulation``, which never probes, keeps none; the others keep
-    ``members[t]`` for each of the sets, not the blocks, None until set
-    t + 1's first probe (``member``): set t's own tuple when it has at
-    most ``_TUPLE_MEMBERS`` elements, else a frozenset.
+    ``members[t]`` for each set, None until set t + 1's first probe
+    (``member``): set t's own tuple when it has at most ``_TUPLE_MEMBERS``
+    elements, else a frozenset.
 
     The build reads the sizes once, as one int64 array (``set_sizes``):
     the threshold total, ``dict_entries`` and the large ids are each one
-    numpy expression over it, so a build with no large set (every
-    ``LinearScan`` build) reads no set. With large sets it reads the
-    stored values' range once (``value_range``): the budget caps each
-    pair's certificates at that range's 2 * (high - low) + 1 shifts, and
-    the numpy table path runs only when the range lies inside int64's
-    (-2^62, 2^62); otherwise every pair tabulates with a dict.
+    numpy expression over it, so a build with no large set or block
+    (every ``LinearScan`` build) reads no set. Otherwise it reads the
+    sets' and the blocks' value range once (``value_range``): the budget
+    caps each tabulated pair's certificates at its 2 * (high - low) + 1
+    shifts, and the numpy table path runs only when it lies inside
+    int64's (-2^62, 2^62); otherwise every pair tabulates with a dict.
     """
 
     def __init__(self, sets: Sequence[tuple[int, ...]], kind: BackendKind,
                  mem_budget: int = DEFAULT_MEM_BUDGET,
                  blocks: Sequence[tuple[int, ...]] = (),
                  threshold: Optional[float] = None):
-        probed = len(sets)
-        if blocks:
-            sets = [*sets, *blocks]
         self.sets = sets
         self.count = len(sets)
+        self.last_block = len(sets) + len(blocks)
         self.rows = sets.rows if isinstance(sets, SlicedSets) else sets
         self.kind = kind
         self.probes = 0
@@ -452,43 +451,40 @@ class SsiBackend:
         if threshold is None:
             threshold = size_threshold(kind, stored)
         self.threshold = threshold
-        large_ids = (np.flatnonzero(sizes > threshold) + 1).tolist()
+        # Two groups, each tabulated pair by pair: the large sets, the blocks.
+        groups = [[(i, sets[i - 1]) for i in (np.flatnonzero(sizes > threshold) + 1).tolist()],
+                  list(enumerate(blocks, self.count + 1))]
         self.table = _TabulatedPairs()
-        # Without large sets (always so for LinearScan) no set is read: only
-        # the tabulation needs the sets' value range.
-        if large_ids:
-            # Every difference b - a lies in [low - high, high - low].
-            low, high = value_range(sets) or (0, 0)
+        # Without large sets or blocks (always so for LinearScan) no set is
+        # read: only the tabulation needs the operands' value range.
+        if groups[0] or groups[1]:
+            # Every b - a of the sets or of the blocks lies in [low - high, high - low].
+            low, high = value_range([r for r in map(value_range, (sets, blocks)) if r]) or (0, 0)
             span = 2 * (high - low) + 1
-            needed = _CERT_BYTES * sum(
-                min(len(sets[i - 1]) * len(sets[j - 1]), span)
-                for i in large_ids
-                for j in large_ids
-            )
+            needed = _CERT_BYTES * sum(min(len(sa) * len(sb), span)
+                                       for group in groups for _, sa in group for _, sb in group)
             if needed > mem_budget:
                 raise BudgetError(
                     f"{kind.name} build needs ~{needed} bytes, over budget {mem_budget}"
                 )
-            # Each large set is converted to int64 once, not once per pair.
             np_safe = -_NP_SAFE < low and high < _NP_SAFE
-            arrays = {i: _int64(sets[i - 1]) for i in large_ids} if np_safe else {}
-            for x, p in enumerate(large_ids):
-                for q in large_ids[x:]:
-                    # The smaller set is the row side: the narrowest rows.
-                    i, j = (q, p) if len(sets[q - 1]) < len(sets[p - 1]) else (p, q)
-                    self.table.add_pair(i, j, sets[i - 1], sets[j - 1],
-                                        arrays.get(i), arrays.get(j))
-        self.members: list[Union[frozenset, tuple[int, ...], None]] = []
-        self.dict_entries = 0
-        if not isinstance(kind, FullTabulation):
-            self.members = [None] * probed
-            # Logical space: one entry per stored element, as if every set
-            # and block kept its own members.
-            self.dict_entries = stored
+            for group in groups:
+                # Each operand is converted to int64 once, not once per pair.
+                group = [(t, s, _int64(s) if np_safe else None) for t, s in group]
+                for x, p in enumerate(group):
+                    for q in group[x:]:
+                        # The smaller set is the row side: the narrowest rows.
+                        (i, sa, aa), (j, sb, bb) = (q, p) if len(q[1]) < len(p[1]) else (p, q)
+                        self.table.add_pair(i, j, sa, sb, aa, bb)
+        probed = not isinstance(kind, FullTabulation)
+        self.members: list[Union[frozenset, tuple[int, ...], None]] = (
+            [None] * self.count if probed else [])
+        # Logical space: one entry per element a probe can read.
+        self.dict_entries = stored if probed else 0
 
     @property
     def large(self) -> list[bool]:
-        """Per set, whether it is above the threshold (tabulated against the others)."""
+        """Per set, whether it is above the threshold (tabulated against the large ones)."""
         return (set_sizes(self.sets) > self.threshold).tolist()
 
     def member(self, t: int) -> Union[frozenset, tuple[int, ...]]:
@@ -506,27 +502,23 @@ class SsiBackend:
                 and len(rows[j - 1] or self.sets[j - 1]) > self.threshold)
 
     def exists(self, i: int, j: int, s: int) -> Optional[ShiftCertificate]:
-        """Smallest-a certificate for a + s = b over sets i, j, or None."""
+        """Smallest-a certificate for a + s = b over sets (or blocks) i, j, or None."""
         if not (1 <= i <= self.count and 1 <= j <= self.count):
+            if self.count < i <= self.last_block and self.count < j <= self.last_block:
+                return self.table.lookup(i, j, s)
             raise FormatError(f"set indices ({i}, {j}) out of range 1..{self.count}")
         rows = self.rows
         sa, sb = rows[i - 1] or self.sets[i - 1], rows[j - 1] or self.sets[j - 1]
         # The rule of ``tabulated``, inline: this is the hot path.
         if len(sa) > self.threshold and len(sb) > self.threshold:
             return self.table.lookup(i, j, s)
-        members = self.members
-        if i > len(members) or j > len(members):
-            raise FormatError(
-                f"set pair ({i}, {j}) is not tabulated and names a block;"
-                f" only sets 1..{len(members)} are probed"
-            )
         # Scan the smaller side against the other's members; scanning the
         # b-side finds a = b - s in ascending order too.
         if len(sa) <= len(sb):
             scan, t, step = sa, j, s
         else:
             scan, t, step = sb, i, -s
-        member = members[t - 1]
+        member = self.members[t - 1]
         if member is None:
             member = self.member(t)
         n = 0
@@ -681,9 +673,10 @@ def build_backend(
 ) -> SsiBackend:
     """Build the requested backend over a collection or raw sorted sets.
 
-    ``blocks`` are sorted sets stored after them as table operands only,
-    with no member set. ``threshold`` is the size above which a set is
-    large; by default ``size_threshold`` of the stored sets' total size.
+    ``blocks`` are sorted sets tabulated against each other only, under
+    the ids after the sets; no set is tabulated against one.
+    ``threshold`` is the size above which a set is large; by default
+    ``size_threshold`` of the sets' total size.
     """
     return SsiBackend(_as_element_lists(c), kind, mem_budget, blocks, threshold)
 

@@ -20,8 +20,9 @@ record, not fatal. An ``ssi`` record gives the nominal
 ``build_bytes`` (``SsiBackend.space_bytes``) and, beside it, the bytes its
 tabulated pairs physically store (``table_bytes``) and the number of
 tables stored (``table_pairs``: one per unordered pair of large sets).
-A ``gapped_string`` record gives the number of quotient levels its index
-built (``levels``: levels 2 up to the manifest's ``levels``) and, beside
+A ``gapped_string`` record gives the same two table fields for its exact
+instance, the number of quotient levels its index built (``levels``:
+levels 2 up to the manifest's ``levels``) and, beside
 ``build_seconds``, the seconds of it spent inside Python's cyclic
 collector (``build_gc_seconds``, timed through ``gc.callbacks``). It
 times its query stream in three passes in ``report`` mode and then three
@@ -193,6 +194,8 @@ def _gapped_string_record(entry: dict, mem_budget: int) -> dict:
         return record
     record["build_seconds"] = round(time.perf_counter() - started, 6)
     record["build_gc_seconds"] = round(collector.seconds, 6)
+    table = index.gapped.exact.backend.table
+    record["table_pairs"], record["table_bytes"] = table.pairs, table.nbytes
     record["levels"] = len(index.gapped.levels)
     record["set_elements"] = index.set_elements
     record["stored_elements"] = index.gapped.total_elements

@@ -570,11 +570,13 @@ class GappedIndex:
     ``universe`` values, as {1..universe} does, kept as ``exact.base``; a
     wider span (``value_range``) would leave differences past the clamp at
     universe - 1, and is refused with FormatError. ``sets`` may be a
-    ``SlicedSets`` (the string index's interval sets): the build slices
-    none of them, reads their range off their ``values``, hands those to
-    ``quotient_levels`` and drops them once the levels are made. ``max_level`` is ``reach(universe)``, the highest
-    level a plan over the clamped gap can ask; it is 0 for a universe of one value and at least 1 above that. ``instances[l]`` is
-    the instance that answers level l, for l up to ``max_level``: the
+    ``SlicedSets`` (the string index's interval sets), whose range is read
+    off their ``values``; ``quotient_levels`` reads those too, and they
+    are dropped once the levels are made. ``max_level`` is
+    ``reach(universe)``, the highest level a plan over the clamped gap can
+    ask: 0 for a universe of one value, at least 1 above that.
+    ``instances[l]`` is the instance that answers level l, for l up to
+    ``max_level``: the
     exact one, under ``kind``, at level 0 and for a level-1
     ``ApproxQuery`` (a plan asks level 1's shifts at level 0), and
     ``levels[l - 2].instance`` above, under ``LinearScan``: only pairs the

@@ -23,13 +23,15 @@ above the threshold: none under ``LinearScan``, all of them under
 ``FullTabulation``, the large ones under ``SmallUniverse``, whose
 ceil(N^delta) still counts every block in N.
 
-Backend set ids follow one layout, so a block's id is computed, not looked
-up: base set i is id i; after the k base sets come the stored blocks of
-set 1, then of set 2, and so on, each set's as ``dyadic_subsets`` slices
-them from its tuple, in level-major order. Level j's blocks hold 2^j
-elements, so the stored levels are those from ``lowest_level``, the first
-whose 2^j is above the threshold. Block (j, kappa) of set i is therefore
-id ``first_block_id(i) + starts[j] - starts[lowest_level] + kappa``, with
+A root lookup pairs two base sets and every lookup below it two blocks,
+so the backend holds the base sets and tabulates the blocks against each
+other only. A block's id is computed, not looked up: base set i is id i;
+after the k base sets come the stored blocks of set 1, then of set 2, and
+so on, each set's as ``dyadic_subsets`` slices them from its tuple, in
+level-major order. Level j's blocks hold 2^j elements, so the stored
+levels are those from ``lowest_level``, the first whose 2^j is above the
+threshold. Block (j, kappa) of set i is therefore id
+``first_block_id(i) + starts[j] - starts[lowest_level] + kappa``, with
 ``starts = level_starts(len(S_i))``; under ``FullTabulation``
 ``lowest_level`` is 0 and the ids are those of every block.
 """
@@ -64,18 +66,18 @@ class AugmentedInstance:
     """Base sets plus the dyadic rank blocks a lookup can address, behind
     one existence backend.
 
-    ``base`` is the k base sets' element tuples, as given: a
-    ``SlicedSets`` (a quotient level, or the string index's interval
-    sets) is built over with no set sliced, since its sizes are read off
-    its ends, unless blocks are stored. The accounting reads one int64
-    array of the sizes (``set_sizes``): the base and dyadic element
-    counts, the largest size and the backend's threshold total are each
-    one numpy expression over it, with no Python loop per set.
+    ``base`` is the k base sets' element tuples, as given, and is the
+    backend's ``sets``: of a ``SlicedSets`` (a quotient level, or the
+    string index's interval sets) only the sets the backend tabulates are
+    sliced at build. The accounting reads one int64 array of the sizes
+    (``set_sizes``): the element counts, the threshold total and each
+    set's number of stored blocks are numpy expressions over it.
     ``total_elements`` counts the base sets and every dyadic block, stored
-    or not. Of the block ids it keeps only ``first_block``, each base
-    set's first stored one, or one int when no set stores a block, read
-    through ``first_block_id``; the layout in the module docstring places
-    the others.
+    or not. Only a set of at least 2^``lowest_level`` elements stores
+    blocks, sliced by one ``dyadic_subsets`` call. Of the block ids the
+    instance keeps only ``first_block``, each set's first (a cumulative
+    sum of the numbers), or one int when no set stores a block, read
+    through ``first_block_id``; the module docstring places the others.
     ``existence_calls`` counts the lookups asked through ``_exists``; the
     backend counts its own scans, and ``ssi_calls`` sums the two.
     """
@@ -100,16 +102,17 @@ class AugmentedInstance:
             lowest += 1
         self.lowest_level = lowest
         k = len(sets)
+        top = int(sizes.max(initial=0)).bit_length()
         blocks: list[tuple[int, ...]] = []
-        if lowest >= int(sizes.max(initial=0)).bit_length():
-            # No set stores a block (under LinearScan, never): every set's
-            # first block id is k + 1, kept as one int.
-            self.first_block: Union[int, list[int]] = k + 1
-        else:
-            self.first_block = []
-            for el in sets:
-                self.first_block.append(k + 1 + len(blocks))
-                blocks.extend(dyadic_subsets(el, lowest))
+        # When no set stores a block (under LinearScan, never), every set's
+        # first block id is k + 1, kept as one int.
+        self.first_block: Union[int, list[int]] = k + 1
+        if lowest < top:
+            # Set i stores |S_i| >> j blocks of each level j from ``lowest``.
+            stored = sum(sizes >> j for j in range(lowest, top))
+            self.first_block = (k + 1 + np.cumsum(stored) - stored).tolist()
+            for i in np.flatnonzero(stored).tolist():
+                blocks.extend(dyadic_subsets(sets[i], lowest))
         self.backend = build_backend(sets, kind, mem_budget, blocks=blocks, threshold=threshold)
         self.existence_calls = 0
         self.last_query_calls = 0
@@ -171,10 +174,8 @@ class _Node(NamedTuple):
 
 
 def check_set_ids(inst: AugmentedInstance, i: int, j: int) -> None:
-    """Raise FormatError unless i, then j, is a base set id 1..k. The
-    backend stores dyadic blocks after the k base sets (all of them under
-    ``FullTabulation``), so its own range check would answer a block id as
-    if it named a set."""
+    """Raise FormatError unless i, then j, is a base set id 1..k: the backend
+    answers a pair of block ids, which follow the k base sets, from a table."""
     k = len(inst.base)
     if not (1 <= i <= k and 1 <= j <= k):
         raise FormatError(f"set index {j if 1 <= i <= k else i} out of range 1..{k}")

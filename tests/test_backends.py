@@ -8,6 +8,7 @@ import pytest
 from gapindex.backends import (
     FullTabulation,
     LinearScan,
+    ShiftCertificate,
     ShiftQuery,
     SmallUniverse,
     _TabulatedPairs,
@@ -558,10 +559,14 @@ def test_an_instance_without_blocks_shares_its_sets_and_keeps_one_block_id():
     assert build_backend(((1, 2), (3,)), LinearScan()).sets == [(1, 2), (3,)]
     collection = ingest_collection([[1, 2], [3]], u=4)
     assert build_backend(collection, LinearScan()).sets == [(1, 2), (3,)]
-    # Blocks are stored after a copy of the sets; each set keeps its own id.
+    # Stored blocks leave the sets shared; they take the ids after them,
+    # and each set keeps its own first one.
     stored = AugmentedInstance(base, FullTabulation())
-    assert stored.backend.sets is not base and stored.backend.sets[:3] == base
+    assert stored.backend.sets is base and stored.backend.last_block == 3 + 5
     assert [stored.first_block_id(i) for i in (1, 2, 3)] == [4, 8, 9]
+    # Ids 4..6 are the blocks (1,), (2,), (5,) of set 1; 8 is set 2's (3,).
+    assert stored.backend.exists(4, 8, 2) == ShiftCertificate(1, 3)
+    assert stored.backend.exists(6, 5, -3) == ShiftCertificate(5, 2)
 
 
 @pytest.mark.parametrize("kind", [LinearScan(), SmallUniverse(delta=0.5)])

@@ -271,13 +271,15 @@ def test_approx_exists_level_range():
 
 
 def test_approx_exists_refuses_a_block_id_past_the_k_sets():
-    # Under fulltab the backends store every dyadic block after the k sets,
-    # so ids 3 and 4 are stored sets: approx_exists must refuse them, as
-    # gapped_exists does, naming i before j.
+    # Under fulltab the backends tabulate every dyadic block after the k
+    # sets, so ids 3 and 4 are a pair the exact backend answers:
+    # approx_exists must refuse them, as gapped_exists does, naming i
+    # before j.
     c = ingest_collection([list(range(1, 9)), [3, 5, 9, 11, 13, 20, 21, 30]], 40)
     g = build_gapped_index(c, FullTabulation())
     q = ApproxQuery(1, 4)
-    assert len(g.exact.backend.sets) > 4
+    assert g.exact.backend.last_block > 4
+    assert g.exact.backend.exists(3, 4, 1) == ShiftCertificate(1, 2)
     assert approx_exists(g, 1, 2, q) is True
     for bad in (0, 3, 4):
         for i, j in ((bad, 1), (1, bad), (bad, 5)):

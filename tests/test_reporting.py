@@ -35,6 +35,37 @@ def ceil_log2(n):
     return max(n - 1, 0).bit_length()
 
 
+def stored_blocks(inst):
+    """Each stored block's id -> (base set, rank_lo, rank_hi), in the order
+    the ids run: after the k base sets come set 1's blocks of the stored
+    levels, level by level, then set 2's, and so on."""
+    k, out = len(inst.base), {}
+    for p, s in enumerate(inst.base, start=1):
+        for level in range(inst.lowest_level, len(s).bit_length()):
+            for lo in range(1, ((len(s) >> level) << level) + 1, 1 << level):
+                out[k + 1 + len(out)] = (p, lo, lo + (1 << level) - 1)
+    return out
+
+
+def read_ranks(inst, p, lo, hi):
+    """The elements of base set p at ranks [lo, hi]."""
+    return inst.base[p - 1][lo - 1:hi]
+
+
+def assert_block_lookups(inst, rng, pairs=40):
+    """Block pairs answer by lookup, from the elements at their ranks."""
+    blocks = stored_blocks(inst)
+    ids = sorted(blocks)
+    for _ in range(min(pairs, len(ids) ** 2)):
+        x, y = rng.choice(ids), rng.choice(ids)
+        sa, sb = read_ranks(inst, *blocks[x]), read_ranks(inst, *blocks[y])
+        shifts = sorted({b - a for a in sa for b in sb})
+        for s in rng.sample(shifts, min(4, len(shifts))) + [10**6]:
+            cert = inst.backend.exists(x, y, s)
+            pairs = brute_force_ssi([sa, sb], ShiftQuery(1, 2, s))
+            assert (None if cert is None else (cert.a, cert.b)) == (pairs[0] if pairs else None)
+
+
 def test_report_example():
     # FullTabulation answers every node by a lookup: a miss is one lookup.
     c = ingest_collection([[1, 2, 5], [3, 4, 7]], u=8)
@@ -59,12 +90,14 @@ def test_report_example():
 def test_index_set_counts():
     c = ingest_collection([list(range(1, 9))], u=8)
     idx = build_reporting_index(c, FullTabulation())
-    assert len(idx.backend.sets) == 1 + 15
-    assert len(build_reporting_index(c, LinearScan()).backend.sets) == 1
+    assert idx.backend.last_block == 1 + 15 == 1 + len(stored_blocks(idx))
+    assert len(idx.backend.sets) == 1
+    assert build_reporting_index(c, LinearScan()).backend.last_block == 1
     c = ingest_collection([[1, 2, 3, 4], [5, 6, 7, 8]], u=8)
     idx = build_reporting_index(c, FullTabulation())
-    assert len(idx.backend.sets) == 2 + 7 + 7
-    assert len(build_reporting_index(c, LinearScan()).backend.sets) == 2
+    assert idx.backend.last_block == 2 + 7 + 7 == 2 + len(stored_blocks(idx))
+    assert len(idx.backend.sets) == 2
+    assert build_reporting_index(c, LinearScan()).backend.last_block == 2
 
 
 def test_index_element_accounting():
@@ -128,9 +161,9 @@ def test_no_straddling_solutions():
         for node, cert in trace:
             if cert is None:
                 continue
-            backend_sets = idx.backend.sets
-            in_a = set(backend_sets[node.set_a - 1])
-            in_b = set(backend_sets[node.set_b - 1])
+            # A node's sides are the elements at its ranks.
+            in_a = set(read_ranks(idx, 1, node.a_lo, node.a_hi))
+            in_b = set(read_ranks(idx, 2, node.b_lo, node.b_hi))
             for a in sa:
                 if a + s in in_b and a in in_a and a != cert.a:
                     assert (a < cert.a) == (a + s < cert.b)
@@ -223,9 +256,10 @@ def test_report_certificate_outside_node_guard_raises(monkeypatch):
     assert report_shift(inst, 1, 1, 1) == [(a, a + 1) for a in range(1, 8)]
     backend = inst.backend
     members = frozenset(c.set(1).elements)
+    ranks = {1: (1, 1, 8), **stored_blocks(inst)}
 
     def base_set_exists(i, j, s):
-        sa, sb = backend.sets[i - 1], backend.sets[j - 1]
+        sa, sb = read_ranks(inst, *ranks[i]), read_ranks(inst, *ranks[j])
         if len(sa) <= len(sb):
             hits = [a for a in sa if a + s in members]
         else:
@@ -274,8 +308,8 @@ def test_member_rule_on_a_string_index_and_a_skewed_collection():
         instances = [build_reporting_index(c, kind)] + _instances(g)
         for inst in instances:
             _assert_member_rule(inst)
-        assert all(len(lvl.instance.backend.sets) == c.k for lvl in g.levels)
-    assert len(g.exact.backend.sets) > c.k
+        assert all(lvl.instance.backend.last_block == c.k for lvl in g.levels)
+    assert g.exact.backend.last_block > c.k
 
 
 def test_string_index_memory_is_bounded():
@@ -296,27 +330,26 @@ def test_string_index_memory_is_bounded():
 
 def test_blocks_are_table_operands_only():
     """SmallUniverse(0.0) stores every block above one element. Blocks pair
-    only with tabulated sets, keep no member set, and an untabulated pair
-    naming a block is refused rather than probed."""
+    only with blocks, keep no member set, and a pair of a block and a set
+    is refused rather than probed."""
     rng = random.Random(17)
     for _ in range(4):
         sizes = [1, rng.randint(20, 40), rng.randint(40, 90), 64]
         c = random_collection(rng, len(sizes), sum(sizes), 300, sizes)
         inst = build_reporting_index(c, SmallUniverse(delta=0.0))
         backend = inst.backend
-        k, stored = c.k, len(backend.sets)
-        assert stored > k
-        assert len(backend.members) == k
-        blocks = range(k + 1, stored + 1)
+        k, stored = c.k, backend.last_block
+        assert stored > k and sorted(stored_blocks(inst)) == list(range(k + 1, stored + 1))
+        assert backend.sets is inst.base and len(backend.members) == k
         large = [t for t in range(1, k + 1) if backend.large[t - 1]]
-        for b in blocks:
-            assert backend.large[b - 1]
-            assert all(backend.tabulated(b, t) for t in large + list(blocks))
+        assert len(backend.large) == k and all(backend.tabulated(p, q) for p in large for q in large)
+        for _, lo, hi in stored_blocks(inst).values():
+            assert hi - lo + 1 > backend.threshold
         small = next(t for t in range(1, k + 1) if len(c.set(t).elements) <= 1)
-        assert not backend.tabulated(k + 1, small)
-        for i, j in ((k + 1, small), (small, stored)):
-            with pytest.raises(FormatError, match="names a block"):
+        for i, j in ((k + 1, small), (small, stored), (k + 1, large[0]), (stored + 1, stored)):
+            with pytest.raises(FormatError, match=rf"out of range 1\.\.{k}$"):
                 backend.exists(i, j, 0)
+        assert_block_lookups(inst, rng)
         for i in range(1, k + 1):
             for j in range(1, k + 1):
                 shifts = {b - a for a in c.set(i).elements for b in c.set(j).elements}
@@ -396,16 +429,16 @@ def test_report_shift_builds_no_dyadic_subset(monkeypatch):
 
 
 def test_blocks_stored_are_those_a_lookup_addresses():
-    """LinearScan stores the k base sets; FullTabulation stores every dyadic
-    block under the full layout's ids; SmallUniverse stores the blocks above
-    ceil(N^delta), N counting every block, and tabulates what a backend over
-    the full layout tabulates."""
+    """LinearScan stores no block; FullTabulation stores every dyadic block
+    under the full layout's ids; SmallUniverse stores the blocks above
+    ceil(N^delta), N counting every block, and tabulates the large base
+    sets and the stored blocks as two backends of their own would."""
     rng = random.Random(73)
     for _ in range(12):
         k = rng.randint(1, 5)
         c = random_collection(rng, k, rng.randint(k, 90), 200)
-        full = [s.elements for s in c.sets]
-        full_ids = {}
+        base = [s.elements for s in c.sets]
+        full, full_ids = list(base), {}
         for p, s in enumerate(c.sets, start=1):
             m = len(s.elements)
             for level in range(m.bit_length()):
@@ -413,37 +446,45 @@ def test_blocks_stored_are_those_a_lookup_addresses():
                 for block in range(m >> level):
                     full.append(s.elements[block * size : (block + 1) * size])
                     full_ids[p, level, block] = len(full)
-        assert sum(map(len, full)) == build_reporting_index(c, LinearScan()).total_elements
-        assert build_reporting_index(c, LinearScan()).backend.sets == full[:k]
+        linear = build_reporting_index(c, LinearScan())
+        assert sum(map(len, full)) == linear.total_elements
+        assert linear.backend.sets == base and linear.backend.last_block == k
         tab = build_reporting_index(c, FullTabulation())
-        assert tab.backend.sets == full
-        assert tab.lowest_level == 0
+        assert tab.lowest_level == 0 and tab.backend.sets == base
+        assert [read_ranks(tab, *b) for b in stored_blocks(tab).values()] == full[k:]
         for delta in (0.0, 0.25, 0.5, 0.75):
             kind = SmallUniverse(delta=delta)
             idx = build_reporting_index(c, kind)
-            reference = build_backend(full, kind)
             t = idx.backend.threshold
-            assert t == reference.threshold
-            large = [block for block in full[k:] if len(block) > t]
-            assert idx.backend.sets == full[:k] + large
-            assert idx.backend.table.entries == reference.table.entries
+            assert t == build_backend(full, kind).threshold
+            layout = stored_blocks(idx)
+            blocks = [read_ranks(idx, *b) for b in layout.values()]
+            assert blocks == [block for block in full[k:] if len(block) > t]
+            assert idx.backend.sets == base and idx.backend.last_block == k + len(blocks)
+            assert idx.backend.table.entries == (
+                build_backend(base, kind, threshold=t).table.entries
+                + build_backend(blocks, kind, threshold=-1).table.entries)
+            assert_block_lookups(idx, rng)
             # Every stored block sits at the id the layout computes.
             for (p, level, block), full_id in full_ids.items():
                 if 1 << level <= t:
                     continue
                 starts = level_starts(len(c.set(p)))
                 stored = idx.first_block_id(p) + starts[level] - starts[idx.lowest_level] + block
-                assert idx.backend.sets[stored - 1] == full[full_id - 1]
+                assert layout[stored][:2] == (p, (block << level) + 1)
+                assert read_ranks(idx, *layout[stored]) == full[full_id - 1]
 
 
 def test_report_shift_refuses_a_block_id_past_the_base_sets():
-    # Under fulltab the backend also stores every dyadic block, so id k + 1
-    # is a stored set: the range check must count the k base sets only.
+    # Under fulltab the backend also tabulates every dyadic block, so ids
+    # k + 1 and k + 2 are a pair it answers: the range check must count the
+    # k base sets only.
     c = ingest_collection([[1, 2, 5, 9], [3, 4, 7], [2, 6]], u=16)
     reporting_index = build_reporting_index(c, FullTabulation())
     exact = build_gapped_index(c, FullTabulation()).exact
     for inst in (reporting_index, exact):
-        assert len(inst.backend.sets) > c.k + 1
+        assert inst.backend.last_block > c.k + 1
+        assert inst.backend.exists(c.k + 1, c.k + 2, 1) == ShiftCertificate(1, 2)
         for i, j in ((c.k + 1, 1), (1, c.k + 1)):
             with pytest.raises(FormatError, match=rf"set index {c.k + 1} out of range 1\.\.{c.k}$"):
                 report_shift(inst, i, j, 1)

@@ -45,15 +45,17 @@ def _entries(sets: list[tuple[int, ...]], large: list[bool]) -> int:
     return sum(len({b - a for a in sa for b in sb}) for sa in big for sb in big)
 
 
-def _assert_backend(backend, sets, kind, threshold):
-    """``sets`` are the backend's stored sets, base sets then blocks."""
+def _assert_backend(backend, sets, kind, threshold, blocks=()):
+    """``sets`` are the backend's base sets, and ``blocks`` the blocks it
+    tabulates against each other, with the ids after them."""
     sizes = [len(s) for s in sets]
     large = [m > threshold for m in sizes]
     assert backend.threshold == threshold
     assert backend.large == large
+    assert backend.last_block == len(sets) + len(blocks)
     dict_entries = 0 if isinstance(kind, FullTabulation) else sum(sizes)
     assert backend.dict_entries == dict_entries
-    entries = _entries(sets, large)
+    entries = _entries(sets, large) + _entries(blocks, [True] * len(blocks))
     assert backend.table.entries == entries
     assert backend.space_bytes() == 8 * dict_entries + 24 * entries
 
@@ -77,7 +79,7 @@ def _assert_instance(inst, sets, kind):
         for j in range(lowest, len(s).bit_length()):
             blocks.extend(s[lo:lo + (1 << j)] for lo in range(0, (len(s) >> j) << j, 1 << j))
     assert inst.first_block == (first if blocks else len(sets) + 1)
-    _assert_backend(inst.backend, list(sets) + blocks, kind, threshold)
+    _assert_backend(inst.backend, list(sets), kind, threshold, blocks)
 
 
 def _collections():
