@@ -40,7 +40,7 @@ operands only, with the ids after the sets: each pair of blocks is
 tabulated, never a set and a block, and only ``exists`` reads them.
 
 The sets may be a ``SlicedSets`` (a quotient level, or a string index's
-interval sets), whose tuples are sliced on first read: the queries, and
+interval sets), whose tuples are made on first read: the queries, and
 ``tabulated``, read its ``rows`` list and index the sequence only on a
 set not yet read, and a build with no large set reads none. The gapped
 queries read a base set of the exact instance the same way.
@@ -73,8 +73,9 @@ or walk visits, and ``scans`` by one per ``scan``, a walking
 from a table) and a table read count no call. Apart from these two
 counters, the member sets and a ``SlicedSets``'s tuples, which are filled
 on first read, a backend is immutable after build. A fill is idempotent,
-so concurrent reads stay safe with no lock: two threads that both fill
-one set's tuple or member set make equal ones, either of which is kept.
+so concurrent reads stay safe: two threads that both fill one set's
+tuple or member set make equal ones; a ``SlicedSets`` keeps the first
+tuple stored, under its lock, and either member set may be kept.
 """
 
 from __future__ import annotations

@@ -30,11 +30,11 @@ in ``exists`` mode. The first pass of each gives the counts and the time
 that earlier records give: ``occ_total``, ``base_ssi_calls`` and
 ``query_us`` for ``report``; ``exists_yes`` (the YES answers),
 ``exists_ssi_calls`` and ``exists_query_us`` for ``exists``. The first
-pass also slices the interval and quotient sets it reads, so the median
+pass also makes the interval and quotient sets it reads, so the median
 of passes 2 and 3 is given apart, as ``rest_query_us`` and
 ``rest_exists_query_us``.
-``exact_sets_read`` counts the interval sets the six passes sliced, and
-``level_sets_read`` the quotient sets: a build slices neither.
+``exact_sets_read`` counts the interval sets the six passes made, and
+``level_sets_read`` the quotient sets: a build makes neither.
 """
 
 from __future__ import annotations

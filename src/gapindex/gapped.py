@@ -56,7 +56,7 @@ O~(|P1| + |P2| + n^delta*(occ+1)) still holds.
 
 The index holds each set as a sorted element tuple: ``build_gapped_index``
 unwraps a collection, and the string index hands over its interval sets
-as one ``sets.SlicedSets``, whose tuples are sliced on first read; a
+as one ``sets.SlicedSets``, whose tuples are made on first read; a
 query reads a base set through the exact backend's ``rows`` list, and
 indexes the sets only on a set not yet read. After the gap, every query
 checks its set ids against the k base sets (``reporting.check_set_ids``).
@@ -66,11 +66,12 @@ the exact instance answers a level-1 ``ApproxQuery``, ``instances[l]``
 names the instance for level l, and only levels from 2 build quotients,
 in one bulk pass (``quotient_levels``): since a >> l = (a >> (l-1)) >> 1,
 each level is the level below shifted right by one with repeats inside a
-set dropped, over one flattened int64 array. A level keeps one flat tuple
-of its sets' elements, sharing one int object per distinct value, as a
-``sets.SlicedSets``: a set's tuple is sliced from it on the set's first
-read, and its member set made on its first probe, so a build slices no
-quotient set and a query pass reads only the sets it asks.
+set dropped, over one array of codes into the sorted distinct values. A
+level keeps its sets' elements as int32 codes into one tuple of its
+distinct values, one int object each, as a ``sets.SlicedSets``: a set's
+tuple is made from them on the set's first read, and its member set on
+its first probe, so a build makes no quotient set and a query pass reads
+only the sets it asks.
 
 Only the levels a plan can ask are built: 2..R, where R = ``reach(u)``
 is the top level of the two passes over the whole range [0, u - 1],
@@ -144,7 +145,7 @@ import numpy as np
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, LinearScan, range_meets
 from .errors import FormatError, GapIndexError
 from .reporting import AugmentedInstance, check_set_ids, report_shift
-from .sets import SetCollection, SlicedSets, set_sizes, value_range
+from .sets import SetCollection, SlicedSets, code_type, set_sizes, value_range
 
 _INT64 = np.iinfo(np.int64)
 
@@ -495,61 +496,68 @@ def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[Slice
     """The quotient sets of levels 2..top, one ``SlicedSets`` per level,
     each made in one bulk pass from the one below.
 
-    Level l's quotient of a is a >> (l - 1) = (a >> (l - 2)) >> 1. The
-    sets' elements are one int64 array, with each element's owner set
-    beside it: a ``SlicedSets``'s ``values`` when it carries them (the
-    string index's level matrices), else the sets flattened once. Each
+    Level l's quotient of a is a >> (l - 1) = (a >> (l - 2)) >> 1. Each
     element is kept as the code of its value among the sorted distinct
-    values (``_numbered``: a counting pass over a dense span, else
+    values, in set order, with the sets' ends. A ``SlicedSets`` (the
+    string index's interval sets) holds them so already: its ``ints`` are
+    the distinct values and its ``codes`` are taken as they are. Other
+    sets are flattened once into an int64 array and numbered
+    (``_numbered``: a counting pass over a dense span, else
     ``np.unique``). A level halves the level below's distinct values,
-    maps each code to its half's, and keeps an element
-    when its code or its owner differs from the previous element's: every
+    maps each code to its half's, and keeps an element when its code
+    differs from the previous element's or it is its set's first: every
     quotient set comes out sorted and free of repeats, as dict.fromkeys
     over a >> (l - 1) for a in S would make it. The distinct values stay
     sorted, and so do their halves, so a level needs no sort: a half is
     new where it differs from its left neighbour, and its code counts the
     new halves up to it (a ``cumsum``), as ``np.unique`` would number it.
-    Each distinct value becomes one int in an object table no longer than
-    the level, and the level's elements one flat tuple of those ints, cut
-    at the cumulative per-owner counts: each set's tuple is sliced from it
-    on first read, and shares its ints. The sets' sizes are read once
-    (``set_sizes``), and no set is sliced. An element outside int64
+    A set's end moves to the count of kept elements before it. A level is
+    its codes, as an ``array`` of ``sets.code_type``, its ends, and its
+    distinct values as one tuple of ints: each set's tuple is made from
+    them on first read, and shares those ints. The sets' sizes are read
+    once (``set_sizes``), and no set is made. An element outside int64
     raises FormatError.
     """
     sizes = set_sizes(sets)
-    values = sets.values if isinstance(sets, SlicedSets) else None
-    if values is None:
+    if isinstance(sets, SlicedSets):
+        distinct = np.array(sets.ints, dtype=np.int64)
+        codes = np.frombuffer(sets.codes, sets.codes.typecode)
+    else:
         try:
             values = np.fromiter(chain.from_iterable(sets), np.int64, int(sizes.sum()))
         except OverflowError:
             bad = next(a for s in sets for a in s if not _INT64.min <= a <= _INT64.max)
             raise FormatError(f"element {bad} does not fit the quotient levels' int64") from None
-    distinct, codes = _numbered(values)
-    del values
-    owners = np.repeat(np.arange(len(sets)), sizes)
+        distinct, codes = _numbered(values)
+        del values
+    ends = np.cumsum(sizes)
     keep = np.ones(len(codes), dtype=bool)
+    kept = np.zeros(len(codes) + 1, dtype=np.int64)
     for _ in range(2, top + 1):
         halved = distinct >> 1
         new = np.ones(len(halved), dtype=bool)
         np.not_equal(halved[1:], halved[:-1], out=new[1:])
         distinct = halved[new]
-        codes = (np.cumsum(new) - 1)[codes]
+        typecode = code_type(len(distinct))
+        codes = (np.cumsum(new, dtype=typecode) - 1).take(codes)
         keep = keep[: len(codes)]
         np.not_equal(codes[1:], codes[:-1], out=keep[1:])
-        keep[1:] |= owners[1:] != owners[:-1]
-        codes, owners = codes[keep], owners[keep]
-        flat = tuple(distinct.astype(object)[codes].tolist())
-        ends = np.bincount(owners, minlength=len(sets)).cumsum()
-        yield SlicedSets(flat, array("q", ends.astype(np.int64).tobytes()))
+        starts = ends[:-1]
+        keep[starts[starts < len(codes)]] = True  # each set's first element
+        codes = codes[keep]
+        np.cumsum(keep, out=kept[1 : len(keep) + 1])
+        ends = kept[ends]
+        yield SlicedSets(array(typecode, codes.tobytes()), array("q", ends.tobytes()),
+                         tuple(distinct.tolist()))
 
 
 class LevelIndex:
     """Quotient sets for one level l >= 2 behind their own instance.
 
     ``quotients[i - 1]`` holds a >> (level - 1) for a in S_i, in order since
-    S_i is sorted; ``quotient_levels`` makes every level's flat tuple in
-    one pass from the level below, and ``originals`` maps a quotient back.
-    The instance reads no set at build: a set's tuple is sliced on its
+    S_i is sorted; ``quotient_levels`` makes every level's codes in one
+    pass from the level below, and ``originals`` maps a quotient back.
+    The instance reads no set at build: a set's tuple is made on its
     first read, and its member set made on its first probe.
     Level 1 divides by 1, so its quotient sets are the parent's own and the
     exact instance answers it: no LevelIndex exists for level 1.
@@ -571,8 +579,8 @@ class GappedIndex:
     wider span (``value_range``) would leave differences past the clamp at
     universe - 1, and is refused with FormatError. ``sets`` may be a
     ``SlicedSets`` (the string index's interval sets), whose range is read
-    off their ``values``; ``quotient_levels`` reads those too, and they
-    are dropped once the levels are made. ``max_level`` is
+    off their codes and whose codes ``quotient_levels`` takes as they
+    are, so the build makes none of their tuples. ``max_level`` is
     ``reach(universe)``, the highest level a plan over the clamped gap can
     ask: 0 for a universe of one value, at least 1 above that.
     ``instances[l]`` is the instance that answers level l, for l up to
@@ -612,8 +620,6 @@ class GappedIndex:
                 LevelIndex(level_sets, level, LinearScan(), mem_budget)
                 for level, level_sets in enumerate(quotients, start=2)
             ]
-            if isinstance(sets, SlicedSets):
-                sets.values = None  # only the levels read them
         finally:
             if enabled:
                 gc.enable()

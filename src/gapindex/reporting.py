@@ -69,7 +69,7 @@ class AugmentedInstance:
     ``base`` is the k base sets' element tuples, as given, and is the
     backend's ``sets``: of a ``SlicedSets`` (a quotient level, or the
     string index's interval sets) only the sets the backend tabulates are
-    sliced at build. The accounting reads one int64 array of the sizes
+    made at build. The accounting reads one int64 array of the sizes
     (``set_sizes``): the element counts, the threshold total and each
     set's number of stored blocks are numpy expressions over it.
     ``total_elements`` counts the base sets and every dyadic block, stored

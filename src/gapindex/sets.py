@@ -11,17 +11,18 @@ the positions [1, n] of a suffix array): a block's values are the set's
 elements at ``rank_lo - 1`` and ``rank_hi - 1``. ``dyadic_subsets``
 slices the blocks themselves from the tuple, for a build that stores them.
 
-A ``SlicedSets`` holds k sorted sets as one flat tuple and slices each
-set's tuple on its first read: the string index's dyadic interval sets
-and the quotient levels of a gapped index are each one. ``set_sizes``
-reads the sizes of any sequence of sets into one int64 array, slicing
-none (a ``SlicedSets`` reads them off its ends), so a build's per-set
-bookkeeping is numpy expressions over that array. ``value_range`` reads
-the least and the greatest element of a sequence of sorted sets off
-their ends, or off a ``SlicedSets``'s int64 ``values`` when it carries
-them, with no set sliced: the gapped index's span check, the tabulation
-budget's shift span and the int64 guard of the numpy table path all read
-it.
+A ``SlicedSets`` holds k sorted sets as one array of int codes into one
+ascending tuple of shared ints, and makes each set's tuple on its first
+read: the string index's dyadic interval sets and the quotient levels of
+a gapped index are each one. ``code_type`` picks the codes' width.
+``set_sizes`` reads the sizes of any sequence of sets into one int64
+array, making no set (a ``SlicedSets`` reads them off its ends), so a
+build's per-set bookkeeping is numpy expressions over that array.
+``value_range`` reads the least and the greatest element of a sequence
+of sorted sets off their ends, or a ``SlicedSets``'s off its least and
+greatest code, with no set made: the gapped index's span check, the
+tabulation budget's shift span and the int64 guard of the numpy table
+path all read it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
+from threading import Lock
 from typing import Optional, Sequence
 
 import numpy as np
@@ -76,25 +78,30 @@ class SetCollection:
         return self.sets[i - 1]
 
 
+def code_type(count: int) -> str:
+    """The ``array`` (and numpy) typecode of codes into ``count`` distinct
+    values: 'i', int32, unless there are more than 2^31 - 1 of them, 'q'."""
+    return "i" if count < 1 << 31 else "q"
+
+
 class SlicedSets:
-    """k sorted element tuples, each sliced from one flat tuple on first read.
+    """k sorted element tuples, each made from int codes on first read.
 
-    Set t (from 0) is ``flat[ends[t - 1]:ends[t]]``, with 0 before set 0,
-    and ``ends`` an ``array('q')``. A read slices the set once and keeps
-    it in ``rows``, a plain list that holds None for a set not yet read:
-    a caller on a hot path reads ``rows`` and falls back to indexing the
-    sequence on None, so a filled read is one list lookup. A one-element
-    set shares one tuple per value. Every tuple holds the flat tuple's int
-    objects. A fill is idempotent, so it takes no lock: two threads that
-    read an unread set at once may each slice it, and either of the equal
-    tuples is kept.
-
-    ``values``, when the maker has them, are the flat elements again as
-    one int64 array, which ``gapped.quotient_levels`` numbers in place of
-    flattening the tuple, and ``value_range`` reads with no set sliced:
-    the string index's interval sets carry their level matrices there,
-    and ``GappedIndex`` drops them once its levels are made. Quotient
-    levels carry none.
+    ``ints`` is one tuple of the sets' distinct values, ascending, one int
+    object per value; ``codes`` is an ``array`` of ``code_type(len(ints))``
+    holding every set's elements in set order as indexes into ``ints``;
+    ``ends`` is an ``array('q')``. Set t (from 0) is the values of
+    ``codes[ends[t - 1]:ends[t]]``, with 0 before set 0. Neither array
+    holds an object, so the cyclic collector walks a level of any size as
+    two arrays and the one ``ints`` tuple. A read makes the set once, as
+    an ``itemgetter`` over ``ints``, and keeps it in ``rows``, a plain
+    list that holds None for a set not yet read: a caller on a hot path
+    reads ``rows`` and falls back to indexing the sequence on None, so a
+    filled read is one list lookup. A one-element set shares one tuple per
+    value, and an empty set is ``()``. Every tuple holds ``ints``'
+    objects. Two threads that read an unread set at once may each make
+    it, but a lock around the store of a larger set keeps only the first
+    tuple stored, and both return it.
 
     ``len``, indexing, iteration, ``==`` against a list and ``repr``
     behave as the list of tuples would; iterating or comparing fills every
@@ -102,28 +109,46 @@ class SlicedSets:
     fills none; ``filled`` counts the sets read so far.
     """
 
-    __slots__ = ("flat", "ends", "rows", "values", "_ones")
+    __slots__ = ("codes", "ends", "ints", "rows", "_ones", "_lock")
 
-    def __init__(self, flat: tuple[int, ...], ends: array,
-                 values: Optional[np.ndarray] = None):
-        self.flat = flat
+    def __init__(self, codes: array, ends: array, ints: tuple[int, ...]):
+        self.codes = codes
         self.ends = ends
+        self.ints = ints
         self.rows: list = [None] * len(ends)
-        self.values = values
         self._ones: dict[int, tuple[int]] = {}
+        self._lock = Lock()
 
     def __getitem__(self, t):
-        s = self.rows[t]
+        rows = self.rows
+        s = rows[t]
         if s is None:
             if t < 0:
-                t += len(self.rows)
+                t += len(rows)
             ends = self.ends
             lo, hi = ends[t - 1] if t else 0, ends[t]
-            s = self.flat[lo:hi]
+            # An empty set and a one-element set's shared tuple are the same
+            # object whichever thread makes them, so either store keeps it.
             if hi - lo == 1:
-                s = self._ones.setdefault(s[0], s)
-            self.rows[t] = s
-        elif type(t) is slice:
+                v = self.ints[self.codes[lo]]
+                rows[t] = s = self._ones.setdefault(v, (v,))
+                return s
+            if hi == lo:
+                rows[t] = ()
+                return ()
+            s = itemgetter(*self.codes[lo:hi])(self.ints)
+            # Two threads may make a larger set at once: the first tuple
+            # stored is kept, and both return it. A ``with`` block would
+            # cost twice these two calls.
+            lock = self._lock
+            lock.acquire()
+            try:
+                if rows[t] is None:
+                    rows[t] = s
+                return rows[t]
+            finally:
+                lock.release()
+        if type(t) is slice:
             return [self[x] for x in range(*t.indices(len(self.rows)))]
         return s
 
@@ -153,7 +178,7 @@ class SlicedSets:
 
 def set_sizes(sets: Sequence[tuple[int, ...]]) -> np.ndarray:
     """Each set's size, in one int64 array: a ``SlicedSets`` reads them off
-    its ends without slicing a set, any other sequence is asked ``len`` of
+    its ends without making a set, any other sequence is asked ``len`` of
     each set at C speed. The instance and backend accounting read sums,
     maxima and masks of this array, with no Python loop over the sets."""
     if isinstance(sets, SlicedSets):
@@ -167,12 +192,14 @@ def value_range(sets: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
     set is sorted, so its ends bound it: two passes of ``min`` and ``max``
     over ``itemgetter`` maps, at C speed, read two elements per set and
     build no list. Values past int64 are read as the Python ints they are.
-    A ``SlicedSets`` that carries its ``values`` is read off them, with no
-    set sliced.
+    A ``SlicedSets``'s ``ints`` ascend, so its range is the values of its
+    least and greatest code, read with no set made.
     """
-    if isinstance(sets, SlicedSets) and sets.values is not None:
-        values = sets.values
-        return (int(values.min()), int(values.max())) if values.size else None
+    if isinstance(sets, SlicedSets):
+        if not sets.codes:
+            return None
+        codes = np.frombuffer(sets.codes, sets.codes.typecode)
+        return sets.ints[codes.min()], sets.ints[codes.max()]
     low = min(map(itemgetter(0), filter(None, sets)), default=None)
     if low is None:
         return None

@@ -4,10 +4,11 @@ A gapped query asks for all position pairs (i, j) where two patterns occur
 with j - i inside a gap range. The index covers the suffix array with
 dyadic intervals, turns each interval's slice of starting positions into a
 sorted set, and answers queries through the gapped set intersection index
-over those sets. The sets are one ``sets.SlicedSets``: one flat tuple of
-the suffix array's own ints, cut at closed-form ends (2^j elements per
-set of level j), whose sets are sliced on first read, so a build slices
-none; its int64 copy numbers the quotient levels and is then dropped.
+over those sets. The sets are one ``sets.SlicedSets``: the concatenated
+level matrices as int32 codes into the suffix array's own ints, cut at
+closed-form ends (2^j elements per set of level j), whose sets are made
+on first read, so a build makes none; the same codes number the
+quotient levels.
 Each query plans its gap at most once and runs the plan on the cover
 pairs (one dyadic block of each pattern's interval). In a report a pair
 whose difference range misses the gap (``backends.range_meets``) does no
@@ -42,7 +43,7 @@ from . import gapped
 from .backends import DEFAULT_MEM_BUDGET, BackendKind, range_meets
 from .errors import BudgetError, FormatError, GapIndexError
 from .gapped import GappedIndex, gapped_exists, gapped_report
-from .sets import SlicedSets, cover_blocks, level_starts
+from .sets import SlicedSets, code_type, cover_blocks, level_starts
 
 DEFAULT_QUAD_BUDGET = 512 << 20
 
@@ -178,30 +179,31 @@ def _dyadic_interval_sets(sa: Sequence[int]) -> SlicedSets:
     ``SlicedSets`` of sorted sets; interval (j, kappa) is set
     level_starts(n)[j] + kappa + 1.
 
-    Level j's intervals are the rows of an (n >> j) x 2^j array. A row of
-    level j + 1 joins two sorted rows of level j, which a stable sort (a
-    merge of two runs) orders in linear time. The levels' arrays, raveled
-    and concatenated, are every set's elements in set order: their
-    positions are gathered in one fancy index from an object array that
-    holds the suffix array's own int objects, so every set shares them,
-    and become the flat tuple; the ends are the closed-form sizes, 2^j for
-    each set of level j. No set is sliced here, and no Python loop runs
-    per set or per element. The int64 array rides along as the sets'
-    ``values`` for ``gapped.quotient_levels``.
+    Level j's intervals are the rows of an (n >> j) x 2^j array of
+    positions minus 1. A row of level j + 1 joins two sorted rows of
+    level j, which a stable sort (a merge of two runs) orders in linear
+    time. The levels' arrays, raveled and concatenated, are every set's
+    elements in set order, and are the sets' codes as they stand: code
+    p - 1 names position p in ``ints``, the suffix array's own int objects
+    in position order, so every set shares them. The ends are the
+    closed-form sizes, 2^j for each set of level j. No set is made here,
+    and no Python loop runs per set or per element.
     """
     n = len(sa)
-    rows = np.asarray(sa, dtype=np.int64)
-    ints = np.empty(n + 1, dtype=object)
-    ints[rows] = sa  # ints[p] is the suffix array's object for p
+    typecode = code_type(n)
+    rows = np.asarray(sa, dtype=typecode) - 1
+    ints = np.empty(n, dtype=object)
+    ints[rows] = sa  # ints[p - 1] is the suffix array's object for p
     levels = [rows]
     for j in range(1, n.bit_length()):
         count = n >> j
         rows = np.sort(rows[: 2 * count].reshape(count, 1 << j), axis=1, kind="stable")
         levels.append(rows.ravel())
-    values = np.concatenate(levels)
+    codes = np.concatenate(levels)
     widths = np.arange(n.bit_length())
     ends = np.repeat(1 << widths, n >> widths).cumsum()
-    return SlicedSets(tuple(ints[values].tolist()), array("q", ends.tobytes()), values)
+    return SlicedSets(array(typecode, codes.tobytes()), array("q", ends.tobytes()),
+                      tuple(ints.tolist()))
 
 
 class GappedStringIndex:
@@ -216,7 +218,7 @@ class GappedStringIndex:
         n = len(text)
         sets = _dyadic_interval_sets(self.suffixes.sa)
         self._level_starts = level_starts(n)
-        self.set_elements = len(sets.flat)
+        self.set_elements = len(sets.codes)
         if self.set_elements > n * n.bit_length():
             raise GapIndexError("dyadic interval accounting bound violated")
         self.gapped = GappedIndex(sets, n, kind, mem_budget)

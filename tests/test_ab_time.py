@@ -6,7 +6,8 @@ the changed answer and exits 1. With ``--oracle``, answers that differ
 pass when both pass the workload's check. With ``--build`` it times the
 builds and loads of both sides instead, each side first in every other
 repetition, and reports the time inside the cyclic collector too, and the
-memory one build of each side holds."""
+memory one build of each side holds. Without ``--reps`` it runs 31
+repetitions of builds and 3 of queries."""
 
 import pathlib
 import shutil
@@ -35,10 +36,11 @@ sys.exit(code)
 
 
 def ab_time(old, new, workload, reps=2, *flags):
+    """Runs the tool at the smoke config; ``reps=None`` leaves ``--reps`` out."""
     return subprocess.run(
         [sys.executable, "-c", COUNT_FIRSTS, str(ROOT / "tools"), str(old), str(new),
-         "--workload", workload, "--seed", "21", "--config", "smoke", "--reps", str(reps),
-         *flags],
+         "--workload", workload, "--seed", "21", "--config", "smoke",
+         *(() if reps is None else ("--reps", str(reps))), *flags],
         capture_output=True, text=True, timeout=300,
     )
 
@@ -134,6 +136,18 @@ def test_build_times_builds_and_loads(workload):
     # Each side runs first in one of the two repetitions, in both phases.
     assert lines[8] == "first 2 2"
     assert len(lines) == 9
+
+
+def test_builds_default_to_31_repetitions_and_queries_to_3():
+    result = ab_time(ROOT / "src", ROOT / "src", "string-exists", None, "--build")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "workload string-exists seed 21 config smoke reps 31 builds"
+    # 31 repetitions: one side runs first 16 times, the other 15, per phase.
+    assert sorted(map(int, lines[-1].split()[1:])) == [30, 32]
+    result = ab_time(ROOT / "src", ROOT / "src", "string-exists", None)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0].endswith(" reps 3")
 
 
 def test_a_changed_answer_fails(tmp_path):

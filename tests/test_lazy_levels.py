@@ -1,8 +1,8 @@
-"""Quotient levels, and a string index's interval sets, slice each set
-from one flat tuple on first read, and a backend makes a set's member set
-on its first probe.
+"""Quotient levels, and a string index's interval sets, make each set's
+tuple from their codes on first read, and a backend makes a set's member
+set on its first probe.
 
-A build slices no interval set and no quotient set, and makes no member
+A build makes no interval set and no quotient set, and no member
 set; ``gapindex bench`` counts the interval and quotient sets its passes
 read. A query pass fills
 only what it reads, every filled tuple is its set's quotient and holds the
@@ -60,13 +60,14 @@ def _assert_filled_right(g):
     shared ints; every member set made follows the 8-element rule."""
     for lvl in g.levels:
         base = lvl.instance.base
-        shared = {v: v for v in base.flat}
-        assert len(shared) == len({id(v) for v in base.flat})  # one int per value
+        ints = base.ints
+        assert all(a < b for a, b in zip(ints, ints[1:]))  # one int per value
+        shared = dict(zip(ints, range(len(ints))))
         eager = _eager(g, lvl.level)
         for t, q in enumerate(base.rows):
             if q is not None:
                 assert q == eager[t]
-                assert all(v is shared[v] for v in q)
+                assert all(v is ints[shared[v]] for v in q)
     for inst in _instances(g):
         backend = inst.backend
         for t, member in enumerate(backend.members):
@@ -102,11 +103,11 @@ def test_a_linear_string_build_slices_no_set(n):
     exact = g.exact.base
     assert isinstance(exact, SlicedSets) and exact.filled() == 0
     assert g.exact.backend.rows is exact.rows
-    # The int64 values are dropped once the levels are made.
-    assert exact.values is None
+    # The interval sets are int32 codes into the suffix array's ints.
+    assert exact.codes.typecode == "i" and len(exact.ints) == n
     assert all(lvl.instance.base.filled() == 0 for lvl in g.levels)
     assert all(member is None for inst in _instances(g) for member in inst.backend.members)
-    assert idx.set_elements == len(exact.flat) == sum(exact.sizes())
+    assert idx.set_elements == len(exact.codes) == sum(exact.sizes())
 
 
 def test_bench_counts_the_sets_its_passes_read():

@@ -121,7 +121,8 @@ def test_quotient_level_accounting_matches_set_by_set(kind):
 
 
 def test_set_sizes_is_one_int64_array():
-    for sets in ([(1, 2), (), (5,)], [], SlicedSets((1, 2, 5), array("q", [2, 2, 3]))):
+    for sets in ([(1, 2), (), (5,)], [],
+                 SlicedSets(array("i", [0, 1, 2]), array("q", [2, 2, 3]), (1, 2, 5))):
         sizes = set_sizes(sets)
         assert isinstance(sizes, np.ndarray) and sizes.dtype == np.int64
         assert sizes.tolist() == [len(s) for s in sets]
@@ -136,9 +137,9 @@ def test_interval_tuples_are_sorted_slices_of_the_suffix_arrays_ints(n):
     assert isinstance(sets, SlicedSets) and sets.filled() == 0
     starts = level_starts(n)
     assert len(sets) == starts[-1]
-    # The flat tuple and the carried int64 values are the same elements.
-    assert sets.values.dtype == np.int64 and sets.values.tolist() == list(sets.flat)
-    assert all(p is own[p] for p in sets.flat)
+    # The ints are the suffix array's own, in position order, named by codes.
+    assert sets.codes.typecode == "i" and list(sets.ints) == list(range(1, n + 1))
+    assert all(p is own[p] for p in sets.ints)
     sizes = set_sizes(sets)
     assert sets.filled() == 0
     for j in range(n.bit_length()):
@@ -150,12 +151,13 @@ def test_interval_tuples_are_sorted_slices_of_the_suffix_arrays_ints(n):
             assert got == tuple(sorted(sa[kappa * size:(kappa + 1) * size]))
             assert all(p is own[p] for p in got)
     assert sets.filled() == len(sets)
+    assert [sets.ints[c] for c in sets.codes] == [p for s in sets for p in s]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 2048])
 def test_string_quotient_levels_equal_those_of_plain_tuples(n):
-    # The string path numbers the carried values by the counting pass; the
-    # plain tuples are flattened again and numbered the same way.
+    # The string path takes the interval sets' codes as they are; the plain
+    # tuples are flattened again and numbered by the counting pass.
     sets = _dyadic_interval_sets(build_suffix_array(random_text(random.Random(n), n, 4)).sa)
     top = max(n.bit_length() + 1, 2)
     string_levels = list(quotient_levels(sets, top))
@@ -163,7 +165,8 @@ def test_string_quotient_levels_equal_those_of_plain_tuples(n):
     plain = [tuple(s) for s in sets]
     for level, (got, expect) in enumerate(zip(string_levels, quotient_levels(plain, top)), 2):
         assert got.filled() == 0
-        assert list(got.flat) == list(expect.flat) and list(got.ends) == list(expect.ends)
+        assert [got.ints[c] for c in got.codes] == [expect.ints[c] for c in expect.codes]
+        assert list(got.ends) == list(expect.ends)
         assert got == [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in plain]
     assert len(string_levels) == top - 1
 
@@ -203,7 +206,8 @@ def test_sort_free_halving_gives_the_unique_levels(seed):
     got = list(quotient_levels(sets, top))
     assert len(got) == top - 1
     for level, (level_sets, (flat, ends)) in enumerate(zip(got, _unique_levels(sets, top)), 2):
-        assert list(level_sets.flat) == flat and list(level_sets.ends) == ends
+        assert [level_sets.ints[c] for c in level_sets.codes] == flat
+        assert list(level_sets.ends) == ends
         assert level_sets == [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in sets]
 
 
@@ -211,12 +215,13 @@ def test_single_value_levels():
     sets = [(0, 1), (1,), (), (2, 3), (LO, LO + 1), (HI - 1, HI)]
     for level, (level_sets, (flat, ends)) in enumerate(
             zip(quotient_levels(sets, 70), _unique_levels(sets, 70)), 2):
-        assert list(level_sets.flat) == flat and list(level_sets.ends) == ends
+        assert [level_sets.ints[c] for c in level_sets.codes] == flat
+        assert list(level_sets.ends) == ends
         expect = [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in sets]
         assert level_sets == expect
     # From level 64 every value is 0 or -1: each set holds one value.
     assert level_sets == [(0,), (0,), (), (0,), (-1,), (0,)]
-    assert len(level_sets.flat) == 5
+    assert len(level_sets.codes) == 5
 
 
 NUMBERING = {
@@ -240,14 +245,17 @@ def test_both_numbering_paths_give_the_defined_levels(name, carried, monkeypatch
     dense = bool(values) and max(values) - min(values) + 1 <= len(values)
     arg = sets
     if carried:
+        ints = tuple(sorted(set(values)))
+        codes = array("i", [ints.index(a) for a in values])
         ends = array("q", np.cumsum([len(s) for s in sets], dtype=np.int64).tobytes())
-        arg = SlicedSets(tuple(values), ends, np.array(values, dtype=np.int64))
+        arg = SlicedSets(codes, ends, ints)
     calls = []
     real = np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or real(*a, **k))
     levels = list(quotient_levels(arg, 66))
-    # The counting pass runs exactly when the span is no larger than the count.
-    assert bool(calls) == (not dense)
+    # Plain sets take the counting pass exactly when the span is no larger
+    # than the count; a SlicedSets is numbered already.
+    assert bool(calls) == (not dense and not carried)
     assert len(levels) == 65
     for level, got in enumerate(levels, 2):
         assert got == [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in sets]
