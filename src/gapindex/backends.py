@@ -8,7 +8,7 @@ probing the smaller set against the other's member set. The three kinds
 only set the threshold:
 
 * ``LinearScan``        -- infinite: nothing is tabulated, every query probes.
-* ``FullTabulation``    -- -1: every pair is tabulated, no member sets kept.
+* ``FullTabulation``    -- -1: every pair is tabulated, ``exists`` never probes.
 * ``SmallUniverse(d)``  -- ceil(N^d): sweeping d trades bytes for probes.
 
 N is the sets' total size unless the caller names another total: an
@@ -26,11 +26,11 @@ only builds them, and only when every stored value lies inside
 (-2^62, 2^62), so that no difference leaves int64: the build reads the
 stored sets' least and greatest values once (``sets.value_range``), and
 any other collection tabulates with a dict. ``_TabulatedPairs.add_pair``
-is the one place that turns a pair into its table. Each unordered pair
-is stored once, with the smaller set as set i: (j, i) at shift s reads
-(i, j)'s table at -s as its mirror. ``space_bytes`` stays nominal,
-counting both orientations; ``table.nbytes`` gives the bytes the tables
-store.
+is the one place that turns a pair into its table, with the cyclic
+collector paused (``SsiBackend``). Each unordered pair is stored once,
+with the smaller set as set i: (j, i) at shift s reads (i, j)'s table at
+-s as its mirror. ``space_bytes`` stays nominal, counting both
+orientations; ``table.nbytes`` gives the bytes the tables store.
 
 Only a probe or a walk reads a member set, so only the sets a caller
 names keep one, made on the set's first probe: a tuple of at most
@@ -80,10 +80,12 @@ tuple stored, under its lock, and either member set may be kept.
 
 from __future__ import annotations
 
+import gc
 import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -420,11 +422,12 @@ class SsiBackend:
     list the queries read them from (``sets`` itself, or a ``SlicedSets``'s
     rows, where a set not yet read is None and is read from ``sets``
     instead). The ``blocks`` take ids count + 1 to ``last_block``, and
-    only their tables keep them. Member sets serve the probes, so
-    ``FullTabulation``, which never probes, keeps none; the others keep
-    ``members[t]`` for each set, None until set t + 1's first probe
-    (``member``): set t's own tuple when it has at most ``_TUPLE_MEMBERS``
-    elements, else a frozenset.
+    only their tables keep them. Member sets serve the probes and walks:
+    ``members[t]`` is None until set t + 1's first probe (``member``), then
+    set t's own tuple when it has at most ``_TUPLE_MEMBERS`` elements,
+    else a frozenset. ``FullTabulation``'s ``exists`` never probes, so only
+    a ``scan`` or ``scan_shifts`` fills one, and ``dict_entries`` counts
+    none for it.
 
     The build reads the sizes once, as one int64 array (``set_sizes``):
     the threshold total, ``dict_entries`` and the large ids are each one
@@ -434,6 +437,11 @@ class SsiBackend:
     caps each tabulated pair's certificates at its 2 * (high - low) + 1
     shifts, and the numpy table path runs only when it lies inside
     int64's (-2^62, 2^62); otherwise every pair tabulates with a dict.
+    Past the budget check, the int64 conversion and the tabulation loop
+    run with the cyclic collector paused: they make containers per pair
+    and no reference cycle. The caller's setting is restored even when a
+    pair raises, and an enabled collector then runs the one young
+    collection it owes.
     """
 
     def __init__(self, sets: Sequence[tuple[int, ...]], kind: BackendKind,
@@ -469,19 +477,24 @@ class SsiBackend:
                     f"{kind.name} build needs ~{needed} bytes, over budget {mem_budget}"
                 )
             np_safe = -_NP_SAFE < low and high < _NP_SAFE
-            for group in groups:
-                # Each operand is converted to int64 once, not once per pair.
-                group = [(t, s, _int64(s) if np_safe else None) for t, s in group]
-                for x, p in enumerate(group):
-                    for q in group[x:]:
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                for group in groups:
+                    # Each operand is converted to int64 once, not once per pair.
+                    group = [(t, s, _int64(s) if np_safe else None) for t, s in group]
+                    for p, q in combinations_with_replacement(group, 2):
                         # The smaller set is the row side: the narrowest rows.
                         (i, sa, aa), (j, sb, bb) = (q, p) if len(q[1]) < len(p[1]) else (p, q)
                         self.table.add_pair(i, j, sa, sb, aa, bb)
-        probed = not isinstance(kind, FullTabulation)
-        self.members: list[Union[frozenset, tuple[int, ...], None]] = (
-            [None] * self.count if probed else [])
+            finally:
+                if enabled:
+                    gc.enable()
+            if enabled:
+                gc.collect(0)
+        self.members: list[Union[frozenset, tuple[int, ...], None]] = [None] * self.count
         # Logical space: one entry per element a probe can read.
-        self.dict_entries = stored if probed else 0
+        self.dict_entries = 0 if isinstance(kind, FullTabulation) else stored
 
     @property
     def large(self) -> list[bool]:

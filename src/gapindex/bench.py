@@ -20,11 +20,11 @@ record, not fatal. An ``ssi`` record gives the nominal
 ``build_bytes`` (``SsiBackend.space_bytes``) and, beside it, the bytes its
 tabulated pairs physically store (``table_bytes``) and the number of
 tables stored (``table_pairs``: one per unordered pair of large sets).
-A ``gapped_string`` record gives the same two table fields for its exact
-instance, the number of quotient levels its index built (``levels``:
-levels 2 up to the manifest's ``levels``) and, beside
-``build_seconds``, the seconds of it spent inside Python's cyclic
-collector (``build_gc_seconds``, timed through ``gc.callbacks``). It
+Every record of a build gives, beside ``build_seconds``, the seconds of
+it spent inside Python's cyclic collector (``build_gc_seconds``, timed
+through ``gc.callbacks``). A ``gapped_string`` record gives the same two table
+fields for its exact instance and the number of quotient levels its
+index built (``levels``: levels 2 up to the manifest's ``levels``). It
 times its query stream in three passes in ``report`` mode and then three
 in ``exists`` mode. The first pass of each gives the counts and the time
 that earlier records give: ``occ_total``, ``base_ssi_calls`` and
@@ -121,11 +121,13 @@ def _ssi_record(entry: dict, mem_budget: int) -> dict:
     }
     started = time.perf_counter()
     try:
-        backend = build_backend(collection, kind, mem_budget)
+        with _CollectorClock() as collector:
+            backend = build_backend(collection, kind, mem_budget)
     except BudgetError as e:
         record["error"] = str(e)
         return record
     record["build_seconds"] = round(time.perf_counter() - started, 6)
+    record["build_gc_seconds"] = round(collector.seconds, 6)
     record["build_bytes"] = backend.space_bytes()
     record["table_bytes"] = backend.table.nbytes
     record["table_pairs"] = backend.table.pairs

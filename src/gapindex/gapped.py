@@ -79,10 +79,10 @@ three or four below ceil(log2 u) at every universe from 2^10 to 2^40. A
 pass over a narrower gap climbs no higher (checked over every gap for u
 up to 96, and at random for larger u, in ``test_reachable_levels``), so
 no plan over a clamped gap asks above R, and a plan that does is refused
-with GapIndexError. The build pauses the cyclic collector: it leaves no
-reference cycle behind, so every pass would walk the growing heap and
-free nothing. It runs the one young collection that re-enabling owes
-before it returns, and leaves the collector as it found it.
+with GapIndexError. An enabled cyclic collector runs one young pass
+before the build returns, so the build, not the caller's next
+allocations, pays for walking what it made. Only the exact instance's
+tabulation pauses the collector (``backends.SsiBackend``).
 
 A pair the exact instance tabulates (``SsiBackend.tabulated``: both sets
 above its threshold) answers from its own table, which holds every
@@ -474,24 +474,6 @@ def originals(elements: tuple[int, ...], level: int, quotient_value: int) -> lis
     return list(elements[lo : bisect_left(elements, (quotient_value + 1) << shift, lo)])
 
 
-def _numbered(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values and each value's code among them, as
-    ``np.unique(values, return_inverse=True)`` gives them. When the values
-    span no more slots than there are values (a string index's positions
-    1..n), a counting pass numbers them with no sort: a presence mask over
-    the span, whose ``cumsum`` is each slot's code. The span is taken in
-    Python ints, so values near either end of int64 cannot overflow it."""
-    if values.size:
-        low = int(values.min())
-        span = int(values.max()) - low + 1
-        if span <= values.size:
-            offsets = values - low
-            present = np.zeros(span, dtype=bool)
-            present[offsets] = True
-            return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[offsets]
-    return np.unique(values, return_inverse=True)
-
-
 def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[SlicedSets]:
     """The quotient sets of levels 2..top, one ``SlicedSets`` per level,
     each made in one bulk pass from the one below.
@@ -500,10 +482,10 @@ def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[Slice
     element is kept as the code of its value among the sorted distinct
     values, in set order, with the sets' ends. A ``SlicedSets`` (the
     string index's interval sets) holds them so already: its ``ints`` are
-    the distinct values and its ``codes`` are taken as they are. Other
-    sets are flattened once into an int64 array and numbered
-    (``_numbered``: a counting pass over a dense span, else
-    ``np.unique``). A level halves the level below's distinct values,
+    the distinct values and its ``codes`` and ``ends`` are taken as they
+    are. Other sets are flattened once into an int64 array and numbered by
+    ``np.unique``, and their ends are the sum of their sizes
+    (``set_sizes``). A level halves the level below's distinct values,
     maps each code to its half's, and keeps an element when its code
     differs from the previous element's or it is its set's first: every
     quotient set comes out sorted and free of repeats, as dict.fromkeys
@@ -514,23 +496,23 @@ def quotient_levels(sets: Sequence[tuple[int, ...]], top: int) -> Iterator[Slice
     A set's end moves to the count of kept elements before it. A level is
     its codes, as an ``array`` of ``sets.code_type``, its ends, and its
     distinct values as one tuple of ints: each set's tuple is made from
-    them on first read, and shares those ints. The sets' sizes are read
-    once (``set_sizes``), and no set is made. An element outside int64
-    raises FormatError.
+    them on first read, and shares those ints. No set is made. An element
+    outside int64 raises FormatError.
     """
-    sizes = set_sizes(sets)
     if isinstance(sets, SlicedSets):
         distinct = np.array(sets.ints, dtype=np.int64)
         codes = np.frombuffer(sets.codes, sets.codes.typecode)
+        ends = np.frombuffer(sets.ends, np.int64)
     else:
+        sizes = set_sizes(sets)
         try:
             values = np.fromiter(chain.from_iterable(sets), np.int64, int(sizes.sum()))
         except OverflowError:
             bad = next(a for s in sets for a in s if not _INT64.min <= a <= _INT64.max)
             raise FormatError(f"element {bad} does not fit the quotient levels' int64") from None
-        distinct, codes = _numbered(values)
+        distinct, codes = np.unique(values, return_inverse=True)
         del values
-    ends = np.cumsum(sizes)
+        ends = np.cumsum(sizes)
     keep = np.ones(len(codes), dtype=bool)
     kept = np.zeros(len(codes) + 1, dtype=np.int64)
     for _ in range(2, top + 1):
@@ -579,8 +561,8 @@ class GappedIndex:
     wider span (``value_range``) would leave differences past the clamp at
     universe - 1, and is refused with FormatError. ``sets`` may be a
     ``SlicedSets`` (the string index's interval sets), whose range is read
-    off their codes and whose codes ``quotient_levels`` takes as they
-    are, so the build makes none of their tuples. ``max_level`` is
+    off their ``ints`` and whose codes and ends ``quotient_levels`` takes
+    as they are, so the build makes none of their tuples. ``max_level`` is
     ``reach(universe)``, the highest level a plan over the clamped gap can
     ask: 0 for a universe of one value, at least 1 above that.
     ``instances[l]`` is the instance that answers level l, for l up to
@@ -589,9 +571,9 @@ class GappedIndex:
     ``ApproxQuery`` (a plan asks level 1's shifts at level 0), and
     ``levels[l - 2].instance`` above, under ``LinearScan``: only pairs the
     exact instance does not tabulate ask a level, so no level stores a
-    table. The build runs with the cyclic collector paused, then runs one
-    young collection when the caller had it enabled, and restores the
-    caller's setting even when the build raises.
+    table. The build ends with one young collection when the cyclic
+    collector is enabled, and leaves the collector's setting as it found
+    it.
     ``total_elements`` counts each stored collection once: the exact
     instance's and each quotient level's.
 
@@ -611,19 +593,13 @@ class GappedIndex:
         self.universe = universe
         self.kind = kind
         self.max_level = reach(universe)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            self.exact = AugmentedInstance(sets, kind, mem_budget)
-            quotients = quotient_levels(self.exact.base, self.max_level)
-            self.levels = [
-                LevelIndex(level_sets, level, LinearScan(), mem_budget)
-                for level, level_sets in enumerate(quotients, start=2)
-            ]
-        finally:
-            if enabled:
-                gc.enable()
-        if enabled:
+        self.exact = AugmentedInstance(sets, kind, mem_budget)
+        quotients = quotient_levels(self.exact.base, self.max_level)
+        self.levels = [
+            LevelIndex(level_sets, level, LinearScan(), mem_budget)
+            for level, level_sets in enumerate(quotients, start=2)
+        ]
+        if gc.isenabled():
             gc.collect(0)
         above = [lvl.instance for lvl in self.levels]
         self.instances = [self.exact] * min(2, self.max_level + 1) + above

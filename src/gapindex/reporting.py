@@ -193,9 +193,10 @@ def report_shift(
     pairs for a scan. ``inst.last_query_calls`` is set to the calls made.
     """
     check_set_ids(inst, i, j)
-    elements_a, elements_b = inst.base[i - 1], inst.base[j - 1]
+    backend, base = inst.backend, inst.base
+    rows = backend.rows
+    elements_a, elements_b = rows[i - 1] or base[i - 1], rows[j - 1] or base[j - 1]
     m_a, m_b = len(elements_a), len(elements_b)
-    backend = inst.backend
     shift = (s,)
     if not backend.tabulated(i, j):
         found = backend.scan(i, 1, m_a, j, 1, m_b, shift)

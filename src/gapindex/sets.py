@@ -19,10 +19,10 @@ a gapped index are each one. ``code_type`` picks the codes' width.
 array, making no set (a ``SlicedSets`` reads them off its ends), so a
 build's per-set bookkeeping is numpy expressions over that array.
 ``value_range`` reads the least and the greatest element of a sequence
-of sorted sets off their ends, or a ``SlicedSets``'s off its least and
-greatest code, with no set made: the gapped index's span check, the
-tabulation budget's shift span and the int64 guard of the numpy table
-path all read it.
+of sorted sets off their ends, or a ``SlicedSets``'s off the first and
+last of its ``ints``, with no set made: the gapped index's span check,
+the tabulation budget's shift span and the int64 guard of the numpy
+table path all read it.
 """
 
 from __future__ import annotations
@@ -88,8 +88,10 @@ class SlicedSets:
     """k sorted element tuples, each made from int codes on first read.
 
     ``ints`` is one tuple of the sets' distinct values, ascending, one int
-    object per value; ``codes`` is an ``array`` of ``code_type(len(ints))``
-    holding every set's elements in set order as indexes into ``ints``;
+    object per value, and every int is some set's value, so ``ints[0]``
+    and ``ints[-1]`` are the least and the greatest element. ``codes`` is
+    an ``array`` of ``code_type(len(ints))`` holding every set's elements
+    in set order as indexes into ``ints``;
     ``ends`` is an ``array('q')``. Set t (from 0) is the values of
     ``codes[ends[t - 1]:ends[t]]``, with 0 before set 0. Neither array
     holds an object, so the cyclic collector walks a level of any size as
@@ -192,14 +194,12 @@ def value_range(sets: Sequence[Sequence[int]]) -> Optional[tuple[int, int]]:
     set is sorted, so its ends bound it: two passes of ``min`` and ``max``
     over ``itemgetter`` maps, at C speed, read two elements per set and
     build no list. Values past int64 are read as the Python ints they are.
-    A ``SlicedSets``'s ``ints`` ascend, so its range is the values of its
-    least and greatest code, read with no set made.
+    A ``SlicedSets``'s ``ints`` are its sets' distinct values, ascending,
+    so its range is their first and last, read with no set made.
     """
     if isinstance(sets, SlicedSets):
-        if not sets.codes:
-            return None
-        codes = np.frombuffer(sets.codes, sets.codes.typecode)
-        return sets.ints[codes.min()], sets.ints[codes.max()]
+        ints = sets.ints
+        return (ints[0], ints[-1]) if ints else None
     low = min(map(itemgetter(0), filter(None, sets)), default=None)
     if low is None:
         return None

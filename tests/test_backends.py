@@ -177,7 +177,7 @@ def test_kind_sets_threshold_and_accounting():
         assert backend.dict_entries == dict_entries
         assert backend.table.entries == entries
         assert backend.space_bytes() == 8 * dict_entries + 24 * entries
-    assert build_backend(c, FullTabulation()).members == []
+    assert build_backend(c, FullTabulation()).members == [None] * 3
 
 
 def test_raw_input_with_an_empty_set():
@@ -453,6 +453,30 @@ def test_scan_over_many_shifts_is_the_one_shift_scans_in_order(kind):
             assert found == [] and backend.probes == probes
         checked += len(found)
     assert checked > 20
+
+
+def test_fulltab_scan_and_scan_shifts_answer_as_linear_scan():
+    """Every kind keeps a member-set slot per set, so a FullTabulation
+    backend, whose ``exists`` never probes, still walks as LinearScan does."""
+    sets = [(1, 2, 3), (2, 5)]
+    full = build_backend(sets, FullTabulation())
+    assert full.scan(1, 1, 3, 2, 1, 2, (1,)) == [(1, 2)]
+    assert full.scan_shifts(1, 2, (1, 2)) == [(1, 2), (3, 5)]
+    assert full.dict_entries == 0 and full.space_bytes() == 480
+    rng = random.Random(89)
+    for _ in range(60):
+        sets = [tuple(sorted(rng.sample(range(-50, 200), rng.randint(0, 24))))
+                for _ in range(rng.randint(2, 4))]
+        full, linear = build_backend(sets, FullTabulation()), build_backend(sets, LinearScan())
+        i, j = rng.randint(1, len(sets)), rng.randint(1, len(sets))
+        sa, sb = sets[i - 1], sets[j - 1]
+        a_lo, b_lo = rng.randint(1, len(sa) + 1), rng.randint(1, len(sb) + 1)
+        ranges = (i, a_lo, rng.randint(a_lo - 1, len(sa)), j, b_lo, rng.randint(b_lo - 1, len(sb)))
+        realized = sorted({b - a for a in sa for b in sb})
+        shifts = rng.sample(realized, min(len(realized), rng.randint(0, 4)))
+        shifts = list(dict.fromkeys(shifts + [rng.randint(-300, 300) for _ in range(3)]))
+        assert full.scan(*ranges, shifts) == linear.scan(*ranges, shifts)
+        assert full.scan_shifts(i, j, shifts) == linear.scan_shifts(i, j, shifts)
 
 
 def _meets_walk(sa, sb, lo, hi):

@@ -659,6 +659,18 @@ def test_bench_sizes_stand_in_for_n(tmp_path, capsys):
     assert record["k"] == 3 and record["queries"] == 4
 
 
+def test_an_ssi_record_gives_its_collector_seconds(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ssi": [{"N": 12, "k": 3, "u": 20, "backend": backend,
+                                         "queries": 2, "seed": 4}
+                                        for backend in ("linear", "fulltab")]}))
+    code, out, _ = run_cli(["bench", str(spec)], capsys)
+    assert code == 0
+    for record in map(json.loads, out.splitlines()):
+        seconds = record["build_gc_seconds"]
+        assert type(seconds) is float and 0 <= seconds <= record["build_seconds"]
+
+
 def test_bench_records(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

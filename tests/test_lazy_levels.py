@@ -21,6 +21,7 @@ import pytest
 from gapindex.backends import FullTabulation, LinearScan, SmallUniverse
 from gapindex.bench import run_bench
 from gapindex.errors import FormatError
+from gapindex import gapped
 from gapindex.gapped import (
     ApproxQuery,
     approx_exists,
@@ -31,7 +32,7 @@ from gapindex.gapped import (
 )
 from gapindex.generators import random_collection, random_pattern_from, random_text
 from gapindex.sets import SlicedSets
-from gapindex.textindex import build_gapped_string_index
+from gapindex.textindex import baseline_linear_scan, build_gapped_string_index
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -167,6 +168,35 @@ def test_filled_tuples_and_member_sets_follow_the_rules(kind):
     assert sum(lvl.instance.base.filled() for lvl in g.levels) > read
     assert any(m is not None for inst in _instances(g) for m in inst.backend.members)
     _assert_filled_right(g)
+
+
+def test_a_filled_tabulated_report_reads_its_sets_off_rows(monkeypatch):
+    """Once a report pass has filled the interval sets it reads, a repeated
+    pass reads every set off ``rows``: ``report_shift`` included, which a
+    tabulated pair asks once per realized shift."""
+    rng = random.Random(41)
+    text = random_text(rng, 256, 2)
+    idx = build_gapped_string_index(text, SmallUniverse(delta=0.5))
+    # The first letter's ranks start at 1, so its cover holds the block of
+    # ranks 1..128: a large set, above the threshold of 118.
+    assert idx.gapped.exact.backend.threshold == 118
+    stream = []
+    for _ in range(30):
+        lo = rng.randint(0, 40)
+        stream.append((random_pattern_from(rng, text, 1), random_pattern_from(rng, text, 1),
+                       lo, lo + rng.randint(0, 60)))
+    first = [idx.report(*q) for q in stream]
+    shifts = []
+    real_shift = gapped.report_shift
+    monkeypatch.setattr(gapped, "report_shift",
+                        lambda *a, **k: shifts.append(a) or real_shift(*a, **k))
+    reads = []
+    real_read = SlicedSets.__getitem__
+    monkeypatch.setattr(SlicedSets, "__getitem__",
+                        lambda self, t: reads.append(t) or real_read(self, t))
+    again = [idx.report(*q) for q in stream]
+    assert len(shifts) > len(stream) and reads == []
+    assert again == first == [baseline_linear_scan(text, *q) for q in stream]
 
 
 def test_a_level_reads_as_the_list_it_replaces():

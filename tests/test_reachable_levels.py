@@ -4,8 +4,8 @@
 passes over [0, u - 1]. No plan over a gap inside that range asks above
 it, every level it builds is asked by some gap, a plan that does ask
 above it is refused, and so is a set collection whose elements span more
-than u values. The build pauses the cyclic collector and leaves it as it
-found it, also when it raises.
+than u values. The build's tabulation pauses the cyclic collector, and
+the build leaves it as it found it, also when it raises.
 """
 
 import dataclasses
@@ -161,10 +161,11 @@ def test_a_build_runs_its_deferred_young_collection(monkeypatch):
         g = GappedIndex(sets, c.universe, FullTabulation())
     finally:
         gc.callbacks.remove(log)
-    # The build made far more containers than one young generation holds,
-    # yet the collector ran once, young, before the build returned.
+    # The tabulation made far more containers than one young generation
+    # holds, yet the collector ran young only: once after the tabulation,
+    # and once more before the build returned.
     assert len(g.levels) == g.max_level - 1 > 0
-    ((generation, made),) = asked
-    assert generation == 0 and made > 10 * gc.get_threshold()[0]
-    assert passes == [0]
+    (tabulated, made), (built, _) = asked
+    assert tabulated == built == 0 and made > 10 * gc.get_threshold()[0]
+    assert passes == [0, 0]
     assert gc.get_count()[0] < gc.get_threshold()[0]

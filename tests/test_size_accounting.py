@@ -10,8 +10,8 @@ are one ``SlicedSets``, none sliced at build, whose sets are the sorted
 suffix-array slices and hold the suffix array's own int objects; its
 quotient levels equal those of the same sets as plain tuples. The
 sort-free halving of the quotient levels gives the levels that
-``np.unique`` numbering gives, and both numbering paths (the counting
-pass over a dense span, ``np.unique`` otherwise) give the levels of the
+``np.unique`` numbering gives, and both numbering paths (``np.unique``
+once for plain sets, none for a ``SlicedSets``) give the levels of the
 definition.
 """
 
@@ -30,7 +30,7 @@ from gapindex.backends import (
     size_threshold,
 )
 from gapindex.generators import random_collection, random_text
-from gapindex.gapped import _numbered, quotient_levels
+from gapindex.gapped import quotient_levels
 from gapindex.reporting import AugmentedInstance, build_reporting_index
 from gapindex.sets import SlicedSets, level_starts, set_sizes
 from gapindex.textindex import _dyadic_interval_sets, build_suffix_array
@@ -242,7 +242,6 @@ NUMBERING = {
 def test_both_numbering_paths_give_the_defined_levels(name, carried, monkeypatch):
     sets = NUMBERING[name]
     values = [a for s in sets for a in s]
-    dense = bool(values) and max(values) - min(values) + 1 <= len(values)
     arg = sets
     if carried:
         ints = tuple(sorted(set(values)))
@@ -253,25 +252,11 @@ def test_both_numbering_paths_give_the_defined_levels(name, carried, monkeypatch
     real = np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or real(*a, **k))
     levels = list(quotient_levels(arg, 66))
-    # Plain sets take the counting pass exactly when the span is no larger
-    # than the count; a SlicedSets is numbered already.
-    assert bool(calls) == (not dense and not carried)
+    # Plain sets are numbered by one np.unique; a SlicedSets is numbered
+    # already.
+    assert len(calls) == (0 if carried else 1)
     assert len(levels) == 65
     for level, got in enumerate(levels, 2):
         assert got == [tuple(dict.fromkeys(a >> (level - 1) for a in s)) for s in sets]
     if carried:
         assert arg.filled() == 0
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_the_counting_pass_numbers_as_np_unique(seed):
-    rng = random.Random(seed)
-    count = rng.randint(1, 200)
-    base = rng.choice([-50, 0, 1, LO, HI - 2 * count])
-    width = rng.choice([count // 2 + 1, count, count + 1, 50 * count])
-    values = np.array([base + rng.randrange(width) for _ in range(count)], dtype=np.int64)
-    distinct, codes = _numbered(values)
-    want_distinct, want_codes = np.unique(values, return_inverse=True)
-    assert distinct.tolist() == want_distinct.tolist()
-    assert codes.tolist() == want_codes.tolist()
-    assert (distinct[codes] == values).all()

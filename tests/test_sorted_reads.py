@@ -96,13 +96,42 @@ def test_value_range_edge_cases():
     assert value_range([[4, 6], array("q", [-1, 2])]) == (-1, 6)
     level = SlicedSets(array("i", [0, 1, 4, 2, 5, 3]), array("q", [3, 3, 5, 6]), (1, 2, 3, 4, 5, 7))
     assert value_range(level) == value_range(list(level)) == (1, 7)
-    # A SlicedSets is read off its least and greatest code, no set made.
+    # A SlicedSets is read off its first and last int, no set made.
     for ints, codes, ends in (((-2**63, 0, 2**63 - 1), [0, 1, 2], [1, 1, 3]),
                               ((2, 4, 9), [1, 2, 0], [2, 2, 3]), ((), [], [0, 0])):
         level = SlicedSets(array("i", codes), array("q", ends), ints)
         got = value_range(level)
         assert level.filled() == 0 and got == value_range([tuple(s) for s in level])
         assert got is None or (got[0] is ints[0] and got[1] is ints[-1])
+
+
+class _Unreadable:
+    """Stands in for a ``SlicedSets``'s codes, and raises on any read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"codes.{name} was read")
+
+    def __bool__(self):
+        raise AssertionError("codes were tested for truth")
+
+    def __len__(self):
+        raise AssertionError("codes were measured")
+
+    def __getitem__(self, at):
+        raise AssertionError("codes were indexed")
+
+    def __iter__(self):
+        raise AssertionError("codes were iterated")
+
+
+def test_value_range_of_a_sliced_sets_reads_no_code():
+    # Every int is some set's value, so the ends of ``ints`` are the range.
+    ints = (-2**70, 3, 2**70)
+    level = SlicedSets(array("i", [0, 2, 1]), array("q", [2, 3]), ints)
+    level.codes = _Unreadable()
+    low, high = value_range(level)
+    assert low is ints[0] and high is ints[-1]
+    assert value_range(SlicedSets(_Unreadable(), array("q", [0]), ())) is None
 
 
 def _tables_answer_as_the_oracle(sets, kind):
